@@ -91,9 +91,6 @@ class LinearMap:
     def rank(self) -> int:
         return rank(self.matrix)
 
-    def is_bijective(self) -> bool:
-        return self.src_dim == self.dst_dim and self.rank() == self.src_dim
-
 
 @dataclass
 class LieAlgebra:
@@ -139,14 +136,6 @@ class LieAlgebra:
         if self.model is not None:
             return (self.model.n, self.model.m)
         return (self.dim, 1)
-
-    def basis_label(self, k: int) -> str:
-        if self.labels is not None:
-            return self.labels[k]
-        if self.model is not None:
-            i, j = divmod(k, self.model.m)
-            return f"E[{i + 1},{j + 1}]"
-        return f"x{k}"
 
     def to_coords(self, x) -> tuple:
         if isinstance(x, Matrix):

@@ -182,21 +182,6 @@ class StructureConstants:
                     out[k] += c * v
         return tuple(out)
 
-    def bracket_sparse(self, xs: Dict[int, Scalar], ys: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        out: Dict[int, Scalar] = {}
-        for a, xv in xs.items():
-            for b, yv in ys.items():
-                c = xv * yv
-                if c == 0 or a == b:
-                    continue
-                for k, v in self.bracket_basis(a, b).items():
-                    w = out.get(k, 0) + c * v
-                    if w == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return out
-
     def is_abelian(self) -> bool:
         return not self.table
 

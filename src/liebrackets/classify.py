@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Tuple
 
-from .algebra import LieAlgebra, LinearMap, hom_check, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, LinearMap, center, hom_check, invariant_signature
 from .brackets import BracketParam, basis_matrices
 from .matrices import (
     Matrix,
     RankFactorization,
     ShapeError,
+    Subspace,
     inverse,
     rank,
     rank_factorization,
@@ -78,6 +80,29 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     return LinearMap.from_columns(columns)
 
 
+def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:
+    """The witness ``iso_witness(j1, j2)`` and its homomorphism check from
+    the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``."""
+    f = iso_witness(j1, j2)
+    n, m = j1.cols, j1.rows
+    verdict = hom_check(
+        f,
+        LieAlgebra.from_param(BracketParam(n, m, j1)),
+        LieAlgebra.from_param(BracketParam(n, m, j2)),
+    )
+    return f, verdict
+
+
+def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:
+    """Center of the bracket algebra, the rank r of its parameter, and the
+    center dimension the rank predicts: ``(n-r)(m-r)``, except 1 for a
+    full-rank square parameter."""
+    ctr = center(LieAlgebra.from_param(param))
+    r = rank(param.j)
+    n, m = param.n, param.m
+    return ctr, r, 1 if n == m == r else (n - r) * (m - r)
+
+
 def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int) -> Matrix:
     """Seeded random integer matrix of exactly the requested rank.
 
@@ -120,12 +145,7 @@ def classify_rank_family(n: int, m: int, seed: int = 0, witness_pairs: int = 1) 
         for _ in range(witness_pairs):
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
-            f = iso_witness(j1, j2)
-            verdict = hom_check(
-                f,
-                LieAlgebra.from_param(BracketParam(n, m, j1)),
-                LieAlgebra.from_param(BracketParam(n, m, j2)),
-            )
+            _, verdict = verified_witness(j1, j2)
             if not verdict.bijective:
                 verified = False
         entries.append({"r": r, "signature": sig.to_json(), "witness_verified": verified})

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, LinearMap, hom_check
+from .algebra import LieAlgebra, LinearMap, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, basis_matrices, block_bracket, bracket
 from .matrices import (
     Matrix,
@@ -126,6 +126,24 @@ def heisenberg_realization(n: int) -> HeisenbergModel:
         if bracket(z, g, param) != Matrix.zeros(size, size):
             raise ValueError("Z is not central among the generators")
     return model
+
+
+def heisenberg_verdicts(model: HeisenbergModel) -> Dict[str, dict]:
+    """Verdicts on a realization, by name: the span is a subalgebra, its
+    constants are the Heisenberg constants, its lower central series has
+    dimensions ``[2n+1, 1, 0]``, and its center is spanned by Z."""
+    n = model.n
+    closed = subalgebra_closed(LieAlgebra.from_param(model.ambient), model.span())
+    realized = model.realized_algebra()
+    lcs = [t.dim for t in lower_central_series(realized)]
+    ctr = center(realized)
+    z_coords = realized.from_coords([0] * (2 * n) + [1])
+    return {
+        "subalgebra_closed": {"pass": closed.passed, "witness": closed.witness},
+        "constants_match": {"pass": realized.constants == model.abstract().constants},
+        "lcs_dims": {"pass": lcs == [2 * n + 1, 1, 0], "got": lcs},
+        "center": {"pass": ctr.dim == 1 and ctr.contains(z_coords), "dim": ctr.dim},
+    }
 
 
 @dataclass(frozen=True)
@@ -263,7 +281,7 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     and the isomorphism assembles the blocks as ``[[X, B], [A, C]]``.
     """
     if r < 1 or s < 0:
-        raise ValueError(f"need r >= 1 and s >= 0, got r={r}, s={s}")
+        raise HypothesisError(f"need r >= 1 and s >= 0, got r={r}, s={s}")
     n = r + s
     dim = n * n
     components = _component_blocks(r, s)

@@ -16,11 +16,12 @@ with any parameter is a 2-coboundary of the commutator's adjoint action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .algebra import Verdict
 from .brackets import BracketParam, StructureConstants, basis_matrices, bracket
-from .matrices import Matrix, ShapeError
+from .matrices import Matrix, ShapeError, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
@@ -82,10 +83,6 @@ class LaurentScalar:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentScalar(out)
-
-    def scale(self, c) -> "LaurentScalar":
-        c = to_scalar(c)
-        return LaurentScalar({e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentScalar):
@@ -249,6 +246,43 @@ def psi_t_inverse(x: Matrix, t, r: int) -> Matrix:
         raise ShapeError(f"expected a square matrix, got {x.rows}x{x.cols}")
     inv = scalar_div(1, 1 - t)
     return Matrix([[v * inv if c >= r else v for c, v in enumerate(row)] for row in x._data])
+
+
+# Sample times of the deformation path: both endpoints and three interior points.
+PATH_TIMES = (0, Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), 1)
+
+
+def path_identities(n: int, r: int, t) -> Dict[str, bool]:
+    """Check the path identities at time ``t`` on every basis pair of ``Mat(n x n)``.
+
+    With ``J_t = (1-t) I + t J_r`` and ``J_r`` the rank-r normal form:
+
+    * ``decomposition``: ``[A, B]_{J_t} = [A, B] + t [A, B]_{J_r - I}``;
+    * ``transport`` (only for ``t != 1``):
+      ``[A, B]_{J_t} = psi_t^-1([psi_t A, psi_t B])``.
+    """
+    t = to_scalar(t)
+    jr = rank_normal_form(n, n, r)
+    param_t = deformation_bracket(n, jr, t)
+    param_comm = BracketParam.commutator(n)
+    param_shift = BracketParam(n, n, jr - Matrix.identity(n))
+    basis = basis_matrices(n, n)
+    images = [psi_t(x, t, r) for x in basis] if t != 1 else None
+    decomposition = transport = True
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            A, B = basis[a], basis[b]
+            lhs = bracket(A, B, param_t)
+            if lhs != bracket(A, B, param_comm) + t * bracket(A, B, param_shift):
+                decomposition = False
+            if images is not None:
+                pa, pb = images[a], images[b]
+                if lhs != psi_t_inverse(pa @ pb - pb @ pa, t, r):
+                    transport = False
+    verdicts = {"decomposition": decomposition}
+    if images is not None:
+        verdicts["transport"] = transport
+    return verdicts
 
 
 def alpha_coboundary(x: Matrix, j: Matrix) -> Matrix:

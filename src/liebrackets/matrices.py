@@ -169,9 +169,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._data for x in row)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_scalar_multiple_of_identity(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -300,6 +297,8 @@ def kernel(m: Matrix) -> "Subspace":
 def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:
     """The rows x cols matrix with the identity of size ``r`` in the top-left
     corner and zeros elsewhere (``r = 0`` gives the zero matrix)."""
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"invalid shape {rows}x{cols}")
     if not (0 <= r <= min(rows, cols)):
         raise ShapeError(f"rank {r} out of range for {rows}x{cols}")
     return Matrix._raw(
@@ -410,10 +409,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.ambient_rows * self.ambient_cols
 
     def _echelon_rows(self) -> tuple:
         if self._echelon is None:

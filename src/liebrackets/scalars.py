@@ -17,9 +17,6 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-ZERO: Scalar = 0
-ONE: Scalar = 1
-
 
 def to_scalar(value) -> Scalar:
     """Coerce ``value`` (int, Fraction, rational string) to canonical form.
@@ -32,7 +29,11 @@ def to_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
-        return to_scalar(Fraction(value.strip()))
+        try:
+            parsed = Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        return to_scalar(parsed)
     if isinstance(value, int):  # bools and int subclasses
         return int(value)
     if isinstance(value, float):

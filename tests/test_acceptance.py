@@ -5,6 +5,7 @@ live).  The same checks back the ``liebrackets verify-all`` subcommand;
 the final test runs that command end-to-end and enforces its time budget.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,5 +98,8 @@ def test_11_end_to_end_cli():
     payload = json.loads(proc.stdout)
     assert payload["result"]["pass"] is True
     assert payload["seed"] == 0
+    # A passing report is fixed to the byte: refactors must not change it.
+    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+    assert digest == "41ee47dfefc30f3327c5093abfda1b2f632af7ab5f7cc74b1c46c75a82fb80ba"
     print(f"(verify-all ran in {elapsed:.1f}s)")
     report(11, "verify-all --max 4 --seed 0 exits 0 in under 60s", outcome)

@@ -1,6 +1,9 @@
 """The command-line interface: JSON reports, exit codes, determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from liebrackets.cli import main
 from liebrackets.matrices import matrix_to_json, parse_matrix
@@ -145,3 +148,56 @@ class TestVerifyAll:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+# stdout sha256 of the README's example subcommands (all but embed, which
+# needs a file, and verify-all, covered by the acceptance suite).
+README_EXAMPLES = {
+    "constants": (["constants", "2", "2", "--j", "1 0; 0 0"],
+                  "11c03c7d2c4780498d6c0cbbc4d18b7d9c3d442e95bb8e190db61e88c8889d48"),
+    "center": (["center", "2", "2", "--j", "1 0; 0 0"],
+               "9e3553dbb1e686f87b439367a4abda412df5ce5e4ce9cb7a750a819bc4be52ea"),
+    "classify": (["classify", "3", "3"],
+                 "94e59fac493e52988bb793aff1aad17d01bb527435d0b39d8ebe09263e7d257a"),
+    "witness": (["witness", "--j1", "1 0; 0 0", "--j2", "0 0; 0 1"],
+                "637208139050d4a251af6b8808768b2b1372efc3b4925f25b1dcb7be06d09d4c"),
+    "heisenberg": (["heisenberg", "2"],
+                   "2ba2a7f2991c65402afc3da2e4a31fba32f902e89fa591a39a44a108fa0808c9"),
+    "semidirect": (["semidirect", "2", "1"],
+                   "6d62768aba4529c72f8cc76b5b2638ce4deec22db476dba0d67854a0e530f9f0"),
+    "contract": (["contract", "3", "1"],
+                 "df13190913b0f289a5dc4878dd468ead6fe8f1412b0e30eb451cb58c2c7d58d8"),
+    "deform": (["deform", "3", "1", "--t", "1/3"],
+               "c0d5dc5b81fbbaee89854cb53b3ea6c6974b0d89b40f39a35103abe0f08f84ff"),
+    "coboundary": (["coboundary", "3", "--j", "1 2 0; 0 1 0; 3 0 1"],
+                   "1dbd92801ab28668fde8d7931042482ff53e33023a2f8af8ba8912a7f2bf87dc"),
+    "catalog": (["catalog", "mat2_rank1"],
+                "3e791b430e14ab0f59315349a1cc897810c00ecb285a18a171f24a5b1d9fa14b"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_EXAMPLES))
+def test_readme_example_stdout_is_stable(capsys, command):
+    argv, digest = README_EXAMPLES[command]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "1", "1", "--j", "1/0"],
+        ["deform", "2", "1", "--t", "1/0"],
+        ["deform", "0", "0", "--t", "1/2"],
+        ["contract", "0", "0"],
+        ["semidirect", "0", "1"],
+    ],
+    ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
+         "semidirect-r-0"],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -158,7 +158,7 @@ class TestSemidirect:
                         assert all(v == 0 for v in triple.values())
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError):
             semidirect_S(0, 2)
 
 

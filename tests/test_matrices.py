@@ -75,6 +75,10 @@ class TestScalars:
         with pytest.raises(TypeError):
             to_scalar(0.5)
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            to_scalar("1/0")
+
     def test_canonical_form_random(self):
         rng = random.Random(5)
         vals = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(50)]
@@ -167,6 +171,11 @@ class TestRref:
 class TestRank:
     def test_normal_form_rank(self):
         assert rank(rank_normal_form(3, 2, 1)) == 1
+
+    def test_normal_form_rejects_empty_shape(self):
+        for rows, cols in ((0, 0), (0, 2), (2, 0)):
+            with pytest.raises(ShapeError):
+                rank_normal_form(rows, cols, 0)
 
     def test_zero(self):
         assert rank(Matrix.zeros(3, 3)) == 0
