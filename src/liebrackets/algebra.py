@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import BracketParam, StructureConstants, bracket, structure_constants
-from .matrices import Matrix, ShapeError, Subspace, kernel, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _eliminate, kernel, rank
 from .scalars import Scalar, scalar_str
 
 
@@ -153,7 +153,8 @@ class LieAlgebra:
 
     def full_subspace(self) -> Subspace:
         rows, cols = self.ambient_shape
-        return Subspace(rows, cols, tuple(Matrix.unit(rows, cols, *divmod(k, cols)) for k in range(self.dim)))
+        units = [tuple(1 if i == k else 0 for i in range(self.dim)) for k in range(self.dim)]
+        return Subspace._from_echelon(rows, cols, units)
 
     def bracket_coords(self, x, y) -> tuple:
         x = self.to_coords(x)
@@ -265,13 +266,8 @@ def _span_coords(vectors) -> list:
     rows = [v for v in vectors if any(x != 0 for x in v)]
     if not rows:
         return []
-    reduced, pivots, _ = rref(Matrix(rows))
-    return [reduced.row(i) for i in range(len(pivots))]
-
-
-def _coords_to_subspace(L: LieAlgebra, coords: list) -> Subspace:
-    ar, ac = L.ambient_shape
-    return Subspace(ar, ac, tuple(L.from_coords(c) for c in coords))
+    reduced, pivots = _eliminate(rows, len(rows[0]))
+    return list(reduced[: len(pivots)])
 
 
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
@@ -295,7 +291,7 @@ def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
         else:
             gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
         nxt = _span_coords(gens)
-        terms.append(_coords_to_subspace(L, nxt))
+        terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
         if len(nxt) == 0 or len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))

@@ -103,7 +103,7 @@ class HeisenbergModel:
 def heisenberg_realization(n: int) -> HeisenbergModel:
     """Build the realization and verify every generator bracket exactly."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise HypothesisError(f"need n >= 1, got {n}")
     size = n + 2
     param = BracketParam.normal(size, size, n + 1)
     xs = tuple(Matrix.unit(size, size, 0, i + 1) for i in range(n))

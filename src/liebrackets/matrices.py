@@ -7,6 +7,13 @@ two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
 ``Q`` and ``P`` invertible) is the workhorse behind every equivalence and
 classification computation in the package.
 
+All elimination goes through one kernel, ``_eliminate``: Gauss-Jordan on
+integer rows (denominators cleared, each updated row divided by its gcd),
+normalised to the canonical reduced rows at the end.  Pivots are searched
+only in the first ``pivot_cols`` columns.  ``rref`` runs it on ``[m | I]``
+and reads the transform off the identity block; ``rank``, ``kernel``,
+``solve_coordinates`` and ``Subspace`` run it on the rows alone.
+
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 ``{"rows": n, "cols": m, "entries": [["p/q", ...], ...]}``.
@@ -15,6 +22,8 @@ entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -227,46 +236,89 @@ class RrefResult(NamedTuple):
     transform: Matrix
 
 
+def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
+    """The package's one elimination kernel: Gauss-Jordan on integer rows.
+
+    Returns ``(reduced, pivots)``: the rows of the reduced row-echelon form,
+    as tuples of canonical scalars (``int`` when integral), and the pivot
+    columns.  Pivots are searched only among the first ``pivot_cols``
+    columns, with the rule of ``rref``; later columns, such as an appended
+    identity block, are carried along by the same row operations.
+
+    Each row is scaled to integers by its denominators' lcm.  Eliminating
+    against a pivot row ``P`` (pivot ``p``) replaces a row ``R`` whose entry
+    ``f`` in the pivot column is nonzero by ``p*R - f*P`` divided by its
+    gcd; a row with ``f == 0`` is left untouched.  Every row thus stays a
+    nonzero rational multiple of the row that Gauss-Jordan over the
+    rationals would hold, so dividing by that multiple at the end gives the
+    same reduced rows.  A pivot row's multiple is its pivot entry; the
+    multiples of the other rows are tracked only when there are columns past
+    ``pivot_cols``, since otherwise those rows end up zero.
+    """
+    a = []
+    scale = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            den, irow = 1, list(row)
+        else:
+            den = lcm(*(x.denominator for x in row))
+            irow = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*irow) or 1
+        a.append(irow if g == 1 else [x // g for x in irow])
+        scale.append(Fraction(den, g))
+    n = len(a)
+    track = n > 0 and len(a[0]) > pivot_cols
+    pivots = []
+    prow = 0
+    for col in range(pivot_cols):
+        pr = next((r for r in range(prow, n) if a[r][col]), None)
+        if pr is None:
+            continue
+        if pr != prow:
+            a[prow], a[pr] = a[pr], a[prow]
+            scale[prow], scale[pr] = scale[pr], scale[prow]
+        piv = a[prow]
+        pv = piv[col]
+        for r in range(n):
+            f = a[r][col]
+            if f == 0 or r == prow:
+                continue
+            row = [pv * x - f * y for x, y in zip(a[r], piv)]
+            g = gcd(*row) or 1
+            a[r] = row if g == 1 else [x // g for x in row]
+            if track:
+                scale[r] = Fraction(scale[r] * pv, g)
+        pivots.append(col)
+        prow += 1
+        if prow == n:
+            break
+    reduced = []
+    for i, row in enumerate(a):
+        d = row[pivots[i]] if i < prow else scale[i]
+        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
+    return tuple(reduced), tuple(pivots)
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row-echelon form with the invertible transform that produced it.
 
     Returns ``(reduced, pivots, transform)`` with ``transform @ m == reduced``.
     Pivot choice is deterministic: first nonzero entry scanning top-to-bottom
-    within each column, columns left-to-right.
+    within each column, columns left-to-right.  The transform is read off
+    the identity block of ``[m | I]``, eliminated by ``_eliminate`` with
+    pivots confined to the columns of ``m``; callers that only need the
+    reduced rows call ``_eliminate`` on ``m`` itself.
     """
-    a = [list(row) for row in m._data]
-    t = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    pivots = []
-    prow = 0
-    for col in range(m.cols):
-        pr = next((r for r in range(prow, m.rows) if a[r][col] != 0), None)
-        if pr is None:
-            continue
-        if pr != prow:
-            a[prow], a[pr] = a[pr], a[prow]
-            t[prow], t[pr] = t[pr], t[prow]
-        pv = a[prow][col]
-        if pv != 1:
-            a[prow] = [scalar_div(x, pv) for x in a[prow]]
-            t[prow] = [scalar_div(x, pv) for x in t[prow]]
-        for r in range(m.rows):
-            if r == prow:
-                continue
-            f = a[r][col]
-            if f != 0:
-                arow, apiv = a[r], a[prow]
-                a[r] = [x - f * y for x, y in zip(arow, apiv)]
-                trow, tpiv = t[r], t[prow]
-                t[r] = [x - f * y for x, y in zip(trow, tpiv)]
-        pivots.append(col)
-        prow += 1
-        if prow == m.rows:
-            break
-    return RrefResult(Matrix(a), tuple(pivots), Matrix(t))
+    w = m.cols
+    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
+    rows, pivots = _eliminate([row + e for row, e in zip(m._data, unit)], w)
+    return RrefResult(
+        Matrix._raw(tuple(r[:w] for r in rows)), pivots, Matrix._raw(tuple(r[w:] for r in rows))
+    )
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m).pivots)
+    return len(_eliminate(m._data, m.cols)[1])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -282,16 +334,18 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> "Subspace":
     """Basis of the right null space, as column vectors in canonical form."""
-    reduced, pivots, _ = rref(m)
+    reduced, pivots = _eliminate(m._data, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
         v = [0] * m.cols
         v[f] = 1
         for i, p in enumerate(pivots):
-            v[p] = -reduced._data[i][f]
-        basis.append(Matrix.column(v))
-    return Subspace(m.cols, 1, basis)
+            v[p] = -reduced[i][f]
+        basis.append(Matrix._raw(tuple((x,) for x in v)))
+    # Independent by construction, but not in echelon form: that is left to
+    # ``_echelon_rows``, for the few callers that need it.
+    return Subspace._trusted(m.cols, 1, tuple(basis), None)
 
 
 def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:
@@ -329,22 +383,20 @@ def rank_factorization(j: Matrix) -> RankFactorization:
     non-pivot columns with column operations.  The witnesses are not unique;
     this routine is deterministic and returns identities when the input is
     already in normal form.
+
+    With ``perm`` moving the pivot columns first, ``reduced @ perm`` is
+    ``[I_r, S; 0, 0]`` and the column transform ``perm @ [I, -S; 0, I]``
+    clears ``S``.  Its inverse ``[I, S; 0, I] @ perm^T`` is written down
+    directly: the nonzero rows of ``reduced``, then the unit rows of the
+    non-pivot columns.
     """
     reduced, pivots, transform = rref(j)
     r = len(pivots)
     if r == 0:
         return RankFactorization(Matrix.identity(j.rows), Matrix.identity(j.cols), 0)
     n = j.cols
-    order = list(pivots) + [c for c in range(n) if c not in pivots]
-    perm = Matrix._raw(tuple(tuple(1 if order[k] == i else 0 for k in range(n)) for i in range(n)))
-    shuffled = reduced @ perm
-    # shuffled = [I_r, S; 0, 0]; clear S with a unipotent column transform.
-    elim = [[1 if i == j2 else 0 for j2 in range(n)] for i in range(n)]
-    for i in range(r):
-        for c in range(r, n):
-            elim[i][c] = -shuffled._data[i][c]
-    col_transform = perm @ Matrix(elim)
-    return RankFactorization(inverse(transform), inverse(col_transform), r)
+    free_rows = tuple(tuple(1 if c == f else 0 for c in range(n)) for f in range(n) if f not in pivots)
+    return RankFactorization(inverse(transform), Matrix._raw(reduced._data[:r] + free_rows), r)
 
 
 def solve_coordinates(basis: Sequence[Matrix], target: Matrix) -> Optional[tuple]:
@@ -356,16 +408,15 @@ def solve_coordinates(basis: Sequence[Matrix], target: Matrix) -> Optional[tuple
     if not basis:
         return () if target.is_zero() else None
     cols = [m.entries for m in basis]
-    aug = Matrix(tuple(zip(*cols, target.entries)))
-    reduced, pivots, _ = rref(aug)
     k = len(basis)
+    reduced, pivots = _eliminate(list(zip(*cols, target.entries)), k + 1)
     if k in pivots:
         return None
     if len(pivots) != k:
         raise ValueError("basis matrices are linearly dependent")
     coords = [0] * k
     for i, p in enumerate(pivots):
-        coords[p] = reduced._data[i][k]
+        coords[p] = reduced[i][k]
     return tuple(coords)
 
 
@@ -387,12 +438,34 @@ class Subspace:
                 raise ShapeError(
                     f"basis matrix of shape {b.rows}x{b.cols} in ambient {ambient_rows}x{ambient_cols}"
                 )
+        echelon, pivots = _eliminate([b.entries for b in basis], ambient_rows * ambient_cols)
+        if len(pivots) != len(basis):
+            raise ValueError("basis matrices are linearly dependent")
         self.ambient_rows = ambient_rows
         self.ambient_cols = ambient_cols
         self.basis = basis
-        self._echelon = None
-        if basis and rank(Matrix(tuple(b.entries for b in basis))) != len(basis):
-            raise ValueError("basis matrices are linearly dependent")
+        self._echelon = echelon
+
+    @classmethod
+    def _trusted(cls, ambient_rows: int, ambient_cols: int, basis: tuple, echelon) -> "Subspace":
+        # Internal: ``basis`` is independent and of the ambient shape;
+        # ``echelon`` is its reduced row-echelon form, or None if not known.
+        self = object.__new__(cls)
+        self.ambient_rows = ambient_rows
+        self.ambient_cols = ambient_cols
+        self.basis = basis
+        self._echelon = echelon
+        return self
+
+    @classmethod
+    def _from_echelon(cls, ambient_rows: int, ambient_cols: int, rows: Sequence[tuple]) -> "Subspace":
+        """Subspace whose basis is ``rows``, already reduced row-echelon rows."""
+        rows = tuple(rows)
+        basis = tuple(
+            Matrix._raw(tuple(r[i * ambient_cols : (i + 1) * ambient_cols] for i in range(ambient_rows)))
+            for r in rows
+        )
+        return cls._trusted(ambient_rows, ambient_cols, basis, rows)
 
     @classmethod
     def span(cls, ambient_rows: int, ambient_cols: int, mats: Iterable[Matrix]) -> "Subspace":
@@ -400,11 +473,8 @@ class Subspace:
         rows = [m.entries for m in mats if not m.is_zero()]
         if not rows:
             return cls(ambient_rows, ambient_cols, ())
-        reduced, pivots, _ = rref(Matrix(rows))
-        basis = tuple(
-            Matrix.from_flat(ambient_rows, ambient_cols, reduced.row(i)) for i in range(len(pivots))
-        )
-        return cls(ambient_rows, ambient_cols, basis)
+        reduced, pivots = _eliminate(rows, ambient_rows * ambient_cols)
+        return cls._from_echelon(ambient_rows, ambient_cols, reduced[: len(pivots)])
 
     @property
     def dim(self) -> int:
@@ -412,11 +482,8 @@ class Subspace:
 
     def _echelon_rows(self) -> tuple:
         if self._echelon is None:
-            if not self.basis:
-                self._echelon = ()
-            else:
-                reduced, pivots, _ = rref(Matrix(tuple(b.entries for b in self.basis)))
-                self._echelon = tuple(reduced.row(i) for i in range(len(pivots)))
+            rows = [b.entries for b in self.basis]
+            self._echelon = _eliminate(rows, self.ambient_rows * self.ambient_cols)[0]
         return self._echelon
 
     def contains(self, mat: Matrix) -> bool:
@@ -429,7 +496,7 @@ class Subspace:
         ech = self._echelon_rows()
         if not ech:
             return False
-        return len(rref(Matrix(ech + (mat.entries,))).pivots) == self.dim
+        return len(_eliminate(ech + (mat.entries,), len(mat.entries))[1]) == self.dim
 
     def reduce(self, mat: Matrix) -> Matrix:
         """Residual of ``mat`` after elimination against the span (zero iff contained)."""

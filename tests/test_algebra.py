@@ -355,6 +355,15 @@ class TestSignature:
             assert hom_check(iso_witness(j1, j2), src, dst).bijective
             assert invariant_signature(src) == invariant_signature(dst)
 
+    def test_random_integer_j_matches_rank_normal_form(self):
+        # Dense integer J drive entry growth in elimination; the bracket is
+        # still isomorphic to the one of the rank normal form.
+        rng = random.Random(7)
+        for n in (5, 6):
+            j = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            sig = invariant_signature(LieAlgebra.from_param(BracketParam(n, n, j)))
+            assert sig == invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, rank(j))))
+
     def test_json_flat(self):
         sig = invariant_signature(LieAlgebra.abelian(2))
         js = sig.to_json()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from liebrackets import cli, constructions
 from liebrackets.cli import main
 from liebrackets.matrices import matrix_to_json, parse_matrix
 
@@ -191,9 +192,10 @@ def test_readme_example_stdout_is_stable(capsys, command):
         ["deform", "0", "0", "--t", "1/2"],
         ["contract", "0", "0"],
         ["semidirect", "0", "1"],
+        ["heisenberg", "0"],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
-         "semidirect-r-0"],
+         "semidirect-r-0", "heisenberg-n-0"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, report, err = run_cli(capsys, *argv)
@@ -201,3 +203,36 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert report is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["classify", "40", "40"], cli.MAX_CLASSIFY_DIM),
+        (["classify", "37", "1"], cli.MAX_CLASSIFY_DIM),
+        (["heisenberg", "60"], cli.MAX_HEISENBERG_N),
+        (["heisenberg", str(cli.MAX_HEISENBERG_N + 1)], cli.MAX_HEISENBERG_N),
+    ],
+    ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one"],
+)
+def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started on an oversized input")
+
+    monkeypatch.setattr(cli, "classify_rank_family", refuse)
+    monkeypatch.setattr(cli, "heisenberg_realization", refuse)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and f"limit of {limit}" in err
+    assert "Traceback" not in err
+
+
+def test_failed_heisenberg_relation_is_a_failed_verdict(capsys, monkeypatch):
+    # With the operands swapped every bracket changes sign, so [X1, Y1] = -Z.
+    real = constructions.bracket
+    monkeypatch.setattr(constructions, "bracket", lambda a, b, param: real(b, a, param))
+    code, report, err = run_cli(capsys, "heisenberg", "1")
+    assert code == 1
+    assert report["verdicts"] == [{"name": "generator_relations", "pass": False}]
+    assert "[FAIL] generator_relations" in err

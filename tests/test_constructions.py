@@ -62,7 +62,7 @@ class TestHeisenbergRealization:
             assert bracket(model.z, g, model.ambient).is_zero()
 
     def test_bad_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError):
             heisenberg_realization(0)
 
     def test_span_closed_and_nilpotent(self):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liebrackets.matrices import (
     Matrix,
@@ -25,7 +27,7 @@ from liebrackets.matrices import (
     solve_coordinates,
     split_blocks,
 )
-from liebrackets.scalars import as_fraction, to_scalar
+from liebrackets.scalars import as_fraction, scalar_div, to_scalar
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -318,3 +320,162 @@ class TestBlocks:
         assert br == m
         tl, bl, tr, br = split_blocks(m, 2)
         assert tl == m and bl is None and tr is None and br is None
+
+
+# -- differential tests of the elimination kernel -------------------------------
+
+
+def reference_rref(m):
+    """Gauss-Jordan over the rationals, kept verbatim from the original
+    ``rref``: the reference the integer kernel must reproduce exactly."""
+    a = [list(row) for row in m._data]
+    t = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+    pivots = []
+    prow = 0
+    for col in range(m.cols):
+        pr = next((r for r in range(prow, m.rows) if a[r][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != prow:
+            a[prow], a[pr] = a[pr], a[prow]
+            t[prow], t[pr] = t[pr], t[prow]
+        pv = a[prow][col]
+        if pv != 1:
+            a[prow] = [scalar_div(x, pv) for x in a[prow]]
+            t[prow] = [scalar_div(x, pv) for x in t[prow]]
+        for r in range(m.rows):
+            if r == prow:
+                continue
+            f = a[r][col]
+            if f != 0:
+                arow, apiv = a[r], a[prow]
+                a[r] = [x - f * y for x, y in zip(arow, apiv)]
+                trow, tpiv = t[r], t[prow]
+                t[r] = [x - f * y for x, y in zip(trow, tpiv)]
+        pivots.append(col)
+        prow += 1
+        if prow == m.rows:
+            break
+    return Matrix(a), tuple(pivots), Matrix(t)
+
+
+# Entries drawn from a fixed pool keep generation cheap; zeros are frequent
+# so that pivots are skipped and rows are left untouched.
+ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -3, 5, 997, -1000]
+    + [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-5, 6), Fraction(1, 7)]
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=40, max_cols=8):
+    """Tall and wide rational matrices, many rank-deficient, some with zero rows.
+
+    A product ``A @ B`` has rank at most the inner size ``k``, and it carries
+    the ``Fraction(k, 1)`` entries that ``Matrix.__matmul__`` produces.
+    """
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+
+    def block(r, c):
+        flat = draw(st.lists(ENTRIES, min_size=r * c, max_size=r * c))
+        data = [flat[i * c : (i + 1) * c] for i in range(r)]
+        for i in draw(st.sets(st.integers(0, r - 1), max_size=r // 2)):
+            data[i] = [0] * c
+        return Matrix(data)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, cols))
+        return block(rows, k) @ block(k, cols)
+    return block(rows, cols)
+
+
+def canonical(m):
+    """Entries with their types: Fraction(2, 1) and 2 must not both occur."""
+    return [(x, type(x)) for x in m.entries]
+
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+ORACLE = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestKernelDifferential:
+    @DIFFERENTIAL
+    @given(st.one_of(rational_matrices(), rational_matrices(max_rows=8, max_cols=40)))
+    def test_rref_matches_reference(self, m):
+        reduced, pivots, transform = rref(m)
+        ref_reduced, ref_pivots, ref_transform = reference_rref(m)
+        assert pivots == ref_pivots
+        assert canonical(reduced) == canonical(ref_reduced)
+        assert canonical(transform) == canonical(ref_transform)
+
+    @DIFFERENTIAL
+    @given(rational_matrices())
+    def test_span_basis_is_reference_rref(self, m):
+        # Subspace.span builds its basis from the kernel without the identity block.
+        span = Subspace.span(1, m.cols, [Matrix([m.row(i)]) for i in range(m.rows)])
+        ref_reduced, ref_pivots, _ = reference_rref(m)
+        expected = [(x, type(x)) for i in range(len(ref_pivots)) for x in ref_reduced.row(i)]
+        assert [e for b in span.basis for e in canonical(b)] == expected
+
+
+def to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def from_sympy(sm):
+    return Matrix([[Fraction(int(x.p), int(x.q)) for x in sm.row(i)] for i in range(sm.rows)])
+
+
+class TestSympyOracle:
+    @ORACLE
+    @given(rational_matrices())
+    def test_rank(self, m):
+        assert rank(m) == to_sympy(m).rank()
+
+    @ORACLE
+    @given(rational_matrices())
+    def test_kernel_spans_null_space(self, m):
+        null = [from_sympy(v) for v in to_sympy(m).nullspace()]
+        ker = kernel(m)
+        assert ker == Subspace.span(m.cols, 1, null)
+        assert all((m @ v).is_zero() for v in ker.basis)
+
+    @ORACLE
+    @given(rational_matrices(max_rows=8, max_cols=8))
+    def test_inverse(self, m):
+        sm = to_sympy(m)
+        if m.rows != m.cols or sm.det() == 0:
+            with pytest.raises((ShapeError, SingularMatrixError)):
+                inverse(m)
+        else:
+            assert inverse(m) == from_sympy(sm.inv())
+
+    @ORACLE
+    @given(rational_matrices(), st.data())
+    def test_solve_coordinates(self, m, data):
+        sympy = pytest.importorskip("sympy")
+        sm = to_sympy(m)
+        _, sym_pivots = sm.rref()
+        basis = [Matrix.column(m.column_tuple(c)) for c in sym_pivots]
+        target = Matrix.column(data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows)))
+        coords = solve_coordinates(basis, target)
+        if not basis:
+            assert coords == (() if target.is_zero() else None)
+            return
+        system = sympy.Matrix.hstack(*(sm.col(c) for c in sym_pivots))
+        try:
+            solution, _ = system.gauss_jordan_solve(to_sympy(target))
+        except ValueError:
+            assert coords is None
+        else:
+            assert coords == tuple(Fraction(int(x.p), int(x.q)) for x in solution)
+
+    @ORACLE
+    @given(rational_matrices())
+    def test_rank_factorization(self, m):
+        f = rank_factorization(m)
+        assert f.rank == to_sympy(m).rank()
+        assert f.q @ rank_normal_form(m.rows, m.cols, f.rank) @ f.p == m
+        assert to_sympy(f.q).det() != 0 and to_sympy(f.p).det() != 0
