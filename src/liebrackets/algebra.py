@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import BracketParam, StructureConstants, bracket, structure_constants
-from .matrices import Matrix, ShapeError, Subspace, _eliminate, kernel, rank
-from .scalars import Scalar, scalar_str
+from .matrices import Matrix, ShapeError, Subspace, _eliminate, _integer_row, kernel, rank
+from .scalars import Scalar, scalar_div, scalar_str
 
 
 @dataclass(frozen=True)
@@ -384,13 +384,19 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
 
     The right-hand side is evaluated through the destination's matrix model
     when it has one (an independent route from the structure constants).
+    The check runs on integers: with ``D`` the lcm of the denominators of
+    ``f`` and ``F = D f``, the left side is linear and the right side
+    quadratic in ``f``, so it tests ``D * F([x,y]) = [F(x), F(y)]``.  A
+    failure witness reports both sides divided by ``D**2``, the values of
+    the unscaled test.
     """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError(
             f"map {f.dst_dim}x{f.src_dim} does not fit algebras of dims {src.dim} -> {dst.dim}"
         )
     d = src.dim
-    fcols = [f.column(a) for a in range(d)]
+    flat, den = _integer_row(f.matrix.entries)
+    fcols = [flat[a::d] for a in range(d)]
     use_model = dst.model is not None
     witness = None
     is_hom = True
@@ -399,19 +405,21 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
             lhs = [0] * dst.dim
             for k, v in src.constants.bracket_basis(a, b).items():
                 col = fcols[k]
+                w = den * v
                 for t in range(dst.dim):
                     if col[t] != 0:
-                        lhs[t] += v * col[t]
+                        lhs[t] += w * col[t]
             if use_model:
                 rhs = bracket(dst.from_coords(fcols[a]), dst.from_coords(fcols[b]), dst.model).entries
             else:
                 rhs = dst.constants.bracket_coords(fcols[a], fcols[b])
             if tuple(lhs) != tuple(rhs):
                 is_hom = False
+                den2 = den * den
                 witness = {
                     "pair": [a, b],
-                    "f_of_bracket": _coords_json(lhs),
-                    "bracket_of_images": _coords_json(rhs),
+                    "f_of_bracket": _coords_json(scalar_div(x, den2) for x in lhs),
+                    "bracket_of_images": _coords_json(scalar_div(x, den2) for x in rhs),
                 }
                 break
         if not is_hom:

@@ -40,12 +40,18 @@ from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, pars
 from .scalars import scalar_str, to_scalar
 from .verify import run_all
 
-# Largest inputs ``classify`` and ``heisenberg`` accept, so that neither runs
-# without bound.  The largest accepted sizes finish in under 10 s on a 2-core
-# x86-64 machine (CPython 3.11): ``classify 36 1`` in 7.6 s, ``classify 6 6``
-# in 6.5 s, ``heisenberg 16`` in 7.9 s.
+# Largest inputs ``classify``, ``heisenberg``, ``deform``, ``coboundary`` and
+# ``verify-all`` accept, so that none runs without bound.  On a 2-core x86-64
+# machine (CPython 3.11) the largest accepted sizes of the first four finish
+# in under 10 s: ``classify 36 1`` in 7.6 s, ``classify 6 6`` in 6.5 s,
+# ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 6.8 s and
+# ``coboundary 8`` with a dense integer J in 3.8 s.  ``verify-all --max 5``
+# takes 17.3 s and ``--max 6`` about 60 s; ``verify-all`` also rejects
+# ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_HEISENBERG_N = 16
+MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
+MAX_VERIFY_SIZE = 5
 
 
 def _matrix_arg(text: str) -> Matrix:
@@ -215,6 +221,8 @@ def _cmd_contract(args):
 
 
 def _cmd_deform(args):
+    if args.n > MAX_DEFORM_N:
+        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_DEFORM_N}")
     t = to_scalar(args.t)
     n, r = args.n, args.r
     jr = rank_normal_form(n, n, r)
@@ -264,6 +272,8 @@ def _cmd_deform(args):
 
 
 def _cmd_coboundary(args):
+    if args.n > MAX_DEFORM_N:
+        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_DEFORM_N}")
     j = _matrix_arg(args.j)
     verdict = ce_coboundary_check(j, args.n)
     inputs = {"n": args.n, "j": str(j)}
@@ -286,7 +296,9 @@ def _cmd_catalog(args):
 
 
 def _cmd_verify_all(args):
-    report = run_all(max_size=args.max, seed=args.seed)
+    if args.max > MAX_VERIFY_SIZE:
+        raise ValueError(f"--max {args.max} exceeds the limit of {MAX_VERIFY_SIZE}")
+    report = run_all(max_size=args.max, seed=args.seed)  # rejects --max below 2
     verdicts = [{"name": c["name"], "pass": c["pass"]} for c in report["checks"]]
     inputs = {"max": args.max}
     return inputs, report, verdicts, args.seed

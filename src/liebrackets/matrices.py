@@ -14,6 +14,14 @@ only in the first ``pivot_cols`` columns.  ``rref`` runs it on ``[m | I]``
 and reads the transform off the identity block; ``rank``, ``kernel``,
 ``solve_coordinates`` and ``Subspace`` run it on the rows alone.
 
+Denominators are cleared by one helper, ``_integer_row``, which returns a
+row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
+uses it on each row of the left factor and each column of the right one,
+so every entry of a product is one integer dot product followed by at most
+one exact division (a zero row of the left factor gives a zero row without
+any); ``algebra.hom_check`` uses it to scale a linear map to integers.
+Products come back canonical: ``int`` when integral.
+
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 ``{"rows": n, "cols": m, "entries": [["p/q", ...], ...]}``.
@@ -24,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -162,10 +171,21 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bcols = tuple(zip(*other._data))
-        return Matrix._raw(
-            tuple(tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bcols) for arow in self._data)
-        )
+        bcols = [_integer_row(col) for col in zip(*other._data)]
+        zero = (0,) * len(bcols)
+        out = []
+        for row in self._data:
+            arow, da = _integer_row(row)
+            if not any(arow):
+                out.append(zero)
+                continue
+            entries = []
+            for bcol, db in bcols:
+                s = sum(map(mul, arow, bcol))
+                d = da * db
+                entries.append(s if d == 1 else scalar_div(s, d))
+            out.append(tuple(entries))
+        return Matrix._raw(tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(tuple(zip(*self._data)))
@@ -236,6 +256,19 @@ class RrefResult(NamedTuple):
     transform: Matrix
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _integer_row(v: Sequence[Scalar]) -> tuple:
+    """``(w, den)``: ``den`` is the lcm of the denominators of ``v`` and
+    ``w = den * v`` has only ``int`` entries.  An all-``int`` row comes back
+    as ``(v, 1)`` unchanged."""
+    if _INT_ONLY.issuperset(map(type, v)):
+        return v, 1
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
     """The package's one elimination kernel: Gauss-Jordan on integer rows.
 
@@ -258,11 +291,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
     a = []
     scale = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            den, irow = 1, list(row)
-        else:
-            den = lcm(*(x.denominator for x in row))
-            irow = [x.numerator * (den // x.denominator) for x in row]
+        irow, den = _integer_row(row)
         g = gcd(*irow) or 1
         a.append(irow if g == 1 else [x // g for x in irow])
         scale.append(Fraction(den, g))

@@ -14,6 +14,7 @@ from .algebra import LieAlgebra, invariant_signature, jacobi_check, lower_centra
 from .brackets import BracketParam, StructureConstants, basis_matrices, bracket, structure_constants
 from .classify import center_law, random_parameter, verified_witness
 from .constructions import (
+    HypothesisError,
     classical_representation,
     heisenberg_abstract,
     heisenberg_realization,
@@ -351,7 +352,13 @@ def check_catalog() -> dict:
 
 
 def run_all(max_size: int = 4, seed: int = 0) -> dict:
-    """Run every check; the report is deterministic in (max_size, seed)."""
+    """Run every check; the report is deterministic in (max_size, seed).
+
+    ``max_size`` must be at least 2: below that, several checks would pass
+    on zero cases.
+    """
+    if max_size < 2:
+        raise HypothesisError(f"max_size must be at least 2, got {max_size}")
     checks = [
         check_lie_axioms(max_size, seed),
         check_center_dimensions(max_size),

@@ -1,6 +1,7 @@
 """Engine computations: axioms, center, series, Killing form, hom checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from liebrackets.brackets import (
     StructureConstants,
     basis_matrices,
     bracket,
+    structure_constants,
 )
 from liebrackets.classify import iso_witness, random_parameter
 from liebrackets.matrices import (
@@ -326,6 +328,66 @@ class TestHomCheck:
         src = LieAlgebra(3, heisenberg3_constants())
         verdict = hom_check(LinearMap.identity(3), src, LieAlgebra(3, heisenberg3_constants()))
         assert verdict.is_hom and verdict.injective
+
+
+def first_hom_failure(f, src_param, dst_param):
+    """The first basis pair a < b where ``f([x_a, x_b]) != [f x_a, f x_b]``,
+    with both sides, from ``LinearMap.apply`` and the matrix bracket."""
+    n, m = dst_param.n, dst_param.m
+    basis = basis_matrices(src_param.n, src_param.m)
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            lhs = f.apply(bracket(basis[a], basis[b], src_param).entries)
+            fa, fb = (Matrix.from_flat(n, m, f.column(c)) for c in (a, b))
+            rhs = bracket(fa, fb, dst_param).entries
+            if lhs != rhs:
+                return [a, b], lhs, rhs
+    return None
+
+
+def nonzero_json(coords):
+    return {str(k): str(v) for k, v in enumerate(coords) if v != 0}
+
+
+class TestHomCheckWitness:
+    """A failure witness carries the values of the unscaled test, although
+    the check runs on the map scaled to integers."""
+
+    SRC = BracketParam(2, 3, Matrix([[1, 2], [0, -1], [3, 1]]))
+    DST = BracketParam(2, 3, Matrix([[2, 0], [1, 1], [0, -3]]))
+
+    def fractional_map(self):
+        rng = random.Random(8)
+        pool = [0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+        f = LinearMap(6, 6, Matrix([[rng.choice(pool) for _ in range(6)] for _ in range(6)]))
+        assert any(type(x) is Fraction for x in f.matrix.entries)
+        return f
+
+    def check(self, dst):
+        f = self.fractional_map()
+        verdict = hom_check(f, LieAlgebra.from_param(self.SRC), dst)
+        pair, lhs, rhs = first_hom_failure(f, self.SRC, self.DST)
+        assert not verdict.is_hom
+        assert verdict.witness == {
+            "pair": pair,
+            "f_of_bracket": nonzero_json(lhs),
+            "bracket_of_images": nonzero_json(rhs),
+        }
+        assert verdict.injective == (rank(f.matrix) == 6)
+
+    def test_model_route(self):
+        self.check(LieAlgebra.from_param(self.DST))
+
+    def test_constants_route(self):
+        self.check(LieAlgebra(6, structure_constants(self.DST)))
+
+    def test_fractional_homomorphism_passes(self):
+        # A -> A / 2 maps the bracket of J to the bracket of 2J.
+        half = LinearMap(6, 6, Matrix.identity(6) * Fraction(1, 2))
+        dst = BracketParam(2, 3, self.SRC.j * 2)
+        for target in (LieAlgebra.from_param(dst), LieAlgebra(6, structure_constants(dst))):
+            verdict = hom_check(half, LieAlgebra.from_param(self.SRC), target)
+            assert verdict.bijective and verdict.witness is None
 
 
 class TestSignature:

@@ -15,6 +15,7 @@ from liebrackets.classify import (
     random_parameter,
 )
 from liebrackets.matrices import Matrix, ShapeError, parse_matrix, rank, rank_normal_form
+from liebrackets.verify import check_iso_soundness
 
 
 class TestEquivalent:
@@ -149,3 +150,11 @@ class TestClassifyRankFamily:
 
     def test_deterministic(self):
         assert classify_rank_family(3, 2, seed=5) == classify_rank_family(3, 2, seed=5)
+
+
+def test_iso_soundness_up_to_six():
+    # Every shape n, m <= 6 (36 shapes): one equal-rank pair each, with its
+    # witness verified as a bijective homomorphism.
+    out = check_iso_soundness(max_size=6, pairs_per_shape=1)
+    assert out["pass"], out["details"]["failures"]
+    assert out["details"]["pairs_checked"] == 36

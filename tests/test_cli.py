@@ -193,9 +193,13 @@ def test_readme_example_stdout_is_stable(capsys, command):
         ["contract", "0", "0"],
         ["semidirect", "0", "1"],
         ["heisenberg", "0"],
+        ["verify-all", "--max", "1"],
+        ["verify-all", "--max", "0"],
+        ["verify-all", "--max", "-1"],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
-         "semidirect-r-0", "heisenberg-n-0"],
+         "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
+         "verify-all-max-negative"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, report, err = run_cli(capsys, *argv)
@@ -212,15 +216,22 @@ def test_bad_input_is_usage_error(capsys, argv):
         (["classify", "37", "1"], cli.MAX_CLASSIFY_DIM),
         (["heisenberg", "60"], cli.MAX_HEISENBERG_N),
         (["heisenberg", str(cli.MAX_HEISENBERG_N + 1)], cli.MAX_HEISENBERG_N),
+        (["deform", "20", "1", "--t", "1/3"], cli.MAX_DEFORM_N),
+        (["deform", str(cli.MAX_DEFORM_N + 1), "1", "--t", "1/3"], cli.MAX_DEFORM_N),
+        (["coboundary", str(cli.MAX_DEFORM_N + 1), "--j", "1"], cli.MAX_DEFORM_N),
+        (["verify-all", "--max", str(cli.MAX_VERIFY_SIZE + 1)], cli.MAX_VERIFY_SIZE),
     ],
-    ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one"],
+    ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one",
+         "deform-20", "deform-limit-plus-one", "coboundary-limit-plus-one",
+         "verify-all-limit-plus-one"],
 )
 def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started on an oversized input")
 
-    monkeypatch.setattr(cli, "classify_rank_family", refuse)
-    monkeypatch.setattr(cli, "heisenberg_realization", refuse)
+    for name in ("classify_rank_family", "heisenberg_realization", "rank_normal_form", "path_identities",
+                 "ce_coboundary_check", "run_all"):
+        monkeypatch.setattr(cli, name, refuse)
     code, report, err = run_cli(capsys, *argv)
     assert code == 2
     assert report is None

@@ -359,20 +359,30 @@ def reference_rref(m):
     return Matrix(a), tuple(pivots), Matrix(t)
 
 
+def reference_matmul(a, b):
+    """The sum-of-products ``Matrix.__matmul__`` kept verbatim from before
+    products were formed on integers.  Its entries are not canonical: a sum
+    of ``Fraction`` terms stays a ``Fraction`` even when it is integral."""
+    bcols = tuple(zip(*b._data))
+    return Matrix._raw(
+        tuple(tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bcols) for arow in a._data)
+    )
+
+
 # Entries drawn from a fixed pool keep generation cheap; zeros are frequent
 # so that pivots are skipped and rows are left untouched.
-ENTRIES = st.sampled_from(
-    [0, 0, 0, 1, -1, 2, -3, 5, 997, -1000]
-    + [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-5, 6), Fraction(1, 7)]
-)
+INTEGERS = [0, 0, 0, 1, -1, 2, -3, 5, 997, -1000]
+FRACTIONS = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-5, 6), Fraction(1, 7)]
+ENTRIES = st.sampled_from(INTEGERS + FRACTIONS)
 
 
 @st.composite
 def rational_matrices(draw, max_rows=40, max_cols=8):
     """Tall and wide rational matrices, many rank-deficient, some with zero rows.
 
-    A product ``A @ B`` has rank at most the inner size ``k``, and it carries
-    the ``Fraction(k, 1)`` entries that ``Matrix.__matmul__`` produces.
+    A product has rank at most the inner size ``k``.  It is formed by
+    ``reference_matmul``, so it also carries non-canonical ``Fraction(k, 1)``
+    entries, which ``Matrix.__matmul__`` no longer produces.
     """
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
@@ -386,8 +396,29 @@ def rational_matrices(draw, max_rows=40, max_cols=8):
 
     if draw(st.booleans()):
         k = draw(st.integers(1, cols))
-        return block(rows, k) @ block(k, cols)
+        return reference_matmul(block(rows, k), block(k, cols))
     return block(rows, cols)
+
+
+@st.composite
+def product_operands(draw):
+    """A pair ``(A, B)`` with ``A @ B`` defined: rational, integer or sparse."""
+    pool = draw(
+        st.sampled_from(
+            [
+                INTEGERS + FRACTIONS,  # rational
+                INTEGERS,  # integer
+                [0] * 12 + [1, -1, 3, Fraction(1, 2), Fraction(-5, 6)],  # sparse
+            ]
+        )
+    )
+    rows, inner, cols = (draw(st.integers(1, 7)) for _ in range(3))
+
+    def block(r, c):
+        flat = draw(st.lists(st.sampled_from(pool), min_size=r * c, max_size=r * c))
+        return Matrix([flat[i * c : (i + 1) * c] for i in range(r)])
+
+    return block(rows, inner), block(inner, cols)
 
 
 def canonical(m):
@@ -397,6 +428,24 @@ def canonical(m):
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 ORACLE = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestProductDifferential:
+    @DIFFERENTIAL
+    @given(product_operands())
+    def test_product_matches_reference(self, operands):
+        a, b = operands
+        product = a @ b
+        assert product == reference_matmul(a, b)
+        for x in product.entries:
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+    def test_integral_fraction_product_is_int(self):
+        # (1/2)(2/3) + (1/2)(4/3) = 1: a sum of Fraction terms, integral.
+        a = Matrix([[Fraction(1, 2), Fraction(1, 2)]])
+        b = Matrix([[Fraction(2, 3)], [Fraction(4, 3)]])
+        assert type(reference_matmul(a, b)[0, 0]) is Fraction
+        assert type((a @ b)[0, 0]) is int and (a @ b)[0, 0] == 1
 
 
 class TestKernelDifferential:
