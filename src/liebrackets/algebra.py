@@ -7,11 +7,23 @@ classification.  An algebra may carry a ``model`` tag recording that its
 basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
+
+The center, the series and the centralizers are spans, so they may be
+computed from any basis of what they are built from.  The signature engine
+uses that to bracket integer vectors only: both series start from the
+brackets of basis pairs (the constants table) and scale each echelon row of
+a term to a primitive integer row before bracketing it, and ``centralizer``
+scales each basis vector of ``S`` to integers.  ``invariant_signature`` runs
+on the algebra whose bracket is multiplied by the lcm of the denominators of
+the constants, which keeps every span it compares and multiplies the Killing
+form by a nonzero square.  Each term and centralizer is still given by its
+canonical reduced echelon rows, from exact elimination of all generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import BracketParam, StructureConstants, bracket, structure_constants
@@ -241,7 +253,7 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
         )
     rows: Dict[tuple, list] = {}
     for s_idx, s in enumerate(S.basis):
-        sc = L.to_coords(s)
+        sc = _integer_row(L.to_coords(s))[0]
 
         def row(k, _s=s_idx):
             key = (_s, k)
@@ -263,7 +275,7 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
 
 def _span_coords(vectors) -> list:
     """Echelonized list of coordinate tuples spanning the given vectors."""
-    rows = [v for v in vectors if any(x != 0 for x in v)]
+    rows = [v for v in vectors if any(v)]
     if not rows:
         return []
     reduced, pivots = _eliminate(rows, len(rows[0]))
@@ -272,30 +284,38 @@ def _span_coords(vectors) -> list:
 
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
     d = L.dim
-    current = [tuple(1 if i == k else 0 for i in range(d)) for k in range(d)]
     terms = [L.full_subspace()]
     dims = [d]
+    # [g, g] is spanned by the brackets of the basis pairs a < b.
+    gens = []
+    for brk in L.constants.table.values():
+        v = [0] * d
+        for k, c in brk.items():
+            v[k] = c
+        gens.append(v)
     bc = L.constants.bracket_coords
+    ads = _sparse_ads(L) if lower_central else None
     while len(terms) <= d + 1:
-        if lower_central:
-            gens = []
-            for a in range(d):
-                for y in current:
-                    v = [0] * d
-                    for b, yb in enumerate(y):
-                        if yb == 0 or a == b:
-                            continue
-                        for k, w in L.constants.bracket_basis(a, b).items():
-                            v[k] += yb * w
-                    gens.append(tuple(v))
-        else:
-            gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
         nxt = _span_coords(gens)
         terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
         if len(nxt) == 0 or len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))
-        current = nxt
+        # Primitive integer multiples of the echelon rows span the same term.
+        current = [_integer_row(v)[0] for v in nxt]
+        if lower_central:
+            gens = []
+            for cols in ads:
+                for y in current:
+                    v = [0] * d
+                    for b, col in cols.items():
+                        yb = y[b]
+                        if yb:
+                            for k, w in col.items():
+                                v[k] += yb * w
+                    gens.append(v)
+        else:
+            gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
     return terms
 
 
@@ -455,8 +475,31 @@ class InvariantSignature:
         }
 
 
+def _integer_constants(L: LieAlgebra) -> LieAlgebra:
+    """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
+    of its constants, so that every constant is an integer; ``L`` itself when
+    ``D`` is 1.  The constants are linear in the parameter, so a model ``J``
+    becomes ``D J``."""
+    table = L.constants.table
+    den = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
+    if den == 1:
+        return L
+    scaled = {
+        pair: {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+        for pair, terms in table.items()
+    }
+    model = None if L.model is None else BracketParam(L.model.n, L.model.m, L.model.j * den)
+    return LieAlgebra(L.dim, StructureConstants(L.dim, scaled), L.labels, model)
+
+
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:
-    """Assemble the signature; equal signatures are necessary for isomorphism."""
+    """Assemble the signature; equal signatures are necessary for isomorphism.
+
+    It is computed on ``_integer_constants(L)``.  Multiplying the bracket by
+    ``D != 0`` keeps the center, both series and every centralizer, and
+    multiplies the Killing form by ``D**2``, which keeps its rank.
+    """
+    L = _integer_constants(L)
     ctr = center(L)
     der = derived_series(L)
     lcs = lower_central_series(L)

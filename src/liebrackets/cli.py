@@ -40,18 +40,28 @@ from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, pars
 from .scalars import scalar_str, to_scalar
 from .verify import run_all
 
-# Largest inputs ``classify``, ``heisenberg``, ``deform``, ``coboundary`` and
-# ``verify-all`` accept, so that none runs without bound.  On a 2-core x86-64
-# machine (CPython 3.11) the largest accepted sizes of the first four finish
+# Largest inputs the subcommands accept, so that none runs without bound.
+# On a 2-core x86-64 machine (CPython 3.11) the largest accepted sizes finish
 # in under 10 s: ``classify 36 1`` in 7.6 s, ``classify 6 6`` in 6.5 s,
-# ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 6.8 s and
-# ``coboundary 8`` with a dense integer J in 3.8 s.  ``verify-all --max 5``
-# takes 17.3 s and ``--max 6`` about 60 s; ``verify-all`` also rejects
-# ``--max`` below 2, where its checks would cover no cases.
+# ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 6.8 s,
+# ``coboundary 8`` with a dense integer J in 3.8 s, ``constants 12 12`` and
+# ``center 12 12`` with a dense integer J in 4.1 s and 3.9 s, ``embed`` of
+# gl_12 into ``12 12 12`` in 5.4 s and ``contract 40 1`` in 2.9 s
+# (``constants 14 14`` takes 10.9 s, ``center 14 14`` 14.2 s and
+# ``contract 48 1`` 9.0 s).  ``verify-all --max 5`` takes 17.3 s and
+# ``--max 6`` about 60 s; ``verify-all`` also rejects ``--max`` below 2,
+# where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
+MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center`` and ``embed``
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
+MAX_CONTRACT_N = 40
 MAX_VERIFY_SIZE = 5
+
+
+def _check_param_dim(n: int, m: int) -> None:
+    if n * m > MAX_PARAM_DIM:
+        raise ValueError(f"n * m = {n * m} exceeds the limit of {MAX_PARAM_DIM}")
 
 
 def _matrix_arg(text: str) -> Matrix:
@@ -72,6 +82,7 @@ def _subspace_json(space) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args):
+    _check_param_dim(args.n, args.m)
     j = _matrix_arg(args.j)
     param = BracketParam(args.n, args.m, j)
     constants = structure_constants(param)
@@ -83,6 +94,7 @@ def _cmd_constants(args):
 
 
 def _cmd_center(args):
+    _check_param_dim(args.n, args.m)
     j = _matrix_arg(args.j)
     ctr, r, expected = center_law(BracketParam(args.n, args.m, j))
     inputs = {"n": args.n, "m": args.m, "j": str(j)}
@@ -177,6 +189,7 @@ def _cmd_semidirect(args):
 
 
 def _cmd_embed(args):
+    _check_param_dim(args.n, args.m)
     with open(args.rep, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     constants = StructureConstants.from_json(payload)
@@ -202,6 +215,8 @@ def _cmd_embed(args):
 
 
 def _cmd_contract(args):
+    if args.n > MAX_CONTRACT_N:
+        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_CONTRACT_N}")
     inputs = {"n": args.n, "r": args.r}
     eps = contraction_constants(args.n, args.r)
     try:

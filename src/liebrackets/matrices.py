@@ -19,8 +19,9 @@ row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
 uses it on each row of the left factor and each column of the right one,
 so every entry of a product is one integer dot product followed by at most
 one exact division (a zero row of the left factor gives a zero row without
-any); ``algebra.hom_check`` uses it to scale a linear map to integers.
-Products come back canonical: ``int`` when integral.
+any); ``algebra`` uses it to scale linear maps and coordinate vectors to
+integers.  Products, sums, differences and scalar multiples come back
+canonical: ``int`` when integral.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -146,21 +148,24 @@ class Matrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Matrix._raw(tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self._data, other._data)))
+        pairs = zip(self._data, other._data)
+        return Matrix._raw(_canonical(tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in pairs)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
-        return Matrix._raw(tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(self._data, other._data)))
+        pairs = zip(self._data, other._data)
+        return Matrix._raw(_canonical(tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in pairs)))
 
     def __neg__(self) -> "Matrix":
+        # Negation keeps canonical entries canonical.
         return Matrix._raw(tuple(tuple(-x for x in r) for r in self._data))
 
     def __mul__(self, scalar) -> "Matrix":
         c = to_scalar(scalar)
-        return Matrix._raw(tuple(tuple(c * x for x in r) for r in self._data))
+        return Matrix._raw(_canonical(tuple(tuple(c * x for x in r) for r in self._data)))
 
     __rmul__ = __mul__
 
@@ -257,6 +262,18 @@ class RrefResult(NamedTuple):
 
 
 _INT_ONLY = frozenset((int,))
+
+
+def _canonical(rows: tuple) -> tuple:
+    """``rows`` with each integral ``Fraction`` replaced by its ``int``.
+
+    A sum, difference or multiple of ``Fraction`` entries can be integral
+    (``1/2 + 1/2``, ``2 * (1/2)``) or zero, and ``Fraction`` arithmetic then
+    returns ``Fraction(k, 1)``.  Rows of ``int`` only come back unchanged
+    after one type scan of all entries."""
+    if _INT_ONLY.issuperset(map(type, chain.from_iterable(rows))):
+        return rows
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in r) for r in rows)
 
 
 def _integer_row(v: Sequence[Scalar]) -> tuple:

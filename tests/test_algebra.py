@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liebrackets.algebra import (
+    InvariantSignature,
     LieAlgebra,
     LinearMap,
+    _kernel_subspace,
+    _span_coords,
     adjoint,
     center,
     centralizer,
@@ -27,6 +32,7 @@ from liebrackets.brackets import (
     structure_constants,
 )
 from liebrackets.classify import iso_witness, random_parameter
+from liebrackets.deform import deformation_bracket
 from liebrackets.matrices import (
     Matrix,
     ShapeError,
@@ -62,6 +68,21 @@ def series_dims_bruteforce(param):
             for a in range(current.dim)
             for b in range(a + 1, current.dim)
         ]
+        nxt = Subspace.span(n, m, brackets) if brackets else Subspace(n, m, ())
+        dims.append(nxt.dim)
+        if nxt.dim == 0 or nxt.dim == current.dim:
+            return dims
+        current = nxt
+
+
+def lcs_dims_bruteforce(param):
+    """Lower central series dimensions straight from matrix spans (no constants)."""
+    n, m = param.n, param.m
+    basis = basis_matrices(n, m)
+    current = Subspace.span(n, m, basis)
+    dims = [current.dim]
+    while True:
+        brackets = [bracket(x, y, param) for x in basis for y in current.basis]
         nxt = Subspace.span(n, m, brackets) if brackets else Subspace(n, m, ())
         dims.append(nxt.dim)
         if nxt.dim == 0 or nxt.dim == current.dim:
@@ -208,11 +229,15 @@ class TestSeries:
 
     def test_series_against_bruteforce_random(self):
         rng = random.Random(2)
+        pool = [0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
         for _ in range(5):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
-            param = BracketParam(n, m, random_matrix(rng, m, n))
-            dims = [t.dim for t in derived_series(LieAlgebra.from_param(param))]
-            assert dims == series_dims_bruteforce(param)
+            integral = BracketParam(n, m, random_matrix(rng, m, n))
+            rational = BracketParam(n, m, Matrix([[rng.choice(pool) for _ in range(n)] for _ in range(m)]))
+            for param in (integral, rational):
+                alg = LieAlgebra.from_param(param)
+                assert [t.dim for t in derived_series(alg)] == series_dims_bruteforce(param)
+                assert [t.dim for t in lower_central_series(alg)] == lcs_dims_bruteforce(param)
 
 
 class TestKilling:
@@ -437,3 +462,191 @@ class TestSignature:
             "killing_rank",
             "derived_center_dim",
         }
+
+    def test_invariant_under_scaling_j(self):
+        # J, J/3 and (7/2) J have the signature of the rank normal form of J:
+        # the equal-rank classification, reached through scaled constants.
+        rng = random.Random(9)
+        for n, m in ((3, 3), (2, 4), (4, 2)):
+            j = random_matrix(rng, m, n)
+            sigs = {
+                invariant_signature(LieAlgebra.from_param(BracketParam(n, m, j * c)))
+                for c in (1, Fraction(1, 3), Fraction(7, 2))
+            }
+            assert sigs == {invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, rank(j))))}
+
+    def test_path_parameter_has_gl_signature(self):
+        # J_t = (1 - t) I + t J_r at t = 1/3 is invertible: the bracket is
+        # isomorphic to the commutator of gl_4.  (r = n gives J_t = I.)
+        n = 4
+        gl = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n)))
+        for r in range(n):
+            param = deformation_bracket(n, rank_normal_form(n, n, r), Fraction(1, 3))
+            assert any(type(x) is Fraction for x in param.j.entries)
+            assert invariant_signature(LieAlgebra.from_param(param)) == gl
+
+
+# ---------------------------------------------------------------------------
+# The signature engine against the Fraction-coordinate engine it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_centralizer(L, S):
+    """``algebra.centralizer`` kept verbatim from before it scaled the basis
+    of ``S`` to integers."""
+    if (S.ambient_rows, S.ambient_cols) != L.ambient_shape:
+        raise ShapeError(
+            f"subspace ambient {S.ambient_rows}x{S.ambient_cols} does not match "
+            f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
+        )
+    rows = {}
+    for s_idx, s in enumerate(S.basis):
+        sc = L.to_coords(s)
+
+        def row(k, _s=s_idx):
+            key = (_s, k)
+            if key not in rows:
+                rows[key] = [0] * L.dim
+            return rows[key]
+
+        for (i, j), terms in L.constants.table.items():
+            ci, cj = sc[i], sc[j]
+            if ci == 0 and cj == 0:
+                continue
+            for k, v in terms.items():
+                if cj != 0:
+                    row(k)[i] += v * cj
+                if ci != 0:
+                    row(k)[j] -= v * ci
+    return _kernel_subspace(L, rows)
+
+
+def reference_series(L, lower_central):
+    """``algebra._series`` kept verbatim from before it bracketed integer
+    vectors: it brackets the canonical (``Fraction``) echelon rows of each
+    term, and starts from the unit vectors."""
+    d = L.dim
+    current = [tuple(1 if i == k else 0 for i in range(d)) for k in range(d)]
+    terms = [L.full_subspace()]
+    dims = [d]
+    bc = L.constants.bracket_coords
+    while len(terms) <= d + 1:
+        if lower_central:
+            gens = []
+            for a in range(d):
+                for y in current:
+                    v = [0] * d
+                    for b, yb in enumerate(y):
+                        if yb == 0 or a == b:
+                            continue
+                        for k, w in L.constants.bracket_basis(a, b).items():
+                            v[k] += yb * w
+                    gens.append(tuple(v))
+        else:
+            gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
+        nxt = _span_coords(gens)
+        terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
+        if len(nxt) == 0 or len(nxt) == dims[-1]:
+            break
+        dims.append(len(nxt))
+        current = nxt
+    return terms
+
+
+def reference_invariant_signature(L):
+    """``algebra.invariant_signature`` kept verbatim from before it scaled
+    the constants to integers, on the reference series and centralizer."""
+    ctr = center(L)
+    der = reference_series(L, lower_central=False)
+    lcs = reference_series(L, lower_central=True)
+    _, k_rank = killing_form(L)
+    derived_sub = der[1] if len(der) > 1 else der[0]
+    if derived_sub.dim == 0:
+        dcd = 0
+    else:
+        dcd = reference_centralizer(L, derived_sub).intersection(derived_sub).dim
+    return InvariantSignature(
+        dim=L.dim,
+        center_dim=ctr.dim,
+        derived_dims=tuple(t.dim for t in der),
+        lcs_dims=tuple(t.dim for t in lcs),
+        killing_rank=k_rank,
+        derived_center_dim=dcd,
+    )
+
+
+def typed_rows(space):
+    """Echelon rows and basis entries of a subspace, each with its type."""
+    return (
+        [[(x, type(x)) for x in row] for row in space._echelon_rows()],
+        [[(x, type(x)) for x in b.entries] for b in space.basis],
+    )
+
+
+INTEGERS = [0, 0, 0, 1, -1, 2, -3, 7]
+RATIONALS = INTEGERS + [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4)]
+PATH_TIMES = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(2, 7), 1]
+
+
+@st.composite
+def signature_algebras(draw):
+    """An algebra of one of five kinds: the bracket of an integer, a rational
+    or the zero J, or of a path parameter ``(1 - t) I + t J_r``, on shapes up
+    to 3x4 and 4x3; or random antisymmetric constants with no matrix model
+    (the Jacobi identity is not needed by the series or the centralizer)."""
+    kind = draw(st.sampled_from(["integer", "rational", "zero", "path", "abstract"]))
+    if kind == "abstract":
+        d = draw(st.integers(1, 7))
+        table = {}
+        for a in range(d):
+            for b in range(a + 1, d):
+                if draw(st.booleans()):
+                    table[(a, b)] = dict(
+                        draw(st.lists(st.tuples(st.integers(0, d - 1), st.sampled_from(RATIONALS)), max_size=2))
+                    )
+        return LieAlgebra(d, StructureConstants(d, table))
+    if kind == "path":
+        n = draw(st.integers(1, 3))
+        r = draw(st.integers(0, n))
+        t = draw(st.sampled_from(PATH_TIMES))
+        return LieAlgebra.from_param(deformation_bracket(n, rank_normal_form(n, n, r), t))
+    n, m = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5) if a * b <= 12]))
+    pool = {"integer": INTEGERS, "rational": RATIONALS, "zero": [0]}[kind]
+    flat = draw(st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m))
+    return LieAlgebra.from_param(BracketParam(n, m, Matrix([flat[i * n : (i + 1) * n] for i in range(m)])))
+
+
+@st.composite
+def random_spans(draw, L):
+    """A span of up to four random elements of the algebra's space."""
+    rows, cols = L.ambient_shape
+    count = draw(st.integers(0, 4))
+    mats = [
+        Matrix.from_flat(rows, cols, draw(st.lists(st.sampled_from(RATIONALS), min_size=L.dim, max_size=L.dim)))
+        for _ in range(count)
+    ]
+    return Subspace.span(rows, cols, mats)
+
+
+SIGNATURE_DIFFERENTIAL = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestSignatureDifferential:
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras())
+    def test_series_match_reference(self, L):
+        for lower_central, series in ((False, derived_series), (True, lower_central_series)):
+            got, expected = series(L), reference_series(L, lower_central)
+            assert [typed_rows(t) for t in got] == [typed_rows(t) for t in expected]
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras(), st.data())
+    def test_centralizer_matches_reference(self, L, data):
+        derived = reference_series(L, lower_central=False)[1]
+        for S in (derived, data.draw(random_spans(L))):
+            assert typed_rows(centralizer(L, S)) == typed_rows(reference_centralizer(L, S))
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras())
+    def test_signature_matches_reference(self, L):
+        assert invariant_signature(L) == reference_invariant_signature(L)

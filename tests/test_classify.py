@@ -15,7 +15,7 @@ from liebrackets.classify import (
     random_parameter,
 )
 from liebrackets.matrices import Matrix, ShapeError, parse_matrix, rank, rank_normal_form
-from liebrackets.verify import check_iso_soundness
+from liebrackets.verify import check_iso_soundness, check_signature_separation
 
 
 class TestEquivalent:
@@ -158,3 +158,11 @@ def test_iso_soundness_up_to_six():
     out = check_iso_soundness(max_size=6, pairs_per_shape=1)
     assert out["pass"], out["details"]["failures"]
     assert out["details"]["pairs_checked"] == 36
+
+
+def test_signature_separation_up_to_six():
+    # Every shape n, m <= 6 with min(n, m) >= 2 (25 shapes): the ranks
+    # 0..min(n, m) of the normal form have pairwise distinct signatures.
+    out = check_signature_separation(max_size=6)
+    assert out["pass"], out["details"]["failures"]
+    assert out["details"]["shapes_checked"] == 25

@@ -220,17 +220,27 @@ def test_bad_input_is_usage_error(capsys, argv):
         (["deform", str(cli.MAX_DEFORM_N + 1), "1", "--t", "1/3"], cli.MAX_DEFORM_N),
         (["coboundary", str(cli.MAX_DEFORM_N + 1), "--j", "1"], cli.MAX_DEFORM_N),
         (["verify-all", "--max", str(cli.MAX_VERIFY_SIZE + 1)], cli.MAX_VERIFY_SIZE),
+        # The files named below do not exist: the limit is checked before any is read.
+        (["constants", "15", "15", "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
+        (["constants", str(cli.MAX_PARAM_DIM + 1), "1", "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
+        (["center", "15", "15", "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
+        (["center", "1", str(cli.MAX_PARAM_DIM + 1), "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
+        (["embed", "--rep", "no-such-rep.json", "13", "12", "2"], cli.MAX_PARAM_DIM),
+        (["contract", "60", "1"], cli.MAX_CONTRACT_N),
+        (["contract", str(cli.MAX_CONTRACT_N + 1), "1"], cli.MAX_CONTRACT_N),
     ],
     ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one",
          "deform-20", "deform-limit-plus-one", "coboundary-limit-plus-one",
-         "verify-all-limit-plus-one"],
+         "verify-all-limit-plus-one", "constants-15x15", "constants-limit-plus-one", "center-15x15",
+         "center-limit-plus-one", "embed-13x12", "contract-60", "contract-limit-plus-one"],
 )
 def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started on an oversized input")
 
     for name in ("classify_rank_family", "heisenberg_realization", "rank_normal_form", "path_identities",
-                 "ce_coboundary_check", "run_all"):
+                 "ce_coboundary_check", "run_all", "_matrix_arg", "structure_constants", "center_law",
+                 "ado_embed", "contraction_constants"):
         monkeypatch.setattr(cli, name, refuse)
     code, report, err = run_cli(capsys, *argv)
     assert code == 2

@@ -163,6 +163,8 @@ class TestCoboundary:
     def test_alpha_identity_parameter(self):
         m = parse_matrix("1 2; 3 4")
         assert alpha_coboundary(m, Matrix.identity(2)) == m
+        # (I I + I I) / 2 = I, with int entries, not Fraction(1, 1).
+        assert [type(x) for x in alpha_coboundary(Matrix.identity(2), Matrix.identity(2)).entries] == [int] * 4
 
     def test_alpha_zero_parameter(self):
         assert alpha_coboundary(parse_matrix("1 2; 3 4"), Matrix.zeros(2, 2)).is_zero()

@@ -448,6 +448,61 @@ class TestProductDifferential:
         assert type((a @ b)[0, 0]) is int and (a @ b)[0, 0] == 1
 
 
+@st.composite
+def arithmetic_operands(draw):
+    """Two matrices of one shape and a scalar, from a rational, an integer or
+    a sparse pool; halves and thirds make integral sums and multiples."""
+    pool = draw(
+        st.sampled_from(
+            [
+                INTEGERS + FRACTIONS + [Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)],  # rational
+                INTEGERS,  # integer
+                [0] * 12 + [1, -1, Fraction(1, 2), Fraction(-1, 2)],  # sparse
+            ]
+        )
+    )
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def block():
+        flat = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+        return Matrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    return block(), block(), draw(st.sampled_from(pool + [2, Fraction(3, 2), Fraction(-2, 1)]))
+
+
+def fraction_entries(values):
+    """The plain ``Fraction`` values, each with the canonical type it must have."""
+    return [(v, int if v.denominator == 1 else Fraction) for v in values]
+
+
+class TestArithmeticDifferential:
+    """``+``, ``-``, unary ``-`` and scalar ``*`` against plain ``Fraction``
+    arithmetic: equal values, and entries of type ``int`` when integral."""
+
+    @DIFFERENTIAL
+    @given(arithmetic_operands())
+    def test_matches_fraction_arithmetic(self, operands):
+        a, b, c = operands
+        fa = [Fraction(x) for x in a.entries]
+        fb = [Fraction(x) for x in b.entries]
+        cases = [
+            (a + b, [x + y for x, y in zip(fa, fb)]),
+            (a - b, [x - y for x, y in zip(fa, fb)]),
+            (-a, [-x for x in fa]),
+            (a * c, [x * c for x in fa]),
+            (c * a, [c * x for x in fa]),
+        ]
+        for got, expected in cases:
+            assert [(x, type(x)) for x in got.entries] == fraction_entries(expected)
+
+    def test_integral_results_are_int(self):
+        half = Fraction(1, 2)
+        assert canonical(Matrix.identity(2) * half) == [(half, Fraction), (0, int), (0, int), (half, Fraction)]
+        assert canonical(Matrix([[half]]) + Matrix([[half]])) == [(1, int)]
+        assert canonical(Matrix([[half]]) - Matrix([[half]])) == [(0, int)]
+        assert canonical(Matrix([[half, 3]]) * 2) == [(1, int), (6, int)]
+
+
 class TestKernelDifferential:
     @DIFFERENTIAL
     @given(st.one_of(rational_matrices(), rational_matrices(max_rows=8, max_cols=40)))
