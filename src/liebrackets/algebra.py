@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import BracketParam, StructureConstants, bracket, structure_constants
+from .brackets import BracketParam, StructureConstants, _pair_brackets, bracket, structure_constants
 from .matrices import Matrix, ShapeError, Subspace, _eliminate, _integer_row, kernel, rank
 from .scalars import Scalar, scalar_div, scalar_str
 
@@ -221,7 +221,7 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
 def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
     if not rows:
         return L.full_subspace()
-    mat = Matrix(tuple(rows[key] for key in sorted(rows)))
+    mat = Matrix._raw(tuple(tuple(rows[key]) for key in sorted(rows)))
     ker = kernel(mat)
     ar, ac = L.ambient_shape
     return Subspace.span(ar, ac, [L.from_coords(v.column_tuple(0)) for v in ker.basis])
@@ -403,7 +403,8 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity.
 
     The right-hand side is evaluated through the destination's matrix model
-    when it has one (an independent route from the structure constants).
+    when it has one (an independent route from the structure constants),
+    with each image's ``X @ J`` formed once.
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
     quadratic in ``f``, so it tests ``D * F([x,y]) = [F(x), F(y)]``.  A
@@ -417,35 +418,31 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     d = src.dim
     flat, den = _integer_row(f.matrix.entries)
     fcols = [flat[a::d] for a in range(d)]
-    use_model = dst.model is not None
+    if dst.model is not None:
+        images = [dst.from_coords(col) for col in fcols]
+        pairs = ((a, b, w.entries) for a, b, w in _pair_brackets(images, dst.model))
+    else:
+        bc = dst.constants.bracket_coords
+        pairs = ((a, b, bc(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
     witness = None
-    is_hom = True
-    for a in range(d):
-        for b in range(a + 1, d):
-            lhs = [0] * dst.dim
-            for k, v in src.constants.bracket_basis(a, b).items():
-                col = fcols[k]
-                w = den * v
-                for t in range(dst.dim):
-                    if col[t] != 0:
-                        lhs[t] += w * col[t]
-            if use_model:
-                rhs = bracket(dst.from_coords(fcols[a]), dst.from_coords(fcols[b]), dst.model).entries
-            else:
-                rhs = dst.constants.bracket_coords(fcols[a], fcols[b])
-            if tuple(lhs) != tuple(rhs):
-                is_hom = False
-                den2 = den * den
-                witness = {
-                    "pair": [a, b],
-                    "f_of_bracket": _coords_json(scalar_div(x, den2) for x in lhs),
-                    "bracket_of_images": _coords_json(scalar_div(x, den2) for x in rhs),
-                }
-                break
-        if not is_hom:
+    for a, b, rhs in pairs:
+        lhs = [0] * dst.dim
+        for k, v in src.constants.bracket_basis(a, b).items():
+            col = fcols[k]
+            w = den * v
+            for t in range(dst.dim):
+                if col[t] != 0:
+                    lhs[t] += w * col[t]
+        if tuple(lhs) != tuple(rhs):
+            den2 = den * den
+            witness = {
+                "pair": [a, b],
+                "f_of_bracket": _coords_json(scalar_div(x, den2) for x in lhs),
+                "bracket_of_images": _coords_json(scalar_div(x, den2) for x in rhs),
+            }
             break
     injective = f.rank() == src.dim
-    return HomVerdict(is_hom, injective, witness)
+    return HomVerdict(witness is None, injective, witness)
 
 
 @dataclass(frozen=True)

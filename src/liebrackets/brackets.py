@@ -15,7 +15,7 @@ ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .matrices import Matrix, ShapeError, rank_normal_form
 from .scalars import Scalar, scalar_str, to_scalar
@@ -63,6 +63,20 @@ def bracket(a: Matrix, b: Matrix, param: BracketParam) -> Matrix:
     aj = a @ param.j
     bj = b @ param.j
     return aj @ b - bj @ a
+
+
+def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
+    """Iterate ``(a, b, [x_a, x_b]_J)`` over the pairs ``a < b`` of ``elements``,
+    checking shapes first and forming each ``x @ J`` once: two products a
+    pair where ``bracket`` takes four, with the values of ``bracket``."""
+    if any(x.shape != (param.n, param.m) for x in elements):
+        raise ShapeError(f"elements do not all match bracket space {param.n}x{param.m}")
+    xj = [x @ param.j for x in elements]
+    return (
+        (a, b, xj[a] @ elements[b] - xj[b] @ elements[a])
+        for a in range(len(elements))
+        for b in range(a + 1, len(elements))
+    )
 
 
 def block_bracket(a_blocks, b_blocks, r: int):

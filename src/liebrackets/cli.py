@@ -48,20 +48,30 @@ from .verify import run_all
 # ``center 12 12`` with a dense integer J in 4.1 s and 3.9 s, ``embed`` of
 # gl_12 into ``12 12 12`` in 5.4 s and ``contract 40 1`` in 2.9 s
 # (``constants 14 14`` takes 10.9 s, ``center 14 14`` 14.2 s and
-# ``contract 48 1`` 9.0 s).  ``verify-all --max 5`` takes 17.3 s and
-# ``--max 6`` about 60 s; ``verify-all`` also rejects ``--max`` below 2,
-# where its checks would cover no cases.
+# ``contract 48 1`` 9.0 s).  ``semidirect r s`` is bounded by r + s: ``15 0``
+# takes 8.5 s and ``8 7`` 5.1 s (``16 0`` takes 11.5 s and ``8 8`` 7.9 s).
+# ``verify-all --max 5`` takes 8.2 s and ``--max 6`` about 21 s;
+# ``verify-all`` also rejects ``--max`` below 2, where its checks would cover
+# no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center`` and ``embed``
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
+MAX_SEMIDIRECT_SIZE = 15  # r + s, the size of the square matrices modelled
 MAX_VERIFY_SIZE = 5
 
 
-def _check_param_dim(n: int, m: int) -> None:
-    if n * m > MAX_PARAM_DIM:
-        raise ValueError(f"n * m = {n * m} exceeds the limit of {MAX_PARAM_DIM}")
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} = {value} exceeds the limit of {limit}")
+
+
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _matrix_arg(text: str) -> Matrix:
@@ -69,7 +79,7 @@ def _matrix_arg(text: str) -> Matrix:
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text.lstrip().startswith("{"):
-        return matrix_from_json(json.loads(text))
+        return matrix_from_json(_json_arg(text))
     return parse_matrix(text)
 
 
@@ -82,7 +92,7 @@ def _subspace_json(space) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args):
-    _check_param_dim(args.n, args.m)
+    _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
     j = _matrix_arg(args.j)
     param = BracketParam(args.n, args.m, j)
     constants = structure_constants(param)
@@ -94,7 +104,7 @@ def _cmd_constants(args):
 
 
 def _cmd_center(args):
-    _check_param_dim(args.n, args.m)
+    _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
     j = _matrix_arg(args.j)
     ctr, r, expected = center_law(BracketParam(args.n, args.m, j))
     inputs = {"n": args.n, "m": args.m, "j": str(j)}
@@ -106,8 +116,7 @@ def _cmd_center(args):
 
 
 def _cmd_classify(args):
-    if args.n * args.m > MAX_CLASSIFY_DIM:
-        raise ValueError(f"n * m = {args.n * args.m} exceeds the limit of {MAX_CLASSIFY_DIM}")
+    _check_limit("n * m", args.n * args.m, MAX_CLASSIFY_DIM)
     report = classify_rank_family(args.n, args.m, seed=args.seed)
     verdicts = [
         {
@@ -148,8 +157,7 @@ def _cmd_witness(args):
 
 
 def _cmd_heisenberg(args):
-    if args.n > MAX_HEISENBERG_N:
-        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_HEISENBERG_N}")
+    _check_limit("n", args.n, MAX_HEISENBERG_N)
     inputs = {"n": args.n}
     try:
         model = heisenberg_realization(args.n)  # bracket relations verified here
@@ -171,6 +179,7 @@ def _cmd_heisenberg(args):
 
 
 def _cmd_semidirect(args):
+    _check_limit("r + s", args.r + args.s, MAX_SEMIDIRECT_SIZE)
     inputs = {"r": args.r, "s": args.s}
     try:
         model = semidirect_S(args.r, args.s)  # the map is verified at construction
@@ -189,9 +198,9 @@ def _cmd_semidirect(args):
 
 
 def _cmd_embed(args):
-    _check_param_dim(args.n, args.m)
+    _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
     with open(args.rep, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _json_arg(fh.read())
     constants = StructureConstants.from_json(payload)
     labels = tuple(payload["labels"]) if "labels" in payload else None
     src = LieAlgebra(payload["dim"], constants, labels)
@@ -215,8 +224,7 @@ def _cmd_embed(args):
 
 
 def _cmd_contract(args):
-    if args.n > MAX_CONTRACT_N:
-        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_CONTRACT_N}")
+    _check_limit("n", args.n, MAX_CONTRACT_N)
     inputs = {"n": args.n, "r": args.r}
     eps = contraction_constants(args.n, args.r)
     try:
@@ -236,8 +244,7 @@ def _cmd_contract(args):
 
 
 def _cmd_deform(args):
-    if args.n > MAX_DEFORM_N:
-        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_DEFORM_N}")
+    _check_limit("n", args.n, MAX_DEFORM_N)
     t = to_scalar(args.t)
     n, r = args.n, args.r
     jr = rank_normal_form(n, n, r)
@@ -287,8 +294,7 @@ def _cmd_deform(args):
 
 
 def _cmd_coboundary(args):
-    if args.n > MAX_DEFORM_N:
-        raise ValueError(f"n = {args.n} exceeds the limit of {MAX_DEFORM_N}")
+    _check_limit("n", args.n, MAX_DEFORM_N)
     j = _matrix_arg(args.j)
     verdict = ce_coboundary_check(j, args.n)
     inputs = {"n": args.n, "j": str(j)}
@@ -311,8 +317,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_verify_all(args):
-    if args.max > MAX_VERIFY_SIZE:
-        raise ValueError(f"--max {args.max} exceeds the limit of {MAX_VERIFY_SIZE}")
+    _check_limit("--max", args.max, MAX_VERIFY_SIZE)
     report = run_all(max_size=args.max, seed=args.seed)  # rejects --max below 2
     verdicts = [{"name": c["name"], "pass": c["pass"]} for c in report["checks"]]
     inputs = {"max": args.max}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieAlgebra, LinearMap, center, hom_check, lower_central_series, subalgebra_closed
-from .brackets import BracketParam, StructureConstants, basis_matrices, block_bracket, bracket
+from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices, block_bracket
 from .matrices import (
     Matrix,
     ShapeError,
@@ -42,17 +42,13 @@ def restricted_constants(basis: Tuple[Matrix, ...], param: BracketParam, labels=
     """
     dim = len(basis)
     table: Dict[tuple, dict] = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            w = bracket(basis[a], basis[b], param)
-            coords = solve_coordinates(list(basis), w)
-            if coords is None:
-                raise ValueError(
-                    f"span not closed: bracket of basis elements {a} and {b} leaves the span"
-                )
-            terms = {k: v for k, v in enumerate(coords) if v != 0}
-            if terms:
-                table[(a, b)] = terms
+    for a, b, w in _pair_brackets(basis, param):
+        coords = solve_coordinates(basis, w)
+        if coords is None:
+            raise ValueError(f"span not closed: bracket of basis elements {a} and {b} leaves the span")
+        terms = {k: v for k, v in enumerate(coords) if v != 0}
+        if terms:
+            table[(a, b)] = terms
     return LieAlgebra(dim, StructureConstants(dim, table), labels)
 
 
@@ -113,18 +109,14 @@ def heisenberg_realization(n: int) -> HeisenbergModel:
     gens = model.generators()
     if rank(Matrix(tuple(g.entries for g in gens))) != 2 * n + 1:
         raise ValueError("generators are linearly dependent")
-    for i in range(n):
-        for j in range(n):
-            expect = z if i == j else Matrix.zeros(size, size)
-            if bracket(xs[i], ys[j], param) != expect:
-                raise ValueError(f"[X{i + 1}, Y{j + 1}] != {'Z' if i == j else '0'}")
-            if bracket(xs[i], xs[j], param) != Matrix.zeros(size, size):
-                raise ValueError(f"[X{i + 1}, X{j + 1}] != 0")
-            if bracket(ys[i], ys[j], param) != Matrix.zeros(size, size):
-                raise ValueError(f"[Y{i + 1}, Y{j + 1}] != 0")
-    for g in gens:
-        if bracket(z, g, param) != Matrix.zeros(size, size):
-            raise ValueError("Z is not central among the generators")
+    labels = model.abstract().labels
+    zero = Matrix.zeros(size, size)
+    for a, b, w in _pair_brackets(gens, param):
+        to_z = a < n and b == a + n  # [X_i, Y_i]
+        if w != (z if to_z else zero):
+            if b == 2 * n:
+                raise ValueError("Z is not central among the generators")
+            raise ValueError(f"[{labels[a]}, {labels[b]}] != {'Z' if to_z else '0'}")
     return model
 
 

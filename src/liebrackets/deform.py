@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .algebra import Verdict
-from .brackets import BracketParam, StructureConstants, basis_matrices, bracket
-from .matrices import Matrix, ShapeError, rank_normal_form
+from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
+from .matrices import Matrix, ShapeError, _canonical, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
@@ -234,7 +234,8 @@ def psi_t(x: Matrix, t, r: int) -> Matrix:
     if not (0 <= r <= x.rows):
         raise ShapeError(f"split index {r} out of range for size {x.rows}")
     scale = 1 - t
-    return Matrix([[v * scale if c >= r else v for c, v in enumerate(row)] for row in x._data])
+    rows = tuple(tuple(v * scale if c >= r else v for c, v in enumerate(row)) for row in x._data)
+    return Matrix._raw(_canonical(rows))
 
 
 def psi_t_inverse(x: Matrix, t, r: int) -> Matrix:
@@ -245,7 +246,8 @@ def psi_t_inverse(x: Matrix, t, r: int) -> Matrix:
     if x.rows != x.cols:
         raise ShapeError(f"expected a square matrix, got {x.rows}x{x.cols}")
     inv = scalar_div(1, 1 - t)
-    return Matrix([[v * inv if c >= r else v for c, v in enumerate(row)] for row in x._data])
+    rows = tuple(tuple(v * inv if c >= r else v for c, v in enumerate(row)) for row in x._data)
+    return Matrix._raw(_canonical(rows))
 
 
 # Sample times of the deformation path: both endpoints and three interior points.
@@ -269,16 +271,14 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     basis = basis_matrices(n, n)
     images = [psi_t(x, t, r) for x in basis] if t != 1 else None
     decomposition = transport = True
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            A, B = basis[a], basis[b]
-            lhs = bracket(A, B, param_t)
-            if lhs != bracket(A, B, param_comm) + t * bracket(A, B, param_shift):
-                decomposition = False
-            if images is not None:
-                pa, pb = images[a], images[b]
-                if lhs != psi_t_inverse(pa @ pb - pb @ pa, t, r):
-                    transport = False
+    pairs = zip(*(_pair_brackets(basis, p) for p in (param_t, param_comm, param_shift)))
+    for (a, b, lhs), (_, _, comm), (_, _, shift) in pairs:
+        if lhs != comm + t * shift:
+            decomposition = False
+        if images is not None:
+            pa, pb = images[a], images[b]
+            if lhs != psi_t_inverse(pa @ pb - pb @ pa, t, r):
+                transport = False
     verdicts = {"decomposition": decomposition}
     if images is not None:
         verdicts["transport"] = transport
@@ -301,26 +301,14 @@ def ce_coboundary_check(j: Matrix, n: int):
     """
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")
-    param_j = BracketParam(n, n, j)
     basis = basis_matrices(n, n)
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            A, B = basis[a], basis[b]
-            lhs = (
-                _comm(A, alpha_coboundary(B, j))
-                - _comm(B, alpha_coboundary(A, j))
-                - alpha_coboundary(_comm(A, B), j)
-            )
-            rhs = bracket(A, B, param_j)
-            if lhs != rhs:
-                return Verdict(
-                    False,
-                    {
-                        "pair": [a, b],
-                        "coboundary": str(lhs),
-                        "bracket": str(rhs),
-                    },
-                )
+    alphas = [alpha_coboundary(x, j) for x in basis]
+    pairs = (_pair_brackets(basis, p) for p in (BracketParam.commutator(n), BracketParam(n, n, j)))
+    for (a, b, comm), (_, _, rhs) in zip(*pairs):
+        A, B = basis[a], basis[b]
+        lhs = _comm(A, alphas[b]) - _comm(B, alphas[a]) - alpha_coboundary(comm, j)
+        if lhs != rhs:
+            return Verdict(False, {"pair": [a, b], "coboundary": str(lhs), "bracket": str(rhs)})
     return Verdict(True)
 
 

@@ -305,15 +305,15 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
     multiples of the other rows are tracked only when there are columns past
     ``pivot_cols``, since otherwise those rows end up zero.
     """
+    track = len(rows) > 0 and len(rows[0]) > pivot_cols
     a = []
     scale = []
     for row in rows:
         irow, den = _integer_row(row)
         g = gcd(*irow) or 1
         a.append(irow if g == 1 else [x // g for x in irow])
-        scale.append(Fraction(den, g))
+        scale.append(Fraction(den, g) if track else 1)
     n = len(a)
-    track = n > 0 and len(a[0]) > pivot_cols
     pivots = []
     prow = 0
     for col in range(pivot_cols):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import time
 
+from liebrackets import algebra
+from liebrackets.brackets import StructureConstants
 from liebrackets.verify import (
     check_catalog,
     check_center_dimensions,
@@ -32,10 +34,35 @@ def report(number, label, outcome):
 
 
 def test_01_lie_axioms():
-    # 20 seeded parameters per shape, antisymmetry and Jacobi, zero tolerance.
+    # 20 seeded parameters per shape, zero tolerance: the matrix bracket of
+    # every basis pair equals its structure constants, and the constants
+    # satisfy Jacobi on every basis triple.  Antisymmetry is structural in
+    # the constants, which store each pair once.
     out = check_lie_axioms(max_size=4, seed=0, params_per_shape=20)
     assert out["details"]["algebras_checked"] == 16 * 20
     report(1, "Lie axioms on all shapes <= 4", out)
+
+
+def test_01_lie_axioms_catch_constants_that_disagree_with_the_model(monkeypatch):
+    # The two-term formula of ``structure_constants`` with the sign of the
+    # second term flipped: [E_ij, E_kl] = J[j,k] E_il + J[l,i] E_kj.
+    def wrong_constants(param):
+        n, m, j = param.n, param.m, param.j
+        table = {}
+        for a in range(n * m):
+            i, jj = divmod(a, m)
+            for b in range(a + 1, n * m):
+                k, ll = divmod(b, m)
+                terms = {}
+                terms[i * m + ll] = terms.get(i * m + ll, 0) + j[jj, k]
+                terms[k * m + jj] = terms.get(k * m + jj, 0) + j[ll, i]
+                table[(a, b)] = terms
+        return StructureConstants(n * m, table)
+
+    monkeypatch.setattr(algebra, "structure_constants", wrong_constants)
+    out = check_lie_axioms(max_size=2, seed=0, params_per_shape=20)
+    assert not out["pass"]
+    assert "model-constants" in {f["kind"] for f in out["details"]["failures"]}
 
 
 def test_02_center_dimension_law():

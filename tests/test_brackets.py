@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liebrackets.brackets import (
     BasisIndex,
     BracketParam,
     StructureConstants,
+    _pair_brackets,
     basis_matrices,
     basis_matrix,
     block_bracket,
@@ -104,6 +107,46 @@ class TestBracket:
             lhs = j @ bracket(a, b, param)
             rhs = (j @ a) @ (j @ b) - (j @ b) @ (j @ a)
             assert lhs == rhs
+
+
+ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)])
+
+
+@st.composite
+def pair_bracket_cases(draw):
+    """A parameter and one to five rational elements of a tall, wide or
+    square operand shape."""
+    small = draw(st.integers(1, 3))
+    large = draw(st.integers(small + 1, 4))
+    n, m = draw(st.sampled_from([(large, small), (small, large), (small, small)]))
+
+    def block(rows, cols):
+        flat = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        return Matrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    elements = [block(n, m) for _ in range(draw(st.integers(1, 5)))]
+    return BracketParam(n, m, block(m, n)), elements, draw(st.integers(0, len(elements)))
+
+
+class TestPairBrackets:
+    @settings(max_examples=80, deadline=None)
+    @given(pair_bracket_cases())
+    def test_equals_bracket_pair_for_pair(self, case):
+        param, elements, insert_at = case
+        d = len(elements)
+        expect = [
+            (a, b, bracket(elements[a], elements[b], param)._data) for a in range(d) for b in range(a + 1, d)
+        ]
+        got = [(a, b, w._data) for a, b, w in _pair_brackets(elements, param)]
+        assert got == expect
+        # Entry types too: Fraction(2, 1) and 2 compare equal.
+        assert [[type(x) for row in w for x in row] for *_, w in got] == [
+            [type(x) for row in w for x in row] for *_, w in expect
+        ]
+        if param.n != param.m:
+            wrong = elements[:insert_at] + [Matrix.zeros(param.m, param.n)] + elements[insert_at:]
+            with pytest.raises(ShapeError):
+                _pair_brackets(wrong, param)
 
 
 class TestBlockBracket:

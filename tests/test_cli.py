@@ -196,13 +196,18 @@ def test_readme_example_stdout_is_stable(capsys, command):
         ["verify-all", "--max", "1"],
         ["verify-all", "--max", "0"],
         ["verify-all", "--max", "-1"],
+        ["constants", "1", "1", "--j", "@{deep}"],
+        ["embed", "--rep", "{deep}", "2", "2", "1"],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
          "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
-         "verify-all-max-negative"],
+         "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file"],
 )
-def test_bad_input_is_usage_error(capsys, argv):
-    code, report, err = run_cli(capsys, *argv)
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
+    # JSON nested far deeper than the parser's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, report, err = run_cli(capsys, *(arg.replace("{deep}", str(deep)) for arg in argv))
     assert code == 2
     assert report is None
     assert err.startswith("error:")
@@ -228,11 +233,14 @@ def test_bad_input_is_usage_error(capsys, argv):
         (["embed", "--rep", "no-such-rep.json", "13", "12", "2"], cli.MAX_PARAM_DIM),
         (["contract", "60", "1"], cli.MAX_CONTRACT_N),
         (["contract", str(cli.MAX_CONTRACT_N + 1), "1"], cli.MAX_CONTRACT_N),
+        (["semidirect", "8", "8"], cli.MAX_SEMIDIRECT_SIZE),
+        (["semidirect", str(cli.MAX_SEMIDIRECT_SIZE), "1"], cli.MAX_SEMIDIRECT_SIZE),
     ],
     ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one",
          "deform-20", "deform-limit-plus-one", "coboundary-limit-plus-one",
          "verify-all-limit-plus-one", "constants-15x15", "constants-limit-plus-one", "center-15x15",
-         "center-limit-plus-one", "embed-13x12", "contract-60", "contract-limit-plus-one"],
+         "center-limit-plus-one", "embed-13x12", "contract-60", "contract-limit-plus-one",
+         "semidirect-8-8", "semidirect-limit-plus-one"],
 )
 def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
     def refuse(*args, **kwargs):
@@ -240,7 +248,7 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
 
     for name in ("classify_rank_family", "heisenberg_realization", "rank_normal_form", "path_identities",
                  "ce_coboundary_check", "run_all", "_matrix_arg", "structure_constants", "center_law",
-                 "ado_embed", "contraction_constants"):
+                 "ado_embed", "contraction_constants", "semidirect_S"):
         monkeypatch.setattr(cli, name, refuse)
     code, report, err = run_cli(capsys, *argv)
     assert code == 2
@@ -250,9 +258,13 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
 
 
 def test_failed_heisenberg_relation_is_a_failed_verdict(capsys, monkeypatch):
-    # With the operands swapped every bracket changes sign, so [X1, Y1] = -Z.
-    real = constructions.bracket
-    monkeypatch.setattr(constructions, "bracket", lambda a, b, param: real(b, a, param))
+    # Every bracket negated, as if its operands were swapped, so [X1, Y1] = -Z.
+    real = constructions._pair_brackets
+
+    def swapped(elements, param):
+        return ((a, b, -w) for a, b, w in real(elements, param))
+
+    monkeypatch.setattr(constructions, "_pair_brackets", swapped)
     code, report, err = run_cli(capsys, "heisenberg", "1")
     assert code == 1
     assert report["verdicts"] == [{"name": "generator_relations", "pass": False}]
