@@ -7,7 +7,6 @@ from .algebra import (
     LieAlgebra,
     LinearMap,
     Verdict,
-    adjoint,
     center,
     centralizer,
     derived_series,
@@ -19,11 +18,9 @@ from .algebra import (
     subalgebra_closed,
 )
 from .brackets import (
-    BasisIndex,
     BracketParam,
     StructureConstants,
     basis_matrices,
-    basis_matrix,
     block_bracket,
     bracket,
     structure_constants,
@@ -33,7 +30,6 @@ from .classify import (
     NormalForm,
     center_law,
     classify_rank_family,
-    equivalent,
     iso_witness,
     normal_form,
     random_parameter,
@@ -62,7 +58,6 @@ from .constructions import (
 from .deform import (
     PATH_TIMES,
     ContractionDivergenceError,
-    DeformationPath,
     EpsStructureConstants,
     LaurentScalar,
     alpha_coboundary,
@@ -95,7 +90,7 @@ from .matrices import (
     solve_coordinates,
     split_blocks,
 )
-from .scalars import Scalar, as_fraction, scalar_div, scalar_str, to_scalar
+from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 from .verify import run_all
 
 __version__ = "0.1.0"

@@ -1,12 +1,16 @@
 """Generic computations on Lie algebras given by structure constants.
 
 Axiom verification, centers and centralizers, derived and lower central
-series, the Killing form, adjoint maps, subalgebra and homomorphism checks,
-and the invariant signature used as a computable stand-in for isomorphism
+series, the Killing form, subalgebra and homomorphism checks, and the
+invariant signature used as a computable stand-in for isomorphism
 classification.  An algebra may carry a ``model`` tag recording that its
 basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
+
+The Jacobi check, the centralizer (and through it the center), the lower
+central series and the Killing form read the adjoint action through one
+routine, ``_sparse_ads``.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The signature engine
@@ -22,6 +26,7 @@ canonical reduced echelon rows, from exact elimination of all generators.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,9 +46,6 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.passed
 
-    def to_json(self) -> dict:
-        return {"pass": self.passed, "witness": self.witness}
-
 
 @dataclass(frozen=True)
 class HomVerdict:
@@ -59,9 +61,6 @@ class HomVerdict:
     @property
     def bijective(self) -> bool:
         return self.is_hom and self.injective
-
-    def to_json(self) -> dict:
-        return {"pass": self.is_hom, "injective": self.injective, "witness": self.witness}
 
 
 @dataclass(frozen=True)
@@ -80,25 +79,9 @@ class LinearMap:
             )
 
     @classmethod
-    def identity(cls, dim: int) -> "LinearMap":
-        return cls(dim, dim, Matrix.identity(dim))
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> "LinearMap":
         rows = tuple(zip(*columns))
         return cls(len(columns), len(rows), Matrix(rows))
-
-    def column(self, a: int) -> tuple:
-        return self.matrix.column_tuple(a)
-
-    def apply(self, coords: Sequence[Scalar]) -> tuple:
-        if len(coords) != self.src_dim:
-            raise ShapeError(f"expected {self.src_dim} coordinates, got {len(coords)}")
-        data = self.matrix._data
-        return tuple(sum(r[a] * coords[a] for a in range(self.src_dim) if coords[a] != 0) for r in data)
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        return LinearMap(inner.src_dim, self.dst_dim, self.matrix @ inner.matrix)
 
     def rank(self) -> int:
         return rank(self.matrix)
@@ -129,19 +112,6 @@ class LieAlgebra:
     @classmethod
     def from_param(cls, param: BracketParam, labels=None) -> "LieAlgebra":
         return cls(param.dim, structure_constants(param), labels, param)
-
-    @classmethod
-    def abelian(cls, dim: int, labels=None) -> "LieAlgebra":
-        return cls(dim, StructureConstants(dim, {}), labels)
-
-    @classmethod
-    def verified(cls, dim: int, constants: StructureConstants, labels=None, model=None) -> "LieAlgebra":
-        """Construct and insist on the Jacobi identity."""
-        alg = cls(dim, constants, labels, model)
-        verdict = jacobi_check(alg)
-        if not verdict:
-            raise ValueError(f"structure constants violate the Jacobi identity: {verdict.witness}")
-        return alg
 
     @property
     def ambient_shape(self) -> tuple:
@@ -187,26 +157,19 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     whole content of the axiom check.  A violation is reported with the
     first offending triple and its nonzero defect vector.
     """
-    cb = L.constants.bracket_basis
+    table = L.constants.table
+    ads = _sparse_ads(L)
     d = L.dim
-    pair_cache: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for a in range(d):
         for b in range(a + 1, d):
-            pair_cache[(a, b)] = cb(a, b)
-
-    def ad_into(acc, sign, x, inner):
-        for k, v in inner.items():
-            for t, w in cb(x, k).items():
-                acc[t] = acc.get(t, 0) + sign * v * w
-
-    for a in range(d):
-        for b in range(a + 1, d):
-            ab = pair_cache[(a, b)]
             for c in range(b + 1, d):
                 defect: Dict[int, Scalar] = {}
-                ad_into(defect, 1, a, pair_cache[(b, c)])
-                ad_into(defect, -1, b, pair_cache[(a, c)])
-                ad_into(defect, 1, c, ab)
+                # [x_a, [x_b, x_c]] - [x_b, [x_a, x_c]] + [x_c, [x_a, x_b]]
+                for x, sign, pair in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
+                    ad_x = ads[x]
+                    for k, v in table.get(pair, {}).items():
+                        for t, w in ad_x.get(k, {}).items():
+                            defect[t] = defect.get(t, 0) + sign * v * w
                 if any(v != 0 for v in defect.values()):
                     return Verdict(
                         False,
@@ -228,48 +191,27 @@ def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """Solutions of ``[x, y] = 0`` for all ``y``: kernel of the stacked adjoint."""
-    rows: Dict[tuple, list] = {}
-
-    def row(b, k):
-        key = (b, k)
-        if key not in rows:
-            rows[key] = [0] * L.dim
-        return rows[key]
-
-    for (i, j), terms in L.constants.table.items():
-        for k, v in terms.items():
-            row(j, k)[i] += v
-            row(i, k)[j] -= v
-    return _kernel_subspace(L, rows)
+    """The centralizer of the whole algebra: kernel of the stacked adjoint."""
+    return centralizer(L, L.full_subspace())
 
 
 def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
-    """Elements bracketing to zero with every basis member of ``S``."""
+    """Elements bracketing to zero with every basis member ``s`` of ``S``:
+    row ``(s, k)`` is coordinate ``k`` of ``y -> [y, s] = -sum_x s_x ad_x(y)``."""
     if (S.ambient_rows, S.ambient_cols) != L.ambient_shape:
         raise ShapeError(
             f"subspace ambient {S.ambient_rows}x{S.ambient_cols} does not match "
             f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
         )
-    rows: Dict[tuple, list] = {}
+    ads = _sparse_ads(L)
+    rows: Dict[tuple, list] = defaultdict(lambda: [0] * L.dim)
     for s_idx, s in enumerate(S.basis):
         sc = _integer_row(L.to_coords(s))[0]
-
-        def row(k, _s=s_idx):
-            key = (_s, k)
-            if key not in rows:
-                rows[key] = [0] * L.dim
-            return rows[key]
-
-        for (i, j), terms in L.constants.table.items():
-            ci, cj = sc[i], sc[j]
-            if ci == 0 and cj == 0:
-                continue
-            for k, v in terms.items():
-                if cj != 0:
-                    row(k)[i] += v * cj
-                if ci != 0:
-                    row(k)[j] -= v * ci
+        for x, sx in enumerate(sc):
+            if sx:
+                for i, col in ads[x].items():
+                    for k, w in col.items():
+                        rows[(s_idx, k)][i] -= sx * w
     return _kernel_subspace(L, rows)
 
 
@@ -361,22 +303,6 @@ def killing_form(L: LieAlgebra):
     return gram_matrix, rank(gram_matrix)
 
 
-def adjoint(L: LieAlgebra, x) -> LinearMap:
-    """Matrix of ``y -> [x, y]`` in the basis, as a linear map on coordinates."""
-    xc = L.to_coords(x)
-    d = L.dim
-    cols = []
-    for b in range(d):
-        col = [0] * d
-        for a, xa in enumerate(xc):
-            if xa == 0 or a == b:
-                continue
-            for k, v in L.constants.bracket_basis(a, b).items():
-                col[k] += xa * v
-        cols.append(tuple(col))
-    return LinearMap.from_columns(cols)
-
-
 def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
     """Pass iff the bracket of any two basis members of ``S`` stays in ``S``."""
     if (S.ambient_rows, S.ambient_cols) != L.ambient_shape:
@@ -427,7 +353,7 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     witness = None
     for a, b, rhs in pairs:
         lhs = [0] * dst.dim
-        for k, v in src.constants.bracket_basis(a, b).items():
+        for k, v in src.constants.table.get((a, b), {}).items():
             col = fcols[k]
             w = den * v
             for t in range(dst.dim):

@@ -130,25 +130,6 @@ def _pair(x, y, u, v, out_rows: int, out_cols: int) -> Optional[Matrix]:
     return first - second
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Canonical basis position ``E_{row,col}`` with 1-based indices."""
-
-    row: int
-    col: int
-
-    def linear(self, m: int) -> int:
-        return (self.row - 1) * m + (self.col - 1)
-
-    @classmethod
-    def from_linear(cls, k: int, m: int) -> "BasisIndex":
-        return cls(k // m + 1, k % m + 1)
-
-
-def basis_matrix(n: int, m: int, index: BasisIndex) -> Matrix:
-    return Matrix.unit(n, m, index.row - 1, index.col - 1)
-
-
 def basis_matrices(n: int, m: int):
     """All ``n*m`` canonical basis matrices in linear order."""
     return tuple(Matrix.unit(n, m, i, j) for i in range(n) for j in range(m))
@@ -195,9 +176,6 @@ class StructureConstants:
                 for k, v in terms.items():
                     out[k] += c * v
         return tuple(out)
-
-    def is_abelian(self) -> bool:
-        return not self.table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureConstants):

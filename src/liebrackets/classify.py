@@ -47,13 +47,6 @@ class NormalForm:
     factorization: RankFactorization
 
 
-def equivalent(j1: Matrix, j2: Matrix) -> bool:
-    """Same shape and same rank."""
-    if j1.shape != j2.shape:
-        raise ShapeError(f"cannot compare {j1.rows}x{j1.cols} with {j2.rows}x{j2.cols}")
-    return rank(j1) == rank(j2)
-
-
 def normal_form(j: Matrix) -> NormalForm:
     f = rank_factorization(j)
     return NormalForm(m=j.rows, n=j.cols, r=f.rank, factorization=f)

@@ -46,15 +46,16 @@ from .verify import run_all
 # ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 6.8 s,
 # ``coboundary 8`` with a dense integer J in 3.8 s, ``constants 12 12`` and
 # ``center 12 12`` with a dense integer J in 4.1 s and 3.9 s, ``embed`` of
-# gl_12 into ``12 12 12`` in 5.4 s and ``contract 40 1`` in 2.9 s
-# (``constants 14 14`` takes 10.9 s, ``center 14 14`` 14.2 s and
+# gl_12 into ``12 12 12`` in 5.4 s, ``witness`` with a dense 12x12 pair in
+# 2.0 s and ``contract 40 1`` in 2.9 s (``constants 14 14`` takes 10.9 s,
+# ``center 14 14`` 14.2 s, a 13x13 ``witness`` pair 2.7 s and
 # ``contract 48 1`` 9.0 s).  ``semidirect r s`` is bounded by r + s: ``15 0``
 # takes 8.5 s and ``8 7`` 5.1 s (``16 0`` takes 11.5 s and ``8 8`` 7.9 s).
 # ``verify-all --max 5`` takes 8.2 s and ``--max 6`` about 21 s;
 # ``verify-all`` also rejects ``--max`` below 2, where its checks would cover
 # no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
-MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center`` and ``embed``
+MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
@@ -135,6 +136,7 @@ def _cmd_classify(args):
 def _cmd_witness(args):
     j1 = _matrix_arg(args.j1)
     j2 = _matrix_arg(args.j2)
+    _check_limit("n * m", max(j1.rows * j1.cols, j2.rows * j2.cols), MAX_PARAM_DIM)
     inputs = {"j1": str(j1), "j2": str(j2)}
     try:
         f, verdict = verified_witness(j1, j2)

@@ -180,9 +180,6 @@ class ObstructionVerdict:
         if self.kind not in _OBSTRUCTION_KINDS:
             raise ValueError(f"unknown verdict kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        return {"verdict": self.kind, "detail": self.detail}
-
 
 def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     """Judge a candidate representation of the Heisenberg algebra.
@@ -281,8 +278,6 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     basis_blocks = []
     labels: List[str] = []
     for name, rows, cols, _ in components:
-        if rows == 0 or cols == 0:
-            continue
         for i in range(rows):
             for j in range(cols):
                 blocks = {cname: None for cname, *_ in components}
@@ -506,9 +501,7 @@ def _catalog_column4() -> CatalogEntry:
     claims = []
     for i in range(4):
         for j in range(i + 1, 4):
-            expect = [0, 0, 0, 0]
-            if j == 0:
-                expect[i] += 1
+            expect = [0, 0, 0, 0]  # j > i >= 0, so d(j,1) = 0
             if i == 0:
                 expect[j] -= 1
             claims.append((labels[i], labels[j], tuple(expect), ""))

@@ -15,7 +15,6 @@ with any parameter is a 2-coboundary of the commutator's adjoint action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -48,10 +47,6 @@ class LaurentScalar:
         self.terms = clean
 
     @classmethod
-    def from_scalar(cls, c) -> "LaurentScalar":
-        return cls({0: to_scalar(c)})
-
-    @classmethod
     def monomial(cls, c, exponent: int) -> "LaurentScalar":
         return cls({exponent: to_scalar(c)})
 
@@ -70,27 +65,10 @@ class LaurentScalar:
             out[e] = out.get(e, 0) + c
         return LaurentScalar(out)
 
-    def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
-        out: Dict[int, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentScalar(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -196,30 +174,15 @@ def contraction_limit(c: EpsStructureConstants) -> StructureConstants:
     return StructureConstants(c.dim, table)
 
 
-@dataclass(frozen=True)
-class DeformationPath:
-    """The parameter ``(1-t) I + t j`` at a fixed exact rational ``t``."""
-
-    n: int
-    j: Matrix
-    t: Scalar
-
-    def __post_init__(self):
-        if self.j.shape != (self.n, self.n):
-            raise ShapeError(f"parameter must be {self.n}x{self.n}, got {self.j.shape}")
-        if not (0 <= self.t <= 1):
-            raise ValueError(f"path time must lie in [0, 1], got {self.t}")
-
-    def parameter(self) -> Matrix:
-        return (1 - self.t) * Matrix.identity(self.n) + self.t * self.j
-
-    def bracket_param(self) -> BracketParam:
-        return BracketParam(self.n, self.n, self.parameter())
-
-
 def deformation_bracket(n: int, j: Matrix, t) -> BracketParam:
-    """Bracket parameter ``(1-t) I + t j`` on square matrices of size n."""
-    return DeformationPath(n, j, to_scalar(t)).bracket_param()
+    """Bracket parameter ``(1-t) I + t j`` on square matrices of size n, for
+    an exact rational ``t`` in ``[0, 1]``."""
+    t = to_scalar(t)
+    if j.shape != (n, n):
+        raise ShapeError(f"parameter must be {n}x{n}, got {j.shape}")
+    if not (0 <= t <= 1):
+        raise ValueError(f"path time must lie in [0, 1], got {t}")
+    return BracketParam(n, n, (1 - t) * Matrix.identity(n) + t * j)
 
 
 def psi_t(x: Matrix, t, r: int) -> Matrix:
@@ -239,15 +202,12 @@ def psi_t(x: Matrix, t, r: int) -> Matrix:
 
 
 def psi_t_inverse(x: Matrix, t, r: int) -> Matrix:
-    """Inverse of the column scaling; undefined (singular) at t = 1."""
+    """Inverse of the column scaling, ``psi_t`` at the time ``s`` with
+    ``1 - s = 1 / (1 - t)``; undefined (singular) at t = 1."""
     t = to_scalar(t)
     if t == 1:
         raise ZeroDivisionError("the transport map is singular at t = 1")
-    if x.rows != x.cols:
-        raise ShapeError(f"expected a square matrix, got {x.rows}x{x.cols}")
-    inv = scalar_div(1, 1 - t)
-    rows = tuple(tuple(v * inv if c >= r else v for c, v in enumerate(row)) for row in x._data)
-    return Matrix._raw(_canonical(rows))
+    return psi_t(x, 1 - scalar_div(1, 1 - t), r)
 
 
 # Sample times of the deformation path: both endpoints and three interior points.

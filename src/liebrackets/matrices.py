@@ -192,9 +192,6 @@ class Matrix:
             out.append(tuple(entries))
         return Matrix._raw(tuple(out))
 
-    def transpose(self) -> "Matrix":
-        return Matrix._raw(tuple(zip(*self._data)))
-
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ShapeError(f"trace of non-square {self.rows}x{self.cols} matrix")
@@ -415,12 +412,6 @@ class RankFactorization:
     p: Matrix
     rank: int
 
-    def normal_form(self) -> Matrix:
-        return rank_normal_form(self.q.rows, self.p.rows, self.rank)
-
-    def reconstruct(self) -> Matrix:
-        return self.q @ self.normal_form() @ self.p
-
 
 def rank_factorization(j: Matrix) -> RankFactorization:
     """Factor ``j = q @ D_r @ p`` with ``D_r`` the rank normal form.
@@ -569,14 +560,6 @@ class Subspace:
                     combo = combo + a * b
             mats.append(combo)
         return Subspace.span(self.ambient_rows, self.ambient_cols, mats)
-
-    def map(self, fn) -> "Subspace":
-        """Image under a matrix-valued function, re-spanned canonically."""
-        images = [fn(b) for b in self.basis]
-        if not images:
-            return Subspace(self.ambient_rows, self.ambient_cols, ())
-        first = images[0]
-        return Subspace.span(first.rows, first.cols, images)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

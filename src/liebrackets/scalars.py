@@ -12,6 +12,7 @@ exact rational.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -21,14 +22,16 @@ Scalar = Union[int, Fraction]
 def to_scalar(value) -> Scalar:
     """Coerce ``value`` (int, Fraction, rational string) to canonical form.
 
-    Strings use the text syntax of the package: ``"p/q"`` or a plain
-    integer, e.g. ``"-3/4"`` or ``"7"``.
+    Strings use the text syntax of the package and nothing else (no
+    decimals or exponents): ``"p/q"`` or a plain integer, e.g. ``"-3/4"``.
     """
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip()):
+            raise ValueError(f"not an integer or p/q rational: {value!r}")
         try:
             parsed = Fraction(value.strip())
         except ZeroDivisionError:
@@ -49,10 +52,6 @@ def scalar_div(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return to_scalar(Fraction(a) / Fraction(b))
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def scalar_str(x: Scalar) -> str:

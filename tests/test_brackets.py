@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebrackets.brackets import (
-    BasisIndex,
     BracketParam,
     StructureConstants,
     _pair_brackets,
     basis_matrices,
-    basis_matrix,
     block_bracket,
     bracket,
     structure_constants,
@@ -194,18 +192,19 @@ class TestBlockBracket:
 
 
 class TestBasisIndex:
+    """The canonical basis is ordered row-major: E_{i,j} -> (i-1)*m + (j-1)."""
+
     def test_linearization_bijection(self):
         n, m = 3, 4
-        seen = set()
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                k = BasisIndex(i, j).linear(m)
-                assert BasisIndex.from_linear(k, m) == BasisIndex(i, j)
-                seen.add(k)
-        assert seen == set(range(n * m))
+        basis = basis_matrices(n, m)
+        assert len(basis) == n * m
+        for k, e in enumerate(basis):
+            i, j = divmod(k, m)
+            assert e == Matrix.unit(n, m, i, j)
 
     def test_basis_matrix(self):
-        assert basis_matrix(2, 3, BasisIndex(2, 1)) == Matrix.unit(2, 3, 1, 0)
+        # E_{2,1} of Mat(2 x 3) sits at linear position (2-1)*3 + (1-1) = 3.
+        assert basis_matrices(2, 3)[3] == Matrix.unit(2, 3, 1, 0)
 
 
 class TestStructureConstants:
@@ -230,7 +229,7 @@ class TestStructureConstants:
 
     def test_zero_parameter_empty(self):
         sc = structure_constants(BracketParam(2, 2, Matrix.zeros(2, 2)))
-        assert sc.is_abelian()
+        assert sc.table == {}
 
     def test_column_space_constants(self):
         # Operands are columns of height 2, parameter the row (1 0).
@@ -269,7 +268,7 @@ class TestStructureConstants:
 
     def test_zero_terms_pruned(self):
         sc = StructureConstants(2, {(0, 1): {0: 0}})
-        assert sc.is_abelian()
+        assert sc.table == {}
 
     def test_json_round_trip(self):
         sc = structure_constants(BracketParam(2, 2, Matrix.diagonal([1, 0])))

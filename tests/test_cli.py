@@ -198,20 +198,47 @@ def test_readme_example_stdout_is_stable(capsys, command):
         ["verify-all", "--max", "-1"],
         ["constants", "1", "1", "--j", "@{deep}"],
         ["embed", "--rep", "{deep}", "2", "2", "1"],
+        ["constants", "1", "1", "--j", "1e-5"],
+        ["constants", "1", "1", "--j", "0.5"],
+        ["deform", "2", "1", "--t", "0.5"],
+        ["constants", "1", "1", "--j", "1_0"],
+        ["constants", "1", "2", "--j", "1 x"],
+        ["constants", "2", "2", "--j", "1 2; 3"],
+        ["center", "1", "1", "--j", "@{tmp}/no-such-j.txt"],
+        ["constants", "1", "1", "--j", "{"],
+        ["embed", "--rep", "{list}", "2", "2", "1"],
+        ["embed", "--rep", "{number}", "2", "2", "1"],
+        ["constants", "1", "1", "--j", '{"rows": 1, "cols": 1, "entries": 5}'],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
          "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
-         "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file"],
+         "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file",
+         "exponent-literal", "decimal-literal", "decimal-time", "underscore-literal", "malformed-token",
+         "ragged-matrix", "missing-matrix-file", "bad-json-matrix", "representation-is-list",
+         "representation-is-number", "json-entries-is-number"],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     # JSON nested far deeper than the parser's recursion limit.
     deep = tmp_path / "deep.json"
     deep.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    code, report, err = run_cli(capsys, *(arg.replace("{deep}", str(deep)) for arg in argv))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "number.json").write_text("3")
+    files = {"{deep}": str(deep), "{list}": str(tmp_path / "list.json"),
+             "{number}": str(tmp_path / "number.json"), "{tmp}": str(tmp_path)}
+
+    def fill(arg):
+        for key, path in files.items():
+            arg = arg.replace(key, path)
+        return arg
+
+    code, report, err = run_cli(capsys, *map(fill, argv))
     assert code == 2
     assert report is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+ZEROS_13X12 = "; ".join([" ".join(["0"] * 12)] * 13)
 
 
 @pytest.mark.parametrize(
@@ -235,20 +262,26 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         (["contract", str(cli.MAX_CONTRACT_N + 1), "1"], cli.MAX_CONTRACT_N),
         (["semidirect", "8", "8"], cli.MAX_SEMIDIRECT_SIZE),
         (["semidirect", str(cli.MAX_SEMIDIRECT_SIZE), "1"], cli.MAX_SEMIDIRECT_SIZE),
+        # ``witness`` takes its size from the parsed matrices: 13x12 and 145x1.
+        (["witness", "--j1", ZEROS_13X12, "--j2", ZEROS_13X12], cli.MAX_PARAM_DIM),
+        (["witness", "--j1", "0; " * cli.MAX_PARAM_DIM + "1", "--j2", "1"], cli.MAX_PARAM_DIM),
     ],
     ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one",
          "deform-20", "deform-limit-plus-one", "coboundary-limit-plus-one",
          "verify-all-limit-plus-one", "constants-15x15", "constants-limit-plus-one", "center-15x15",
          "center-limit-plus-one", "embed-13x12", "contract-60", "contract-limit-plus-one",
-         "semidirect-8-8", "semidirect-limit-plus-one"],
+         "semidirect-8-8", "semidirect-limit-plus-one", "witness-13x12", "witness-limit-plus-one"],
 )
 def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started on an oversized input")
 
-    for name in ("classify_rank_family", "heisenberg_realization", "rank_normal_form", "path_identities",
-                 "ce_coboundary_check", "run_all", "_matrix_arg", "structure_constants", "center_law",
-                 "ado_embed", "contraction_constants", "semidirect_S"):
+    refused = ["classify_rank_family", "heisenberg_realization", "rank_normal_form", "path_identities",
+               "ce_coboundary_check", "run_all", "_matrix_arg", "structure_constants", "center_law",
+               "ado_embed", "contraction_constants", "semidirect_S", "verified_witness"]
+    if argv[0] == "witness":  # its limit is read off the parsed matrices
+        refused.remove("_matrix_arg")
+    for name in refused:
         monkeypatch.setattr(cli, name, refuse)
     code, report, err = run_cli(capsys, *argv)
     assert code == 2
