@@ -8,9 +8,9 @@ basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
 
-The Jacobi check, the centralizer (and through it the center), the lower
-central series and the Killing form read the adjoint action through one
-routine, ``_sparse_ads``.
+The Jacobi check, the center and centralizers, the lower central series and
+the Killing form read the adjoint action from one table,
+``LieAlgebra._sparse_ads``, built once per algebra.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The signature engine
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +94,8 @@ class LieAlgebra:
 
     When ``model`` is set the constants are exactly those of the model's
     bracket over the canonical row-major basis, so coordinates and
-    ``Mat(n x m)`` elements convert freely.
+    ``Mat(n x m)`` elements convert freely.  An algebra is not changed after
+    construction, so tables derived from it are kept on it.
     """
 
     dim: int
@@ -138,6 +140,15 @@ class LieAlgebra:
         units = [tuple(1 if i == k else 0 for i in range(self.dim)) for k in range(self.dim)]
         return Subspace._from_echelon(rows, cols, units)
 
+    @cached_property
+    def _sparse_ads(self) -> list:
+        """Column-sparse adjoint matrices: ads[a][b] = sparse column [x_a, x_b]."""
+        ads: list = [dict() for _ in range(self.dim)]
+        for (i, j), terms in self.constants.table.items():
+            ads[i][j] = dict(terms)
+            ads[j][i] = {k: -v for k, v in terms.items()}
+        return ads
+
     def bracket_coords(self, x, y) -> tuple:
         x = self.to_coords(x)
         y = self.to_coords(y)
@@ -158,7 +169,7 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     first offending triple and its nonzero defect vector.
     """
     table = L.constants.table
-    ads = _sparse_ads(L)
+    ads = L._sparse_ads
     d = L.dim
     for a in range(d):
         for b in range(a + 1, d):
@@ -192,26 +203,31 @@ def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
 
 def center(L: LieAlgebra) -> Subspace:
     """The centralizer of the whole algebra: kernel of the stacked adjoint."""
-    return centralizer(L, L.full_subspace())
+    return _centralizer(L, [((x, 1),) for x in range(L.dim)])
 
 
 def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
-    """Elements bracketing to zero with every basis member ``s`` of ``S``:
-    row ``(s, k)`` is coordinate ``k`` of ``y -> [y, s] = -sum_x s_x ad_x(y)``."""
+    """Elements bracketing to zero with every basis member of ``S``."""
     if (S.ambient_rows, S.ambient_cols) != L.ambient_shape:
         raise ShapeError(
             f"subspace ambient {S.ambient_rows}x{S.ambient_cols} does not match "
             f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
         )
-    ads = _sparse_ads(L)
+    vectors = (_integer_row(L.to_coords(s))[0] for s in S.basis)
+    return _centralizer(L, [[(x, v) for x, v in enumerate(s) if v] for s in vectors])
+
+
+def _centralizer(L: LieAlgebra, vectors: list) -> Subspace:
+    """Kernel of ``y -> [y, s]`` for integer vectors ``s`` given by their
+    nonzero terms ``(x, s_x)``: row ``(s, k)`` is coordinate ``k`` of
+    ``[y, s] = -sum_x s_x ad_x(y)``."""
+    ads = L._sparse_ads
     rows: Dict[tuple, list] = defaultdict(lambda: [0] * L.dim)
-    for s_idx, s in enumerate(S.basis):
-        sc = _integer_row(L.to_coords(s))[0]
-        for x, sx in enumerate(sc):
-            if sx:
-                for i, col in ads[x].items():
-                    for k, w in col.items():
-                        rows[(s_idx, k)][i] -= sx * w
+    for s_idx, s in enumerate(vectors):
+        for x, sx in s:
+            for i, col in ads[x].items():
+                for k, w in col.items():
+                    rows[(s_idx, k)][i] -= sx * w
     return _kernel_subspace(L, rows)
 
 
@@ -236,7 +252,7 @@ def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
             v[k] = c
         gens.append(v)
     bc = L.constants.bracket_coords
-    ads = _sparse_ads(L) if lower_central else None
+    ads = L._sparse_ads if lower_central else None
     while len(terms) <= d + 1:
         nxt = _span_coords(gens)
         terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
@@ -271,19 +287,10 @@ def lower_central_series(L: LieAlgebra) -> List[Subspace]:
     return _series(L, lower_central=True)
 
 
-def _sparse_ads(L: LieAlgebra) -> list:
-    """Column-sparse adjoint matrices: ads[a][b] = sparse column [x_a, x_b]."""
-    ads: list = [dict() for _ in range(L.dim)]
-    for (i, j), terms in L.constants.table.items():
-        ads[i][j] = dict(terms)
-        ads[j][i] = {k: -v for k, v in terms.items()}
-    return ads
-
-
 def killing_form(L: LieAlgebra):
     """Gram matrix ``trace(ad_a . ad_b)`` and its exact rank."""
     d = L.dim
-    ads = _sparse_ads(L)
+    ads = L._sparse_ads
     gram = [[0] * d for _ in range(d)]
     for a in range(d):
         cols_a = ads[a]
@@ -329,8 +336,8 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity.
 
     The right-hand side is evaluated through the destination's matrix model
-    when it has one (an independent route from the structure constants),
-    with each image's ``X @ J`` formed once.
+    when it has one (an independent route from the structure constants), by
+    the integer pair kernel ``brackets._pair_brackets``.
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
     quadratic in ``f``, so it tests ``D * F([x,y]) = [F(x), F(y)]``.  A

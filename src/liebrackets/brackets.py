@@ -9,16 +9,19 @@ is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
 ``J = 0`` gives the abelian algebra.  This module evaluates the bracket, its
 block form under a rank normal form, and compiles any parameter into the
 sparse structure-constants tensor over the canonical basis ``E_{i,j}``
-ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).
+ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).  Every
+loop over pairs of elements brackets through ``_pair_brackets``, one kernel
+on integers that builds no intermediate matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Optional, Sequence, Tuple
 
-from .matrices import Matrix, ShapeError, rank_normal_form
-from .scalars import Scalar, scalar_str, to_scalar
+from .matrices import Matrix, ShapeError, _integer_row, rank_normal_form
+from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
 @dataclass(frozen=True)
@@ -60,23 +63,41 @@ def bracket(a: Matrix, b: Matrix, param: BracketParam) -> Matrix:
             f"operands {a.rows}x{a.cols} and {b.rows}x{b.cols} do not match "
             f"bracket space {param.n}x{param.m}"
         )
-    aj = a @ param.j
-    bj = b @ param.j
-    return aj @ b - bj @ a
+    return a @ param.j @ b - b @ param.j @ a
 
 
 def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
-    """Iterate ``(a, b, [x_a, x_b]_J)`` over the pairs ``a < b`` of ``elements``,
-    checking shapes first and forming each ``x @ J`` once: two products a
-    pair where ``bracket`` takes four, with the values of ``bracket``."""
-    if any(x.shape != (param.n, param.m) for x in elements):
-        raise ShapeError(f"elements do not all match bracket space {param.n}x{param.m}")
-    xj = [x @ param.j for x in elements]
-    return (
-        (a, b, xj[a] @ elements[b] - xj[b] @ elements[a])
-        for a in range(len(elements))
-        for b in range(a + 1, len(elements))
-    )
+    """Iterate ``(a, b, [x_a, x_b]_J)`` over the pairs ``a < b`` of ``elements``
+    with the values and entry types of ``bracket``, checking shapes first.  With
+    ``X_a = d_a x_a`` and ``J' = d_J J`` integer and each ``X_a J'`` formed once
+    (``None`` for a zero row), entry ``(i, k)`` is the integer dot products
+    ``(X_a J')_i . (X_b)_{:,k} - (X_b J')_i . (X_a)_{:,k}`` over ``d_a d_b d_J``."""
+    n, m = param.n, param.m
+    if any(x.shape != (n, m) for x in elements):
+        raise ShapeError(f"elements do not all match bracket space {n}x{m}")
+    jflat, dj = _integer_row(param.j.entries)
+    jcols = [jflat[c::n] for c in range(n)]
+    ints = []  # (d_a, columns of X_a, rows of X_a J') for each element
+    for x in elements:
+        flat, d = _integer_row(x.entries)
+        xj = ([sum(map(mul, flat[i * m : (i + 1) * m], jc)) for jc in jcols] for i in range(n))
+        ints.append((d, [flat[k::m] for k in range(m)], [r if any(r) else None for r in xj]))
+
+    def pairs():  # a generator of its own, so that the checks above run on the call
+        for a, (da, ca, xa) in enumerate(ints):
+            for b, (db, cb, xb) in enumerate(ints[a + 1 :], a + 1):
+                den = da * db * dj
+                out = []
+                for ra, rb in zip(xa, xb):
+                    if ra is None and rb is None:
+                        out.append((0,) * m)
+                        continue
+                    s = [(sum(map(mul, ra, c)) if ra else 0) - (sum(map(mul, rb, e)) if rb else 0)
+                         for c, e in zip(cb, ca)]
+                    out.append(tuple(s) if den == 1 else tuple(scalar_div(v, den) for v in s))
+                yield a, b, Matrix._raw(tuple(out))
+
+    return pairs()
 
 
 def block_bracket(a_blocks, b_blocks, r: int):

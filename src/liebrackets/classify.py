@@ -109,8 +109,8 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
     if target_rank == 0:
         return Matrix.zeros(rows, cols)
     for _ in range(1000):
-        left = Matrix([[rng.randint(-3, 3) for _ in range(target_rank)] for _ in range(rows)])
-        right = Matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(target_rank)])
+        left = Matrix._raw(tuple(tuple(rng.randint(-3, 3) for _ in range(target_rank)) for _ in range(rows)))
+        right = Matrix._raw(tuple(tuple(rng.randint(-3, 3) for _ in range(cols)) for _ in range(target_rank)))
         m = left @ right
         if rank(m) == target_rank:
             return m

@@ -51,7 +51,7 @@ from .verify import run_all
 # ``center 14 14`` 14.2 s, a 13x13 ``witness`` pair 2.7 s and
 # ``contract 48 1`` 9.0 s).  ``semidirect r s`` is bounded by r + s: ``15 0``
 # takes 8.5 s and ``8 7`` 5.1 s (``16 0`` takes 11.5 s and ``8 8`` 7.9 s).
-# ``verify-all --max 5`` takes 8.2 s and ``--max 6`` about 21 s;
+# ``verify-all --max 5`` takes 5.0 s and ``--max 6`` about 15 s;
 # ``verify-all`` also rejects ``--max`` below 2, where its checks would cover
 # no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
@@ -61,6 +61,8 @@ MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
 MAX_SEMIDIRECT_SIZE = 15  # r + s, the size of the square matrices modelled
 MAX_VERIFY_SIZE = 5
+# argparse may read a value that starts with "-" as an option; the "=" form is never misread.
+_J_HELP = 'parameter matrix, e.g. "1 0; 0 0"; write a value that starts with "-" as --%(dest)s=-3/4'
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -75,12 +77,21 @@ def _json_arg(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _matrix_arg(text: str) -> Matrix:
+def _json_matrix(obj, source: str) -> Matrix:
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError(f'{source}: a JSON matrix must be an object whose "entries" is a list of rows')
+    return matrix_from_json(obj)
+
+
+def _matrix_arg(text: str, option: str) -> Matrix:
+    source = option
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
+        source = text[1:]
+        with open(source, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
     if text.lstrip().startswith("{"):
-        return matrix_from_json(_json_arg(text))
+        return _json_matrix(_json_arg(text), source)
     return parse_matrix(text)
 
 
@@ -94,7 +105,7 @@ def _subspace_json(space) -> list:
 
 def _cmd_constants(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
-    j = _matrix_arg(args.j)
+    j = _matrix_arg(args.j, "--j")
     param = BracketParam(args.n, args.m, j)
     constants = structure_constants(param)
     verdict = jacobi_check(LieAlgebra.from_param(param))
@@ -106,7 +117,7 @@ def _cmd_constants(args):
 
 def _cmd_center(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
-    j = _matrix_arg(args.j)
+    j = _matrix_arg(args.j, "--j")
     ctr, r, expected = center_law(BracketParam(args.n, args.m, j))
     inputs = {"n": args.n, "m": args.m, "j": str(j)}
     result = {"center_dim": ctr.dim, "rank": r, "basis": _subspace_json(ctr)}
@@ -134,8 +145,8 @@ def _cmd_classify(args):
 
 
 def _cmd_witness(args):
-    j1 = _matrix_arg(args.j1)
-    j2 = _matrix_arg(args.j2)
+    j1 = _matrix_arg(args.j1, "--j1")
+    j2 = _matrix_arg(args.j2, "--j2")
     _check_limit("n * m", max(j1.rows * j1.cols, j2.rows * j2.cols), MAX_PARAM_DIM)
     inputs = {"j1": str(j1), "j2": str(j2)}
     try:
@@ -203,10 +214,12 @@ def _cmd_embed(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
     with open(args.rep, "r", encoding="utf-8") as fh:
         payload = _json_arg(fh.read())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.rep}: a representation file must hold a JSON object")
     constants = StructureConstants.from_json(payload)
     labels = tuple(payload["labels"]) if "labels" in payload else None
     src = LieAlgebra(payload["dim"], constants, labels)
-    images = tuple(matrix_from_json(obj) for obj in payload["images"])
+    images = tuple(_json_matrix(obj, args.rep) for obj in payload["images"])
     if not images:
         raise ValueError("representation file lists no images")
     cand = RepCandidate(src, images, images[0].rows)
@@ -297,7 +310,7 @@ def _cmd_deform(args):
 
 def _cmd_coboundary(args):
     _check_limit("n", args.n, MAX_DEFORM_N)
-    j = _matrix_arg(args.j)
+    j = _matrix_arg(args.j, "--j")
     verdict = ce_coboundary_check(j, args.n)
     inputs = {"n": args.n, "j": str(j)}
     result = {"identity": "[A,alpha(B)] - [B,alpha(A)] - alpha([A,B]) = [A,B]_j"}
@@ -336,13 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="structure constants of a bracket parameter")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--j", required=True, help='parameter matrix (m x n), e.g. "1 0; 0 0"')
+    p.add_argument("--j", required=True, help=_J_HELP)
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("center", help="center of the bracket algebra")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--j", required=True)
+    p.add_argument("--j", required=True, help=_J_HELP)
     p.set_defaults(handler=_cmd_center)
 
     p = sub.add_parser("classify", help="rank classification report for a shape")
@@ -352,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("witness", help="isomorphism witness between two parameters")
-    p.add_argument("--j1", required=True)
-    p.add_argument("--j2", required=True)
+    p.add_argument("--j1", required=True, help=_J_HELP)
+    p.add_argument("--j2", required=True, help=_J_HELP)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("heisenberg", help="Heisenberg realization in size n+2")
@@ -385,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coboundary", help="check the 2-coboundary identity for j")
     p.add_argument("n", type=int)
-    p.add_argument("--j", required=True)
+    p.add_argument("--j", required=True, help=_J_HELP)
     p.set_defaults(handler=_cmd_coboundary)
 
     p = sub.add_parser("catalog", help="worked example by name")

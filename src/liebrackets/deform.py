@@ -229,18 +229,18 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     param_comm = BracketParam.commutator(n)
     param_shift = BracketParam(n, n, jr - Matrix.identity(n))
     basis = basis_matrices(n, n)
-    images = [psi_t(x, t, r) for x in basis] if t != 1 else None
+    streams = [_pair_brackets(basis, p) for p in (param_t, param_comm, param_shift)]
+    if t != 1:
+        streams.append(_pair_brackets([psi_t(x, t, r) for x in basis], param_comm))
     decomposition = transport = True
-    pairs = zip(*(_pair_brackets(basis, p) for p in (param_t, param_comm, param_shift)))
-    for (a, b, lhs), (_, _, comm), (_, _, shift) in pairs:
-        if lhs != comm + t * shift:
+    for (_, _, lhs), (_, _, comm), (_, _, shift), *moved in zip(*streams):
+        parts = zip(lhs.entries, comm.entries, shift.entries)
+        if any(x != (c + t * s if s else c) for x, c, s in parts):
             decomposition = False
-        if images is not None:
-            pa, pb = images[a], images[b]
-            if lhs != psi_t_inverse(pa @ pb - pb @ pa, t, r):
-                transport = False
+        if moved and lhs != psi_t_inverse(moved[0][2], t, r):
+            transport = False
     verdicts = {"decomposition": decomposition}
-    if images is not None:
+    if t != 1:
         verdicts["transport"] = transport
     return verdicts
 

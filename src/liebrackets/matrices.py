@@ -593,10 +593,9 @@ def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
     for block, r0, c0 in ((tl, 0, 0), (bl, r, 0), (tr, 0, r), (br, r, r)):
         if block is None:
             continue
-        for i in range(block.rows):
-            for j in range(block.cols):
-                out[r0 + i][c0 + j] = block._data[i][j]
-    return Matrix(out)
+        for i, row in enumerate(block._data):
+            out[r0 + i][c0 : c0 + block.cols] = row
+    return Matrix._raw(tuple(map(tuple, out)))
 
 
 def _submatrix(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Optional[Matrix]:

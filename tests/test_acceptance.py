@@ -13,6 +13,7 @@ import time
 
 from liebrackets import algebra
 from liebrackets.brackets import StructureConstants
+from liebrackets.matrices import Matrix
 from liebrackets.verify import (
     check_catalog,
     check_center_dimensions,
@@ -24,6 +25,7 @@ from liebrackets.verify import (
     check_lie_axioms,
     check_semidirect,
     check_signature_separation,
+    run_all,
 )
 
 
@@ -130,3 +132,21 @@ def test_11_end_to_end_cli():
     assert digest == "41ee47dfefc30f3327c5093abfda1b2f632af7ab5f7cc74b1c46c75a82fb80ba"
     print(f"(verify-all ran in {elapsed:.1f}s)")
     report(11, "verify-all --max 4 --seed 0 exits 0 in under 60s", outcome)
+
+
+def test_verify_all_matrix_products_stay_few(monkeypatch):
+    # Basis-pair loops bracket through the integer kernel of
+    # ``brackets._pair_brackets``; one that falls back to ``Matrix @`` shows
+    # here.  ``run_all(3, 0)`` forms 2,667 products (14,818 when every pair
+    # took two products and a difference).
+    calls = 0
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    assert run_all(3, 0)["pass"]
+    assert calls <= 3000

@@ -15,7 +15,6 @@ from liebrackets.algebra import (
     Verdict,
     _kernel_subspace,
     _span_coords,
-    _sparse_ads,
     center,
     centralizer,
     derived_series,
@@ -283,7 +282,7 @@ class TestKilling:
 def ad_matrix(L, x):
     """Dense matrix of ``y -> [x, y]``, assembled from ``_sparse_ads``."""
     xc = L.to_coords(x)
-    ads = _sparse_ads(L)
+    ads = L._sparse_ads
     cols = []
     for b in range(L.dim):
         col = [0] * L.dim
@@ -304,7 +303,7 @@ class TestAdjoint:
 
     def test_columns_match_brackets(self):
         alg = LieAlgebra.from_param(BracketParam.commutator(2))
-        ad = _sparse_ads(alg)[0]
+        ad = alg._sparse_ads[0]
         basis = basis_matrices(2, 2)
         for b, eb in enumerate(basis):
             expect = bracket(Matrix.unit(2, 2, 0, 0), eb, alg.model).entries

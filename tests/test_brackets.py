@@ -126,25 +126,45 @@ def pair_bracket_cases(draw):
     return BracketParam(n, m, block(m, n)), elements, draw(st.integers(0, len(elements)))
 
 
+def assert_pair_brackets_match(elements, param):
+    d = len(elements)
+    expect = [
+        (a, b, bracket(elements[a], elements[b], param)._data) for a in range(d) for b in range(a + 1, d)
+    ]
+    got = [(a, b, w._data) for a, b, w in _pair_brackets(elements, param)]
+    assert got == expect
+    # Entry types too: Fraction(2, 1) and 2 compare equal.
+    assert [[type(x) for row in w for x in row] for *_, w in got] == [
+        [type(x) for row in w for x in row] for *_, w in expect
+    ]
+
+
 class TestPairBrackets:
     @settings(max_examples=80, deadline=None)
     @given(pair_bracket_cases())
     def test_equals_bracket_pair_for_pair(self, case):
         param, elements, insert_at = case
-        d = len(elements)
-        expect = [
-            (a, b, bracket(elements[a], elements[b], param)._data) for a in range(d) for b in range(a + 1, d)
-        ]
-        got = [(a, b, w._data) for a, b, w in _pair_brackets(elements, param)]
-        assert got == expect
-        # Entry types too: Fraction(2, 1) and 2 compare equal.
-        assert [[type(x) for row in w for x in row] for *_, w in got] == [
-            [type(x) for row in w for x in row] for *_, w in expect
-        ]
+        assert_pair_brackets_match(elements, param)
         if param.n != param.m:
             wrong = elements[:insert_at] + [Matrix.zeros(param.m, param.n)] + elements[insert_at:]
             with pytest.raises(ShapeError):
                 _pair_brackets(wrong, param)
+
+    @pytest.mark.parametrize(
+        "j, elements",
+        [
+            ("1 2 0; -1 0 3", ["0 0; 1/2 1; 0 0", "2 0; 0 0; 0 -1", "0 0; 0 0; 1 1/3"]),
+            ("1 2 0; -1 0 3", ["1 1; 0 2; -1 1", "0 0; 0 0; 0 0", "0 1/2; 3 0; 0 0"]),
+            ("0 0 0; 0 0 0", ["1 1; 0 2; -1 1", "0 1/2; 3 0; 1 0", "2 0; 0 0; 0 -1"]),
+            ("1/2 0 -2/3; 0 3/5 1", ["1 1/3; 0 2; -1 1", "0 1/2; 3 0; 1 0", "2 0; 1/7 0; 0 -1"]),
+            ("1/2 0 -2/3; 0 3/5 1", ["1 1/3; 0 2; -1 1"]),
+        ],
+        ids=["zero-rows", "all-zero-element", "zero-parameter", "parameter-denominators", "single-element"],
+    )
+    def test_edge_cases(self, j, elements):
+        param = BracketParam(3, 2, parse_matrix(j))
+        elements = [parse_matrix(x) for x in elements]
+        assert_pair_brackets_match(elements, param)
 
 
 class TestBlockBracket:

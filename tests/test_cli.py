@@ -236,6 +236,23 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     assert report is None
     assert err.startswith("error:")
     assert "Traceback" not in err
+    # Malformed JSON of the right syntax is reported with the input it came from.
+    messages = {
+        "{list}": "error: {list}: a representation file must hold a JSON object",
+        "{number}": "error: {number}: a representation file must hold a JSON object",
+        '{"rows": 1, "cols": 1, "entries": 5}':
+            'error: --j: a JSON matrix must be an object whose "entries" is a list of rows',
+    }
+    for arg in argv:
+        if arg in messages:
+            assert err.startswith(fill(messages[arg]) + "\n")
+
+
+def test_negative_parameter_in_equals_form(capsys):
+    # "--j -3/4" is read by argparse as a missing value; the help text gives this form.
+    code, report, _ = run_cli(capsys, "constants", "1", "1", "--j=-3/4")
+    assert code == 0
+    assert report["inputs"]["j"] == "-3/4"
 
 
 ZEROS_13X12 = "; ".join([" ".join(["0"] * 12)] * 13)

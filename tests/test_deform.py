@@ -184,6 +184,20 @@ class TestCoboundary:
         rng = random.Random(2)
         assert ce_coboundary_check(random_matrix(rng, 3, 3), 3).passed
 
+    def test_every_parameter_of_small_sizes_by_linearity(self):
+        # alpha(X) = (XJ + JX)/2 and [A, B]_J are linear in J, so the identity
+        # [A, alpha(B)] - [B, alpha(A)] - alpha([A, B]) - [A, B]_J = 0 is linear
+        # in J.  The unit matrices E_p span Mat(n), so passing at every E_p
+        # proves it for every J of the size, not for samples.
+        checked = 0
+        for n in range(1, 5):
+            for i in range(n):
+                for k in range(n):
+                    verdict = ce_coboundary_check(Matrix.unit(n, n, i, k), n)
+                    assert verdict.passed, (n, i, k, verdict.witness)
+                    checked += 1
+        assert checked == 30
+
     def test_shape_validated(self):
         with pytest.raises(ShapeError):
             ce_coboundary_check(Matrix.zeros(2, 3), 2)
