@@ -43,17 +43,17 @@ from .verify import run_all
 # Largest inputs the subcommands accept, so that none runs without bound.
 # On a 2-core x86-64 machine (CPython 3.11) the largest accepted sizes finish
 # in under 10 s: ``classify 36 1`` in 7.6 s, ``classify 6 6`` in 6.5 s,
-# ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 6.8 s,
-# ``coboundary 8`` with a dense integer J in 3.8 s, ``constants 12 12`` and
+# ``heisenberg 16`` in 7.9 s, ``deform 8 1 --t 1/3`` in 1.2 s,
+# ``coboundary 8`` with a dense integer J in 0.24 s, ``constants 12 12`` and
 # ``center 12 12`` with a dense integer J in 4.1 s and 3.9 s, ``embed`` of
 # gl_12 into ``12 12 12`` in 5.4 s, ``witness`` with a dense 12x12 pair in
 # 2.0 s and ``contract 40 1`` in 2.9 s (``constants 14 14`` takes 10.9 s,
 # ``center 14 14`` 14.2 s, a 13x13 ``witness`` pair 2.7 s and
 # ``contract 48 1`` 9.0 s).  ``semidirect r s`` is bounded by r + s: ``15 0``
 # takes 8.5 s and ``8 7`` 5.1 s (``16 0`` takes 11.5 s and ``8 8`` 7.9 s).
-# ``verify-all --max 5`` takes 5.0 s and ``--max 6`` about 15 s;
-# ``verify-all`` also rejects ``--max`` below 2, where its checks would cover
-# no cases.
+# ``verify-all --max 5`` takes 3.1 s and ``--max 6`` (``run_all(6, 0)`` in
+# process) 10-12 s; ``verify-all`` also rejects ``--max`` below 2, where its
+# checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16
@@ -267,13 +267,12 @@ def _cmd_deform(args):
     verdicts = [{"name": f"{kind}_identity", "pass": ok} for kind, ok in path_identities(n, r, t).items()]
     sig_comm = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n)))
     sig_end = invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r)))
+    sigs = {0: sig_comm, 1: sig_end}  # one signature per distinct time
 
     def _sig_at(tv):
-        if tv == 0:
-            return sig_comm
-        if tv == 1:
-            return sig_end
-        return invariant_signature(LieAlgebra.from_param(deformation_bracket(n, jr, tv)))
+        if tv not in sigs:
+            sigs[tv] = invariant_signature(LieAlgebra.from_param(deformation_bracket(n, jr, tv)))
+        return sigs[tv]
 
     sig = _sig_at(t)
     reference = sig_comm if t != 1 else sig_end

@@ -11,6 +11,9 @@ In the other direction the straight-line path ``(1-t) I + t J`` of
 parameters deforms the commutator into the rank-r bracket; for ``t < 1``
 the column-scaling transport map makes the two isomorphic, and the bracket
 with any parameter is a 2-coboundary of the commutator's adjoint action.
+Both identity checks scale each side to integers once and compare every
+entry of every basis pair, with no matrix product, scaling or inverse
+transport inside the pair loop.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, Tuple
 
 from .algebra import Verdict
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, _canonical, rank_normal_form
+from .matrices import Matrix, ShapeError, _canonical, _integer_row, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
@@ -221,24 +224,40 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
 
     * ``decomposition``: ``[A, B]_{J_t} = [A, B] + t [A, B]_{J_r - I}``;
     * ``transport`` (only for ``t != 1``):
-      ``[A, B]_{J_t} = psi_t^-1([psi_t A, psi_t B])``.
+      ``psi_t([A, B]_{J_t}) = [psi_t A, psi_t B]``, that is
+      ``[A, B]_{J_t} = psi_t^-1([psi_t A, psi_t B])``, as ``psi_t`` is
+      invertible for ``t != 1``.
+
+    With ``t = p/q`` every side is scaled by ``q`` (the images ``q psi_t A``
+    make the right side of transport ``q^2`` times its value) and compared
+    entry by entry on integers; column ``c`` of ``psi_t(X)`` is column ``c``
+    of ``X`` times ``1 - t`` when ``c >= r``, so no inverse is formed.
+
+    The identities in ``t``: multiplied through by ``psi_t`` as above, each
+    entry of the transport identity is a polynomial of degree at most 2 in
+    ``t`` (``psi_t`` and ``J_t`` are affine in ``t``), and the decomposition
+    identity is affine in ``t``.  A polynomial of degree at most 2 that
+    vanishes at three distinct points is zero (N. Alon, "Combinatorial
+    Nullstellensatz", 1999, Lemma 2.1), so passing at three distinct
+    ``t != 1`` proves both identities for every ``t != 1``.
     """
     t = to_scalar(t)
+    p, q = t.numerator, t.denominator
     jr = rank_normal_form(n, n, r)
-    param_t = deformation_bracket(n, jr, t)
-    param_comm = BracketParam.commutator(n)
-    param_shift = BracketParam(n, n, jr - Matrix.identity(n))
     basis = basis_matrices(n, n)
-    streams = [_pair_brackets(basis, p) for p in (param_t, param_comm, param_shift)]
+    params = (deformation_bracket(n, jr, t).j * q, Matrix.identity(n), jr - Matrix.identity(n))
+    streams = [_pair_brackets(basis, BracketParam(n, n, j)) for j in params]
     if t != 1:
-        streams.append(_pair_brackets([psi_t(x, t, r) for x in basis], param_comm))
+        images = [psi_t(x, t, r) * q for x in basis]
+        streams.append(_pair_brackets(images, BracketParam.commutator(n)))
+    weights = (q,) * r + (q - p,) * (n - r)  # q^2 psi_t on the columns of q [A, B]_{J_t}
     decomposition = transport = True
     for (_, _, lhs), (_, _, comm), (_, _, shift), *moved in zip(*streams):
-        parts = zip(lhs.entries, comm.entries, shift.entries)
-        if any(x != (c + t * s if s else c) for x, c, s in parts):
+        if decomposition and lhs.entries != tuple(q * c + p * s for c, s in zip(comm.entries, shift.entries)):
             decomposition = False
-        if moved and lhs != psi_t_inverse(moved[0][2], t, r):
-            transport = False
+        if moved and transport:
+            rows = zip(lhs._data, moved[0][2]._data)
+            transport = all(x * w == y for row, image in rows for x, w, y in zip(row, weights, image))
     verdicts = {"decomposition": decomposition}
     if t != 1:
         verdicts["transport"] = transport
@@ -258,19 +277,36 @@ def ce_coboundary_check(j: Matrix, n: int):
 
     Unsubscripted brackets are ordinary commutators; the identity shows the
     j-bracket is a 2-coboundary for the commutator's adjoint action.
+
+    Both sides are scaled by ``2 d_J``, with ``d_J`` the lcm of the
+    denominators of ``j``, and compared entry by entry on integers.  ``a`` is
+    formed once per basis element.  For a unit ``A = E_(i,k)``, ``A M``
+    copies row k of ``M`` into row i and ``M A`` copies column i of ``M``
+    into column k, so the two commutators take no product; ``a([A, B])`` is
+    the sum of the ``a`` of the units over the entries of ``[A, B]``; and the
+    right side is the kernel's bracket with the integer parameter ``d_J j``.
     """
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")
     basis = basis_matrices(n, n)
-    alphas = [alpha_coboundary(x, j) for x in basis]
-    pairs = (_pair_brackets(basis, p) for p in (BracketParam.commutator(n), BracketParam(n, n, j)))
+    dj = _integer_row(j.entries)[1]
+    scale = 2 * dj
+    alphas = [[to_scalar(scale * v) for v in alpha_coboundary(x, j).entries] for x in basis]
+    pairs = (_pair_brackets(basis, BracketParam(n, n, m)) for m in (Matrix.identity(n), j * dj))
     for (a, b, comm), (_, _, rhs) in zip(*pairs):
-        A, B = basis[a], basis[b]
-        lhs = _comm(A, alphas[b]) - _comm(B, alphas[a]) - alpha_coboundary(comm, j)
-        if lhs != rhs:
-            return Verdict(False, {"pair": [a, b], "coboundary": str(lhs), "bracket": str(rhs)})
+        (i, k), (p, q) = divmod(a, n), divmod(b, n)
+        alpha_a, alpha_b = alphas[a], alphas[b]
+        lhs = [0] * (n * n)
+        for c in range(n):  # [A, a(B)] - [B, a(A)]
+            lhs[i * n + c] += alpha_b[k * n + c]
+            lhs[c * n + k] -= alpha_b[c * n + i]
+            lhs[p * n + c] -= alpha_a[q * n + c]
+            lhs[c * n + q] += alpha_a[c * n + p]
+        for e, v in enumerate(comm.entries):  # - a([A, B])
+            if v:
+                for f, w in enumerate(alphas[e]):
+                    lhs[f] -= v * w
+        if lhs != [v + v for v in rhs.entries]:
+            coboundary, bracket = Matrix.from_flat(n, n, lhs) * Fraction(1, scale), rhs * Fraction(1, dj)
+            return Verdict(False, {"pair": [a, b], "coboundary": str(coboundary), "bracket": str(bracket)})
     return Verdict(True)
-
-
-def _comm(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a

@@ -227,7 +227,37 @@ class TestBasisIndex:
         assert basis_matrices(2, 3)[3] == Matrix.unit(2, 3, 1, 0)
 
 
+def model_matches_constants(param):
+    """The comparison of ``verify.check_lie_axioms``: the kernel's bracket of
+    every basis pair against the dense expansion of its structure constants."""
+    dim = param.dim
+    table = structure_constants(param).table
+    return all(
+        w.entries == tuple(table.get((a, b), {}).get(k, 0) for k in range(dim))
+        for a, b, w in _pair_brackets(basis_matrices(param.n, param.m), param)
+    )
+
+
 class TestStructureConstants:
+    def test_matches_the_model_at_every_unit_parameter(self):
+        # The matrix bracket and the constants c(J) are both linear in J, so
+        # their difference is too.  The unit matrices E_p span Mat(m x n), so
+        # agreement at every E_p proves it for every J of the shape.
+        checked = 0
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for p in range(m * n):
+                    param = BracketParam(n, m, Matrix.unit(m, n, *divmod(p, n)))
+                    assert model_matches_constants(param), (n, m, p)
+                    checked += 1
+        assert checked == 100
+
+    def test_matches_the_model_at_a_rational_parameter(self):
+        # The kernel brackets with d_J J, d_J the lcm of J's denominators, and
+        # divides d_J back out.  At an integer J, every E_p included, d_J = 1,
+        # so only a J with denominators shows a kernel that drops d_J.
+        assert model_matches_constants(BracketParam(3, 2, parse_matrix("1/2 0 -2/3; 0 3/5 1")))
+
     def test_commutator_matches_classical_formula(self):
         # [E_ij, E_kl] = d(j,k) E_il - d(l,i) E_kj for the identity parameter.
         sc = structure_constants(BracketParam.commutator(2))

@@ -184,6 +184,24 @@ def test_readme_example_stdout_is_stable(capsys, command):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def test_deform_computes_each_signature_once(capsys, monkeypatch):
+    # Times 0 and 1, the user's t = 1/3, and the interior times of the path
+    # table (1/3 again, 1/2, 9/10): five distinct times.
+    calls = 0
+    real = cli.invariant_signature
+
+    def counted(algebra):
+        nonlocal calls
+        calls += 1
+        return real(algebra)
+
+    monkeypatch.setattr(cli, "invariant_signature", counted)
+    argv, digest = README_EXAMPLES["deform"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+    assert calls == 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [

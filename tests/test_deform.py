@@ -4,9 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liebrackets.brackets import BracketParam, basis_matrices, bracket, structure_constants
+from liebrackets import deform
+from liebrackets.algebra import Verdict
+from liebrackets.brackets import BracketParam, _pair_brackets, basis_matrices, bracket, structure_constants
 from liebrackets.deform import (
+    PATH_TIMES,
     ContractionDivergenceError,
     EpsStructureConstants,
     LaurentScalar,
@@ -15,6 +20,7 @@ from liebrackets.deform import (
     contraction_constants,
     contraction_limit,
     deformation_bracket,
+    path_identities,
     psi_t,
     psi_t_inverse,
 )
@@ -23,6 +29,49 @@ from liebrackets.matrices import Matrix, ShapeError, parse_matrix, rank_normal_f
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
     return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def count_products(monkeypatch):
+    """Count ``Matrix @`` calls from here on; read the count with ``calls[0]``."""
+    calls = [0]
+    matmul = Matrix.__matmul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
+
+
+def reference_ce_coboundary_check(j: Matrix, n: int):
+    """The coboundary check on ``Matrix`` products, kept as the reference:
+    six products and a scaling by 1/2 per basis pair."""
+    if j.shape != (n, n):
+        raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")
+    basis = basis_matrices(n, n)
+    alphas = [deform.alpha_coboundary(x, j) for x in basis]
+    pairs = (_pair_brackets(basis, p) for p in (BracketParam.commutator(n), BracketParam(n, n, j)))
+    for (a, b, comm), (_, _, rhs) in zip(*pairs):
+        A, B = basis[a], basis[b]
+        lhs = _comm(A, alphas[b]) - _comm(B, alphas[a]) - deform.alpha_coboundary(comm, j)
+        if lhs != rhs:
+            return Verdict(False, {"pair": [a, b], "coboundary": str(lhs), "bracket": str(rhs)})
+    return Verdict(True)
+
+
+def _comm(a: Matrix, b: Matrix) -> Matrix:
+    return a @ b - b @ a
+
+
+@st.composite
+def coboundary_parameters(draw):
+    """A square J of size <= 4 with denominators and some zero rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rows = [[0] * n if i in zero_rows else draw(st.lists(entry, min_size=n, max_size=n)) for i in range(n)]
+    return Matrix(rows), n
 
 
 class TestLaurentScalar:
@@ -131,6 +180,54 @@ class TestDeformationPath:
                     assert lhs == rhs
 
 
+class TestPathIdentities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_time_below_one_by_the_argument_in_t(self, n):
+        # Multiplied through by psi_t, each entry of the transport identity is
+        # a polynomial of degree <= 2 in t and the decomposition identity is
+        # affine in t (see test_polynomial_form_in_t).  A polynomial of degree
+        # <= 2 that vanishes at three distinct points is zero (Alon,
+        # "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so passing at
+        # three distinct t != 1 proves both identities for every t != 1.
+        times = PATH_TIMES[:3]
+        assert len(set(times)) == 3 and 1 not in times
+        for r in range(n):
+            for t in times:
+                assert path_identities(n, r, t) == {"decomposition": True, "transport": True}, (n, r, t)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polynomial_form_in_t(self, n):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        basis = [sympy.Matrix(n, n, lambda i, k, e=e: int(i * n + k == e)) for e in range(n * n)]
+        for r in range(n):
+            jr = sympy.diag(*([1] * r + [0] * (n - r)))
+            jt = (1 - t) * sympy.eye(n) + t * jr
+            psi = sympy.diag(*([1] * r + [1 - t] * (n - r)))  # psi_t(X) = X psi
+
+            def br(x, y, j):
+                return x * j * y - y * j * x
+
+            for a, x in enumerate(basis):
+                for y in basis[a + 1 :]:
+                    lhs = br(x, y, jt)
+                    transport = [lhs * psi, br(x * psi, y * psi, sympy.eye(n))]
+                    decomposition = [lhs, br(x, y, sympy.eye(n)) + t * br(x, y, jr - sympy.eye(n))]
+                    for sides, degree in ((transport, 2), (decomposition, 1)):
+                        for side in sides:
+                            assert all(sympy.Poly(sympy.expand(v), t).degree() <= degree for v in side)
+                        assert (sides[0] - sides[1]).expand().is_zero_matrix
+
+    def test_transport_is_checked(self, monkeypatch):
+        monkeypatch.setattr(deform, "psi_t", lambda x, t, r: x)
+        assert path_identities(3, 1, Fraction(1, 3))["transport"] is False
+
+    def test_forms_no_product(self, monkeypatch):
+        calls = count_products(monkeypatch)
+        assert path_identities(4, 2, Fraction(1, 3)) == {"decomposition": True, "transport": True}
+        assert calls[0] == 0
+
+
 class TestPsiT:
     def test_identity_at_zero(self):
         m = parse_matrix("1 2; 3 4")
@@ -201,3 +298,27 @@ class TestCoboundary:
     def test_shape_validated(self):
         with pytest.raises(ShapeError):
             ce_coboundary_check(Matrix.zeros(2, 3), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coboundary_parameters())
+    def test_matches_the_product_reference(self, case):
+        j, n = case
+        assert ce_coboundary_check(j, n) == reference_ce_coboundary_check(j, n) == Verdict(True)
+
+    @pytest.mark.parametrize("j", ["1 2 0; 0 1 0; 3 0 1", "1/2 0 -2/3; 0 0 0; 3/5 1 1/4"])
+    def test_failure_witness_matches_the_product_reference(self, monkeypatch, j):
+        j = parse_matrix(j)
+        # x j is a potential too ([A, B j] - [B, A j] - [A, B] j = [A, B]_j), but
+        # x j^2 gives [A, B]_{j^2}, whose denominators (up to d_J^2) the 2 d_J
+        # scale does not clear.
+        monkeypatch.setattr(deform, "alpha_coboundary", lambda x, j: x @ j @ j)
+        got = ce_coboundary_check(j, j.rows)
+        assert not got.passed and set(got.witness) == {"pair", "coboundary", "bracket"}
+        assert got == reference_ce_coboundary_check(j, j.rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_forms_at_most_two_products_per_basis_element(self, monkeypatch, n):
+        j = Matrix([[Fraction(i - 2 * k, k + 1) for k in range(n)] for i in range(n)])
+        calls = count_products(monkeypatch)
+        assert ce_coboundary_check(j, n).passed
+        assert calls[0] <= 2 * n * n
