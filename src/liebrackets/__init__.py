@@ -59,7 +59,6 @@ from .deform import (
     PATH_TIMES,
     ContractionDivergenceError,
     EpsStructureConstants,
-    LaurentScalar,
     alpha_coboundary,
     ce_coboundary_check,
     contraction_constants,
@@ -88,7 +87,6 @@ from .matrices import (
     rank_normal_form,
     rref,
     solve_coordinates,
-    split_blocks,
 )
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 from .verify import run_all

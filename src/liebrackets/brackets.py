@@ -9,9 +9,11 @@ is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
 ``J = 0`` gives the abelian algebra.  This module evaluates the bracket, its
 block form under a rank normal form, and compiles any parameter into the
 sparse structure-constants tensor over the canonical basis ``E_{i,j}``
-ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).  Every
-loop over pairs of elements brackets through ``_pair_brackets``, one kernel
-on integers that builds no intermediate matrix.
+ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).  The
+``deform`` checks read basis-pair brackets off ``structure_constants``;
+every other loop over pairs of elements brackets through ``_pair_brackets``,
+one kernel on integers that builds no intermediate matrix.  The Lie-axiom
+check's model-constants comparison ties the two together.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def block_bracket(a_blocks, b_blocks, r: int):
 
     Blocks are (top-left, bottom-left, top-right, bottom-right) split at
     ``r`` in both directions.  ``None`` stands for a zero block (including
-    blocks of zero extent, as produced by ``matrices.split_blocks``); sizes
-    are inferred from whichever side carries data.  Returns the blocks of
+    blocks of zero extent, which ``matrices.join_blocks`` skips); sizes are
+    inferred from whichever side carries data.  Returns the blocks of
     the bracket in the same order:
 
         ([A1, B1], A2 B1 - B2 A1, A1 B3 - B1 A3, A2 B3 - B2 A3)
@@ -235,6 +237,8 @@ def structure_constants(param: BracketParam) -> StructureConstants:
     On basis matrices the bracket collapses to two terms:
     ``[E_{i,j}, E_{k,l}]_J = J[j,k] E_{i,l} - J[l,i] E_{k,j}``
     (0-based entries of ``J``); basis coordinates are just matrix entries.
+    This is the one source of basis-pair brackets: the contraction, path and
+    coboundary checks of ``deform`` read their brackets off this table.
     """
     n, m, j = param.n, param.m, param.j
     table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}

@@ -524,19 +524,14 @@ class Subspace:
         return self._echelon
 
     def contains(self, mat: Matrix) -> bool:
+        return self.reduce(mat).is_zero()
+
+    def reduce(self, mat: Matrix) -> Matrix:
+        """Residual of ``mat`` after elimination against the span (zero iff contained)."""
         if mat.shape != (self.ambient_rows, self.ambient_cols):
             raise ShapeError(
                 f"matrix of shape {mat.rows}x{mat.cols} vs ambient {self.ambient_rows}x{self.ambient_cols}"
             )
-        if mat.is_zero():
-            return True
-        ech = self._echelon_rows()
-        if not ech:
-            return False
-        return len(_eliminate(ech + (mat.entries,), len(mat.entries))[1]) == self.dim
-
-    def reduce(self, mat: Matrix) -> Matrix:
-        """Residual of ``mat`` after elimination against the span (zero iff contained)."""
         v = list(mat.entries)
         for row in self._echelon_rows():
             lead = next(i for i, x in enumerate(row) if x != 0)
@@ -573,19 +568,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_rows}x{self.ambient_cols})"
 
 
-def split_blocks(m: Matrix, r: int):
-    """Split at row/column ``r`` into (top-left, bottom-left, top-right,
-    bottom-right).  Blocks with zero rows or columns come back as None."""
-    if not (0 <= r <= min(m.rows, m.cols)):
-        raise ShapeError(f"split index {r} out of range for {m.rows}x{m.cols}")
-    return (
-        _submatrix(m, 0, r, 0, r),
-        _submatrix(m, r, m.rows, 0, r),
-        _submatrix(m, 0, r, r, m.cols),
-        _submatrix(m, r, m.rows, r, m.cols),
-    )
-
-
 def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
     """Reassemble (top-left, bottom-left, top-right, bottom-right) split at ``r``."""
     tl, bl, tr, br = blocks
@@ -597,8 +579,3 @@ def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
             out[r0 + i][c0 : c0 + block.cols] = row
     return Matrix._raw(tuple(map(tuple, out)))
 
-
-def _submatrix(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Optional[Matrix]:
-    if r1 <= r0 or c1 <= c0:
-        return None
-    return Matrix._raw(tuple(row[c0:c1] for row in m._data[r0:r1]))

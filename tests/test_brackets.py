@@ -23,12 +23,21 @@ from liebrackets.matrices import (
     parse_matrix,
     rank,
     rank_normal_form,
-    split_blocks,
 )
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
     return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def split_blocks(m, r):
+    """Split ``m`` at row and column ``r`` into (top-left, bottom-left,
+    top-right, bottom-right); a block of zero extent is None."""
+    cuts = ((0, r, 0, r), (r, m.rows, 0, r), (0, r, r, m.cols), (r, m.rows, r, m.cols))
+    return tuple(
+        Matrix([row[c0:c1] for row in m._data[r0:r1]]) if r0 < r1 and c0 < c1 else None
+        for r0, r1, c0, c1 in cuts
+    )
 
 
 class TestBracketParam:

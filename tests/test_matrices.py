@@ -25,13 +25,22 @@ from liebrackets.matrices import (
     rank_normal_form,
     rref,
     solve_coordinates,
-    split_blocks,
 )
 from liebrackets.scalars import scalar_div, to_scalar
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
     return Matrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def split_blocks(m, r):
+    """Split ``m`` at row and column ``r`` into (top-left, bottom-left,
+    top-right, bottom-right); a block of zero extent is None."""
+    cuts = ((0, r, 0, r), (r, m.rows, 0, r), (0, r, r, m.cols), (r, m.rows, r, m.cols))
+    return tuple(
+        Matrix([row[c0:c1] for row in m._data[r0:r1]]) if r0 < r1 and c0 < c1 else None
+        for r0, r1, c0, c1 in cuts
+    )
 
 
 def det_bruteforce(m):
@@ -300,6 +309,15 @@ class TestSubspace:
         s = Subspace.span(2, 1, [Matrix.column([1, 0])])
         residual = s.reduce(Matrix.column([2, 3]))
         assert residual == Matrix.column([0, 3])
+
+    def test_reduce_and_contains_check_the_shape(self):
+        # A 3x2 matrix has as many entries as the 2x3 ambient space, but is
+        # not in it: reducing it must not read it as a 2x3 matrix.
+        s = Subspace.span(2, 3, [Matrix.unit(2, 3, 0, 0)])
+        wrong = Matrix([[1, 0], [0, 0], [0, 0]])
+        for check in (s.reduce, s.contains):
+            with pytest.raises(ShapeError, match="3x2 vs ambient 2x3"):
+                check(wrong)
 
     def test_intersection(self):
         xy = Subspace.span(3, 1, [Matrix.column([1, 0, 0]), Matrix.column([0, 1, 0])])
