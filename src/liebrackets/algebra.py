@@ -8,9 +8,9 @@ basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
 
-The Jacobi check, the center and centralizers, the lower central series and
-the Killing form read the adjoint action from one table,
-``LieAlgebra._sparse_ads``, built once per algebra.
+The Jacobi check, the center and centralizers, both series and the Killing
+form read the adjoint action from one table, ``LieAlgebra._sparse_ads``,
+built once per algebra.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The signature engine
@@ -167,29 +167,73 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     Antisymmetry is structural in the constants, so the triples are the
     whole content of the axiom check.  A violation is reported with the
     first offending triple and its nonzero defect vector.
+
+    Triples are swept by their smallest index ``a``, and only the nonzero
+    terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
+    each target ``k`` to the stored pairs ``(b, c)`` with a ``k`` term, and
+    ``-[x_b, [x_a, x_c]]`` and ``[x_c, [x_a, x_b]]`` through the pairs
+    ``(a, e)`` and the adjoint columns of their targets.  The defects of one
+    ``a`` are held at a time, keyed by ``(b * d + c) * d + t``; the witness
+    defect is rebuilt by the per-triple sum, in its order.
     """
     table = L.constants.table
     ads = L._sparse_ads
     d = L.dim
+    by_target: list = [[] for _ in range(d)]  # k -> (b, key base of (b, c), c_bc^k), by b
+    for (b, c), terms in sorted(table.items()):
+        for k, v in terms.items():
+            by_target[k].append((b, (b * d + c) * d, v))
+    start = [0] * d  # by_target[k][start[k]:] holds the pairs with b > a
     for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                defect: Dict[int, Scalar] = {}
-                # [x_a, [x_b, x_c]] - [x_b, [x_a, x_c]] + [x_c, [x_a, x_b]]
-                for x, sign, pair in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
-                    ad_x = ads[x]
-                    for k, v in table.get(pair, {}).items():
-                        for t, w in ad_x.get(k, {}).items():
-                            defect[t] = defect.get(t, 0) + sign * v * w
-                if any(v != 0 for v in defect.values()):
-                    return Verdict(
-                        False,
-                        {
-                            "triple": [a, b, c],
-                            "defect": {str(k): scalar_str(v) for k, v in defect.items() if v != 0},
-                        },
-                    )
+        ad_a = ads[a]
+        if not ad_a:
+            continue
+        defect: Dict[int, Scalar] = {}
+        for k, col in ad_a.items():  # [x_a, [x_b, x_c]], a < b < c
+            entries = by_target[k]
+            s = start[k]
+            while s < len(entries) and entries[s][0] <= a:
+                s += 1
+            start[k] = s
+            for _, base, v in entries[s:]:
+                for t, w in col.items():
+                    defect[base + t] = defect.get(base + t, 0) + v * w
+        for e, terms in ad_a.items():  # the pair (a, e) and a third index f
+            if e < a:
+                continue
+            for k, v in terms.items():
+                for f, col in ads[k].items():  # col = [x_k, x_f]
+                    if f <= a or f == e:
+                        continue
+                    # -[x_f, [x_a, x_e]] on (a, f, e), or [x_f, [x_a, x_e]] on (a, e, f)
+                    base, sv = ((f * d + e) * d, v) if f < e else ((e * d + f) * d, -v)
+                    for t, w in col.items():
+                        defect[base + t] = defect.get(base + t, 0) + sv * w
+        failing = [key for key, v in defect.items() if v != 0]
+        if failing:
+            b, c = divmod(min(failing) // d, d)
+            return Verdict(
+                False,
+                {
+                    "triple": [a, b, c],
+                    "defect": {str(k): scalar_str(v) for k, v in _triple_defect(L, a, b, c).items() if v != 0},
+                },
+            )
     return Verdict(True)
+
+
+def _triple_defect(L: LieAlgebra, a: int, b: int, c: int) -> Dict[int, Scalar]:
+    """The Jacobi sum of one basis triple, term by term."""
+    table = L.constants.table
+    ads = L._sparse_ads
+    defect: Dict[int, Scalar] = {}
+    # [x_a, [x_b, x_c]] - [x_b, [x_a, x_c]] + [x_c, [x_a, x_b]]
+    for x, sign, pair in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
+        ad_x = ads[x]
+        for k, v in table.get(pair, {}).items():
+            for t, w in ad_x.get(k, {}).items():
+                defect[t] = defect.get(t, 0) + sign * v * w
+    return defect
 
 
 def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
@@ -240,6 +284,16 @@ def _span_coords(vectors) -> list:
     return list(reduced[: len(pivots)])
 
 
+def _add_bracket(v: list, c: Scalar, cols: dict, y) -> None:
+    """``v += c * [x_a, y]`` for the adjoint columns ``cols = ads[a]``."""
+    for b, col in cols.items():
+        yb = y[b]
+        if yb:
+            f = c * yb
+            for k, w in col.items():
+                v[k] += f * w
+
+
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
     d = L.dim
     terms = [L.full_subspace()]
@@ -251,8 +305,7 @@ def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
         for k, c in brk.items():
             v[k] = c
         gens.append(v)
-    bc = L.constants.bracket_coords
-    ads = L._sparse_ads if lower_central else None
+    ads = L._sparse_ads
     while len(terms) <= d + 1:
         nxt = _span_coords(gens)
         terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
@@ -261,19 +314,21 @@ def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
         dims.append(len(nxt))
         # Primitive integer multiples of the echelon rows span the same term.
         current = [_integer_row(v)[0] for v in nxt]
-        if lower_central:
-            gens = []
+        gens = []
+        if lower_central:  # [x_a, y] for every basis element x_a
             for cols in ads:
                 for y in current:
                     v = [0] * d
-                    for b, col in cols.items():
-                        yb = y[b]
-                        if yb:
-                            for k, w in col.items():
-                                v[k] += yb * w
+                    _add_bracket(v, 1, cols, y)
                     gens.append(v)
-        else:
-            gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
+        else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
+            for p, y in enumerate(current):
+                for z in current[p + 1 :]:
+                    v = [0] * d
+                    for a, ya in enumerate(y):
+                        if ya:
+                            _add_bracket(v, ya, ads[a], z)
+                    gens.append(v)
     return terms
 
 

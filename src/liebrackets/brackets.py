@@ -9,8 +9,9 @@ is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
 ``J = 0`` gives the abelian algebra.  This module evaluates the bracket, its
 block form under a rank normal form, and compiles any parameter into the
 sparse structure-constants tensor over the canonical basis ``E_{i,j}``
-ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``).  The
-``deform`` checks read basis-pair brackets off ``structure_constants``;
+ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``), at a
+cost that grows with the nonzero entries of ``J``, not with the basis pairs.
+The ``deform`` checks read basis-pair brackets off ``structure_constants``;
 every other loop over pairs of elements brackets through ``_pair_brackets``,
 one kernel on integers that builds no intermediate matrix.  The Lie-axiom
 check's model-constants comparison ties the two together.
@@ -234,27 +235,39 @@ class StructureConstants:
 def structure_constants(param: BracketParam) -> StructureConstants:
     """Expand the bracket of every canonical basis pair.
 
-    On basis matrices the bracket collapses to two terms:
-    ``[E_{i,j}, E_{k,l}]_J = J[j,k] E_{i,l} - J[l,i] E_{k,j}``
-    (0-based entries of ``J``); basis coordinates are just matrix entries.
+    With ``T((i,x), (y,l)) = J[x][y] E_(i,l)`` (0-based entries of ``J``) the
+    bracket of two basis matrices is ``[E_a, E_b] = T(a, b) - T(b, a)``;
+    basis coordinates are just matrix entries.  Each ordered pair ``(a, b)``
+    takes one entry of ``J``, so the walk visits only the nonzero entries of
+    ``J``, at a cost of ``nnz(J) * n * m``: ``T(a, b)`` is the first term of
+    the pair ``(a, b)`` when ``a < b`` and the second term of ``(b, a)`` when
+    ``a > b``.  Pairs are stored in increasing order, each with its first
+    term ahead of its second (two distinct targets, since ``a != b``).
     This is the one source of basis-pair brackets: the contraction, path and
     coboundary checks of ``deform`` read their brackets off this table.
     """
-    n, m, j = param.n, param.m, param.j
+    m, d = param.m, param.dim
+    first: Dict[int, Scalar] = {}  # a * d + b -> J-entry of T(a, b), a < b
+    second: Dict[int, Scalar] = {}  # a * d + b -> J-entry of T(b, a), a < b
+    for x, row in enumerate(param.j._data):
+        for y, c in enumerate(row):
+            if c == 0:
+                continue
+            for a in range(x, d, m):  # a = (i, x)
+                for b in range(y * m, y * m + m):  # b = (y, l)
+                    if a < b:
+                        first[a * d + b] = c
+                    elif a > b:
+                        second[b * d + a] = c
     table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for a in range(n * m):
-        i, jj = divmod(a, m)
-        for b in range(a + 1, n * m):
-            k, ll = divmod(b, m)
-            terms: Dict[int, Scalar] = {}
-            c1 = j._data[jj][k]
-            if c1 != 0:
-                terms[i * m + ll] = terms.get(i * m + ll, 0) + c1
-            c2 = j._data[ll][i]
-            if c2 != 0:
-                t = k * m + jj
-                terms[t] = terms.get(t, 0) - c2
-            terms = {kk: v for kk, v in terms.items() if v != 0}
-            if terms:
-                table[(a, b)] = terms
-    return StructureConstants(n * m, table)
+    for key in sorted(first.keys() | second.keys()):
+        a, b = divmod(key, d)
+        terms: Dict[int, Scalar] = {}
+        c = first.get(key)
+        if c is not None:
+            terms[a - a % m + b % m] = c  # E_(i, l) for a = (i, x), b = (y, l)
+        c = second.get(key)
+        if c is not None:
+            terms[b - b % m + a % m] = -c  # E_(y, x)
+        table[(a, b)] = terms
+    return StructureConstants(d, table)

@@ -11,8 +11,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from liebrackets import algebra
-from liebrackets.brackets import StructureConstants
+from liebrackets.brackets import StructureConstants, structure_constants
 from liebrackets.matrices import Matrix
 from liebrackets.verify import (
     check_catalog,
@@ -36,35 +38,71 @@ def report(number, label, outcome):
 
 
 def test_01_lie_axioms():
-    # 20 seeded parameters per shape, zero tolerance: the matrix bracket of
-    # every basis pair equals its structure constants, and the constants
-    # satisfy Jacobi on every basis triple.  Antisymmetry is structural in
-    # the constants, which store each pair once.
+    # Zero tolerance, for every parameter of every shape (proved at the unit
+    # and polarization parameters, which covers the 20 seeded samples per
+    # shape): the matrix bracket of every basis pair equals its structure
+    # constants, and the constants satisfy Jacobi on every basis triple.
+    # Antisymmetry is structural in the constants, which store each pair once.
     out = check_lie_axioms(max_size=4, seed=0, params_per_shape=20)
     assert out["details"]["algebras_checked"] == 16 * 20
     report(1, "Lie axioms on all shapes <= 4", out)
 
 
-def test_01_lie_axioms_catch_constants_that_disagree_with_the_model(monkeypatch):
-    # The two-term formula of ``structure_constants`` with the sign of the
-    # second term flipped: [E_ij, E_kl] = J[j,k] E_il + J[l,i] E_kj.
-    def wrong_constants(param):
-        n, m, j = param.n, param.m, param.j
-        table = {}
-        for a in range(n * m):
-            i, jj = divmod(a, m)
-            for b in range(a + 1, n * m):
-                k, ll = divmod(b, m)
-                terms = {}
-                terms[i * m + ll] = terms.get(i * m + ll, 0) + j[jj, k]
-                terms[k * m + jj] = terms.get(k * m + jj, 0) + j[ll, i]
-                table[(a, b)] = terms
-        return StructureConstants(n * m, table)
+def wrong_constants(param):
+    """The two-term formula of ``structure_constants`` with the sign of the
+    second term flipped: [E_ij, E_kl] = J[j,k] E_il + J[l,i] E_kj."""
+    n, m, j = param.n, param.m, param.j
+    table = {}
+    for a in range(n * m):
+        i, jj = divmod(a, m)
+        for b in range(a + 1, n * m):
+            k, ll = divmod(b, m)
+            terms = {}
+            terms[i * m + ll] = terms.get(i * m + ll, 0) + j[jj, k]
+            terms[k * m + jj] = terms.get(k * m + jj, 0) + j[ll, i]
+            table[(a, b)] = terms
+    return StructureConstants(n * m, table)
 
+
+def flipped_second_term(param):
+    """``structure_constants`` with the sign of its ``T(b, a)`` term flipped:
+    ``[E_a, E_b] = T(a, b) + T(b, a)``, whose target is ``E_(y, x)`` for
+    ``a = (i, x)`` and ``b = (y, l)``."""
+    m = param.m
+    table = {
+        (a, b): {k: -v if k == b - b % m + a % m else v for k, v in terms.items()}
+        for (a, b), terms in structure_constants(param).table.items()
+    }
+    return StructureConstants(param.dim, table)
+
+
+def test_01_lie_axioms_catch_constants_that_disagree_with_the_model(monkeypatch):
     monkeypatch.setattr(algebra, "structure_constants", wrong_constants)
     out = check_lie_axioms(max_size=2, seed=0, params_per_shape=20)
     assert not out["pass"]
     assert "model-constants" in {f["kind"] for f in out["details"]["failures"]}
+
+
+# sha256 of ``json.dumps`` of the failures list of ``check_lie_axioms(k, 0)``
+# under either fault above, as the sample-by-sample check reported it before
+# the family proof ran first (163 failures at k = 2, 1,495 at k = 3).
+SAMPLED_FAILURE_DIGESTS = {
+    2: "b230f0b65d8447f0e2e7966f59b19f564a9d727967e0b677f84a24e3f82864ee",
+    3: "e9f8c3a152ac523fcea613f9112cc56b54029977cc40f15414d47d19d09556f6",
+}
+
+
+@pytest.mark.parametrize("fault", [wrong_constants, flipped_second_term])
+@pytest.mark.parametrize("k", sorted(SAMPLED_FAILURE_DIGESTS))
+def test_01_lie_axioms_failures_are_those_of_the_samples(monkeypatch, fault, k):
+    # The family proof fails under the fault, so the samples are drawn and
+    # checked one by one, and each failure is reported as before.
+    monkeypatch.setattr(algebra, "structure_constants", fault)
+    out = check_lie_axioms(max_size=k, seed=0)
+    assert not out["pass"]
+    assert out["details"]["algebras_checked"] == k * k * 20
+    digest = hashlib.sha256(json.dumps(out["details"]["failures"]).encode("utf-8")).hexdigest()
+    assert digest == SAMPLED_FAILURE_DIGESTS[k]
 
 
 def test_02_center_dimension_law():

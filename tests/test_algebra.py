@@ -558,6 +558,45 @@ def reference_jacobi_check(L):
     return Verdict(True)
 
 
+def second_term_flipped(param):
+    """The algebra of ``param`` with the sign of the second term of every
+    basis-pair bracket flipped (``[E_a, E_b] = T(a, b) + T(b, a)``): a table
+    laid out like a bracket-family table that breaks Jacobi."""
+    m = param.m
+    table = {
+        (a, b): {k: -v if k == b - b % m + a % m else v for k, v in terms.items()}
+        for (a, b), terms in structure_constants(param).table.items()
+    }
+    return LieAlgebra(param.dim, StructureConstants(param.dim, table))
+
+
+def family_parameters(n, m, rng):
+    """Dense integer and rational J, every unit E_p and ten sums E_p + E_q."""
+    units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
+    sums = [(p, q) for p in range(len(units)) for q in range(p + 1, len(units))]
+    return (
+        [random_matrix(rng, m, n) for _ in range(2)]
+        + [Matrix([[rng.choice(RATIONALS) for _ in range(n)] for _ in range(m)])]
+        + units
+        + [units[p] + units[q] for p, q in rng.sample(sums, min(10, len(sums)))]
+    )
+
+
+class TestJacobiDifferential:
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_bracket_family_tables_match_the_reference(self, n, m):
+        # Family tables pass; their flipped tables fail, so the witnesses of
+        # failures laid out like family tables are compared too.
+        rng = random.Random(f"jacobi:{n}x{m}")
+        for j in family_parameters(n, m, rng):
+            param = BracketParam(n, m, j)
+            for L in (LieAlgebra.from_param(param), second_term_flipped(param)):
+                got, expected = jacobi_check(L), reference_jacobi_check(L)
+                assert got == expected, (n, m, str(j))
+                assert json.dumps(got.witness) == json.dumps(expected.witness)
+
+
 def reference_center(L):
     """``algebra.center`` kept verbatim from before it delegated to
     ``centralizer``: its own loop over the constants table."""

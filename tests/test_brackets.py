@@ -1,5 +1,6 @@
 """The parametrized bracket, its block form, and structure constants."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -343,3 +344,99 @@ class TestStructureConstants:
         xm = Matrix.from_flat(3, 3, x)
         ym = Matrix.from_flat(3, 3, y)
         assert sc.bracket_coords(x, y) == bracket(xm, ym, param).entries
+
+
+# ---------------------------------------------------------------------------
+# The sparse walk of structure_constants against the pair loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_structure_constants(param):
+    """``brackets.structure_constants`` kept verbatim from before it walked
+    the nonzero entries of J: it visits every basis pair a < b."""
+    n, m, j = param.n, param.m, param.j
+    table = {}
+    for a in range(n * m):
+        i, jj = divmod(a, m)
+        for b in range(a + 1, n * m):
+            k, ll = divmod(b, m)
+            terms = {}
+            c1 = j._data[jj][k]
+            if c1 != 0:
+                terms[i * m + ll] = terms.get(i * m + ll, 0) + c1
+            c2 = j._data[ll][i]
+            if c2 != 0:
+                t = k * m + jj
+                terms[t] = terms.get(t, 0) - c2
+            terms = {kk: v for kk, v in terms.items() if v != 0}
+            if terms:
+                table[(a, b)] = terms
+    return StructureConstants(n * m, table)
+
+
+def ordered_table(sc):
+    """Every pair and term of a table, in iteration order, with its type."""
+    return [(pair, [(k, v, type(v)) for k, v in terms.items()]) for pair, terms in sc.table.items()]
+
+
+ENTRY_POOLS = {
+    "zero": [0],
+    "integer": [0, 0, 1, -1, 2, -3],
+    "rational": [0, 0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)],
+    "sparse": [0] * 6 + [1, -1, Fraction(5, 3)],
+}
+
+
+class TestStructureConstantsDifferential:
+    @pytest.mark.parametrize("pool", sorted(ENTRY_POOLS))
+    def test_every_shape_up_to_six_matches_the_reference(self, pool):
+        rng = random.Random(f"structure-constants:{pool}")
+        for n in range(1, 7):
+            for m in range(1, 7):
+                j = Matrix([[rng.choice(ENTRY_POOLS[pool]) for _ in range(n)] for _ in range(m)])
+                param = BracketParam(n, m, j)
+                assert ordered_table(structure_constants(param)) == ordered_table(
+                    reference_structure_constants(param)
+                ), (n, m, str(j))
+
+    @pytest.mark.parametrize(
+        "param",
+        [BracketParam.commutator(9), BracketParam.normal(5, 7, 3), BracketParam.normal(7, 5, 5)],
+        ids=["commutator-9", "normal-5x7-r3", "normal-7x5-r5"],
+    )
+    def test_normal_forms_match_the_reference(self, param):
+        assert ordered_table(structure_constants(param)) == ordered_table(reference_structure_constants(param))
+
+
+# Integers and p/q, each in the canonical type the parsers return.
+canonical_scalars = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+).map(lambda x: x.numerator if type(x) is Fraction and x.denominator == 1 else x)
+
+
+@st.composite
+def constants_tables(draw):
+    """A table of random constants, or the table of a random parameter."""
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        flat = draw(st.lists(st.one_of(st.just(0), canonical_scalars), min_size=n * m, max_size=n * m))
+        return structure_constants(BracketParam(n, m, Matrix([flat[i * n : (i + 1) * n] for i in range(m)])))
+    d = draw(st.integers(1, 6))
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    terms = st.lists(st.tuples(st.integers(0, d - 1), canonical_scalars), max_size=3)
+    return StructureConstants(d, {pair: dict(draw(terms)) for pair in chosen})
+
+
+class TestConstantsJsonRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(constants_tables())
+    def test_from_json_inverts_to_json(self, sc):
+        obj = json.loads(json.dumps(sc.to_json()))
+        again = StructureConstants.from_json(obj)
+        assert again == sc
+        assert {p: {k: type(v) for k, v in t.items()} for p, t in again.table.items()} == {
+            p: {k: type(v) for k, v in t.items()} for p, t in sc.table.items()
+        }
+        assert again.to_json() == obj

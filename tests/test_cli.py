@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,22 @@ class TestVerifyAll:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+VERIFY_ALL_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "verify_all_digests.json"
+
+
+def test_verify_all_reports_match_the_recorded_digests(capsys):
+    # The benchmark's verify_all workload fails every item of a pass whose
+    # report differs from this table; reading the same table here names the
+    # changed seed.  The table is only read.
+    table = json.loads(VERIFY_ALL_DIGESTS.read_text(encoding="utf-8"))
+    assert table["max"] == 3
+    assert sorted(map(int, table["digests"])) == list(range(16))
+    for seed, digest in table["digests"].items():
+        assert main(["verify-all", "--max", str(table["max"]), "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, f"seed {seed}"
 
 
 # stdout sha256 of the README's example subcommands (all but embed, which

@@ -1,0 +1,70 @@
+"""Known-bad inputs: each verdict must fail on an input that breaks its claim.
+
+A verdict that cannot fail proves nothing.  Each case here hands a verdict
+an input for which the claim is false and asserts that the verdict says so,
+with its witness.  The cases cover verdicts that a one-line weakening (an
+off-by-one or a dropped bound) would turn into a pass on every correct
+input, so that only a bad input tells the weakened verdict from the right
+one.
+"""
+
+from liebrackets import verify
+from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
+from liebrackets.brackets import BracketParam, StructureConstants
+from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
+from liebrackets.matrices import Matrix
+
+
+def abelian(dim):
+    return LieAlgebra(dim, StructureConstants(dim, {}))
+
+
+def test_hom_check_reads_a_rank_deficient_homomorphism_as_not_injective():
+    # The quotient of the Heisenberg algebra h_1 (basis X, Y, Z with
+    # [X, Y] = Z) by its center onto the abelian plane: a homomorphism, since
+    # Z is sent to 0, of rank 2 = dim h_1 - 1.
+    f = LinearMap.from_columns([(1, 0), (0, 1), (0, 0)])
+    verdict = hom_check(f, heisenberg_abstract(1), abelian(2))
+    assert verdict.is_hom
+    assert f.rank() == 2
+    assert not verdict.injective
+    assert not verdict.bijective
+
+
+def test_heisenberg_center_verdict_fails_on_a_center_of_the_wrong_dimension():
+    # Generators X = E(1,2), Y' = E(3,3), Z = E(1,3) of Mat(3) under the
+    # corank-one normal parameter all commute: Y' replaces Y = E(2,3), whose
+    # bracket with X is Z.  The span is abelian, so its center is all of it,
+    # three-dimensional, though it contains Z.
+    param = BracketParam.normal(3, 3, 2)
+    model = HeisenbergModel(1, param, (Matrix.unit(3, 3, 0, 1),), (Matrix.unit(3, 3, 2, 2),), Matrix.unit(3, 3, 0, 2))
+    verdicts = heisenberg_verdicts(model)
+    assert verdicts["subalgebra_closed"]["pass"]
+    assert verdicts["center"] == {"pass": False, "dim": 3}
+    assert not verdicts["constants_match"]["pass"]
+
+
+def filiform_model(real):
+    """``semidirect_S`` whose (1, 2) model has a three-step nilpotent part.
+
+    The nilpotent part of ``S`` with r = 1 and s = 2 has coordinates 1..8.
+    Its table is replaced by the four-dimensional filiform algebra on
+    coordinates 1..4 (``[e1, e2] = e3``, ``[e1, e3] = e4``) plus an abelian
+    rest: the lower central series has dimensions 8, 2, 1, 0.
+    """
+
+    def build(r, s):
+        model = real(r, s)
+        if (r, s) != (1, 2):
+            return model
+        table = {(1, 2): {3: 1}, (1, 3): {4: 1}}
+        return type(model)(r, s, StructureConstants(model.dim, table), model.phi, model.labels)
+
+    return build
+
+
+def test_semidirect_check_fails_on_a_three_step_nilpotent_part(monkeypatch):
+    monkeypatch.setattr(verify, "semidirect_S", filiform_model(semidirect_S))
+    out = verify.check_semidirect(max_total=3)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [{"r": 1, "s": 2, "kind": "not-two-step", "lcs": [8, 2, 1, 0]}]

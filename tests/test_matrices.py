@@ -1,6 +1,7 @@
 """Exact linear algebra: arithmetic, row reduction, rank factorization."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from liebrackets.matrices import (
     ShapeError,
     SingularMatrixError,
     Subspace,
+    format_matrix,
     inverse,
     join_blocks,
     kernel,
@@ -616,3 +618,40 @@ class TestSympyOracle:
         assert f.rank == to_sympy(m).rank()
         assert f.q @ rank_normal_form(m.rows, m.cols, f.rank) @ f.p == m
         assert to_sympy(f.q).det() != 0 and to_sympy(f.p).det() != 0
+
+
+# Integers and p/q, each in the canonical type the parsers return.
+canonical_scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+).map(lambda x: x.numerator if type(x) is Fraction and x.denominator == 1 else x)
+
+
+@st.composite
+def text_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return Matrix([draw(st.lists(canonical_scalars, min_size=cols, max_size=cols)) for _ in range(rows)])
+
+
+def typed_entries(m):
+    return [(x, type(x)) for x in m.entries]
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(text_matrices())
+    def test_parse_matrix_inverts_format_matrix(self, m):
+        text = format_matrix(m)
+        again = parse_matrix(text)
+        assert again.shape == m.shape
+        assert typed_entries(again) == typed_entries(m)
+        assert format_matrix(again) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(text_matrices())
+    def test_matrix_from_json_inverts_matrix_to_json(self, m):
+        obj = json.loads(json.dumps(matrix_to_json(m)))
+        again = matrix_from_json(obj)
+        assert again.shape == m.shape
+        assert typed_entries(again) == typed_entries(m)
+        assert matrix_to_json(again) == obj
