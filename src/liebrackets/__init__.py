@@ -21,7 +21,6 @@ from .brackets import (
     BracketParam,
     StructureConstants,
     basis_matrices,
-    block_bracket,
     bracket,
     structure_constants,
 )
@@ -77,7 +76,6 @@ from .matrices import (
     Subspace,
     format_matrix,
     inverse,
-    join_blocks,
     kernel,
     matrix_from_json,
     matrix_to_json,

@@ -8,9 +8,9 @@ basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
 
-The Jacobi check, the center and centralizers, both series and the Killing
-form read the adjoint action from one table, ``LieAlgebra._sparse_ads``,
-built once per algebra.
+The Jacobi check, the center and centralizers, both series, the Killing
+form and the bracket of an algebra without a model read the adjoint action
+from one table, ``LieAlgebra._sparse_ads``, built once per algebra.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The signature engine
@@ -150,11 +150,17 @@ class LieAlgebra:
         return ads
 
     def bracket_coords(self, x, y) -> tuple:
+        """``[x, y]`` through the model when there is one, else the bilinear
+        expansion ``sum_a x_a [x_a, y]`` over the adjoint columns."""
         x = self.to_coords(x)
         y = self.to_coords(y)
         if self.model is not None:
             return bracket(self.from_coords(x), self.from_coords(y), self.model).entries
-        return self.constants.bracket_coords(x, y)
+        out = [0] * self.dim
+        for xa, cols in zip(x, self._sparse_ads):
+            if xa:
+                _add_bracket(out, xa, cols, y)
+        return tuple(out)
 
 
 def _coords_json(coords) -> dict:
@@ -392,7 +398,8 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
 
     The right-hand side is evaluated through the destination's matrix model
     when it has one (an independent route from the structure constants), by
-    the integer pair kernel ``brackets._pair_brackets``.
+    the integer pair kernel ``brackets._pair_brackets``, and otherwise by
+    ``LieAlgebra.bracket_coords``.
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
     quadratic in ``f``, so it tests ``D * F([x,y]) = [F(x), F(y)]``.  A
@@ -410,8 +417,7 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
         images = [dst.from_coords(col) for col in fcols]
         pairs = ((a, b, w.entries) for a, b, w in _pair_brackets(images, dst.model))
     else:
-        bc = dst.constants.bracket_coords
-        pairs = ((a, b, bc(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
+        pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
     witness = None
     for a, b, rhs in pairs:
         lhs = [0] * dst.dim

@@ -6,11 +6,11 @@ For operands ``A, B`` in ``Mat(n x m)`` and a parameter ``J`` in
     [A, B]_J = A*J*B - B*J*A
 
 is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
-``J = 0`` gives the abelian algebra.  This module evaluates the bracket, its
-block form under a rank normal form, and compiles any parameter into the
-sparse structure-constants tensor over the canonical basis ``E_{i,j}``
-ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)`` (1-based ``i, j``), at a
-cost that grows with the nonzero entries of ``J``, not with the basis pairs.
+``J = 0`` gives the abelian algebra.  This module evaluates the bracket and
+compiles any parameter into the sparse structure-constants tensor over the
+canonical basis ``E_{i,j}`` ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)``
+(1-based ``i, j``), at a cost that grows with the nonzero entries of ``J``,
+not with the basis pairs.
 The ``deform`` checks read basis-pair brackets off ``structure_constants``;
 every other loop over pairs of elements brackets through ``_pair_brackets``,
 one kernel on integers that builds no intermediate matrix.  The Lie-axiom
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .matrices import Matrix, ShapeError, _integer_row, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -103,57 +103,6 @@ def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
     return pairs()
 
 
-def block_bracket(a_blocks, b_blocks, r: int):
-    """Bracket under the rank-r normal-form parameter, block by block.
-
-    Blocks are (top-left, bottom-left, top-right, bottom-right) split at
-    ``r`` in both directions.  ``None`` stands for a zero block (including
-    blocks of zero extent, which ``matrices.join_blocks`` skips); sizes are
-    inferred from whichever side carries data.  Returns the blocks of
-    the bracket in the same order:
-
-        ([A1, B1], A2 B1 - B2 A1, A1 B3 - B1 A3, A2 B3 - B2 A3)
-
-    The bottom-right operand blocks never enter.
-    """
-    a1, a2, a3, a4 = a_blocks
-    b1, b2, b3, b4 = b_blocks
-    nr = next((blk.rows for blk in (a2, b2, a4, b4) if blk is not None), 0)
-    mr = next((blk.cols for blk in (a3, b3, a4, b4) if blk is not None), 0)
-    expectations = (
-        ("top-left", (a1, b1), (r, r)),
-        ("bottom-left", (a2, b2), (nr, r)),
-        ("top-right", (a3, b3), (r, mr)),
-        ("bottom-right", (a4, b4), (nr, mr)),
-    )
-    for name, pair, want in expectations:
-        for blk in pair:
-            if blk is not None and blk.shape != want:
-                raise ShapeError(
-                    f"{name} block has shape {blk.rows}x{blk.cols}, expected {want[0]}x{want[1]}"
-                )
-    c1 = _pair(a1, b1, b1, a1, r, r)
-    c2 = _pair(a2, b1, b2, a1, nr, r)
-    c3 = _pair(a1, b3, b1, a3, r, mr)
-    c4 = _pair(a2, b3, b2, a3, nr, mr)
-    return (c1, c2, c3, c4)
-
-
-def _pair(x, y, u, v, out_rows: int, out_cols: int) -> Optional[Matrix]:
-    """x @ y - u @ v where any factor may be an absent (None) block."""
-    if out_rows == 0 or out_cols == 0:
-        return None
-    first = None if (x is None or y is None) else x @ y
-    second = None if (u is None or v is None) else u @ v
-    if first is None and second is None:
-        return Matrix.zeros(out_rows, out_cols)
-    if first is None:
-        return -second
-    if second is None:
-        return first
-    return first - second
-
-
 def basis_matrices(n: int, m: int):
     """All ``n*m`` canonical basis matrices in linear order."""
     return tuple(Matrix.unit(n, m, i, j) for i in range(n) for j in range(m))
@@ -190,16 +139,6 @@ class StructureConstants:
         if a < b:
             return dict(self.table.get((a, b), ()))
         return {k: -v for k, v in self.table.get((b, a), {}).items()}
-
-    def bracket_coords(self, x, y) -> tuple:
-        """Bilinear expansion of ``[x, y]`` for dense coordinate vectors."""
-        out = [0] * self.dim
-        for (a, b), terms in self.table.items():
-            c = x[a] * y[b] - x[b] * y[a]
-            if c != 0:
-                for k, v in terms.items():
-                    out[k] += c * v
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureConstants):

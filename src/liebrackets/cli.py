@@ -50,8 +50,8 @@ from .verify import run_all
 # 2.0 s and ``contract 40 1`` in 2.9 s (``constants 14 14`` takes 10.9 s,
 # ``center 14 14`` 14.2 s, a 13x13 ``witness`` pair 2.7 s and
 # ``contract 48 1`` 2.4 s in process).  ``semidirect r s`` is bounded by
-# r + s: ``15 0`` takes 8.5 s and ``8 7`` 5.1 s (``16 0`` takes 11.5 s and
-# ``8 8`` 7.9 s).  ``verify-all --max 5`` takes 2.4 s and ``--max 6``
+# r + s: ``15 0`` takes 1.5 s and ``8 7`` 1.1 s (``16 0`` takes 2.0 s and
+# ``8 8`` 1.5 s).  ``verify-all --max 5`` takes 2.4 s and ``--max 6``
 # (``run_all(6, 0)`` in process) 6.2 s; ``verify-all`` also rejects
 # ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)

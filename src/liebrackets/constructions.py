@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieAlgebra, LinearMap, center, hom_check, lower_central_series, subalgebra_closed
-from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices, block_bracket
+from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
 from .matrices import (
     Matrix,
     ShapeError,
     Subspace,
-    join_blocks,
     rank,
     solve_coordinates,
 )
@@ -248,18 +247,10 @@ class SemidirectModel:
         return range(self.r * self.r, self.dim)
 
 
-def _component_blocks(r: int, s: int):
-    """(rows, cols, offset) of the X, A, B, C components in coordinate order."""
-    off_x = 0
-    off_a = off_x + r * r
-    off_b = off_a + s * r
-    off_c = off_b + r * s
-    return (
-        ("X", r, r, off_x),
-        ("A", s, r, off_a),
-        ("B", r, s, off_b),
-        ("C", s, s, off_c),
-    )
+# The quadruple bracket is ``[x, y] = x.y - y.x`` for the product
+# ``(X,A,B,C).(X',A',B',C') = (XX', AX', XB', AB')``: one product of blocks
+# per component, as (left factor, right factor, product).
+_UNIT_PRODUCTS = (("X", "X", "X"), ("A", "X", "A"), ("X", "B", "B"), ("A", "B", "C"))
 
 
 def semidirect_S(r: int, s: int) -> SemidirectModel:
@@ -268,45 +259,50 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     The bracket of quadruples is
     ``[(X,A,B,C), (X',A',B',C')] = ([X,X'], AX' - A'X, XB' - X'B, AB' - A'B)``
     and the isomorphism assembles the blocks as ``[[X, B], [A, C]]``.
+
+    The basis is the unit blocks, so each product in ``_UNIT_PRODUCTS`` is
+    ``E_ij E_kl = [j = k] E_il``: the table is written from these unit
+    products alone, and ``phi`` sends each unit block to one unit matrix.
+    The table is built by its own rule, not from ``structure_constants`` of
+    the rank-r parameter, so ``hom_check`` compares two independent routes:
+    this rule and the two-term bracket of the model, through
+    ``_pair_brackets``.
     """
     if r < 1 or s < 0:
         raise HypothesisError(f"need r >= 1 and s >= 0, got r={r}, s={s}")
     n = r + s
     dim = n * n
-    components = _component_blocks(r, s)
+    # name, shape and top-left corner in [[X, B], [A, C]] of each component
+    components = (("X", r, r, 0, 0), ("A", s, r, r, 0), ("B", r, s, 0, r), ("C", s, s, r, r))
 
-    basis_blocks = []
+    place = {}  # name -> (coordinate of its first unit block, rows, cols)
     labels: List[str] = []
-    for name, rows, cols, _ in components:
+    columns = []
+    for name, rows, cols, r0, c0 in components:
+        place[name] = (len(labels), rows, cols)
         for i in range(rows):
             for j in range(cols):
-                blocks = {cname: None for cname, *_ in components}
-                blocks[name] = Matrix.unit(rows, cols, i, j)
-                basis_blocks.append((blocks["X"], blocks["A"], blocks["B"], blocks["C"]))
                 labels.append(f"{name}[{i + 1},{j + 1}]")
-
-    def flatten(blocks) -> tuple:
-        coords = [0] * dim
-        for (name, rows, cols, off), blk in zip(components, blocks):
-            if blk is None or rows == 0 or cols == 0:
-                continue
-            for i in range(rows):
-                for j in range(cols):
-                    coords[off + i * cols + j] = blk[i, j]
-        return tuple(coords)
+                columns.append(Matrix.unit(n, n, r0 + i, c0 + j).entries)
 
     table: Dict[tuple, dict] = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            w = block_bracket(basis_blocks[a], basis_blocks[b], r)
-            terms = {k: v for k, v in enumerate(flatten(w)) if v != 0}
-            if terms:
-                table[(a, b)] = terms
-    constants = StructureConstants(dim, table)
+    for left, right, product in _UNIT_PRODUCTS:
+        (off_a, p, q), (off_b, _, t), (off_k, *_) = place[left], place[right], place[product]
+        for i in range(p):
+            for j in range(q):
+                a = off_a + i * q + j
+                for l in range(t):
+                    b = off_b + j * t + l
+                    if a == b:  # [x, x] = 0
+                        continue
+                    # x_a.x_b enters [x_a, x_b] with + and [x_b, x_a] with -
+                    pair, sign = ((a, b), 1) if a < b else ((b, a), -1)
+                    k = off_k + i * t + l
+                    terms = table.setdefault(pair, {})
+                    terms[k] = terms.get(k, 0) + sign
+    # sorted, so that the table iterates in the order of its JSON form
+    constants = StructureConstants(dim, {pair: dict(sorted(table[pair].items())) for pair in sorted(table)})
 
-    columns = [
-        join_blocks((x, a_, b_, c_), n, n, r).entries for (x, a_, b_, c_) in basis_blocks
-    ]
     phi = LinearMap.from_columns(columns)
     model = SemidirectModel(r, s, constants, phi, tuple(labels))
     verdict = hom_check(phi, model.algebra(), model.target())

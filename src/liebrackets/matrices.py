@@ -567,15 +567,3 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_rows}x{self.ambient_cols})"
 
-
-def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
-    """Reassemble (top-left, bottom-left, top-right, bottom-right) split at ``r``."""
-    tl, bl, tr, br = blocks
-    out = [[0] * cols for _ in range(rows)]
-    for block, r0, c0 in ((tl, 0, 0), (bl, r, 0), (tr, 0, r), (br, r, r)):
-        if block is None:
-            continue
-        for i, row in enumerate(block._data):
-            out[r0 + i][c0 : c0 + block.cols] = row
-    return Matrix._raw(tuple(map(tuple, out)))
-

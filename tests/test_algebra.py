@@ -645,6 +645,18 @@ def reference_centralizer(L, S):
     return _kernel_subspace(L, rows)
 
 
+def reference_bracket_coords(constants, x, y):
+    """Bilinear expansion of ``[x, y]`` for dense coordinate vectors, by a
+    scan of the whole table: the former ``StructureConstants.bracket_coords``."""
+    out = [0] * constants.dim
+    for (a, b), terms in constants.table.items():
+        c = x[a] * y[b] - x[b] * y[a]
+        if c != 0:
+            for k, v in terms.items():
+                out[k] += c * v
+    return tuple(out)
+
+
 def reference_series(L, lower_central):
     """``algebra._series`` kept verbatim from before it bracketed integer
     vectors: it brackets the canonical (``Fraction``) echelon rows of each
@@ -653,7 +665,6 @@ def reference_series(L, lower_central):
     current = [tuple(1 if i == k else 0 for i in range(d)) for k in range(d)]
     terms = [L.full_subspace()]
     dims = [d]
-    bc = L.constants.bracket_coords
     while len(terms) <= d + 1:
         if lower_central:
             gens = []
@@ -667,7 +678,11 @@ def reference_series(L, lower_central):
                             v[k] += yb * w
                     gens.append(tuple(v))
         else:
-            gens = [bc(current[a], current[b]) for a in range(len(current)) for b in range(a + 1, len(current))]
+            gens = [
+                reference_bracket_coords(L.constants, current[a], current[b])
+                for a in range(len(current))
+                for b in range(a + 1, len(current))
+            ]
         nxt = _span_coords(gens)
         terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
         if len(nxt) == 0 or len(nxt) == dims[-1]:
@@ -784,6 +799,15 @@ class TestSignatureDifferential:
         got, expected = jacobi_check(L), reference_jacobi_check(L)
         assert got == expected
         assert json.dumps(got.witness) == json.dumps(expected.witness)
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras(), st.data())
+    def test_bracket_coords_matches_reference(self, L, data):
+        # An algebra without a model brackets through its adjoint columns.
+        abstract = LieAlgebra(L.dim, L.constants)
+        entries = st.sampled_from([0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 5)])
+        x, y = (data.draw(st.lists(entries, min_size=L.dim, max_size=L.dim)) for _ in range(2))
+        assert abstract.bracket_coords(x, y) == reference_bracket_coords(L.constants, x, y)
 
     @SIGNATURE_DIFFERENTIAL
     @given(signature_algebras())

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,13 @@ from liebrackets.brackets import (
     StructureConstants,
     _pair_brackets,
     basis_matrices,
-    block_bracket,
     bracket,
     structure_constants,
 )
+from liebrackets.constructions import semidirect_S
 from liebrackets.matrices import (
     Matrix,
     ShapeError,
-    join_blocks,
     parse_matrix,
     rank,
     rank_normal_form,
@@ -177,6 +177,77 @@ class TestPairBrackets:
         assert_pair_brackets_match(elements, param)
 
 
+# ---------------------------------------------------------------------------
+# The block form of the bracket under a rank normal form, kept as a reference.
+# ---------------------------------------------------------------------------
+
+
+def block_bracket(a_blocks, b_blocks, r: int):
+    """Bracket under the rank-r normal-form parameter, block by block.
+
+    Blocks are (top-left, bottom-left, top-right, bottom-right) split at
+    ``r`` in both directions.  ``None`` stands for a zero block (including
+    blocks of zero extent, which ``join_blocks`` skips); sizes are
+    inferred from whichever side carries data.  Returns the blocks of
+    the bracket in the same order:
+
+        ([A1, B1], A2 B1 - B2 A1, A1 B3 - B1 A3, A2 B3 - B2 A3)
+
+    The bottom-right operand blocks never enter.  Kept verbatim from the
+    former ``brackets.block_bracket``, which built ``semidirect_S``'s table
+    by dense block products.
+    """
+    a1, a2, a3, a4 = a_blocks
+    b1, b2, b3, b4 = b_blocks
+    nr = next((blk.rows for blk in (a2, b2, a4, b4) if blk is not None), 0)
+    mr = next((blk.cols for blk in (a3, b3, a4, b4) if blk is not None), 0)
+    expectations = (
+        ("top-left", (a1, b1), (r, r)),
+        ("bottom-left", (a2, b2), (nr, r)),
+        ("top-right", (a3, b3), (r, mr)),
+        ("bottom-right", (a4, b4), (nr, mr)),
+    )
+    for name, pair, want in expectations:
+        for blk in pair:
+            if blk is not None and blk.shape != want:
+                raise ShapeError(
+                    f"{name} block has shape {blk.rows}x{blk.cols}, expected {want[0]}x{want[1]}"
+                )
+    c1 = _pair(a1, b1, b1, a1, r, r)
+    c2 = _pair(a2, b1, b2, a1, nr, r)
+    c3 = _pair(a1, b3, b1, a3, r, mr)
+    c4 = _pair(a2, b3, b2, a3, nr, mr)
+    return (c1, c2, c3, c4)
+
+
+def _pair(x, y, u, v, out_rows: int, out_cols: int) -> Optional[Matrix]:
+    """x @ y - u @ v where any factor may be an absent (None) block."""
+    if out_rows == 0 or out_cols == 0:
+        return None
+    first = None if (x is None or y is None) else x @ y
+    second = None if (u is None or v is None) else u @ v
+    if first is None and second is None:
+        return Matrix.zeros(out_rows, out_cols)
+    if first is None:
+        return -second
+    if second is None:
+        return first
+    return first - second
+
+
+def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
+    """Reassemble (top-left, bottom-left, top-right, bottom-right) split at
+    ``r``; the former ``matrices.join_blocks``, verbatim."""
+    tl, bl, tr, br = blocks
+    out = [[0] * cols for _ in range(rows)]
+    for block, r0, c0 in ((tl, 0, 0), (bl, r, 0), (tr, 0, r), (br, r, r)):
+        if block is None:
+            continue
+        for i, row in enumerate(block._data):
+            out[r0 + i][c0 : c0 + block.cols] = row
+    return Matrix._raw(tuple(map(tuple, out)))
+
+
 class TestBlockBracket:
     def test_zero_blocks(self):
         z = Matrix.zeros(1, 1)
@@ -219,6 +290,59 @@ class TestBlockBracket:
                 (Matrix.identity(1), None, None, None),
                 2,
             )
+
+
+def reference_semidirect(r, s):
+    """The table, ``phi`` columns and labels of ``semidirect_S(r, s)`` as it
+    built them before it wrote the table from unit products: the reference
+    ``block_bracket`` of every pair of basis quadruples, flattened to
+    coordinates, and ``join_blocks`` of each quadruple."""
+    n = r + s
+    dim = n * n
+    components = (("X", r, r, 0), ("A", s, r, r * r), ("B", r, s, r * r + s * r), ("C", s, s, r * r + 2 * r * s))
+    basis_blocks = []
+    labels = []
+    for name, rows, cols, _ in components:
+        for i in range(rows):
+            for j in range(cols):
+                blocks = {cname: None for cname, *_ in components}
+                blocks[name] = Matrix.unit(rows, cols, i, j)
+                basis_blocks.append((blocks["X"], blocks["A"], blocks["B"], blocks["C"]))
+                labels.append(f"{name}[{i + 1},{j + 1}]")
+
+    def flatten(blocks):
+        coords = [0] * dim
+        for (name, rows, cols, off), blk in zip(components, blocks):
+            if blk is None or rows == 0 or cols == 0:
+                continue
+            for i in range(rows):
+                for j in range(cols):
+                    coords[off + i * cols + j] = blk[i, j]
+        return tuple(coords)
+
+    table = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            w = block_bracket(basis_blocks[a], basis_blocks[b], r)
+            terms = {k: v for k, v in enumerate(flatten(w)) if v != 0}
+            if terms:
+                table[(a, b)] = terms
+    columns = [join_blocks(blocks, n, n, r).entries for blocks in basis_blocks]
+    return StructureConstants(dim, table), columns, tuple(labels)
+
+
+class TestSemidirectTable:
+    """``semidirect_S`` writes its table from the four unit-block products;
+    the dense block bracket of every pair of quadruples is the reference."""
+
+    @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 7) for s in range(7 - r)])
+    def test_unit_products_match_the_block_bracket(self, r, s):
+        model = semidirect_S(r, s)
+        constants, columns, labels = reference_semidirect(r, s)
+        assert ordered_table(model.constants) == ordered_table(constants)
+        phi = model.phi.matrix
+        assert [phi.column_tuple(a) for a in range(model.dim)] == columns
+        assert model.labels == labels
 
 
 class TestBasisIndex:
@@ -343,7 +467,19 @@ class TestStructureConstants:
         param = BracketParam.commutator(3)
         xm = Matrix.from_flat(3, 3, x)
         ym = Matrix.from_flat(3, 3, y)
-        assert sc.bracket_coords(x, y) == bracket(xm, ym, param).entries
+        assert reference_bracket_coords(sc, x, y) == bracket(xm, ym, param).entries
+
+
+def reference_bracket_coords(constants, x, y):
+    """Bilinear expansion of ``[x, y]`` for dense coordinate vectors, by a
+    scan of the whole table: the former ``StructureConstants.bracket_coords``."""
+    out = [0] * constants.dim
+    for (a, b), terms in constants.table.items():
+        c = x[a] * y[b] - x[b] * y[a]
+        if c != 0:
+            for k, v in terms.items():
+                out[k] += c * v
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

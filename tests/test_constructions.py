@@ -1,5 +1,7 @@
 """Heisenberg realization/obstruction, semidirect model, padding, catalog."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from liebrackets.constructions import (
     restricted_constants,
     semidirect_S,
 )
-from liebrackets.matrices import Matrix
+from liebrackets.matrices import Matrix, matrix_to_json
 
 
 def sl2_candidate():
@@ -160,6 +162,42 @@ class TestSemidirect:
     def test_bad_sizes(self):
         with pytest.raises(HypothesisError):
             semidirect_S(0, 2)
+
+
+# sha256 of ``json.dumps([constants.to_json(), matrix_to_json(phi.matrix),
+# labels], sort_keys=True)`` of ``semidirect_S(r, s)``, recorded when the
+# table was still built by the dense block bracket of every basis pair.
+SEMIDIRECT_DIGESTS = {
+    (1, 0): "ec25e2390fff1342603a33fbe4f325294619ef1b4a0243b5bc971791b1c5fae3",
+    (1, 1): "6fd51d354813322c3febf732a42f497ade2d9a50d4e90b1bd366932e86ecca93",
+    (1, 2): "fe397b947dec45a4bc4bbc10e9410d22504a6d82cb5859a51ba5aa4cd4763aa6",
+    (1, 3): "cd7eb3aa9b22311ef5b7f6b6a0f32f556a6114356da42b615f9746bb8e427834",
+    (1, 4): "0f63fda2e0175767bb91fd9f9de6c3168bfce9f47ecdce3aa200e432d8d6ed49",
+    (1, 5): "7c9b628b5155e9e4438e669ff4c986eb6e5fc5f88718edfd16da811782ecec98",
+    (2, 0): "0feb662de29a1a6dcc4494efdc07b56619e75b4780a246df72b07eaaea08023a",
+    (2, 1): "7a187e9c0b1ea6f851b6aad7460923fa7db2e7c4d6e118433fc0188fc6c38bf8",
+    (2, 2): "5d92b67f48f7940b66584e566c1cf7697ae817d4081cf9ce644f7985ee5d3550",
+    (2, 3): "e9c42e1ce37aa02c59afff685f43b95f2a62f58f0d71cf389df8edc4d8599026",
+    (2, 4): "f39bfc3f838b2687807448aea0adde0bdca7716d5a5ec7021af0f7be3339d2e7",
+    (3, 0): "2ee2693b22f9499377a306b6b449e1be43339bc4f745ceea67d4ca92f0704691",
+    (3, 1): "95bbb95da4fbcbba486db75e0fb1f95d3ae6a61988133d2e674f934aaf14f6d0",
+    (3, 2): "b624d465740cbe2939cb637006ea65538d0023f9b76396c2ece050d5d83002f8",
+    (3, 3): "82467379ec51307f75773a8927b211cea0a716cb3553c9b7ea6aff6567eaf323",
+    (4, 0): "0eb500f5ff9ae0745d1506002fd1f8dfcac3bfb8bcefcde4694baeea6a8665d9",
+    (4, 1): "577cb66fdc63ee084479df2fe2edbd2daa97ef26f97d78f1f18b1f54b4066b2e",
+    (4, 2): "b99ed81878fdcbdc0a0c9c4e9688a1f88dbafd58f59a173b58c2fa30772e45e9",
+    (5, 0): "1571e7b08c4cd2fefc3a6ac8c104531877ee2b56d98223353381e29fabd18ad1",
+    (5, 1): "2d374cda6490543aa668839da630b23cb03e3161ac93e65fd7f52e3085fb0948",
+    (6, 0): "9edbd1dc902fd83fa18e2994af99ba5f46203916a6eaefee138fcbc0b0c5cdbf",
+}
+
+
+@pytest.mark.parametrize("r, s", sorted(SEMIDIRECT_DIGESTS))
+def test_semidirect_output_is_pinned(r, s):
+    model = semidirect_S(r, s)
+    payload = [model.constants.to_json(), matrix_to_json(model.phi.matrix), list(model.labels)]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == SEMIDIRECT_DIGESTS[(r, s)]
 
 
 class TestAdoEmbed:

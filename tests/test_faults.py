@@ -8,7 +8,9 @@ input, so that only a bad input tells the weakened verdict from the right
 one.
 """
 
-from liebrackets import verify
+import pytest
+
+from liebrackets import constructions, verify
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
@@ -68,3 +70,38 @@ def test_semidirect_check_fails_on_a_three_step_nilpotent_part(monkeypatch):
     out = verify.check_semidirect(max_total=3)
     assert not out["pass"]
     assert out["details"]["failures"] == [{"r": 1, "s": 2, "kind": "not-two-step", "lcs": [8, 2, 1, 0]}]
+
+
+def test_semidirect_construction_fails_when_a_product_is_dropped(monkeypatch):
+    # Without the product A.B -> C, [A, B] is 0 in the table, while the
+    # block-assembly map sends A[1,1] and B[1,1] to E(2,1) and E(1,2), whose
+    # rank-one bracket is E(2,2), coordinate 3 of Mat(2).
+    products = tuple(p for p in constructions._UNIT_PRODUCTS if p != ("A", "B", "C"))
+    monkeypatch.setattr(constructions, "_UNIT_PRODUCTS", products)
+    witness = {"pair": [1, 2], "f_of_bracket": {}, "bracket_of_images": {"3": "1"}}
+    error = f"block-assembly map failed verification: {witness}"
+    with pytest.raises(ValueError) as exc:
+        semidirect_S(1, 1)
+    assert str(exc.value) == error
+    out = verify.check_semidirect(max_total=2)
+    assert not out["pass"]
+    assert out["details"] == {
+        "models_verified": 2,
+        "failures": [{"r": 1, "s": 1, "kind": "construction", "error": error}],
+    }
+
+
+def test_semidirect_check_fails_when_the_nilpotent_part_is_not_an_ideal(monkeypatch):
+    # The (1, 1) model with its table replaced by [A[1,1], B[1,1]] = X[1,1]:
+    # a bracket of two nilpotent coordinates leaves the nilpotent part.
+    def build(r, s):
+        model = semidirect_S(r, s)
+        if (r, s) != (1, 1):
+            return model
+        table = {(1, 2): {0: 1}}
+        return type(model)(r, s, StructureConstants(model.dim, table), model.phi, model.labels)
+
+    monkeypatch.setattr(verify, "semidirect_S", build)
+    out = verify.check_semidirect(max_total=2)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [{"r": 1, "s": 1, "kind": "nil-not-ideal"}]

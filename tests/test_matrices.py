@@ -17,7 +17,6 @@ from liebrackets.matrices import (
     Subspace,
     format_matrix,
     inverse,
-    join_blocks,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -43,6 +42,19 @@ def split_blocks(m, r):
         Matrix([row[c0:c1] for row in m._data[r0:r1]]) if r0 < r1 and c0 < c1 else None
         for r0, r1, c0, c1 in cuts
     )
+
+
+def join_blocks(blocks, rows: int, cols: int, r: int) -> Matrix:
+    """Reassemble (top-left, bottom-left, top-right, bottom-right) split at
+    ``r``; the former ``matrices.join_blocks``, verbatim."""
+    tl, bl, tr, br = blocks
+    out = [[0] * cols for _ in range(rows)]
+    for block, r0, c0 in ((tl, 0, 0), (bl, r, 0), (tr, 0, r), (br, r, r)):
+        if block is None:
+            continue
+        for i, row in enumerate(block._data):
+            out[r0 + i][c0 : c0 + block.cols] = row
+    return Matrix._raw(tuple(map(tuple, out)))
 
 
 def det_bruteforce(m):
