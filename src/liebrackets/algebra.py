@@ -283,11 +283,7 @@ def _centralizer(L: LieAlgebra, vectors: list) -> Subspace:
 
 def _span_coords(vectors) -> list:
     """Echelonized list of coordinate tuples spanning the given vectors."""
-    rows = [v for v in vectors if any(v)]
-    if not rows:
-        return []
-    reduced, pivots = _eliminate(rows, len(rows[0]))
-    return list(reduced[: len(pivots)])
+    return list(_eliminate(vectors)[0])
 
 
 def _add_bracket(v: list, c: Scalar, cols: dict, y) -> None:
@@ -413,20 +409,18 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     d = src.dim
     flat, den = _integer_row(f.matrix.entries)
     fcols = [flat[a::d] for a in range(d)]
+    fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
     if dst.model is not None:
-        images = [dst.from_coords(col) for col in fcols]
-        pairs = ((a, b, w.entries) for a, b, w in _pair_brackets(images, dst.model))
+        pairs = _pair_brackets([dst.from_coords(col) for col in fcols], dst.model)
     else:
         pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
     witness = None
     for a, b, rhs in pairs:
         lhs = [0] * dst.dim
         for k, v in src.constants.table.get((a, b), {}).items():
-            col = fcols[k]
             w = den * v
-            for t in range(dst.dim):
-                if col[t] != 0:
-                    lhs[t] += w * col[t]
+            for t, x in fterms[k]:
+                lhs[t] += w * x
         if tuple(lhs) != tuple(rhs):
             den2 = den * den
             witness = {

@@ -70,35 +70,45 @@ def bracket(a: Matrix, b: Matrix, param: BracketParam) -> Matrix:
 
 
 def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
-    """Iterate ``(a, b, [x_a, x_b]_J)`` over the pairs ``a < b`` of ``elements``
-    with the values and entry types of ``bracket``, checking shapes first.  With
-    ``X_a = d_a x_a`` and ``J' = d_J J`` integer and each ``X_a J'`` formed once
-    (``None`` for a zero row), entry ``(i, k)`` is the integer dot products
-    ``(X_a J')_i . (X_b)_{:,k} - (X_b J')_i . (X_a)_{:,k}`` over ``d_a d_b d_J``."""
+    """Iterate ``(a, b, w)`` over the pairs ``a < b`` of ``elements``, with ``w``
+    the row-major flat tuple of ``[x_a, x_b]_J`` (the values and entry types of
+    ``bracket(...).entries``), checking shapes first.  With ``X_a = d_a x_a``
+    and ``J' = d_J J`` integer and each ``X_a J'`` formed once (``None`` for a
+    zero row), entry ``(i, k)`` is the integer dot products
+    ``(X_a J')_i . (X_b)_{:,k} - (X_b J')_i . (X_a)_{:,k}`` over ``d_a d_b d_J``.
+    A pair whose two ``X J'`` are both zero gets one shared zero tuple without
+    any dot product."""
     n, m = param.n, param.m
     if any(x.shape != (n, m) for x in elements):
         raise ShapeError(f"elements do not all match bracket space {n}x{m}")
     jflat, dj = _integer_row(param.j.entries)
     jcols = [jflat[c::n] for c in range(n)]
-    ints = []  # (d_a, columns of X_a, rows of X_a J') for each element
+    ints = []  # (d_a, columns of X_a, rows of X_a J' or None if all zero) for each element
     for x in elements:
         flat, d = _integer_row(x.entries)
         xj = ([sum(map(mul, flat[i * m : (i + 1) * m], jc)) for jc in jcols] for i in range(n))
-        ints.append((d, [flat[k::m] for k in range(m)], [r if any(r) else None for r in xj]))
+        rows = [r if any(r) else None for r in xj]
+        ints.append((d, [flat[k::m] for k in range(m)], rows if any(rows) else None))
+    zero_row = (0,) * m
+    zero = zero_row * n
+    no_rows = (None,) * n
 
     def pairs():  # a generator of its own, so that the checks above run on the call
         for a, (da, ca, xa) in enumerate(ints):
             for b, (db, cb, xb) in enumerate(ints[a + 1 :], a + 1):
+                if xa is None and xb is None:
+                    yield a, b, zero
+                    continue
                 den = da * db * dj
                 out = []
-                for ra, rb in zip(xa, xb):
+                for ra, rb in zip(xa or no_rows, xb or no_rows):
                     if ra is None and rb is None:
-                        out.append((0,) * m)
+                        out.extend(zero_row)
                         continue
                     s = [(sum(map(mul, ra, c)) if ra else 0) - (sum(map(mul, rb, e)) if rb else 0)
                          for c, e in zip(cb, ca)]
-                    out.append(tuple(s) if den == 1 else tuple(scalar_div(v, den) for v in s))
-                yield a, b, Matrix._raw(tuple(out))
+                    out.extend(s if den == 1 else (scalar_div(v, den) for v in s))
+                yield a, b, tuple(out)
 
     return pairs()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, LinearMap, center, hom_check, invariant_signature
-from .brackets import BracketParam, basis_matrices
+from .brackets import BracketParam
 from .matrices import (
     Matrix,
     RankFactorization,
@@ -68,8 +68,9 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
         )
     q = nf1.factorization.q @ inverse(nf2.factorization.q)
     p = inverse(nf2.factorization.p) @ nf1.factorization.p
-    n_ops, m_ops = j1.cols, j1.rows  # operands live in Mat(cols x rows)
-    columns = [(p @ e @ q).entries for e in basis_matrices(n_ops, m_ops)]
+    # Operands live in Mat(cols x rows); P E_ij Q has the entries P[a][i] Q[j][b].
+    pcols = list(zip(*p._data))
+    columns = [tuple(x * y for x in pc for y in qr) for pc in pcols for qr in q._data]
     return LinearMap.from_columns(columns)
 
 

@@ -40,9 +40,11 @@ def restricted_constants(basis: Tuple[Matrix, ...], param: BracketParam, labels=
     Fails if the span is not closed under the bracket.
     """
     dim = len(basis)
+    n, m = param.n, param.m
     table: Dict[tuple, dict] = {}
     for a, b, w in _pair_brackets(basis, param):
-        coords = solve_coordinates(basis, w)
+        # The kernel's entries are already canonical: cut the rows out directly.
+        coords = solve_coordinates(basis, Matrix._raw(tuple(w[i * m : (i + 1) * m] for i in range(n))))
         if coords is None:
             raise ValueError(f"span not closed: bracket of basis elements {a} and {b} leaves the span")
         terms = {k: v for k, v in enumerate(coords) if v != 0}
@@ -109,10 +111,10 @@ def heisenberg_realization(n: int) -> HeisenbergModel:
     if rank(Matrix(tuple(g.entries for g in gens))) != 2 * n + 1:
         raise ValueError("generators are linearly dependent")
     labels = model.abstract().labels
-    zero = Matrix.zeros(size, size)
+    zero = (0,) * (size * size)
     for a, b, w in _pair_brackets(gens, param):
         to_z = a < n and b == a + n  # [X_i, Y_i]
-        if w != (z if to_z else zero):
+        if w != (z.entries if to_z else zero):
             if b == 2 * n:
                 raise ValueError("Z is not central among the generators")
             raise ValueError(f"[{labels[a]}, {labels[b]}] != {'Z' if to_z else '0'}")

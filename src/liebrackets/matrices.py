@@ -7,12 +7,15 @@ two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
 ``Q`` and ``P`` invertible) is the workhorse behind every equivalence and
 classification computation in the package.
 
-All elimination goes through one kernel, ``_eliminate``: Gauss-Jordan on
-integer rows (denominators cleared, each updated row divided by its gcd),
-normalised to the canonical reduced rows at the end.  Pivots are searched
-only in the first ``pivot_cols`` columns.  ``rref`` runs it on ``[m | I]``
-and reads the transform off the identity block; ``rank``, ``kernel``,
-``solve_coordinates`` and ``Subspace`` run it on the rows alone.
+Elimination works on integer rows (denominators cleared, rows divided by
+their gcd), normalised to the canonical reduced rows at the end, in two
+loops.  ``rank``, ``kernel``, ``solve_coordinates``, ``Subspace`` and the
+series of ``algebra`` need only the span, and call ``_eliminate``, which
+builds the reduced echelon basis one input row at a time and stops reading
+rows once the basis has full column rank.  ``rref`` also returns the
+transform, whose null rows depend on the pivot order, so it keeps its own
+column-major Gauss-Jordan loop on ``[m | I]`` and reads the transform off
+the identity block.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
 row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
@@ -283,14 +286,71 @@ def _integer_row(v: Sequence[Scalar]) -> tuple:
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
-    """The package's one elimination kernel: Gauss-Jordan on integer rows.
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple:
+    """The package's one span kernel: the reduced row-echelon basis of the
+    span of ``rows``, built one row at a time on integer rows.
 
-    Returns ``(reduced, pivots)``: the rows of the reduced row-echelon form,
-    as tuples of canonical scalars (``int`` when integral), and the pivot
-    columns.  Pivots are searched only among the first ``pivot_cols``
-    columns, with the rule of ``rref``; later columns, such as an appended
-    identity block, are carried along by the same row operations.
+    Returns ``(reduced, pivots)``: the nonzero rows of the reduced
+    row-echelon form, as tuples of canonical scalars (``int`` when
+    integral), and their pivot columns.  Since the reduced row-echelon form
+    of a row space is unique, these are the rows Gauss-Jordan over the
+    rationals would give, in any row order.
+
+    The basis is held as primitive integer rows, each zero in the pivot
+    columns of the others.  An incoming row is scaled to integers by
+    ``_integer_row``; a zero row is skipped, any other is reduced at each
+    basis pivot ``p`` with entry ``f`` to ``p*v - f*P``.  If it is still
+    nonzero it is divided by its gcd, its lead column is eliminated from
+    the basis rows the same way (each kept primitive), and it joins the
+    basis.  Once the basis has as many rows as columns it spans all of
+    Q^width, so the rows left are in its span and are never read.  At the
+    end each basis row is divided by its pivot.
+    """
+    width = len(rows[0]) if rows else 0
+    basis = []  # [pivot column, primitive integer row]
+    for row in rows:
+        v = _integer_row(row)[0]
+        if not any(v):
+            continue
+        for c, prow in basis:
+            f = v[c]
+            if f:
+                p = prow[c]
+                v = [p * x - f * y for x, y in zip(v, prow)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+        pv = v[lead]
+        for entry in basis:
+            prow = entry[1]
+            f = prow[lead]
+            if f:
+                b = [pv * x - f * y for x, y in zip(prow, v)]
+                g = gcd(*b)
+                entry[1] = b if g == 1 else [x // g for x in b]
+        basis.append([lead, v])
+        if len(basis) == width:
+            break
+    basis.sort(key=lambda entry: entry[0])
+    reduced = []
+    for c, row in basis:
+        d = row[c]
+        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
+    return tuple(reduced), tuple(c for c, _ in basis)
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row-echelon form with the invertible transform that produced it.
+
+    Returns ``(reduced, pivots, transform)`` with ``transform @ m == reduced``.
+    Pivot choice is deterministic: first nonzero entry scanning top-to-bottom
+    within each column, columns left-to-right.  For a singular input the
+    null rows of the transform depend on that order, so ``rref`` keeps its
+    own column-major Gauss-Jordan loop on ``[m | I]`` (callers that only
+    need the span call ``_eliminate``).
 
     Each row is scaled to integers by its denominators' lcm.  Eliminating
     against a pivot row ``P`` (pivot ``p``) replaces a row ``R`` whose entry
@@ -298,22 +358,22 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
     gcd; a row with ``f == 0`` is left untouched.  Every row thus stays a
     nonzero rational multiple of the row that Gauss-Jordan over the
     rationals would hold, so dividing by that multiple at the end gives the
-    same reduced rows.  A pivot row's multiple is its pivot entry; the
-    multiples of the other rows are tracked only when there are columns past
-    ``pivot_cols``, since otherwise those rows end up zero.
+    same rows.  A pivot row's multiple is its pivot entry; the multiples of
+    the other rows, whose left block ends up zero, are tracked as they go.
     """
-    track = len(rows) > 0 and len(rows[0]) > pivot_cols
+    w = m.cols
+    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
     a = []
     scale = []
-    for row in rows:
-        irow, den = _integer_row(row)
-        g = gcd(*irow) or 1
+    for row, e in zip(m._data, unit):
+        irow, den = _integer_row(row + e)
+        g = gcd(*irow)
         a.append(irow if g == 1 else [x // g for x in irow])
-        scale.append(Fraction(den, g) if track else 1)
+        scale.append(Fraction(den, g))
     n = len(a)
     pivots = []
     prow = 0
-    for col in range(pivot_cols):
+    for col in range(w):
         pr = next((r for r in range(prow, n) if a[r][col]), None)
         if pr is None:
             continue
@@ -327,10 +387,9 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
             if f == 0 or r == prow:
                 continue
             row = [pv * x - f * y for x, y in zip(a[r], piv)]
-            g = gcd(*row) or 1
+            g = gcd(*row)
             a[r] = row if g == 1 else [x // g for x in row]
-            if track:
-                scale[r] = Fraction(scale[r] * pv, g)
+            scale[r] = Fraction(scale[r] * pv, g)
         pivots.append(col)
         prow += 1
         if prow == n:
@@ -339,29 +398,13 @@ def _eliminate(rows: Sequence[Sequence[Scalar]], pivot_cols: int) -> tuple:
     for i, row in enumerate(a):
         d = row[pivots[i]] if i < prow else scale[i]
         reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
-    return tuple(reduced), tuple(pivots)
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form with the invertible transform that produced it.
-
-    Returns ``(reduced, pivots, transform)`` with ``transform @ m == reduced``.
-    Pivot choice is deterministic: first nonzero entry scanning top-to-bottom
-    within each column, columns left-to-right.  The transform is read off
-    the identity block of ``[m | I]``, eliminated by ``_eliminate`` with
-    pivots confined to the columns of ``m``; callers that only need the
-    reduced rows call ``_eliminate`` on ``m`` itself.
-    """
-    w = m.cols
-    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
-    rows, pivots = _eliminate([row + e for row, e in zip(m._data, unit)], w)
     return RrefResult(
-        Matrix._raw(tuple(r[:w] for r in rows)), pivots, Matrix._raw(tuple(r[w:] for r in rows))
+        Matrix._raw(tuple(r[:w] for r in reduced)), tuple(pivots), Matrix._raw(tuple(r[w:] for r in reduced))
     )
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m._data, m.cols)[1])
+    return len(_eliminate(m._data)[1])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -377,7 +420,7 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> "Subspace":
     """Basis of the right null space, as column vectors in canonical form."""
-    reduced, pivots = _eliminate(m._data, m.cols)
+    reduced, pivots = _eliminate(m._data)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
@@ -446,7 +489,7 @@ def solve_coordinates(basis: Sequence[Matrix], target: Matrix) -> Optional[tuple
         return () if target.is_zero() else None
     cols = [m.entries for m in basis]
     k = len(basis)
-    reduced, pivots = _eliminate(list(zip(*cols, target.entries)), k + 1)
+    reduced, pivots = _eliminate(list(zip(*cols, target.entries)))
     if k in pivots:
         return None
     if len(pivots) != k:
@@ -475,7 +518,7 @@ class Subspace:
                 raise ShapeError(
                     f"basis matrix of shape {b.rows}x{b.cols} in ambient {ambient_rows}x{ambient_cols}"
                 )
-        echelon, pivots = _eliminate([b.entries for b in basis], ambient_rows * ambient_cols)
+        echelon, pivots = _eliminate([b.entries for b in basis])
         if len(pivots) != len(basis):
             raise ValueError("basis matrices are linearly dependent")
         self.ambient_rows = ambient_rows
@@ -510,8 +553,7 @@ class Subspace:
         rows = [m.entries for m in mats if not m.is_zero()]
         if not rows:
             return cls(ambient_rows, ambient_cols, ())
-        reduced, pivots = _eliminate(rows, ambient_rows * ambient_cols)
-        return cls._from_echelon(ambient_rows, ambient_cols, reduced[: len(pivots)])
+        return cls._from_echelon(ambient_rows, ambient_cols, _eliminate(rows)[0])
 
     @property
     def dim(self) -> int:
@@ -520,7 +562,7 @@ class Subspace:
     def _echelon_rows(self) -> tuple:
         if self._echelon is None:
             rows = [b.entries for b in self.basis]
-            self._echelon = _eliminate(rows, self.ambient_rows * self.ambient_cols)[0]
+            self._echelon = _eliminate(rows)[0]
         return self._echelon
 
     def contains(self, mat: Matrix) -> bool:

@@ -48,9 +48,9 @@ def _model_disagreements(basis, param: BracketParam, L: LieAlgebra):
     for a, b, w in _pair_brackets(basis, param):
         terms = table.get((a, b))
         if terms is None:  # an unstored pair: the bracket must be zero
-            if any(map(any, w._data)):
+            if any(w):
                 yield a, b
-        elif w.entries != tuple(terms.get(k, 0) for k in range(L.dim)):
+        elif w != tuple(terms.get(k, 0) for k in range(L.dim)):
             yield a, b
 
 

@@ -139,14 +139,12 @@ def pair_bracket_cases(draw):
 def assert_pair_brackets_match(elements, param):
     d = len(elements)
     expect = [
-        (a, b, bracket(elements[a], elements[b], param)._data) for a in range(d) for b in range(a + 1, d)
+        (a, b, bracket(elements[a], elements[b], param).entries) for a in range(d) for b in range(a + 1, d)
     ]
-    got = [(a, b, w._data) for a, b, w in _pair_brackets(elements, param)]
+    got = list(_pair_brackets(elements, param))
     assert got == expect
     # Entry types too: Fraction(2, 1) and 2 compare equal.
-    assert [[type(x) for row in w for x in row] for *_, w in got] == [
-        [type(x) for row in w for x in row] for *_, w in expect
-    ]
+    assert [[type(x) for x in w] for *_, w in got] == [[type(x) for x in w] for *_, w in expect]
 
 
 class TestPairBrackets:
@@ -367,7 +365,7 @@ def model_matches_constants(param):
     dim = param.dim
     table = structure_constants(param).table
     return all(
-        w.entries == tuple(table.get((a, b), {}).get(k, 0) for k in range(dim))
+        w == tuple(table.get((a, b), {}).get(k, 0) for k in range(dim))
         for a, b, w in _pair_brackets(basis_matrices(param.n, param.m), param)
     )
 

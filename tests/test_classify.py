@@ -1,11 +1,14 @@
 """Equivalence, witnesses, and the desk-scale classification harness."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
-from liebrackets.brackets import BracketParam
+from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
     ClassificationError,
     classify_rank_family,
@@ -13,7 +16,7 @@ from liebrackets.classify import (
     normal_form,
     random_parameter,
 )
-from liebrackets.matrices import Matrix, ShapeError, parse_matrix, rank, rank_normal_form
+from liebrackets.matrices import Matrix, ShapeError, inverse, parse_matrix, rank, rank_normal_form
 from liebrackets.verify import check_iso_soundness, check_signature_separation
 
 
@@ -76,6 +79,35 @@ def _verify_witness(j1, j2):
     )
 
 
+def reference_iso_witness(j1, j2):
+    """The witness formed by two ``Matrix`` products ``P @ E_ij @ Q`` per
+    basis element, kept as the reference for the outer-product columns."""
+    nf1, nf2 = normal_form(j1), normal_form(j2)
+    q = nf1.factorization.q @ inverse(nf2.factorization.q)
+    p = inverse(nf2.factorization.p) @ nf1.factorization.p
+    return LinearMap.from_columns([(p @ e @ q).entries for e in basis_matrices(j1.cols, j1.rows)])
+
+
+@st.composite
+def same_rank_rational_pairs(draw):
+    """Two rational ``rows x cols`` parameters of one rank, each a product of
+    factors through the rank, so that ``P`` and ``Q`` carry fractions."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = draw(st.integers(0, min(rows, cols)))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def parameter():
+        if r == 0:
+            return Matrix.zeros(rows, cols)
+        left = Matrix([[draw(entry) for _ in range(r)] for _ in range(rows)])
+        right = Matrix([[draw(entry) for _ in range(cols)] for _ in range(r)])
+        return left @ right
+
+    j1, j2 = parameter(), parameter()
+    assume(rank(j1) == rank(j2))
+    return j1, j2
+
+
 class TestIsoWitness:
     def test_identity_case(self):
         j = rank_normal_form(2, 3, 1)
@@ -98,6 +130,14 @@ class TestIsoWitness:
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
             assert _verify_witness(j1, j2).bijective
+
+    @settings(max_examples=80, deadline=None)
+    @given(same_rank_rational_pairs())
+    def test_matches_product_form_reference(self, pair):
+        j1, j2 = pair
+        got, expected = iso_witness(j1, j2), reference_iso_witness(j1, j2)
+        assert got == expected
+        assert [type(x) for x in got.matrix.entries] == [type(x) for x in expected.matrix.entries]
 
     def test_inequivalent_carries_ranks(self):
         with pytest.raises(ClassificationError) as exc:

@@ -347,7 +347,7 @@ def test_failed_heisenberg_relation_is_a_failed_verdict(capsys, monkeypatch):
     real = constructions._pair_brackets
 
     def swapped(elements, param):
-        return ((a, b, -w) for a, b, w in real(elements, param))
+        return ((a, b, tuple(-x for x in w)) for a, b, w in real(elements, param))
 
     monkeypatch.setattr(constructions, "_pair_brackets", swapped)
     code, report, err = run_cli(capsys, "heisenberg", "1")

@@ -53,6 +53,7 @@ def reference_ce_coboundary_check(j: Matrix, n: int):
     pairs = (_pair_brackets(basis, p) for p in (BracketParam.commutator(n), BracketParam(n, n, j)))
     for (a, b, comm), (_, _, rhs) in zip(*pairs):
         A, B = basis[a], basis[b]
+        comm, rhs = Matrix.from_flat(n, n, comm), Matrix.from_flat(n, n, rhs)
         lhs = _comm(A, alphas[b]) - _comm(B, alphas[a]) - deform.alpha_coboundary(comm, j)
         if lhs != rhs:
             return Verdict(False, {"pair": [a, b], "coboundary": str(lhs), "bracket": str(rhs)})
@@ -111,11 +112,10 @@ def reference_path_identities(n: int, r: int, t) -> dict:
     weights = (q,) * r + (q - p,) * (n - r)  # q^2 psi_t on the columns of q [A, B]_{J_t}
     decomposition = transport = True
     for (_, _, lhs), (_, _, comm), (_, _, shift), *moved in zip(*streams):
-        if decomposition and lhs.entries != tuple(q * c + p * s for c, s in zip(comm.entries, shift.entries)):
+        if decomposition and lhs != tuple(q * c + p * s for c, s in zip(comm, shift)):
             decomposition = False
         if moved and transport:
-            rows = zip(lhs._data, moved[0][2]._data)
-            transport = all(x * w == y for row, image in rows for x, w, y in zip(row, weights, image))
+            transport = all(x * w == y for x, w, y in zip(lhs, weights * n, moved[0][2]))
     verdicts = {"decomposition": decomposition}
     if t != 1:
         verdicts["transport"] = transport

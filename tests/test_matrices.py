@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from liebrackets import matrices
 from liebrackets.matrices import (
     Matrix,
     ShapeError,
@@ -630,6 +631,101 @@ class TestSympyOracle:
         assert f.rank == to_sympy(m).rank()
         assert f.q @ rank_normal_form(m.rows, m.cols, f.rank) @ f.p == m
         assert to_sympy(f.q).det() != 0 and to_sympy(f.p).det() != 0
+
+
+@st.composite
+def full_rank_heads(draw, max_cols=8, max_tail=30):
+    """``(m, k)``: a tall rational matrix whose first ``k`` rows already have
+    full column rank, followed by arbitrary rows (zero, repeated, rational).
+
+    The head is ``L @ U`` with triangular factors of nonzero diagonal, so it
+    is invertible; formed by ``reference_matmul``, it can carry
+    ``Fraction(k, 1)`` entries.  A multiple of a head row may sit right after
+    it, so that rank is reached only at row ``k > cols``.
+    """
+    w = draw(st.integers(1, max_cols))
+    nonzero = st.sampled_from([x for x in INTEGERS + FRACTIONS if x != 0])
+
+    def triangular(lower):
+        return Matrix(
+            [
+                [draw(nonzero) if i == j else (draw(ENTRIES) if (j < i) == lower else 0) for j in range(w)]
+                for i in range(w)
+            ]
+        )
+
+    head = list(reference_matmul(triangular(True), triangular(False))._data)
+    for i in sorted(draw(st.sets(st.integers(0, w - 1), max_size=2)), reverse=True):
+        head.insert(i + 1, tuple(draw(nonzero) * x for x in head[i]))
+    tail_rows = draw(st.integers(1, max_tail))
+    flat = draw(st.lists(ENTRIES, min_size=tail_rows * w, max_size=tail_rows * w))
+    tail = [tuple(flat[i * w : (i + 1) * w]) for i in range(tail_rows)]
+    return Matrix(head + tail), len(head)
+
+
+class TestEarlyExit:
+    """The span kernel stops once its basis has full column rank; the rows
+    after that point are in the span and must change no result."""
+
+    @ORACLE
+    @given(full_rank_heads())
+    def test_span_results_match_reference_and_sympy(self, case):
+        m, _ = case
+        ref_reduced, ref_pivots, _ = reference_rref(m)
+        assert rank(m) == len(ref_pivots) == m.cols == to_sympy(m).rank()
+        ker = kernel(m)
+        assert ker.dim == 0 and to_sympy(m).nullspace() == []
+        span = Subspace.span(1, m.cols, [Matrix([m.row(i)]) for i in range(m.rows)])
+        expected = [(x, type(x)) for i in range(m.cols) for x in ref_reduced.row(i)]
+        assert [e for b in span.basis for e in canonical(b)] == expected
+
+    @ORACLE
+    @given(full_rank_heads(max_cols=6), st.data())
+    def test_solve_coordinates_stops_at_a_target_outside(self, case, data):
+        # Columns 0..k-1 of the head are independent; the rows of [B | t]
+        # reach rank k + 1 early exactly when t is outside their span.
+        sympy = pytest.importorskip("sympy")
+        m, _ = case
+        k = data.draw(st.integers(1, m.cols))
+        basis = [Matrix.column(m.column_tuple(c)) for c in range(k)]
+        if data.draw(st.booleans()):
+            target = Matrix.column(m.column_tuple(m.cols - 1))
+        else:
+            target = Matrix.column(data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows)))
+        coords = solve_coordinates(basis, target)
+        stacked = Matrix([col + (t,) for col, t in zip(zip(*(b.entries for b in basis)), target.entries)])
+        _, ref_pivots, _ = reference_rref(stacked)
+        assert (coords is None) == (k in ref_pivots)
+        system = sympy.Matrix.hstack(*(to_sympy(b) for b in basis))
+        try:
+            solution, _ = system.gauss_jordan_solve(to_sympy(target))
+        except ValueError:
+            assert coords is None
+        else:
+            assert coords == tuple(Fraction(int(x.p), int(x.q)) for x in solution)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            rank,
+            kernel,
+            lambda m: Subspace.span(1, m.cols, [Matrix([m.row(i)]) for i in range(m.rows)]),
+        ],
+        ids=["rank", "kernel", "span"],
+    )
+    @pytest.mark.parametrize("tail", ["1/2 3 -1", "0 0 0", "1 0 0", "7/3 -5/6 997"])
+    def test_rows_after_full_rank_are_not_converted(self, monkeypatch, run, tail):
+        m = parse_matrix("1 2 0; 2 4 0; 0 1/2 1; 3 0 -1; " + "; ".join([tail] * 20))
+        converted = []
+        real = matrices._integer_row
+
+        def spy(v):
+            converted.append(tuple(v))
+            return real(v)
+
+        monkeypatch.setattr(matrices, "_integer_row", spy)
+        run(m)
+        assert converted == [m.row(i) for i in range(4)]
 
 
 # Integers and p/q, each in the canonical type the parsers return.
