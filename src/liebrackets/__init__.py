@@ -26,11 +26,9 @@ from .brackets import (
 )
 from .classify import (
     ClassificationError,
-    NormalForm,
     center_law,
     classify_rank_family,
     iso_witness,
-    normal_form,
     random_parameter,
     verified_witness,
 )

@@ -411,7 +411,9 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     fcols = [flat[a::d] for a in range(d)]
     fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
     if dst.model is not None:
-        pairs = _pair_brackets([dst.from_coords(col) for col in fcols], dst.model)
+        rows, cols = dst.ambient_shape
+        images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
+        pairs = _pair_brackets(images, dst.model)
     else:
         pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
     witness = None

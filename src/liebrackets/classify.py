@@ -3,7 +3,9 @@
 Two parameters of one shape are equivalent (``J = Q J' P`` with invertible
 ``Q``, ``P``) exactly when they share a rank, and equivalent parameters give
 isomorphic bracket algebras through ``A -> P A Q``.  This module produces
-those witnesses explicitly from two rank factorizations and runs the
+those witnesses explicitly, with ``Q = T1^-1 T2`` from the row transforms
+``T_k`` of the two reduced row-echelon forms and ``P = p2^-1 p1`` with
+``p2^-1`` written down from the echelon rows of ``j2``, and runs the
 desk-scale classification harness over a whole shape: one normal form per
 rank, invariant signatures, and verified witnesses for random same-rank
 pairs.
@@ -12,20 +14,22 @@ pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, LinearMap, center, hom_check, invariant_signature
 from .brackets import BracketParam
 from .matrices import (
     Matrix,
-    RankFactorization,
     ShapeError,
     Subspace,
+    _column_factor,
+    _column_factor_inverse,
+    _integer_row,
     inverse,
     rank,
-    rank_factorization,
+    rref,
 )
+from .scalars import scalar_div
 
 
 class ClassificationError(ValueError):
@@ -37,41 +41,41 @@ class ClassificationError(ValueError):
         self.rank2 = rank2
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Shape, rank and the factorization putting a parameter in normal form."""
-
-    m: int
-    n: int
-    r: int
-    factorization: RankFactorization
-
-
-def normal_form(j: Matrix) -> NormalForm:
-    f = rank_factorization(j)
-    return NormalForm(m=j.rows, n=j.cols, r=f.rank, factorization=f)
-
-
 def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     """Flattened isomorphism ``A -> P A Q`` from the j1-bracket to the j2-bracket.
 
-    With ``j1 = q1 D p1`` and ``j2 = q2 D p2`` sharing the normal form ``D``,
-    the pair ``Q = q1 q2^-1``, ``P = p2^-1 p1`` satisfies ``j1 = Q j2 P``.
+    With ``T_k j_k = R_k`` the reduced row-echelon form of ``j_k``, its rank
+    factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1``, and ``p_k`` holds
+    the nonzero rows of ``R_k``, then the unit rows of its free columns.  The
+    pair ``Q = q1 q2^-1 = T1^-1 T2`` and ``P = p2^-1 p1`` satisfies ``j1 = Q
+    j2 P``.  The columns of ``p2^-1`` are read off ``R2``: ``e_{c_i}`` for
+    each pivot column ``c_i``, then ``e_f - sum_i R2[i][f] e_{c_i}`` for each
+    free column ``f``.  So each parameter is eliminated once and ``T1`` is
+    the only matrix inverted.
     """
     if j1.shape != j2.shape:
         raise ShapeError(f"cannot relate {j1.rows}x{j1.cols} with {j2.rows}x{j2.cols}")
-    nf1 = normal_form(j1)
-    nf2 = normal_form(j2)
-    if nf1.r != nf2.r:
-        raise ClassificationError(
-            f"parameters of ranks {nf1.r} and {nf2.r} are not equivalent", nf1.r, nf2.r
-        )
-    q = nf1.factorization.q @ inverse(nf2.factorization.q)
-    p = inverse(nf2.factorization.p) @ nf1.factorization.p
-    # Operands live in Mat(cols x rows); P E_ij Q has the entries P[a][i] Q[j][b].
-    pcols = list(zip(*p._data))
-    columns = [tuple(x * y for x in pc for y in qr) for pc in pcols for qr in q._data]
-    return LinearMap.from_columns(columns)
+    reduced1, pivots1, t1 = rref(j1)
+    reduced2, pivots2, t2 = rref(j2)
+    r1, r2 = len(pivots1), len(pivots2)
+    if r1 != r2:
+        raise ClassificationError(f"parameters of ranks {r1} and {r2} are not equivalent", r1, r2)
+    p = _column_factor_inverse(reduced2, pivots2) @ _column_factor(reduced1, pivots1)
+    q = inverse(t1) @ t2
+    # Operands live in Mat(n x m); P E_ij Q has the entries P[a][i] Q[j][b],
+    # formed on the integer matrices dp P and dq Q and divided once by dp dq.
+    pflat, dp = _integer_row(p.entries)
+    qflat, dq = _integer_row(q.entries)
+    d = dp * dq
+    n, m = j1.cols, j1.rows
+    qcols = [qflat[b::m] for b in range(m)]
+    rows = []
+    for a in range(n):
+        prow = pflat[a * n : (a + 1) * n]
+        for qcol in qcols:
+            row = [x * y for x in prow for y in qcol]
+            rows.append(tuple(row) if d == 1 else tuple(scalar_div(v, d) if v else 0 for v in row))
+    return LinearMap(n * m, n * m, Matrix._raw(tuple(rows)))
 
 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:

@@ -16,7 +16,7 @@ import sys
 
 from .algebra import LieAlgebra, invariant_signature, jacobi_check
 from .brackets import BracketParam, StructureConstants, structure_constants
-from .classify import ClassificationError, center_law, classify_rank_family, normal_form, verified_witness
+from .classify import ClassificationError, center_law, classify_rank_family, verified_witness
 from .constructions import (
     HypothesisError,
     RepCandidate,
@@ -36,21 +36,22 @@ from .deform import (
     deformation_bracket,
     path_identities,
 )
-from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, parse_matrix, rank_normal_form
+from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, parse_matrix, rank, rank_normal_form
 from .scalars import scalar_str, to_scalar
 from .verify import run_all
 
 # Largest inputs the subcommands accept, so that none runs without bound.
 # On a 2-core x86-64 machine (CPython 3.11.7) the largest accepted sizes
 # finish in at most 3 s: ``classify 36 1`` in 0.24 s, ``classify 12 3`` in
-# 0.28 s, ``classify 6 6`` in 0.41 s, ``heisenberg 16`` in 1.3 s,
+# 0.28 s, ``classify 6 6`` in 0.46 s, ``heisenberg 16`` in 0.63 s,
 # ``deform 8 1 --t 1/3`` in 0.70 s, ``coboundary 8`` with a dense integer J
 # in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
 # J in 3.0 s and 0.70 s, ``embed`` of gl_12 into ``12 12 12`` in 0.90 s,
-# ``witness`` with a dense 12x12 pair in 0.55 s and ``contract 40 1`` in
-# 2.0 s.  In process, past the limits: ``classify 7 7`` 0.73 s,
-# ``heisenberg 18`` 1.4 s, ``constants 14 14`` 7.6 s, ``center 14 14``
-# 2.0 s, a 13x13 ``witness`` pair 1.1 s and ``contract 48 1`` 5.7 s.
+# ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.69 s and
+# ``contract 40 1`` in 2.0 s.  In process, past the limits: ``classify 7 7``
+# 0.82 s, ``heisenberg 18`` 0.87 s, ``constants 14 14`` 7.6 s, ``center 14
+# 14`` 2.0 s, a dense 13x13 ``witness`` pair 0.60 s and ``contract 48 1``
+# 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
 # ``verify-all --max 5`` takes 1.6 s and ``--max 6`` (``run_all(6, 0)`` in
@@ -159,7 +160,7 @@ def _cmd_witness(args):
         ]
         return inputs, result, verdicts, None
     result = {
-        "rank": normal_form(j1).r,
+        "rank": rank(j1),
         "map": matrix_to_json(f.matrix),
     }
     verdicts = [

@@ -20,14 +20,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieAlgebra, LinearMap, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import (
-    Matrix,
-    ShapeError,
-    Subspace,
-    rank,
-    solve_coordinates,
-)
-from .scalars import scalar_str
+from .matrices import Matrix, ShapeError, Subspace, rank, rref
+from .scalars import scalar_str, to_scalar
 
 
 class HypothesisError(ValueError):
@@ -37,17 +31,44 @@ class HypothesisError(ValueError):
 def restricted_constants(basis: Tuple[Matrix, ...], param: BracketParam, labels=None) -> LieAlgebra:
     """Structure constants of the bracket restricted to the span of ``basis``.
 
-    Fails if the span is not closed under the bracket.
+    Fails if the span is not closed under the bracket, and, for a bracket
+    inside the span, if ``basis`` is linearly dependent.  The basis is
+    eliminated once: with ``T B = R`` the reduced row-echelon form of the flat
+    basis rows (pivot columns ``c_i``), a bracket ``w`` lies in the span
+    exactly when ``w = sum_i w[c_i] R_i``, and its coordinates are then
+    ``sum_i w[c_i] T_i``.  Both sums run over the nonzero entries only.
     """
     dim = len(basis)
-    n, m = param.n, param.m
+    pairs = _pair_brackets(basis, param)  # checks the shapes first
+    echelon = []  # (pivot column, nonzero entries of R_i, nonzero entries of T_i)
+    independent = True
+    if dim:
+        reduced, pivots, transform = rref(Matrix._raw(tuple(b.entries for b in basis)))
+        for c, row, trow in zip(pivots, reduced._data, transform._data):
+            nonzero = [(k, x) for k, x in enumerate(row) if x]
+            echelon.append((c, nonzero, [(k, x) for k, x in enumerate(trow) if x]))
+        independent = len(pivots) == dim
     table: Dict[tuple, dict] = {}
-    for a, b, w in _pair_brackets(basis, param):
-        # The kernel's entries are already canonical: cut the rows out directly.
-        coords = solve_coordinates(basis, Matrix._raw(tuple(w[i * m : (i + 1) * m] for i in range(n))))
-        if coords is None:
+    for a, b, w in pairs:
+        residual = {k: x for k, x in enumerate(w) if x}
+        coords = [0] * dim
+        for c, row, trow in echelon:
+            f = w[c]
+            if not f:
+                continue
+            for k, x in row:
+                v = residual.get(k, 0) - f * x
+                if v:
+                    residual[k] = v
+                else:
+                    del residual[k]
+            for k, x in trow:
+                coords[k] += f * x
+        if residual:
             raise ValueError(f"span not closed: bracket of basis elements {a} and {b} leaves the span")
-        terms = {k: v for k, v in enumerate(coords) if v != 0}
+        if not independent:
+            raise ValueError("basis matrices are linearly dependent")
+        terms = {k: to_scalar(v) for k, v in enumerate(coords) if v != 0}
         if terms:
             table[(a, b)] = terms
     return LieAlgebra(dim, StructureConstants(dim, table), labels)

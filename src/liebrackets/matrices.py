@@ -474,9 +474,35 @@ def rank_factorization(j: Matrix) -> RankFactorization:
     r = len(pivots)
     if r == 0:
         return RankFactorization(Matrix.identity(j.rows), Matrix.identity(j.cols), 0)
-    n = j.cols
-    free_rows = tuple(tuple(1 if c == f else 0 for c in range(n)) for f in range(n) if f not in pivots)
-    return RankFactorization(inverse(transform), Matrix._raw(reduced._data[:r] + free_rows), r)
+    return RankFactorization(inverse(transform), _column_factor(reduced, pivots), r)
+
+
+def _column_factor(reduced: Matrix, pivots: tuple) -> Matrix:
+    """The factor ``p`` of ``rank_factorization`` read off the reduced
+    row-echelon form: its nonzero rows, then the unit rows of the non-pivot
+    columns."""
+    n = reduced.cols
+    units = tuple(tuple(1 if c == f else 0 for c in range(n)) for f in range(n) if f not in pivots)
+    return Matrix._raw(reduced._data[: len(pivots)] + units)
+
+
+def _column_factor_inverse(reduced: Matrix, pivots: tuple) -> Matrix:
+    """The inverse of ``_column_factor(reduced, pivots)``, the column transform
+    ``perm @ [I, -S; 0, I]``, written down without elimination: its column
+    ``i`` is ``e_{c_i}`` for the pivot column ``c_i``, and the column after
+    them for the non-pivot column ``f`` is ``e_f - sum_i reduced[i][f]
+    e_{c_i}``."""
+    n = reduced.cols
+    columns = [tuple(1 if x == c else 0 for x in range(n)) for c in pivots]
+    for f in range(n):
+        if f in pivots:
+            continue
+        column = [0] * n
+        column[f] = 1
+        for c, row in zip(pivots, reduced._data):
+            column[c] = -row[f]
+        columns.append(column)
+    return Matrix._raw(tuple(zip(*columns)))
 
 
 def solve_coordinates(basis: Sequence[Matrix], target: Matrix) -> Optional[tuple]:

@@ -1,22 +1,32 @@
 """Equivalence, witnesses, and the desk-scale classification harness."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from liebrackets import matrices
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
     ClassificationError,
     classify_rank_family,
     iso_witness,
-    normal_form,
     random_parameter,
 )
-from liebrackets.matrices import Matrix, ShapeError, inverse, parse_matrix, rank, rank_normal_form
+from liebrackets.matrices import (
+    Matrix,
+    ShapeError,
+    inverse,
+    parse_matrix,
+    rank,
+    rank_factorization,
+    rank_normal_form,
+    rref,
+)
 from liebrackets.verify import check_iso_soundness, check_signature_separation
 
 
@@ -59,15 +69,14 @@ class TestEquivalent:
 
 class TestNormalForm:
     def test_wraps_factorization(self):
-        nf = normal_form(parse_matrix("0 1; 1 0"))
-        assert (nf.m, nf.n, nf.r) == (2, 2, 2)
-        f = nf.factorization
-        assert f.q @ rank_normal_form(2, 2, nf.r) @ f.p == parse_matrix("0 1; 1 0")
+        f = rank_factorization(parse_matrix("0 1; 1 0"))
+        assert (f.q.rows, f.p.rows, f.rank) == (2, 2, 2)
+        assert f.q @ rank_normal_form(2, 2, f.rank) @ f.p == parse_matrix("0 1; 1 0")
 
     def test_normal_input_is_fixed(self):
-        nf = normal_form(rank_normal_form(3, 2, 1))
-        assert nf.factorization.q == Matrix.identity(3)
-        assert nf.factorization.p == Matrix.identity(2)
+        f = rank_factorization(rank_normal_form(3, 2, 1))
+        assert f.q == Matrix.identity(3)
+        assert f.p == Matrix.identity(2)
 
 
 def _verify_witness(j1, j2):
@@ -82,9 +91,9 @@ def _verify_witness(j1, j2):
 def reference_iso_witness(j1, j2):
     """The witness formed by two ``Matrix`` products ``P @ E_ij @ Q`` per
     basis element, kept as the reference for the outer-product columns."""
-    nf1, nf2 = normal_form(j1), normal_form(j2)
-    q = nf1.factorization.q @ inverse(nf2.factorization.q)
-    p = inverse(nf2.factorization.p) @ nf1.factorization.p
+    f1, f2 = rank_factorization(j1), rank_factorization(j2)
+    q = f1.q @ inverse(f2.q)
+    p = inverse(f2.p) @ f1.p
     return LinearMap.from_columns([(p @ e @ q).entries for e in basis_matrices(j1.cols, j1.rows)])
 
 
@@ -92,7 +101,7 @@ def reference_iso_witness(j1, j2):
 def same_rank_rational_pairs(draw):
     """Two rational ``rows x cols`` parameters of one rank, each a product of
     factors through the rank, so that ``P`` and ``Q`` carry fractions."""
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     r = draw(st.integers(0, min(rows, cols)))
     entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -106,6 +115,28 @@ def same_rank_rational_pairs(draw):
     j1, j2 = parameter(), parameter()
     assume(rank(j1) == rank(j2))
     return j1, j2
+
+
+def rational_parameter(rows, cols, r, seed):
+    """A seeded rational ``rows x cols`` parameter of rank exactly ``r``."""
+    rng = random.Random(seed)
+    if r == 0:
+        return Matrix.zeros(rows, cols)
+    while True:
+        left = Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)] for _ in range(rows)])
+        right = Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(r)])
+        j = left @ right
+        if rank(j) == r:
+            return j
+
+
+# The corners of the 6x6 range: rank 0 and full rank, square and rectangular.
+EDGE_PAIRS = [
+    (rational_parameter(rows, cols, r, 2 * seed), rational_parameter(rows, cols, r, 2 * seed + 1))
+    for seed, (rows, cols, r) in enumerate(
+        ((6, 6, 0), (6, 6, 6), (4, 6, 4), (6, 4, 4), (1, 6, 1), (6, 1, 0), (6, 5, 5))
+    )
+]
 
 
 class TestIsoWitness:
@@ -133,11 +164,47 @@ class TestIsoWitness:
 
     @settings(max_examples=80, deadline=None)
     @given(same_rank_rational_pairs())
+    @example(EDGE_PAIRS[0])
+    @example(EDGE_PAIRS[1])
+    @example(EDGE_PAIRS[2])
+    @example(EDGE_PAIRS[3])
+    @example(EDGE_PAIRS[4])
+    @example(EDGE_PAIRS[5])
+    @example(EDGE_PAIRS[6])
     def test_matches_product_form_reference(self, pair):
         j1, j2 = pair
         got, expected = iso_witness(j1, j2), reference_iso_witness(j1, j2)
         assert got == expected
         assert [type(x) for x in got.matrix.entries] == [type(x) for x in expected.matrix.entries]
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_rank_rational_pairs())
+    def test_closed_form_p_inverse(self, pair):
+        # The inverse of rank_factorization's column factor, read off the
+        # reduced row-echelon form, is the one Gauss-Jordan gives.
+        j = pair[0]
+        p = rank_factorization(j).p
+        reduced, pivots, _ = rref(j)
+        p_inverse = matrices._column_factor_inverse(reduced, pivots)
+        assert p_inverse @ p == Matrix.identity(j.cols)
+        assert p_inverse == inverse(p)
+
+    def test_eliminates_each_parameter_once(self, monkeypatch):
+        # One rref per parameter and one to invert T1.
+        calls = []
+        real = rref
+
+        def spy(m):
+            calls.append(m.shape)
+            return real(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets" and getattr(module, "rref", None) is real:
+                monkeypatch.setattr(module, "rref", spy)
+        j1, j2 = EDGE_PAIRS[2]
+        got = iso_witness(j1, j2)
+        assert len(calls) <= 3
+        assert got == reference_iso_witness(j1, j2)
 
     def test_inequivalent_carries_ranks(self):
         with pytest.raises(ClassificationError) as exc:

@@ -30,7 +30,7 @@ from liebrackets.constructions import (
     restricted_constants,
     semidirect_S,
 )
-from liebrackets.matrices import Matrix, matrix_to_json
+from liebrackets.matrices import Matrix, matrix_to_json, solve_coordinates
 
 
 def sl2_candidate():
@@ -243,7 +243,60 @@ class TestAdoEmbed:
             ado_embed(RepCandidate(src, images, 2), 3, 3, 2)
 
 
+def reference_restricted_constants(basis, param, labels=None):
+    """The loop that solves each basis-pair bracket on its own: one
+    ``solve_coordinates`` elimination of the whole flat basis per pair."""
+    dim = len(basis)
+    table = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            coords = solve_coordinates(basis, bracket(basis[a], basis[b], param))
+            if coords is None:
+                raise ValueError(f"span not closed: bracket of basis elements {a} and {b} leaves the span")
+            terms = {k: v for k, v in enumerate(coords) if v != 0}
+            if terms:
+                table[(a, b)] = terms
+    return LieAlgebra(dim, StructureConstants(dim, table), labels)
+
+
+def _table_or_error(build, basis, param):
+    try:
+        table = build(basis, param).constants.table
+    except ValueError as exc:
+        return "error", str(exc)
+    return "table", [(pair, [(k, v, type(v)) for k, v in terms.items()]) for pair, terms in table.items()]
+
+
 class TestRestrictedConstants:
+    def test_matches_per_pair_reference(self):
+        # Seeded bases of unit and dense rational matrices, some with a
+        # repeated element, under rational parameters: the tables (with the
+        # entry types and term order) or the raised errors agree.
+        rng = random.Random(5)
+        outcomes = set()
+        cases = [(model.generators(), model.ambient) for model in map(heisenberg_realization, (1, 2, 3))]
+        cand = sl2_candidate()
+        cases.append((tuple(pad_matrix(img, 3, 4) for img in cand.images), BracketParam.normal(3, 4, 2)))
+        for _ in range(300):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            j = Matrix([[rng.choice([0, 0, 1, -1, Fraction(1, 2)]) for _ in range(n)] for _ in range(m)])
+            basis = []
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.5:
+                    scale = rng.choice([1, 2, Fraction(1, 3)])
+                    basis.append(scale * Matrix.unit(n, m, rng.randrange(n), rng.randrange(m)))
+                else:
+                    entries = [[rng.choice([0, 0, 0, 1, -1, Fraction(2, 3)]) for _ in range(m)] for _ in range(n)]
+                    basis.append(Matrix(entries))
+            if basis and rng.random() < 0.2:
+                basis.append(basis[0])
+            cases.append((tuple(basis), BracketParam(n, m, j)))
+        for basis, param in cases:
+            got = _table_or_error(restricted_constants, basis, param)
+            assert got == _table_or_error(reference_restricted_constants, basis, param)
+            outcomes.add(got[0] if got[0] == "table" else got[1].split(":")[0])
+        assert outcomes == {"table", "span not closed", "basis matrices are linearly dependent"}
+
     def test_closed_span(self):
         model = heisenberg_realization(1)
         alg = restricted_constants(model.generators(), model.ambient)

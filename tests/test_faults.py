@@ -10,11 +10,11 @@ one.
 
 import pytest
 
-from liebrackets import constructions, verify
+from liebrackets import classify, constructions, verify
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
-from liebrackets.brackets import BracketParam, StructureConstants
+from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
-from liebrackets.matrices import Matrix
+from liebrackets.matrices import Matrix, inverse, parse_matrix, rank_factorization
 
 
 def abelian(dim):
@@ -105,3 +105,46 @@ def test_semidirect_check_fails_when_the_nilpotent_part_is_not_an_ideal(monkeypa
     out = verify.check_semidirect(max_total=2)
     assert not out["pass"]
     assert out["details"]["failures"] == [{"r": 1, "s": 1, "kind": "nil-not-ideal"}]
+
+
+def witness_without_q2_inverse(j1, j2):
+    """The isomorphism witness with ``Q = q1`` in place of ``q1 q2^-1``: a
+    map ``A -> P A q1`` that is still bijective but no longer a homomorphism
+    once ``q2`` is not the identity."""
+    f1, f2 = rank_factorization(j1), rank_factorization(j2)
+    p = inverse(f2.p) @ f1.p
+    return LinearMap.from_columns([(p @ e @ f1.q).entries for e in basis_matrices(j1.cols, j1.rows)])
+
+
+def test_iso_soundness_fails_when_the_witness_drops_q2_inverse(monkeypatch):
+    monkeypatch.setattr(classify, "iso_witness", witness_without_q2_inverse)
+    out = verify.check_iso_soundness(2, 0)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert failures
+    for failure in failures:
+        n, m = failure["shape"]
+        j1, j2 = parse_matrix(failure["j1"]), parse_matrix(failure["j2"])
+        verdict = hom_check(
+            witness_without_q2_inverse(j1, j2),
+            LieAlgebra.from_param(BracketParam(n, m, j1)),
+            LieAlgebra.from_param(BracketParam(n, m, j2)),
+        )
+        assert not verdict.is_hom and verdict.injective
+        assert set(failure["witness"]) == {"pair", "f_of_bracket", "bracket_of_images"}
+        assert failure["witness"] == verdict.witness
+
+
+def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypatch):
+    # The zero map is a homomorphism of rank 0 < n m on every shape, so every
+    # pair fails on bijectivity alone, with no pair witness.
+    def zero_witness(j1, j2):
+        d = j1.rows * j1.cols
+        return LinearMap(d, d, Matrix.zeros(d, d))
+
+    monkeypatch.setattr(classify, "iso_witness", zero_witness)
+    out = verify.check_iso_soundness(2, 0)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert len(failures) == out["details"]["pairs_checked"] == 40
+    assert all(failure["witness"] is None for failure in failures)
