@@ -82,7 +82,6 @@ from .matrices import (
     rank_factorization,
     rank_normal_form,
     rref,
-    solve_coordinates,
 )
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 from .verify import run_all

@@ -13,15 +13,21 @@ form and the bracket of an algebra without a model read the adjoint action
 from one table, ``LieAlgebra._sparse_ads``, built once per algebra.
 
 The center, the series and the centralizers are spans, so they may be
-computed from any basis of what they are built from.  The signature engine
-uses that to bracket integer vectors only: both series start from the
-brackets of basis pairs (the constants table) and scale each echelon row of
-a term to a primitive integer row before bracketing it, and ``centralizer``
-scales each basis vector of ``S`` to integers.  ``invariant_signature`` runs
-on the algebra whose bracket is multiplied by the lcm of the denominators of
-the constants, which keeps every span it compares and multiplies the Killing
-form by a nonzero square.  Each term and centralizer is still given by its
-canonical reduced echelon rows, from exact elimination of all generators.
+computed from any basis of what they are built from.  The engine uses that
+to bracket integer vectors only: ``[g, g]`` is eliminated once from the
+brackets of basis pairs (the constants table) and kept on the algebra as
+``LieAlgebra._derived_rows``, both series scale each echelon row of a term
+to a primitive integer row before bracketing it, and ``centralizer`` scales
+each basis vector of ``S`` to integers.  Each term and centralizer is still
+given by its canonical reduced echelon rows, from exact elimination.  A
+series step reads its generators only until it reaches the dimension of the
+term before, which, by bilinearity alone, contains it.
+
+``invariant_signature`` runs on the algebra whose bracket is multiplied by
+the lcm of the denominators of the constants, which keeps every span it
+measures and multiplies the Killing form by a nonzero square.  It reads
+dimensions only, so each invariant is an exact rank, and it builds no
+``Subspace``, kernel basis or intersection.
 """
 
 from __future__ import annotations
@@ -149,6 +155,14 @@ class LieAlgebra:
             ads[j][i] = {k: -v for k, v in terms.items()}
         return ads
 
+    @cached_property
+    def _derived_rows(self) -> tuple:
+        """Reduced echelon rows of ``[g, g]``, the span of the brackets of the
+        basis pairs (the constants table)."""
+        d = self.dim
+        gens = ([terms.get(k, 0) for k in range(d)] for terms in self.constants.table.values())
+        return _eliminate(gens, d)[0]
+
     def bracket_coords(self, x, y) -> tuple:
         """``[x, y]`` through the model when there is one, else the bilinear
         expansion ``sum_a x_a [x_a, y]`` over the adjoint columns."""
@@ -253,7 +267,7 @@ def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
 
 def center(L: LieAlgebra) -> Subspace:
     """The centralizer of the whole algebra: kernel of the stacked adjoint."""
-    return _centralizer(L, [((x, 1),) for x in range(L.dim)])
+    return _kernel_subspace(L, _centralizer_rows(L, [((x, 1),) for x in range(L.dim)]))
 
 
 def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
@@ -264,11 +278,11 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
             f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
         )
     vectors = (_integer_row(L.to_coords(s))[0] for s in S.basis)
-    return _centralizer(L, [[(x, v) for x, v in enumerate(s) if v] for s in vectors])
+    return _kernel_subspace(L, _centralizer_rows(L, [[(x, v) for x, v in enumerate(s) if v] for s in vectors]))
 
 
-def _centralizer(L: LieAlgebra, vectors: list) -> Subspace:
-    """Kernel of ``y -> [y, s]`` for integer vectors ``s`` given by their
+def _centralizer_rows(L: LieAlgebra, vectors: list) -> Dict[tuple, list]:
+    """Rows of ``y -> ([y, s])_s`` for integer vectors ``s`` given by their
     nonzero terms ``(x, s_x)``: row ``(s, k)`` is coordinate ``k`` of
     ``[y, s] = -sum_x s_x ad_x(y)``."""
     ads = L._sparse_ads
@@ -278,12 +292,7 @@ def _centralizer(L: LieAlgebra, vectors: list) -> Subspace:
             for i, col in ads[x].items():
                 for k, w in col.items():
                     rows[(s_idx, k)][i] -= sx * w
-    return _kernel_subspace(L, rows)
-
-
-def _span_coords(vectors) -> list:
-    """Echelonized list of coordinate tuples spanning the given vectors."""
-    return list(_eliminate(vectors)[0])
+    return rows
 
 
 def _add_bracket(v: list, c: Scalar, cols: dict, y) -> None:
@@ -296,42 +305,50 @@ def _add_bracket(v: list, c: Scalar, cols: dict, y) -> None:
                 v[k] += f * w
 
 
-def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
+def _series_rows(L: LieAlgebra, lower_central: bool) -> List[tuple]:
+    """Reduced echelon rows of each term of the series after ``g``, up to the
+    first term that is 0 or has the dimension of the term before.
+
+    Each term lies in the one before by bilinearity alone: ``[g, g]`` lies
+    in ``g``, and ``C' <= C`` gives ``[g, C'] <= [g, C]`` and
+    ``[C', C'] <= [C, C]``.  So each step is eliminated with the dimension
+    of the current term as its bound: reaching it proves the next term equal
+    to the current one, and the generators left are never formed.
+    """
     d = L.dim
-    terms = [L.full_subspace()]
-    dims = [d]
-    # [g, g] is spanned by the brackets of the basis pairs a < b.
-    gens = []
-    for brk in L.constants.table.values():
-        v = [0] * d
-        for k, c in brk.items():
-            v[k] = c
-        gens.append(v)
-    ads = L._sparse_ads
-    while len(terms) <= d + 1:
-        nxt = _span_coords(gens)
-        terms.append(Subspace._from_echelon(*L.ambient_shape, nxt))
-        if len(nxt) == 0 or len(nxt) == dims[-1]:
-            break
-        dims.append(len(nxt))
+    terms = [L._derived_rows]
+    prev = d
+    while 0 < len(terms[-1]) < prev:
+        prev = len(terms[-1])
         # Primitive integer multiples of the echelon rows span the same term.
-        current = [_integer_row(v)[0] for v in nxt]
-        gens = []
-        if lower_central:  # [x_a, y] for every basis element x_a
-            for cols in ads:
-                for y in current:
-                    v = [0] * d
-                    _add_bracket(v, 1, cols, y)
-                    gens.append(v)
-        else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
-            for p, y in enumerate(current):
-                for z in current[p + 1 :]:
-                    v = [0] * d
-                    for a, ya in enumerate(y):
-                        if ya:
-                            _add_bracket(v, ya, ads[a], z)
-                    gens.append(v)
+        current = [_integer_row(v)[0] for v in terms[-1]]
+        terms.append(_eliminate(_next_generators(L, current, lower_central), d, prev)[0])
     return terms
+
+
+def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
+    """Brackets spanning the term after the one spanned by ``current``."""
+    d = L.dim
+    ads = L._sparse_ads
+    if lower_central:  # [x_a, y] for every basis element x_a
+        for cols in ads:
+            for y in current:
+                v = [0] * d
+                _add_bracket(v, 1, cols, y)
+                yield v
+    else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
+        for p, y in enumerate(current):
+            for z in current[p + 1 :]:
+                v = [0] * d
+                for a, ya in enumerate(y):
+                    if ya:
+                        _add_bracket(v, ya, ads[a], z)
+                yield v
+
+
+def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
+    shape = L.ambient_shape
+    return [L.full_subspace()] + [Subspace._from_echelon(*shape, rows) for rows in _series_rows(L, lower_central)]
 
 
 def derived_series(L: LieAlgebra) -> List[Subspace]:
@@ -346,6 +363,12 @@ def lower_central_series(L: LieAlgebra) -> List[Subspace]:
 
 def killing_form(L: LieAlgebra):
     """Gram matrix ``trace(ad_a . ad_b)`` and its exact rank."""
+    gram_matrix = Matrix(_killing_gram(L))
+    return gram_matrix, rank(gram_matrix)
+
+
+def _killing_gram(L: LieAlgebra) -> list:
+    """Rows of the Gram matrix ``trace(ad_a . ad_b)``."""
     d = L.dim
     ads = L._sparse_ads
     gram = [[0] * d for _ in range(d)]
@@ -363,8 +386,7 @@ def killing_form(L: LieAlgebra):
                             total += y * w
             gram[a][b] = total
             gram[b][a] = total
-    gram_matrix = Matrix(gram)
-    return gram_matrix, rank(gram_matrix)
+    return gram
 
 
 def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
@@ -485,22 +507,63 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     It is computed on ``_integer_constants(L)``.  Multiplying the bracket by
     ``D != 0`` keeps the center, both series and every centralizer, and
     multiplies the Killing form by ``D**2``, which keeps its rank.
+
+    Only dimensions are read, so each invariant is one exact rank:
+
+    - ``center_dim = d - rank(A)``, ``A`` the adjoint maps stacked, whose
+      kernel is the center;
+    - ``derived_center_dim = k - rank(M)``.  With ``b_1..b_k`` the primitive
+      integer echelon rows of ``[g, g]``, row ``(j, t)`` of ``M`` is
+      ``([b_i, b_j]_t)_i``: ``M c = 0`` says ``y = sum_i c_i b_i`` commutes
+      with every ``b_j``, and ``c -> y`` is injective, so the kernel of ``M``
+      is the center of ``[g, g]`` in these coordinates;
+    - the series dimensions are the ranks of ``_series_rows``, where each
+      term lies in the one before by bilinearity alone, so a step that
+      reaches the dimension of the term before is stationary and stops
+      reading its generators;
+    - the Killing rank is the rank of the integer Gram rows.
+
+    ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
+    series and ``M``.  Every elimination stops once it reaches its bound
+    (``d``, ``k`` or the dimension of the term before), which no rank can
+    pass, so every rank is exact.
     """
     L = _integer_constants(L)
-    ctr = center(L)
-    der = derived_series(L)
-    lcs = lower_central_series(L)
-    _, k_rank = killing_form(L)
-    derived_sub = der[1] if len(der) > 1 else der[0]
-    if derived_sub.dim == 0:
-        dcd = 0
-    else:
-        dcd = centralizer(L, derived_sub).intersection(derived_sub).dim
+    d = L.dim
+    units = [((x, 1),) for x in range(d)]
+    basis = [_integer_row(v)[0] for v in L._derived_rows]
+    k = len(basis)
     return InvariantSignature(
-        dim=L.dim,
-        center_dim=ctr.dim,
-        derived_dims=tuple(t.dim for t in der),
-        lcs_dims=tuple(t.dim for t in lcs),
-        killing_rank=k_rank,
-        derived_center_dim=dcd,
+        dim=d,
+        center_dim=d - _rank(_centralizer_rows(L, units).values(), d),
+        derived_dims=(d,) + tuple(len(rows) for rows in _series_rows(L, False)),
+        lcs_dims=(d,) + tuple(len(rows) for rows in _series_rows(L, True)),
+        killing_rank=_rank(_killing_gram(L), d),
+        derived_center_dim=k - _rank(_derived_center_rows(L, basis), k),
     )
+
+
+def _rank(rows, width: int) -> int:
+    return len(_eliminate(rows, width)[1])
+
+
+def _derived_center_rows(L: LieAlgebra, basis: list):
+    """Rows ``(j, t)`` of ``M``: ``([b_i, b_j]_t)_i`` for the integer rows
+    ``b_i`` of ``basis``, formed one ``j`` at a time.  ``[b_i, b_j]`` is
+    ``sum_a b_i[a] [x_a, b_j]``, so each ``[x_a, b_j]`` is formed once and
+    added to the rows with weights ``(b_i[a])_i``."""
+    d = L.dim
+    weights = [tuple(b[a] for b in basis) for a in range(d)]
+    for z in basis:
+        rows: Dict[int, list] = {}
+        for cols, wa in zip(L._sparse_ads, weights):
+            if not any(wa):
+                continue
+            u = [0] * d
+            _add_bracket(u, 1, cols, z)  # [x_a, z]
+            for t, ut in enumerate(u):
+                if ut:
+                    row = rows.get(t)
+                    scaled = [ut * w for w in wa]
+                    rows[t] = scaled if row is None else [x + y for x, y in zip(row, scaled)]
+        yield from rows.values()

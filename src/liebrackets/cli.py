@@ -42,9 +42,9 @@ from .verify import run_all
 
 # Largest inputs the subcommands accept, so that none runs without bound.
 # On a 2-core x86-64 machine (CPython 3.11.7) the largest accepted sizes
-# finish in at most 3 s: ``classify 36 1`` in 0.24 s, ``classify 12 3`` in
-# 0.28 s, ``classify 6 6`` in 0.46 s, ``heisenberg 16`` in 0.63 s,
-# ``deform 8 1 --t 1/3`` in 0.70 s, ``coboundary 8`` with a dense integer J
+# finish in at most 3 s: ``classify 36 1`` in 0.23 s, ``classify 12 3`` in
+# 0.29 s, ``classify 6 6`` in 0.42 s, ``heisenberg 16`` in 0.63 s,
+# ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
 # in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
 # J in 3.0 s and 0.70 s, ``embed`` of gl_12 into ``12 12 12`` in 0.90 s,
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.69 s and

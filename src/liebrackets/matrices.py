@@ -9,13 +9,14 @@ classification computation in the package.
 
 Elimination works on integer rows (denominators cleared, rows divided by
 their gcd), normalised to the canonical reduced rows at the end, in two
-loops.  ``rank``, ``kernel``, ``solve_coordinates``, ``Subspace`` and the
-series of ``algebra`` need only the span, and call ``_eliminate``, which
-builds the reduced echelon basis one input row at a time and stops reading
-rows once the basis has full column rank.  ``rref`` also returns the
-transform, whose null rows depend on the pivot order, so it keeps its own
-column-major Gauss-Jordan loop on ``[m | I]`` and reads the transform off
-the identity block.
+loops.  ``rank``, ``kernel``, ``Subspace`` and the ranks and series of
+``algebra`` need only the span, and call ``_eliminate``, which builds the
+reduced echelon basis one input row at a time and stops reading rows once
+the basis has full column rank, or reaches a dimension bound the caller
+knows the span cannot pass.  ``rref`` also returns the transform, whose
+null rows depend on the pivot order, so it keeps its own column-major
+Gauss-Jordan loop on ``[m | I]`` and reads the transform off the identity
+block.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
 row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
@@ -286,7 +287,7 @@ def _integer_row(v: Sequence[Scalar]) -> tuple:
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple:
+def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bound: Optional[int] = None) -> tuple:
     """The package's one span kernel: the reduced row-echelon basis of the
     span of ``rows``, built one row at a time on integer rows.
 
@@ -302,11 +303,20 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple:
     basis pivot ``p`` with entry ``f`` to ``p*v - f*P``.  If it is still
     nonzero it is divided by its gcd, its lead column is eliminated from
     the basis rows the same way (each kept primitive), and it joins the
-    basis.  Once the basis has as many rows as columns it spans all of
-    Q^width, so the rows left are in its span and are never read.  At the
-    end each basis row is divided by its pivot.
+    basis.  At the end each basis row is divided by its pivot.
+
+    ``rows`` may be any iterable of rows of length ``width``; ``width`` may
+    be left out when ``rows`` is a list or tuple, and is then the length of
+    its first row.  Rows are read only until the basis holds ``bound`` rows
+    (default ``width``).  The caller passes a ``bound`` only where the span
+    is known to lie in a space of that dimension: the basis then spans that
+    whole space, so the rows left are in its span, and the result is the
+    one all rows would give.  With the default, that space is Q^width.
     """
-    width = len(rows[0]) if rows else 0
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    if bound is None:
+        bound = width
     basis = []  # [pivot column, primitive integer row]
     for row in rows:
         v = _integer_row(row)[0]
@@ -332,7 +342,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple:
                 g = gcd(*b)
                 entry[1] = b if g == 1 else [x // g for x in b]
         basis.append([lead, v])
-        if len(basis) == width:
+        if len(basis) == bound:
             break
     basis.sort(key=lambda entry: entry[0])
     reduced = []
@@ -503,27 +513,6 @@ def _column_factor_inverse(reduced: Matrix, pivots: tuple) -> Matrix:
             column[c] = -row[f]
         columns.append(column)
     return Matrix._raw(tuple(zip(*columns)))
-
-
-def solve_coordinates(basis: Sequence[Matrix], target: Matrix) -> Optional[tuple]:
-    """Coordinates of ``target`` in the span of ``basis``, or None if outside.
-
-    All matrices must share one shape; ``basis`` must be linearly
-    independent (unique coordinates).
-    """
-    if not basis:
-        return () if target.is_zero() else None
-    cols = [m.entries for m in basis]
-    k = len(basis)
-    reduced, pivots = _eliminate(list(zip(*cols, target.entries)))
-    if k in pivots:
-        return None
-    if len(pivots) != k:
-        raise ValueError("basis matrices are linearly dependent")
-    coords = [0] * k
-    for i, p in enumerate(pivots):
-        coords[p] = reduced[i][k]
-    return tuple(coords)
 
 
 class Subspace:

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from liebrackets import algebra, matrices
 from liebrackets.algebra import (
     InvariantSignature,
     LieAlgebra,
     LinearMap,
     Verdict,
     _kernel_subspace,
-    _span_coords,
     center,
     centralizer,
     derived_series,
@@ -38,6 +38,7 @@ from liebrackets.matrices import (
     Matrix,
     ShapeError,
     Subspace,
+    _eliminate,
     inverse,
     rank,
     rank_factorization,
@@ -657,6 +658,12 @@ def reference_bracket_coords(constants, x, y):
     return tuple(out)
 
 
+def _span_coords(vectors) -> list:
+    """Echelonized list of coordinate tuples spanning the given vectors (the
+    former ``algebra._span_coords``, which ``reference_series`` calls)."""
+    return list(_eliminate(vectors)[0])
+
+
 def reference_series(L, lower_central):
     """``algebra._series`` kept verbatim from before it bracketed integer
     vectors: it brackets the canonical (``Fraction``) echelon rows of each
@@ -813,3 +820,52 @@ class TestSignatureDifferential:
     @given(signature_algebras())
     def test_signature_matches_reference(self, L):
         assert invariant_signature(L) == reference_invariant_signature(L)
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras())
+    def test_signature_builds_no_subspace(self, L):
+        # Only dimensions are read, so no span, kernel basis or intersection
+        # is built: each one raises here.
+        expected = reference_invariant_signature(L)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("invariant_signature built a subspace")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Subspace, "_from_echelon", refuse)
+            mp.setattr(Subspace, "intersection", refuse)
+            mp.setattr(matrices, "kernel", refuse)
+            mp.setattr(algebra, "kernel", refuse)
+            assert invariant_signature(L) == expected
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras())
+    def test_ranks_match_sympy(self, L):
+        sympy = pytest.importorskip("sympy")
+        sig = invariant_signature(L)
+        assert (sig.center_dim, sig.killing_rank, sig.derived_center_dim) == sympy_signature_ranks(sympy, L)
+
+
+def sympy_signature_ranks(sympy, L):
+    """``(center_dim, killing_rank, derived_center_dim)`` by sympy, from the
+    constants table alone: ``ad_a[k, b] = c_ab^k``, the center is the null
+    space of the stacked ``ad_a``, the Killing form is ``trace(ad_a ad_b)``,
+    and the center of ``[g, g]`` is the null space of ``c -> ([B c, b_j])_j``
+    for a column basis ``B`` of the brackets of the basis pairs."""
+    d = L.dim
+    ads = [sympy.zeros(d, d) for _ in range(d)]
+    for (a, b), terms in L.constants.table.items():
+        for k, v in terms.items():
+            v = sympy.Rational(v.numerator, v.denominator)
+            ads[a][k, b] += v
+            ads[b][k, a] -= v
+    center_dim = len(sympy.Matrix.vstack(*ads).nullspace())
+    killing_rank = sympy.Matrix(d, d, lambda a, b: (ads[a] * ads[b]).trace()).rank()
+    pairs = [ads[a][:, b] for a, b in L.constants.table]
+    basis = sympy.Matrix.hstack(*pairs).columnspace() if pairs else []
+    if not basis:
+        return center_dim, killing_rank, 0
+    b_mat = sympy.Matrix.hstack(*basis)
+    # [y, b_j] = C_j y with column a of C_j equal to ad_a b_j.
+    blocks = [sympy.Matrix.hstack(*(ad * b for ad in ads)) * b_mat for b in basis]
+    return center_dim, killing_rank, len(sympy.Matrix.vstack(*blocks).nullspace())

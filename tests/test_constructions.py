@@ -30,7 +30,8 @@ from liebrackets.constructions import (
     restricted_constants,
     semidirect_S,
 )
-from liebrackets.matrices import Matrix, matrix_to_json, solve_coordinates
+from liebrackets.matrices import Matrix, matrix_to_json
+from test_matrices import solve_coordinates
 
 
 def sl2_candidate():

@@ -8,13 +8,17 @@ input, so that only a bad input tells the weakened verdict from the right
 one.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from liebrackets import classify, constructions, verify
-from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
+from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
-from liebrackets.matrices import Matrix, inverse, parse_matrix, rank_factorization
+from liebrackets.deform import PATH_TIMES
+from liebrackets.matrices import Matrix, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 
 
 def abelian(dim):
@@ -148,3 +152,61 @@ def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypat
     assert not out["pass"]
     assert len(failures) == out["details"]["pairs_checked"] == 40
     assert all(failure["witness"] is None for failure in failures)
+
+
+def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone(monkeypatch):
+    def dimension_only(L):
+        return InvariantSignature(L.dim, 0, (L.dim,), (L.dim,), 0, 0)
+
+    def flat(d):
+        return dimension_only(LieAlgebra(d, StructureConstants(d, {}))).to_json()
+
+    monkeypatch.setattr(verify, "invariant_signature", dimension_only)
+    out = verify.check_signature_separation(3)
+    assert not out["pass"]
+    expected = [
+        {"shape": [n, m], "ranks": [a, b], "signature": flat(n * m)}
+        for n, m in ((2, 2), (2, 3), (3, 2), (3, 3))
+        for a in range(min(n, m) + 1)
+        for b in range(a + 1, min(n, m) + 1)
+    ]
+    assert out["details"] == {"shapes_checked": 4, "failures": expected}
+
+
+def test_deformation_check_fails_when_path_points_lose_the_gl_signature(monkeypatch):
+    # Every interior path parameter (1 - t) I + t J_r with r < n has a
+    # fractional entry; only those are given a wrong center dimension.
+    real = verify.invariant_signature
+
+    def shifted_off_the_path(L):
+        sig = real(L)
+        if any(type(x) is Fraction for x in L.model.j.entries):
+            return replace(sig, center_dim=sig.center_dim + 1)
+        return sig
+
+    monkeypatch.setattr(verify, "invariant_signature", shifted_off_the_path)
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    interior = [t for t in PATH_TIMES[:-1] if t != 0]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "t": str(t), "kind": "path-signature"} for n in (1, 2, 3) for r in range(n) for t in interior
+    ]
+
+
+def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
+    # Each endpoint J_r = D_r (r < n) is given the signature of gl_n, as if
+    # the family did not degenerate at t = 1.
+    real = verify.invariant_signature
+
+    def gl_at_the_endpoint(L):
+        j = L.model.j
+        if j == rank_normal_form(j.rows, j.cols, rank(j)):
+            return real(LieAlgebra.from_param(BracketParam.commutator(j.rows)))
+        return real(L)
+
+    monkeypatch.setattr(verify, "invariant_signature", gl_at_the_endpoint)
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "kind": "endpoint-degeneration"} for n in (2, 3) for r in range(n)
+    ]

@@ -26,7 +26,6 @@ from liebrackets.matrices import (
     rank_factorization,
     rank_normal_form,
     rref,
-    solve_coordinates,
 )
 from liebrackets.scalars import scalar_div, to_scalar
 
@@ -89,6 +88,25 @@ def rank_bruteforce(m):
                 continue
             break
     return best
+
+
+def solve_coordinates(basis, target):
+    """Coordinates of ``target`` in the span of the independent ``basis``, or
+    None if outside: the span kernel run on the rows of ``[B | t]``.  Kept
+    from the package, which no longer needs it, as a reference that reads
+    the kernel's pivots and early exit."""
+    if not basis:
+        return () if target.is_zero() else None
+    k = len(basis)
+    reduced, pivots = matrices._eliminate(list(zip(*(m.entries for m in basis), target.entries)))
+    if k in pivots:
+        return None
+    if len(pivots) != k:
+        raise ValueError("basis matrices are linearly dependent")
+    coords = [0] * k
+    for i, p in enumerate(pivots):
+        coords[p] = reduced[i][k]
+    return tuple(coords)
 
 
 class TestScalars:
@@ -726,6 +744,24 @@ class TestEarlyExit:
         monkeypatch.setattr(matrices, "_integer_row", spy)
         run(m)
         assert converted == [m.row(i) for i in range(4)]
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_rows_after_the_bound_are_not_read(self, bound):
+        # Every row lies in the span of the first ``bound`` unit vectors of
+        # Q^4.  The stream raises if it is read after the row that brings the
+        # basis to ``bound`` rows; a zero row and multiples come before it.
+        rows = [(0, 0, 0, 0)]
+        for i in range(bound):
+            v = tuple(Fraction(1, i + 1) if c == i else 3 * (c < i) for c in range(4))
+            rows += [v, tuple(-2 * x for x in v)]
+        rows.pop()
+        tail = [tuple(7 if c < bound else 0 for c in range(4))] * 3
+
+        def stream():
+            yield from rows
+            raise AssertionError("row read after the bound was reached")
+
+        assert matrices._eliminate(stream(), 4, bound) == matrices._eliminate(rows + tail)
 
 
 # Integers and p/q, each in the canonical type the parsers return.
