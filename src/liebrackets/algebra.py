@@ -10,7 +10,9 @@ matrices and back.
 
 The Jacobi check, the center and centralizers, both series, the Killing
 form and the bracket of an algebra without a model read the adjoint action
-from one table, ``LieAlgebra._sparse_ads``, built once per algebra.
+from one table, ``LieAlgebra._sparse_ads``, built once per algebra.  The
+Jacobi check's triple sweep also proves Jacobi for every parameter of a
+shape, on the unit tables merged into one with polynomial constants.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
@@ -186,49 +188,11 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
 
     Antisymmetry is structural in the constants, so the triples are the
     whole content of the axiom check.  A violation is reported with the
-    first offending triple and its nonzero defect vector.
-
-    Triples are swept by their smallest index ``a``, and only the nonzero
-    terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
-    each target ``k`` to the stored pairs ``(b, c)`` with a ``k`` term, and
-    ``-[x_b, [x_a, x_c]]`` and ``[x_c, [x_a, x_b]]`` through the pairs
-    ``(a, e)`` and the adjoint columns of their targets.  The defects of one
-    ``a`` are held at a time, keyed by ``(b * d + c) * d + t``; the witness
-    defect is rebuilt by the per-triple sum, in its order.
+    first offending triple of ``_jacobi_defects`` and its nonzero defect
+    vector, rebuilt by the per-triple sum, in its order.
     """
-    table = L.constants.table
-    ads = L._sparse_ads
     d = L.dim
-    by_target: list = [[] for _ in range(d)]  # k -> (b, key base of (b, c), c_bc^k), by b
-    for (b, c), terms in sorted(table.items()):
-        for k, v in terms.items():
-            by_target[k].append((b, (b * d + c) * d, v))
-    start = [0] * d  # by_target[k][start[k]:] holds the pairs with b > a
-    for a in range(d):
-        ad_a = ads[a]
-        if not ad_a:
-            continue
-        defect: Dict[int, Scalar] = {}
-        for k, col in ad_a.items():  # [x_a, [x_b, x_c]], a < b < c
-            entries = by_target[k]
-            s = start[k]
-            while s < len(entries) and entries[s][0] <= a:
-                s += 1
-            start[k] = s
-            for _, base, v in entries[s:]:
-                for t, w in col.items():
-                    defect[base + t] = defect.get(base + t, 0) + v * w
-        for e, terms in ad_a.items():  # the pair (a, e) and a third index f
-            if e < a:
-                continue
-            for k, v in terms.items():
-                for f, col in ads[k].items():  # col = [x_k, x_f]
-                    if f <= a or f == e:
-                        continue
-                    # -[x_f, [x_a, x_e]] on (a, f, e), or [x_f, [x_a, x_e]] on (a, e, f)
-                    base, sv = ((f * d + e) * d, v) if f < e else ((e * d + f) * d, -v)
-                    for t, w in col.items():
-                        defect[base + t] = defect.get(base + t, 0) + sv * w
+    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d, _add_products):
         failing = [key for key, v in defect.items() if v != 0]
         if failing:
             b, c = divmod(min(failing) // d, d)
@@ -240,6 +204,86 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
                 },
             )
     return Verdict(True)
+
+
+def _jacobi_defects(table: dict, ads: list, d: int, add):
+    """Yield ``(a, defect)`` for each ``a`` with a nonzero adjoint: the
+    Jacobi sums of the triples ``a < b < c``, added up by
+    ``add(defect, (b * d + c) * d, v, col)``, which adds ``v * w`` at target
+    ``t`` for each term ``t: w`` of the column ``col``.
+
+    Triples are swept by their smallest index ``a``, and only the nonzero
+    terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
+    each target ``k`` to the stored pairs ``(b, c)`` with a ``k`` term, and
+    ``-[x_b, [x_a, x_c]]`` and ``[x_c, [x_a, x_b]]`` through the pairs
+    ``(a, e)`` and the adjoint columns of their targets, the minus sign
+    taken from ``ads[f][k] = -ads[k][f]``.  So no constant is negated here:
+    with an ``add`` that multiplies them, constants may be polynomials.
+    """
+    by_target: list = [[] for _ in range(d)]  # k -> (b, key base of (b, c), c_bc^k), by b
+    for (b, c), terms in sorted(table.items()):
+        for k, v in terms.items():
+            by_target[k].append((b, (b * d + c) * d, v))
+    start = [0] * d  # by_target[k][start[k]:] holds the pairs with b > a
+    for a in range(d):
+        ad_a = ads[a]
+        if not ad_a:
+            continue
+        defect: dict = {}
+        for k, col in ad_a.items():  # [x_a, [x_b, x_c]], a < b < c
+            entries = by_target[k]
+            s = start[k]
+            while s < len(entries) and entries[s][0] <= a:
+                s += 1
+            start[k] = s
+            for _, base, v in entries[s:]:
+                add(defect, base, v, col)
+        for e, terms in ad_a.items():  # the pair (a, e) and a third index f
+            if e < a:
+                continue
+            for k, v in terms.items():
+                for f, col in ads[k].items():  # col = [x_k, x_f]
+                    if f <= a or f == e:
+                        continue
+                    if f < e:  # -[x_f, [x_a, x_e]] on (a, f, e)
+                        add(defect, (f * d + e) * d, v, col)
+                    else:  # [x_f, [x_a, x_e]] on (a, e, f)
+                        add(defect, (e * d + f) * d, v, ads[f][k])
+        yield a, defect
+
+
+def _add_products(defect: dict, base: int, v: Scalar, col: dict) -> None:
+    for t, w in col.items():
+        defect[base + t] = defect.get(base + t, 0) + v * w
+
+
+def _jacobi_holds_in_j(tables: Sequence[dict], d: int) -> bool:
+    """Whether the constants ``sum_p J_p tables[p]`` satisfy Jacobi as
+    polynomials in the entries ``J_p``: one sweep over the merged table,
+    whose constants are linear forms ``{p: c}``, with the monomial
+    ``J_p J_q`` (``p <= q``) folded into each defect key after the target.
+    """
+    merged: dict = {}
+    for p, table in enumerate(tables):
+        for pair, terms in table.items():
+            forms = merged.setdefault(pair, {})
+            for k, v in terms.items():
+                forms.setdefault(k, {})[p] = v
+    ads: list = [dict() for _ in range(d)]
+    for (i, j), forms in merged.items():
+        ads[i][j] = forms
+        ads[j][i] = {k: {p: -x for p, x in form.items()} for k, form in forms.items()}
+    size = len(tables)
+
+    def add(defect, base, v, col):
+        for t, w in col.items():
+            key = (base + t) * size
+            for p, x in v.items():
+                for q, y in w.items():
+                    mono = (key + p) * size + q if p <= q else (key + q) * size + p
+                    defect[mono] = defect.get(mono, 0) + x * y
+
+    return not any(any(defect.values()) for _, defect in _jacobi_defects(merged, ads, d, add))
 
 
 def _triple_defect(L: LieAlgebra, a: int, b: int, c: int) -> Dict[int, Scalar]:
@@ -521,6 +565,10 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       term lies in the one before by bilinearity alone, so a step that
       reaches the dimension of the term before is stationary and stops
       reading its generators;
+    - when the derived dimensions are ``(d, k, k)`` (so ``k > 0``), the
+      lower central series is ``(d, k, k)`` too and is not eliminated:
+      ``C^2 = [g, g]`` equals ``[C^2, C^2]``, and for any bilinear bracket
+      ``[C^2, C^2] <= [g, C^2] = C^3 <= C^2``;
     - the Killing rank is the rank of the integer Gram rows.
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
@@ -533,11 +581,16 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     units = [((x, 1),) for x in range(d)]
     basis = [_integer_row(v)[0] for v in L._derived_rows]
     k = len(basis)
+    derived_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, False))
+    if derived_dims == (d, k, k):  # [g, g] is its own derived algebra
+        lcs_dims = derived_dims
+    else:
+        lcs_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, True))
     return InvariantSignature(
         dim=d,
         center_dim=d - _rank(_centralizer_rows(L, units).values(), d),
-        derived_dims=(d,) + tuple(len(rows) for rows in _series_rows(L, False)),
-        lcs_dims=(d,) + tuple(len(rows) for rows in _series_rows(L, True)),
+        derived_dims=derived_dims,
+        lcs_dims=lcs_dims,
         killing_rank=_rank(_killing_gram(L), d),
         derived_center_dim=k - _rank(_derived_center_rows(L, basis), k),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import LieAlgebra, invariant_signature, jacobi_check, lower_central_series
+from .algebra import LieAlgebra, _jacobi_holds_in_j, invariant_signature, jacobi_check, lower_central_series
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices, structure_constants
 from .classify import center_law, random_parameter, verified_witness
 from .constructions import (
@@ -55,16 +55,18 @@ def _model_disagreements(basis, param: BracketParam, L: LieAlgebra):
 
 
 def _holds_for_every_parameter(n: int, m: int) -> bool:
-    """Both Lie-axiom identities for every ``J`` of the shape, proved at the
-    unit and polarization parameters (see ``check_lie_axioms``)."""
+    """Both Lie-axiom identities for every ``J`` of the shape, proved on the
+    tables of the ``mn`` unit parameters (see ``check_lie_axioms``)."""
     basis = basis_matrices(n, m)
-    units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
-    for j in units:
-        param = BracketParam(n, m, j)
-        if next(_model_disagreements(basis, param, LieAlgebra.from_param(param)), None) is not None:
-            return False
-    polarization = units + [units[p] + units[q] for p in range(len(units)) for q in range(p + 1, len(units))]
-    return all(jacobi_check(LieAlgebra.from_param(BracketParam(n, m, j))) for j in polarization)
+    tables = []
+    for x in range(m):
+        for y in range(n):
+            param = BracketParam(n, m, Matrix.unit(m, n, x, y))
+            L = LieAlgebra.from_param(param)
+            if next(_model_disagreements(basis, param, L), None) is not None:
+                return False
+            tables.append(L.constants.table)
+    return _jacobi_holds_in_j(tables, n * m)
 
 
 def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 20) -> dict:
@@ -74,27 +76,29 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 2
     triple (``jacobi``).  The first ties the Jacobi verdict to the matrices;
     antisymmetry is structural in the constants.
 
-    Both identities are first proved for every ``J`` of each shape.  The
+    Both identities are first proved for every ``J`` of each shape, from
+    the tables ``T_p`` of the ``mn`` unit matrices ``E_p`` alone.  The
     matrix bracket is linear in ``J``, and so is the table, since
     ``structure_constants`` writes each constant as plus or minus one entry
-    of ``J``; the proof rests on that linearity of the code, which parameters
-    with entries 0 and 1 cannot show, and the tests tie the table to the
-    bracket at dense and rational ``J``.
+    of ``J``: the table of ``J`` is ``sum_p J_p T_p``.  The proof rests on
+    that linearity of the code, which parameters with entries 0 and 1
+    cannot show, and the tests tie the table to the bracket at dense and
+    rational ``J``.
 
     - The model-constants identity is then linear in ``J``, so it holds for
-      every ``J`` iff it holds at the ``mn`` unit matrices ``E_p``.
-    - Each entry of the Jacobi sum is a quadratic form ``Q(J) = B(J, J)``
-      with ``B`` symmetric bilinear.  Since
-      ``Q(E_p + E_q) = Q(E_p) + Q(E_q) + 2 B(E_p, E_q)`` and 2 is
-      invertible, ``Q`` vanishes everywhere iff it vanishes at every ``E_p``
-      and every ``E_p + E_q`` (``p < q``).
+      every ``J`` iff it holds at every ``E_p``.
+    - Each entry of the Jacobi sum of a triple is a quadratic form
+      ``sum_{p <= q} c_pq J_p J_q`` with integer coefficients.  One sweep
+      over the merged table ``sum_p J_p T_p`` finds every coefficient, and
+      the identity holds for every rational ``J`` iff all are 0; then it
+      holds for every ``J`` over any field, with no appeal to 2 being
+      invertible.
 
-    These parameters are sparse, so their tables and Jacobi sweeps are
-    cheap.  When the proof passes for every shape it covers the samples, so
-    none is drawn, and ``algebras_checked`` counts the ``params_per_shape``
-    sampled parameters per shape that it covers.  Only when it fails are
-    the samples drawn and checked one by one, which names each failing
-    sample.
+    The unit tables are sparse, so both halves are cheap.  When the proof
+    passes for every shape it covers the samples, so none is drawn, and
+    ``algebras_checked`` counts the ``params_per_shape`` sampled parameters
+    per shape that it covers.  Only when it fails are the samples drawn and
+    checked one by one, which names each failing sample.
     """
     shapes = _shapes(max_size)
     failures = []

@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from liebrackets import algebra
-from liebrackets.brackets import StructureConstants, structure_constants
+from liebrackets import algebra, verify
+from liebrackets.algebra import LieAlgebra, _jacobi_holds_in_j, jacobi_check
+from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices, structure_constants
 from liebrackets.matrices import Matrix
 from liebrackets.verify import (
     check_catalog,
@@ -38,10 +39,11 @@ def report(number, label, outcome):
 
 
 def test_01_lie_axioms():
-    # Zero tolerance, for every parameter of every shape (proved at the unit
-    # and polarization parameters, which covers the 20 seeded samples per
-    # shape): the matrix bracket of every basis pair equals its structure
-    # constants, and the constants satisfy Jacobi on every basis triple.
+    # Zero tolerance, for every parameter of every shape (proved from the
+    # mn unit tables, which covers the 20 seeded samples per shape): the
+    # matrix bracket of every basis pair equals its structure constants at
+    # each unit parameter, and the Jacobi sum of every basis triple of the
+    # merged table sum_p J_p T_p has every monomial coefficient 0.
     # Antisymmetry is structural in the constants, which store each pair once.
     out = check_lie_axioms(max_size=4, seed=0, params_per_shape=20)
     assert out["details"]["algebras_checked"] == 16 * 20
@@ -103,6 +105,133 @@ def test_01_lie_axioms_failures_are_those_of_the_samples(monkeypatch, fault, k):
     assert out["details"]["algebras_checked"] == k * k * 20
     digest = hashlib.sha256(json.dumps(out["details"]["failures"]).encode("utf-8")).hexdigest()
     assert digest == SAMPLED_FAILURE_DIGESTS[k]
+
+
+def rotated_second_term(param):
+    """``structure_constants`` with its ``T(b, a)`` term read off ``J``
+    turned by a half turn (entry ``(x, y)`` taken from ``(m-1-x, n-1-y)``).
+    It equals the bracket's table wherever ``J`` is centrally symmetric, as
+    the all-ones ``J`` is, so a check of the Jacobi sum at such a ``J``
+    alone would pass it."""
+    m, j = param.m, param.j
+    turned = BracketParam(param.n, m, Matrix.from_flat(j.rows, j.cols, j.entries[::-1]))
+    first, second = structure_constants(param).table, structure_constants(turned).table
+    table = {}
+    for a, b in first.keys() | second.keys():
+        k = b - b % m + a % m  # the target E_(y, x) of T(b, a)
+        terms = {t: v for t, v in first.get((a, b), {}).items() if t != k}
+        if k in second.get((a, b), {}):
+            terms[k] = second[(a, b)][k]
+        table[(a, b)] = terms
+    return StructureConstants(param.dim, table)
+
+
+def reference_holds_for_every_parameter(n, m):
+    """``verify._holds_for_every_parameter`` as it was when it proved Jacobi
+    by polarization, split into its two halves: the model/constants identity
+    at the ``mn`` unit parameters ``E_p``, and the Jacobi sweep at every
+    ``E_p`` and ``E_p + E_q`` (each entry of the Jacobi sum is a quadratic
+    form ``Q`` with ``Q(E_p + E_q) = Q(E_p) + Q(E_q) + 2 B(E_p, E_q)``, and 2
+    is invertible)."""
+    basis = basis_matrices(n, m)
+    units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
+    model = True
+    for j in units:
+        param = BracketParam(n, m, j)
+        if next(verify._model_disagreements(basis, param, LieAlgebra.from_param(param)), None) is not None:
+            model = False
+    polarization = units + [units[p] + units[q] for p in range(len(units)) for q in range(p + 1, len(units))]
+    jacobi = all(jacobi_check(LieAlgebra.from_param(BracketParam(n, m, j))) for j in polarization)
+    return model, jacobi
+
+
+def unit_tables(n, m):
+    """The tables of the ``mn`` unit parameters, from ``algebra.structure_constants``."""
+    units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
+    return [algebra.structure_constants(BracketParam(n, m, j)).table for j in units]
+
+
+SHAPES_TO_4 = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+# Each table builder, with the shapes up to 4x4 on which it satisfies Jacobi
+# for every J.
+FAULTS = {
+    "true": (structure_constants, set(SHAPES_TO_4)),
+    "wrong": (wrong_constants, {(1, 1), (1, 2), (2, 1)}),
+    "flipped": (flipped_second_term, {(1, 1), (1, 2), (2, 1)}),
+    "rotated": (rotated_second_term, {(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_01_lie_axioms_proof_agrees_with_polarization(monkeypatch, fault):
+    # Under a fault the model/constants half fails on every shape but 1x1,
+    # so the Jacobi halves are compared on their own as well.
+    build, jacobi_shapes = FAULTS[fault]
+    monkeypatch.setattr(algebra, "structure_constants", build)
+    holds = set()
+    for n, m in SHAPES_TO_4:
+        model, jacobi = reference_holds_for_every_parameter(n, m)
+        assert verify._holds_for_every_parameter(n, m) == (model and jacobi), (n, m)
+        assert _jacobi_holds_in_j(unit_tables(n, m), n * m) == jacobi, (n, m)
+        if jacobi:
+            holds.add((n, m))
+    assert holds == jacobi_shapes
+
+
+def symbolic_jacobi_vanishes(sympy, n, m, second):
+    """Whether the Jacobi sum of every basis triple is the zero polynomial in
+    the entries of a symbolic ``J``, for ``[E_a, E_b] = E_a J E_b - E_b S E_a``
+    (``a < b``) with ``S = second(J)``: ``J`` for the bracket, ``-J`` for the
+    flipped table."""
+    d = n * m
+    j = sympy.Matrix(m, n, sympy.symbols(f"j0:{d}"))
+    units = [sympy.Matrix(n, m, lambda r, c: int(r * m + c == a)) for a in range(d)]
+    table = {}
+    for a in range(d):
+        for b in range(a + 1, d):
+            table[(a, b)] = sympy.Matrix(list(units[a] * j * units[b] - units[b] * second(j) * units[a]))
+            table[(b, a)] = -table[(a, b)]
+
+    def ad(x, v):  # [x_x, sum_k v_k x_k]
+        out = sympy.zeros(d, 1)
+        for k in range(d):
+            if k != x and v[k] != 0:
+                out += v[k] * table[(x, k)]
+        return out
+
+    for a in range(d):
+        for b in range(a + 1, d):
+            for c in range(b + 1, d):
+                total = ad(a, table[(b, c)]) - ad(b, table[(a, c)]) + ad(c, table[(a, b)])
+                if any(sympy.expand(t) != 0 for t in total):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 4) for m in range(1, 4) if n * m <= 6])
+def test_01_lie_axioms_proof_agrees_with_sympy(monkeypatch, n, m):
+    sympy = pytest.importorskip("sympy")
+    assert symbolic_jacobi_vanishes(sympy, n, m, lambda j: j)
+    assert verify._holds_for_every_parameter(n, m)
+    assert _jacobi_holds_in_j(unit_tables(n, m), n * m)
+    monkeypatch.setattr(algebra, "structure_constants", flipped_second_term)
+    flipped = _jacobi_holds_in_j(unit_tables(n, m), n * m)
+    assert symbolic_jacobi_vanishes(sympy, n, m, lambda j: -j) == flipped == ((n, m) in FAULTS["flipped"][1])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4)])
+def test_01_lie_axioms_proof_builds_one_table_per_unit_parameter(monkeypatch, n, m):
+    # The proof reads the mn unit tables alone; the mn(mn + 1)/2 tables of
+    # the polarization parameters would show here.
+    calls = []
+
+    def counted(param):
+        calls.append(param)
+        return structure_constants(param)
+
+    monkeypatch.setattr(algebra, "structure_constants", counted)
+    assert verify._holds_for_every_parameter(n, m)
+    assert len(calls) == n * m
 
 
 def test_02_center_dimension_law():

@@ -147,6 +147,15 @@ class TestJacobi:
                     checked += 1
         assert checked == 500
 
+    def test_every_parameter_of_shapes_up_to_6x6_as_a_polynomial_identity(self):
+        # The table of J is sum_p J_p T_p over the unit tables T_p, and every
+        # monomial coefficient of every Jacobi sum is 0.
+        for n in range(1, 7):
+            for m in range(1, 7):
+                units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
+                tables = [structure_constants(BracketParam(n, m, j)).table for j in units]
+                assert algebra._jacobi_holds_in_j(tables, n * m), (n, m)
+
 
 class TestCenter:
     def test_gl2_center_is_scalars(self):
@@ -844,6 +853,42 @@ class TestSignatureDifferential:
         sympy = pytest.importorskip("sympy")
         sig = invariant_signature(L)
         assert (sig.center_dim, sig.killing_rank, sig.derived_center_dim) == sympy_signature_ranks(sympy, L)
+
+
+# Table, derived dimensions and lower-central dimensions.  gl(3) has
+# [g, g] = sl(3) perfect, so its lower central series is read off the derived
+# one; on the others it is eliminated.  sl(2) + b(2), with b(2) the
+# two-dimensional non-abelian algebra ([h, e] = e), has a derived series that
+# becomes stationary one step later than its lower central series does.
+STATIONARY_CASES = {
+    "gl3": (structure_constants(BracketParam.commutator(3)), (9, 8, 8), (9, 8, 8)),
+    "heisenberg": (heisenberg3_constants(), (3, 1, 0), (3, 1, 0)),
+    "filiform": (StructureConstants(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}), (4, 2, 0), (4, 2, 1, 0)),
+    "sl2+b2": (
+        StructureConstants(5, {**sl2_constants().table, (3, 4): {4: 1}}),
+        (5, 4, 3, 3),
+        (5, 4, 4),
+    ),
+}
+
+
+class TestSignatureStationaryDerivedAlgebra:
+    @pytest.mark.parametrize("name", sorted(STATIONARY_CASES))
+    def test_lower_central_series_is_eliminated_unless_g_g_is_perfect(self, monkeypatch, name):
+        constants, derived, lcs = STATIONARY_CASES[name]
+        L = LieAlgebra(constants.dim, constants)
+        calls = []
+        real = algebra._series_rows
+
+        def spy(L, lower_central):
+            calls.append(lower_central)
+            return real(L, lower_central)
+
+        monkeypatch.setattr(algebra, "_series_rows", spy)
+        sig = invariant_signature(L)
+        assert (sig.derived_dims, sig.lcs_dims) == (derived, lcs)
+        assert sig == reference_invariant_signature(L)
+        assert calls == ([False] if name == "gl3" else [False, True])
 
 
 def sympy_signature_ranks(sympy, L):

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from liebrackets import classify, constructions, verify
+from liebrackets import classify, constructions, deform, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
-from liebrackets.deform import PATH_TIMES
+from liebrackets.deform import PATH_TIMES, ce_coboundary_check
 from liebrackets.matrices import Matrix, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 
 
@@ -210,3 +210,48 @@ def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkey
     assert out["details"]["failures"] == [
         {"n": n, "r": r, "kind": "endpoint-degeneration"} for n in (2, 3) for r in range(n)
     ]
+
+
+def test_center_dimension_law_fails_without_the_full_rank_square_exception(monkeypatch):
+    # (n - r)(m - r) alone predicts a zero center for J = I, but the
+    # commutator algebra gl(n) has the scalars as its center.
+    real = classify.center_law
+
+    def without_exception(param):
+        ctr, r, _ = real(param)
+        return ctr, r, (param.n - r) * (param.m - r)
+
+    monkeypatch.setattr(verify, "center_law", without_exception)
+    out = verify.check_center_dimensions(3)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"shape": [n, n], "r": n, "expected": 0, "got": 1} for n in (1, 2, 3)
+    ]
+
+
+def test_coboundary_check_fails_on_the_potential_without_its_half(monkeypatch):
+    # x j + j x has coboundary 2 [A, B]_j, which differs from [A, B]_j
+    # wherever the j-bracket is not zero: every normal form of rank r > 0
+    # (n >= 2) and every random parameter.
+    monkeypatch.setattr(deform, "alpha_coboundary", lambda x, j: x @ j + j @ x)
+    out = verify.check_deformation_coboundary(3, 0)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert [f for f in failures if f["kind"] == "coboundary-normal-form"] == [
+        {"n": n, "r": r, "kind": "coboundary-normal-form"} for n, r in ((2, 1), (3, 1), (3, 2))
+    ]
+    assert [f["n"] for f in failures if f["kind"] == "coboundary-random"] == [2, 2, 3, 3]
+
+
+def test_coboundary_check_fails_on_random_parameters_for_the_potential_x_j_j(monkeypatch):
+    # x j^2 has coboundary [A, B]_{j^2}: it passes on the normal forms, which
+    # are idempotent, and fails on random parameters, each with a witness.
+    monkeypatch.setattr(deform, "alpha_coboundary", lambda x, j: x @ j @ j)
+    out = verify.check_deformation_coboundary(3, 0)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert {f["kind"] for f in failures} == {"coboundary-random"}
+    assert [f["n"] for f in failures] == [2, 2, 3, 3]
+    for failure in failures:
+        verdict = ce_coboundary_check(parse_matrix(failure["j"]), failure["n"])
+        assert not verdict.passed and set(verdict.witness) == {"pair", "coboundary", "bracket"}
