@@ -154,7 +154,7 @@ def unit_tables(n, m):
 SHAPES_TO_4 = [(n, m) for n in range(1, 5) for m in range(1, 5)]
 # Each table builder, with the shapes up to 4x4 on which it satisfies Jacobi
 # for every J.
-FAULTS = {
+TABLES = {
     "true": (structure_constants, set(SHAPES_TO_4)),
     "wrong": (wrong_constants, {(1, 1), (1, 2), (2, 1)}),
     "flipped": (flipped_second_term, {(1, 1), (1, 2), (2, 1)}),
@@ -162,11 +162,11 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_01_lie_axioms_proof_agrees_with_polarization(monkeypatch, fault):
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_01_lie_axioms_proof_agrees_with_polarization(monkeypatch, table):
     # Under a fault the model/constants half fails on every shape but 1x1,
     # so the Jacobi halves are compared on their own as well.
-    build, jacobi_shapes = FAULTS[fault]
+    build, jacobi_shapes = TABLES[table]
     monkeypatch.setattr(algebra, "structure_constants", build)
     holds = set()
     for n, m in SHAPES_TO_4:
@@ -216,7 +216,7 @@ def test_01_lie_axioms_proof_agrees_with_sympy(monkeypatch, n, m):
     assert _jacobi_holds_in_j(unit_tables(n, m), n * m)
     monkeypatch.setattr(algebra, "structure_constants", flipped_second_term)
     flipped = _jacobi_holds_in_j(unit_tables(n, m), n * m)
-    assert symbolic_jacobi_vanishes(sympy, n, m, lambda j: -j) == flipped == ((n, m) in FAULTS["flipped"][1])
+    assert symbolic_jacobi_vanishes(sympy, n, m, lambda j: -j) == flipped == ((n, m) in TABLES["flipped"][1])
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4)])
