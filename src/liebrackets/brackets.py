@@ -142,6 +142,15 @@ class StructureConstants:
         self.dim = dim
         self.table = clean
 
+    @classmethod
+    def _trusted(cls, dim: int, table: Dict[Tuple[int, int], Dict[int, Scalar]]) -> "StructureConstants":
+        # Internal: ``table`` is already what ``__init__`` keeps (keys a < b,
+        # targets in range, no empty or zero terms); it is not copied.
+        self = object.__new__(cls)
+        self.dim = dim
+        self.table = table
+        return self
+
     def bracket_basis(self, a: int, b: int) -> Dict[int, Scalar]:
         """Sparse expansion of ``[x_a, x_b]``; handles either index order."""
         if a == b:
@@ -219,4 +228,4 @@ def structure_constants(param: BracketParam) -> StructureConstants:
         if c is not None:
             terms[b - b % m + a % m] = -c  # E_(y, x)
         table[(a, b)] = terms
-    return StructureConstants(d, table)
+    return StructureConstants._trusted(d, table)

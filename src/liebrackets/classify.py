@@ -3,32 +3,23 @@
 Two parameters of one shape are equivalent (``J = Q J' P`` with invertible
 ``Q``, ``P``) exactly when they share a rank, and equivalent parameters give
 isomorphic bracket algebras through ``A -> P A Q``.  This module produces
-those witnesses explicitly, with ``Q = T1^-1 T2`` from the row transforms
-``T_k`` of the two reduced row-echelon forms and ``P = p2^-1 p1`` with
-``p2^-1`` written down from the echelon rows of ``j2``, and runs the
-desk-scale classification harness over a whole shape: one normal form per
-rank, invariant signatures, and verified witnesses for random same-rank
+those witnesses explicitly, on integer rows from three fraction-free
+Gauss-Jordan eliminations and with no inverse or matrix product, and runs
+the desk-scale classification harness over a whole shape: one normal form
+per rank, invariant signatures, and verified witnesses for random same-rank
 pairs.
 """
 
 from __future__ import annotations
 
 import random
+from math import gcd, lcm
+from operator import mul
 from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, LinearMap, center, hom_check, invariant_signature
 from .brackets import BracketParam
-from .matrices import (
-    Matrix,
-    ShapeError,
-    Subspace,
-    _column_factor,
-    _column_factor_inverse,
-    _integer_row,
-    inverse,
-    rank,
-    rref,
-)
+from .matrices import Matrix, ShapeError, Subspace, _eliminate, _gauss_jordan, _rref_rows, rank
 from .scalars import scalar_div
 
 
@@ -41,33 +32,59 @@ class ClassificationError(ValueError):
         self.rank2 = rank2
 
 
+def _over_common_denominator(rows) -> tuple:
+    """``_integer_row`` of the flattened rational matrix whose rows are given
+    as ``(numerators, den)``."""
+    lowest = []
+    for num, den in rows:
+        g = gcd(den, *num)
+        lowest.append((num, den) if g == 1 else ([x // g for x in num], den // g))
+    d = lcm(*(den for _, den in lowest))
+    return [x * (d // den) for num, den in lowest for x in num], d
+
+
 def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     """Flattened isomorphism ``A -> P A Q`` from the j1-bracket to the j2-bracket.
 
     With ``T_k j_k = R_k`` the reduced row-echelon form of ``j_k``, its rank
-    factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1``, and ``p_k`` holds
-    the nonzero rows of ``R_k``, then the unit rows of its free columns.  The
-    pair ``Q = q1 q2^-1 = T1^-1 T2`` and ``P = p2^-1 p1`` satisfies ``j1 = Q
-    j2 P``.  The columns of ``p2^-1`` are read off ``R2``: ``e_{c_i}`` for
-    each pivot column ``c_i``, then ``e_f - sum_i R2[i][f] e_{c_i}`` for each
-    free column ``f``.  So each parameter is eliminated once and ``T1`` is
-    the only matrix inverted.
+    factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
+    nonzero rows of ``R_k``, then the unit rows of its free columns, so
+    ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
+
+    All on integer rows up to the map's entries: one ``_gauss_jordan`` on
+    ``[j_k | I]`` per parameter gives row ``i`` of ``[R_k | T_k]`` as an
+    integer row ``[R_k' | T_k']`` over its divisor ``d_k,i``.  One more on
+    the rows ``[d2_i T1'_i | d1_i T2'_i]`` of ``[T1 | T2]``, each scaled by
+    ``d1_i d2_i`` (which does not change the solution), gives ``Q`` as its
+    right block over the pivots.  ``P`` is written down: pairing the free
+    columns ``f2`` of ``R2`` with those ``f1`` of ``R1`` in order, row
+    ``c2_i`` (the i-th pivot column of ``R2``) is row ``i`` of ``R1`` minus
+    the sum of ``R2[i][f2] e_f1``, and row ``f2`` is ``e_f1``.
     """
     if j1.shape != j2.shape:
         raise ShapeError(f"cannot relate {j1.rows}x{j1.cols} with {j2.rows}x{j2.cols}")
-    reduced1, pivots1, t1 = rref(j1)
-    reduced2, pivots2, t2 = rref(j2)
+    a1, pivots1, d1 = _rref_rows(j1)
+    a2, pivots2, d2 = _rref_rows(j2)
     r1, r2 = len(pivots1), len(pivots2)
     if r1 != r2:
         raise ClassificationError(f"parameters of ranks {r1} and {r2} are not equivalent", r1, r2)
-    p = _column_factor_inverse(reduced2, pivots2) @ _column_factor(reduced1, pivots1)
-    q = inverse(t1) @ t2
+    n, m = j1.cols, j1.rows
+    free = list(zip((c for c in range(n) if c not in pivots2), (c for c in range(n) if c not in pivots1)))
+    prows = [None] * n
+    for c2, u, v, e1, e2 in zip(pivots2, a1, a2, d1, d2):
+        num = [e2 * x for x in u[:n]]
+        for f2, f1 in free:
+            num[f1] -= e1 * v[f2]
+        prows[c2] = (num, e1 * e2)
+    for f2, f1 in free:
+        prows[f2] = ([1 if c == f1 else 0 for c in range(n)], 1)
+    stacked = [[e2 * x for x in u[n:]] + [e1 * x for x in v[n:]] for u, v, e1, e2 in zip(a1, a2, d1, d2)]
+    reduced = _gauss_jordan(stacked, m)[0]
     # Operands live in Mat(n x m); P E_ij Q has the entries P[a][i] Q[j][b],
     # formed on the integer matrices dp P and dq Q and divided once by dp dq.
-    pflat, dp = _integer_row(p.entries)
-    qflat, dq = _integer_row(q.entries)
+    pflat, dp = _over_common_denominator(prows)
+    qflat, dq = _over_common_denominator((row[m:], row[i]) for i, row in enumerate(reduced))
     d = dp * dq
-    n, m = j1.cols, j1.rows
     qcols = [qflat[b::m] for b in range(m)]
     rows = []
     for a in range(n):
@@ -114,11 +131,13 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
     if target_rank == 0:
         return Matrix.zeros(rows, cols)
     for _ in range(1000):
-        left = Matrix._raw(tuple(tuple(rng.randint(-3, 3) for _ in range(target_rank)) for _ in range(rows)))
-        right = Matrix._raw(tuple(tuple(rng.randint(-3, 3) for _ in range(cols)) for _ in range(target_rank)))
-        m = left @ right
-        if rank(m) == target_rank:
-            return m
+        left = [[rng.randint(-3, 3) for _ in range(target_rank)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(target_rank)]
+        rcols = list(zip(*right))
+        m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in left)
+        # The product has rank at most target_rank, so that bound is exact.
+        if len(_eliminate(m, cols, bound=target_rank)[1]) == target_rank:
+            return Matrix._raw(m)
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 
 

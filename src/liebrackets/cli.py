@@ -50,7 +50,7 @@ from .verify import run_all
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.69 s and
 # ``contract 40 1`` in 2.0 s.  In process, past the limits: ``classify 7 7``
 # 0.82 s, ``heisenberg 18`` 0.87 s, ``constants 14 14`` 7.6 s, ``center 14
-# 14`` 2.0 s, a dense 13x13 ``witness`` pair 0.60 s and ``contract 48 1``
+# 14`` 2.0 s, a dense 13x13 ``witness`` pair 0.76 s and ``contract 48 1``
 # 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).

@@ -4,8 +4,9 @@ Everything here is a pure function of immutable values: ``Matrix`` holds a
 tuple-of-tuples of exact scalars, and the row-reduction routines return new
 matrices together with the invertible transforms that witness them.  The
 two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
-``Q`` and ``P`` invertible) is the workhorse behind every equivalence and
-classification computation in the package.
+``Q`` and ``P`` invertible) is what the rank classification rests on;
+``classify.iso_witness`` forms its witnesses from the same eliminations
+without building the factors.
 
 Elimination works on integer rows (denominators cleared, rows divided by
 their gcd), normalised to the canonical reduced rows at the end, in two
@@ -14,9 +15,10 @@ loops.  ``rank``, ``kernel``, ``Subspace`` and the ranks and series of
 reduced echelon basis one input row at a time and stops reading rows once
 the basis has full column rank, or reaches a dimension bound the caller
 knows the span cannot pass.  ``rref`` also returns the transform, whose
-null rows depend on the pivot order, so it keeps its own column-major
-Gauss-Jordan loop on ``[m | I]`` and reads the transform off the identity
-block.
+null rows depend on the pivot order, so it runs the fraction-free
+column-major Gauss-Jordan loop ``_gauss_jordan`` on ``[m | I]``, reads the
+transform off the identity block and divides each row once at the end.
+``classify.iso_witness`` calls the same loop and keeps its integer rows.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
 row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
@@ -35,7 +37,6 @@ entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -352,44 +353,31 @@ def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bo
     return tuple(reduced), tuple(c for c, _ in basis)
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form with the invertible transform that produced it.
+def _gauss_jordan(a: list, width: int) -> tuple:
+    """Fraction-free column-major Gauss-Jordan on the integer rows ``a``, in
+    place, with pivots sought in the first ``width`` columns: the first
+    nonzero entry top-to-bottom in each column, columns left-to-right.  A
+    row ``R`` with entry ``f != 0`` in the column of pivot row ``P`` (pivot
+    ``p``) becomes ``p*R - f*P`` divided by its gcd, so every row stays a
+    nonzero multiple of the row Gauss-Jordan over the rationals would hold
+    (Bareiss's integer-preserving elimination, Math. Comp. 22 (1968), with
+    the gcd in place of the previous pivot).
 
-    Returns ``(reduced, pivots, transform)`` with ``transform @ m == reduced``.
-    Pivot choice is deterministic: first nonzero entry scanning top-to-bottom
-    within each column, columns left-to-right.  For a singular input the
-    null rows of the transform depend on that order, so ``rref`` keeps its
-    own column-major Gauss-Jordan loop on ``[m | I]`` (callers that only
-    need the span call ``_eliminate``).
-
-    Each row is scaled to integers by its denominators' lcm.  Eliminating
-    against a pivot row ``P`` (pivot ``p``) replaces a row ``R`` whose entry
-    ``f`` in the pivot column is nonzero by ``p*R - f*P`` divided by its
-    gcd; a row with ``f == 0`` is left untouched.  Every row thus stays a
-    nonzero rational multiple of the row that Gauss-Jordan over the
-    rationals would hold, so dividing by that multiple at the end gives the
-    same rows.  A pivot row's multiple is its pivot entry; the multiples of
-    the other rows, whose left block ends up zero, are tracked as they go.
+    Returns ``(a, pivots, order)``: the reduced rows, pivot rows first; the
+    pivot columns; and ``order[i]``, the input index of the row in place
+    ``i`` after the swaps.
     """
-    w = m.cols
-    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
-    a = []
-    scale = []
-    for row, e in zip(m._data, unit):
-        irow, den = _integer_row(row + e)
-        g = gcd(*irow)
-        a.append(irow if g == 1 else [x // g for x in irow])
-        scale.append(Fraction(den, g))
     n = len(a)
+    order = list(range(n))
     pivots = []
     prow = 0
-    for col in range(w):
+    for col in range(width):
         pr = next((r for r in range(prow, n) if a[r][col]), None)
         if pr is None:
             continue
         if pr != prow:
             a[prow], a[pr] = a[pr], a[prow]
-            scale[prow], scale[pr] = scale[pr], scale[prow]
+            order[prow], order[pr] = order[pr], order[prow]
         piv = a[prow]
         pv = piv[col]
         for r in range(n):
@@ -399,15 +387,53 @@ def rref(m: Matrix) -> RrefResult:
             row = [pv * x - f * y for x, y in zip(a[r], piv)]
             g = gcd(*row)
             a[r] = row if g == 1 else [x // g for x in row]
-            scale[r] = Fraction(scale[r] * pv, g)
         pivots.append(col)
         prow += 1
         if prow == n:
             break
-    reduced = []
-    for i, row in enumerate(a):
-        d = row[pivots[i]] if i < prow else scale[i]
-        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
+    return a, pivots, order
+
+
+def _rref_rows(m: Matrix) -> tuple:
+    """``(a, pivots, divisors)`` from ``_gauss_jordan`` on the primitive
+    integer rows of ``[m | I]``: row ``i`` of the reduced row-echelon form of
+    ``[m | I]`` is ``a[i] / divisors[i]``, by the divisor rule of ``rref``."""
+    w = m.cols
+    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
+    a = []
+    for row, e in zip(m._data, unit):
+        irow = _integer_row(row + e)[0]
+        g = gcd(*irow)
+        a.append(irow if g == 1 else [x // g for x in irow])
+    a, pivots, order = _gauss_jordan(a, w)
+    r = len(pivots)
+    return a, pivots, [row[pivots[i]] if i < r else row[w + order[i]] for i, row in enumerate(a)]
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row-echelon form with the invertible transform that produced it.
+
+    Returns ``(reduced, pivots, transform)`` with ``transform @ m == reduced``.
+    For a singular input the null rows of the transform depend on the pivot
+    order, so ``rref`` runs ``_gauss_jordan`` on the integer rows of
+    ``[m | I]`` (callers that only need the span call ``_eliminate``).  Each
+    row ends as a nonzero multiple of the rational row, its divisor: a pivot
+    row's is its pivot entry; a null row's is its entry in its own identity
+    column, ``m.cols + k`` for the index ``k`` it had in ``m``.
+
+    That entry is 1 over the rationals, because no pivot row ever absorbs a
+    null row.  A pivot row is its input row plus multiples of earlier pivot
+    rows, and changes only by multiples of other pivot rows, so by induction
+    its identity block is zero outside the columns of the rows that became
+    pivots.  A null row starts with 1 in its own identity column and only
+    takes away multiples of pivot rows, so that entry stays 1.
+    """
+    w = m.cols
+    a, pivots, divisors = _rref_rows(m)
+    reduced = [
+        tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row)
+        for row, d in zip(a, divisors)
+    ]
     return RrefResult(
         Matrix._raw(tuple(r[:w] for r in reduced)), tuple(pivots), Matrix._raw(tuple(r[w:] for r in reduced))
     )
@@ -484,35 +510,9 @@ def rank_factorization(j: Matrix) -> RankFactorization:
     r = len(pivots)
     if r == 0:
         return RankFactorization(Matrix.identity(j.rows), Matrix.identity(j.cols), 0)
-    return RankFactorization(inverse(transform), _column_factor(reduced, pivots), r)
-
-
-def _column_factor(reduced: Matrix, pivots: tuple) -> Matrix:
-    """The factor ``p`` of ``rank_factorization`` read off the reduced
-    row-echelon form: its nonzero rows, then the unit rows of the non-pivot
-    columns."""
-    n = reduced.cols
+    n = j.cols
     units = tuple(tuple(1 if c == f else 0 for c in range(n)) for f in range(n) if f not in pivots)
-    return Matrix._raw(reduced._data[: len(pivots)] + units)
-
-
-def _column_factor_inverse(reduced: Matrix, pivots: tuple) -> Matrix:
-    """The inverse of ``_column_factor(reduced, pivots)``, the column transform
-    ``perm @ [I, -S; 0, I]``, written down without elimination: its column
-    ``i`` is ``e_{c_i}`` for the pivot column ``c_i``, and the column after
-    them for the non-pivot column ``f`` is ``e_f - sum_i reduced[i][f]
-    e_{c_i}``."""
-    n = reduced.cols
-    columns = [tuple(1 if x == c else 0 for x in range(n)) for c in pivots]
-    for f in range(n):
-        if f in pivots:
-            continue
-        column = [0] * n
-        column[f] = 1
-        for c, row in zip(pivots, reduced._data):
-            column[c] = -row[f]
-        columns.append(column)
-    return Matrix._raw(tuple(zip(*columns)))
+    return RankFactorization(inverse(transform), Matrix._raw(reduced._data[:r] + units), r)
 
 
 class Subspace:

@@ -437,6 +437,21 @@ class TestStructureConstants:
                     dense = tuple(via_constants.get(k, 0) for k in range(n * m))
                     assert dense == via_matrices
 
+    def test_table_is_what_validation_keeps(self):
+        # structure_constants skips the validating constructor; its table
+        # must be the one that constructor keeps, entry types included.
+        rng = random.Random(11)
+        for _ in range(30):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            j = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)])
+            sc = structure_constants(BracketParam(n, m, j))
+            validated = StructureConstants(sc.dim, sc.table)
+            assert sc == validated
+            assert list(sc.table.items()) == list(validated.table.items())
+            assert [type(v) for t in sc.table.values() for v in t.values()] == [
+                type(v) for t in validated.table.values() for v in t.values()
+            ]
+
     def test_antisymmetric_reads(self):
         sc = StructureConstants(3, {(0, 1): {2: Fraction(1, 2)}})
         assert sc.bracket_basis(1, 0) == {2: Fraction(-1, 2)}

@@ -97,6 +97,25 @@ def reference_iso_witness(j1, j2):
     return LinearMap.from_columns([(p @ e @ q).entries for e in basis_matrices(j1.cols, j1.rows)])
 
 
+def column_factor_inverse(reduced, pivots):
+    """The inverse of ``rank_factorization``'s column factor ``p`` (the
+    nonzero rows of ``reduced``, then the unit rows of its non-pivot
+    columns), written down without elimination: its column ``i`` is
+    ``e_{c_i}`` for the pivot column ``c_i``, and the column after them for
+    the non-pivot column ``f`` is ``e_f - sum_i reduced[i][f] e_{c_i}``."""
+    n = reduced.cols
+    columns = [tuple(1 if x == c else 0 for x in range(n)) for c in pivots]
+    for f in range(n):
+        if f in pivots:
+            continue
+        column = [0] * n
+        column[f] = 1
+        for i, c in enumerate(pivots):
+            column[c] = -reduced[i, f]
+        columns.append(column)
+    return Matrix(tuple(zip(*columns)))
+
+
 @st.composite
 def same_rank_rational_pairs(draw):
     """Two rational ``rows x cols`` parameters of one rank, each a product of
@@ -185,26 +204,36 @@ class TestIsoWitness:
         j = pair[0]
         p = rank_factorization(j).p
         reduced, pivots, _ = rref(j)
-        p_inverse = matrices._column_factor_inverse(reduced, pivots)
+        p_inverse = column_factor_inverse(reduced, pivots)
         assert p_inverse @ p == Matrix.identity(j.cols)
         assert p_inverse == inverse(p)
 
     def test_eliminates_each_parameter_once(self, monkeypatch):
-        # One rref per parameter and one to invert T1.
-        calls = []
-        real = rref
-
-        def spy(m):
-            calls.append(m.shape)
-            return real(m)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "liebrackets" and getattr(module, "rref", None) is real:
-                monkeypatch.setattr(module, "rref", spy)
+        # One Gauss-Jordan per parameter and one for Q, with no inverse and
+        # no matrix product.
         j1, j2 = EDGE_PAIRS[2]
-        got = iso_witness(j1, j2)
-        assert len(calls) <= 3
-        assert got == reference_iso_witness(j1, j2)
+        expected = reference_iso_witness(j1, j2)
+        calls = []
+        real = matrices._gauss_jordan
+
+        def spy(a, width):
+            calls.append((len(a), width))
+            return real(a, width)
+
+        def refuse(*args):
+            raise AssertionError("iso_witness must not invert or multiply matrices")
+
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "liebrackets":
+                    if getattr(module, "_gauss_jordan", None) is real:
+                        patch.setattr(module, "_gauss_jordan", spy)
+                    if getattr(module, "inverse", None) is inverse:
+                        patch.setattr(module, "inverse", refuse)
+            patch.setattr(Matrix, "__matmul__", refuse)
+            got = iso_witness(j1, j2)
+        assert calls == [(4, 6), (4, 6), (4, 4)]
+        assert got == expected
 
     def test_inequivalent_carries_ranks(self):
         with pytest.raises(ClassificationError) as exc:

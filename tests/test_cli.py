@@ -201,6 +201,26 @@ def test_readme_example_stdout_is_stable(capsys, command):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# stdout sha256 of ``witness`` on three pairs, recorded when the witness was
+# still formed with ``rref``, ``inverse`` and ``Matrix`` products: the printed
+# map must not change with the way it is computed.
+WITNESS_REPORTS = {
+    "full_rank_3x3": (("2 -1 0; 1 3 -2; 0 1 1", "1 2 3; 0 -1 4; 5 6 0"),
+                      "22c4e2c85c161ee244b99ced94ef90fc13f84b0362abb08b91c82ea5a0cb3b0f"),
+    "rational_rank_2_3x4": (("1/2 1 0 -3; 0 2/3 1 1; 1/2 5/3 1 -2", "0 1 -1/4 2; 3 0 1 0; 3 2 1/2 4"),
+                            "113275443160a62ffc40061748b748631c7cb90512ead29eda96e9453dee9a8b"),
+    "rectangular_rank_1_2x4": (("1 2 0 -1; 2 4 0 -2", "0 0 3 1/2; 0 0 -6 -1"),
+                               "c9afee27c52cc4f0b1da69ba710eb5f0fb442bbc3c18583f9dd512d3756f5461"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(WITNESS_REPORTS))
+def test_witness_report_is_stable(capsys, pair):
+    (j1, j2), digest = WITNESS_REPORTS[pair]
+    assert main(["witness", "--j1", j1, "--j2", j2]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_deform_computes_each_signature_once(capsys, monkeypatch):
     # Times 0 and 1, the user's t = 1/3, and the interior times of the path
     # table (1/3 again, 1/2, 9/10): five distinct times.

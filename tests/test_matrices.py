@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from liebrackets import matrices
@@ -569,9 +569,31 @@ class TestArithmeticDifferential:
         assert canonical(Matrix([[half, 3]]) * 2) == [(1, int), (6, int)]
 
 
+# Zero or dependent rows ahead of pivot rows: the swaps push a null row
+# down, so its divisor must be read in the identity column of its original
+# index, not of the place it ends in.
+NULL_ROWS_BEFORE_PIVOTS = [
+    Matrix([[0, 0], [0, 2], [3, 1]]),
+    Matrix([[0, 1], [0, 2], [1, 0]]),
+    Matrix([[0]]),
+    Matrix(
+        [
+            [Fraction(1, 2), 1, Fraction(-2, 3)],
+            [0, 0, 0],
+            [1, 2, Fraction(-4, 3)],
+            [Fraction(3, 5), 0, Fraction(7, 2)],
+        ]
+    ),
+]
+
+
 class TestKernelDifferential:
     @DIFFERENTIAL
     @given(st.one_of(rational_matrices(), rational_matrices(max_rows=8, max_cols=40)))
+    @example(NULL_ROWS_BEFORE_PIVOTS[0])
+    @example(NULL_ROWS_BEFORE_PIVOTS[1])
+    @example(NULL_ROWS_BEFORE_PIVOTS[2])
+    @example(NULL_ROWS_BEFORE_PIVOTS[3])
     def test_rref_matches_reference(self, m):
         reduced, pivots, transform = rref(m)
         ref_reduced, ref_pivots, ref_transform = reference_rref(m)
