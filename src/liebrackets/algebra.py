@@ -13,6 +13,9 @@ form and the bracket of an algebra without a model read the adjoint action
 from one table, ``LieAlgebra._sparse_ads``, built once per algebra.  The
 Jacobi check's triple sweep also proves Jacobi for every parameter of a
 shape, on the unit tables merged into one with polynomial constants.
+``hom_check`` into an algebra with a matrix model brackets the images
+through the model and packs each side of each basis pair into one integer,
+so a pair costs a few integer products and one comparison.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
@@ -35,13 +38,15 @@ dimensions only, so each invariant is an exact rank, and it builds no
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import BracketParam, StructureConstants, _pair_brackets, bracket, structure_constants
-from .matrices import Matrix, ShapeError, Subspace, _eliminate, _integer_row, kernel, rank
+from .brackets import BracketParam, StructureConstants, bracket, structure_constants
+from .matrices import Matrix, ShapeError, Subspace, _echelon, _eliminate, _integer_row, kernel, rank
 from .scalars import Scalar, scalar_div, scalar_str
 
 
@@ -458,15 +463,44 @@ def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
 def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity.
 
-    The right-hand side is evaluated through the destination's matrix model
-    when it has one (an independent route from the structure constants), by
-    the integer pair kernel ``brackets._pair_brackets``, and otherwise by
-    ``LieAlgebra.bracket_coords``.
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
     quadratic in ``f``, so it tests ``D * F([x,y]) = [F(x), F(y)]``.  A
-    failure witness reports both sides divided by ``D**2``, the values of
-    the unscaled test.
+    failure witness reports the first failing pair, with both sides divided
+    by ``D**2``, the values of the unscaled test.  ``f`` is injective when
+    the columns of ``F`` have rank ``src.dim``.
+
+    Without a matrix model on the destination, the right side is
+    ``LieAlgebra.bracket_coords``.  With one, it is evaluated through the
+    model (a route independent of the structure constants), and each side of
+    each pair is packed into one integer (Kronecker substitution):
+
+    - The images ``X_a`` are the columns of ``F``, read as ``n x m``.  With
+      ``J' = d_J J`` integer and ``c`` the lcm of the denominators of the
+      source constants, both sides are multiplied by ``d_J c``: the left
+      side becomes ``sum_k (s c_ab^k) F e_k`` with ``s = D d_J c`` and every
+      ``s c_ab^k`` an integer, and the right side ``[X_a, X_b]`` under
+      ``c J'``.
+    - A vector ``v`` packs to ``sum_t v_t 2^(w t)``, a linear map, so the
+      left side packs to ``sum_k (s c_ab^k) pack(F e_k)``, from the ``d``
+      packed columns.  With ``Y_a = X_a (c J')``, entry ``(i, k)`` of the
+      right side is ``sum_j Y_a[i][j] X_b[j][k] - Y_b[i][j] X_a[j][k]``, so
+      it packs to ``sum_j C_j(Y_a) R_j(X_b) - C_j(Y_b) R_j(X_a)``, where
+      ``R_j`` packs row ``j`` of an image into the slots ``0..m-1`` and
+      ``C_j`` packs column ``j`` of ``Y`` into the slots ``i m``.  Slot
+      ``i m`` times slot ``k`` lands in slot ``i m + k``, one for each
+      ``(i, k)``.  So a pair costs ``2 n`` integer products and one
+      comparison.
+    - Packing lemma: if every entry of both sides is below ``2^(w-1)`` in
+      absolute value, equal packings mean equal vectors.  Each entry of the
+      difference ``u`` is then below ``2^w``, and ``sum_t u_t 2^(w t) = 0``
+      gives ``u_0 = 0`` modulo ``2^w``, so ``u_0 = 0``, and so on up.
+    - The bound: ``|right| <= 2 n max|X| max|Y|``, with
+      ``max|Y| <= max|X| max_j sum_k |c J'[k][j]|``, and
+      ``|left| <= s max_ab sum_k |c_ab^k| max|X|``.  ``w`` is one more than
+      the bit length of the larger, so the comparison is exact.
+    - The first failing pair's packings are decoded into their balanced
+      base-``2^w`` digits, the two sides, for the witness.
     """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError(
@@ -475,30 +509,88 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     d = src.dim
     flat, den = _integer_row(f.matrix.entries)
     fcols = [flat[a::d] for a in range(d)]
-    fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
     if dst.model is not None:
-        rows, cols = dst.ambient_shape
-        images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
-        pairs = _pair_brackets(images, dst.model)
-    else:
-        pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
-    witness = None
-    for a, b, rhs in pairs:
-        lhs = [0] * dst.dim
-        for k, v in src.constants.table.get((a, b), {}).items():
-            w = den * v
-            for t, x in fterms[k]:
-                lhs[t] += w * x
-        if tuple(lhs) != tuple(rhs):
-            den2 = den * den
-            witness = {
-                "pair": [a, b],
-                "f_of_bracket": _coords_json(scalar_div(x, den2) for x in lhs),
-                "bracket_of_images": _coords_json(scalar_div(x, den2) for x in rhs),
-            }
-            break
-    injective = f.rank() == src.dim
-    return HomVerdict(witness is None, injective, witness)
+        return _model_hom_check(fcols, den, src, dst.model)
+    injective = _rank(fcols, dst.dim) == d
+    fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
+    for a in range(d):
+        for b in range(a + 1, d):
+            rhs = dst.bracket_coords(fcols[a], fcols[b])
+            lhs = [0] * dst.dim
+            for k, v in src.constants.table.get((a, b), {}).items():
+                w = den * v
+                for t, x in fterms[k]:
+                    lhs[t] += w * x
+            if tuple(lhs) != rhs:
+                return HomVerdict(False, injective, _hom_witness(a, b, lhs, rhs, den * den))
+    return HomVerdict(True, injective)
+
+
+def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
+    return {
+        "pair": [a, b],
+        "f_of_bracket": _coords_json(scalar_div(x, den) for x in lhs),
+        "bracket_of_images": _coords_json(scalar_div(x, den) for x in rhs),
+    }
+
+
+def _model_hom_check(fcols: list, den: int, src: LieAlgebra, model: BracketParam) -> HomVerdict:
+    """``hom_check`` into the ``model`` bracket of the map whose matrix has
+    the integer columns ``fcols`` over ``den``, on packed integers as
+    described there; it reads no structure constants of the destination."""
+    n, m = model.n, model.m
+    table = src.constants.table
+    c = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
+    if c != 1:
+        table = {pair: {k: v.numerator * (c // v.denominator) for k, v in terms.items()}
+                 for pair, terms in table.items()}
+    jflat, dj = _integer_row(model.j.entries)
+    jcols = [[c * x for x in jflat[j::n]] for j in range(n)]  # column j of c J'
+    f = den * dj
+    max_x = max(map(abs, chain.from_iterable(fcols)), default=0)
+    max_y = max_x * max(sum(map(abs, jc)) for jc in jcols)
+    max_c = max((sum(map(abs, terms.values())) for terms in table.values()), default=0)
+    w = max(2 * n * max_x * max_y, f * max_c * max_x).bit_length() + 1
+    packed, rpacks, cpacks = [], [], []
+    for col in fcols:
+        packed.append(f * _pack(col, w))
+        rpacks.append([_pack(col[j * m : (j + 1) * m], w) for j in range(n)])
+        # C_j(Y) from the columns of X packed at the slots i m: Y = X (c J').
+        xcols = [_pack(col[k::m], w * m) for k in range(m)]
+        cpacks.append([sum(map(mul, jc, xcols)) for jc in jcols])
+    injective = _rank(fcols, model.dim) == src.dim
+    for a, (ca, ra) in enumerate(zip(cpacks, rpacks)):
+        for b in range(a + 1, len(fcols)):
+            right = sum(map(mul, ca, rpacks[b])) - sum(map(mul, cpacks[b], ra))
+            terms = table.get((a, b))
+            left = sum(map(mul, terms.values(), map(packed.__getitem__, terms))) if terms else 0
+            if left != right:
+                size = model.dim
+                witness = _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
+                return HomVerdict(False, injective, witness)
+    return HomVerdict(True, injective)
+
+
+def _pack(values, w: int) -> int:
+    """``sum_t values[t] * 2^(w t)``."""
+    out = 0
+    for v in reversed(values):
+        out = (out << w) + v
+    return out
+
+
+def _unpack(x: int, w: int, size: int) -> list:
+    """The ``size`` balanced base-``2^w`` digits of ``x``, each in
+    ``[-2^(w-1), 2^(w-1))``: the inverse of ``_pack`` on such digits."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for _ in range(size):
+        t = x & mask
+        if t >= half:
+            t -= mask + 1
+        out.append(t)
+        x = (x - t) >> w
+    return out
 
 
 @dataclass(frozen=True)
@@ -597,7 +689,7 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
 
 def _rank(rows, width: int) -> int:
-    return len(_eliminate(rows, width)[1])
+    return len(_echelon(rows, width))
 
 
 def _derived_center_rows(L: LieAlgebra, basis: list):

@@ -12,9 +12,10 @@ canonical basis ``E_{i,j}`` ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)``
 (1-based ``i, j``), at a cost that grows with the nonzero entries of ``J``,
 not with the basis pairs.
 The ``deform`` checks read basis-pair brackets off ``structure_constants``;
-every other loop over pairs of elements brackets through ``_pair_brackets``,
-one kernel on integers that builds no intermediate matrix.  The Lie-axiom
-check's model-constants comparison ties the two together.
+the other pair loops go through ``_pair_brackets``, one integer kernel that
+builds no intermediate matrix, except ``algebra.hom_check``, which packs
+each side of a pair into one integer, and ``algebra.subalgebra_closed``.
+The Lie-axiom check's model-constants comparison ties the two together.
 """
 
 from __future__ import annotations

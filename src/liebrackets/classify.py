@@ -7,7 +7,10 @@ those witnesses explicitly, on integer rows from three fraction-free
 Gauss-Jordan eliminations and with no inverse or matrix product, and runs
 the desk-scale classification harness over a whole shape: one normal form
 per rank, invariant signatures, and verified witnesses for random same-rank
-pairs.
+pairs.  A witness is verified on integers throughout: its integer columns
+over one denominator go straight to the homomorphism check, which brackets
+them through the destination's model, so a passing pair forms no
+``Fraction`` and no structure constants of the destination.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Tuple
 
-from .algebra import HomVerdict, LieAlgebra, LinearMap, center, hom_check, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, LinearMap, _model_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _eliminate, _gauss_jordan, _rref_rows, rank
+from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _rref_rows, rank
 from .scalars import scalar_div
 
 
@@ -50,11 +53,27 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
     nonzero rows of ``R_k``, then the unit rows of its free columns, so
     ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
+    The map is built by ``_witness_columns``.
+    """
+    return _columns_map(*_witness_columns(j1, j2))
 
-    All on integer rows up to the map's entries: one ``_gauss_jordan`` on
-    ``[j_k | I]`` per parameter gives row ``i`` of ``[R_k | T_k]`` as an
-    integer row ``[R_k' | T_k']`` over its divisor ``d_k,i``.  One more on
-    the rows ``[d2_i T1'_i | d1_i T2'_i]`` of ``[T1 | T2]``, each scaled by
+
+def _columns_map(cols: list, den: int) -> LinearMap:
+    """The square map whose matrix is the integer ``cols`` divided by ``den``."""
+    rows = zip(*cols)
+    if den != 1:
+        rows = (tuple(scalar_div(v, den) if v else 0 for v in row) for row in rows)
+    return LinearMap(len(cols), len(cols), Matrix._raw(tuple(rows)))
+
+
+def _witness_columns(j1: Matrix, j2: Matrix) -> tuple:
+    """``(columns, den)``: the matrix of ``iso_witness(j1, j2)`` is the
+    integer ``columns`` divided by ``den``.
+
+    All on integer rows: one ``_gauss_jordan`` on ``[j_k | I]`` per
+    parameter gives row ``i`` of ``[R_k | T_k]`` as an integer row
+    ``[R_k' | T_k']`` over its divisor ``d_k,i``.  One more on the rows
+    ``[d2_i T1'_i | d1_i T2'_i]`` of ``[T1 | T2]``, each scaled by
     ``d1_i d2_i`` (which does not change the solution), gives ``Q`` as its
     right block over the pivots.  ``P`` is written down: pairing the free
     columns ``f2`` of ``R2`` with those ``f1`` of ``R1`` in order, row
@@ -80,32 +99,32 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
         prows[f2] = ([1 if c == f1 else 0 for c in range(n)], 1)
     stacked = [[e2 * x for x in u[n:]] + [e1 * x for x in v[n:]] for u, v, e1, e2 in zip(a1, a2, d1, d2)]
     reduced = _gauss_jordan(stacked, m)[0]
-    # Operands live in Mat(n x m); P E_ij Q has the entries P[a][i] Q[j][b],
-    # formed on the integer matrices dp P and dq Q and divided once by dp dq.
+    # Operands live in Mat(n x m); the column of E_ij is the flat P E_ij Q,
+    # with the entries P[a][i] Q[j][b], formed on the integer matrices dp P
+    # and dq Q, over dp dq.
     pflat, dp = _over_common_denominator(prows)
     qflat, dq = _over_common_denominator((row[m:], row[i]) for i, row in enumerate(reduced))
-    d = dp * dq
-    qcols = [qflat[b::m] for b in range(m)]
-    rows = []
-    for a in range(n):
-        prow = pflat[a * n : (a + 1) * n]
-        for qcol in qcols:
-            row = [x * y for x in prow for y in qcol]
-            rows.append(tuple(row) if d == 1 else tuple(scalar_div(v, d) if v else 0 for v in row))
-    return LinearMap(n * m, n * m, Matrix._raw(tuple(rows)))
+    qrows = [qflat[j * m : (j + 1) * m] for j in range(m)]
+    return [[x * y for x in pflat[i::n] for y in qrow] for i in range(n) for qrow in qrows], dp * dq
+
+
+def _checked_witness(j1: Matrix, j2: Matrix) -> tuple:
+    """``(columns, den, verdict)``: ``_witness_columns(j1, j2)`` and the
+    ``hom_check`` verdict of the map they give from the j1-bracket algebra to
+    the j2-bracket on ``Mat(cols x rows)``, checked on the integer columns.
+    Only the source's structure constants are built: the check brackets the
+    images through the j2 model."""
+    cols, den = _witness_columns(j1, j2)
+    n, m = j1.cols, j1.rows
+    src = LieAlgebra.from_param(BracketParam(n, m, j1))
+    return cols, den, _model_hom_check(cols, den, src, BracketParam(n, m, j2))
 
 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:
     """The witness ``iso_witness(j1, j2)`` and its homomorphism check from
     the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``."""
-    f = iso_witness(j1, j2)
-    n, m = j1.cols, j1.rows
-    verdict = hom_check(
-        f,
-        LieAlgebra.from_param(BracketParam(n, m, j1)),
-        LieAlgebra.from_param(BracketParam(n, m, j2)),
-    )
-    return f, verdict
+    cols, den, verdict = _checked_witness(j1, j2)
+    return _columns_map(cols, den), verdict
 
 
 def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:
@@ -136,7 +155,7 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
         rcols = list(zip(*right))
         m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in left)
         # The product has rank at most target_rank, so that bound is exact.
-        if len(_eliminate(m, cols, bound=target_rank)[1]) == target_rank:
+        if len(_echelon(m, cols, bound=target_rank)) == target_rank:
             return Matrix._raw(m)
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 
@@ -162,8 +181,7 @@ def classify_rank_family(n: int, m: int, seed: int = 0, witness_pairs: int = 1) 
         for _ in range(witness_pairs):
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
-            _, verdict = verified_witness(j1, j2)
-            if not verdict.bijective:
+            if not _checked_witness(j1, j2)[2].bijective:
                 verified = False
         entries.append({"r": r, "signature": sig.to_json(), "witness_verified": verified})
     distinct = all(

@@ -10,11 +10,13 @@ without building the factors.
 
 Elimination works on integer rows (denominators cleared, rows divided by
 their gcd), normalised to the canonical reduced rows at the end, in two
-loops.  ``rank``, ``kernel``, ``Subspace`` and the ranks and series of
-``algebra`` need only the span, and call ``_eliminate``, which builds the
-reduced echelon basis one input row at a time and stops reading rows once
-the basis has full column rank, or reaches a dimension bound the caller
-knows the span cannot pass.  ``rref`` also returns the transform, whose
+loops.  ``kernel``, ``Subspace`` and the series of ``algebra`` need only
+the span, and call ``_eliminate``, which builds the reduced echelon basis
+one input row at a time and stops reading rows once the basis has full
+column rank, or reaches a dimension bound the caller knows the span cannot
+pass.  ``rank`` and the ranks of ``algebra`` and ``classify`` need only its
+dimension, and count the rows of ``_echelon``, the same loop without the
+final division by the pivots.  ``rref`` also returns the transform, whose
 null rows depend on the pivot order, so it runs the fraction-free
 column-major Gauss-Jordan loop ``_gauss_jordan`` on ``[m | I]``, reads the
 transform off the identity block and divides each row once at the end.
@@ -314,6 +316,19 @@ def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bo
     whole space, so the rows left are in its span, and the result is the
     one all rows would give.  With the default, that space is Q^width.
     """
+    basis = _echelon(rows, width, bound)
+    basis.sort(key=lambda entry: entry[0])
+    reduced = []
+    for c, row in basis:
+        d = row[c]
+        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
+    return tuple(reduced), tuple(c for c, _ in basis)
+
+
+def _echelon(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bound: Optional[int] = None) -> list:
+    """The loop of ``_eliminate``: its basis ``[pivot column, primitive
+    integer row]`` in the order built, before any division by a pivot, so
+    its length is the rank of ``rows`` (up to ``bound``)."""
     if width is None:
         width = len(rows[0]) if rows else 0
     if bound is None:
@@ -345,12 +360,7 @@ def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bo
         basis.append([lead, v])
         if len(basis) == bound:
             break
-    basis.sort(key=lambda entry: entry[0])
-    reduced = []
-    for c, row in basis:
-        d = row[c]
-        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
-    return tuple(reduced), tuple(c for c, _ in basis)
+    return basis
 
 
 def _gauss_jordan(a: list, width: int) -> tuple:
@@ -440,7 +450,7 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m._data)[1])
+    return len(_echelon(m._data))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ import random
 
 from .algebra import LieAlgebra, _jacobi_holds_in_j, invariant_signature, jacobi_check, lower_central_series
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices, structure_constants
-from .classify import center_law, random_parameter, verified_witness
+from .classify import _checked_witness, center_law, random_parameter
 from .constructions import (
     HypothesisError,
     classical_representation,
@@ -153,7 +153,7 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0, pairs_per_shape: int =
             r = rng.randint(0, min(n, m))
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
-            _, verdict = verified_witness(j1, j2)
+            verdict = _checked_witness(j1, j2)[2]
             checked += 1
             if not verdict.bijective:
                 failures.append(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from liebrackets import algebra, matrices
 from liebrackets.algebra import (
+    HomVerdict,
     InvariantSignature,
     LieAlgebra,
     LinearMap,
@@ -28,6 +29,7 @@ from liebrackets.algebra import (
 from liebrackets.brackets import (
     BracketParam,
     StructureConstants,
+    _pair_brackets,
     basis_matrices,
     bracket,
     structure_constants,
@@ -44,7 +46,7 @@ from liebrackets.matrices import (
     rank_factorization,
     rank_normal_form,
 )
-from liebrackets.scalars import scalar_str
+from liebrackets.scalars import scalar_div, scalar_str
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -457,6 +459,161 @@ class TestHomCheckWitness:
             verdict = hom_check(half, LieAlgebra.from_param(self.SRC), target)
             assert verdict.bijective and verdict.witness is None
 
+
+def plain_hom_check(f, src, dst):
+    """``hom_check`` as a plain loop over the basis pairs: the right side from
+    ``brackets._pair_brackets`` (``bracket_coords`` without a model), each
+    pair compared entry by entry.  The reference for the packed comparison."""
+    d = src.dim
+    flat, den = matrices._integer_row(f.matrix.entries)
+    fcols = [flat[a::d] for a in range(d)]
+    fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
+    if dst.model is not None:
+        rows, cols = dst.ambient_shape
+        images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
+        pairs = _pair_brackets(images, dst.model)
+    else:
+        pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
+    witness = None
+    for a, b, rhs in pairs:
+        lhs = [0] * dst.dim
+        for k, v in src.constants.table.get((a, b), {}).items():
+            w = den * v
+            for t, x in fterms[k]:
+                lhs[t] += w * x
+        if tuple(lhs) != tuple(rhs):
+            den2 = den * den
+            witness = {
+                "pair": [a, b],
+                "f_of_bracket": nonzero_json(scalar_div(x, den2) for x in lhs),
+                "bracket_of_images": nonzero_json(scalar_div(x, den2) for x in rhs),
+            }
+            break
+    return HomVerdict(witness is None, f.rank() == src.dim, witness)
+
+
+def typed(x):
+    """``x`` with the type of every value, dicts in their key order."""
+    if isinstance(x, dict):
+        return ("dict", [(typed(k), typed(v)) for k, v in x.items()])
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [typed(v) for v in x])
+    return (type(x).__name__, x)
+
+
+def assert_same_verdict(f, src, dst):
+    got, expected = hom_check(f, src, dst), plain_hom_check(f, src, dst)
+    assert (got.is_hom, got.injective) == (expected.is_hom, expected.injective)
+    assert typed(got.witness) == typed(expected.witness)
+    return got
+
+
+@st.composite
+def hom_cases(draw):
+    """``(f, src, dst)`` on shapes up to 4x4, 1xk and kx1 included, with
+    integer or rational parameters (so rational source constants too):
+    an isomorphism witness (a homomorphism), the witness times a scalar
+    other than 1, a dense map (which fails at the first pair whose bracket
+    is not zero), a map with only its last two images nonzero from an abelian
+    source (which can fail at the last pair only), or the zero map.  The
+    destination loses its model now and then, for the constants route."""
+    n, m = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5)]))
+    d = n * m
+
+    def entries(pool, count):
+        return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+
+    def square(size, pool):
+        # Lower unitriangular times upper triangular with a nonzero diagonal.
+        nonzero = [x for x in pool if x != 0]
+
+        def pick(entries):
+            return draw(st.sampled_from(entries))
+
+        low = Matrix([[1 if i == j else pick(pool) if j < i else 0 for j in range(size)] for i in range(size)])
+        up = Matrix([[pick(nonzero if i == j else pool) if j >= i else 0 for j in range(size)] for i in range(size)])
+        return low @ up
+
+    pool = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    flat = entries(pool, d)
+    j2 = Matrix([flat[i * n : (i + 1) * n] for i in range(m)])
+    kind = draw(st.sampled_from(["witness", "scaled", "dense", "last-pair", "zero"]))
+    if kind in ("witness", "scaled"):
+        j1 = square(m, pool) @ j2 @ square(n, pool)
+        f = iso_witness(j1, j2)
+        if kind == "scaled":
+            f = LinearMap(d, d, f.matrix * draw(st.sampled_from([2, -1, Fraction(1, 2), Fraction(-3, 2)])))
+    else:
+        flat = entries(draw(st.sampled_from([INTEGERS, RATIONALS])), d)
+        j1 = Matrix([flat[i * n : (i + 1) * n] for i in range(m)]) if kind == "dense" else Matrix.zeros(m, n)
+        map_pool = draw(st.sampled_from([INTEGERS, RATIONALS]))
+        nonzero = {"dense": d, "last-pair": min(d, 2), "zero": 0}[kind]
+        cols = [[0] * d for _ in range(d - nonzero)] + [entries(map_pool, d) for _ in range(nonzero)]
+        f = LinearMap.from_columns(cols)
+    src = LieAlgebra.from_param(BracketParam(n, m, j1))
+    dst = LieAlgebra.from_param(BracketParam(n, m, j2))
+    if draw(st.integers(0, 4)) == 0:
+        dst = LieAlgebra(d, dst.constants)
+    return f, src, dst
+
+
+class TestPackedHomCheck:
+    """``hom_check`` packs each side of each pair into one integer.  Its
+    verdicts and witnesses must be those of the plain loop."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hom_cases())
+    def test_matches_the_plain_loop(self, case):
+        assert_same_verdict(*case)
+
+    # Cases at the slot-width bound.  Each pairs a source table on the pair
+    # (0, 1) alone with images chosen so that the two sides of that pair
+    # differ by a vector that packs to 0 at a slot narrower than the bound
+    # allows: ``-2^v e_0 + e_1`` (or a multiple), as ``-2^v + 2^v = 0``.
+    # The first case reaches the bound; the others have a left side that
+    # outweighs the right one, through the coefficients, the image entries
+    # or the map's and the parameter's denominators.
+    BOUND_CASES = {
+        # 2x4, J with a zero first row and ones below: [X_0, X_1] has the
+        # entry 48 = 2 n max|X| max|Y| (max|X| = 2, max|Y| = 2 * 3), and the
+        # left side is (-16, 1, 0, ...), so they pack alike with 6-bit slots.
+        "right-side-at-the-bound": (
+            2, 4, [[0, 0], [1, 1], [1, 1], [1, 1]],
+            [[2, 2, 2, 2, 2, 0, 0, 0], [2, -2, -2, -2, 2, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]],
+            {2: -8, 3: 1},
+        ),
+        "left-side-by-its-coefficients": (
+            1, 4, [[0], [0], [0], [0]], [[0] * 4, [0] * 4, [1, 0, 0, 0], [0, 1, 0, 0]], {2: -4, 3: 1},
+        ),
+        "left-side-by-its-images": (
+            2, 2, [[0, 0], [0, 0]], [[0] * 4, [0] * 4, [4, 0, 0, 0], [0, 1, 0, 0]], {2: -2, 3: 1},
+        ),
+        "left-side-by-the-denominators": (
+            3, 1, [[Fraction(1, 2), -1, 0]], [[0, -1, -1], [1, 1, 0], [1, 1, 0]], {2: 2047},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUND_CASES))
+    def test_matches_the_plain_loop_at_the_bound(self, name):
+        n, m, j, cols, terms = self.BOUND_CASES[name]
+        d = n * m
+        cols = cols + [[0] * d for _ in range(d - len(cols))]
+        src = LieAlgebra(d, StructureConstants(d, {(0, 1): terms}))
+        dst = LieAlgebra.from_param(BracketParam(n, m, Matrix(j)))
+        verdict = assert_same_verdict(LinearMap.from_columns(cols), src, dst)
+        assert verdict.witness["pair"] == [0, 1]
+
+    def test_the_bound_case_reaches_the_bound(self):
+        n, m, j, cols, terms = self.BOUND_CASES["right-side-at-the-bound"]
+        param = BracketParam(n, m, Matrix(j))
+        x0, x1 = (Matrix.from_flat(n, m, c) for c in cols[:2])
+        right = bracket(x0, x1, param).entries
+        max_x = max(abs(v) for c in cols for v in c)
+        max_y = max(abs(v) for c in cols for v in (Matrix.from_flat(n, m, c) @ param.j).entries)
+        assert right[0] == 2 * n * max_x * max_y == 48
+        left = [sum(v * cols[k][t] for k, v in terms.items()) for t in range(n * m)]
+        assert left[:2] == [-16, 1] and left[2:] == list(right[2:]) == [0] * 6
+        assert left[0] + (left[1] << 6) == right[0]  # equal packings with 6-bit slots
 
 class TestSignature:
     def test_abelian(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liebrackets import matrices
+from liebrackets import brackets, classify, matrices, scalars
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
@@ -294,6 +294,46 @@ class TestClassifyRankFamily:
 
     def test_deterministic(self):
         assert classify_rank_family(3, 2, seed=5) == classify_rank_family(3, 2, seed=5)
+
+    def test_verifies_each_witness_on_integers(self, monkeypatch):
+        # Verifying a pair builds the structure constants of its source
+        # alone (the check brackets through the destination's model) and
+        # no Fraction: the witness goes to the check as integer columns.
+        real_checked = classify._checked_witness
+        spied = {brackets.structure_constants: 0, scalars.scalar_div: 1}
+        counts = []  # per verified pair: [structure_constants calls, scalar_div calls]
+        current = [None]  # the counts of the pair being verified, if any
+
+        def spy(real):
+            def wrapped(*args):
+                if current[0] is not None:
+                    current[0][spied[real]] += 1
+                return real(*args)
+
+            return wrapped
+
+        def checked(j1, j2):
+            current[0] = [0, 0]
+            counts.append(current[0])
+            try:
+                return real_checked(j1, j2)
+            finally:
+                current[0] = None
+
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "liebrackets":
+                    for attr in ("structure_constants", "scalar_div"):
+                        real = getattr(module, attr, None)
+                        if real in spied:
+                            patch.setattr(module, attr, spy(real))
+                    if getattr(module, "_checked_witness", None) is real_checked:
+                        patch.setattr(module, "_checked_witness", checked)
+            soundness = check_iso_soundness(2, 0)
+            family = classify_rank_family(2, 3, seed=0, witness_pairs=2)
+        assert soundness["pass"] and all(e["witness_verified"] for e in family["entries"])
+        assert len(counts) == 40 + 3 * 2
+        assert all(c == [1, 0] for c in counts), counts
 
 
 def test_iso_soundness_up_to_six():

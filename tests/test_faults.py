@@ -18,7 +18,7 @@ from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_c
 from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
 from liebrackets.deform import PATH_TIMES, ce_coboundary_check
-from liebrackets.matrices import Matrix, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
+from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 
 
 def abelian(dim):
@@ -120,8 +120,21 @@ def witness_without_q2_inverse(j1, j2):
     return LinearMap.from_columns([(p @ e @ f1.q).entries for e in basis_matrices(j1.cols, j1.rows)])
 
 
+def integer_columns(f):
+    """``f`` as ``classify._witness_columns`` gives a witness to its check:
+    the integer columns of its matrix over their common denominator."""
+    flat, den = _integer_row(f.matrix.entries)
+    return [flat[a :: f.src_dim] for a in range(f.src_dim)], den
+
+
+# ``iso_soundness`` checks each witness on the integer columns that
+# ``classify._witness_columns`` builds, without ``iso_witness``, so the faults
+# are put in there.
 def test_iso_soundness_fails_when_the_witness_drops_q2_inverse(monkeypatch):
-    monkeypatch.setattr(classify, "iso_witness", witness_without_q2_inverse)
+    def witness_columns(j1, j2):
+        return integer_columns(witness_without_q2_inverse(j1, j2))
+
+    monkeypatch.setattr(classify, "_witness_columns", witness_columns)
     out = verify.check_iso_soundness(2, 0)
     failures = out["details"]["failures"]
     assert not out["pass"]
@@ -144,9 +157,9 @@ def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypat
     # pair fails on bijectivity alone, with no pair witness.
     def zero_witness(j1, j2):
         d = j1.rows * j1.cols
-        return LinearMap(d, d, Matrix.zeros(d, d))
+        return integer_columns(LinearMap(d, d, Matrix.zeros(d, d)))
 
-    monkeypatch.setattr(classify, "iso_witness", zero_witness)
+    monkeypatch.setattr(classify, "_witness_columns", zero_witness)
     out = verify.check_iso_soundness(2, 0)
     failures = out["details"]["failures"]
     assert not out["pass"]
