@@ -19,26 +19,34 @@ so a pair costs a few integer products and one comparison.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
-to bracket integer vectors only: ``[g, g]`` is eliminated once from the
-brackets of basis pairs (the constants table) and kept on the algebra as
-``LieAlgebra._derived_rows``, both series scale each echelon row of a term
-to a primitive integer row before bracketing it, and ``centralizer`` scales
-each basis vector of ``S`` to integers.  Each term and centralizer is still
-given by its canonical reduced echelon rows, from exact elimination.  A
-series step reads its generators only until it reaches the dimension of the
-term before, which, by bilinearity alone, contains it.
+to bracket integer vectors only, as the sparse rows ``{index: int}`` of
+``matrices._echelon``, the one elimination loop: ``[g, g]`` is the span
+of the constants-table dicts themselves, eliminated once and kept on the
+algebra as ``LieAlgebra._derived_rows``; each series step brackets the
+primitive integer basis rows of the term before through the adjoint
+columns; and the signature's other ranks (the center, the Killing form
+and the center of ``[g, g]``) are taken on sparse rows built the same
+way.  So no row of the length of the basis is built, scanned or reduced
+where a bracket has few terms.  A series runs on the algebra with integer
+constants (``_integer_constants``), whose series are the same spans.  Each
+term and centralizer is still given by its canonical reduced echelon
+rows, from exact elimination, and ``center``, ``centralizer`` and
+injectivity ranks reach the loop through the dense boundary
+``matrices._sparse_row``.  A series step reads its generators only until
+it reaches the dimension of the term before, which, by bilinearity alone,
+contains it.
 
 ``invariant_signature`` runs on the algebra whose bracket is multiplied by
 the lcm of the denominators of the constants, which keeps every span it
 measures and multiplies the Killing form by a nonzero square.  It reads
 dimensions only, so each invariant is an exact rank, and it builds no
-``Subspace``, kernel basis or intersection.
+``Subspace``, kernel basis, intersection or dense row.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, repeat
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -46,7 +54,19 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import BracketParam, StructureConstants, bracket, structure_constants
-from .matrices import Matrix, ShapeError, Subspace, _echelon, _eliminate, _integer_row, kernel, rank
+from .matrices import (
+    _INT_ONLY,
+    Matrix,
+    ShapeError,
+    Subspace,
+    _add_multiple,
+    _echelon,
+    _integer_row,
+    _reduced_rows,
+    _sparse_row,
+    kernel,
+    rank,
+)
 from .scalars import Scalar, scalar_div, scalar_str
 
 
@@ -163,12 +183,12 @@ class LieAlgebra:
         return ads
 
     @cached_property
-    def _derived_rows(self) -> tuple:
-        """Reduced echelon rows of ``[g, g]``, the span of the brackets of the
-        basis pairs (the constants table)."""
-        d = self.dim
-        gens = ([terms.get(k, 0) for k in range(d)] for terms in self.constants.table.values())
-        return _eliminate(gens, d)[0]
+    def _derived_rows(self) -> dict:
+        """The ``_echelon`` basis of ``[g, g]``, the span of the brackets of the
+        basis pairs: the dicts of the constants table, read as sparse rows.
+        Only for an algebra whose constants are all ``int`` (see
+        ``_integer_constants``)."""
+        return _echelon(self.constants.table.values(), self.dim)
 
     def bracket_coords(self, x, y) -> tuple:
         """``[x, y]`` through the model when there is one, else the bilinear
@@ -177,11 +197,17 @@ class LieAlgebra:
         y = self.to_coords(y)
         if self.model is not None:
             return bracket(self.from_coords(x), self.from_coords(y), self.model).entries
-        out = [0] * self.dim
+        sparse_y = {b: yb for b, yb in enumerate(y) if yb}
+        v: dict = {}
         for xa, cols in zip(x, self._sparse_ads):
             if xa:
-                _add_bracket(out, xa, cols, y)
-        return tuple(out)
+                _add_bracket(v, xa, cols, sparse_y)
+        return _dense(v, self.dim)
+
+
+def _dense(row: dict, width: int) -> tuple:
+    """The sparse ``row`` written out as a tuple of length ``width``."""
+    return tuple(map(row.get, range(width), repeat(0)))
 
 
 def _coords_json(coords) -> dict:
@@ -316,7 +342,7 @@ def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
 
 def center(L: LieAlgebra) -> Subspace:
     """The centralizer of the whole algebra: kernel of the stacked adjoint."""
-    return _kernel_subspace(L, _centralizer_rows(L, [((x, 1),) for x in range(L.dim)]))
+    return _centralizer_kernel(L, [{x: 1} for x in range(L.dim)])
 
 
 def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
@@ -326,37 +352,48 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
             f"subspace ambient {S.ambient_rows}x{S.ambient_cols} does not match "
             f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
         )
-    vectors = (_integer_row(L.to_coords(s))[0] for s in S.basis)
-    return _kernel_subspace(L, _centralizer_rows(L, [[(x, v) for x, v in enumerate(s) if v] for s in vectors]))
+    return _centralizer_kernel(L, [_sparse_row(L.to_coords(s)) for s in S.basis])
 
 
-def _centralizer_rows(L: LieAlgebra, vectors: list) -> Dict[tuple, list]:
-    """Rows of ``y -> ([y, s])_s`` for integer vectors ``s`` given by their
-    nonzero terms ``(x, s_x)``: row ``(s, k)`` is coordinate ``k`` of
-    ``[y, s] = -sum_x s_x ad_x(y)``."""
+def _centralizer_kernel(L: LieAlgebra, vectors: list) -> Subspace:
+    """The kernel of ``_centralizer_rows(L, vectors)``, written out densely."""
+    rows = _centralizer_rows(L, vectors)
+    return _kernel_subspace(L, {key: _dense(row, L.dim) for key, row in rows.items()})
+
+
+def _centralizer_rows(L: LieAlgebra, vectors: list) -> Dict[tuple, dict]:
+    """Sparse rows of ``y -> ([y, s])_s`` for the sparse integer vectors
+    ``s``: row ``(s, k)`` is coordinate ``k`` of ``[y, s] = -sum_x s_x
+    ad_x(y)``, as ``{i: entry}``."""
     ads = L._sparse_ads
-    rows: Dict[tuple, list] = defaultdict(lambda: [0] * L.dim)
+    rows: Dict[tuple, dict] = defaultdict(dict)
     for s_idx, s in enumerate(vectors):
-        for x, sx in s:
+        for x, sx in s.items():
             for i, col in ads[x].items():
                 for k, w in col.items():
-                    rows[(s_idx, k)][i] -= sx * w
+                    row = rows[(s_idx, k)]
+                    y = row.get(i, 0) - sx * w
+                    if y:
+                        row[i] = y
+                    else:
+                        del row[i]
     return rows
 
 
-def _add_bracket(v: list, c: Scalar, cols: dict, y) -> None:
-    """``v += c * [x_a, y]`` for the adjoint columns ``cols = ads[a]``."""
-    for b, col in cols.items():
-        yb = y[b]
-        if yb:
-            f = c * yb
-            for k, w in col.items():
-                v[k] += f * w
+def _add_bracket(v: dict, c: Scalar, cols: dict, y: dict) -> None:
+    """``v += c * [x_a, y]`` on sparse rows (only nonzero entries kept), for
+    the adjoint columns ``cols = ads[a]``."""
+    for b, yb in y.items():
+        col = cols.get(b)
+        if col:
+            _add_multiple(v, c * yb, col)
 
 
-def _series_rows(L: LieAlgebra, lower_central: bool) -> List[tuple]:
-    """Reduced echelon rows of each term of the series after ``g``, up to the
-    first term that is 0 or has the dimension of the term before.
+def _series_rows(L: LieAlgebra, lower_central: bool) -> List[dict]:
+    """The ``_echelon`` basis of each term of the series after ``g``, up to
+    the first term that is 0 or has the dimension of the term before, for an
+    algebra with ``int`` constants.  The primitive integer rows of a term's
+    basis span it, so they are bracketed as they are.
 
     Each term lies in the one before by bilinearity alone: ``[g, g]`` lies
     in ``g``, and ``C' <= C`` gives ``[g, C'] <= [g, C]`` and
@@ -364,40 +401,43 @@ def _series_rows(L: LieAlgebra, lower_central: bool) -> List[tuple]:
     of the current term as its bound: reaching it proves the next term equal
     to the current one, and the generators left are never formed.
     """
-    d = L.dim
     terms = [L._derived_rows]
-    prev = d
+    prev = L.dim
     while 0 < len(terms[-1]) < prev:
         prev = len(terms[-1])
-        # Primitive integer multiples of the echelon rows span the same term.
-        current = [_integer_row(v)[0] for v in terms[-1]]
-        terms.append(_eliminate(_next_generators(L, current, lower_central), d, prev)[0])
+        terms.append(_echelon(_next_generators(L, list(terms[-1].values()), lower_central), prev))
     return terms
 
 
 def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
-    """Brackets spanning the term after the one spanned by ``current``."""
-    d = L.dim
+    """The nonzero brackets, as sparse rows, spanning the term after the one
+    spanned by the sparse rows ``current``."""
     ads = L._sparse_ads
     if lower_central:  # [x_a, y] for every basis element x_a
         for cols in ads:
+            if not cols:
+                continue
             for y in current:
-                v = [0] * d
+                v: dict = {}
                 _add_bracket(v, 1, cols, y)
-                yield v
+                if v:
+                    yield v
     else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
         for p, y in enumerate(current):
             for z in current[p + 1 :]:
-                v = [0] * d
-                for a, ya in enumerate(y):
-                    if ya:
-                        _add_bracket(v, ya, ads[a], z)
-                yield v
+                v = {}
+                for a, ya in y.items():
+                    _add_bracket(v, ya, ads[a], z)
+                if v:
+                    yield v
 
 
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
+    """The series as subspaces, from ``_series_rows`` of the algebra with
+    integer constants, whose series are the same spans."""
     shape = L.ambient_shape
-    return [L.full_subspace()] + [Subspace._from_echelon(*shape, rows) for rows in _series_rows(L, lower_central)]
+    terms = _series_rows(_integer_constants(L), lower_central)
+    return [L.full_subspace()] + [Subspace._from_echelon(*shape, _reduced_rows(t, L.dim)[0]) for t in terms]
 
 
 def derived_series(L: LieAlgebra) -> List[Subspace]:
@@ -412,15 +452,15 @@ def lower_central_series(L: LieAlgebra) -> List[Subspace]:
 
 def killing_form(L: LieAlgebra):
     """Gram matrix ``trace(ad_a . ad_b)`` and its exact rank."""
-    gram_matrix = Matrix(_killing_gram(L))
+    gram_matrix = Matrix(_dense(row, L.dim) for row in _killing_gram(L))
     return gram_matrix, rank(gram_matrix)
 
 
 def _killing_gram(L: LieAlgebra) -> list:
-    """Rows of the Gram matrix ``trace(ad_a . ad_b)``."""
+    """Sparse rows of the Gram matrix ``trace(ad_a . ad_b)``."""
     d = L.dim
     ads = L._sparse_ads
-    gram = [[0] * d for _ in range(d)]
+    gram: list = [dict() for _ in range(d)]
     for a in range(d):
         cols_a = ads[a]
         for b in range(a, d):
@@ -433,8 +473,9 @@ def _killing_gram(L: LieAlgebra) -> list:
                         y = x.get(v)
                         if y:
                             total += y * w
-            gram[a][b] = total
-            gram[b][a] = total
+            if total:
+                gram[a][b] = total
+                gram[b][a] = total
     return gram
 
 
@@ -511,7 +552,7 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     fcols = [flat[a::d] for a in range(d)]
     if dst.model is not None:
         return _model_hom_check(fcols, den, src, dst.model)
-    injective = _rank(fcols, dst.dim) == d
+    injective = _rank(map(_sparse_row, fcols), dst.dim) == d
     fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
     for a in range(d):
         for b in range(a + 1, d):
@@ -558,7 +599,7 @@ def _model_hom_check(fcols: list, den: int, src: LieAlgebra, model: BracketParam
         # C_j(Y) from the columns of X packed at the slots i m: Y = X (c J').
         xcols = [_pack(col[k::m], w * m) for k in range(m)]
         cpacks.append([sum(map(mul, jc, xcols)) for jc in jcols])
-    injective = _rank(fcols, model.dim) == src.dim
+    injective = _rank(map(_sparse_row, fcols), model.dim) == src.dim
     for a, (ca, ra) in enumerate(zip(cpacks, rpacks)):
         for b in range(a + 1, len(fcols)):
             right = sum(map(mul, ca, rpacks[b])) - sum(map(mul, cpacks[b], ra))
@@ -622,13 +663,13 @@ class InvariantSignature:
 
 def _integer_constants(L: LieAlgebra) -> LieAlgebra:
     """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
-    of its constants, so that every constant is an integer; ``L`` itself when
-    ``D`` is 1.  The constants are linear in the parameter, so a model ``J``
-    becomes ``D J``."""
+    of its constants, so that every constant is an ``int``; ``L`` itself when
+    they all are.  The constants are linear in the parameter, so a model
+    ``J`` becomes ``D J``."""
     table = L.constants.table
-    den = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
-    if den == 1:
+    if _INT_ONLY.issuperset(map(type, chain.from_iterable(map(dict.values, table.values())))):
         return L
+    den = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
     scaled = {
         pair: {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
         for pair, terms in table.items()
@@ -670,8 +711,8 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     """
     L = _integer_constants(L)
     d = L.dim
-    units = [((x, 1),) for x in range(d)]
-    basis = [_integer_row(v)[0] for v in L._derived_rows]
+    units = [{x: 1} for x in range(d)]
+    basis = list(L._derived_rows.values())
     k = len(basis)
     derived_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, False))
     if derived_dims == (d, k, k):  # [g, g] is its own derived algebra
@@ -689,26 +730,25 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
 
 def _rank(rows, width: int) -> int:
+    """The rank of the sparse integer ``rows`` of length ``width``."""
     return len(_echelon(rows, width))
 
 
 def _derived_center_rows(L: LieAlgebra, basis: list):
-    """Rows ``(j, t)`` of ``M``: ``([b_i, b_j]_t)_i`` for the integer rows
-    ``b_i`` of ``basis``, formed one ``j`` at a time.  ``[b_i, b_j]`` is
-    ``sum_a b_i[a] [x_a, b_j]``, so each ``[x_a, b_j]`` is formed once and
-    added to the rows with weights ``(b_i[a])_i``."""
-    d = L.dim
-    weights = [tuple(b[a] for b in basis) for a in range(d)]
+    """Sparse rows ``(j, t)`` of ``M``: ``([b_i, b_j]_t)_i`` for the sparse
+    integer rows ``b_i`` of ``basis``, formed one ``j`` at a time.
+    ``[b_i, b_j]`` is ``sum_a b_i[a] [x_a, b_j]``, so each ``[x_a, b_j]`` is
+    formed once and added to the rows with weights ``{i: b_i[a]}``."""
+    ads = L._sparse_ads
+    weights: Dict[int, dict] = defaultdict(dict)
+    for i, b in enumerate(basis):
+        for a, x in b.items():
+            weights[a][i] = x
     for z in basis:
-        rows: Dict[int, list] = {}
-        for cols, wa in zip(L._sparse_ads, weights):
-            if not any(wa):
-                continue
-            u = [0] * d
-            _add_bracket(u, 1, cols, z)  # [x_a, z]
-            for t, ut in enumerate(u):
-                if ut:
-                    row = rows.get(t)
-                    scaled = [ut * w for w in wa]
-                    rows[t] = scaled if row is None else [x + y for x, y in zip(row, scaled)]
-        yield from rows.values()
+        rows: Dict[int, dict] = defaultdict(dict)
+        for a, wa in weights.items():
+            u: dict = {}
+            _add_bracket(u, 1, ads[a], z)  # [x_a, z]
+            for t, ut in u.items():
+                _add_multiple(rows[t], ut, wa)
+        yield from filter(None, rows.values())

@@ -22,7 +22,7 @@ from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, LinearMap, _model_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _rref_rows, rank
+from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
 
 
@@ -155,7 +155,7 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
         rcols = list(zip(*right))
         m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in left)
         # The product has rank at most target_rank, so that bound is exact.
-        if len(_echelon(m, cols, bound=target_rank)) == target_rank:
+        if len(_echelon(map(_sparse_row, m), target_rank)) == target_rank:
             return Matrix._raw(m)
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 

@@ -16,11 +16,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, LinearMap, center, hom_check, lower_central_series, subalgebra_closed
+from .algebra import LieAlgebra, LinearMap, _model_hom_check, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, Subspace, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _integer_row, rank, rref
 from .scalars import scalar_str, to_scalar
 
 
@@ -210,7 +211,9 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     own: Z is a bracket of generators, any homomorphic image of it is a
     commutator and hence traceless, while a nonzero scalar matrix has
     nonzero trace in characteristic zero.  Otherwise the candidate is
-    checked as a commutator homomorphism and for injectivity.
+    checked as a commutator homomorphism and for injectivity, on the
+    integer columns of its images and through the commutator model, so no
+    structure constants of gl(k) are built.
     """
     d = cand.src.dim
     if d < 3 or d % 2 == 0:
@@ -229,8 +232,10 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
                 "reason": "a commutator has trace 0, a nonzero scalar matrix does not",
             },
         )
-    target = LieAlgebra.from_param(BracketParam.commutator(cand.target_dim))
-    verdict = hom_check(cand.as_map(), cand.src, target)
+    flat, den = _integer_row(tuple(chain.from_iterable(img.entries for img in cand.images)))
+    size = cand.target_dim**2
+    fcols = [flat[a * size : (a + 1) * size] for a in range(d)]
+    verdict = _model_hom_check(fcols, den, cand.src, BracketParam.commutator(cand.target_dim))
     if not verdict.is_hom:
         return ObstructionVerdict("not-a-hom", verdict.witness)
     if verdict.injective:

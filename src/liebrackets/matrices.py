@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: dense matrices, sparse elimination.
 
 Everything here is a pure function of immutable values: ``Matrix`` holds a
 tuple-of-tuples of exact scalars, and the row-reduction routines return new
@@ -8,27 +8,32 @@ two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
 ``classify.iso_witness`` forms its witnesses from the same eliminations
 without building the factors.
 
-Elimination works on integer rows (denominators cleared, rows divided by
-their gcd), normalised to the canonical reduced rows at the end, in two
-loops.  ``kernel``, ``Subspace`` and the series of ``algebra`` need only
-the span, and call ``_eliminate``, which builds the reduced echelon basis
-one input row at a time and stops reading rows once the basis has full
-column rank, or reaches a dimension bound the caller knows the span cannot
-pass.  ``rank`` and the ranks of ``algebra`` and ``classify`` need only its
-dimension, and count the rows of ``_echelon``, the same loop without the
-final division by the pivots.  ``rref`` also returns the transform, whose
+Span and rank questions share one elimination loop, ``_echelon``, on
+sparse integer rows: dicts ``{column: int}`` that hold only the nonzero
+entries.  It builds a reduced echelon basis of primitive integer rows one
+input row at a time, reduces each incoming row only at the basis pivots it
+touches, and stops reading rows once the basis reaches a dimension bound
+the caller knows the span cannot pass (at most the width).  Its length is
+a rank: ``rank`` and the ranks of ``algebra`` and ``classify`` read only
+that.  The row builders of ``algebra`` hand it sparse rows straight from
+the structure constants.  A dense row enters through one boundary helper,
+``_sparse_row``, which scales it to integers and drops its zeros.
+``kernel``, ``Subspace`` and the series need the span itself, and
+``_eliminate`` (or ``_reduced_rows``) divides each basis row by its pivot
+and writes it out as a canonical dense row, so their values do not depend
+on the row representation.  ``rref`` also returns the transform, whose
 null rows depend on the pivot order, so it runs the fraction-free
 column-major Gauss-Jordan loop ``_gauss_jordan`` on ``[m | I]``, reads the
 transform off the identity block and divides each row once at the end.
 ``classify.iso_witness`` calls the same loop and keeps its integer rows.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
-row scaled to integers and the scale.  Besides the kernel, ``Matrix @``
-uses it on each row of the left factor and each column of the right one,
-so every entry of a product is one integer dot product followed by at most
-one exact division (a zero row of the left factor gives a zero row without
-any); ``algebra`` uses it to scale linear maps and coordinate vectors to
-integers.  Products, sums, differences and scalar multiples come back
+row scaled to integers and the scale.  Besides ``_sparse_row``,
+``Matrix @`` uses it on each row of the left factor and each column of
+the right one, so every entry of a product is one integer dot product
+followed by at most one exact division (a zero row of the left factor
+gives a zero row without any); ``algebra`` and ``constructions`` use it
+to scale linear maps to integers.  Products, sums, differences and scalar multiples come back
 canonical: ``int`` when integral.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
@@ -290,9 +295,27 @@ def _integer_row(v: Sequence[Scalar]) -> tuple:
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
+def _sparse_row(v: Sequence[Scalar]) -> dict:
+    """The kernel's one dense boundary: the nonzero entries of
+    ``_integer_row(v)[0]``, the row ``v`` scaled to integers, as the sparse
+    row ``{column: int}`` that ``_echelon`` reads."""
+    return {c: x for c, x in enumerate(_integer_row(v)[0]) if x}
+
+
+def _add_multiple(v: dict, f: Scalar, row: dict) -> None:
+    """``v += f * row`` on sparse rows, for ``f != 0``: an entry that
+    becomes zero is removed, so ``v`` keeps only nonzero entries."""
+    for k, y in row.items():
+        x = v.get(k, 0) + f * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
 def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bound: Optional[int] = None) -> tuple:
-    """The package's one span kernel: the reduced row-echelon basis of the
-    span of ``rows``, built one row at a time on integer rows.
+    """The reduced row-echelon basis of the span of the dense rows ``rows``:
+    ``_echelon`` on their ``_sparse_row``, made dense by ``_reduced_rows``.
 
     Returns ``(reduced, pivots)``: the nonzero rows of the reduced
     row-echelon form, as tuples of canonical scalars (``int`` when
@@ -300,64 +323,87 @@ def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bo
     of a row space is unique, these are the rows Gauss-Jordan over the
     rationals would give, in any row order.
 
-    The basis is held as primitive integer rows, each zero in the pivot
-    columns of the others.  An incoming row is scaled to integers by
-    ``_integer_row``; a zero row is skipped, any other is reduced at each
-    basis pivot ``p`` with entry ``f`` to ``p*v - f*P``.  If it is still
-    nonzero it is divided by its gcd, its lead column is eliminated from
-    the basis rows the same way (each kept primitive), and it joins the
-    basis.  At the end each basis row is divided by its pivot.
-
     ``rows`` may be any iterable of rows of length ``width``; ``width`` may
     be left out when ``rows`` is a list or tuple, and is then the length of
-    its first row.  Rows are read only until the basis holds ``bound`` rows
-    (default ``width``).  The caller passes a ``bound`` only where the span
-    is known to lie in a space of that dimension: the basis then spans that
-    whole space, so the rows left are in its span, and the result is the
-    one all rows would give.  With the default, that space is Q^width.
+    its first row.  Rows are converted and read only until the basis holds
+    ``bound`` rows (default ``width``), as ``_echelon`` says.
     """
-    basis = _echelon(rows, width, bound)
-    basis.sort(key=lambda entry: entry[0])
-    reduced = []
-    for c, row in basis:
-        d = row[c]
-        reduced.append(tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row))
-    return tuple(reduced), tuple(c for c, _ in basis)
-
-
-def _echelon(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bound: Optional[int] = None) -> list:
-    """The loop of ``_eliminate``: its basis ``[pivot column, primitive
-    integer row]`` in the order built, before any division by a pivot, so
-    its length is the rank of ``rows`` (up to ``bound``)."""
     if width is None:
         width = len(rows[0]) if rows else 0
-    if bound is None:
-        bound = width
-    basis = []  # [pivot column, primitive integer row]
+    return _reduced_rows(_echelon(map(_sparse_row, rows), width if bound is None else bound), width)
+
+
+def _reduced_rows(basis: dict, width: int) -> tuple:
+    """``(reduced, pivots)`` of an ``_echelon`` basis: each row divided by its
+    pivot entry and written out densely, as canonical tuples of length
+    ``width``, in the order of the pivots."""
+    pivots = sorted(basis)
+    reduced = []
+    for c in pivots:
+        row = basis[c]
+        d = row[c]
+        out = [0] * width
+        for k, x in row.items():
+            out[k] = x if d == 1 else scalar_div(x, d)
+        reduced.append(tuple(out))
+    return tuple(reduced), tuple(pivots)
+
+
+def _echelon(rows: Iterable[dict], bound: int) -> dict:
+    """The package's one span and rank kernel: the reduced echelon basis of
+    the span of the sparse integer rows ``rows``, built one row at a time.
+
+    A sparse row is a dict ``{column: int}`` holding only its nonzero
+    entries (``_sparse_row`` makes one from a dense row).  Rows are read,
+    never changed, so a caller may pass dicts it keeps.  The basis is
+    returned as ``{pivot column: primitive integer row}``, in the order
+    built and before any division by a pivot, so its length is the rank of
+    ``rows``.  Each basis row is zero in the pivot columns of the others
+    and its pivot is its first column, so ``_reduced_rows`` divides it out
+    into the reduced row-echelon form.
+
+    An incoming row is reduced only at the basis pivots it touches: at
+    pivot ``c`` of basis row ``P`` with entry ``f``, it becomes
+    ``P[c]*v - f*P``.  As ``P`` is zero at the other pivots, this touches
+    no other pivot, so the set of pivots to visit is known at the start.  A
+    row left nonzero is divided by its gcd, its first column ``l`` is
+    eliminated from the basis rows with a nonzero entry there (each becomes
+    ``v[l]*P - P[l]*v``, kept primitive) and it joins the basis with pivot
+    ``l``.
+
+    Rows are read only until the basis holds ``bound`` rows.  The caller
+    passes the dimension of a space known to hold the span (the width, at
+    most): the basis then spans that whole space, so the rows left are in
+    its span, and the result is the one all rows would give.
+    """
+    basis: dict = {}  # pivot column -> primitive integer row
     for row in rows:
-        v = _integer_row(row)[0]
-        if not any(v):
+        touched = [c for c in row if c in basis]
+        v = row
+        if touched:
+            v = dict(row)
+            for c in touched:
+                prow = basis[c]
+                p, f = prow[c], v[c]
+                if p != 1:
+                    for k in v:
+                        v[k] *= p
+                _add_multiple(v, -f, prow)
+        if not v:
             continue
-        for c, prow in basis:
-            f = v[c]
-            if f:
-                p = prow[c]
-                v = [p * x - f * y for x, y in zip(v, prow)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        g = gcd(*v)
+        g = gcd(*v.values())
         if g != 1:
-            v = [x // g for x in v]
+            v = {k: x // g for k, x in v.items()}
+        lead = min(v)
         pv = v[lead]
-        for entry in basis:
-            prow = entry[1]
-            f = prow[lead]
+        for c, prow in basis.items():
+            f = prow.get(lead)
             if f:
-                b = [pv * x - f * y for x, y in zip(prow, v)]
-                g = gcd(*b)
-                entry[1] = b if g == 1 else [x // g for x in b]
-        basis.append([lead, v])
+                b = {k: pv * x for k, x in prow.items()}
+                _add_multiple(b, -f, v)
+                g = gcd(*b.values())
+                basis[c] = b if g == 1 else {k: x // g for k, x in b.items()}
+        basis[lead] = v
         if len(basis) == bound:
             break
     return basis
@@ -450,7 +496,7 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m._data))
+    return len(_echelon(map(_sparse_row, m._data), m.cols))
 
 
 def inverse(m: Matrix) -> Matrix:

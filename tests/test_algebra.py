@@ -1,8 +1,11 @@
 """Engine computations: axioms, center, series, Killing form, hom checks."""
 
 import json
+import math
 import random
+import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +38,7 @@ from liebrackets.brackets import (
     structure_constants,
 )
 from liebrackets.classify import iso_witness, random_parameter
+from liebrackets.deform import PATH_TIMES as DEFORM_PATH_TIMES
 from liebrackets.deform import deformation_bracket
 from liebrackets.matrices import (
     Matrix,
@@ -1071,3 +1075,160 @@ def sympy_signature_ranks(sympy, L):
     # [y, b_j] = C_j y with column a of C_j equal to ad_a b_j.
     blocks = [sympy.Matrix.hstack(*(ad * b for ad in ads)) * b_mat for b in basis]
     return center_dim, killing_rank, len(sympy.Matrix.vstack(*blocks).nullspace())
+
+
+def reference_echelon(rows, width=None, bound=None):
+    """``matrices._echelon`` kept verbatim from before it read sparse rows:
+    each row is scaled to integers by ``_integer_row`` and reduced as a dense
+    list at every basis pivot.  Returns ``[pivot column, primitive integer
+    row]`` in the order built."""
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    if bound is None:
+        bound = width
+    basis = []  # [pivot column, primitive integer row]
+    for row in rows:
+        v = matrices._integer_row(row)[0]
+        if not any(v):
+            continue
+        for c, prow in basis:
+            f = v[c]
+            if f:
+                p = prow[c]
+                v = [p * x - f * y for x, y in zip(v, prow)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        g = math.gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+        pv = v[lead]
+        for entry in basis:
+            prow = entry[1]
+            f = prow[lead]
+            if f:
+                b = [pv * x - f * y for x, y in zip(prow, v)]
+                g = math.gcd(*b)
+                entry[1] = b if g == 1 else [x // g for x in b]
+        basis.append([lead, v])
+        if len(basis) == bound:
+            break
+    return basis
+
+
+def dense_reference_signature(L):
+    """The invariant signature from dense rows alone, every rank taken by
+    ``reference_echelon``: brackets by ``reference_bracket_coords``, the
+    center from the stacked adjoint, both series eliminated in full (no
+    bound and no shortcut), the Killing rank from ``trace(ad_a ad_b)`` and
+    the derived center from the rows ``([b_i, b_j]_t)_i``."""
+    d = L.dim
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+
+    def br(y, z):
+        return reference_bracket_coords(L.constants, y, z)
+
+    def basis(rows, width=d):
+        return [row for _, row in reference_echelon(list(rows), width)]
+
+    ad = [[br(units[a], units[b]) for b in range(d)] for a in range(d)]  # ad[a][b] = [x_a, x_b]
+    derived = basis(ad[a][b] for a in range(d) for b in range(a + 1, d))
+
+    def series_dims(lower_central):
+        terms = [derived]
+        prev = d
+        while 0 < len(terms[-1]) < prev:
+            prev = len(terms[-1])
+            cur = terms[-1]
+            if lower_central:
+                gens = [br(x, y) for x in units for y in cur]
+            else:
+                gens = [br(y, z) for p, y in enumerate(cur) for z in cur[p + 1 :]]
+            terms.append(basis(gens))
+        return (d,) + tuple(len(t) for t in terms)
+
+    # Row k of ad_a, flattened, and column k of ad_b: trace(ad_a ad_b) is their dot product.
+    flat_rows = [[ad[a][c][k] for k in range(d) for c in range(d)] for a in range(d)]
+    flat_cols = [[ad[b][k][c] for k in range(d) for c in range(d)] for b in range(d)]
+    gram = [[sum(map(mul, flat_rows[a], flat_cols[b])) for b in range(d)] for a in range(d)]
+    k = len(derived)
+    center_rows = [[ad[x][i][t] for i in range(d)] for x in range(d) for t in range(d)]
+    m_rows = []
+    for z in derived:
+        brackets = [br(y, z) for y in derived]
+        m_rows += [[w[t] for w in brackets] for t in range(d)]
+    return InvariantSignature(
+        dim=d,
+        center_dim=d - len(basis(center_rows)),
+        derived_dims=series_dims(False),
+        lcs_dims=series_dims(True),
+        killing_rank=len(basis(gram)),
+        derived_center_dim=k - len(basis(m_rows, k)),
+    )
+
+
+def low_rank_rational(rng, n, m, r):
+    """A rational ``m x n`` parameter of rank at most ``r``: a sum of ``r``
+    outer products of vectors with entries in ``RATIONALS``."""
+    us = [[rng.choice(RATIONALS) for _ in range(m)] for _ in range(r)]
+    vs = [[rng.choice(RATIONALS) for _ in range(n)] for _ in range(r)]
+    return Matrix([[sum(u[i] * v[j] for u, v in zip(us, vs)) for j in range(n)] for i in range(m)])
+
+
+def dense_reference_cases():
+    """``(id, algebra)`` for the signatures compared with the dense reference."""
+    for n in range(1, 7):
+        for m in range(1, 7):
+            if min(n, m) <= 3:
+                for r in range(min(n, m) + 1):
+                    yield f"normal-{n}x{m}-r{r}", BracketParam.normal(n, m, r)
+    for n in range(1, 4):
+        for r in range(n + 1):
+            for t in DEFORM_PATH_TIMES[1:-1]:
+                yield f"path-{n}-r{r}-t{t}", deformation_bracket(n, rank_normal_form(n, n, r), t)
+    rng = random.Random(19)
+    for i in range(20):
+        n, m = ((3, 4), (4, 3))[i % 2]
+        j = Matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(m)])
+        yield f"dense-{n}x{m}-{i}", BracketParam(n, m, j)
+    for n, m, r in ((3, 4, 1), (4, 3, 2), (3, 3, 2), (2, 5, 1), (4, 4, 3)):
+        yield f"rational-{n}x{m}-r{r}", BracketParam(n, m, low_rank_rational(rng, n, m, r))
+
+
+DENSE_REFERENCE_CASES = dict(dense_reference_cases())
+
+
+class TestSparseSignature:
+    @pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_CASES))
+    def test_signature_matches_the_dense_reference_kernel(self, name):
+        L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
+        assert invariant_signature(L) == dense_reference_signature(L)
+
+    @pytest.mark.parametrize("name", ["normal-3x6-r2", "normal-6x3-r3", "dense-3x4-0", "dense-4x3-1"])
+    def test_integer_signature_reads_only_sparse_rows(self, monkeypatch, name):
+        # With integer constants no row is scaled to integers, and every row
+        # the kernel reads is a dict of nonzero entries.
+        L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
+        expected = dense_reference_signature(L)
+        real_integer_row, real_echelon = matrices._integer_row, matrices._echelon
+        read = []
+
+        def refuse(v):
+            raise AssertionError("the signature scaled a dense row to integers")
+
+        def echelon(rows, bound):
+            def recorded():
+                for row in rows:
+                    read.append(type(row) is dict and all(row.values()))
+                    yield row
+
+            return real_echelon(recorded(), bound)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "liebrackets":
+                if getattr(module, "_integer_row", None) is real_integer_row:
+                    monkeypatch.setattr(module, "_integer_row", refuse)
+                if getattr(module, "_echelon", None) is real_echelon:
+                    monkeypatch.setattr(module, "_echelon", echelon)
+        assert invariant_signature(L) == expected
+        assert read and all(read)

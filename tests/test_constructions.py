@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from liebrackets.constructions import (
     semidirect_S,
 )
 from liebrackets.matrices import Matrix, matrix_to_json
+from liebrackets.verify import check_heisenberg_obstruction
 from test_matrices import solve_coordinates
 
 
@@ -116,6 +118,48 @@ class TestHeisenbergObstruction:
         cand = sl2_candidate()
         with pytest.raises(ValueError):
             heisenberg_obstruction(cand)
+
+    def test_check_builds_no_destination_constants(self, monkeypatch):
+        # Each candidate is checked through the commutator model on integer
+        # columns; the sources are abstract, so no table is built at all.
+        expected = check_heisenberg_obstruction()
+
+        def refuse(param):
+            raise AssertionError(f"structure constants built for {param.n}x{param.m}")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets" and hasattr(module, "structure_constants"):
+                monkeypatch.setattr(module, "structure_constants", refuse)
+        got = check_heisenberg_obstruction()
+        assert got["pass"] and got == expected
+
+    def test_verdicts_match_a_check_against_the_full_commutator_algebra(self):
+        rng = random.Random(3)
+        entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+        kinds = set()
+        for n in (1, 2):
+            src = heisenberg_abstract(n)
+            for target in range(1, n + 3):
+                gl = LieAlgebra.from_param(BracketParam.commutator(target))
+                for _ in range(6):
+                    images = tuple(
+                        Matrix([[rng.choice(entries) for _ in range(target)] for _ in range(target)])
+                        for _ in range(2 * n + 1)
+                    )
+                    cand = RepCandidate(src, images, target)
+                    verdict = heisenberg_obstruction(cand)
+                    kinds.add(verdict.kind)
+                    if verdict.kind == "scalar-Z-contradiction":
+                        continue
+                    full = hom_check(cand.as_map(), src, gl)
+                    if not full.is_hom:
+                        assert (verdict.kind, verdict.detail) == ("not-a-hom", full.witness)
+                    elif full.injective:
+                        assert (verdict.kind, verdict.detail) == ("faithful", {"target_dim": target})
+                    else:
+                        assert verdict.kind == "not-faithful"
+        kinds.add(heisenberg_obstruction(classical_representation(2)).kind)
+        assert kinds >= {"not-a-hom", "faithful"}
 
 
 class TestSemidirect:

@@ -786,6 +786,82 @@ class TestEarlyExit:
         assert matrices._eliminate(stream(), 4, bound) == matrices._eliminate(rows + tail)
 
 
+def sympy_rref(sympy, rows, width):
+    """``(reduced, pivots)`` of sympy's ``rref`` of ``rows``: its nonzero
+    rows, with entries as canonical scalars, and its pivot columns."""
+    if not rows:
+        return (), ()
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+    reduced, pivots = sympy.Matrix(len(rows), width, flat).rref()
+    out = tuple(
+        tuple(int(x.p) if x.q == 1 else Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+        for i in range(len(pivots))
+    )
+    return out, tuple(pivots)
+
+
+def typed_result(result):
+    reduced, pivots = result
+    return [[(x, type(x)) for x in row] for row in reduced], pivots
+
+
+NONZERO = [x for x in INTEGERS + FRACTIONS if x != 0]
+ROW_ENTRIES = {
+    "mostly-zero": st.sampled_from([0] * 12 + [1, -1, 3, -7, Fraction(1, 2)]),
+    "dense": st.sampled_from([x for x in INTEGERS if x]),
+    "rational": st.sampled_from(NONZERO),
+    "all-zero": st.just(0),
+}
+
+
+@st.composite
+def elimination_inputs(draw):
+    """``(rows, width)``: rows that are mostly zero, dense integer, dense
+    rational, all zero, or repeats and multiples of up to three rows (which
+    can carry non-canonical ``Fraction(k, 1)`` entries)."""
+    kind = draw(st.sampled_from(sorted(ROW_ENTRIES) + ["repeated"]))
+    width = draw(st.integers(1, 10))
+    count = draw(st.integers(0, 14))
+
+    def row(entries):
+        return tuple(draw(st.lists(entries, min_size=width, max_size=width)))
+
+    if kind == "repeated":
+        base = [row(ENTRIES) for _ in range(draw(st.integers(1, 3)))]
+        scale = st.sampled_from([1, 1, -1, 2, Fraction(1, 3)])
+        return [tuple(draw(scale) * x for x in draw(st.sampled_from(base))) for _ in range(count)], width
+    return [row(ROW_ENTRIES[kind]) for _ in range(count)], width
+
+
+class TestSparseKernelOracle:
+    """``_eliminate`` (the sparse kernel ``_echelon`` behind its dense
+    boundary) gives the rows, pivots and entry types of sympy's ``rref``."""
+
+    @ORACLE
+    @given(elimination_inputs())
+    def test_eliminate_matches_sympy_rref(self, case):
+        sympy = pytest.importorskip("sympy")
+        rows, width = case
+        assert typed_result(matrices._eliminate(rows, width)) == typed_result(sympy_rref(sympy, rows, width))
+
+    @ORACLE
+    @given(st.data())
+    def test_a_generator_with_a_valid_bound_gives_the_all_rows_result(self, data):
+        # Every row is a combination of ``bound`` rows, so the span lies in a
+        # space of dimension ``bound``; the rows are given as a generator.
+        sympy = pytest.importorskip("sympy")
+        width = data.draw(st.integers(1, 8))
+        bound = data.draw(st.integers(1, width))
+        space = [data.draw(st.lists(ENTRIES, min_size=width, max_size=width)) for _ in range(bound)]
+        rows = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            coefs = data.draw(st.lists(ENTRIES, min_size=bound, max_size=bound))
+            rows.append(tuple(sum(c * v[i] for c, v in zip(coefs, space)) for i in range(width)))
+        got = matrices._eliminate(iter(rows), width, bound)
+        assert typed_result(got) == typed_result(sympy_rref(sympy, rows, width))
+        assert typed_result(got) == typed_result(matrices._eliminate(rows, width))
+
+
 # Integers and p/q, each in the canonical type the parsers return.
 canonical_scalars = st.one_of(
     st.integers(-10**6, 10**6),
