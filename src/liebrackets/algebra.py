@@ -14,8 +14,9 @@ from one table, ``LieAlgebra._sparse_ads``, built once per algebra.  The
 Jacobi check's triple sweep also proves Jacobi for every parameter of a
 shape, on the unit tables merged into one with polynomial constants.
 ``hom_check`` into an algebra with a matrix model brackets the images
-through the model and packs each side of each basis pair into one integer,
-so a pair costs a few integer products and one comparison.
+through the model with ``brackets._packed_brackets``, the kernel of
+``_pair_brackets``, and packs the other side of each basis pair into one
+integer too, so a pair costs ``2 n`` integer products and one comparison.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
@@ -53,7 +54,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import BracketParam, StructureConstants, bracket, structure_constants
+from .brackets import BracketParam, StructureConstants, _pack, _packed_brackets, _unpack, bracket, structure_constants
 from .matrices import (
     _INT_ONLY,
     Matrix,
@@ -514,32 +515,22 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     Without a matrix model on the destination, the right side is
     ``LieAlgebra.bracket_coords``.  With one, it is evaluated through the
     model (a route independent of the structure constants), and each side of
-    each pair is packed into one integer (Kronecker substitution):
+    each pair is packed into one integer at the slot width ``w`` of
+    ``brackets._packed_brackets``, whose packing lemma makes equal packings
+    mean equal sides:
 
     - The images ``X_a`` are the columns of ``F``, read as ``n x m``.  With
       ``J' = d_J J`` integer and ``c`` the lcm of the denominators of the
       source constants, both sides are multiplied by ``d_J c``: the left
       side becomes ``sum_k (s c_ab^k) F e_k`` with ``s = D d_J c`` and every
       ``s c_ab^k`` an integer, and the right side ``[X_a, X_b]`` under
-      ``c J'``.
-    - A vector ``v`` packs to ``sum_t v_t 2^(w t)``, a linear map, so the
-      left side packs to ``sum_k (s c_ab^k) pack(F e_k)``, from the ``d``
-      packed columns.  With ``Y_a = X_a (c J')``, entry ``(i, k)`` of the
-      right side is ``sum_j Y_a[i][j] X_b[j][k] - Y_b[i][j] X_a[j][k]``, so
-      it packs to ``sum_j C_j(Y_a) R_j(X_b) - C_j(Y_b) R_j(X_a)``, where
-      ``R_j`` packs row ``j`` of an image into the slots ``0..m-1`` and
-      ``C_j`` packs column ``j`` of ``Y`` into the slots ``i m``.  Slot
-      ``i m`` times slot ``k`` lands in slot ``i m + k``, one for each
-      ``(i, k)``.  So a pair costs ``2 n`` integer products and one
+      ``c J'``, which the kernel packs.
+    - Packing is linear, so the left side packs to
+      ``sum_k (s c_ab^k) pack(F e_k)``, from the ``d`` packed columns, a
+      combination of the images with coefficients of absolute sum at most
+      ``s max_ab sum_k |c_ab^k|``, which ``w`` covers too.  So a pair costs
+      the kernel's ``2 n`` products, one per left-side term, and one
       comparison.
-    - Packing lemma: if every entry of both sides is below ``2^(w-1)`` in
-      absolute value, equal packings mean equal vectors.  Each entry of the
-      difference ``u`` is then below ``2^w``, and ``sum_t u_t 2^(w t) = 0``
-      gives ``u_0 = 0`` modulo ``2^w``, so ``u_0 = 0``, and so on up.
-    - The bound: ``|right| <= 2 n max|X| max|Y|``, with
-      ``max|Y| <= max|X| max_j sum_k |c J'[k][j]|``, and
-      ``|left| <= s max_ab sum_k |c_ab^k| max|X|``.  ``w`` is one more than
-      the bit length of the larger, so the comparison is exact.
     - The first failing pair's packings are decoded into their balanced
       base-``2^w`` digits, the two sides, for the witness.
     """
@@ -579,59 +570,21 @@ def _model_hom_check(fcols: list, den: int, src: LieAlgebra, model: BracketParam
     """``hom_check`` into the ``model`` bracket of the map whose matrix has
     the integer columns ``fcols`` over ``den``, on packed integers as
     described there; it reads no structure constants of the destination."""
-    n, m = model.n, model.m
-    table = src.constants.table
-    c = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
-    if c != 1:
-        table = {pair: {k: v.numerator * (c // v.denominator) for k, v in terms.items()}
-                 for pair, terms in table.items()}
+    table, c = _integer_table(src.constants.table)
     jflat, dj = _integer_row(model.j.entries)
-    jcols = [[c * x for x in jflat[j::n]] for j in range(n)]  # column j of c J'
     f = den * dj
-    max_x = max(map(abs, chain.from_iterable(fcols)), default=0)
-    max_y = max_x * max(sum(map(abs, jc)) for jc in jcols)
     max_c = max((sum(map(abs, terms.values())) for terms in table.values()), default=0)
-    w = max(2 * n * max_x * max_y, f * max_c * max_x).bit_length() + 1
-    packed, rpacks, cpacks = [], [], []
-    for col in fcols:
-        packed.append(f * _pack(col, w))
-        rpacks.append([_pack(col[j * m : (j + 1) * m], w) for j in range(n)])
-        # C_j(Y) from the columns of X packed at the slots i m: Y = X (c J').
-        xcols = [_pack(col[k::m], w * m) for k in range(m)]
-        cpacks.append([sum(map(mul, jc, xcols)) for jc in jcols])
+    w, pairs = _packed_brackets(fcols, [c * x for x in jflat], model.n, model.m, f * max_c)
+    packed = [f * _pack(col, w) for col in fcols]
     injective = _rank(map(_sparse_row, fcols), model.dim) == src.dim
-    for a, (ca, ra) in enumerate(zip(cpacks, rpacks)):
-        for b in range(a + 1, len(fcols)):
-            right = sum(map(mul, ca, rpacks[b])) - sum(map(mul, cpacks[b], ra))
-            terms = table.get((a, b))
-            left = sum(map(mul, terms.values(), map(packed.__getitem__, terms))) if terms else 0
-            if left != right:
-                size = model.dim
-                witness = _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
-                return HomVerdict(False, injective, witness)
+    for a, b, right in pairs:
+        terms = table.get((a, b))
+        left = sum(map(mul, terms.values(), map(packed.__getitem__, terms))) if terms else 0
+        if left != right:
+            size = model.dim
+            witness = _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
+            return HomVerdict(False, injective, witness)
     return HomVerdict(True, injective)
-
-
-def _pack(values, w: int) -> int:
-    """``sum_t values[t] * 2^(w t)``."""
-    out = 0
-    for v in reversed(values):
-        out = (out << w) + v
-    return out
-
-
-def _unpack(x: int, w: int, size: int) -> list:
-    """The ``size`` balanced base-``2^w`` digits of ``x``, each in
-    ``[-2^(w-1), 2^(w-1))``: the inverse of ``_pack`` on such digits."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = []
-    for _ in range(size):
-        t = x & mask
-        if t >= half:
-            t -= mask + 1
-        out.append(t)
-        x = (x - t) >> w
-    return out
 
 
 @dataclass(frozen=True)
@@ -661,21 +614,26 @@ class InvariantSignature:
         }
 
 
+def _integer_table(table: dict) -> tuple:
+    """``(D table, D)``, with ``D`` the lcm of the denominators of the
+    constants ``table``; ``(table, 1)`` when they are all ``int``."""
+    if _INT_ONLY.issuperset(map(type, chain.from_iterable(map(dict.values, table.values())))):
+        return table, 1
+    den = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
+    return {pair: {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+            for pair, terms in table.items()}, den
+
+
 def _integer_constants(L: LieAlgebra) -> LieAlgebra:
     """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
     of its constants, so that every constant is an ``int``; ``L`` itself when
     they all are.  The constants are linear in the parameter, so a model
     ``J`` becomes ``D J``."""
-    table = L.constants.table
-    if _INT_ONLY.issuperset(map(type, chain.from_iterable(map(dict.values, table.values())))):
+    table, den = _integer_table(L.constants.table)
+    if table is L.constants.table:
         return L
-    den = lcm(*(v.denominator for terms in table.values() for v in terms.values()))
-    scaled = {
-        pair: {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
-        for pair, terms in table.items()
-    }
     model = None if L.model is None else BracketParam(L.model.n, L.model.m, L.model.j * den)
-    return LieAlgebra(L.dim, StructureConstants(L.dim, scaled), L.labels, model)
+    return LieAlgebra(L.dim, StructureConstants(L.dim, table), L.labels, model)
 
 
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:

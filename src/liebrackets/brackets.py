@@ -11,16 +11,19 @@ compiles any parameter into the sparse structure-constants tensor over the
 canonical basis ``E_{i,j}`` ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)``
 (1-based ``i, j``), at a cost that grows with the nonzero entries of ``J``,
 not with the basis pairs.
-The ``deform`` checks read basis-pair brackets off ``structure_constants``;
-the other pair loops go through ``_pair_brackets``, one integer kernel that
-builds no intermediate matrix, except ``algebra.hom_check``, which packs
-each side of a pair into one integer, and ``algebra.subalgebra_closed``.
-The Lie-axiom check's model-constants comparison ties the two together.
+The ``deform`` checks read basis-pair brackets off ``structure_constants``,
+and ``algebra.subalgebra_closed`` calls ``bracket``.  Every other pair loop
+brackets integer operands through one kernel, ``_packed_brackets``, which
+packs each operand into a few integers, so that a pair costs ``2 n``
+integer products: ``_pair_brackets`` decodes its packed brackets, and
+``algebra.hom_check`` into a matrix model compares them whole.  The
+Lie-axiom check's model-constants comparison ties the kernel to the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Dict, Sequence, Tuple
 
@@ -70,46 +73,95 @@ def bracket(a: Matrix, b: Matrix, param: BracketParam) -> Matrix:
     return a @ param.j @ b - b @ param.j @ a
 
 
+def _packed_brackets(xs: Sequence[Sequence[int]], jflat: Sequence[int], n: int, m: int, combination: int = 0):
+    """``(w, pairs)``: the slot width ``w`` and an iterator of ``(a, b, p)``
+    over the pairs ``a < b`` of the integer operands ``xs`` (row-major flat
+    ``n x m``), with ``p`` the packing of ``[X_a, X_b]_J'`` for the integer
+    parameter ``J'`` (row-major flat ``m x n`` ``jflat``).
+
+    - A vector ``v`` packs to ``sum_t v_t 2^(w t)``, a linear map
+      (Kronecker substitution).  With ``Y = X J'``, entry ``(i, k)`` of the
+      bracket is ``sum_j Y_a[i][j] X_b[j][k] - Y_b[i][j] X_a[j][k]``, so it
+      packs to ``sum_j C_j(Y_a) R_j(X_b) - C_j(Y_b) R_j(X_a)``, where
+      ``R_j`` packs row ``j`` of ``X`` into the slots ``0..m-1`` and ``C_j``
+      packs column ``j`` of ``Y`` into the slots ``i m``: slot ``i m`` times
+      slot ``k`` lands in slot ``i m + k``, one for each ``(i, k)``.  Each
+      operand's packs are formed once, ``C_j(Y)`` as ``sum_k J'[k][j] P_k``
+      from the columns ``P_k`` of ``X`` packed at the slots ``i m``, so a
+      pair costs ``2 n`` integer products.
+    - Packing lemma: if every entry of two vectors is below ``2^(w-1)`` in
+      absolute value, equal packings mean equal vectors.  Each entry of the
+      difference ``u`` is then below ``2^w``, and ``sum_t u_t 2^(w t) = 0``
+      gives ``u_0 = 0`` modulo ``2^w``, so ``u_0 = 0``, and so on up.  For
+      the same reason ``_unpack`` recovers such a vector from its packing.
+    - The bound: ``|[X_a, X_b]_J'| <= 2 n max|X| max|Y|``, with
+      ``max|Y| <= max|X| max_j sum_k |J'[k][j]|``, and a combination of the
+      operands whose coefficients have absolute sum at most ``combination``
+      is at most ``combination max|X|``.  ``w`` is one more than the bit
+      length of the larger, so the lemma holds for both.
+    """
+    jcols = [jflat[j::n] for j in range(n)]  # column j of J'
+    max_x = max(map(abs, chain.from_iterable(xs)), default=0)
+    max_y = max_x * max(sum(map(abs, jc)) for jc in jcols)
+    w = max(2 * n * max_x * max_y, combination * max_x).bit_length() + 1
+    packs = []  # (R_j(X), C_j(X J')) for each operand
+    for x in xs:
+        xcols = [_pack(x[k::m], w * m) for k in range(m)]
+        rows = [_pack(x[j * m : (j + 1) * m], w) for j in range(n)]
+        packs.append((rows, [sum(map(mul, jc, xcols)) for jc in jcols]))
+
+    def pairs():
+        for a, (ra, ca) in enumerate(packs):
+            for b, (rb, cb) in enumerate(packs[a + 1 :], a + 1):
+                yield a, b, sum(map(mul, ca, rb)) - sum(map(mul, cb, ra))
+
+    return w, pairs()
+
+
+def _pack(values, w: int) -> int:
+    """``sum_t values[t] * 2^(w t)``."""
+    out = 0
+    for v in reversed(values):
+        out = (out << w) + v
+    return out
+
+
+def _unpack(x: int, w: int, size: int) -> list:
+    """The ``size`` balanced base-``2^w`` digits of ``x``, each in
+    ``[-2^(w-1), 2^(w-1))``: the inverse of ``_pack`` on such digits."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for _ in range(size):
+        t = x & mask
+        if t >= half:
+            t -= mask + 1
+        out.append(t)
+        x = (x - t) >> w
+    return out
+
+
 def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
     """Iterate ``(a, b, w)`` over the pairs ``a < b`` of ``elements``, with ``w``
     the row-major flat tuple of ``[x_a, x_b]_J`` (the values and entry types of
     ``bracket(...).entries``), checking shapes first.  With ``X_a = d_a x_a``
-    and ``J' = d_J J`` integer and each ``X_a J'`` formed once (``None`` for a
-    zero row), entry ``(i, k)`` is the integer dot products
-    ``(X_a J')_i . (X_b)_{:,k} - (X_b J')_i . (X_a)_{:,k}`` over ``d_a d_b d_J``.
-    A pair whose two ``X J'`` are both zero gets one shared zero tuple without
-    any dot product."""
+    and ``J' = d_J J`` integer, each packed ``[X_a, X_b]_J'`` of
+    ``_packed_brackets`` is decoded by ``_unpack`` and divided by
+    ``d_a d_b d_J``; a pair whose bracket is zero gets one shared zero tuple."""
     n, m = param.n, param.m
     if any(x.shape != (n, m) for x in elements):
         raise ShapeError(f"elements do not all match bracket space {n}x{m}")
+    ints = [_integer_row(x.entries) for x in elements]
     jflat, dj = _integer_row(param.j.entries)
-    jcols = [jflat[c::n] for c in range(n)]
-    ints = []  # (d_a, columns of X_a, rows of X_a J' or None if all zero) for each element
-    for x in elements:
-        flat, d = _integer_row(x.entries)
-        xj = ([sum(map(mul, flat[i * m : (i + 1) * m], jc)) for jc in jcols] for i in range(n))
-        rows = [r if any(r) else None for r in xj]
-        ints.append((d, [flat[k::m] for k in range(m)], rows if any(rows) else None))
-    zero_row = (0,) * m
-    zero = zero_row * n
-    no_rows = (None,) * n
+    w, packed = _packed_brackets([flat for flat, _ in ints], jflat, n, m)
+    zero = (0,) * (n * m)
 
     def pairs():  # a generator of its own, so that the checks above run on the call
-        for a, (da, ca, xa) in enumerate(ints):
-            for b, (db, cb, xb) in enumerate(ints[a + 1 :], a + 1):
-                if xa is None and xb is None:
-                    yield a, b, zero
-                    continue
-                den = da * db * dj
-                out = []
-                for ra, rb in zip(xa or no_rows, xb or no_rows):
-                    if ra is None and rb is None:
-                        out.extend(zero_row)
-                        continue
-                    s = [(sum(map(mul, ra, c)) if ra else 0) - (sum(map(mul, rb, e)) if rb else 0)
-                         for c, e in zip(cb, ca)]
-                    out.extend(s if den == 1 else (scalar_div(v, den) for v in s))
-                yield a, b, tuple(out)
+        for a, b, p in packed:
+            if not p:
+                yield a, b, zero
+                continue
+            v, den = _unpack(p, w, n * m), ints[a][1] * ints[b][1] * dj
+            yield a, b, tuple(v) if den == 1 else tuple(scalar_div(x, den) for x in v)
 
     return pairs()
 

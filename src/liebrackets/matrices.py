@@ -653,22 +653,6 @@ class Subspace:
                 v = [x - f * y for x, y in zip(v, row)]
         return Matrix.from_flat(self.ambient_rows, self.ambient_cols, v)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        if (self.ambient_rows, self.ambient_cols) != (other.ambient_rows, other.ambient_cols):
-            raise ShapeError("subspaces live in different ambient spaces")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_rows, self.ambient_cols, ())
-        cols = [b.entries for b in self.basis] + [tuple(-x for x in b.entries) for b in other.basis]
-        ker = kernel(Matrix(tuple(zip(*cols))))
-        mats = []
-        for kvec in ker.basis:
-            combo = Matrix.zeros(self.ambient_rows, self.ambient_cols)
-            for a, b in zip(kvec.column_tuple(0)[: self.dim], self.basis):
-                if a != 0:
-                    combo = combo + a * b
-            mats.append(combo)
-        return Subspace.span(self.ambient_rows, self.ambient_cols, mats)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented

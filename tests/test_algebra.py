@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liebrackets import algebra, matrices
+from liebrackets import algebra, brackets, classify, matrices
 from liebrackets.algebra import (
     HomVerdict,
     InvariantSignature,
@@ -51,6 +51,7 @@ from liebrackets.matrices import (
     rank_normal_form,
 )
 from liebrackets.scalars import scalar_div, scalar_str
+from test_matrices import intersection
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -466,8 +467,9 @@ class TestHomCheckWitness:
 
 def plain_hom_check(f, src, dst):
     """``hom_check`` as a plain loop over the basis pairs: the right side from
-    ``brackets._pair_brackets`` (``bracket_coords`` without a model), each
-    pair compared entry by entry.  The reference for the packed comparison."""
+    ``brackets.bracket`` on the image matrices (``bracket_coords`` without a
+    model), each pair compared entry by entry.  The reference for the packed
+    comparison, independent of its kernel."""
     d = src.dim
     flat, den = matrices._integer_row(f.matrix.entries)
     fcols = [flat[a::d] for a in range(d)]
@@ -475,7 +477,7 @@ def plain_hom_check(f, src, dst):
     if dst.model is not None:
         rows, cols = dst.ambient_shape
         images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
-        pairs = _pair_brackets(images, dst.model)
+        pairs = ((a, b, bracket(images[a], images[b], dst.model).entries) for a in range(d) for b in range(a + 1, d))
     else:
         pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
     witness = None
@@ -618,6 +620,32 @@ class TestPackedHomCheck:
         left = [sum(v * cols[k][t] for k, v in terms.items()) for t in range(n * m)]
         assert left[:2] == [-16, 1] and left[2:] == list(right[2:]) == [0] * 6
         assert left[0] + (left[1] << 6) == right[0]  # equal packings with 6-bit slots
+
+    def test_one_packed_bracket_kernel(self, monkeypatch):
+        # ``_pair_brackets``, ``hom_check`` into a matrix model and the
+        # witness check of ``classify`` bracket through one kernel: with
+        # ``brackets._packed_brackets`` refused wherever it is bound, each
+        # of them raises.
+        real = brackets._packed_brackets
+
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets" and getattr(module, "_packed_brackets", None) is real:
+                monkeypatch.setattr(module, "_packed_brackets", refuse)
+        param = BracketParam.normal(2, 3, 1)
+        L = LieAlgebra.from_param(param)
+        with pytest.raises(Refused):
+            _pair_brackets(basis_matrices(2, 3), param)
+        with pytest.raises(Refused):
+            hom_check(LinearMap(6, 6, Matrix.identity(6)), L, L)
+        with pytest.raises(Refused):
+            classify._checked_witness(param.j, param.j)
+
 
 class TestSignature:
     def test_abelian(self):
@@ -881,7 +909,7 @@ def reference_invariant_signature(L):
     if derived_sub.dim == 0:
         dcd = 0
     else:
-        dcd = reference_centralizer(L, derived_sub).intersection(derived_sub).dim
+        dcd = intersection(reference_centralizer(L, derived_sub), derived_sub).dim
     return InvariantSignature(
         dim=L.dim,
         center_dim=ctr.dim,
@@ -1003,7 +1031,6 @@ class TestSignatureDifferential:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Subspace, "_from_echelon", refuse)
-            mp.setattr(Subspace, "intersection", refuse)
             mp.setattr(matrices, "kernel", refuse)
             mp.setattr(algebra, "kernel", refuse)
             assert invariant_signature(L) == expected

