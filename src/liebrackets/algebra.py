@@ -29,13 +29,16 @@ columns; and the signature's other ranks (the center, the Killing form
 and the center of ``[g, g]``) are taken on sparse rows built the same
 way.  So no row of the length of the basis is built, scanned or reduced
 where a bracket has few terms.  A series runs on the algebra with integer
-constants (``_integer_constants``), whose series are the same spans.  Each
-term and centralizer is still given by its canonical reduced echelon
-rows, from exact elimination, and ``center``, ``centralizer`` and
-injectivity ranks reach the loop through the dense boundary
-``matrices._sparse_row``.  A series step reads its generators only until
-it reaches the dimension of the term before, which, by bilinearity alone,
-contains it.
+constants (``_integer_constants``), whose series are the same spans, and
+so do ``center`` and ``centralizer``: their rows go to ``_echelon``
+sparse, ``matrices._null_rows`` reads the null space off its basis as
+sparse integer rows, one per free column, and ``_echelon`` reduces those
+once more.  Each term and centralizer is still given by its canonical
+reduced echelon rows, from exact elimination; only a centralizer's
+generators and the injectivity ranks reach the loop through the dense
+boundary ``matrices._sparse_row``.  A series step reads its generators
+only until it reaches the dimension of the term before, which, by
+bilinearity alone, contains it.
 
 ``invariant_signature`` runs on the algebra whose bracket is multiplied by
 the lcm of the denominators of the constants, which keeps every span it
@@ -63,9 +66,9 @@ from .matrices import (
     _add_multiple,
     _echelon,
     _integer_row,
+    _null_rows,
     _reduced_rows,
     _sparse_row,
-    kernel,
     rank,
 )
 from .scalars import Scalar, scalar_div, scalar_str
@@ -332,15 +335,6 @@ def _triple_defect(L: LieAlgebra, a: int, b: int, c: int) -> Dict[int, Scalar]:
     return defect
 
 
-def _kernel_subspace(L: LieAlgebra, rows: Dict[tuple, list]) -> Subspace:
-    if not rows:
-        return L.full_subspace()
-    mat = Matrix._raw(tuple(tuple(rows[key]) for key in sorted(rows)))
-    ker = kernel(mat)
-    ar, ac = L.ambient_shape
-    return Subspace.span(ar, ac, [L.from_coords(v.column_tuple(0)) for v in ker.basis])
-
-
 def center(L: LieAlgebra) -> Subspace:
     """The centralizer of the whole algebra: kernel of the stacked adjoint."""
     return _centralizer_kernel(L, [{x: 1} for x in range(L.dim)])
@@ -357,9 +351,13 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
 
 
 def _centralizer_kernel(L: LieAlgebra, vectors: list) -> Subspace:
-    """The kernel of ``_centralizer_rows(L, vectors)``, written out densely."""
-    rows = _centralizer_rows(L, vectors)
-    return _kernel_subspace(L, {key: _dense(row, L.dim) for key, row in rows.items()})
+    """The kernel of ``_centralizer_rows``, taken on ``_integer_constants(L)``,
+    which has the same centralizers: its null space, read off its
+    ``_echelon`` basis by ``_null_rows``, in canonical reduced echelon rows.
+    With no rows every column is free, and the kernel is the whole space."""
+    d = L.dim
+    null = _null_rows(_echelon(_centralizer_rows(_integer_constants(L), vectors).values(), d), d)
+    return Subspace._from_echelon(*L.ambient_shape, _reduced_rows(_echelon(null.values(), len(null)), d)[0])
 
 
 def _centralizer_rows(L: LieAlgebra, vectors: list) -> Dict[tuple, dict]:

@@ -46,11 +46,11 @@ from .verify import run_all
 # 0.18 s, ``classify 6 6`` in 0.23 s, ``heisenberg 16`` in 0.66 s,
 # ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
 # in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
-# J in 3.0 s and 0.46 s, ``embed`` of gl_12 into ``12 12 12`` in 0.90 s,
+# J in 3.0 s and 0.34 s, ``embed`` of gl_12 into ``12 12 12`` in 0.90 s,
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.48 s (a
 # 144x1 pair in 0.63 s) and ``contract 40 1`` in 2.0 s.  In process, past
 # the limits: ``classify 7 7`` 0.16 s, ``heisenberg 18`` 0.63 s,
-# ``constants 14 14`` 7.6 s, ``center 14 14`` 2.0 s, a dense 13x13
+# ``constants 14 14`` 7.6 s, ``center 14 14`` 0.43 s, a dense 13x13
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).

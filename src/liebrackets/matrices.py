@@ -18,13 +18,16 @@ a rank: ``rank`` and the ranks of ``algebra`` and ``classify`` read only
 that.  The row builders of ``algebra`` hand it sparse rows straight from
 the structure constants.  A dense row enters through one boundary helper,
 ``_sparse_row``, which scales it to integers and drops its zeros.
-``kernel``, ``Subspace`` and the series need the span itself, and
-``_eliminate`` (or ``_reduced_rows``) divides each basis row by its pivot
-and writes it out as a canonical dense row, so their values do not depend
-on the row representation.  ``rref`` also returns the transform, whose
-null rows depend on the pivot order, so it runs the fraction-free
-column-major Gauss-Jordan loop ``_gauss_jordan`` on ``[m | I]``, reads the
-transform off the identity block and divides each row once at the end.
+``Subspace`` and the series need the span itself, and ``_eliminate`` (or
+``_reduced_rows``) divides each basis row by its pivot and writes it out
+as a canonical dense row, so their values do not depend on the row
+representation.  ``kernel`` and the centers of ``algebra`` need the null
+space: ``_null_rows`` reads it off the basis as sparse integer rows, one
+per free column, and ``_reduced_rows`` writes out the free-variable
+vectors.  ``rref`` also returns the transform, whose null rows depend on
+the pivot order, so it runs the fraction-free column-major Gauss-Jordan
+loop ``_gauss_jordan`` on ``[m | I]``, reads the transform off the
+identity block and divides each row once at the end.
 ``classify.iso_witness`` calls the same loop and keeps its integer rows.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
@@ -510,20 +513,42 @@ def inverse(m: Matrix) -> Matrix:
     return transform
 
 
+def _null_rows(basis: dict, width: int) -> dict:
+    """The null space of the rows of width ``width`` whose ``_echelon`` basis
+    is ``basis``, as sparse integer rows ``{free column f: row}``, one for
+    each column ``f`` that is no pivot.
+
+    The row of ``f`` is ``L e_f - sum_c (L / P[c]) P[f] e_c``, over the basis
+    rows ``P`` (pivot ``c``) with ``P[f] != 0``, and ``L`` is the lcm of
+    their pivot entries.  Divided by ``L`` it is the free-variable vector of
+    ``f``: 1 at ``f``, 0 at the other free columns and ``-R[f]`` at the
+    pivot of each reduced row ``R``.  Each ``P`` is zero at the other
+    pivots, so each such vector is orthogonal to every ``P``, and they are
+    independent, as each is the only one nonzero at its free column.  So
+    the result has the shape of an ``_echelon`` basis keyed by the free
+    columns, and ``_reduced_rows`` writes out the free-variable vectors.
+    """
+    terms: dict = {f: [] for f in range(width) if f not in basis}  # f -> [(c, P[c], P[f])]
+    for c, row in basis.items():
+        for f, x in row.items():
+            if f != c:
+                terms[f].append((c, row[c], x))
+    null = {}
+    for f, col in terms.items():
+        den = lcm(*(p for _, p, _ in col))
+        null[f] = {f: den, **{c: -(den // p) * x for c, p, x in col}}
+    return null
+
+
 def kernel(m: Matrix) -> "Subspace":
-    """Basis of the right null space, as column vectors in canonical form."""
-    reduced, pivots = _eliminate(m._data)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(Matrix._raw(tuple((x,) for x in v)))
+    """Basis of the right null space, as column vectors in canonical form:
+    the free-variable vectors of ``_null_rows``, in the order of their free
+    columns."""
+    null = _null_rows(_echelon(map(_sparse_row, m._data), m.cols), m.cols)
+    vectors = tuple(Matrix._raw(tuple((x,) for x in v)) for v in _reduced_rows(null, m.cols)[0])
     # Independent by construction, but not in echelon form: that is left to
     # ``_echelon_rows``, for the few callers that need it.
-    return Subspace._trusted(m.cols, 1, tuple(basis), None)
+    return Subspace._trusted(m.cols, 1, vectors, None)
 
 
 def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:

@@ -17,7 +17,7 @@ from liebrackets import classify, constructions, deform, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
 from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
-from liebrackets.deform import PATH_TIMES, ce_coboundary_check
+from liebrackets.deform import PATH_TIMES, EpsStructureConstants, ce_coboundary_check
 from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 
 
@@ -254,6 +254,100 @@ def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkey
     assert not out["pass"]
     assert out["details"]["failures"] == [
         {"n": n, "r": r, "kind": "endpoint-degeneration"} for n in (2, 3) for r in range(n)
+    ]
+
+
+# The contraction cases below cover n = 1..3.  At r = n every basis element
+# keeps its scale, so the contraction is the identity; at n = 1 the algebra
+# is abelian.  So only n >= 2 with r < n can go wrong.
+DEGENERATE = [(n, r) for n in (2, 3) for r in range(n)]
+
+
+def inverse_scaling(n, r):
+    """The contraction with every epsilon exponent negated, as if the basis
+    were scaled by epsilon^-s instead of epsilon^s."""
+    c = deform.contraction_constants(n, r)
+    return EpsStructureConstants(
+        c.dim, {pair: {k: (coef, -exp) for k, (coef, exp) in terms.items()} for pair, terms in c.table.items()}
+    )
+
+
+def test_contraction_fails_on_a_negative_exponent(monkeypatch):
+    monkeypatch.setattr(verify, "contraction_constants", inverse_scaling)
+    out = verify.check_contraction(3)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert out["details"]["cases"] == 4  # r = n for n = 1, 2, 3, and n = 1, r = 0
+    assert [(f["n"], f["r"], f["kind"]) for f in failures] == [(n, r, "negative-exponent") for n, r in DEGENERATE]
+    for f in failures:
+        a, b, k = f["triple"]
+        assert inverse_scaling(f["n"], f["r"]).table[(a, b)][k][1] < 0
+
+
+def test_contraction_fails_when_the_limit_keeps_every_order(monkeypatch):
+    # Without exponent truncation the limit is the commutator itself.
+    def untruncated(c):
+        return StructureConstants(
+            c.dim, {pair: {k: coef for k, (coef, _) in terms.items()} for pair, terms in c.table.items()}
+        )
+
+    monkeypatch.setattr(verify, "contraction_limit", untruncated)
+    out = verify.check_contraction(3)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [{"n": n, "r": r, "kind": "limit-mismatch"} for n, r in DEGENERATE]
+
+
+def test_contraction_fails_when_the_normal_forms_sit_in_the_wrong_corner(monkeypatch):
+    # D_r with its identity block in the top-right corner still has rank r,
+    # but D_1 = E(1, n) squares to 0 for n >= 2.  For n = 3,
+    # D_2 = E(1, 2) + E(2, 3) has a zero last row and a zero first column,
+    # so D_1 D_2 = D_2 D_1 = 0, and D_2^2 = E(1, 3).
+    def top_right(rows, cols, r):
+        return Matrix([[int(i < r and j == cols - r + i) for j in range(cols)] for i in range(rows)])
+
+    monkeypatch.setattr(verify, "rank_normal_form", top_right)
+    out = verify.check_contraction(3)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "s": s, "kind": "product-law"}
+        for n, r, s in ((2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2))
+    ]
+
+
+INTERIOR = [t for t in PATH_TIMES[:-1] if t != 0]
+
+
+def test_path_identities_fail_transport_alone_when_psi_scales_twice(monkeypatch):
+    # psi_t applied twice scales by (1 - t)^2, which is not an isomorphism
+    # onto the commutator; the decomposition does not involve psi_t.  At
+    # t = 0 both scalings are the identity.
+    real = deform.psi_t
+    monkeypatch.setattr(deform, "psi_t", lambda x, t, r: real(real(x, t, r), t, r))
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "t": str(t), "kind": "transport"} for n, r in DEGENERATE for t in INTERIOR
+    ]
+
+
+def test_path_identities_fail_decomposition_on_an_extra_path_term(monkeypatch):
+    # J_t + t E(1, n) is no longer (1 - t) I + t J_r, so the decomposition
+    # fails, and the transport of the commutator, which yields the true J_t
+    # bracket, fails with it.  n = 1 has no off-diagonal entry.
+    real = deform.deformation_bracket
+
+    def skewed(n, j, t):
+        param = real(n, j, t)
+        return BracketParam(n, n, param.j + t * Matrix.unit(n, n, 0, n - 1)) if n > 1 else param
+
+    monkeypatch.setattr(deform, "deformation_bracket", skewed)
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "t": str(t), "kind": kind}
+        for n, r in DEGENERATE
+        for t in INTERIOR
+        for kind in ("decomposition", "transport")
     ]
 
 

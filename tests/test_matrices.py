@@ -652,6 +652,7 @@ class TestSympyOracle:
         null = [from_sympy(v) for v in to_sympy(m).nullspace()]
         ker = kernel(m)
         assert ker == Subspace.span(m.cols, 1, null)
+        assert [canonical(v) for v in ker.basis] == [canonical(v) for v in null]
         assert all((m @ v).is_zero() for v in ker.basis)
 
     @ORACLE
