@@ -7,10 +7,21 @@ those witnesses explicitly, on integer rows from three fraction-free
 Gauss-Jordan eliminations and with no inverse or matrix product, and runs
 the desk-scale classification harness over a whole shape: one normal form
 per rank, invariant signatures, and verified witnesses for random same-rank
-pairs.  A witness is verified on integers throughout: its integer columns
-over one denominator go straight to the homomorphism check, which brackets
-them through the destination's model, so a passing pair forms no
-``Fraction`` and no structure constants of the destination.
+pairs.
+
+The classification rests on one lemma: if ``J1 = Q J2 P`` with ``P`` and
+``Q`` invertible, then ``phi(A) = P A Q`` is an isomorphism from the
+J1-bracket to the J2-bracket on ``Mat(n x m)``.  Proof: with
+``K = J1 - Q J2 P``, ``phi([A, B]_J1) - [phi A, phi B]_J2 = P A K B Q -
+P B K A Q``, which is 0 when ``K = 0``; and the matrix of ``phi`` is the
+Kronecker product of ``P`` and ``Q^T``, of rank ``rank P * rank Q``.  So
+``iso_soundness`` and the classification report verify a witness by its
+factor identity, one ``m x n`` integer identity, and the ranks of its two
+factors (``_checked_witness``), with no bracket and no structure
+constants.  Only when the identity fails is the witness checked as a
+general map, on its integer Kronecker columns over one denominator, by the
+packed homomorphism check, whose verdict and witness decide; the
+``witness`` command always checks it that way.
 """
 
 from __future__ import annotations
@@ -20,9 +31,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Tuple
 
-from .algebra import HomVerdict, LieAlgebra, LinearMap, _model_hom_check, center, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, LinearMap, _model_hom_check, _rank, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _rref_rows, _sparse_row, rank
+from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _integer_row, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
 
 
@@ -53,7 +64,7 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
     nonzero rows of ``R_k``, then the unit rows of its free columns, so
     ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
-    The map is built by ``_witness_columns``.
+    The map is built by ``_witness_factors`` and ``_kronecker_columns``.
     """
     return _columns_map(*_witness_columns(j1, j2))
 
@@ -68,7 +79,14 @@ def _columns_map(cols: list, den: int) -> LinearMap:
 
 def _witness_columns(j1: Matrix, j2: Matrix) -> tuple:
     """``(columns, den)``: the matrix of ``iso_witness(j1, j2)`` is the
-    integer ``columns`` divided by ``den``.
+    integer ``columns`` divided by ``den``."""
+    return _kronecker_columns(j1.cols, j1.rows, *_witness_factors(j1, j2))
+
+
+def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:
+    """``(pflat, dp, qflat, dq)``: the factors of ``iso_witness(j1, j2)``,
+    ``P`` (``n x n``) the integer row-major ``pflat`` over ``dp`` and ``Q``
+    (``m x m``) the integer row-major ``qflat`` over ``dq``.
 
     All on integer rows: one ``_gauss_jordan`` on ``[j_k | I]`` per
     parameter gives row ``i`` of ``[R_k | T_k]`` as an integer row
@@ -99,32 +117,82 @@ def _witness_columns(j1: Matrix, j2: Matrix) -> tuple:
         prows[f2] = ([1 if c == f1 else 0 for c in range(n)], 1)
     stacked = [[e2 * x for x in u[n:]] + [e1 * x for x in v[n:]] for u, v, e1, e2 in zip(a1, a2, d1, d2)]
     reduced = _gauss_jordan(stacked, m)[0]
-    # Operands live in Mat(n x m); the column of E_ij is the flat P E_ij Q,
-    # with the entries P[a][i] Q[j][b], formed on the integer matrices dp P
-    # and dq Q, over dp dq.
     pflat, dp = _over_common_denominator(prows)
     qflat, dq = _over_common_denominator((row[m:], row[i]) for i, row in enumerate(reduced))
+    return pflat, dp, qflat, dq
+
+
+def _kronecker_columns(n: int, m: int, pflat, dp: int, qflat, dq: int) -> tuple:
+    """``(columns, den)`` of the map ``A -> P A Q`` on ``Mat(n x m)`` for
+    the factors of ``_witness_factors``: the column of ``E_ij`` is the flat
+    ``P E_ij Q``, with the entries ``P[a][i] Q[j][b]``, formed on the
+    integer matrices ``dp P`` and ``dq Q``, over ``dp dq``."""
     qrows = [qflat[j * m : (j + 1) * m] for j in range(m)]
     return [[x * y for x in pflat[i::n] for y in qrow] for i in range(n) for qrow in qrows], dp * dq
 
 
-def _checked_witness(j1: Matrix, j2: Matrix) -> tuple:
-    """``(columns, den, verdict)``: ``_witness_columns(j1, j2)`` and the
-    ``hom_check`` verdict of the map they give from the j1-bracket algebra to
-    the j2-bracket on ``Mat(cols x rows)``, checked on the integer columns.
-    Only the source's structure constants are built: the check brackets the
-    images through the j2 model."""
-    cols, den = _witness_columns(j1, j2)
+def _packed_verdict(j1: Matrix, j2: Matrix, cols: list, den: int) -> HomVerdict:
+    """The ``hom_check`` verdict of the map with the integer ``cols`` over
+    ``den``, from the j1-bracket algebra to the j2-bracket on
+    ``Mat(cols x rows)``: only the source's structure constants are built,
+    and the images are bracketed through the j2 model."""
     n, m = j1.cols, j1.rows
-    src = LieAlgebra.from_param(BracketParam(n, m, j1))
-    return cols, den, _model_hom_check(cols, den, src, BracketParam(n, m, j2))
+    return _model_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
+
+
+def _checked_witness(j1: Matrix, j2: Matrix) -> HomVerdict:
+    """The ``hom_check`` verdict of the witness ``A -> P A Q`` of
+    ``_witness_factors(j1, j2)``, from the j1-bracket algebra to the
+    j2-bracket on ``Mat(n x m)``, read off its factors.
+
+    With ``J_k = J_k' / d_k`` and ``P' = dp P``, ``Q' = dq Q`` integer, the
+    factor identity ``J1 = Q J2 P`` is the ``m x n`` integer identity
+    ``dp dq d2 J1' = d1 Q' J2' P'``.  When it holds the map is a
+    homomorphism: with ``K = J1 - Q J2 P``, ``phi([A, B]_J1) -
+    [phi A, phi B]_J2 = P A K B Q - P B K A Q = 0``.  Its matrix is the
+    Kronecker product of ``P`` and ``Q^T``, of rank ``rank P * rank Q``, so
+    it is injective iff ``rank P' = n`` and ``rank Q' = m``: two
+    ``_echelon`` ranks, each stopped at full rank.  That is the verdict the
+    packed check gives, with no witness, and no bracket, Kronecker column or
+    structure constant is built.  When the identity fails the map may still
+    be a homomorphism (every map is one on ``Mat(1 x 1)``), so its Kronecker
+    columns go to the packed check (``_packed_verdict``), whose verdict and
+    witness decide.
+    """
+    n, m = j1.cols, j1.rows
+    factors = pflat, dp, qflat, dq = _witness_factors(j1, j2)
+    if not _factor_identity(j1, j2, *factors):
+        return _packed_verdict(j1, j2, *_kronecker_columns(n, m, *factors))
+    prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
+    qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
+    return HomVerdict(True, _rank(prows, n) == n and _rank(qrows, m) == m)
+
+
+def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> bool:
+    """Whether ``j1 = Q j2 P`` for the factors of ``_witness_factors``, as
+    the integer identity ``dp dq d2 J1' = d1 Q' J2' P'`` with ``J_k' = d_k
+    j_k`` integer, one row of ``Q' J2'`` at a time."""
+    m, n = j1.shape
+    j1flat, d1 = _integer_row(j1.entries)
+    j2flat, d2 = _integer_row(j2.entries)
+    j2cols = [j2flat[c::n] for c in range(n)]
+    pcols = [pflat[c::n] for c in range(n)]
+    s = dp * dq * d2
+    for i in range(m):
+        qrow = qflat[i * m : (i + 1) * m]
+        qj = [sum(map(mul, qrow, col)) for col in j2cols]
+        if any(d1 * sum(map(mul, qj, col)) != s * x for col, x in zip(pcols, j1flat[i * n : (i + 1) * n])):
+            return False
+    return True
 
 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:
     """The witness ``iso_witness(j1, j2)`` and its homomorphism check from
-    the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``."""
-    cols, den, verdict = _checked_witness(j1, j2)
-    return _columns_map(cols, den), verdict
+    the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``,
+    as a general map: the packed check of ``_packed_verdict`` on its
+    Kronecker columns."""
+    cols, den = _witness_columns(j1, j2)
+    return _columns_map(cols, den), _packed_verdict(j1, j2, cols, den)
 
 
 def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:
@@ -181,7 +249,7 @@ def classify_rank_family(n: int, m: int, seed: int = 0, witness_pairs: int = 1) 
         for _ in range(witness_pairs):
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
-            if not _checked_witness(j1, j2)[2].bijective:
+            if not _checked_witness(j1, j2).bijective:
                 verified = False
         entries.append({"r": r, "signature": sig.to_json(), "witness_verified": verified})
     distinct = all(

@@ -153,7 +153,7 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0, pairs_per_shape: int =
             r = rng.randint(0, min(n, m))
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
-            verdict = _checked_witness(j1, j2)[2]
+            verdict = _checked_witness(j1, j2)
             checked += 1
             if not verdict.bijective:
                 failures.append(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liebrackets import brackets, classify, matrices, scalars
+from liebrackets import algebra, brackets, classify, matrices, scalars
 from liebrackets.algebra import LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
@@ -252,6 +252,84 @@ class TestIsoWitness:
         assert verdict.bijective
 
 
+CORRUPTIONS = ["witness", "drop-q2-inverse", "swap-p-rows", "double-q-last-row", "zero-p", "zero-q", "zero"]
+
+
+def corrupted_factors(j1, j2, kind):
+    """The factors of ``classify._witness_factors(j1, j2)``, or a wrong
+    witness in their form: ``Q = q1`` without ``q2^-1``, ``P`` with its
+    first and last rows swapped, ``Q`` with its last row doubled (which
+    changes only the last row of ``Q J2 P``), ``P = 0``, ``Q = 0``, or the
+    zero map."""
+    pflat, dp, qflat, dq = classify._witness_factors(j1, j2)
+    n, m = j1.cols, j1.rows
+    if kind == "drop-q2-inverse":
+        qflat, dq = matrices._integer_row(rank_factorization(j1).q.entries)
+    elif kind == "swap-p-rows":
+        prows = [list(pflat[i * n : (i + 1) * n]) for i in range(n)]
+        prows[0], prows[-1] = prows[-1], prows[0]
+        pflat = [x for row in prows for x in row]
+    elif kind == "double-q-last-row":
+        qflat = list(qflat[: (m - 1) * m]) + [2 * x for x in qflat[(m - 1) * m :]]
+    if kind in ("zero-p", "zero"):
+        pflat, dp = [0] * (n * n), 1
+    if kind in ("zero-q", "zero"):
+        qflat, dq = [0] * (m * m), 1
+    return pflat, dp, qflat, dq
+
+
+def product_form_map(n, m, pflat, dp, qflat, dq):
+    """The map ``A -> P A Q`` on ``Mat(n x m)`` by two ``Matrix`` products per
+    basis element, kept as the reference for the Kronecker columns."""
+    p = Matrix([[Fraction(x, dp) for x in pflat[i * n : (i + 1) * n]] for i in range(n)])
+    q = Matrix([[Fraction(x, dq) for x in qflat[j * m : (j + 1) * m]] for j in range(m)])
+    return LinearMap.from_columns([(p @ e @ q).entries for e in basis_matrices(n, m)]), p, q
+
+
+class TestFactorVerdict:
+    @settings(max_examples=120, deadline=None)
+    @given(same_rank_rational_pairs(), st.sampled_from(CORRUPTIONS))
+    @example((Matrix([[1]]), Matrix([[Fraction(-2, 3)]])), "witness")
+    @example((Matrix([[1]]), Matrix([[Fraction(-2, 3)]])), "drop-q2-inverse")
+    @example((Matrix([[1]]), Matrix([[3]])), "zero")
+    @example((Matrix.zeros(1, 1), Matrix.zeros(1, 1)), "zero")
+    @example((Matrix.zeros(2, 3), Matrix.zeros(2, 3)), "swap-p-rows")
+    @example((Matrix.zeros(2, 3), Matrix.zeros(2, 3)), "zero-p")
+    @example((Matrix.zeros(2, 3), Matrix.zeros(2, 3)), "zero-q")
+    @example(EDGE_PAIRS[1], "double-q-last-row")
+    @example(EDGE_PAIRS[2], "drop-q2-inverse")
+    @example(EDGE_PAIRS[3], "swap-p-rows")
+    def test_matches_packed_check_of_the_kronecker_columns(self, pair, kind):
+        # The factor route's verdict (identity plus two factor ranks) equals
+        # the packed homomorphism check of the map A -> P A Q built by matrix
+        # products, in is_hom, injective and witness; the packed check runs
+        # exactly when the identity J1 = Q J2 P fails; and the Kronecker
+        # columns it is given are that map.
+        j1, j2 = pair
+        n, m = j1.cols, j1.rows
+        factors = corrupted_factors(j1, j2, kind)
+        reference, p, q = product_form_map(n, m, *factors)
+        packed_calls = []
+        real_packed = classify._model_hom_check
+
+        def packed(cols, den, src, model):
+            packed_calls.append(classify._columns_map(cols, den))
+            return real_packed(cols, den, src, model)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_witness_factors", lambda a, b: factors)
+            patch.setattr(classify, "_model_hom_check", packed)
+            got = classify._checked_witness(j1, j2)
+        expected = hom_check(
+            reference,
+            LieAlgebra.from_param(BracketParam(n, m, j1)),
+            LieAlgebra.from_param(BracketParam(n, m, j2)),
+        )
+        assert got == expected
+        assert packed_calls == ([] if j1 == q @ j2 @ p else [reference])
+        assert classify._columns_map(*classify._kronecker_columns(n, m, *factors)) == reference
+
+
 class TestRandomParameter:
     def test_exact_rank(self):
         rng = random.Random(3)
@@ -296,12 +374,18 @@ class TestClassifyRankFamily:
         assert classify_rank_family(3, 2, seed=5) == classify_rank_family(3, 2, seed=5)
 
     def test_verifies_each_witness_on_integers(self, monkeypatch):
-        # Verifying a pair builds the structure constants of its source
-        # alone (the check brackets through the destination's model) and
-        # no Fraction: the witness goes to the check as integer columns.
+        # A passing pair is verified by its factor identity and two factor
+        # ranks alone: no structure constants, no Fraction, no packed
+        # homomorphism check and no Kronecker columns.
         real_checked = classify._checked_witness
-        spied = {brackets.structure_constants: 0, scalars.scalar_div: 1}
-        counts = []  # per verified pair: [structure_constants calls, scalar_div calls]
+        functions = (
+            brackets.structure_constants,
+            scalars.scalar_div,
+            algebra._model_hom_check,
+            classify._kronecker_columns,
+        )
+        spied = {f: i for i, f in enumerate(functions)}
+        counts = []  # per verified pair: calls of each of ``functions``
         current = [None]  # the counts of the pair being verified, if any
 
         def spy(real):
@@ -313,7 +397,7 @@ class TestClassifyRankFamily:
             return wrapped
 
         def checked(j1, j2):
-            current[0] = [0, 0]
+            current[0] = [0] * len(functions)
             counts.append(current[0])
             try:
                 return real_checked(j1, j2)
@@ -323,7 +407,7 @@ class TestClassifyRankFamily:
         with monkeypatch.context() as patch:
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "liebrackets":
-                    for attr in ("structure_constants", "scalar_div"):
+                    for attr in (f.__name__ for f in functions):
                         real = getattr(module, attr, None)
                         if real in spied:
                             patch.setattr(module, attr, spy(real))
@@ -333,7 +417,7 @@ class TestClassifyRankFamily:
             family = classify_rank_family(2, 3, seed=0, witness_pairs=2)
         assert soundness["pass"] and all(e["witness_verified"] for e in family["entries"])
         assert len(counts) == 40 + 3 * 2
-        assert all(c == [1, 0] for c in counts), counts
+        assert all(c == [0, 0, 0, 0] for c in counts), counts
 
 
 def test_iso_soundness_up_to_six():

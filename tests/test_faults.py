@@ -16,7 +16,14 @@ import pytest
 from liebrackets import classify, constructions, deform, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
-from liebrackets.constructions import HeisenbergModel, heisenberg_abstract, heisenberg_verdicts, semidirect_S
+from liebrackets.constructions import (
+    HeisenbergModel,
+    ObstructionVerdict,
+    RepCandidate,
+    heisenberg_abstract,
+    heisenberg_verdicts,
+    semidirect_S,
+)
 from liebrackets.deform import PATH_TIMES, EpsStructureConstants, ce_coboundary_check
 from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 
@@ -80,6 +87,95 @@ def test_heisenberg_construction_fails_when_z_is_not_central(monkeypatch):
     assert out["details"]["failures"] == [
         {"n": n, "kind": "construction", "error": "Z is not central among the generators"} for n in (1, 2, 3)
     ]
+
+
+# Each Heisenberg obstruction case below breaks one kind of candidate that
+# ``check_heisenberg_obstruction`` judges, at sizes n = 1, 2, 3 with targets
+# of dimension 1..n+1.
+
+
+def test_heisenberg_obstruction_fails_when_the_classical_representation_loses_z(monkeypatch):
+    # The classical representation with the image of Z set to 0: [X1, Y1] = Z
+    # is then sent to 0, while the images of X1 and Y1 have a nonzero
+    # commutator, so the candidate is not a homomorphism.
+    real = verify.classical_representation
+
+    def without_z(n):
+        cand = real(n)
+        size = cand.target_dim
+        return RepCandidate(cand.src, cand.images[:-1] + (Matrix.zeros(size, size),), size)
+
+    monkeypatch.setattr(verify, "classical_representation", without_z)
+    out = verify.check_heisenberg_obstruction()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [{"n": n, "kind": "classical", "verdict": "not-a-hom"} for n in (1, 2, 3)]
+
+
+def test_heisenberg_obstruction_fails_without_the_trace_argument(monkeypatch):
+    # A judge that drops the trace argument and reads a nonzero scalar image
+    # of Z as a plain hom-check failure: every scalar candidate (lambda = 1
+    # and -2 at each size and target) is reported with the verdict it got.
+    real = verify.heisenberg_obstruction
+
+    def without_trace(cand):
+        verdict = real(cand)
+        return ObstructionVerdict("not-a-hom") if verdict.kind == "scalar-Z-contradiction" else verdict
+
+    monkeypatch.setattr(verify, "heisenberg_obstruction", without_trace)
+    out = verify.check_heisenberg_obstruction()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "target_dim": k, "kind": "scalar-Z", "verdict": "not-a-hom"}
+        for n in (1, 2, 3)
+        for k in range(1, n + 2)
+        for _ in (1, -2)
+    ]
+
+
+def test_heisenberg_obstruction_fails_without_the_injectivity_test(monkeypatch):
+    # A judge that calls every homomorphism faithful: the zero candidate of
+    # each size and target is reported, and so is any random candidate that
+    # is a homomorphism of too small a rank.
+    real = verify.heisenberg_obstruction
+
+    def without_injectivity(cand):
+        verdict = real(cand)
+        if verdict.kind == "not-faithful":
+            return ObstructionVerdict("faithful", {"target_dim": cand.target_dim})
+        return verdict
+
+    monkeypatch.setattr(verify, "heisenberg_obstruction", without_injectivity)
+    out = verify.check_heisenberg_obstruction()
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert [f for f in failures if f["kind"] == "zero-images"] == [
+        {"n": n, "target_dim": k, "kind": "zero-images", "verdict": "faithful"}
+        for n in (1, 2, 3)
+        for k in range(1, n + 2)
+    ]
+    assert all(set(f) == {"n", "target_dim", "kind"} for f in failures if f["kind"] != "zero-images")
+    assert {f["kind"] for f in failures} <= {"zero-images", "random-faithful"}
+
+
+def test_heisenberg_obstruction_fails_without_the_hom_check(monkeypatch):
+    # A judge that skips the homomorphism check and decides by the rank of
+    # the images alone: each random candidate that is no homomorphism but
+    # has full rank comes out faithful, and is reported.
+    real = verify.heisenberg_obstruction
+    flipped = []
+
+    def by_rank_alone(cand):
+        verdict = real(cand)
+        if verdict.kind == "not-a-hom" and cand.as_map().rank() == cand.src.dim:
+            flipped.append({"n": (cand.src.dim - 1) // 2, "target_dim": cand.target_dim, "kind": "random-faithful"})
+            return ObstructionVerdict("faithful", {"target_dim": cand.target_dim})
+        return verdict
+
+    monkeypatch.setattr(verify, "heisenberg_obstruction", by_rank_alone)
+    out = verify.check_heisenberg_obstruction()
+    assert not out["pass"]
+    assert flipped
+    assert out["details"]["failures"] == flipped
 
 
 def filiform_model(real):
@@ -152,21 +248,22 @@ def witness_without_q2_inverse(j1, j2):
     return LinearMap.from_columns([(p @ e @ f1.q).entries for e in basis_matrices(j1.cols, j1.rows)])
 
 
-def integer_columns(f):
-    """``f`` as ``classify._witness_columns`` gives a witness to its check:
-    the integer columns of its matrix over their common denominator."""
-    flat, den = _integer_row(f.matrix.entries)
-    return [flat[a :: f.src_dim] for a in range(f.src_dim)], den
+def factors_without_q2_inverse(j1, j2):
+    """``witness_without_q2_inverse`` in the form ``classify._witness_factors``
+    gives a witness to its check: ``P`` and ``Q = q1`` as integer row-major
+    entries over their common denominators."""
+    f1, f2 = rank_factorization(j1), rank_factorization(j2)
+    pflat, dp = _integer_row((inverse(f2.p) @ f1.p).entries)
+    qflat, dq = _integer_row(f1.q.entries)
+    return pflat, dp, qflat, dq
 
 
-# ``iso_soundness`` checks each witness on the integer columns that
-# ``classify._witness_columns`` builds, without ``iso_witness``, so the faults
-# are put in there.
+# ``iso_soundness`` checks each witness on the factors that
+# ``classify._witness_factors`` builds, without ``iso_witness``, so the
+# faults are put in there.  A wrong factor breaks the factor identity, and
+# the packed check of the Kronecker columns then decides.
 def test_iso_soundness_fails_when_the_witness_drops_q2_inverse(monkeypatch):
-    def witness_columns(j1, j2):
-        return integer_columns(witness_without_q2_inverse(j1, j2))
-
-    monkeypatch.setattr(classify, "_witness_columns", witness_columns)
+    monkeypatch.setattr(classify, "_witness_factors", factors_without_q2_inverse)
     out = verify.check_iso_soundness(2, 0)
     failures = out["details"]["failures"]
     assert not out["pass"]
@@ -185,13 +282,15 @@ def test_iso_soundness_fails_when_the_witness_drops_q2_inverse(monkeypatch):
 
 
 def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypatch):
-    # The zero map is a homomorphism of rank 0 < n m on every shape, so every
-    # pair fails on bijectivity alone, with no pair witness.
-    def zero_witness(j1, j2):
-        d = j1.rows * j1.cols
-        return integer_columns(LinearMap(d, d, Matrix.zeros(d, d)))
+    # The zero map (P = 0, Q = 0) is a homomorphism of rank 0 < n m on every
+    # shape, so every pair fails on bijectivity alone, with no pair witness:
+    # at rank 0 through the factor identity (0 = Q J2 P), and at any other
+    # rank through the packed check, which the identity's failure reaches.
+    def zero_factors(j1, j2):
+        n, m = j1.cols, j1.rows
+        return [0] * (n * n), 1, [0] * (m * m), 1
 
-    monkeypatch.setattr(classify, "_witness_columns", zero_witness)
+    monkeypatch.setattr(classify, "_witness_factors", zero_factors)
     out = verify.check_iso_soundness(2, 0)
     failures = out["details"]["failures"]
     assert not out["pass"]
