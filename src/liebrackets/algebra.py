@@ -29,12 +29,11 @@ columns; and the signature's other ranks (the center, the Killing form
 and the center of ``[g, g]``) are taken on sparse rows built the same
 way.  So no row of the length of the basis is built, scanned or reduced
 where a bracket has few terms.  A series runs on the algebra with integer
-constants (``_integer_constants``, scaled once and kept on the algebra),
-whose series are the same spans, and so do ``center`` and
-``centralizer``: their rows go to ``_echelon`` sparse,
-``matrices._null_rows`` reads the null space off its basis as sparse
-integer rows, one per free column, and ``_echelon`` reduces those once
-more.  Each term and centralizer is still given by its canonical
+constants (``_integer_constants``), whose series are the same spans, and
+so do ``center`` and ``centralizer``: their rows go to ``_echelon``
+sparse, ``matrices._null_rows`` reads the null space off its basis as
+sparse integer rows, one per free column, and ``_echelon`` reduces those
+once more.  Each term and centralizer is still given by its canonical
 reduced echelon rows, from exact elimination; only a centralizer's
 generators and the injectivity ranks reach the loop through the dense
 boundary ``matrices._sparse_row``.  A series step reads its generators
@@ -194,19 +193,6 @@ class LieAlgebra:
         Only for an algebra whose constants are all ``int`` (see
         ``_integer_constants``)."""
         return _echelon(self.constants.table.values(), self.dim)
-
-    @cached_property
-    def _scaled(self) -> Optional["LieAlgebra"]:
-        """This algebra with its bracket multiplied by ``D``, the lcm of the
-        denominators of its constants, so that every constant is an ``int``;
-        ``None`` when they all are, as the algebra itself would be a
-        reference cycle.  The constants are linear in the parameter, so a
-        model ``J`` becomes ``D J``.  Read through ``_integer_constants``."""
-        table, den = _integer_table(self.constants.table)
-        if table is self.constants.table:
-            return None
-        model = None if self.model is None else BracketParam(self.model.n, self.model.m, self.model.j * den)
-        return LieAlgebra(self.dim, StructureConstants(self.dim, table), self.labels, model)
 
     def bracket_coords(self, x, y) -> tuple:
         """``[x, y]`` through the model when there is one, else the bilinear
@@ -637,10 +623,15 @@ def _integer_table(table: dict) -> tuple:
 
 
 def _integer_constants(L: LieAlgebra) -> LieAlgebra:
-    """``L`` with its bracket multiplied by the lcm of the denominators of its
-    constants (``LieAlgebra._scaled``, built once per algebra), so that every
-    constant is an ``int``; ``L`` itself when they all are."""
-    return L if L._scaled is None else L._scaled
+    """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
+    of its constants, so that every constant is an ``int``; ``L`` itself when
+    they all are.  The constants are linear in the parameter, so a model
+    ``J`` becomes ``D J``."""
+    table, den = _integer_table(L.constants.table)
+    if table is L.constants.table:
+        return L
+    model = None if L.model is None else BracketParam(L.model.n, L.model.m, L.model.j * den)
+    return LieAlgebra(L.dim, StructureConstants(L.dim, table), L.labels, model)
 
 
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:

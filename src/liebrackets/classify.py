@@ -20,8 +20,8 @@ factor identity, one ``m x n`` integer identity, and the ranks of its two
 factors (``_checked_witness``), with no bracket and no structure
 constants.  Only when the identity fails is the witness checked as a
 general map, on its integer Kronecker columns over one denominator, by the
-packed homomorphism check, whose verdict and witness decide; the
-``witness`` command always checks it that way.
+packed homomorphism check, whose verdict and witness decide.  The
+``witness`` command checks its witness the same way.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
     The map is built by ``_witness_factors`` and ``_kronecker_columns``.
     """
-    return _columns_map(*_witness_columns(j1, j2))
+    return _columns_map(*_kronecker_columns(j1.cols, j1.rows, *_witness_factors(j1, j2)))
 
 
 def _columns_map(cols: list, den: int) -> LinearMap:
@@ -75,12 +75,6 @@ def _columns_map(cols: list, den: int) -> LinearMap:
     if den != 1:
         rows = (tuple(scalar_div(v, den) if v else 0 for v in row) for row in rows)
     return LinearMap(len(cols), len(cols), Matrix._raw(tuple(rows)))
-
-
-def _witness_columns(j1: Matrix, j2: Matrix) -> tuple:
-    """``(columns, den)``: the matrix of ``iso_witness(j1, j2)`` is the
-    integer ``columns`` divided by ``den``."""
-    return _kronecker_columns(j1.cols, j1.rows, *_witness_factors(j1, j2))
 
 
 def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:
@@ -131,15 +125,6 @@ def _kronecker_columns(n: int, m: int, pflat, dp: int, qflat, dq: int) -> tuple:
     return [[x * y for x in pflat[i::n] for y in qrow] for i in range(n) for qrow in qrows], dp * dq
 
 
-def _packed_verdict(j1: Matrix, j2: Matrix, cols: list, den: int) -> HomVerdict:
-    """The ``hom_check`` verdict of the map with the integer ``cols`` over
-    ``den``, from the j1-bracket algebra to the j2-bracket on
-    ``Mat(cols x rows)``: only the source's structure constants are built,
-    and the images are bracketed through the j2 model."""
-    n, m = j1.cols, j1.rows
-    return _model_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
-
-
 def _checked_witness(j1: Matrix, j2: Matrix) -> HomVerdict:
     """The ``hom_check`` verdict of the witness ``A -> P A Q`` of
     ``_witness_factors(j1, j2)``, from the j1-bracket algebra to the
@@ -155,14 +140,16 @@ def _checked_witness(j1: Matrix, j2: Matrix) -> HomVerdict:
     ``_echelon`` ranks, each stopped at full rank.  That is the verdict the
     packed check gives, with no witness, and no bracket, Kronecker column or
     structure constant is built.  When the identity fails the map may still
-    be a homomorphism (every map is one on ``Mat(1 x 1)``), so its Kronecker
-    columns go to the packed check (``_packed_verdict``), whose verdict and
-    witness decide.
+    be a homomorphism (every map is one on ``Mat(1 x 1)``), so its integer
+    Kronecker columns over one denominator go to the packed check, whose
+    verdict and witness decide: only the source's structure constants are
+    built, and the images are bracketed through the j2 model.
     """
     n, m = j1.cols, j1.rows
     factors = pflat, dp, qflat, dq = _witness_factors(j1, j2)
     if not _factor_identity(j1, j2, *factors):
-        return _packed_verdict(j1, j2, *_kronecker_columns(n, m, *factors))
+        cols, den = _kronecker_columns(n, m, *factors)
+        return _model_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
     prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
     qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
     return HomVerdict(True, _rank(prows, n) == n and _rank(qrows, m) == m)
@@ -188,11 +175,9 @@ def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> 
 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:
     """The witness ``iso_witness(j1, j2)`` and its homomorphism check from
-    the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``,
-    as a general map: the packed check of ``_packed_verdict`` on its
-    Kronecker columns."""
-    cols, den = _witness_columns(j1, j2)
-    return _columns_map(cols, den), _packed_verdict(j1, j2, cols, den)
+    the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``
+    (``_checked_witness``)."""
+    return iso_witness(j1, j2), _checked_witness(j1, j2)
 
 
 def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:

@@ -624,9 +624,9 @@ class TestPackedHomCheck:
 
     def test_one_packed_bracket_kernel(self, monkeypatch):
         # ``_pair_brackets``, ``hom_check`` into a matrix model and the
-        # witness check of the ``witness`` command bracket through one
-        # kernel: with ``brackets._packed_brackets`` refused wherever it is
-        # bound, each of them raises.
+        # witness check of ``classify`` on a pair whose factor identity
+        # fails bracket through one kernel: with ``brackets._packed_brackets``
+        # refused wherever it is bound, each of them raises.
         real = brackets._packed_brackets
 
         class Refused(Exception):
@@ -644,8 +644,10 @@ class TestPackedHomCheck:
             _pair_brackets(basis_matrices(2, 3), param)
         with pytest.raises(Refused):
             hom_check(LinearMap(6, 6, Matrix.identity(6)), L, L)
+        pflat, dp, qflat, dq = classify._witness_factors(param.j, param.j)
+        monkeypatch.setattr(classify, "_witness_factors", lambda j1, j2: (pflat, dp, qflat, 2 * dq))
         with pytest.raises(Refused):
-            classify.verified_witness(param.j, param.j)
+            classify._checked_witness(param.j, param.j)
 
 
 class TestSignature:
@@ -1291,29 +1293,3 @@ class TestSparseSignature:
                     monkeypatch.setattr(module, "_echelon", echelon)
         assert invariant_signature(L) == expected
         assert read and all(read)
-
-    def test_rational_algebra_scales_its_table_once(self, monkeypatch):
-        # The integer-scaled algebra is kept on the algebra: its center, a
-        # centralizer, both series and its signature scale the rational
-        # table once between them, and give what a fresh algebra gives.
-        param = BracketParam(3, 2, Matrix([[Fraction(1, 2), 2, Fraction(-2, 3)], [0, Fraction(5, 6), 1]]))
-        fresh = [LieAlgebra.from_param(param) for _ in range(4)]
-        expected = (
-            center(fresh[0]),
-            centralizer(fresh[1], center(fresh[1])),
-            derived_series(fresh[2]),
-            lower_central_series(fresh[3]),
-            invariant_signature(fresh[0]),
-        )
-        real = algebra._integer_table
-        calls = []
-
-        def counted(table):
-            calls.append(table)
-            return real(table)
-
-        monkeypatch.setattr(algebra, "_integer_table", counted)
-        L = LieAlgebra.from_param(param)
-        got = (center(L), centralizer(L, center(L)), derived_series(L), lower_central_series(L), invariant_signature(L))
-        assert len(calls) == 1
-        assert got == expected
