@@ -227,7 +227,7 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     vector, rebuilt by the per-triple sum, in its order.
     """
     d = L.dim
-    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d, _add_products):
+    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d):
         failing = [key for key, v in defect.items() if v != 0]
         if failing:
             b, c = divmod(min(failing) // d, d)
@@ -241,11 +241,13 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     return Verdict(True)
 
 
-def _jacobi_defects(table: dict, ads: list, d: int, add):
+def _jacobi_defects(table: dict, ads: list, d: int, add=None):
     """Yield ``(a, defect)`` for each ``a`` with a nonzero adjoint: the
-    Jacobi sums of the triples ``a < b < c``, added up by
-    ``add(defect, (b * d + c) * d, v, col)``, which adds ``v * w`` at target
-    ``t`` for each term ``t: w`` of the column ``col``.
+    Jacobi sums of the triples ``a < b < c``, added up at the keys
+    ``(b * d + c) * d + t`` by ``add(defect, (b * d + c) * d, v, col)``,
+    which adds ``v * w`` at target ``t`` for each term ``t: w`` of the
+    column ``col``.  Without ``add`` the constants are scalars, and the sweep
+    adds the products ``v * w`` itself, with no call per term.
 
     Triples are swept by their smallest index ``a``, and only the nonzero
     terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
@@ -272,7 +274,11 @@ def _jacobi_defects(table: dict, ads: list, d: int, add):
                 s += 1
             start[k] = s
             for _, base, v in entries[s:]:
-                add(defect, base, v, col)
+                if add is None:
+                    for t, w in col.items():
+                        defect[base + t] = defect.get(base + t, 0) + v * w
+                else:
+                    add(defect, base, v, col)
         for e, terms in ad_a.items():  # the pair (a, e) and a third index f
             if e < a:
                 continue
@@ -281,15 +287,15 @@ def _jacobi_defects(table: dict, ads: list, d: int, add):
                     if f <= a or f == e:
                         continue
                     if f < e:  # -[x_f, [x_a, x_e]] on (a, f, e)
-                        add(defect, (f * d + e) * d, v, col)
+                        base = (f * d + e) * d
                     else:  # [x_f, [x_a, x_e]] on (a, e, f)
-                        add(defect, (e * d + f) * d, v, ads[f][k])
+                        base, col = (e * d + f) * d, ads[f][k]
+                    if add is None:
+                        for t, w in col.items():
+                            defect[base + t] = defect.get(base + t, 0) + v * w
+                    else:
+                        add(defect, base, v, col)
         yield a, defect
-
-
-def _add_products(defect: dict, base: int, v: Scalar, col: dict) -> None:
-    for t, w in col.items():
-        defect[base + t] = defect.get(base + t, 0) + v * w
 
 
 def _jacobi_holds_in_j(tables: Sequence[dict], d: int) -> bool:

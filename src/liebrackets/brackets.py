@@ -140,6 +140,22 @@ def _unpack(x: int, w: int, size: int) -> list:
     return out
 
 
+def _generic_parameter(rows: int, cols: int, w: int) -> Matrix:
+    """The generic parameter ``J*``: the ``rows x cols`` matrix whose
+    row-major entry ``p`` is ``2^(w p)``, so ``J* = sum_p 2^(w p) E_p``.
+
+    Generic-parameter lemma: for a value ``F(J)`` linear in ``J``,
+    ``F(J*) = sum_p 2^(w p) F(E_p)`` packs the values at the unit matrices
+    ``E_p`` entry by entry.  So if ``F`` and ``G`` are linear in ``J`` and
+    every entry of each ``F(E_p)`` and ``G(E_p)`` is below ``2^(w-1)`` in
+    absolute value, the packing lemma of ``_packed_brackets`` turns
+    ``F(J*) = G(J*)`` into ``F(E_p) = G(E_p)`` for every ``p``, and so, by
+    linearity, into ``F(J) = G(J)`` for every ``J``: one exact evaluation
+    proves the identity for the whole family.
+    """
+    return Matrix._raw(tuple(tuple(1 << (w * (r * cols + c)) for c in range(cols)) for r in range(rows)))
+
+
 def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
     """Iterate ``(a, b, w)`` over the pairs ``a < b`` of ``elements``, with ``w``
     the row-major flat tuple of ``[x_a, x_b]_J`` (the values and entry types of

@@ -46,7 +46,11 @@ from .verify import run_all
 # 0.18 s, ``classify 6 6`` in 0.23 s, ``heisenberg 16`` in 0.66 s,
 # ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
 # in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
-# J in 3.0 s and 0.34 s, ``embed`` of gl_12 into ``12 12 12`` in 0.90 s,
+# J in 3.0 s and 0.34 s (``constants 12 12`` re-measured at 4.4 s, best
+# of 5, on a loaded 2-core host where the calibration kernel of
+# ``perfbench/calibration.py`` took 5.8-6.1 ms against its 3.5 ms
+# reference, so about 2.6 s unloaded), ``embed`` of gl_12 into
+# ``12 12 12`` in 0.90 s,
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.48 s (a
 # 144x1 pair in 0.63 s) and ``contract 40 1`` in 2.0 s.  In process, past
 # the limits: ``classify 7 7`` 0.16 s, ``heisenberg 18`` 0.63 s,
@@ -54,16 +58,17 @@ from .verify import run_all
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all --max 5`` takes 0.89 s and ``--max 6`` (``run_all(6, 0)`` in
-# process) 1.5 s; ``verify-all`` also rejects ``--max`` below 2, where its
-# checks would cover no cases.
+# ``verify-all --max 5`` takes 0.59 s and ``--max 6`` 1.25 s as processes,
+# best of 5, and ``run_all(7, 0)`` 3.3 s in process, best of 2 (on the
+# same loaded host, the kernel at 5.5-6.1 ms); ``verify-all`` also rejects
+# ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
 MAX_SEMIDIRECT_SIZE = 15  # r + s, the size of the square matrices modelled
-MAX_VERIFY_SIZE = 5
+MAX_VERIFY_SIZE = 6
 # argparse may read a value that starts with "-" as an option; the "=" form is never misread.
 _J_HELP = 'parameter matrix, e.g. "1 0; 0 0"; write a value that starts with "-" as --%(dest)s=-3/4'
 

@@ -18,6 +18,12 @@ Every basis-pair bracket here is read off ``brackets.structure_constants``:
 the contraction rescales its table, and both identity checks scale each
 side to integers once and compare the tables pair by pair, with no matrix
 product, scaling or inverse transport inside the pair loop.
+
+The coboundary identity is linear in the parameter, as long as
+``alpha_coboundary`` is, and at a unit parameter each side has small integer
+entries.  So one ``ce_coboundary_check`` at the generic parameter ``J*`` of
+``brackets._generic_parameter`` proves it for every ``J`` of a size, which is
+how ``verify.check_deformation_coboundary`` checks it.
 """
 
 from __future__ import annotations
@@ -206,6 +212,13 @@ def ce_coboundary_check(j: Matrix, n: int):
     the right side are read off the ``structure_constants`` tables of ``I``
     and of the integer parameter ``d_J j``, and ``a([A, B])`` is the sum of
     the ``a`` of the units over the entries of ``[A, B]``.
+
+    Both sides are linear in ``j`` when ``alpha_coboundary`` is, and at a
+    unit ``j`` every entry of either side, scaled by 2, is at most 12 in
+    absolute value (proved in ``verify.check_deformation_coboundary``).  So
+    by the generic-parameter lemma of ``brackets._generic_parameter``, a pass
+    at ``J*`` with slot width ``w = 6`` proves the identity for every ``j``
+    of size ``n``.
     """
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")

@@ -7,15 +7,23 @@ the final test runs that command end-to-end and enforces its time budget.
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from liebrackets import algebra, verify
+from liebrackets import algebra, deform, verify
 from liebrackets.algebra import LieAlgebra, _jacobi_holds_in_j, jacobi_check
-from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices, structure_constants
+from liebrackets.brackets import (
+    BracketParam,
+    StructureConstants,
+    _generic_parameter,
+    basis_matrices,
+    structure_constants,
+)
+from liebrackets.deform import ce_coboundary_check
 from liebrackets.matrices import Matrix
 from liebrackets.verify import (
     check_catalog,
@@ -85,6 +93,18 @@ def test_01_lie_axioms_catch_constants_that_disagree_with_the_model(monkeypatch)
     assert "model-constants" in {f["kind"] for f in out["details"]["failures"]}
 
 
+def test_01_lie_axioms_report_jacobi_failures_with_their_triple(monkeypatch):
+    # The flipped table breaks Jacobi on 2x2 (see TABLES below), so sampled
+    # parameters of that shape fail on Jacobi, each with its triple.
+    monkeypatch.setattr(algebra, "structure_constants", flipped_second_term)
+    out = check_lie_axioms(max_size=2, seed=0)
+    jacobi = [f for f in out["details"]["failures"] if f["kind"] == "jacobi"]
+    assert not out["pass"]
+    assert jacobi
+    for failure in jacobi:
+        assert failure["shape"] == [2, 2] and set(failure["witness"]) == {"triple", "defect"}
+
+
 # sha256 of ``json.dumps`` of the failures list of ``check_lie_axioms(k, 0)``
 # under either fault above, as the sample-by-sample check reported it before
 # the family proof ran first (163 failures at k = 2, 1,495 at k = 3).
@@ -138,7 +158,8 @@ def reference_holds_for_every_parameter(n, m):
     model = True
     for j in units:
         param = BracketParam(n, m, j)
-        if next(verify._model_disagreements(basis, param, LieAlgebra.from_param(param)), None) is not None:
+        table = LieAlgebra.from_param(param).constants.table
+        if next(verify._model_disagreements(basis, param, table), None) is not None:
             model = False
     polarization = units + [units[p] + units[q] for p in range(len(units)) for q in range(p + 1, len(units))]
     jacobi = all(jacobi_check(LieAlgebra.from_param(BracketParam(n, m, j))) for j in polarization)
@@ -232,6 +253,116 @@ def test_01_lie_axioms_proof_builds_one_table_per_unit_parameter(monkeypatch, n,
     monkeypatch.setattr(algebra, "structure_constants", counted)
     assert verify._holds_for_every_parameter(n, m)
     assert len(calls) == n * m
+
+
+def unit_index(param):
+    """The row-major index ``p`` of the unit parameter ``E_p`` of ``param``."""
+    return param.j.entries.index(1)
+
+
+def shifted_unit_constants(shifts):
+    """``structure_constants`` with ``shifts[p]`` added, at the unit
+    parameter ``E_p``, to the constant of ``E_0`` in ``[E_0, E_1]``."""
+
+    def build(param):
+        table = {pair: dict(terms) for pair, terms in structure_constants(param).table.items()}
+        shift = shifts.get(unit_index(param), 0)
+        if shift:
+            terms = table.setdefault((0, 1), {})
+            terms[0] = terms.get(0, 0) + shift
+        return StructureConstants(param.dim, table)
+
+    return build
+
+
+# 64 at E_0 alone, and 64 at E_0 with -1 at E_3: at the slot width 2 that
+# constants of -1, 0 and 1 need, 64 = 2^(2*3) and the second pair cancels in
+# the packed table, so only a width taken from the data catches it.
+@pytest.mark.parametrize("shifts", [{0: 64}, {0: 64, 3: -1}])
+def test_01_lie_axioms_proof_catches_a_large_constant_at_one_unit(monkeypatch, shifts):
+    jacobi_calls = []
+    real_jacobi = verify._jacobi_holds_in_j
+    monkeypatch.setattr(verify, "_jacobi_holds_in_j", lambda *a: jacobi_calls.append(a) or real_jacobi(*a))
+    monkeypatch.setattr(algebra, "structure_constants", shifted_unit_constants(shifts))
+    assert not verify._holds_for_every_parameter(2, 2)
+    assert jacobi_calls == []  # the model/constants half failed
+
+
+def test_01_lie_axioms_proof_makes_one_bracket_pass(monkeypatch):
+    passes = []
+    real = verify._pair_brackets
+
+    def counted(elements, param):
+        passes.append(param)
+        return real(elements, param)
+
+    monkeypatch.setattr(verify, "_pair_brackets", counted)
+    for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        passes.clear()
+        assert verify._holds_for_every_parameter(n, m)
+        assert len(passes) == 1, (n, m)
+
+
+def symbolic_coboundary_vanishes(sympy, n, potential):
+    """Whether ``[A, a(B)] - [B, a(A)] - a([A, B]) - [A, B]_J`` is the zero
+    polynomial in the entries of a symbolic ``J`` on every basis pair, for
+    the potential ``a(X) = potential(X, J)``."""
+    j = sympy.Matrix(n, n, sympy.symbols(f"j0:{n * n}"))
+    units = [sympy.Matrix(n, n, lambda r, c: int(r * n + c == a)) for a in range(n * n)]
+
+    def comm(x, y):
+        return x * y - y * x
+
+    for a in range(n * n):
+        for b in range(a + 1, n * n):
+            x, y = units[a], units[b]
+            total = comm(x, potential(y, j)) - comm(y, potential(x, j)) - potential(comm(x, y), j)
+            total -= x * j * y - y * j * x
+            if any(sympy.expand(t) != 0 for t in total):
+                return False
+    return True
+
+
+# Each potential as (symbolic, engine): the engine's own ``alpha_coboundary``
+# and the two mutant potentials of the coboundary fault cases.
+POTENTIALS = {
+    "alpha": (lambda x, j: (x * j + j * x) / 2, None),
+    "without-half": (lambda x, j: x * j + j * x, lambda x, j: x @ j + j @ x),
+    "x-j-j": (lambda x, j: x * j * j, lambda x, j: x @ j @ j),
+}
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_09_coboundary_proof_agrees_with_sympy(monkeypatch, potential, n):
+    sympy = pytest.importorskip("sympy")
+    symbolic, engine = POTENTIALS[potential]
+    if engine is not None:
+        monkeypatch.setattr(deform, "alpha_coboundary", engine)
+    vanishes = symbolic_coboundary_vanishes(sympy, n, symbolic)
+    assert vanishes == (potential == "alpha" or n == 1)
+    proof = ce_coboundary_check(_generic_parameter(n, n, verify._COBOUNDARY_SLOT), n)
+    assert bool(proof) == vanishes
+
+
+def test_09_coboundary_proof_replaces_the_per_parameter_checks(monkeypatch):
+    # One check at J* per n, and no normal-form or random parameter checked
+    # or drawn once the proof holds.
+    checked = []
+    real = verify.ce_coboundary_check
+
+    def counted(j, n):
+        checked.append(n)
+        return real(j, n)
+
+    class Undrawn(random.Random):
+        def randint(self, a, b):
+            raise AssertionError("a random parameter was drawn")
+
+    monkeypatch.setattr(verify, "ce_coboundary_check", counted)
+    monkeypatch.setattr(verify.random, "Random", Undrawn)
+    assert check_deformation_coboundary(max_size=3, seed=0)["pass"]
+    assert checked == [1, 2, 3]
 
 
 def test_02_center_dimension_law():

@@ -8,14 +8,16 @@ input, so that only a bad input tells the weakened verdict from the right
 one.
 """
 
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liebrackets import classify, constructions, deform, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
-from liebrackets.brackets import BracketParam, StructureConstants, basis_matrices
+from liebrackets.brackets import BracketParam, StructureConstants, _generic_parameter, basis_matrices
 from liebrackets.constructions import (
     HeisenbergModel,
     ObstructionVerdict,
@@ -493,3 +495,119 @@ def test_coboundary_check_fails_on_random_parameters_for_the_potential_x_j_j(mon
     for failure in failures:
         verdict = ce_coboundary_check(parse_matrix(failure["j"]), failure["n"])
         assert not verdict.passed and set(verdict.witness) == {"pair", "coboundary", "bracket"}
+
+
+# The two potentials above are each wrong for every J of size n >= 2, so the
+# proof at the generic parameter J* fails on its own under either, and the
+# per-J checks that report the faults run only because it failed.  x j j is
+# quadratic in J: its value at J* is not the packing of its unit values.
+MUTANT_POTENTIALS = {
+    "without-half": lambda x, j: x @ j + j @ x,
+    "x-j-j": lambda x, j: x @ j @ j,
+}
+
+
+@pytest.mark.parametrize("potential", sorted(MUTANT_POTENTIALS))
+def test_coboundary_proof_fails_at_the_generic_parameter(monkeypatch, potential):
+    monkeypatch.setattr(deform, "alpha_coboundary", MUTANT_POTENTIALS[potential])
+    for n in (2, 3):
+        verdict = ce_coboundary_check(_generic_parameter(n, n, verify._COBOUNDARY_SLOT), n)
+        assert not verdict.passed, n
+        assert set(verdict.witness) == {"pair", "coboundary", "bracket"}
+
+
+# The catalog cases hand ``check_catalog`` entries with one thing changed,
+# through ``verify.example_catalog``; every other entry is as built.
+def catalog_with(monkeypatch, name, change):
+    real = verify.example_catalog
+
+    def patched(entry_name):
+        entry = real(entry_name)
+        return change(entry) if entry_name == name or name is None else entry
+
+    monkeypatch.setattr(verify, "example_catalog", patched)
+
+
+def test_catalog_fails_on_a_discrepancy_without_its_note(monkeypatch):
+    # Each flagged claim loses the note that explains it.
+    def without_notes(entry):
+        return replace(entry, claims=tuple(replace(c, note="") for c in entry.claims))
+
+    catalog_with(monkeypatch, None, without_notes)
+    out = verify.check_catalog()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"entry": name, "kind": "unexplained-discrepancy"} for name in ("affine2_column", "mat2_rank1")
+    ]
+
+
+def test_catalog_fails_when_x_y_gives_the_published_value(monkeypatch):
+    # A bracket that reproduces the published [X, Y] = 0 of mat2_rank1: the
+    # entry then flags nothing, and the X, Y claim no longer differs.
+    def published_xy(entry):
+        claims = tuple(replace(c, computed=c.claimed) if (c.left, c.right) == ("X", "Y") else c for c in entry.claims)
+        return replace(entry, claims=claims)
+
+    catalog_with(monkeypatch, "mat2_rank1", published_xy)
+    out = verify.check_catalog()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"entry": "mat2_rank1", "expected_flags": 1, "got_flags": 0, "pairs": []},
+        {"entry": "mat2_rank1", "kind": "XY-should-differ"},
+    ]
+
+
+def test_catalog_fails_when_e2_e1_gives_the_published_value(monkeypatch):
+    # A bracket that reproduces the published [e2, e1] = e1 of affine2_column
+    # in place of the computed e2: the wrong value is reported.
+    def published_e2e1(entry):
+        first = entry.claims[0]
+        return replace(entry, claims=(replace(first, computed=first.claimed),) + entry.claims[1:])
+
+    catalog_with(monkeypatch, "affine2_column", published_e2e1)
+    out = verify.check_catalog()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"entry": "affine2_column", "expected_flags": 1, "got_flags": 0, "pairs": []},
+        {"entry": "affine2_column", "kind": "computed-value", "got": (1, 0)},
+    ]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def failure_kinds_and_checks():
+    """The string literals stored under a ``"kind"`` key in ``verify.py`` and
+    the names of its ``check_*`` functions."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    kinds = {
+        value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "kind"
+        and isinstance(value, ast.Constant) and isinstance(value.value, str)
+    }
+    checks = {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+    return kinds, checks
+
+
+def test_every_failure_kind_and_check_is_named_by_a_negative_case():
+    # A new verdict cannot land without a case here or in the acceptance
+    # suite that names its failure kind, and a new check without a test that
+    # calls it by name.
+    kinds, checks = failure_kinds_and_checks()
+    strings, names = set(), set()
+    for path in (TESTS / "test_faults.py", TESTS / "test_acceptance.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    assert kinds and checks
+    assert sorted(kinds - strings) == []
+    assert sorted(checks - names) == []
