@@ -5,7 +5,6 @@ from .algebra import (
     HomVerdict,
     InvariantSignature,
     LieAlgebra,
-    LinearMap,
     Verdict,
     center,
     centralizer,

@@ -101,30 +101,6 @@ class HomVerdict:
         return self.is_hom and self.injective
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map between coordinate spaces, columns = basis images."""
-
-    src_dim: int
-    dst_dim: int
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.dst_dim, self.src_dim):
-            raise ShapeError(
-                f"map matrix {self.matrix.rows}x{self.matrix.cols} does not match "
-                f"{self.dst_dim}x{self.src_dim}"
-            )
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> "LinearMap":
-        rows = tuple(zip(*columns))
-        return cls(len(columns), len(rows), Matrix(rows))
-
-    def rank(self) -> int:
-        return rank(self.matrix)
-
-
 @dataclass
 class LieAlgebra:
     """Dimension + structure constants, with optional labels and matrix model.
@@ -149,8 +125,8 @@ class LieAlgebra:
             raise ShapeError("model space dimension does not match algebra dimension")
 
     @classmethod
-    def from_param(cls, param: BracketParam, labels=None) -> "LieAlgebra":
-        return cls(param.dim, structure_constants(param), labels, param)
+    def from_param(cls, param: BracketParam) -> "LieAlgebra":
+        return cls(param.dim, structure_constants(param), model=param)
 
     @property
     def ambient_shape(self) -> tuple:
@@ -506,8 +482,9 @@ def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
     return Verdict(True)
 
 
-def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
-    """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity.
+def hom_check(f: Matrix, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
+    """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity,
+    for the matrix ``f``, whose columns are the images of the basis of ``src``.
 
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
@@ -538,12 +515,12 @@ def hom_check(f: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     - The first failing pair's packings are decoded into their balanced
       base-``2^w`` digits, the two sides, for the witness.
     """
-    if f.src_dim != src.dim or f.dst_dim != dst.dim:
+    if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError(
-            f"map {f.dst_dim}x{f.src_dim} does not fit algebras of dims {src.dim} -> {dst.dim}"
+            f"map {f.rows}x{f.cols} does not fit algebras of dims {src.dim} -> {dst.dim}"
         )
     d = src.dim
-    flat, den = _integer_row(f.matrix.entries)
+    flat, den = _integer_row(f.entries)
     fcols = [flat[a::d] for a in range(d)]
     if dst.model is not None:
         return _model_hom_check(fcols, den, src, dst.model)
@@ -631,13 +608,12 @@ def _integer_table(table: dict) -> tuple:
 def _integer_constants(L: LieAlgebra) -> LieAlgebra:
     """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
     of its constants, so that every constant is an ``int``; ``L`` itself when
-    they all are.  The constants are linear in the parameter, so a model
-    ``J`` becomes ``D J``."""
-    table, den = _integer_table(L.constants.table)
+    they all are.  The scaled algebra carries no labels or model: its
+    callers read only its constants, and the shape from ``L``."""
+    table, _ = _integer_table(L.constants.table)
     if table is L.constants.table:
         return L
-    model = None if L.model is None else BracketParam(L.model.n, L.model.m, L.model.j * den)
-    return LieAlgebra(L.dim, StructureConstants(L.dim, table), L.labels, model)
+    return LieAlgebra(L.dim, StructureConstants._trusted(L.dim, table))
 
 
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:

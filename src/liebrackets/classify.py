@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Tuple
 
-from .algebra import HomVerdict, LieAlgebra, LinearMap, _model_hom_check, _rank, center, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, _model_hom_check, _rank, center, invariant_signature
 from .brackets import BracketParam
 from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _integer_row, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
@@ -57,8 +57,10 @@ def _over_common_denominator(rows) -> tuple:
     return [x * (d // den) for num, den in lowest for x in num], d
 
 
-def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
-    """Flattened isomorphism ``A -> P A Q`` from the j1-bracket to the j2-bracket.
+def iso_witness(j1: Matrix, j2: Matrix) -> Matrix:
+    """The matrix of the isomorphism ``A -> P A Q`` from the j1-bracket to the
+    j2-bracket on ``Mat(n x m)``: column ``k`` is the flat image of the
+    ``k``-th row-major basis matrix.
 
     With ``T_k j_k = R_k`` the reduced row-echelon form of ``j_k``, its rank
     factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
@@ -69,12 +71,12 @@ def iso_witness(j1: Matrix, j2: Matrix) -> LinearMap:
     return _columns_map(*_kronecker_columns(j1.cols, j1.rows, *_witness_factors(j1, j2)))
 
 
-def _columns_map(cols: list, den: int) -> LinearMap:
-    """The square map whose matrix is the integer ``cols`` divided by ``den``."""
+def _columns_map(cols: list, den: int) -> Matrix:
+    """The square matrix whose columns are the integer ``cols`` divided by ``den``."""
     rows = zip(*cols)
     if den != 1:
         rows = (tuple(scalar_div(v, den) if v else 0 for v in row) for row in rows)
-    return LinearMap(len(cols), len(cols), Matrix._raw(tuple(rows)))
+    return Matrix._raw(tuple(rows))
 
 
 def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:
@@ -173,8 +175,8 @@ def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> 
     return True
 
 
-def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[LinearMap, HomVerdict]:
-    """The witness ``iso_witness(j1, j2)`` and its homomorphism check from
+def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[Matrix, HomVerdict]:
+    """The witness matrix ``iso_witness(j1, j2)`` and its homomorphism check from
     the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``
     (``_checked_witness``)."""
     return iso_witness(j1, j2), _checked_witness(j1, j2)

@@ -166,7 +166,7 @@ def _cmd_witness(args):
         return inputs, result, verdicts, None
     result = {
         "rank": rank(j1),
-        "map": matrix_to_json(f.matrix),
+        "map": matrix_to_json(f),
     }
     verdicts = [
         {"name": "equivalent", "pass": True},
@@ -211,7 +211,7 @@ def _cmd_semidirect(args):
         "dim": model.dim,
         "labels": list(model.labels),
         "constants": model.constants.to_json(),
-        "phi": matrix_to_json(model.phi.matrix),
+        "phi": matrix_to_json(model.phi),
     }
     verdicts = [{"name": "phi_bijective_hom", "pass": True}]
     return inputs, result, verdicts, None

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, LinearMap, _model_hom_check, center, hom_check, lower_central_series, subalgebra_closed
+from .algebra import LieAlgebra, _model_hom_check, _rank, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, Subspace, _integer_row, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, rank, rref
 from .scalars import scalar_str, to_scalar
 
 
@@ -119,16 +119,22 @@ class HeisenbergModel:
         return restricted_constants(self.generators(), self.ambient, self.abstract().labels)
 
 
+def _heisenberg_generators(n: int) -> tuple:
+    """``(xs, ys, z)``: ``X_i = E(1, i+1)``, ``Y_i = E(i+1, n+2)`` and
+    ``Z = E(1, n+2)`` in square matrices of size n+2."""
+    size = n + 2
+    xs = tuple(Matrix.unit(size, size, 0, i + 1) for i in range(n))
+    ys = tuple(Matrix.unit(size, size, i + 1, size - 1) for i in range(n))
+    return xs, ys, Matrix.unit(size, size, 0, size - 1)
+
+
 def heisenberg_realization(n: int) -> HeisenbergModel:
     """Build the realization and verify every generator bracket exactly."""
     if n < 1:
         raise HypothesisError(f"need n >= 1, got {n}")
     size = n + 2
     param = BracketParam.normal(size, size, n + 1)
-    xs = tuple(Matrix.unit(size, size, 0, i + 1) for i in range(n))
-    ys = tuple(Matrix.unit(size, size, i + 1, size - 1) for i in range(n))
-    z = Matrix.unit(size, size, 0, size - 1)
-    model = HeisenbergModel(n, param, xs, ys, z)
+    model = HeisenbergModel(n, param, *_heisenberg_generators(n))
     gens = model.generators()
     if rank(Matrix(tuple(g.entries for g in gens))) != 2 * n + 1:
         raise ValueError("generators are linearly dependent")
@@ -136,7 +142,7 @@ def heisenberg_realization(n: int) -> HeisenbergModel:
     zero = (0,) * (size * size)
     for a, b, w in _pair_brackets(gens, param):
         to_z = a < n and b == a + n  # [X_i, Y_i]
-        if w != (z.entries if to_z else zero):
+        if w != (model.z.entries if to_z else zero):
             if b == 2 * n:
                 raise ValueError("Z is not central among the generators")
             raise ValueError(f"[{labels[a]}, {labels[b]}] != {'Z' if to_z else '0'}")
@@ -178,17 +184,15 @@ class RepCandidate:
                     f"image of shape {img.rows}x{img.cols}, expected square {self.target_dim}"
                 )
 
-    def as_map(self) -> LinearMap:
-        return LinearMap.from_columns([img.entries for img in self.images])
+    def as_map(self) -> Matrix:
+        """The matrix whose column ``a`` is the flat image of basis element ``a``."""
+        return Matrix(tuple(zip(*(img.entries for img in self.images))))
 
 
 def classical_representation(n: int = 1) -> RepCandidate:
     """The strictly-upper-triangular faithful representation in size n+2."""
-    size = n + 2
-    xs = [Matrix.unit(size, size, 0, i + 1) for i in range(n)]
-    ys = [Matrix.unit(size, size, i + 1, size - 1) for i in range(n)]
-    z = Matrix.unit(size, size, 0, size - 1)
-    return RepCandidate(heisenberg_abstract(n), tuple(xs + ys + [z]), size)
+    xs, ys, z = _heisenberg_generators(n)
+    return RepCandidate(heisenberg_abstract(n), xs + ys + (z,), n + 2)
 
 
 _OBSTRUCTION_KINDS = ("not-a-hom", "not-faithful", "faithful", "scalar-Z-contradiction")
@@ -240,7 +244,7 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
         return ObstructionVerdict("not-a-hom", verdict.witness)
     if verdict.injective:
         return ObstructionVerdict("faithful", {"target_dim": cand.target_dim})
-    return ObstructionVerdict("not-faithful", {"map_rank": cand.as_map().rank(), "needed": d})
+    return ObstructionVerdict("not-faithful", {"map_rank": _rank(map(_sparse_row, fcols), size), "needed": d})
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +255,14 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
 class SemidirectModel:
     """End(V1) acting on the two-step nilpotent algebra
     Hom(V1,V2) + Hom(V2,V1) + End(V2), isomorphic to the rank-r bracket
-    algebra on square matrices of size r+s via the block-assembly map."""
+    algebra on square matrices of size r+s via the block-assembly map
+    ``phi``, the matrix whose column ``a`` is the flat image of basis
+    element ``a``."""
 
     r: int
     s: int
     constants: StructureConstants
-    phi: LinearMap
+    phi: Matrix
     labels: Tuple[str, ...]
 
     @property
@@ -331,7 +337,7 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     # sorted, so that the table iterates in the order of its JSON form
     constants = StructureConstants(dim, {pair: dict(sorted(table[pair].items())) for pair in sorted(table)})
 
-    phi = LinearMap.from_columns(columns)
+    phi = Matrix(tuple(zip(*columns)))
     model = SemidirectModel(r, s, constants, phi, tuple(labels))
     verdict = hom_check(phi, model.algebra(), model.target())
     if not verdict.bijective:
@@ -372,8 +378,7 @@ def ado_embed(cand: RepCandidate, n: int, m: int, q: int):
         raise ValueError(f"candidate is not a commutator homomorphism: {pre.witness}")
     padded = [pad_matrix(img, n, m) for img in cand.images]
     big = LieAlgebra.from_param(BracketParam.normal(n, m, q))
-    f = LinearMap.from_columns([mat.entries for mat in padded])
-    verdict = hom_check(f, cand.src, big)
+    verdict = hom_check(Matrix(tuple(zip(*(mat.entries for mat in padded)))), cand.src, big)
     span = Subspace.span(n, m, padded)
     return span, verdict
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
@@ -316,24 +316,19 @@ def _add_multiple(v: dict, f: Scalar, row: dict) -> None:
             del v[k]
 
 
-def _eliminate(rows: Iterable[Sequence[Scalar]], width: Optional[int] = None, bound: Optional[int] = None) -> tuple:
-    """The reduced row-echelon basis of the span of the dense rows ``rows``:
-    ``_echelon`` on their ``_sparse_row``, made dense by ``_reduced_rows``.
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple:
+    """The reduced row-echelon basis of the span of the dense rows ``rows``
+    (a list or tuple of rows of one length): ``_echelon`` on their
+    ``_sparse_row``, made dense by ``_reduced_rows``.
 
     Returns ``(reduced, pivots)``: the nonzero rows of the reduced
     row-echelon form, as tuples of canonical scalars (``int`` when
     integral), and their pivot columns.  Since the reduced row-echelon form
     of a row space is unique, these are the rows Gauss-Jordan over the
     rationals would give, in any row order.
-
-    ``rows`` may be any iterable of rows of length ``width``; ``width`` may
-    be left out when ``rows`` is a list or tuple, and is then the length of
-    its first row.  Rows are converted and read only until the basis holds
-    ``bound`` rows (default ``width``), as ``_echelon`` says.
     """
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    return _reduced_rows(_echelon(map(_sparse_row, rows), width if bound is None else bound), width)
+    width = len(rows[0]) if rows else 0
+    return _reduced_rows(_echelon(map(_sparse_row, rows), width), width)
 
 
 def _reduced_rows(basis: dict, width: int) -> tuple:

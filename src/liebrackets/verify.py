@@ -43,6 +43,9 @@ from .deform import (
 )
 from .matrices import Matrix, rank_normal_form
 
+_PARAMS_PER_SHAPE = 20  # sampled parameters per shape in ``lie_axioms``
+_HEISENBERG_SIZES = (1, 2, 3)  # the n of h_n in both Heisenberg checks
+
 
 def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
@@ -88,7 +91,7 @@ def _holds_for_every_parameter(n: int, m: int) -> bool:
     return _jacobi_holds_in_j(tables, n * m)
 
 
-def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 20) -> dict:
+def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     """For seeded random parameters of every shape: the matrix bracket of
     every basis pair equals the dense expansion of its structure constants
     (``model-constants``), and the constants satisfy Jacobi on every basis
@@ -122,7 +125,7 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 2
 
     The unit tables are sparse, so the Jacobi half is cheap.  When the proof
     passes for every shape it covers the samples, so none is drawn, and
-    ``algebras_checked`` counts the ``params_per_shape`` sampled parameters
+    ``algebras_checked`` counts the ``_PARAMS_PER_SHAPE`` sampled parameters
     per shape that it covers.  Only when it fails are the samples drawn and
     checked one by one, which names each failing sample.
     """
@@ -132,7 +135,7 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 2
         rng = random.Random(seed)
         for n, m in shapes:
             basis = basis_matrices(n, m)
-            for _ in range(params_per_shape):
+            for _ in range(_PARAMS_PER_SHAPE):
                 j = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
                 param = BracketParam(n, m, j)
                 L = LieAlgebra.from_param(param)
@@ -145,8 +148,8 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0, params_per_shape: int = 2
         "name": "lie_axioms",
         "pass": not failures,
         "details": {
-            "algebras_checked": len(shapes) * params_per_shape,
-            "params_per_shape": params_per_shape,
+            "algebras_checked": len(shapes) * _PARAMS_PER_SHAPE,
+            "params_per_shape": _PARAMS_PER_SHAPE,
             "failures": failures,
         },
     }
@@ -169,13 +172,14 @@ def check_center_dimensions(max_size: int = 4) -> dict:
     }
 
 
-def check_iso_soundness(max_size: int = 4, seed: int = 0, pairs_per_shape: int = 10) -> dict:
-    """Equal-rank random parameter pairs admit verified bijective witnesses."""
+def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
+    """Ten seeded equal-rank random parameter pairs per shape admit verified
+    bijective witnesses."""
     rng = random.Random(seed)
     failures = []
     checked = 0
     for n, m in _shapes(max_size):
-        for _ in range(pairs_per_shape):
+        for _ in range(10):
             r = rng.randint(0, min(n, m))
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
@@ -221,10 +225,10 @@ def check_signature_separation(max_size: int = 4) -> dict:
     }
 
 
-def check_heisenberg_realization(sizes=(1, 2, 3)) -> dict:
+def check_heisenberg_realization() -> dict:
     """Generator brackets, closedness, nilpotency type and center of the span."""
     failures = []
-    for n in sizes:
+    for n in _HEISENBERG_SIZES:
         try:
             model = heisenberg_realization(n)  # bracket relations verified inside
         except ValueError as exc:
@@ -236,17 +240,17 @@ def check_heisenberg_realization(sizes=(1, 2, 3)) -> dict:
     return {
         "name": "heisenberg_realization",
         "pass": not failures,
-        "details": {"sizes": list(sizes), "failures": failures},
+        "details": {"sizes": list(_HEISENBERG_SIZES), "failures": failures},
     }
 
 
-def check_heisenberg_obstruction(seed: int = 0, sizes=(1, 2, 3)) -> dict:
+def check_heisenberg_obstruction(seed: int = 0) -> dict:
     """Scalar-Z candidates in low dimension always contradict; the classical
     representation is faithful; no low-dimensional candidate comes out faithful."""
     rng = random.Random(seed)
     failures = []
     checked = 0
-    for n in sizes:
+    for n in _HEISENBERG_SIZES:
         classical = classical_representation(n)
         verdict = heisenberg_obstruction(classical)
         checked += 1
@@ -444,7 +448,7 @@ def check_catalog() -> dict:
                 failures.append({"entry": name, "kind": "unexplained-discrepancy"})
     entry = example_catalog("mat2_rank1")
     xy = next(c for c in entry.claims if (c.left, c.right) == ("X", "Y"))
-    if xy.matches or xy.computed == xy.claimed:
+    if xy.matches:
         failures.append({"entry": "mat2_rank1", "kind": "XY-should-differ"})
     aff = example_catalog("affine2_column")
     e2e1 = aff.claims[0]

@@ -53,7 +53,7 @@ def test_01_lie_axioms():
     # each unit parameter, and the Jacobi sum of every basis triple of the
     # merged table sum_p J_p T_p has every monomial coefficient 0.
     # Antisymmetry is structural in the constants, which store each pair once.
-    out = check_lie_axioms(max_size=4, seed=0, params_per_shape=20)
+    out = check_lie_axioms(max_size=4, seed=0)
     assert out["details"]["algebras_checked"] == 16 * 20
     report(1, "Lie axioms on all shapes <= 4", out)
 
@@ -88,7 +88,7 @@ def flipped_second_term(param):
 
 def test_01_lie_axioms_catch_constants_that_disagree_with_the_model(monkeypatch):
     monkeypatch.setattr(algebra, "structure_constants", wrong_constants)
-    out = check_lie_axioms(max_size=2, seed=0, params_per_shape=20)
+    out = check_lie_axioms(max_size=2, seed=0)
     assert not out["pass"]
     assert "model-constants" in {f["kind"] for f in out["details"]["failures"]}
 
@@ -372,7 +372,7 @@ def test_02_center_dimension_law():
 
 def test_03_classification_soundness():
     # 10 seeded equal-rank pairs per shape, witnesses bijectively verified.
-    out = check_iso_soundness(max_size=4, seed=0, pairs_per_shape=10)
+    out = check_iso_soundness(max_size=4, seed=0)
     assert out["details"]["pairs_checked"] == 16 * 10
     report(3, "equal-rank parameters give verified isomorphisms", out)
 
@@ -383,12 +383,12 @@ def test_04_classification_completeness_proxy():
 
 
 def test_05_heisenberg_realization():
-    out = check_heisenberg_realization(sizes=(1, 2, 3))
+    out = check_heisenberg_realization()
     report(5, "Heisenberg realization brackets and nilpotency", out)
 
 
 def test_06_heisenberg_obstruction():
-    out = check_heisenberg_obstruction(seed=0, sizes=(1, 2, 3))
+    out = check_heisenberg_obstruction(seed=0)
     report(6, "scalar-Z contradiction fires; classical rep faithful", out)
 
 

@@ -17,7 +17,6 @@ from liebrackets.algebra import (
     HomVerdict,
     InvariantSignature,
     LieAlgebra,
-    LinearMap,
     Verdict,
     center,
     centralizer,
@@ -53,6 +52,11 @@ from liebrackets.matrices import (
 )
 from liebrackets.scalars import scalar_div, scalar_str
 from test_matrices import intersection
+
+
+def from_columns(columns):
+    """The matrix whose columns are ``columns``: a map given by its basis images."""
+    return Matrix(tuple(zip(*columns)))
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -210,7 +214,7 @@ class TestCenter:
             witness = iso_witness(j, jn)
             src = LieAlgebra.from_param(BracketParam(n, m, j))
             dst = LieAlgebra.from_param(BracketParam.normal(n, m, r))
-            images = [witness.matrix @ Matrix.column(src.to_coords(z)) for z in center(src).basis]
+            images = [witness @ Matrix.column(src.to_coords(z)) for z in center(src).basis]
             mapped = Subspace.span(n, m, [dst.from_coords(v.entries) for v in images])
             assert mapped == center(dst)
 
@@ -369,12 +373,12 @@ class TestSubalgebraClosed:
 class TestHomCheck:
     def test_identity_map(self):
         alg = LieAlgebra.from_param(BracketParam.commutator(2))
-        verdict = hom_check(LinearMap(4, 4, Matrix.identity(4)), alg, alg)
+        verdict = hom_check(Matrix.identity(4), alg, alg)
         assert verdict.is_hom and verdict.injective
 
     def test_zero_map(self):
         alg = LieAlgebra.from_param(BracketParam.commutator(2))
-        zero = LinearMap(4, 4, Matrix.zeros(4, 4))
+        zero = Matrix.zeros(4, 4)
         verdict = hom_check(zero, alg, alg)
         assert verdict.is_hom and not verdict.injective
 
@@ -388,21 +392,41 @@ class TestHomCheck:
         src = LieAlgebra.from_param(BracketParam(n, n, j))
         dst = LieAlgebra.from_param(BracketParam.commutator(n))
         cols = [(j @ e).entries for e in basis_matrices(n, n)]
-        verdict = hom_check(LinearMap.from_columns(cols), src, dst)
+        verdict = hom_check(from_columns(cols), src, dst)
         assert verdict.is_hom and verdict.injective
 
     def test_non_hom_witnessed(self):
         src = LieAlgebra(3, sl2_constants())
         dst = abelian(3)
-        verdict = hom_check(LinearMap(3, 3, Matrix.identity(3)), src, dst)
+        verdict = hom_check(Matrix.identity(3), src, dst)
         assert not verdict.is_hom
         assert verdict.witness is not None
 
     def test_abstract_destination_path(self):
         # No model on the destination: the constants route is exercised.
         src = LieAlgebra(3, heisenberg3_constants())
-        verdict = hom_check(LinearMap(3, 3, Matrix.identity(3)), src, LieAlgebra(3, heisenberg3_constants()))
+        verdict = hom_check(Matrix.identity(3), src, LieAlgebra(3, heisenberg3_constants()))
         assert verdict.is_hom and verdict.injective
+
+    @pytest.mark.parametrize(
+        "shape, dst",
+        [
+            ((4, 3), LieAlgebra.from_param(BracketParam.commutator(2))),  # too few columns, model route
+            ((5, 4), LieAlgebra(4, structure_constants(BracketParam.commutator(2)))),  # too many rows
+        ],
+        ids=["too-few-columns", "too-many-rows"],
+    )
+    def test_shape_guard_raises_before_any_bracket(self, monkeypatch, shape, dst):
+        # The map's matrix must be dst.dim x src.dim; a wrong shape is refused
+        # before either route brackets anything.
+        def no_bracket(*args, **kwargs):
+            raise AssertionError("bracket formed before the shape check")
+
+        monkeypatch.setattr(algebra, "_packed_brackets", no_bracket)
+        monkeypatch.setattr(LieAlgebra, "bracket_coords", no_bracket)
+        src = LieAlgebra.from_param(BracketParam.commutator(2))
+        with pytest.raises(ShapeError, match=rf"map {shape[0]}x{shape[1]} does not fit algebras of dims 4 -> 4"):
+            hom_check(Matrix.zeros(*shape), src, dst)
 
 
 def first_hom_failure(f, src_param, dst_param):
@@ -413,8 +437,8 @@ def first_hom_failure(f, src_param, dst_param):
     basis = basis_matrices(src_param.n, src_param.m)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            lhs = (f.matrix @ Matrix.column(bracket(basis[a], basis[b], src_param).entries)).entries
-            fa, fb = (Matrix.from_flat(n, m, f.matrix.column_tuple(c)) for c in (a, b))
+            lhs = (f @ Matrix.column(bracket(basis[a], basis[b], src_param).entries)).entries
+            fa, fb = (Matrix.from_flat(n, m, f.column_tuple(c)) for c in (a, b))
             rhs = bracket(fa, fb, dst_param).entries
             if lhs != rhs:
                 return [a, b], lhs, rhs
@@ -435,8 +459,8 @@ class TestHomCheckWitness:
     def fractional_map(self):
         rng = random.Random(8)
         pool = [0, 1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
-        f = LinearMap(6, 6, Matrix([[rng.choice(pool) for _ in range(6)] for _ in range(6)]))
-        assert any(type(x) is Fraction for x in f.matrix.entries)
+        f = Matrix([[rng.choice(pool) for _ in range(6)] for _ in range(6)])
+        assert any(type(x) is Fraction for x in f.entries)
         return f
 
     def check(self, dst):
@@ -449,7 +473,7 @@ class TestHomCheckWitness:
             "f_of_bracket": nonzero_json(lhs),
             "bracket_of_images": nonzero_json(rhs),
         }
-        assert verdict.injective == (rank(f.matrix) == 6)
+        assert verdict.injective == (rank(f) == 6)
 
     def test_model_route(self):
         self.check(LieAlgebra.from_param(self.DST))
@@ -459,7 +483,7 @@ class TestHomCheckWitness:
 
     def test_fractional_homomorphism_passes(self):
         # A -> A / 2 maps the bracket of J to the bracket of 2J.
-        half = LinearMap(6, 6, Matrix.identity(6) * Fraction(1, 2))
+        half = Matrix.identity(6) * Fraction(1, 2)
         dst = BracketParam(2, 3, self.SRC.j * 2)
         for target in (LieAlgebra.from_param(dst), LieAlgebra(6, structure_constants(dst))):
             verdict = hom_check(half, LieAlgebra.from_param(self.SRC), target)
@@ -472,7 +496,7 @@ def plain_hom_check(f, src, dst):
     model), each pair compared entry by entry.  The reference for the packed
     comparison, independent of its kernel."""
     d = src.dim
-    flat, den = matrices._integer_row(f.matrix.entries)
+    flat, den = matrices._integer_row(f.entries)
     fcols = [flat[a::d] for a in range(d)]
     fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
     if dst.model is not None:
@@ -496,7 +520,7 @@ def plain_hom_check(f, src, dst):
                 "bracket_of_images": nonzero_json(scalar_div(x, den2) for x in rhs),
             }
             break
-    return HomVerdict(witness is None, f.rank() == src.dim, witness)
+    return HomVerdict(witness is None, rank(f) == src.dim, witness)
 
 
 def typed(x):
@@ -549,14 +573,14 @@ def hom_cases(draw):
         j1 = square(m, pool) @ j2 @ square(n, pool)
         f = iso_witness(j1, j2)
         if kind == "scaled":
-            f = LinearMap(d, d, f.matrix * draw(st.sampled_from([2, -1, Fraction(1, 2), Fraction(-3, 2)])))
+            f = f * draw(st.sampled_from([2, -1, Fraction(1, 2), Fraction(-3, 2)]))
     else:
         flat = entries(draw(st.sampled_from([INTEGERS, RATIONALS])), d)
         j1 = Matrix([flat[i * n : (i + 1) * n] for i in range(m)]) if kind == "dense" else Matrix.zeros(m, n)
         map_pool = draw(st.sampled_from([INTEGERS, RATIONALS]))
         nonzero = {"dense": d, "last-pair": min(d, 2), "zero": 0}[kind]
         cols = [[0] * d for _ in range(d - nonzero)] + [entries(map_pool, d) for _ in range(nonzero)]
-        f = LinearMap.from_columns(cols)
+        f = from_columns(cols)
     src = LieAlgebra.from_param(BracketParam(n, m, j1))
     dst = LieAlgebra.from_param(BracketParam(n, m, j2))
     if draw(st.integers(0, 4)) == 0:
@@ -607,7 +631,7 @@ class TestPackedHomCheck:
         cols = cols + [[0] * d for _ in range(d - len(cols))]
         src = LieAlgebra(d, StructureConstants(d, {(0, 1): terms}))
         dst = LieAlgebra.from_param(BracketParam(n, m, Matrix(j)))
-        verdict = assert_same_verdict(LinearMap.from_columns(cols), src, dst)
+        verdict = assert_same_verdict(from_columns(cols), src, dst)
         assert verdict.witness["pair"] == [0, 1]
 
     def test_the_bound_case_reaches_the_bound(self):
@@ -643,7 +667,7 @@ class TestPackedHomCheck:
         with pytest.raises(Refused):
             _pair_brackets(basis_matrices(2, 3), param)
         with pytest.raises(Refused):
-            hom_check(LinearMap(6, 6, Matrix.identity(6)), L, L)
+            hom_check(Matrix.identity(6), L, L)
         pflat, dp, qflat, dq = classify._witness_factors(param.j, param.j)
         monkeypatch.setattr(classify, "_witness_factors", lambda j1, j2: (pflat, dp, qflat, 2 * dq))
         with pytest.raises(Refused):

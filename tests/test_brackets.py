@@ -403,7 +403,7 @@ class TestSemidirectTable:
         model = semidirect_S(r, s)
         constants, columns, labels = reference_semidirect(r, s)
         assert ordered_table(model.constants) == ordered_table(constants)
-        phi = model.phi.matrix
+        phi = model.phi
         assert [phi.column_tuple(a) for a in range(model.dim)] == columns
         assert model.labels == labels
 

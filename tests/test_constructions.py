@@ -166,7 +166,7 @@ class TestSemidirect:
     def test_no_complement_is_commutator_algebra(self):
         model = semidirect_S(2, 0)
         assert model.constants == LieAlgebra.from_param(BracketParam.commutator(2)).constants
-        assert model.phi.matrix == Matrix.identity(4)
+        assert model.phi == Matrix.identity(4)
 
     def test_small_mixed_model(self):
         model = semidirect_S(1, 1)
@@ -209,7 +209,7 @@ class TestSemidirect:
             semidirect_S(0, 2)
 
 
-# sha256 of ``json.dumps([constants.to_json(), matrix_to_json(phi.matrix),
+# sha256 of ``json.dumps([constants.to_json(), matrix_to_json(phi),
 # labels], sort_keys=True)`` of ``semidirect_S(r, s)``, recorded when the
 # table was still built by the dense block bracket of every basis pair.
 SEMIDIRECT_DIGESTS = {
@@ -240,7 +240,7 @@ SEMIDIRECT_DIGESTS = {
 @pytest.mark.parametrize("r, s", sorted(SEMIDIRECT_DIGESTS))
 def test_semidirect_output_is_pinned(r, s):
     model = semidirect_S(r, s)
-    payload = [model.constants.to_json(), matrix_to_json(model.phi.matrix), list(model.labels)]
+    payload = [model.constants.to_json(), matrix_to_json(model.phi), list(model.labels)]
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     assert digest == SEMIDIRECT_DIGESTS[(r, s)]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from liebrackets import classify, constructions, deform, verify
-from liebrackets.algebra import InvariantSignature, LieAlgebra, LinearMap, hom_check
+from liebrackets.algebra import InvariantSignature, LieAlgebra, hom_check
 from liebrackets.brackets import BracketParam, StructureConstants, _generic_parameter, basis_matrices
 from liebrackets.constructions import (
     HeisenbergModel,
@@ -28,6 +28,7 @@ from liebrackets.constructions import (
 )
 from liebrackets.deform import PATH_TIMES, EpsStructureConstants, ce_coboundary_check
 from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
+from test_algebra import from_columns
 
 
 def abelian(dim):
@@ -38,10 +39,10 @@ def test_hom_check_reads_a_rank_deficient_homomorphism_as_not_injective():
     # The quotient of the Heisenberg algebra h_1 (basis X, Y, Z with
     # [X, Y] = Z) by its center onto the abelian plane: a homomorphism, since
     # Z is sent to 0, of rank 2 = dim h_1 - 1.
-    f = LinearMap.from_columns([(1, 0), (0, 1), (0, 0)])
+    f = from_columns([(1, 0), (0, 1), (0, 0)])
     verdict = hom_check(f, heisenberg_abstract(1), abelian(2))
     assert verdict.is_hom
-    assert f.rank() == 2
+    assert rank(f) == 2
     assert not verdict.injective
     assert not verdict.bijective
 
@@ -168,7 +169,7 @@ def test_heisenberg_obstruction_fails_without_the_hom_check(monkeypatch):
 
     def by_rank_alone(cand):
         verdict = real(cand)
-        if verdict.kind == "not-a-hom" and cand.as_map().rank() == cand.src.dim:
+        if verdict.kind == "not-a-hom" and rank(cand.as_map()) == cand.src.dim:
             flipped.append({"n": (cand.src.dim - 1) // 2, "target_dim": cand.target_dim, "kind": "random-faithful"})
             return ObstructionVerdict("faithful", {"target_dim": cand.target_dim})
         return verdict
@@ -247,7 +248,7 @@ def witness_without_q2_inverse(j1, j2):
     once ``q2`` is not the identity."""
     f1, f2 = rank_factorization(j1), rank_factorization(j2)
     p = inverse(f2.p) @ f1.p
-    return LinearMap.from_columns([(p @ e @ f1.q).entries for e in basis_matrices(j1.cols, j1.rows)])
+    return from_columns([(p @ e @ f1.q).entries for e in basis_matrices(j1.cols, j1.rows)])
 
 
 def factors_without_q2_inverse(j1, j2):

@@ -1,0 +1,113 @@
+"""The package exports only what the package itself uses.
+
+A name that ``liebrackets/__init__.py`` exports must be referenced somewhere
+in ``src/liebrackets`` outside ``__init__.py`` and outside its own
+definition.  The one exception is a name that the benchmark tracer wraps by
+name (``perfbench/tracer.py``, ``FUNCTIONS`` or ``METHODS``): deleting it
+needs a benchmark change first, so the failure message lists those names as
+well, as the deletion list for that change.
+"""
+
+import ast
+from pathlib import Path
+
+import liebrackets
+
+SRC = Path(liebrackets.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def exports() -> dict:
+    """``{name: defining module}`` for each name ``__init__.py`` imports."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def package_sources() -> list:
+    """The text of every package module but ``__init__.py``."""
+    return [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def referenced(names: set, sources: list) -> set:
+    """The ``names`` that one of the module ``sources`` uses: as a loaded
+    name it imports or defines, or as an attribute of a package module it
+    imports, outside the top-level definition of that name.  Strings,
+    docstrings among them, are not references."""
+    found = set()
+    for source in sources:
+        tree = ast.parse(source)
+        bound, modules = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    (bound if node.module else modules).add(alias.asname or alias.name)
+            elif isinstance(node, DEFINITIONS):
+                bound.add(node.name)
+        for top in tree.body:
+            owner = top.name if isinstance(top, DEFINITIONS) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                    name = node.attr
+                else:
+                    continue
+                if name in names and name != owner:
+                    found.add(name)
+    return found
+
+
+def tracer_names() -> set:
+    """The package names that ``perfbench/tracer.py`` wraps: the last part
+    of each ``FUNCTIONS`` entry and the class and attribute of each
+    ``METHODS`` entry."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    values = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS")
+    }
+    names = {entry.rsplit(".", 1)[1] for entry in values["FUNCTIONS"]}
+    return names | {part for _, cls, attr in values["METHODS"].values() for part in (cls, attr)}
+
+
+def test_every_export_is_used_by_the_package_or_kept_by_the_tracer():
+    exported = exports()
+    assert exported and set(exported.values()) <= {path.stem for path in SRC.glob("*.py")}
+    unused = set(exported) - referenced(set(exported), package_sources())
+    kept = tracer_names()
+    assert sorted(unused - kept) == [], (
+        f"exported but used nowhere in src/: {sorted(unused - kept)}; "
+        f"kept only by perfbench/tracer.py: {sorted(unused & kept)}"
+    )
+
+
+def test_only_code_outside_a_definition_counts_as_a_reference():
+    # A docstring or comment mention, a call from the name's own body and an
+    # unused import are not references; a call, an annotation and an
+    # attribute of an imported package module are.
+    sources = [
+        '''
+from . import matrices
+from .algebra import called, imported_only, annotated
+
+
+def recursive(n):
+    """Calls imported_only() in prose only."""  # and recursive() in a comment
+    return recursive(n - 1) if n else called(n)
+
+
+def user(x: annotated):
+    return matrices.through_module(x)
+''',
+    ]
+    names = {"called", "imported_only", "annotated", "recursive", "through_module", "missing"}
+    assert referenced(names, sources) == {"called", "annotated", "through_module"}
