@@ -8,15 +8,18 @@ basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
 with a middle-parameter bracket; coordinate vectors then reshape to
 matrices and back.
 
-The Jacobi check, the center and centralizers, both series, the Killing
-form and the bracket of an algebra without a model read the adjoint action
-from one table, ``LieAlgebra._sparse_ads``, built once per algebra.  The
-Jacobi check's triple sweep also proves Jacobi for every parameter of a
-shape, on the unit tables merged into one with polynomial constants.
-``hom_check`` into an algebra with a matrix model brackets the images
-through the model with ``brackets._packed_brackets``, the kernel of
-``_pair_brackets``, and packs the other side of each basis pair into one
-integer too, so a pair costs ``2 n`` integer products and one comparison.
+The Jacobi check, the center and centralizers, both series and the Killing
+form read the adjoint action from one table, ``LieAlgebra._sparse_ads``,
+built once per algebra.  The Jacobi check's triple sweep also proves
+Jacobi for every parameter of a shape, on the unit tables merged into one
+with polynomial constants.  Every map the engine checks lands in a bracket
+on matrices, and every subalgebra it checks lies in one, so the
+destination of ``hom_check`` and the ambient of ``subalgebra_closed`` are
+a ``BracketParam``, not an algebra, and no structure constants are built
+for them.  ``hom_check`` brackets the images through the parameter with
+``brackets._packed_brackets``, the kernel of ``_pair_brackets``, and packs
+the other side of each basis pair into one integer too, so a pair costs
+``2 n`` integer products and one comparison.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
@@ -169,20 +172,6 @@ class LieAlgebra:
         Only for an algebra whose constants are all ``int`` (see
         ``_integer_constants``)."""
         return _echelon(self.constants.table.values(), self.dim)
-
-    def bracket_coords(self, x, y) -> tuple:
-        """``[x, y]`` through the model when there is one, else the bilinear
-        expansion ``sum_a x_a [x_a, y]`` over the adjoint columns."""
-        x = self.to_coords(x)
-        y = self.to_coords(y)
-        if self.model is not None:
-            return bracket(self.from_coords(x), self.from_coords(y), self.model).entries
-        sparse_y = {b: yb for b, yb in enumerate(y) if yb}
-        v: dict = {}
-        for xa, cols in zip(x, self._sparse_ads):
-            if xa:
-                _add_bracket(v, xa, cols, sparse_y)
-        return _dense(v, self.dim)
 
 
 def _dense(row: dict, width: int) -> tuple:
@@ -460,17 +449,18 @@ def _killing_gram(L: LieAlgebra) -> list:
     return gram
 
 
-def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
-    """Pass iff the bracket of any two basis members of ``S`` stays in ``S``."""
-    if (S.ambient_rows, S.ambient_cols) != L.ambient_shape:
+def subalgebra_closed(param: BracketParam, S: Subspace) -> Verdict:
+    """Pass iff the ``param`` bracket of any two basis members of ``S`` stays
+    in ``S``: each pair is bracketed by ``brackets.bracket`` and reduced
+    against ``S``, and a failure reports the first pair and its residual."""
+    if (S.ambient_rows, S.ambient_cols) != (param.n, param.m):
         raise ShapeError(
             f"subspace ambient {S.ambient_rows}x{S.ambient_cols} does not match "
-            f"algebra ambient {L.ambient_shape[0]}x{L.ambient_shape[1]}"
+            f"algebra ambient {param.n}x{param.m}"
         )
     for a in range(S.dim):
         for b in range(a + 1, S.dim):
-            w = L.from_coords(L.bracket_coords(S.basis[a], S.basis[b]))
-            residual = S.reduce(w)
+            residual = S.reduce(bracket(S.basis[a], S.basis[b], param))
             if not residual.is_zero():
                 return Verdict(
                     False,
@@ -482,9 +472,11 @@ def subalgebra_closed(L: LieAlgebra, S: Subspace) -> Verdict:
     return Verdict(True)
 
 
-def hom_check(f: Matrix, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
+def hom_check(f: Matrix, src: LieAlgebra, dst: BracketParam) -> HomVerdict:
     """Check ``f([x,y]) = [f(x), f(y)]`` on all basis pairs, plus injectivity,
-    for the matrix ``f``, whose columns are the images of the basis of ``src``.
+    for the matrix ``f`` from ``src`` to the ``dst`` bracket on
+    ``Mat(dst.n x dst.m)``, whose columns are the flat images of the basis of
+    ``src``.
 
     The check runs on integers: with ``D`` the lcm of the denominators of
     ``f`` and ``F = D f``, the left side is linear and the right side
@@ -493,10 +485,9 @@ def hom_check(f: Matrix, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
     by ``D**2``, the values of the unscaled test.  ``f`` is injective when
     the columns of ``F`` have rank ``src.dim``.
 
-    Without a matrix model on the destination, the right side is
-    ``LieAlgebra.bracket_coords``.  With one, it is evaluated through the
-    model (a route independent of the structure constants), and each side of
-    each pair is packed into one integer at the slot width ``w`` of
+    The right side is evaluated through the ``dst`` bracket itself, so no
+    structure constants of the destination are read, and each side of each
+    pair is packed into one integer at the slot width ``w`` of
     ``brackets._packed_brackets``, whose packing lemma makes equal packings
     mean equal sides:
 
@@ -521,22 +512,7 @@ def hom_check(f: Matrix, src: LieAlgebra, dst: LieAlgebra) -> HomVerdict:
         )
     d = src.dim
     flat, den = _integer_row(f.entries)
-    fcols = [flat[a::d] for a in range(d)]
-    if dst.model is not None:
-        return _model_hom_check(fcols, den, src, dst.model)
-    injective = _rank(map(_sparse_row, fcols), dst.dim) == d
-    fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
-    for a in range(d):
-        for b in range(a + 1, d):
-            rhs = dst.bracket_coords(fcols[a], fcols[b])
-            lhs = [0] * dst.dim
-            for k, v in src.constants.table.get((a, b), {}).items():
-                w = den * v
-                for t, x in fterms[k]:
-                    lhs[t] += w * x
-            if tuple(lhs) != rhs:
-                return HomVerdict(False, injective, _hom_witness(a, b, lhs, rhs, den * den))
-    return HomVerdict(True, injective)
+    return _model_hom_check([flat[a::d] for a in range(d)], den, src, dst)
 
 
 def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
@@ -550,7 +526,9 @@ def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
 def _model_hom_check(fcols: list, den: int, src: LieAlgebra, model: BracketParam) -> HomVerdict:
     """``hom_check`` into the ``model`` bracket of the map whose matrix has
     the integer columns ``fcols`` over ``den``, on packed integers as
-    described there; it reads no structure constants of the destination."""
+    described there.  The callers that already hold integer columns
+    (``heisenberg_obstruction`` and the witness check of ``classify``) call
+    it directly."""
     table, c = _integer_table(src.constants.table)
     jflat, dj = _integer_row(model.j.entries)
     f = den * dj

@@ -16,8 +16,8 @@ and ``algebra.subalgebra_closed`` calls ``bracket``.  Every other pair loop
 brackets integer operands through one kernel, ``_packed_brackets``, which
 packs each operand into a few integers, so that a pair costs ``2 n``
 integer products: ``_pair_brackets`` decodes its packed brackets, and
-``algebra.hom_check`` into a matrix model compares them whole.  The
-Lie-axiom check's model-constants comparison ties the kernel to the table.
+``algebra.hom_check`` compares them whole.  The Lie-axiom check's
+model-constants comparison ties the kernel to the table.
 """
 
 from __future__ import annotations

@@ -130,7 +130,15 @@ def _kronecker_columns(n: int, m: int, pflat, dp: int, qflat, dq: int) -> tuple:
 def _checked_witness(j1: Matrix, j2: Matrix) -> HomVerdict:
     """The ``hom_check`` verdict of the witness ``A -> P A Q`` of
     ``_witness_factors(j1, j2)``, from the j1-bracket algebra to the
-    j2-bracket on ``Mat(n x m)``, read off its factors.
+    j2-bracket on ``Mat(n x m)`` (``_factor_verdict``)."""
+    return _factor_verdict(j1, j2, _witness_factors(j1, j2))
+
+
+def _factor_verdict(j1: Matrix, j2: Matrix, factors: tuple) -> HomVerdict:
+    """The ``hom_check`` verdict of the map ``A -> P A Q`` from the
+    j1-bracket algebra to the j2-bracket on ``Mat(n x m)``, read off its
+    ``factors`` ``(pflat, dp, qflat, dq)`` in the form of
+    ``_witness_factors``.
 
     With ``J_k = J_k' / d_k`` and ``P' = dp P``, ``Q' = dq Q`` integer, the
     factor identity ``J1 = Q J2 P`` is the ``m x n`` integer identity
@@ -148,7 +156,7 @@ def _checked_witness(j1: Matrix, j2: Matrix) -> HomVerdict:
     built, and the images are bracketed through the j2 model.
     """
     n, m = j1.cols, j1.rows
-    factors = pflat, dp, qflat, dq = _witness_factors(j1, j2)
+    pflat, _, qflat, _ = factors
     if not _factor_identity(j1, j2, *factors):
         cols, den = _kronecker_columns(n, m, *factors)
         return _model_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
@@ -178,8 +186,9 @@ def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[Matrix, HomVerdict]:
     """The witness matrix ``iso_witness(j1, j2)`` and its homomorphism check from
     the j1-bracket algebra to the j2-bracket algebra on ``Mat(cols x rows)``
-    (``_checked_witness``)."""
-    return iso_witness(j1, j2), _checked_witness(j1, j2)
+    (``_checked_witness``), both from one ``_witness_factors`` call."""
+    factors = _witness_factors(j1, j2)
+    return _columns_map(*_kronecker_columns(j1.cols, j1.rows, *factors)), _factor_verdict(j1, j2, factors)
 
 
 def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:

@@ -154,7 +154,7 @@ def heisenberg_verdicts(model: HeisenbergModel) -> Dict[str, dict]:
     constants are the Heisenberg constants, its lower central series has
     dimensions ``[2n+1, 1, 0]``, and its center is spanned by Z."""
     n = model.n
-    closed = subalgebra_closed(LieAlgebra.from_param(model.ambient), model.span())
+    closed = subalgebra_closed(model.ambient, model.span())
     realized = model.realized_algebra()
     lcs = [t.dim for t in lower_central_series(realized)]
     ctr = center(realized)
@@ -272,9 +272,11 @@ class SemidirectModel:
     def algebra(self) -> LieAlgebra:
         return LieAlgebra(self.dim, self.constants, self.labels)
 
-    def target(self) -> LieAlgebra:
+    def target(self) -> BracketParam:
+        """The rank-r bracket on square matrices of size r+s, onto which
+        ``phi`` maps the algebra."""
         n = self.r + self.s
-        return LieAlgebra.from_param(BracketParam.normal(n, n, self.r))
+        return BracketParam.normal(n, n, self.r)
 
     def nilpotent_indices(self) -> range:
         """Coordinate range of the nilpotent part (the A, B, C components)."""
@@ -298,9 +300,8 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     ``E_ij E_kl = [j = k] E_il``: the table is written from these unit
     products alone, and ``phi`` sends each unit block to one unit matrix.
     The table is built by its own rule, not from ``structure_constants`` of
-    the rank-r parameter, so ``hom_check`` compares two independent routes:
-    this rule and the two-term bracket of the model, through
-    ``_pair_brackets``.
+    the rank-r parameter, and ``hom_check`` tests it against the two-term
+    bracket of that parameter, through ``brackets._packed_brackets``.
     """
     if r < 1 or s < 0:
         raise HypothesisError(f"need r >= 1 and s >= 0, got r={r}, s={s}")
@@ -311,13 +312,13 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
 
     place = {}  # name -> (coordinate of its first unit block, rows, cols)
     labels: List[str] = []
-    columns = []
+    positions = []  # flat position in Mat(n x n) of each unit block
     for name, rows, cols, r0, c0 in components:
         place[name] = (len(labels), rows, cols)
         for i in range(rows):
             for j in range(cols):
                 labels.append(f"{name}[{i + 1},{j + 1}]")
-                columns.append(Matrix.unit(n, n, r0 + i, c0 + j).entries)
+                positions.append((r0 + i) * n + c0 + j)
 
     table: Dict[tuple, dict] = {}
     for left, right, product in _UNIT_PRODUCTS:
@@ -337,7 +338,10 @@ def semidirect_S(r: int, s: int) -> SemidirectModel:
     # sorted, so that the table iterates in the order of its JSON form
     constants = StructureConstants(dim, {pair: dict(sorted(table[pair].items())) for pair in sorted(table)})
 
-    phi = Matrix(tuple(zip(*columns)))
+    phi_rows = [[0] * dim for _ in range(dim)]
+    for a, pos in enumerate(positions):
+        phi_rows[pos][a] = 1
+    phi = Matrix._raw(tuple(map(tuple, phi_rows)))
     model = SemidirectModel(r, s, constants, phi, tuple(labels))
     verdict = hom_check(phi, model.algebra(), model.target())
     if not verdict.bijective:
@@ -372,13 +376,11 @@ def ado_embed(cand: RepCandidate, n: int, m: int, q: int):
         raise HypothesisError(f"need q >= p: q={q} < p={p}")
     if n < q or m < q:
         raise HypothesisError(f"need n, m >= q: n={n}, m={m}, q={q}")
-    commutator_target = LieAlgebra.from_param(BracketParam.commutator(p))
-    pre = hom_check(cand.as_map(), cand.src, commutator_target)
+    pre = hom_check(cand.as_map(), cand.src, BracketParam.commutator(p))
     if not pre.is_hom:
         raise ValueError(f"candidate is not a commutator homomorphism: {pre.witness}")
     padded = [pad_matrix(img, n, m) for img in cand.images]
-    big = LieAlgebra.from_param(BracketParam.normal(n, m, q))
-    verdict = hom_check(Matrix(tuple(zip(*(mat.entries for mat in padded)))), cand.src, big)
+    verdict = hom_check(Matrix(tuple(zip(*(mat.entries for mat in padded)))), cand.src, BracketParam.normal(n, m, q))
     span = Subspace.span(n, m, padded)
     return span, verdict
 

@@ -337,7 +337,7 @@ class TestAdjoint:
         alg = LieAlgebra.from_param(BracketParam(2, 2, random_matrix(rng, 2, 2)))
         x = random_matrix(rng, 2, 2)
         y = random_matrix(rng, 2, 2)
-        lhs = ad_matrix(alg, alg.bracket_coords(x, y))
+        lhs = ad_matrix(alg, bracket(x, y, alg.model).entries)
         ax, ay = ad_matrix(alg, x), ad_matrix(alg, y)
         assert lhs == ax @ ay - ay @ ax
 
@@ -351,35 +351,46 @@ class TestSubalgebraClosed:
     def test_block_triangle_shape_closed(self):
         # Matrices (G, H; 0, K) form a subalgebra of the rank-r algebra.
         n, r = 3, 2
-        alg = LieAlgebra.from_param(BracketParam.normal(n, n, r))
+        param = BracketParam.normal(n, n, r)
         mats = [Matrix.unit(n, n, i, j) for i in range(r) for j in range(r)]
         mats += [Matrix.unit(n, n, i, j) for i in range(r) for j in range(r, n)]
-        assert subalgebra_closed(alg, Subspace.span(n, n, mats)).passed
+        assert subalgebra_closed(param, Subspace.span(n, n, mats)).passed
         mats += [Matrix.unit(n, n, i, j) for i in range(r, n) for j in range(r, n)]
-        assert subalgebra_closed(alg, Subspace.span(n, n, mats)).passed
+        assert subalgebra_closed(param, Subspace.span(n, n, mats)).passed
 
     def test_whole_algebra_closed(self):
-        alg = LieAlgebra.from_param(BracketParam.commutator(2))
-        assert subalgebra_closed(alg, alg.full_subspace()).passed
+        param = BracketParam.commutator(2)
+        assert subalgebra_closed(param, Subspace.span(2, 2, basis_matrices(2, 2))).passed
 
     def test_off_diagonal_pair_not_closed(self):
-        alg = LieAlgebra.from_param(BracketParam.commutator(2))
+        param = BracketParam.commutator(2)
         span = Subspace.span(2, 2, [Matrix.unit(2, 2, 0, 1), Matrix.unit(2, 2, 1, 0)])
-        verdict = subalgebra_closed(alg, span)
+        verdict = subalgebra_closed(param, span)
         assert not verdict.passed
         assert verdict.witness["pair"] == [0, 1]
+
+    def test_shape_guard_raises_before_any_bracket(self, monkeypatch):
+        # The subspace must lie in Mat(param.n x param.m); a wrong ambient is
+        # refused before any pair is bracketed.
+        def no_bracket(*args, **kwargs):
+            raise AssertionError("bracket formed before the shape check")
+
+        monkeypatch.setattr(algebra, "bracket", no_bracket)
+        span = Subspace.span(4, 1, [Matrix.unit(4, 1, 0, 0), Matrix.unit(4, 1, 1, 0)])
+        with pytest.raises(ShapeError, match=r"subspace ambient 4x1 does not match algebra ambient 2x2"):
+            subalgebra_closed(BracketParam.commutator(2), span)
 
 
 class TestHomCheck:
     def test_identity_map(self):
-        alg = LieAlgebra.from_param(BracketParam.commutator(2))
-        verdict = hom_check(Matrix.identity(4), alg, alg)
+        param = BracketParam.commutator(2)
+        verdict = hom_check(Matrix.identity(4), LieAlgebra.from_param(param), param)
         assert verdict.is_hom and verdict.injective
 
     def test_zero_map(self):
-        alg = LieAlgebra.from_param(BracketParam.commutator(2))
+        param = BracketParam.commutator(2)
         zero = Matrix.zeros(4, 4)
-        verdict = hom_check(zero, alg, alg)
+        verdict = hom_check(zero, LieAlgebra.from_param(param), param)
         assert verdict.is_hom and not verdict.injective
 
     def test_multiplication_by_invertible_parameter(self):
@@ -390,43 +401,28 @@ class TestHomCheck:
         while rank(j) != n:
             j = random_matrix(rng, n, n)
         src = LieAlgebra.from_param(BracketParam(n, n, j))
-        dst = LieAlgebra.from_param(BracketParam.commutator(n))
         cols = [(j @ e).entries for e in basis_matrices(n, n)]
-        verdict = hom_check(from_columns(cols), src, dst)
+        verdict = hom_check(from_columns(cols), src, BracketParam.commutator(n))
         assert verdict.is_hom and verdict.injective
 
     def test_non_hom_witnessed(self):
         src = LieAlgebra(3, sl2_constants())
-        dst = abelian(3)
+        dst = BracketParam(3, 1, Matrix.zeros(1, 3))  # abelian: the zero bracket on columns
         verdict = hom_check(Matrix.identity(3), src, dst)
         assert not verdict.is_hom
         assert verdict.witness is not None
 
-    def test_abstract_destination_path(self):
-        # No model on the destination: the constants route is exercised.
-        src = LieAlgebra(3, heisenberg3_constants())
-        verdict = hom_check(Matrix.identity(3), src, LieAlgebra(3, heisenberg3_constants()))
-        assert verdict.is_hom and verdict.injective
-
-    @pytest.mark.parametrize(
-        "shape, dst",
-        [
-            ((4, 3), LieAlgebra.from_param(BracketParam.commutator(2))),  # too few columns, model route
-            ((5, 4), LieAlgebra(4, structure_constants(BracketParam.commutator(2)))),  # too many rows
-        ],
-        ids=["too-few-columns", "too-many-rows"],
-    )
-    def test_shape_guard_raises_before_any_bracket(self, monkeypatch, shape, dst):
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 4)], ids=["too-few-columns", "too-many-rows"])
+    def test_shape_guard_raises_before_any_bracket(self, monkeypatch, shape):
         # The map's matrix must be dst.dim x src.dim; a wrong shape is refused
-        # before either route brackets anything.
+        # before anything is bracketed.
         def no_bracket(*args, **kwargs):
             raise AssertionError("bracket formed before the shape check")
 
         monkeypatch.setattr(algebra, "_packed_brackets", no_bracket)
-        monkeypatch.setattr(LieAlgebra, "bracket_coords", no_bracket)
-        src = LieAlgebra.from_param(BracketParam.commutator(2))
+        param = BracketParam.commutator(2)
         with pytest.raises(ShapeError, match=rf"map {shape[0]}x{shape[1]} does not fit algebras of dims 4 -> 4"):
-            hom_check(Matrix.zeros(*shape), src, dst)
+            hom_check(Matrix.zeros(*shape), LieAlgebra.from_param(param), param)
 
 
 def first_hom_failure(f, src_param, dst_param):
@@ -463,9 +459,9 @@ class TestHomCheckWitness:
         assert any(type(x) is Fraction for x in f.entries)
         return f
 
-    def check(self, dst):
+    def test_model_route(self):
         f = self.fractional_map()
-        verdict = hom_check(f, LieAlgebra.from_param(self.SRC), dst)
+        verdict = hom_check(f, LieAlgebra.from_param(self.SRC), self.DST)
         pair, lhs, rhs = first_hom_failure(f, self.SRC, self.DST)
         assert not verdict.is_hom
         assert verdict.witness == {
@@ -475,36 +471,25 @@ class TestHomCheckWitness:
         }
         assert verdict.injective == (rank(f) == 6)
 
-    def test_model_route(self):
-        self.check(LieAlgebra.from_param(self.DST))
-
-    def test_constants_route(self):
-        self.check(LieAlgebra(6, structure_constants(self.DST)))
-
     def test_fractional_homomorphism_passes(self):
         # A -> A / 2 maps the bracket of J to the bracket of 2J.
         half = Matrix.identity(6) * Fraction(1, 2)
-        dst = BracketParam(2, 3, self.SRC.j * 2)
-        for target in (LieAlgebra.from_param(dst), LieAlgebra(6, structure_constants(dst))):
-            verdict = hom_check(half, LieAlgebra.from_param(self.SRC), target)
-            assert verdict.bijective and verdict.witness is None
+        verdict = hom_check(half, LieAlgebra.from_param(self.SRC), BracketParam(2, 3, self.SRC.j * 2))
+        assert verdict.bijective and verdict.witness is None
 
 
 def plain_hom_check(f, src, dst):
     """``hom_check`` as a plain loop over the basis pairs: the right side from
-    ``brackets.bracket`` on the image matrices (``bracket_coords`` without a
-    model), each pair compared entry by entry.  The reference for the packed
+    ``brackets.bracket`` on the image matrices under the parameter ``dst``,
+    each pair compared entry by entry.  The reference for the packed
     comparison, independent of its kernel."""
     d = src.dim
     flat, den = matrices._integer_row(f.entries)
     fcols = [flat[a::d] for a in range(d)]
     fterms = [[(t, x) for t, x in enumerate(col) if x] for col in fcols]
-    if dst.model is not None:
-        rows, cols = dst.ambient_shape
-        images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
-        pairs = ((a, b, bracket(images[a], images[b], dst.model).entries) for a in range(d) for b in range(a + 1, d))
-    else:
-        pairs = ((a, b, dst.bracket_coords(fcols[a], fcols[b])) for a in range(d) for b in range(a + 1, d))
+    rows, cols = dst.n, dst.m
+    images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
+    pairs = ((a, b, bracket(images[a], images[b], dst).entries) for a in range(d) for b in range(a + 1, d))
     witness = None
     for a, b, rhs in pairs:
         lhs = [0] * dst.dim
@@ -546,8 +531,7 @@ def hom_cases(draw):
     an isomorphism witness (a homomorphism), the witness times a scalar
     other than 1, a dense map (which fails at the first pair whose bracket
     is not zero), a map with only its last two images nonzero from an abelian
-    source (which can fail at the last pair only), or the zero map.  The
-    destination loses its model now and then, for the constants route."""
+    source (which can fail at the last pair only), or the zero map."""
     n, m = draw(st.sampled_from([(a, b) for a in range(1, 5) for b in range(1, 5)]))
     d = n * m
 
@@ -581,11 +565,7 @@ def hom_cases(draw):
         nonzero = {"dense": d, "last-pair": min(d, 2), "zero": 0}[kind]
         cols = [[0] * d for _ in range(d - nonzero)] + [entries(map_pool, d) for _ in range(nonzero)]
         f = from_columns(cols)
-    src = LieAlgebra.from_param(BracketParam(n, m, j1))
-    dst = LieAlgebra.from_param(BracketParam(n, m, j2))
-    if draw(st.integers(0, 4)) == 0:
-        dst = LieAlgebra(d, dst.constants)
-    return f, src, dst
+    return f, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2)
 
 
 class TestPackedHomCheck:
@@ -630,8 +610,7 @@ class TestPackedHomCheck:
         d = n * m
         cols = cols + [[0] * d for _ in range(d - len(cols))]
         src = LieAlgebra(d, StructureConstants(d, {(0, 1): terms}))
-        dst = LieAlgebra.from_param(BracketParam(n, m, Matrix(j)))
-        verdict = assert_same_verdict(from_columns(cols), src, dst)
+        verdict = assert_same_verdict(from_columns(cols), src, BracketParam(n, m, Matrix(j)))
         assert verdict.witness["pair"] == [0, 1]
 
     def test_the_bound_case_reaches_the_bound(self):
@@ -667,7 +646,7 @@ class TestPackedHomCheck:
         with pytest.raises(Refused):
             _pair_brackets(basis_matrices(2, 3), param)
         with pytest.raises(Refused):
-            hom_check(Matrix.identity(6), L, L)
+            hom_check(Matrix.identity(6), L, param)
         pflat, dp, qflat, dq = classify._witness_factors(param.j, param.j)
         monkeypatch.setattr(classify, "_witness_factors", lambda j1, j2: (pflat, dp, qflat, 2 * dq))
         with pytest.raises(Refused):
@@ -697,9 +676,9 @@ class TestSignature:
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
             src = LieAlgebra.from_param(BracketParam(n, m, j1))
-            dst = LieAlgebra.from_param(BracketParam(n, m, j2))
+            dst = BracketParam(n, m, j2)
             assert hom_check(iso_witness(j1, j2), src, dst).bijective
-            assert invariant_signature(src) == invariant_signature(dst)
+            assert invariant_signature(src) == invariant_signature(LieAlgebra.from_param(dst))
 
     def test_random_integer_j_matches_rank_normal_form(self):
         # Dense integer J drive entry growth in elimination; the bracket is
@@ -1063,15 +1042,6 @@ class TestSignatureDifferential:
         got, expected = jacobi_check(L), reference_jacobi_check(L)
         assert got == expected
         assert json.dumps(got.witness) == json.dumps(expected.witness)
-
-    @SIGNATURE_DIFFERENTIAL
-    @given(signature_algebras(), st.data())
-    def test_bracket_coords_matches_reference(self, L, data):
-        # An algebra without a model brackets through its adjoint columns.
-        abstract = LieAlgebra(L.dim, L.constants)
-        entries = st.sampled_from([0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 5)])
-        x, y = (data.draw(st.lists(entries, min_size=L.dim, max_size=L.dim)) for _ in range(2))
-        assert abstract.bracket_coords(x, y) == reference_bracket_coords(L.constants, x, y)
 
     @SIGNATURE_DIFFERENTIAL
     @given(signature_algebras())

@@ -82,11 +82,7 @@ class TestNormalForm:
 
 def _verify_witness(j1, j2):
     n, m = j1.cols, j1.rows
-    return hom_check(
-        iso_witness(j1, j2),
-        LieAlgebra.from_param(BracketParam(n, m, j1)),
-        LieAlgebra.from_param(BracketParam(n, m, j2)),
-    )
+    return hom_check(iso_witness(j1, j2), LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
 
 
 def reference_iso_witness(j1, j2):
@@ -236,6 +232,27 @@ class TestIsoWitness:
         assert calls == [(4, 6), (4, 6), (4, 4)]
         assert got == expected
 
+    def test_verified_witness_builds_its_factors_once(self, monkeypatch):
+        # The map and its verdict both come from one factor build: with the
+        # factors' Q halved there, the map is half the witness, and its
+        # verdict is the one hom_check gives that map.
+        j1, j2 = Matrix([[1, 2], [3, 4]]), Matrix([[0, 1], [1, 0]])
+        real = classify._witness_factors
+        calls = []
+
+        def halved_q(a, b):
+            calls.append((a, b))
+            pflat, dp, qflat, dq = real(a, b)
+            return pflat, dp, qflat, 2 * dq
+
+        monkeypatch.setattr(classify, "_witness_factors", halved_q)
+        f, verdict = classify.verified_witness(j1, j2)
+        assert calls == [(j1, j2)]
+        monkeypatch.undo()
+        assert f == iso_witness(j1, j2) * Fraction(1, 2)
+        assert verdict == hom_check(f, LieAlgebra.from_param(BracketParam(2, 2, j1)), BracketParam(2, 2, j2))
+        assert not verdict.is_hom and verdict.injective
+
     def test_inequivalent_carries_ranks(self):
         with pytest.raises(ClassificationError) as exc:
             iso_witness(Matrix.identity(2), Matrix.diagonal([1, 0]))
@@ -248,8 +265,8 @@ class TestIsoWitness:
         forward = iso_witness(j1, j2)
         back = iso_witness(j2, j1)
         composed = back @ forward
-        alg1 = LieAlgebra.from_param(BracketParam(2, 2, j1))
-        verdict = hom_check(composed, alg1, alg1)
+        param1 = BracketParam(2, 2, j1)
+        verdict = hom_check(composed, LieAlgebra.from_param(param1), param1)
         assert verdict.bijective
 
 
@@ -321,11 +338,7 @@ class TestFactorVerdict:
             patch.setattr(classify, "_witness_factors", lambda a, b: factors)
             patch.setattr(classify, "_model_hom_check", packed)
             got = classify._checked_witness(j1, j2)
-        expected = hom_check(
-            reference,
-            LieAlgebra.from_param(BracketParam(n, m, j1)),
-            LieAlgebra.from_param(BracketParam(n, m, j2)),
-        )
+        expected = hom_check(reference, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
         assert got == expected
         assert packed_calls == ([] if j1 == q @ j2 @ p else [reference])
         assert classify._columns_map(*classify._kronecker_columns(n, m, *factors)) == reference

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from liebrackets import algebra
 from liebrackets.algebra import (
     LieAlgebra,
     center,
@@ -27,6 +28,7 @@ from liebrackets.constructions import (
     heisenberg_abstract,
     heisenberg_obstruction,
     heisenberg_realization,
+    heisenberg_verdicts,
     pad_matrix,
     restricted_constants,
     semidirect_S,
@@ -73,8 +75,7 @@ class TestHeisenbergRealization:
     def test_span_closed_and_nilpotent(self):
         for n in (1, 2, 3):
             model = heisenberg_realization(n)
-            ambient = LieAlgebra.from_param(model.ambient)
-            assert subalgebra_closed(ambient, model.span()).passed
+            assert subalgebra_closed(model.ambient, model.span()).passed
             realized = model.realized_algebra()
             assert realized.constants == heisenberg_abstract(n).constants
             assert [t.dim for t in lower_central_series(realized)] == [2 * n + 1, 1, 0]
@@ -140,7 +141,7 @@ class TestHeisenbergObstruction:
         for n in (1, 2):
             src = heisenberg_abstract(n)
             for target in range(1, n + 3):
-                gl = LieAlgebra.from_param(BracketParam.commutator(target))
+                gl = BracketParam.commutator(target)
                 for _ in range(6):
                     images = tuple(
                         Matrix([[rng.choice(entries) for _ in range(target)] for _ in range(target)])
@@ -286,6 +287,26 @@ class TestAdoEmbed:
         )
         with pytest.raises(ValueError):
             ado_embed(RepCandidate(src, images, 2), 3, 3, 2)
+
+
+def test_no_destination_or_ambient_algebra_is_built(monkeypatch):
+    # A map into a bracket on matrices, and a subspace of one, are checked
+    # against the parameter itself: no structure constants are built for it.
+    model = heisenberg_realization(2)
+    real = algebra.structure_constants
+    calls = []
+
+    def spy(param):
+        calls.append((param.n, param.m))
+        return real(param)
+
+    monkeypatch.setattr(algebra, "structure_constants", spy)
+    assert all(v["pass"] for v in heisenberg_verdicts(model).values())
+    assert calls == []
+    semidirect_S(2, 1)
+    assert calls == []
+    assert ado_embed(classical_representation(1), 4, 5, 3)[1].bijective
+    assert calls == []
 
 
 def reference_restricted_constants(basis, param, labels=None):

@@ -31,16 +31,12 @@ from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, ra
 from test_algebra import from_columns
 
 
-def abelian(dim):
-    return LieAlgebra(dim, StructureConstants(dim, {}))
-
-
 def test_hom_check_reads_a_rank_deficient_homomorphism_as_not_injective():
     # The quotient of the Heisenberg algebra h_1 (basis X, Y, Z with
     # [X, Y] = Z) by its center onto the abelian plane: a homomorphism, since
     # Z is sent to 0, of rank 2 = dim h_1 - 1.
     f = from_columns([(1, 0), (0, 1), (0, 0)])
-    verdict = hom_check(f, heisenberg_abstract(1), abelian(2))
+    verdict = hom_check(f, heisenberg_abstract(1), BracketParam(2, 1, Matrix.zeros(1, 2)))  # the abelian plane
     assert verdict.is_hom
     assert rank(f) == 2
     assert not verdict.injective
@@ -275,9 +271,7 @@ def test_iso_soundness_fails_when_the_witness_drops_q2_inverse(monkeypatch):
         n, m = failure["shape"]
         j1, j2 = parse_matrix(failure["j1"]), parse_matrix(failure["j2"])
         verdict = hom_check(
-            witness_without_q2_inverse(j1, j2),
-            LieAlgebra.from_param(BracketParam(n, m, j1)),
-            LieAlgebra.from_param(BracketParam(n, m, j2)),
+            witness_without_q2_inverse(j1, j2), LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2)
         )
         assert not verdict.is_hom and verdict.injective
         assert set(failure["witness"]) == {"pair", "f_of_bracket", "bracket_of_images"}

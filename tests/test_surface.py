@@ -6,6 +6,11 @@ definition.  The one exception is a name that the benchmark tracer wraps by
 name (``perfbench/tracer.py``, ``FUNCTIONS`` or ``METHODS``): deleting it
 needs a benchmark change first, so the failure message lists those names as
 well, as the deletion list for that change.
+
+Likewise a public method of an exported class must be read as an attribute
+(``x.name``) somewhere in ``src/liebrackets`` outside its own definition,
+unless a file under ``perfbench/`` reads it, which the failure message
+lists the same way.
 """
 
 import ast
@@ -14,7 +19,8 @@ from pathlib import Path
 import liebrackets
 
 SRC = Path(liebrackets.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -87,6 +93,44 @@ def test_every_export_is_used_by_the_package_or_kept_by_the_tracer():
     assert sorted(unused - kept) == [], (
         f"exported but used nowhere in src/: {sorted(unused - kept)}; "
         f"kept only by perfbench/tracer.py: {sorted(unused & kept)}"
+    )
+
+
+def public_methods() -> dict:
+    """``{"Class.method": definition}`` for each method, property included,
+    whose name has no leading underscore, of each class that ``__init__.py``
+    exports."""
+    exported = exports()
+    methods = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and exported.get(node.name) == path.stem:
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        methods[f"{node.name}.{item.name}"] = item
+    return methods
+
+
+def attribute_reads(trees: list) -> list:
+    """Every ``x.name`` in the parsed ``trees``, as ``(name, node)``."""
+    return [(node.attr, node) for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_every_public_method_of_an_export_is_read_by_the_package_or_the_benchmark():
+    methods = public_methods()
+    assert "LieAlgebra.full_subspace" in methods and "Matrix._raw" not in methods
+    reads = attribute_reads([ast.parse(source) for source in package_sources()])
+    unused = set()
+    for key, definition in methods.items():
+        name, inside = key.split(".")[1], set(map(id, ast.walk(definition)))
+        if not any(attr == name and id(node) not in inside for attr, node in reads):
+            unused.add(key)
+    benchmark = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.rglob("*.py"))]
+    perfbench = {attr for attr, _ in attribute_reads(benchmark)}
+    kept = {key for key in unused if key.split(".")[1] in perfbench}
+    assert sorted(unused - kept) == [], (
+        f"public methods read nowhere in src/: {sorted(unused - kept)}; "
+        f"kept only by a read in perfbench/: {sorted(kept)}"
     )
 
 
