@@ -512,7 +512,7 @@ def hom_check(f: Matrix, src: LieAlgebra, dst: BracketParam) -> HomVerdict:
         )
     d = src.dim
     flat, den = _integer_row(f.entries)
-    return _model_hom_check([flat[a::d] for a in range(d)], den, src, dst)
+    return _packed_hom_check([flat[a::d] for a in range(d)], den, src, dst)
 
 
 def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
@@ -523,24 +523,24 @@ def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
     }
 
 
-def _model_hom_check(fcols: list, den: int, src: LieAlgebra, model: BracketParam) -> HomVerdict:
-    """``hom_check`` into the ``model`` bracket of the map whose matrix has
-    the integer columns ``fcols`` over ``den``, on packed integers as
-    described there.  The callers that already hold integer columns
-    (``heisenberg_obstruction`` and the witness check of ``classify``) call
-    it directly."""
+def _packed_hom_check(fcols: list, den: int, src: LieAlgebra, dst: BracketParam) -> HomVerdict:
+    """The packed check of ``hom_check``: the map whose matrix has the
+    integer columns ``fcols`` over ``den``, from ``src`` into the ``dst``
+    bracket, on packed integers as described there.  The callers that
+    already hold integer columns (``heisenberg_obstruction`` and the witness
+    check of ``classify``) call it directly."""
     table, c = _integer_table(src.constants.table)
-    jflat, dj = _integer_row(model.j.entries)
+    jflat, dj = _integer_row(dst.j.entries)
     f = den * dj
     max_c = max((sum(map(abs, terms.values())) for terms in table.values()), default=0)
-    w, pairs = _packed_brackets(fcols, [c * x for x in jflat], model.n, model.m, f * max_c)
+    w, pairs = _packed_brackets(fcols, [c * x for x in jflat], dst.n, dst.m, f * max_c)
     packed = [f * _pack(col, w) for col in fcols]
-    injective = _rank(map(_sparse_row, fcols), model.dim) == src.dim
+    injective = _rank(map(_sparse_row, fcols), dst.dim) == src.dim
     for a, b, right in pairs:
         terms = table.get((a, b))
         left = sum(map(mul, terms.values(), map(packed.__getitem__, terms))) if terms else 0
         if left != right:
-            size = model.dim
+            size = dst.dim
             witness = _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
             return HomVerdict(False, injective, witness)
     return HomVerdict(True, injective)

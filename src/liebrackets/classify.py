@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Tuple
 
-from .algebra import HomVerdict, LieAlgebra, _model_hom_check, _rank, center, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, _rank, center, invariant_signature
 from .brackets import BracketParam
 from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _integer_row, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
@@ -159,7 +159,7 @@ def _factor_verdict(j1: Matrix, j2: Matrix, factors: tuple) -> HomVerdict:
     pflat, _, qflat, _ = factors
     if not _factor_identity(j1, j2, *factors):
         cols, den = _kronecker_columns(n, m, *factors)
-        return _model_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
+        return _packed_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
     prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
     qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
     return HomVerdict(True, _rank(prows, n) == n and _rank(qrows, m) == m)

@@ -58,9 +58,9 @@ from .verify import run_all
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all --max 5`` takes 0.59 s and ``--max 6`` 1.25 s as processes,
-# best of 5, and ``run_all(7, 0)`` 3.3 s in process, best of 2 (on the
-# same loaded host, the kernel at 5.5-6.1 ms); ``verify-all`` also rejects
+# ``verify-all --max 5`` takes 0.63 s and ``--max 6`` 1.19 s as processes,
+# best of 5, and ``run_all(7, 0)`` 2.9 s in process, best of 2 (on the
+# same loaded host, the kernel at 4.9-10 ms); ``verify-all`` also rejects
 # ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # CPython 3.11 argparse stores "--opt=--" as [] and calls no type=
+                raise ValueError(f"--{name}: '--' is not a value")
         inputs, result, verdicts, seed = args.handler(args)
     except (ShapeError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc!r}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)

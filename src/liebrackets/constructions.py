@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, _model_hom_check, _rank, center, hom_check, lower_central_series, subalgebra_closed
+from .algebra import LieAlgebra, _packed_hom_check, _rank, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
 from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, rank, rref
 from .scalars import scalar_str, to_scalar
@@ -239,7 +239,7 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     flat, den = _integer_row(tuple(chain.from_iterable(img.entries for img in cand.images)))
     size = cand.target_dim**2
     fcols = [flat[a * size : (a + 1) * size] for a in range(d)]
-    verdict = _model_hom_check(fcols, den, cand.src, BracketParam.commutator(cand.target_dim))
+    verdict = _packed_hom_check(fcols, den, cand.src, BracketParam.commutator(cand.target_dim))
     if not verdict.is_hom:
         return ObstructionVerdict("not-a-hom", verdict.witness)
     if verdict.injective:

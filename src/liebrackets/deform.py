@@ -11,8 +11,10 @@ silently wrong.
 
 In the other direction the straight-line path ``(1-t) I + t J`` of
 parameters deforms the commutator into the rank-r bracket; for ``t < 1``
-the column-scaling transport map makes the two isomorphic, and the bracket
-with any parameter is a 2-coboundary of the commutator's adjoint action.
+the column-scaling transport map is an isomorphism from the deformed
+bracket onto the commutator (``path_identities`` checks that it is
+invertible and preserves brackets), and the bracket with any parameter is
+a 2-coboundary of the commutator's adjoint action.
 
 Every basis-pair bracket here is read off ``brackets.structure_constants``:
 the contraction rescales its table, and both identity checks scale each
@@ -118,8 +120,9 @@ def deformation_bracket(n: int, j: Matrix, t) -> BracketParam:
 def psi_t(x: Matrix, t, r: int) -> Matrix:
     """Scale columns r+1..n of a square matrix by (1 - t).
 
-    This is the transport that exhibits the deformed bracket at `t` as
-    isomorphic to the ordinary commutator whenever t != 1.
+    For t != 1 this transport is invertible and maps the deformed bracket
+    at `t` isomorphically onto the ordinary commutator; ``path_identities``
+    checks both, the nonzero column weights and the bracket identity.
     """
     t = to_scalar(t)
     if x.rows != x.cols:
@@ -150,10 +153,14 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     With ``J_t = (1-t) I + t J_r`` and ``J_r`` the rank-r normal form:
 
     * ``decomposition``: ``[A, B]_{J_t} = [A, B] + t [A, B]_{J_r - I}``;
-    * ``transport`` (only for ``t != 1``):
-      ``psi_t([A, B]_{J_t}) = [psi_t A, psi_t B]``, that is
-      ``[A, B]_{J_t} = psi_t^-1([psi_t A, psi_t B])``, as ``psi_t`` is
-      invertible for ``t != 1``.
+    * ``transport`` (only for ``t != 1``): ``psi_t`` is invertible and
+      ``psi_t([A, B]_{J_t}) = [psi_t A, psi_t B]``.
+
+    The lemma behind ``transport``: if ``psi_t`` is invertible and the
+    bracket identity holds on basis pairs, then ``psi_t`` is an isomorphism
+    from the ``J_t``-bracket onto ``gl(n)``.  Both sides of the identity are
+    bilinear in ``(A, B)``, so it holds on every pair, and an invertible
+    linear map that preserves brackets is an isomorphism.
 
     Both identities are read off basis-pair brackets: with ``t = p/q``, the
     tables ``structure_constants`` gives for ``q J_t``, ``I`` and
@@ -161,7 +168,9 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     columns, so ``q psi_t(E_(i,c)) = w_c E_(i,c)`` with ``w`` the diagonal of
     ``q psi_t(I)``; for units ``E_a = E_(i,c)`` and ``E_b = E_(k,d)`` the
     transport identity times ``q^2`` reads
-    ``w_l (q [E_a, E_b]_{J_t})_(x,l) = w_c w_d [E_a, E_b]_(x,l)``.
+    ``w_l (q [E_a, E_b]_{J_t})_(x,l) = w_c w_d [E_a, E_b]_(x,l)``, and
+    ``psi_t`` is invertible iff every weight ``w_c`` is nonzero, which the
+    verdict also requires (each ``w_c`` is ``q`` or ``q - p``).
 
     The identities in ``t``: multiplied through by ``psi_t`` as above, each
     entry of the transport identity is a polynomial of degree at most 2 in
@@ -169,7 +178,8 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     identity is affine in ``t``.  A polynomial of degree at most 2 that
     vanishes at three distinct points is zero (N. Alon, "Combinatorial
     Nullstellensatz", 1999, Lemma 2.1), so passing at three distinct
-    ``t != 1`` proves both identities for every ``t != 1``.
+    ``t != 1`` proves both identities for every ``t != 1``; there every
+    weight ``q - p`` is nonzero.
     """
     t = to_scalar(t)
     p, q = t.numerator, t.denominator
@@ -186,7 +196,7 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
             transport = transport and v * w[k % n] == w[a % n] * w[b % n] * c
     verdicts = {"decomposition": decomposition}
     if t != 1:
-        verdicts["transport"] = transport
+        verdicts["transport"] = transport and all(w)
     return verdicts
 
 

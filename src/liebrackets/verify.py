@@ -38,7 +38,6 @@ from .deform import (
     ce_coboundary_check,
     contraction_constants,
     contraction_limit,
-    deformation_bracket,
     path_identities,
 )
 from .matrices import Matrix, rank_normal_form
@@ -363,8 +362,15 @@ _COBOUNDARY_SLOT = 6
 
 
 def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
-    """Decomposition identity, transport at sample times, coboundary identity,
-    and the invariant signature along the deformation path.
+    """Decomposition identity and transport at sample times, coboundary
+    identity, and the degeneration of the path's endpoint.
+
+    At each sample time ``t < 1`` the ``transport`` verdict of
+    ``path_identities`` proves the column scaling ``psi_t`` an isomorphism
+    from the ``J_t``-bracket onto ``gl(n)``, so the path points need no
+    invariant.  The invariant signature tells the endpoint ``J_r`` (``r <
+    n``) apart from ``gl(n)`` (``endpoint-degeneration``); at ``n = 1`` both
+    are the one-dimensional algebra, so it is computed from ``n = 2`` on.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -391,23 +397,17 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     )
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
-        sig_gl = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n)))
+        sig_gl = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n))) if n >= 2 else None
         for r in range(n):
-            jr = rank_normal_form(n, n, r)
             # The transport map is singular at t = 1, the last sample time.
             for t in PATH_TIMES[:-1]:
                 identity_cases += pairs
                 for kind, ok in path_identities(n, r, t).items():
                     if not ok:
                         failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
-                if t == 0:  # the path parameter is the identity, whose signature is sig_gl
-                    continue
-                if invariant_signature(LieAlgebra.from_param(deformation_bracket(n, jr, t))) != sig_gl:
-                    failures.append({"n": n, "r": r, "t": str(t), "kind": "path-signature"})
-            sig_end = invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r)))
-            if n >= 2 and sig_end == sig_gl:
+            if n >= 2 and invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r))) == sig_gl:
                 failures.append({"n": n, "r": r, "kind": "endpoint-degeneration"})
-            if not proved and not ce_coboundary_check(jr, n):
+            if not proved and not ce_coboundary_check(rank_normal_form(n, n, r), n):
                 failures.append({"n": n, "r": r, "kind": "coboundary-normal-form"})
         for _ in range(0 if proved else 2):
             j = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])

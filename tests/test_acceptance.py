@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -363,6 +364,23 @@ def test_09_coboundary_proof_replaces_the_per_parameter_checks(monkeypatch):
     monkeypatch.setattr(verify.random, "Random", Undrawn)
     assert check_deformation_coboundary(max_size=3, seed=0)["pass"]
     assert checked == [1, 2, 3]
+
+
+def test_09_path_points_need_no_signature(monkeypatch):
+    # The transport verdict proves every interior path point isomorphic to
+    # gl(n), so signatures are computed for gl(n) and the endpoints J_r alone,
+    # from n = 2 on: 2 + (2 + 3) at max_size 3, none at a fractional J_t.
+    params = []
+    real = verify.invariant_signature
+
+    def counted(L):
+        params.append(L.model.j)
+        return real(L)
+
+    monkeypatch.setattr(verify, "invariant_signature", counted)
+    assert check_deformation_coboundary(max_size=3, seed=0)["pass"]
+    assert len(params) == 7
+    assert not any(type(x) is Fraction for j in params for x in j.entries)
 
 
 def test_02_center_dimension_law():

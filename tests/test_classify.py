@@ -328,7 +328,7 @@ class TestFactorVerdict:
         factors = corrupted_factors(j1, j2, kind)
         reference, p, q = product_form_map(n, m, *factors)
         packed_calls = []
-        real_packed = classify._model_hom_check
+        real_packed = classify._packed_hom_check
 
         def packed(cols, den, src, model):
             packed_calls.append(classify._columns_map(cols, den))
@@ -336,7 +336,7 @@ class TestFactorVerdict:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "_witness_factors", lambda a, b: factors)
-            patch.setattr(classify, "_model_hom_check", packed)
+            patch.setattr(classify, "_packed_hom_check", packed)
             got = classify._checked_witness(j1, j2)
         expected = hom_check(reference, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
         assert got == expected
@@ -395,7 +395,7 @@ class TestClassifyRankFamily:
         functions = (
             brackets.structure_constants,
             scalars.scalar_div,
-            algebra._model_hom_check,
+            algebra._packed_hom_check,
             classify._kronecker_columns,
         )
         spied = {f: i for i, f in enumerate(functions)}

@@ -264,13 +264,22 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["embed", "--rep", "{list}", "2", "2", "1"],
         ["embed", "--rep", "{number}", "2", "2", "1"],
         ["constants", "1", "1", "--j", '{"rows": 1, "cols": 1, "entries": 5}'],
+        # argparse stores "--opt=--" as [] and calls no type=.
+        ["constants", "2", "2", "--j=--"],
+        ["center", "2", "2", "--j=--"],
+        ["coboundary", "2", "--j=--"],
+        ["witness", "--j1=--", "--j2=1"],
+        ["witness", "--j1=1", "--j2=--"],
+        ["deform", "2", "1", "--t=--"],
+        ["embed", "--rep=--", "4", "5", "3"],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
          "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
          "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file",
          "exponent-literal", "decimal-literal", "decimal-time", "underscore-literal", "malformed-token",
          "ragged-matrix", "missing-matrix-file", "bad-json-matrix", "representation-is-list",
-         "representation-is-number", "json-entries-is-number"],
+         "representation-is-number", "json-entries-is-number", "constants-j-dashes", "center-j-dashes",
+         "coboundary-j-dashes", "witness-j1-dashes", "witness-j2-dashes", "deform-t-dashes", "embed-rep-dashes"],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     # JSON nested far deeper than the parser's recursion limit.
@@ -297,6 +306,7 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         "{number}": "error: {number}: a representation file must hold a JSON object",
         '{"rows": 1, "cols": 1, "entries": 5}':
             'error: --j: a JSON matrix must be an object whose "entries" is a list of rows',
+        **{f"--{opt}=--": f"error: --{opt}: '--' is not a value" for opt in ("j", "j1", "j2", "t", "rep")},
     }
     for arg in argv:
         if arg in messages:

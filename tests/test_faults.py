@@ -10,7 +10,6 @@ one.
 
 import ast
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -314,26 +313,6 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
     assert out["details"] == {"shapes_checked": 4, "failures": expected}
 
 
-def test_deformation_check_fails_when_path_points_lose_the_gl_signature(monkeypatch):
-    # Every interior path parameter (1 - t) I + t J_r with r < n has a
-    # fractional entry; only those are given a wrong center dimension.
-    real = verify.invariant_signature
-
-    def shifted_off_the_path(L):
-        sig = real(L)
-        if any(type(x) is Fraction for x in L.model.j.entries):
-            return replace(sig, center_dim=sig.center_dim + 1)
-        return sig
-
-    monkeypatch.setattr(verify, "invariant_signature", shifted_off_the_path)
-    out = verify.check_deformation_coboundary(3, 0)
-    assert not out["pass"]
-    interior = [t for t in PATH_TIMES[:-1] if t != 0]
-    assert out["details"]["failures"] == [
-        {"n": n, "r": r, "t": str(t), "kind": "path-signature"} for n in (1, 2, 3) for r in range(n) for t in interior
-    ]
-
-
 def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
     # Each endpoint J_r = D_r (r < n) is given the signature of gl_n, as if
     # the family did not degenerate at t = 1.
@@ -423,6 +402,21 @@ def test_path_identities_fail_transport_alone_when_psi_scales_twice(monkeypatch)
     assert not out["pass"]
     assert out["details"]["failures"] == [
         {"n": n, "r": r, "t": str(t), "kind": "transport"} for n, r in DEGENERATE for t in INTERIOR
+    ]
+
+
+def test_path_identities_fail_transport_alone_when_psi_is_zero(monkeypatch):
+    # The zero map sends both sides of the transport identity to 0, so only
+    # the nonzero-weight guard tells it from an isomorphism, at every sample
+    # time t < 1, t = 0 included.
+    monkeypatch.setattr(deform, "psi_t", lambda x, t, r: x * 0)
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "r": r, "t": str(t), "kind": "transport"}
+        for n in (1, 2, 3)
+        for r in range(n)
+        for t in PATH_TIMES[:-1]
     ]
 
 
