@@ -427,26 +427,25 @@ def killing_form(L: LieAlgebra):
 
 
 def _killing_gram(L: LieAlgebra) -> list:
-    """Sparse rows of the Gram matrix ``trace(ad_a . ad_b)``."""
-    d = L.dim
-    ads = L._sparse_ads
-    gram: list = [dict() for _ in range(d)]
-    for a in range(d):
-        cols_a = ads[a]
-        for b in range(a, d):
-            cols_b = ads[b]
-            total = 0
-            for v, col in cols_b.items():
-                for u, w in col.items():
-                    x = cols_a.get(u)
-                    if x:
-                        y = x.get(v)
-                        if y:
-                            total += y * w
-            if total:
-                gram[a][b] = total
-                gram[b][a] = total
-    return gram
+    """Sparse rows of the Gram matrix ``trace(ad_a . ad_b)``: the adjoint
+    entries are indexed by position ``(u, v)`` once, and ``ad_a[u, v] *
+    ad_b[v, u]`` is added up over the entries at each ``(u, v)`` and
+    ``(v, u)``."""
+    at: dict = {}  # (u, v) -> [(a, ad_a[u, v])]
+    for a, cols in enumerate(L._sparse_ads):
+        for v, col in cols.items():
+            for u, x in col.items():
+                at.setdefault((u, v), []).append((a, x))
+    gram: list = [dict() for _ in range(L.dim)]
+    for (u, v), xs in at.items():
+        ys = at.get((v, u))
+        if ys is None:
+            continue
+        for a, x in xs:
+            row = gram[a]
+            for b, y in ys:
+                row[b] = row.get(b, 0) + x * y
+    return [{b: t for b, t in row.items() if t} for row in gram]
 
 
 def subalgebra_closed(param: BracketParam, S: Subspace) -> Verdict:

@@ -58,17 +58,18 @@ from .verify import run_all
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all --max 5`` takes 0.63 s and ``--max 6`` 1.19 s as processes,
-# best of 5, and ``run_all(7, 0)`` 2.9 s in process, best of 2 (on the
-# same loaded host, the kernel at 4.9-10 ms); ``verify-all`` also rejects
-# ``--max`` below 2, where its checks would cover no cases.
+# ``verify-all`` takes 0.50 s at ``--max 5``, 0.88 s at 6, 1.72 s at 7
+# and 2.54 s at 8 as processes, best of 5, on a loaded host (the kernel at
+# 4.7-6.5 ms); ``run_all(8, 0)`` takes 2.9 s in process there, a third
+# of it in ``lie_axioms``.  ``verify-all`` also rejects ``--max`` below 2,
+# where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
 MAX_SEMIDIRECT_SIZE = 15  # r + s, the size of the square matrices modelled
-MAX_VERIFY_SIZE = 6
+MAX_VERIFY_SIZE = 8
 # argparse may read a value that starts with "-" as an option; the "=" form is never misread.
 _J_HELP = 'parameter matrix, e.g. "1 0; 0 0"; write a value that starts with "-" as --%(dest)s=-3/4'
 

@@ -6,6 +6,7 @@ the final test runs that command end-to-end and enforces its time budget.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -51,8 +52,9 @@ def test_01_lie_axioms():
     # Zero tolerance, for every parameter of every shape (proved from the
     # mn unit tables, which covers the 20 seeded samples per shape): the
     # matrix bracket of every basis pair equals its structure constants at
-    # each unit parameter, and the Jacobi sum of every basis triple of the
-    # merged table sum_p J_p T_p has every monomial coefficient 0.
+    # each unit parameter of each shape, and the Jacobi sum of every basis
+    # triple of the merged table sum_p J_p T_p at 3x3 has every monomial
+    # coefficient 0, which covers every shape by the block-subalgebra lemma.
     # Antisymmetry is structural in the constants, which store each pair once.
     out = check_lie_axioms(max_size=4, seed=0)
     assert out["details"]["algebras_checked"] == 16 * 20
@@ -173,6 +175,15 @@ def unit_tables(n, m):
     return [algebra.structure_constants(BracketParam(n, m, j)).table for j in units]
 
 
+def only_at(shape, fault):
+    """``structure_constants`` with ``fault`` at ``shape`` and true elsewhere."""
+
+    def build(param):
+        return fault(param) if (param.n, param.m) == shape else structure_constants(param)
+
+    return build
+
+
 SHAPES_TO_4 = [(n, m) for n in range(1, 5) for m in range(1, 5)]
 # Each table builder, with the shapes up to 4x4 on which it satisfies Jacobi
 # for every J.
@@ -191,13 +202,20 @@ def test_01_lie_axioms_proof_agrees_with_polarization(monkeypatch, table):
     build, jacobi_shapes = TABLES[table]
     monkeypatch.setattr(algebra, "structure_constants", build)
     holds = set()
+    models = {}
     for n, m in SHAPES_TO_4:
         model, jacobi = reference_holds_for_every_parameter(n, m)
-        assert verify._holds_for_every_parameter(n, m) == (model and jacobi), (n, m)
+        assert (verify._model_tables(n, m) is not None) == model, (n, m)
         assert _jacobi_holds_in_j(unit_tables(n, m), n * m) == jacobi, (n, m)
+        models[(n, m)] = model
         if jacobi:
             holds.add((n, m))
     assert holds == jacobi_shapes
+    # The whole proof: the model half at every shape, Jacobi at (k, k).
+    for size in range(1, 5):
+        k = min(size, 3)
+        model = all(models[(n, m)] for n in range(1, size + 1) for m in range(1, size + 1))
+        assert verify._holds_for_every_parameter(size) == (model and (k, k) in holds), size
 
 
 def symbolic_jacobi_vanishes(sympy, n, m, second):
@@ -234,7 +252,8 @@ def symbolic_jacobi_vanishes(sympy, n, m, second):
 def test_01_lie_axioms_proof_agrees_with_sympy(monkeypatch, n, m):
     sympy = pytest.importorskip("sympy")
     assert symbolic_jacobi_vanishes(sympy, n, m, lambda j: j)
-    assert verify._holds_for_every_parameter(n, m)
+    assert verify._model_tables(n, m) is not None
+    assert verify._holds_for_every_parameter(max(n, m))
     assert _jacobi_holds_in_j(unit_tables(n, m), n * m)
     monkeypatch.setattr(algebra, "structure_constants", flipped_second_term)
     flipped = _jacobi_holds_in_j(unit_tables(n, m), n * m)
@@ -252,7 +271,7 @@ def test_01_lie_axioms_proof_builds_one_table_per_unit_parameter(monkeypatch, n,
         return structure_constants(param)
 
     monkeypatch.setattr(algebra, "structure_constants", counted)
-    assert verify._holds_for_every_parameter(n, m)
+    assert verify._model_tables(n, m) is not None
     assert len(calls) == n * m
 
 
@@ -284,8 +303,9 @@ def test_01_lie_axioms_proof_catches_a_large_constant_at_one_unit(monkeypatch, s
     jacobi_calls = []
     real_jacobi = verify._jacobi_holds_in_j
     monkeypatch.setattr(verify, "_jacobi_holds_in_j", lambda *a: jacobi_calls.append(a) or real_jacobi(*a))
-    monkeypatch.setattr(algebra, "structure_constants", shifted_unit_constants(shifts))
-    assert not verify._holds_for_every_parameter(2, 2)
+    monkeypatch.setattr(algebra, "structure_constants", only_at((2, 2), shifted_unit_constants(shifts)))
+    assert verify._model_tables(2, 2) is None
+    assert not verify._holds_for_every_parameter(2)
     assert jacobi_calls == []  # the model/constants half failed
 
 
@@ -300,8 +320,79 @@ def test_01_lie_axioms_proof_makes_one_bracket_pass(monkeypatch):
     monkeypatch.setattr(verify, "_pair_brackets", counted)
     for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
         passes.clear()
-        assert verify._holds_for_every_parameter(n, m)
+        assert verify._model_tables(n, m) is not None
         assert len(passes) == 1, (n, m)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_01_lie_axioms_sweep_jacobi_once_at_the_corner_shape(monkeypatch, size):
+    # One Jacobi sweep per run, on the unit tables of (k, k), k = min(size, 3),
+    # and one table per unit parameter of each shape: the sweep builds none.
+    sweeps, params = [], []
+    real_jacobi = verify._jacobi_holds_in_j
+    monkeypatch.setattr(verify, "_jacobi_holds_in_j", lambda *a: sweeps.append(a) or real_jacobi(*a))
+    monkeypatch.setattr(algebra, "structure_constants", lambda param: params.append(param) or structure_constants(param))
+    assert check_lie_axioms(max_size=size, seed=0)["pass"]
+    k = min(size, 3)
+    assert [(len(tables), d) for tables, d in sweeps] == [(k * k, k * k)]
+    assert len(params) == sum(n * m for n in range(1, size + 1) for m in range(1, size + 1))
+    assert sweeps[0][0] == unit_tables(k, k)
+
+
+@pytest.mark.parametrize("shape, size", [((2, 3), 3), ((3, 4), 4)])
+def test_01_lie_axioms_catch_a_jacobi_fault_away_from_the_swept_shape(monkeypatch, shape, size):
+    # The flipped table breaks Jacobi at one shape, which the sweep at (k, k)
+    # never reads: the model/constants half of that shape catches it, and the
+    # sampled fallback reports the failures of that shape alone.
+    monkeypatch.setattr(algebra, "structure_constants", only_at(shape, flipped_second_term))
+    k = min(size, 3)
+    assert _jacobi_holds_in_j(unit_tables(k, k), k * k)
+    assert not _jacobi_holds_in_j(unit_tables(*shape), shape[0] * shape[1])
+    assert verify._model_tables(*shape) is None
+    assert not verify._holds_for_every_parameter(size)
+    out = check_lie_axioms(max_size=size, seed=0)
+    assert not out["pass"]
+    failures = out["details"]["failures"]
+    assert {tuple(f["shape"]) for f in failures} == {shape}
+    assert {f["kind"] for f in failures} == {"model-constants", "jacobi"}
+
+
+def restriction(table, index):
+    """The pairs of ``table`` between the basis elements ``index``, with each
+    target relabelled by its position in ``index``; a target outside
+    ``index`` is kept as None, so that a bracket leaving the block shows."""
+    position = {t: p for p, t in enumerate(index)}
+    restricted = {}
+    for a in range(len(index)):
+        for b in range(a + 1, len(index)):
+            terms = table.get((index[a], index[b]))
+            if terms:
+                restricted[(a, b)] = {position.get(t): v for t, v in terms.items()}
+    return restricted
+
+
+def random_entry(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_01_lie_axioms_every_block_of_rows_and_columns_is_a_subalgebra(size):
+    # Block-subalgebra lemma: for a row set I and a column set K of at most
+    # three elements each, the units E_ik of Mat(size x size) span the
+    # Mat(|I| x |K|) algebra of the block of J on rows K and columns I,
+    # whatever the other entries of J are.  At 3x3 the first n rows and m
+    # columns give each smaller shape, with its J in the top-left block.
+    rng = random.Random(size)
+    subsets = [s for k in (1, 2, 3) for s in itertools.combinations(range(size), k)]
+    for _ in range(3):
+        j = [[random_entry(rng) for _ in range(size)] for _ in range(size)]
+        full = structure_constants(BracketParam(size, size, Matrix(j))).table
+        for rows in subsets:
+            for cols in subsets:
+                index = [i * size + k for i in rows for k in cols]
+                block = Matrix([[j[x][y] for y in rows] for x in cols])
+                table = structure_constants(BracketParam(len(rows), len(cols), block)).table
+                assert restriction(full, index) == table, (rows, cols)
 
 
 def symbolic_coboundary_vanishes(sympy, n, potential):

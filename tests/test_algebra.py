@@ -300,6 +300,23 @@ class TestKilling:
             gram, _ = killing_form(LieAlgebra.from_param(param))
             assert gram == killing_gram_bruteforce(param)
 
+    def test_gram_rows_match_dense_traces(self):
+        # The sparse rows of ``_killing_gram``, zeros left out, against
+        # trace(ad_a . ad_b) of dense adjoint matrices, on gl(n), on the
+        # rank normal forms and on dense random J.
+        rng = random.Random(7)
+        params = [BracketParam.commutator(n) for n in (1, 2, 3)]
+        shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
+        params += [BracketParam.normal(n, m, r) for n, m in shapes for r in range(min(n, m) + 1)]
+        params += [
+            BracketParam(n, m, Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(m)]))
+            for n, m in shapes
+        ]
+        for param in params:
+            dense = killing_gram_bruteforce(param)
+            rows = [{b: v for b, v in enumerate(dense.row(a)) if v} for a in range(param.dim)]
+            assert algebra._killing_gram(LieAlgebra.from_param(param)) == rows, (param.n, param.m)
+
 
 def ad_matrix(L, x):
     """Dense matrix of ``y -> [x, y]``, assembled from ``_sparse_ads``."""
