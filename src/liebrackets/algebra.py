@@ -19,7 +19,12 @@ a ``BracketParam``, not an algebra, and no structure constants are built
 for them.  ``hom_check`` brackets the images through the parameter with
 ``brackets._packed_brackets``, the kernel of ``_pair_brackets``, and packs
 the other side of each basis pair into one integer too, so a pair costs
-``2 n`` integer products and one comparison.
+``2 n`` integer products and one comparison.  ``_hom_failures`` is that
+comparison, a stream of the failing pairs' witnesses, each decoded only
+when its pair fails; ``hom_check`` reads its first failure, the
+Heisenberg obstruction reads it before it takes any rank, and the
+Lie-axiom check of ``verify`` reads the failing pairs of the identity map
+from a constants table into a matrix bracket.
 
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
@@ -502,8 +507,9 @@ def hom_check(f: Matrix, src: LieAlgebra, dst: BracketParam) -> HomVerdict:
       ``s max_ab sum_k |c_ab^k|``, which ``w`` covers too.  So a pair costs
       the kernel's ``2 n`` products, one per left-side term, and one
       comparison.
-    - The first failing pair's packings are decoded into their balanced
-      base-``2^w`` digits, the two sides, for the witness.
+    - A failing pair's packings are decoded into their balanced
+      base-``2^w`` digits, the two sides, for its witness; the failures
+      come from ``_hom_failures``, and the verdict reports the first.
     """
     if f.cols != src.dim or f.rows != dst.dim:
         raise ShapeError(
@@ -523,26 +529,34 @@ def _hom_witness(a: int, b: int, lhs, rhs, den: int) -> dict:
 
 
 def _packed_hom_check(fcols: list, den: int, src: LieAlgebra, dst: BracketParam) -> HomVerdict:
-    """The packed check of ``hom_check``: the map whose matrix has the
-    integer columns ``fcols`` over ``den``, from ``src`` into the ``dst``
-    bracket, on packed integers as described there.  The callers that
-    already hold integer columns (``heisenberg_obstruction`` and the witness
-    check of ``classify``) call it directly."""
+    """The packed check of ``hom_check``: the injectivity rank of the map
+    whose matrix has the integer columns ``fcols`` over ``den``, from ``src``
+    into the ``dst`` bracket, and the first of its ``_hom_failures``.  The
+    witness check of ``classify``, which already holds integer columns,
+    calls it directly."""
+    injective = _rank(map(_sparse_row, fcols), dst.dim) == src.dim
+    witness = next(_hom_failures(fcols, den, src, dst), None)
+    return HomVerdict(witness is None, injective, witness)
+
+
+def _hom_failures(fcols: list, den: int, src: LieAlgebra, dst: BracketParam):
+    """Yield the ``_hom_witness`` of each basis pair, in pair order, on which
+    the map whose matrix has the integer columns ``fcols`` over ``den`` is
+    not a homomorphism from ``src`` into the ``dst`` bracket: the two sides
+    of each pair are packed into one integer each, as described in
+    ``hom_check``, and only a pair whose packings differ is decoded."""
     table, c = _integer_table(src.constants.table)
     jflat, dj = _integer_row(dst.j.entries)
     f = den * dj
     max_c = max((sum(map(abs, terms.values())) for terms in table.values()), default=0)
     w, pairs = _packed_brackets(fcols, [c * x for x in jflat], dst.n, dst.m, f * max_c)
     packed = [f * _pack(col, w) for col in fcols]
-    injective = _rank(map(_sparse_row, fcols), dst.dim) == src.dim
     for a, b, right in pairs:
         terms = table.get((a, b))
         left = sum(map(mul, terms.values(), map(packed.__getitem__, terms))) if terms else 0
         if left != right:
             size = dst.dim
-            witness = _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
-            return HomVerdict(False, injective, witness)
-    return HomVerdict(True, injective)
+            yield _hom_witness(a, b, _unpack(left, w, size), _unpack(right, w, size), f * c * den)
 
 
 @dataclass(frozen=True)

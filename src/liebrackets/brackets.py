@@ -15,9 +15,11 @@ The ``deform`` checks read basis-pair brackets off ``structure_constants``,
 and ``algebra.subalgebra_closed`` calls ``bracket``.  Every other pair loop
 brackets integer operands through one kernel, ``_packed_brackets``, which
 packs each operand into a few integers, so that a pair costs ``2 n``
-integer products: ``_pair_brackets`` decodes its packed brackets, and
-``algebra.hom_check`` compares them whole.  The Lie-axiom check's
-model-constants comparison ties the kernel to the table.
+integer products: ``_pair_brackets`` decodes its packed brackets, and the
+homomorphism check of ``algebra._hom_failures`` compares them whole and
+decodes a pair only when its sides differ.  The Lie-axiom check's
+model-constants comparison, that homomorphism check on the identity map
+of ``Mat(n x m)``, ties the kernel to the table.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, _packed_hom_check, _rank, center, hom_check, lower_central_series, subalgebra_closed
+from .algebra import LieAlgebra, _hom_failures, _rank, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
 from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, rank, rref
 from .scalars import scalar_str, to_scalar
@@ -215,9 +215,11 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     own: Z is a bracket of generators, any homomorphic image of it is a
     commutator and hence traceless, while a nonzero scalar matrix has
     nonzero trace in characteristic zero.  Otherwise the candidate is
-    checked as a commutator homomorphism and for injectivity, on the
-    integer columns of its images and through the commutator model, so no
-    structure constants of gl(k) are built.
+    checked as a commutator homomorphism, on the integer columns of its
+    images and through the commutator model, so no structure constants of
+    gl(k) are built; the first of its ``_hom_failures`` makes it not a
+    homomorphism, and only a homomorphism has its rank taken, once, for
+    injectivity.
     """
     d = cand.src.dim
     if d < 3 or d % 2 == 0:
@@ -239,12 +241,13 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     flat, den = _integer_row(tuple(chain.from_iterable(img.entries for img in cand.images)))
     size = cand.target_dim**2
     fcols = [flat[a * size : (a + 1) * size] for a in range(d)]
-    verdict = _packed_hom_check(fcols, den, cand.src, BracketParam.commutator(cand.target_dim))
-    if not verdict.is_hom:
-        return ObstructionVerdict("not-a-hom", verdict.witness)
-    if verdict.injective:
+    witness = next(_hom_failures(fcols, den, cand.src, BracketParam.commutator(cand.target_dim)), None)
+    if witness is not None:
+        return ObstructionVerdict("not-a-hom", witness)
+    map_rank = _rank(map(_sparse_row, fcols), size)
+    if map_rank == d:
         return ObstructionVerdict("faithful", {"target_dim": cand.target_dim})
-    return ObstructionVerdict("not-faithful", {"map_rank": _rank(map(_sparse_row, fcols), size), "needed": d})
+    return ObstructionVerdict("not-faithful", {"map_rank": map_rank, "needed": d})
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import random
 
-from .algebra import LieAlgebra, _jacobi_holds_in_j, invariant_signature, jacobi_check, lower_central_series
-from .brackets import (
-    BracketParam,
-    StructureConstants,
-    _generic_parameter,
-    _pair_brackets,
-    basis_matrices,
-    structure_constants,
+from .algebra import (
+    LieAlgebra,
+    _hom_failures,
+    _jacobi_holds_in_j,
+    invariant_signature,
+    jacobi_check,
+    lower_central_series,
 )
+from .brackets import BracketParam, StructureConstants, _generic_parameter, structure_constants
 from .classify import _checked_witness, center_law, random_parameter
 from .constructions import (
     HypothesisError,
@@ -50,24 +50,24 @@ def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
 
 
-def _model_disagreements(basis, param: BracketParam, table: dict):
-    """The basis pairs ``(a, b)`` whose matrix bracket differs from the dense
-    expansion of their constants in ``table``."""
-    for a, b, w in _pair_brackets(basis, param):
-        terms = table.get((a, b))
-        if terms is None:  # an unstored pair: the bracket must be zero
-            if any(w):
-                yield a, b
-        elif w != tuple(terms.get(k, 0) for k in range(len(basis))):
-            yield a, b
+def _model_disagreements(param: BracketParam, table: dict):
+    """The basis pairs ``(a, b)``, in pair order, whose ``param`` bracket
+    differs from their constants in ``table``: the failures of the identity
+    map of ``Mat(n x m)`` as a homomorphism from the algebra of ``table``
+    into the ``param`` bracket."""
+    d = param.dim
+    units = [[1 if t == a else 0 for t in range(d)] for a in range(d)]
+    src = LieAlgebra(d, StructureConstants._trusted(d, table))
+    for witness in _hom_failures(units, 1, src, param):
+        yield tuple(witness["pair"])
 
 
 def _model_tables(n: int, m: int):
     """The tables ``T_p`` of the ``mn`` unit parameters of the shape, if they
     prove the table equal to the matrix bracket for every ``J`` (the
-    model/constants identity, by one bracket pass at the generic parameter
-    ``J*`` against the packed table ``sum_p 2^(w p) T_p``; see
-    ``check_lie_axioms``), else None."""
+    model/constants identity, by one packed homomorphism check of the
+    identity map at the generic parameter ``J*`` against the packed table
+    ``sum_p 2^(w p) T_p``; see ``check_lie_axioms``), else None."""
     tables = [
         LieAlgebra.from_param(BracketParam(n, m, Matrix.unit(m, n, x, y))).constants.table
         for x in range(m)
@@ -85,7 +85,7 @@ def _model_tables(n: int, m: int):
             for k, v in terms.items():
                 slots[k] = slots.get(k, 0) + (int(v) << (w * p))
     param = BracketParam(n, m, _generic_parameter(m, n, w))
-    if next(_model_disagreements(basis_matrices(n, m), param, packed), None) is not None:
+    if next(_model_disagreements(param, packed), None) is not None:
         return None
     return tables
 
@@ -108,7 +108,7 @@ def _holds_for_every_parameter(max_size: int) -> bool:
 
 def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     """For seeded random parameters of every shape: the matrix bracket of
-    every basis pair equals the dense expansion of its structure constants
+    every basis pair equals the expansion of its structure constants
     (``model-constants``), and the constants satisfy Jacobi on every basis
     triple (``jacobi``).  The first ties the Jacobi verdict to the matrices;
     antisymmetry is structural in the constants.
@@ -128,10 +128,13 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
       above the largest unit constant (and at least 2), both sides at every
       ``E_p`` are below ``2^(w-1)``, and the generic-parameter lemma of
       ``brackets._generic_parameter`` proves it for all ``E_p`` at once:
-      one ``_pair_brackets`` pass at ``J*`` against the packed table
-      ``sum_p 2^(w p) T_p``.  A unit table whose constants grow widens
-      ``w`` with them, so no constant can alias into the next slot.  This
-      is checked at every shape.
+      one check at ``J*`` against the packed table ``sum_p 2^(w p) T_p``,
+      that the identity map of ``Mat(n x m)`` is a homomorphism from that
+      table into the ``J*`` bracket (``_model_disagreements``); the packing
+      lemma of that check makes its equal packed sides equal entry by
+      entry at ``J*``.  A unit table whose constants grow widens ``w`` with
+      them, so no constant can alias into the next slot.  This is checked
+      at every shape.
     - Each entry of the Jacobi sum of a triple is a quadratic form
       ``sum_{p <= q} c_pq J_p J_q`` with integer coefficients.  One sweep
       over the merged table ``sum_p J_p T_p`` finds every coefficient, and
@@ -165,12 +168,11 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     if not _holds_for_every_parameter(max_size):
         rng = random.Random(seed)
         for n, m in shapes:
-            basis = basis_matrices(n, m)
             for _ in range(_PARAMS_PER_SHAPE):
                 j = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
                 param = BracketParam(n, m, j)
                 L = LieAlgebra.from_param(param)
-                for a, b in _model_disagreements(basis, param, L.constants.table):
+                for a, b in _model_disagreements(param, L.constants.table):
                     failures.append({"shape": [n, m], "pair": [a, b], "kind": "model-constants"})
                 verdict = jacobi_check(L)
                 if not verdict:

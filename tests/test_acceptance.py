@@ -22,6 +22,7 @@ from liebrackets.brackets import (
     BracketParam,
     StructureConstants,
     _generic_parameter,
+    _pair_brackets,
     basis_matrices,
     structure_constants,
 )
@@ -149,6 +150,20 @@ def rotated_second_term(param):
     return StructureConstants(param.dim, table)
 
 
+def dense_model_disagreements(basis, param, table):
+    """The basis pairs ``(a, b)`` whose matrix bracket, decoded by
+    ``_pair_brackets``, differs from the dense expansion of their constants
+    in ``table``: the model/constants comparison as a decode-and-compare
+    loop, independent of the packed homomorphism check."""
+    for a, b, w in _pair_brackets(basis, param):
+        terms = table.get((a, b))
+        if terms is None:  # an unstored pair: the bracket must be zero
+            if any(w):
+                yield a, b
+        elif w != tuple(terms.get(k, 0) for k in range(len(basis))):
+            yield a, b
+
+
 def reference_holds_for_every_parameter(n, m):
     """``verify._holds_for_every_parameter`` as it was when it proved Jacobi
     by polarization, split into its two halves: the model/constants identity
@@ -162,7 +177,7 @@ def reference_holds_for_every_parameter(n, m):
     for j in units:
         param = BracketParam(n, m, j)
         table = LieAlgebra.from_param(param).constants.table
-        if next(verify._model_disagreements(basis, param, table), None) is not None:
+        if next(dense_model_disagreements(basis, param, table), None) is not None:
             model = False
     polarization = units + [units[p] + units[q] for p in range(len(units)) for q in range(p + 1, len(units))]
     jacobi = all(jacobi_check(LieAlgebra.from_param(BracketParam(n, m, j))) for j in polarization)
@@ -310,18 +325,43 @@ def test_01_lie_axioms_proof_catches_a_large_constant_at_one_unit(monkeypatch, s
 
 
 def test_01_lie_axioms_proof_makes_one_bracket_pass(monkeypatch):
-    passes = []
-    real = verify._pair_brackets
+    # One packed bracket pass per shape, at J*, and no pair decoded: every
+    # pair passes, and only a failing pair is unpacked.
+    passes, unpacked = [], []
+    real = algebra._packed_brackets
+    real_unpack = algebra._unpack
 
-    def counted(elements, param):
-        passes.append(param)
-        return real(elements, param)
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(verify, "_pair_brackets", counted)
+    monkeypatch.setattr(algebra, "_packed_brackets", counted)
+    monkeypatch.setattr(algebra, "_unpack", lambda *a: unpacked.append(a) or real_unpack(*a))
     for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
         passes.clear()
         assert verify._model_tables(n, m) is not None
         assert len(passes) == 1, (n, m)
+    assert unpacked == []
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_01_lie_axioms_model_disagreements_match_the_dense_comparison(monkeypatch, name):
+    # The packed homomorphism check of the identity map names the same
+    # pairs, in the same order, as the dense decode-and-compare loop, under
+    # each table of TABLES, at every unit parameter and at seeded rational J.
+    monkeypatch.setattr(algebra, "structure_constants", TABLES[name][0])
+    rng = random.Random(11)
+    failing = 0
+    for n, m in [(n, m) for n in range(1, 4) for m in range(1, 4)]:
+        units = [Matrix.unit(m, n, x, y) for x in range(m) for y in range(n)]
+        rational = [Matrix([[random_entry(rng) for _ in range(n)] for _ in range(m)]) for _ in range(2)]
+        for j in units + rational:
+            param = BracketParam(n, m, j)
+            constants = LieAlgebra.from_param(param).constants.table
+            got = list(verify._model_disagreements(param, constants))
+            assert got == list(dense_model_disagreements(basis_matrices(n, m), param, constants)), (n, m, j)
+            failing += len(got)
+    assert (failing == 0) == (name == "true")
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])

@@ -495,8 +495,9 @@ class TestHomCheckWitness:
         assert verdict.bijective and verdict.witness is None
 
 
-def plain_hom_check(f, src, dst):
-    """``hom_check`` as a plain loop over the basis pairs: the right side from
+def plain_hom_failures(f, src, dst):
+    """The witness of every failing basis pair of ``hom_check``, in pair
+    order, from a plain loop over the basis pairs: the right side from
     ``brackets.bracket`` on the image matrices under the parameter ``dst``,
     each pair compared entry by entry.  The reference for the packed
     comparison, independent of its kernel."""
@@ -507,7 +508,6 @@ def plain_hom_check(f, src, dst):
     rows, cols = dst.n, dst.m
     images = [Matrix._raw(tuple(tuple(col[i * cols : (i + 1) * cols]) for i in range(rows))) for col in fcols]
     pairs = ((a, b, bracket(images[a], images[b], dst).entries) for a in range(d) for b in range(a + 1, d))
-    witness = None
     for a, b, rhs in pairs:
         lhs = [0] * dst.dim
         for k, v in src.constants.table.get((a, b), {}).items():
@@ -516,12 +516,17 @@ def plain_hom_check(f, src, dst):
                 lhs[t] += w * x
         if tuple(lhs) != tuple(rhs):
             den2 = den * den
-            witness = {
+            yield {
                 "pair": [a, b],
                 "f_of_bracket": nonzero_json(scalar_div(x, den2) for x in lhs),
                 "bracket_of_images": nonzero_json(scalar_div(x, den2) for x in rhs),
             }
-            break
+
+
+def plain_hom_check(f, src, dst):
+    """``hom_check`` from ``plain_hom_failures``: its first failure, and the
+    rank of the map for injectivity."""
+    witness = next(plain_hom_failures(f, src, dst), None)
     return HomVerdict(witness is None, rank(f) == src.dim, witness)
 
 
@@ -593,6 +598,18 @@ class TestPackedHomCheck:
     @given(hom_cases())
     def test_matches_the_plain_loop(self, case):
         assert_same_verdict(*case)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hom_cases())
+    def test_failures_are_every_failing_pair_in_order(self, case):
+        # ``_hom_failures`` yields the witness of every failing pair of the
+        # plain loop, in pair order, and ``hom_check`` reports the first.
+        f, src, dst = case
+        d = src.dim
+        flat, den = matrices._integer_row(f.entries)
+        got = list(algebra._hom_failures([flat[a::d] for a in range(d)], den, src, dst))
+        assert typed(got) == typed(list(plain_hom_failures(f, src, dst)))
+        assert typed(hom_check(f, src, dst).witness) == typed(got[0] if got else None)
 
     # Cases at the slot-width bound.  Each pairs a source table on the pair
     # (0, 1) alone with images chosen so that the two sides of that pair

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebrackets import algebra
+from liebrackets import algebra, constructions
 from liebrackets.algebra import (
     LieAlgebra,
     center,
@@ -33,7 +33,7 @@ from liebrackets.constructions import (
     restricted_constants,
     semidirect_S,
 )
-from liebrackets.matrices import Matrix, matrix_to_json
+from liebrackets.matrices import Matrix, matrix_to_json, rank
 from liebrackets.verify import check_heisenberg_obstruction
 from test_matrices import solve_coordinates
 
@@ -114,6 +114,30 @@ class TestHeisenbergObstruction:
                         for _ in range(2 * n + 1)
                     )
                     assert heisenberg_obstruction(RepCandidate(src, images, target)).kind != "faithful"
+
+    def test_takes_the_map_rank_once_and_only_for_a_homomorphism(self, monkeypatch):
+        # A failing pair decides "not-a-hom" before any rank is taken; a
+        # homomorphism has its rank taken once, and a not-faithful verdict
+        # reports that rank.
+        widths = []
+        real = constructions._rank
+        monkeypatch.setattr(constructions, "_rank", lambda rows, width: widths.append(width) or real(rows, width))
+        src = heisenberg_abstract(1)
+        zero = Matrix.zeros(2, 2)
+        e11, e12, e22 = Matrix.unit(2, 2, 0, 0), Matrix.unit(2, 2, 0, 1), Matrix.unit(2, 2, 1, 1)
+        # [X, Y] = Z, but [E11, E12] = E12 is not the image 0 of Z.
+        assert heisenberg_obstruction(RepCandidate(src, (e11, e12, zero), 2)).kind == "not-a-hom"
+        assert widths == []
+        for images in [(zero, zero, zero), (e12, zero, zero), (e11, e22, zero)]:
+            widths.clear()
+            cand = RepCandidate(src, images, 2)
+            verdict = heisenberg_obstruction(cand)
+            assert verdict.kind == "not-faithful"
+            assert verdict.detail == {"map_rank": rank(cand.as_map()), "needed": 3}
+            assert widths == [4]
+        widths.clear()
+        assert heisenberg_obstruction(classical_representation(1)).kind == "faithful"
+        assert widths == [9]
 
     def test_rejects_non_heisenberg_source(self):
         cand = sl2_candidate()

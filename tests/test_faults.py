@@ -158,7 +158,9 @@ def test_heisenberg_obstruction_fails_without_the_injectivity_test(monkeypatch):
 def test_heisenberg_obstruction_fails_without_the_hom_check(monkeypatch):
     # A judge that skips the homomorphism check and decides by the rank of
     # the images alone: each random candidate that is no homomorphism but
-    # has full rank comes out faithful, and is reported.
+    # has full rank comes out faithful, and is reported.  Full rank needs
+    # target_dim**2 >= 2n + 1 >= 3, so every such candidate has a target of
+    # dimension 2 or more.
     real = verify.heisenberg_obstruction
     flipped = []
 
@@ -173,6 +175,7 @@ def test_heisenberg_obstruction_fails_without_the_hom_check(monkeypatch):
     out = verify.check_heisenberg_obstruction()
     assert not out["pass"]
     assert flipped
+    assert all(f["target_dim"] >= 2 for f in flipped)
     assert out["details"]["failures"] == flipped
 
 
