@@ -48,11 +48,17 @@ boundary ``matrices._sparse_row``.  A series step reads its generators
 only until it reaches the dimension of the term before, which, by
 bilinearity alone, contains it.
 
-``invariant_signature`` runs on the algebra whose bracket is multiplied by
-the lcm of the denominators of the constants, which keeps every span it
-measures and multiplies the Killing form by a nonzero square.  It reads
-dimensions only, so each invariant is an exact rank, and it builds no
-``Subspace``, kernel basis, intersection or dense row.
+``invariant_signature`` of a matrix bracket whose parameter ``J`` is not
+in rank normal form is taken on the bracket of the normal form ``N_r``,
+once the witness factors of ``J = Q N_r P`` from one elimination of ``J``
+pass the identity-and-ranks proof that ``classify`` gives its witnesses
+(``matrices._factor_check``); the signature is kept by isomorphism, and a
+failed proof leaves the algebra itself to the computation.  That runs on
+the algebra whose bracket is multiplied by the lcm of the denominators of
+the constants, which keeps every span it measures and multiplies the
+Killing form by a nonzero square.  It reads dimensions only, so each
+invariant is an exact rank, and it builds no ``Subspace``, kernel basis,
+intersection or dense row.
 """
 
 from __future__ import annotations
@@ -73,11 +79,15 @@ from .matrices import (
     Subspace,
     _add_multiple,
     _echelon,
+    _factor_check,
     _integer_row,
     _null_rows,
     _reduced_rows,
+    _rref_factors,
+    _rref_rows,
     _sparse_row,
     rank,
+    rank_normal_form,
 )
 from .scalars import Scalar, scalar_div, scalar_str
 
@@ -113,10 +123,13 @@ class HomVerdict:
 class LieAlgebra:
     """Dimension + structure constants, with optional labels and matrix model.
 
-    When ``model`` is set the constants are exactly those of the model's
-    bracket over the canonical row-major basis, so coordinates and
-    ``Mat(n x m)`` elements convert freely.  An algebra is not changed after
-    construction, so tables derived from it are kept on it.
+    When ``model`` is set it is the algebra's bracket: the constants are
+    exactly those of the model's bracket over the canonical row-major
+    basis (only ``from_param`` sets it, and it builds them from it), so
+    coordinates and ``Mat(n x m)`` elements convert freely and
+    ``invariant_signature`` may read the bracket off its parameter.  An
+    algebra is not changed after construction, so tables derived from it
+    are kept on it.
     """
 
     dim: int
@@ -610,9 +623,22 @@ def _integer_constants(L: LieAlgebra) -> LieAlgebra:
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     """Assemble the signature; equal signatures are necessary for isomorphism.
 
-    It is computed on ``_integer_constants(L)``.  Multiplying the bracket by
-    ``D != 0`` keeps the center, both series and every centralizer, and
-    multiplies the Killing form by ``D**2``, which keeps its rank.
+    An algebra whose model ``J`` is not the rank normal form ``N_r`` of its
+    shape and rank has the signature of the ``N_r`` bracket
+    (``_isomorphic_normal_form``).  By the lemma of ``classify``,
+    ``J = Q N_r P`` with ``P`` and ``Q`` invertible makes ``A -> P A Q`` an
+    isomorphism from the ``J``-bracket onto the ``N_r``-bracket, and every
+    invariant below is kept by isomorphism.  The factors come from one elimination of ``J``
+    (``matrices._rref_factors``), and each call proves them with
+    ``matrices._factor_check``, the identity and the two full ranks that
+    ``classify`` proves its witnesses by; if the proof fails, the signature
+    is computed on ``L`` itself.  A normal form, the commutator among them,
+    costs one scan of ``J``, and an algebra without a model none.
+
+    The signature is computed on ``_integer_constants(L)``.  Multiplying
+    the bracket by ``D != 0`` keeps the center, both series and every
+    centralizer, and multiplies the Killing form by ``D**2``, which keeps
+    its rank.
 
     Only dimensions are read, so each invariant is one exact rank:
 
@@ -638,6 +664,32 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     (``d``, ``k`` or the dimension of the term before), which no rank can
     pass, so every rank is exact.
     """
+    normal = _isomorphic_normal_form(L)
+    return _signature(L if normal is None else normal)
+
+
+def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
+    """The algebra of the rank normal form ``N_r`` of the parameter ``J`` of
+    ``L.model``, once ``J = Q N_r P`` is proved with ``P`` and ``Q``
+    invertible; None when ``L`` has no model, when ``J`` is ``N_r`` already
+    (one scan, no elimination), or when the factors fail the proof."""
+    param = L.model
+    if param is None:
+        return None
+    n, m, j = param.n, param.m, param.j
+    r = next((i for i in range(min(n, m)) if j[i, i] != 1), min(n, m))
+    if j == rank_normal_form(m, n, r):
+        return None
+    rows = _rref_rows(j)
+    normal = rank_normal_form(m, n, len(rows[1]))
+    if not _factor_check(j, normal, _rref_factors(rows, _rref_rows(normal), n, m)):
+        return None
+    return LieAlgebra.from_param(BracketParam(n, m, normal))
+
+
+def _signature(L: LieAlgebra) -> InvariantSignature:
+    """The signature of ``L`` from its own constants, as ``invariant_signature``
+    describes."""
     L = _integer_constants(L)
     d = L.dim
     units = [{x: 1} for x in range(d)]

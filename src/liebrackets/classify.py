@@ -21,19 +21,21 @@ factors (``_checked_witness``), with no bracket and no structure
 constants.  Only when the identity fails is the witness checked as a
 general map, on its integer Kronecker columns over one denominator, by the
 packed homomorphism check, whose verdict and witness decide.  The
-``witness`` command checks its witness the same way.
+``witness`` command checks its witness the same way.  The factors and
+their proof are matrix code, ``matrices._rref_factors`` and
+``matrices._factor_check``, which ``algebra.invariant_signature`` also
+reads to move a signature onto the rank normal form.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
 from operator import mul
 from typing import Tuple
 
-from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, _rank, center, invariant_signature
+from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _echelon, _gauss_jordan, _integer_row, _rref_rows, _sparse_row, rank
+from .matrices import Matrix, ShapeError, Subspace, _echelon, _factor_check, _rref_factors, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
 
 
@@ -44,17 +46,6 @@ class ClassificationError(ValueError):
         super().__init__(message)
         self.rank1 = rank1
         self.rank2 = rank2
-
-
-def _over_common_denominator(rows) -> tuple:
-    """``_integer_row`` of the flattened rational matrix whose rows are given
-    as ``(numerators, den)``."""
-    lowest = []
-    for num, den in rows:
-        g = gcd(den, *num)
-        lowest.append((num, den) if g == 1 else ([x // g for x in num], den // g))
-    d = lcm(*(den for _, den in lowest))
-    return [x * (d // den) for num, den in lowest for x in num], d
 
 
 def iso_witness(j1: Matrix, j2: Matrix) -> Matrix:
@@ -80,42 +71,17 @@ def _columns_map(cols: list, den: int) -> Matrix:
 
 
 def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:
-    """``(pflat, dp, qflat, dq)``: the factors of ``iso_witness(j1, j2)``,
-    ``P`` (``n x n``) the integer row-major ``pflat`` over ``dp`` and ``Q``
-    (``m x m``) the integer row-major ``qflat`` over ``dq``.
-
-    All on integer rows: one ``_gauss_jordan`` on ``[j_k | I]`` per
-    parameter gives row ``i`` of ``[R_k | T_k]`` as an integer row
-    ``[R_k' | T_k']`` over its divisor ``d_k,i``.  One more on the rows
-    ``[d2_i T1'_i | d1_i T2'_i]`` of ``[T1 | T2]``, each scaled by
-    ``d1_i d2_i`` (which does not change the solution), gives ``Q`` as its
-    right block over the pivots.  ``P`` is written down: pairing the free
-    columns ``f2`` of ``R2`` with those ``f1`` of ``R1`` in order, row
-    ``c2_i`` (the i-th pivot column of ``R2``) is row ``i`` of ``R1`` minus
-    the sum of ``R2[i][f2] e_f1``, and row ``f2`` is ``e_f1``.
-    """
+    """``(pflat, dp, qflat, dq)``: the factors ``P`` and ``Q`` of
+    ``iso_witness(j1, j2)``, with ``j1 = Q j2 P``, as
+    ``matrices._rref_factors`` writes them from one ``_rref_rows`` of each
+    parameter, or ``ClassificationError`` when their ranks differ."""
     if j1.shape != j2.shape:
         raise ShapeError(f"cannot relate {j1.rows}x{j1.cols} with {j2.rows}x{j2.cols}")
-    a1, pivots1, d1 = _rref_rows(j1)
-    a2, pivots2, d2 = _rref_rows(j2)
-    r1, r2 = len(pivots1), len(pivots2)
+    e1, e2 = _rref_rows(j1), _rref_rows(j2)
+    r1, r2 = len(e1[1]), len(e2[1])
     if r1 != r2:
         raise ClassificationError(f"parameters of ranks {r1} and {r2} are not equivalent", r1, r2)
-    n, m = j1.cols, j1.rows
-    free = list(zip((c for c in range(n) if c not in pivots2), (c for c in range(n) if c not in pivots1)))
-    prows = [None] * n
-    for c2, u, v, e1, e2 in zip(pivots2, a1, a2, d1, d2):
-        num = [e2 * x for x in u[:n]]
-        for f2, f1 in free:
-            num[f1] -= e1 * v[f2]
-        prows[c2] = (num, e1 * e2)
-    for f2, f1 in free:
-        prows[f2] = ([1 if c == f1 else 0 for c in range(n)], 1)
-    stacked = [[e2 * x for x in u[n:]] + [e1 * x for x in v[n:]] for u, v, e1, e2 in zip(a1, a2, d1, d2)]
-    reduced = _gauss_jordan(stacked, m)[0]
-    pflat, dp = _over_common_denominator(prows)
-    qflat, dq = _over_common_denominator((row[m:], row[i]) for i, row in enumerate(reduced))
-    return pflat, dp, qflat, dq
+    return _rref_factors(e1, e2, j1.cols, j1.rows)
 
 
 def _kronecker_columns(n: int, m: int, pflat, dp: int, qflat, dq: int) -> tuple:
@@ -140,47 +106,26 @@ def _factor_verdict(j1: Matrix, j2: Matrix, factors: tuple) -> HomVerdict:
     ``factors`` ``(pflat, dp, qflat, dq)`` in the form of
     ``_witness_factors``.
 
-    With ``J_k = J_k' / d_k`` and ``P' = dp P``, ``Q' = dq Q`` integer, the
-    factor identity ``J1 = Q J2 P`` is the ``m x n`` integer identity
-    ``dp dq d2 J1' = d1 Q' J2' P'``.  When it holds the map is a
+    ``matrices._factor_check`` tests the factor identity ``J1 = Q J2 P``
+    as one ``m x n`` integer identity.  When it holds the map is a
     homomorphism: with ``K = J1 - Q J2 P``, ``phi([A, B]_J1) -
     [phi A, phi B]_J2 = P A K B Q - P B K A Q = 0``.  Its matrix is the
     Kronecker product of ``P`` and ``Q^T``, of rank ``rank P * rank Q``, so
-    it is injective iff ``rank P' = n`` and ``rank Q' = m``: two
-    ``_echelon`` ranks, each stopped at full rank.  That is the verdict the
-    packed check gives, with no witness, and no bracket, Kronecker column or
-    structure constant is built.  When the identity fails the map may still
-    be a homomorphism (every map is one on ``Mat(1 x 1)``), so its integer
+    it is injective iff ``P`` and ``Q`` are invertible, the two ranks
+    ``_factor_check`` then takes.  That is the verdict the packed check
+    gives, with no witness, and no bracket, Kronecker column or structure
+    constant is built.  When the identity fails the map may still be a
+    homomorphism (every map is one on ``Mat(1 x 1)``), so its integer
     Kronecker columns over one denominator go to the packed check, whose
     verdict and witness decide: only the source's structure constants are
     built, and the images are bracketed through the j2 model.
     """
-    n, m = j1.cols, j1.rows
-    pflat, _, qflat, _ = factors
-    if not _factor_identity(j1, j2, *factors):
+    injective = _factor_check(j1, j2, factors)
+    if injective is None:
+        n, m = j1.cols, j1.rows
         cols, den = _kronecker_columns(n, m, *factors)
         return _packed_hom_check(cols, den, LieAlgebra.from_param(BracketParam(n, m, j1)), BracketParam(n, m, j2))
-    prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
-    qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
-    return HomVerdict(True, _rank(prows, n) == n and _rank(qrows, m) == m)
-
-
-def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> bool:
-    """Whether ``j1 = Q j2 P`` for the factors of ``_witness_factors``, as
-    the integer identity ``dp dq d2 J1' = d1 Q' J2' P'`` with ``J_k' = d_k
-    j_k`` integer, one row of ``Q' J2'`` at a time."""
-    m, n = j1.shape
-    j1flat, d1 = _integer_row(j1.entries)
-    j2flat, d2 = _integer_row(j2.entries)
-    j2cols = [j2flat[c::n] for c in range(n)]
-    pcols = [pflat[c::n] for c in range(n)]
-    s = dp * dq * d2
-    for i in range(m):
-        qrow = qflat[i * m : (i + 1) * m]
-        qj = [sum(map(mul, qrow, col)) for col in j2cols]
-        if any(d1 * sum(map(mul, qj, col)) != s * x for col, x in zip(pcols, j1flat[i * n : (i + 1) * n])):
-            return False
-    return True
+    return HomVerdict(True, injective)
 
 
 def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[Matrix, HomVerdict]:

@@ -4,9 +4,12 @@ Everything here is a pure function of immutable values: ``Matrix`` holds a
 tuple-of-tuples of exact scalars, and the row-reduction routines return new
 matrices together with the invertible transforms that witness them.  The
 two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
-``Q`` and ``P`` invertible) is what the rank classification rests on;
-``classify.iso_witness`` forms its witnesses from the same eliminations
-without building the factors.
+``Q`` and ``P`` invertible) is what the rank classification rests on.
+``_rref_factors`` writes the integer factors of ``J1 = Q J2 P`` for two
+parameters of one rank from their eliminations, and ``_factor_check``
+proves them by that identity and the full ranks of ``P`` and ``Q``:
+``classify`` checks its witnesses so, and ``algebra.invariant_signature``
+proves ``J = Q N_r P`` with them before it takes a signature on ``N_r``.
 
 Span and rank questions share one elimination loop, ``_echelon``, on
 sparse integer rows: dicts ``{column: int}`` that hold only the nonzero
@@ -28,7 +31,7 @@ vectors.  ``rref`` also returns the transform, whose null rows depend on
 the pivot order, so it runs the fraction-free column-major Gauss-Jordan
 loop ``_gauss_jordan`` on ``[m | I]``, reads the transform off the
 identity block and divides each row once at the end.
-``classify.iso_witness`` calls the same loop and keeps its integer rows.
+``_rref_factors`` calls the same loop and keeps its integer rows.
 
 Denominators are cleared by one helper, ``_integer_row``, which returns a
 row scaled to integers and the scale.  Besides ``_sparse_row``,
@@ -589,6 +592,92 @@ def rank_factorization(j: Matrix) -> RankFactorization:
     n = j.cols
     units = tuple(tuple(1 if c == f else 0 for c in range(n)) for f in range(n) if f not in pivots)
     return RankFactorization(inverse(transform), Matrix._raw(reduced._data[:r] + units), r)
+
+
+def _over_common_denominator(rows) -> tuple:
+    """``_integer_row`` of the flattened rational matrix whose rows are given
+    as ``(numerators, den)``."""
+    lowest = []
+    for num, den in rows:
+        g = gcd(den, *num)
+        lowest.append((num, den) if g == 1 else ([x // g for x in num], den // g))
+    d = lcm(*(den for _, den in lowest))
+    return [x * (d // den) for num, den in lowest for x in num], d
+
+
+def _rref_factors(e1: tuple, e2: tuple, n: int, m: int) -> tuple:
+    """``(pflat, dp, qflat, dq)`` with ``j1 = Q j2 P`` for two ``m x n``
+    parameters of one rank, from their ``_rref_rows`` ``e1`` and ``e2``:
+    ``P`` (``n x n``) the integer row-major ``pflat`` over ``dp`` and ``Q``
+    (``m x m``) the integer row-major ``qflat`` over ``dq``.
+
+    With ``T_k j_k = R_k`` the reduced row-echelon form of ``j_k``, its rank
+    factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
+    nonzero rows of ``R_k``, then the unit rows of its free columns, so
+    ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
+
+    All on integer rows: row ``i`` of ``[R_k | T_k]`` is the integer row
+    ``[R_k' | T_k']`` of ``e_k`` over its divisor ``d_k,i``.  One
+    ``_gauss_jordan`` on the rows ``[d2_i T1'_i | d1_i T2'_i]`` of
+    ``[T1 | T2]``, each scaled by ``d1_i d2_i`` (which does not change the
+    solution), gives ``Q`` as its right block over the pivots.  ``P`` is
+    written down: pairing the free columns ``f2`` of ``R2`` with those
+    ``f1`` of ``R1`` in order, row ``c2_i`` (the i-th pivot column of
+    ``R2``) is row ``i`` of ``R1`` minus the sum of ``R2[i][f2] e_f1``, and
+    row ``f2`` is ``e_f1``.
+    """
+    (a1, pivots1, d1), (a2, pivots2, d2) = e1, e2
+    free = list(zip((c for c in range(n) if c not in pivots2), (c for c in range(n) if c not in pivots1)))
+    prows = [None] * n
+    for c2, u, v, x1, x2 in zip(pivots2, a1, a2, d1, d2):
+        num = [x2 * x for x in u[:n]]
+        for f2, f1 in free:
+            num[f1] -= x1 * v[f2]
+        prows[c2] = (num, x1 * x2)
+    for f2, f1 in free:
+        prows[f2] = ([1 if c == f1 else 0 for c in range(n)], 1)
+    stacked = [[x2 * x for x in u[n:]] + [x1 * x for x in v[n:]] for u, v, x1, x2 in zip(a1, a2, d1, d2)]
+    reduced = _gauss_jordan(stacked, m)[0]
+    pflat, dp = _over_common_denominator(prows)
+    qflat, dq = _over_common_denominator((row[m:], row[i]) for i, row in enumerate(reduced))
+    return pflat, dp, qflat, dq
+
+
+def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> bool:
+    """Whether ``j1 = Q j2 P`` for factors in the form of
+    ``_rref_factors``, as the integer identity ``dp dq d2 J1' = d1 Q' J2'
+    P'`` with ``J_k' = d_k j_k`` integer, one row of ``Q' J2'`` at a time."""
+    m, n = j1.shape
+    j1flat, d1 = _integer_row(j1.entries)
+    j2flat, d2 = _integer_row(j2.entries)
+    j2cols = [j2flat[c::n] for c in range(n)]
+    pcols = [pflat[c::n] for c in range(n)]
+    s = dp * dq * d2
+    for i in range(m):
+        qrow = qflat[i * m : (i + 1) * m]
+        qj = [sum(map(mul, qrow, col)) for col in j2cols]
+        if any(d1 * sum(map(mul, qj, col)) != s * x for col, x in zip(pcols, j1flat[i * n : (i + 1) * n])):
+            return False
+    return True
+
+
+def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
+    """None when the factors ``(pflat, dp, qflat, dq)`` of ``j1 = Q j2 P``,
+    in the form of ``_rref_factors``, fail that identity
+    (``_factor_identity``); else whether ``P`` and ``Q`` are invertible,
+    ``rank P' = n`` and ``rank Q' = m`` for the integer ``P' = dp P`` and
+    ``Q' = dq Q``: two ``_echelon`` ranks, each stopped at full rank.
+
+    So ``True`` proves ``j1`` and ``j2`` equivalent, and by the lemma of
+    ``classify`` the map ``A -> P A Q`` an isomorphism from the j1-bracket
+    onto the j2-bracket on ``Mat(n x m)``."""
+    m, n = j1.shape
+    pflat, _, qflat, _ = factors
+    if not _factor_identity(j1, j2, *factors):
+        return None
+    prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
+    qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
+    return len(_echelon(prows, n)) == n and len(_echelon(qrows, m)) == m
 
 
 class Subspace:

@@ -1080,7 +1080,10 @@ class TestSignatureDifferential:
     @SIGNATURE_DIFFERENTIAL
     @given(signature_algebras())
     def test_signature_matches_reference(self, L):
-        assert invariant_signature(L) == reference_invariant_signature(L)
+        # With a model the signature is taken on the rank normal form; its
+        # model-less twin runs the kernel on the algebra itself.
+        expected = reference_invariant_signature(L)
+        assert invariant_signature(L) == invariant_signature(model_less(L)) == expected
 
     @SIGNATURE_DIFFERENTIAL
     @given(signature_algebras())
@@ -1101,8 +1104,10 @@ class TestSignatureDifferential:
     @given(signature_algebras())
     def test_ranks_match_sympy(self, L):
         sympy = pytest.importorskip("sympy")
-        sig = invariant_signature(L)
-        assert (sig.center_dim, sig.killing_rank, sig.derived_center_dim) == sympy_signature_ranks(sympy, L)
+        expected = sympy_signature_ranks(sympy, L)
+        for A in (L, model_less(L)):
+            sig = invariant_signature(A)
+            assert (sig.center_dim, sig.killing_rank, sig.derived_center_dim) == expected
 
 
 # Table, derived dimensions and lower-central dimensions.  gl(3) has
@@ -1291,33 +1296,163 @@ class TestSparseSignature:
     @pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_CASES))
     def test_signature_matches_the_dense_reference_kernel(self, name):
         L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
-        assert invariant_signature(L) == dense_reference_signature(L)
+        expected = dense_reference_signature(L)
+        assert invariant_signature(L) == invariant_signature(model_less(L)) == expected
 
     @pytest.mark.parametrize("name", ["normal-3x6-r2", "normal-6x3-r3", "dense-3x4-0", "dense-4x3-1"])
     def test_integer_signature_reads_only_sparse_rows(self, monkeypatch, name):
         # With integer constants no row is scaled to integers, and every row
-        # the kernel reads is a dict of nonzero entries.
+        # the kernel reads is a dict of nonzero entries.  A dense J runs on
+        # its model-less twin, so that the kernel, and not the transport to
+        # the normal form, meets its constants.
         L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
+        if name.startswith("dense"):
+            L = model_less(L)
         expected = dense_reference_signature(L)
-        real_integer_row, real_echelon = matrices._integer_row, matrices._echelon
-        read = []
+        read = sparse_rows_only(monkeypatch)
+        assert invariant_signature(L) == expected
+        assert read and all(read)
 
-        def refuse(v):
-            raise AssertionError("the signature scaled a dense row to integers")
+    @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1"])
+    def test_transported_signature_reads_only_sparse_rows(self, monkeypatch, name):
+        # The transport eliminates J on dense rows; the kernel then runs once,
+        # on the normal-form algebra, under the guard of the test above.
+        param = DENSE_REFERENCE_CASES[name]
+        L = LieAlgebra.from_param(param)
+        expected = dense_reference_signature(L)
+        real = algebra._signature
+        kernels, read = [], []
 
-        def echelon(rows, bound):
-            def recorded():
-                for row in rows:
-                    read.append(type(row) is dict and all(row.values()))
-                    yield row
+        def guarded(A):
+            kernels.append(A.model)
+            with pytest.MonkeyPatch.context() as patch:
+                rows = sparse_rows_only(patch)
+                sig = real(A)
+            read.extend(rows)
+            return sig
 
-            return real_echelon(recorded(), bound)
+        monkeypatch.setattr(algebra, "_signature", guarded)
+        assert invariant_signature(L) == expected
+        assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
+        assert read and all(read)
+
+
+def model_less(L):
+    """The model-less twin of ``L``: its constants with no matrix model, so
+    its signature is computed on its own constants."""
+    return LieAlgebra(L.dim, L.constants)
+
+
+def sparse_rows_only(patch):
+    """Make every package binding of ``_integer_row`` refuse to run and of
+    ``_echelon`` record, for each row it reads, whether the row is a dict of
+    nonzero entries; returns the list of those records."""
+    real_integer_row, real_echelon = matrices._integer_row, matrices._echelon
+    read = []
+
+    def refuse(v):
+        raise AssertionError("the signature scaled a dense row to integers")
+
+    def echelon(rows, bound):
+        def recorded():
+            for row in rows:
+                read.append(type(row) is dict and all(row.values()))
+                yield row
+
+        return real_echelon(recorded(), bound)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "liebrackets":
+            if getattr(module, "_integer_row", None) is real_integer_row:
+                patch.setattr(module, "_integer_row", refuse)
+            if getattr(module, "_echelon", None) is real_echelon:
+                patch.setattr(module, "_echelon", echelon)
+    return read
+
+
+# Dense integer, rational and path parameters that are not in rank normal
+# form; the first three have rank < n, so P has rows at free columns.
+TRANSPORTED = ["dense-4x3-1", "rational-4x3-r2", "rational-3x3-r2", "dense-3x4-0", "path-3-r1-t1/3"]
+UNTRANSPORTED = {
+    "normal-3x4-r2": LieAlgebra.from_param(BracketParam.normal(3, 4, 2)),
+    "normal-2x3-r0": LieAlgebra.from_param(BracketParam.normal(2, 3, 0)),
+    "commutator-3": LieAlgebra.from_param(BracketParam.commutator(3)),
+    "abstract-sl2": LieAlgebra(3, sl2_constants()),
+}
+
+
+class TestNormalFormTransport:
+    @pytest.mark.parametrize(
+        "name, fault",
+        [(name, "halve-q") for name in TRANSPORTED] + [(name, "zero-free-p-rows") for name in TRANSPORTED[:3]],
+    )
+    def test_a_failed_proof_falls_back_to_the_algebra(self, monkeypatch, name, fault):
+        # Halving Q breaks the factor identity.  Zeroing the rows of P at the
+        # free columns of N_r keeps it, as N_r P reads only rows < r, but
+        # leaves P singular.  Either way the signature is computed on L, as
+        # on its model-less twin, and no normal-form algebra is built.
+        param = DENSE_REFERENCE_CASES[name]
+        L = LieAlgebra.from_param(param)
+        n, r = param.n, rank(param.j)
+        real = algebra._rref_factors
+        identities = []
+
+        def corrupted(e1, e2, n_, m_):
+            pflat, dp, qflat, dq = real(e1, e2, n_, m_)
+            if fault == "halve-q":
+                dq *= 2
+            else:
+                pflat = list(pflat[: r * n]) + [0] * ((n - r) * n)
+            normal = rank_normal_form(param.m, n, r)
+            identities.append(matrices._factor_identity(param.j, normal, pflat, dp, qflat, dq))
+            return pflat, dp, qflat, dq
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an algebra")
+
+        expected = invariant_signature(model_less(L))
+        monkeypatch.setattr(algebra, "_rref_factors", corrupted)
+        monkeypatch.setattr(LieAlgebra, "from_param", refuse)
+        assert r < n or fault == "halve-q"
+        assert invariant_signature(L) == expected
+        assert identities == [fault == "zero-free-p-rows"]
+
+    @pytest.mark.parametrize("name", sorted(UNTRANSPORTED))
+    def test_no_elimination_without_a_dense_parameter(self, monkeypatch, name):
+        # A normal form, the commutator among them, is recognised by one scan
+        # of J, and an algebra without a model has no J: neither eliminates.
+        L = UNTRANSPORTED[name]
+        expected = reference_invariant_signature(L)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminated a parameter")
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "liebrackets":
-                if getattr(module, "_integer_row", None) is real_integer_row:
-                    monkeypatch.setattr(module, "_integer_row", refuse)
-                if getattr(module, "_echelon", None) is real_echelon:
-                    monkeypatch.setattr(module, "_echelon", echelon)
+                for attr in ("_rref_rows", "_gauss_jordan"):
+                    if getattr(module, attr, None) is getattr(matrices, attr):
+                        monkeypatch.setattr(module, attr, refuse)
         assert invariant_signature(L) == expected
-        assert read and all(read)
+
+    @pytest.mark.parametrize("name", TRANSPORTED)
+    def test_one_transport_for_a_dense_parameter(self, monkeypatch, name):
+        # One factor build, and one kernel run, on the normal-form algebra.
+        param = DENSE_REFERENCE_CASES[name]
+        L = LieAlgebra.from_param(param)
+        expected = invariant_signature(model_less(L))
+        real_factors, real_signature = algebra._rref_factors, algebra._signature
+        factors, kernels = [], []
+
+        def spy_factors(*args):
+            factors.append(args[2:])
+            return real_factors(*args)
+
+        def spy_signature(A):
+            kernels.append(A.model)
+            return real_signature(A)
+
+        monkeypatch.setattr(algebra, "_rref_factors", spy_factors)
+        monkeypatch.setattr(algebra, "_signature", spy_signature)
+        assert invariant_signature(L) == expected
+        assert factors == [(param.n, param.m)]
+        assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
