@@ -210,7 +210,7 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     vector, rebuilt by the per-triple sum, in its order.
     """
     d = L.dim
-    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d):
+    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d, _add_scalar_products):
         failing = [key for key, v in defect.items() if v != 0]
         if failing:
             b, c = divmod(min(failing) // d, d)
@@ -224,13 +224,18 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     return Verdict(True)
 
 
-def _jacobi_defects(table: dict, ads: list, d: int, add=None):
+def _add_scalar_products(defect: dict, base: int, v, col: dict) -> None:
+    """The ``add`` of ``_jacobi_defects`` for scalar constants."""
+    for t, w in col.items():
+        defect[base + t] = defect.get(base + t, 0) + v * w
+
+
+def _jacobi_defects(table: dict, ads: list, d: int, add):
     """Yield ``(a, defect)`` for each ``a`` with a nonzero adjoint: the
     Jacobi sums of the triples ``a < b < c``, added up at the keys
     ``(b * d + c) * d + t`` by ``add(defect, (b * d + c) * d, v, col)``,
     which adds ``v * w`` at target ``t`` for each term ``t: w`` of the
-    column ``col``.  Without ``add`` the constants are scalars, and the sweep
-    adds the products ``v * w`` itself, with no call per term.
+    column ``col`` (``_add_scalar_products`` for scalar constants).
 
     Triples are swept by their smallest index ``a``, and only the nonzero
     terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
@@ -257,11 +262,7 @@ def _jacobi_defects(table: dict, ads: list, d: int, add=None):
                 s += 1
             start[k] = s
             for _, base, v in entries[s:]:
-                if add is None:
-                    for t, w in col.items():
-                        defect[base + t] = defect.get(base + t, 0) + v * w
-                else:
-                    add(defect, base, v, col)
+                add(defect, base, v, col)
         for e, terms in ad_a.items():  # the pair (a, e) and a third index f
             if e < a:
                 continue
@@ -273,11 +274,7 @@ def _jacobi_defects(table: dict, ads: list, d: int, add=None):
                         base = (f * d + e) * d
                     else:  # [x_f, [x_a, x_e]] on (a, e, f)
                         base, col = (e * d + f) * d, ads[f][k]
-                    if add is None:
-                        for t, w in col.items():
-                            defect[base + t] = defect.get(base + t, 0) + v * w
-                    else:
-                        add(defect, base, v, col)
+                    add(defect, base, v, col)
         yield a, defect
 
 

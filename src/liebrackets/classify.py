@@ -7,7 +7,9 @@ those witnesses explicitly, on integer rows from three fraction-free
 Gauss-Jordan eliminations and with no inverse or matrix product, and runs
 the desk-scale classification harness over a whole shape: one normal form
 per rank, invariant signatures, and verified witnesses for random same-rank
-pairs.
+pairs.  The signatures of a shape's normal forms come from
+``_rank_signatures``, which ``verify`` reads as well, so the ``classify``
+report and ``verify-all`` compute them by the same code.
 
 The classification rests on one lemma: if ``J1 = Q J2 P`` with ``P`` and
 ``Q`` invertible, then ``phi(A) = P A Q`` is an isomorphism from the
@@ -169,23 +171,31 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 
 
+def _rank_signatures(n: int, m: int) -> list:
+    """The invariant signatures of the rank-``r`` normal-form algebras of
+    ``Mat(n x m)``, indexed by ``r = 0..min(n, m)``: the one computation of
+    the claim that distinct ranks give distinct signatures, which the
+    ``classify`` report, ``signature_separation`` and the
+    ``endpoint-degeneration`` test of ``deformation_coboundary`` read."""
+    return [
+        invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, r))) for r in range(min(n, m) + 1)
+    ]
+
+
 def classify_rank_family(n: int, m: int, seed: int = 0, witness_pairs: int = 1) -> dict:
     """Classification report for the shape ``Mat(n x m)``.
 
-    For each rank: the invariant signature of the normal-form algebra and a
-    witness check on random same-rank parameter pairs.  Shapes with
-    ``min(n, m) < 2`` fall outside the classification theorems' hypotheses
-    and are flagged degenerate (still computed).
+    For each rank: the invariant signature of the normal-form algebra, from
+    ``_rank_signatures``, and a witness check on random same-rank parameter
+    pairs.  Shapes with ``min(n, m) < 2`` fall outside the classification
+    theorems' hypotheses and are flagged degenerate (still computed).
     """
     if n < 1 or m < 1:
         raise ShapeError(f"invalid shape {n}x{m}")
     rng = random.Random(seed)
     entries = []
-    signatures = []
-    for r in range(min(n, m) + 1):
-        alg = LieAlgebra.from_param(BracketParam.normal(n, m, r))
-        sig = invariant_signature(alg)
-        signatures.append(sig)
+    signatures = _rank_signatures(n, m)
+    for r, sig in enumerate(signatures):
         verified = True
         for _ in range(witness_pairs):
             j1 = random_parameter(rng, m, n, r)
@@ -193,16 +203,11 @@ def classify_rank_family(n: int, m: int, seed: int = 0, witness_pairs: int = 1) 
             if not _checked_witness(j1, j2).bijective:
                 verified = False
         entries.append({"r": r, "signature": sig.to_json(), "witness_verified": verified})
-    distinct = all(
-        signatures[a] != signatures[b]
-        for a in range(len(signatures))
-        for b in range(a + 1, len(signatures))
-    )
     return {
         "n": n,
         "m": m,
         "seed": seed,
         "degenerate": min(n, m) < 2,
         "entries": entries,
-        "pairwise_distinct": distinct,
+        "pairwise_distinct": len(set(signatures)) == len(signatures),
     }

@@ -16,12 +16,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieAlgebra, _hom_failures, _rank, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, matrix_to_json, rank, rref
 from .scalars import scalar_str, to_scalar
 
 
@@ -434,8 +435,6 @@ class CatalogEntry:
         return tuple(f"[{c.left},{c.right}]" for c in self.claims if not c.matches)
 
     def to_json(self) -> dict:
-        from .matrices import matrix_to_json
-
         return {
             "name": self.name,
             "description": self.description,
@@ -558,8 +557,6 @@ def _catalog_mat2_rank1() -> CatalogEntry:
     ident = Matrix.identity(2)
     basis = [h, x, y, ident]
     labels = ["H", "X", "Y", "I"]
-    from fractions import Fraction
-
     half = Fraction(1, 2)
     claims = [
         ("H", "X", (0, 1, 0, 0), ""),

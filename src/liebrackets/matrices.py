@@ -541,12 +541,11 @@ def _null_rows(basis: dict, width: int) -> dict:
 def kernel(m: Matrix) -> "Subspace":
     """Basis of the right null space, as column vectors in canonical form:
     the free-variable vectors of ``_null_rows``, in the order of their free
-    columns."""
+    columns.  Its echelon rows come from one more ``_echelon`` of them."""
     null = _null_rows(_echelon(map(_sparse_row, m._data), m.cols), m.cols)
     vectors = tuple(Matrix._raw(tuple((x,) for x in v)) for v in _reduced_rows(null, m.cols)[0])
-    # Independent by construction, but not in echelon form: that is left to
-    # ``_echelon_rows``, for the few callers that need it.
-    return Subspace._trusted(m.cols, 1, vectors, None)
+    echelon = _reduced_rows(_echelon(null.values(), len(null)), m.cols)[0]
+    return Subspace._trusted(m.cols, 1, vectors, echelon)
 
 
 def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:
@@ -709,7 +708,7 @@ class Subspace:
     @classmethod
     def _trusted(cls, ambient_rows: int, ambient_cols: int, basis: tuple, echelon) -> "Subspace":
         # Internal: ``basis`` is independent and of the ambient shape;
-        # ``echelon`` is its reduced row-echelon form, or None if not known.
+        # ``echelon`` is its reduced row-echelon form.
         self = object.__new__(cls)
         self.ambient_rows = ambient_rows
         self.ambient_cols = ambient_cols
@@ -740,9 +739,6 @@ class Subspace:
         return len(self.basis)
 
     def _echelon_rows(self) -> tuple:
-        if self._echelon is None:
-            rows = [b.entries for b in self.basis]
-            self._echelon = _eliminate(rows)[0]
         return self._echelon
 
     def contains(self, mat: Matrix) -> bool:

@@ -4,6 +4,9 @@ Each check function returns ``{"name", "pass", "details"}``; ``run_all``
 executes them in a fixed order with one seeded RNG stream per check, so a
 given (max_size, seed) pair always produces the same report.  The CLI
 subcommand ``verify-all`` and the acceptance tests both run through here.
+The signatures of the rank normal forms, which ``signature_separation`` and
+the ``endpoint-degeneration`` test of ``deformation_coboundary`` compare,
+come from ``classify._rank_signatures``, as in the ``classify`` report.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ from .algebra import (
     LieAlgebra,
     _hom_failures,
     _jacobi_holds_in_j,
-    invariant_signature,
     jacobi_check,
     lower_central_series,
 )
 from .brackets import BracketParam, StructureConstants, _generic_parameter, structure_constants
-from .classify import _checked_witness, center_law, random_parameter
+from .classify import _checked_witness, _rank_signatures, center_law, random_parameter
 from .constructions import (
     HypothesisError,
     classical_representation,
@@ -230,27 +232,19 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
 
 
 def check_signature_separation(max_size: int = 4) -> dict:
-    """Distinct ranks give distinct invariant signatures (min(n,m) >= 2)."""
+    """Distinct ranks give distinct invariant signatures (min(n,m) >= 2),
+    read from ``classify._rank_signatures``."""
     failures = []
     shapes = 0
     for n, m in _shapes(max_size):
         if min(n, m) < 2:
             continue
         shapes += 1
-        sigs = [
-            (r, invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, r))))
-            for r in range(min(n, m) + 1)
-        ]
+        sigs = _rank_signatures(n, m)
         for a in range(len(sigs)):
             for b in range(a + 1, len(sigs)):
-                if sigs[a][1] == sigs[b][1]:
-                    failures.append(
-                        {
-                            "shape": [n, m],
-                            "ranks": [sigs[a][0], sigs[b][0]],
-                            "signature": sigs[a][1].to_json(),
-                        }
-                    )
+                if sigs[a] == sigs[b]:
+                    failures.append({"shape": [n, m], "ranks": [a, b], "signature": sigs[a].to_json()})
     return {
         "name": "signature_separation",
         "pass": not failures,
@@ -403,8 +397,10 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     ``path_identities`` proves the column scaling ``psi_t`` an isomorphism
     from the ``J_t``-bracket onto ``gl(n)``, so the path points need no
     invariant.  The invariant signature tells the endpoint ``J_r`` (``r <
-    n``) apart from ``gl(n)`` (``endpoint-degeneration``); at ``n = 1`` both
-    are the one-dimensional algebra, so it is computed from ``n = 2`` on.
+    n``) apart from ``gl(n)``, the bracket of ``N_n = I``
+    (``endpoint-degeneration``): both are entries of
+    ``classify._rank_signatures(n, n)``.  At ``n = 1`` both are the
+    one-dimensional algebra, so it is computed from ``n = 2`` on.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -431,7 +427,7 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     )
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
-        sig_gl = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n))) if n >= 2 else None
+        sigs = _rank_signatures(n, n) if n >= 2 else None
         for r in range(n):
             # The transport map is singular at t = 1, the last sample time.
             for t in PATH_TIMES[:-1]:
@@ -439,7 +435,7 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
                 for kind, ok in path_identities(n, r, t).items():
                     if not ok:
                         failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
-            if n >= 2 and invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r))) == sig_gl:
+            if n >= 2 and sigs[r] == sigs[n]:
                 failures.append({"n": n, "r": r, "kind": "endpoint-degeneration"})
             if not proved and not ce_coboundary_check(rank_normal_form(n, n, r), n):
                 failures.append({"n": n, "r": r, "kind": "coboundary-normal-form"})

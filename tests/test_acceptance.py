@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebrackets import algebra, deform, verify
+from liebrackets import algebra, classify, deform, verify
 from liebrackets.algebra import LieAlgebra, _jacobi_holds_in_j, jacobi_check
 from liebrackets.brackets import (
     BracketParam,
@@ -499,16 +499,17 @@ def test_09_coboundary_proof_replaces_the_per_parameter_checks(monkeypatch):
 
 def test_09_path_points_need_no_signature(monkeypatch):
     # The transport verdict proves every interior path point isomorphic to
-    # gl(n), so signatures are computed for gl(n) and the endpoints J_r alone,
-    # from n = 2 on: 2 + (2 + 3) at max_size 3, none at a fractional J_t.
+    # gl(n), so signatures are computed for the normal forms N_0..N_n alone
+    # (N_n = I gives gl(n)), from n = 2 on: 3 + 4 at max_size 3, none at a
+    # fractional J_t.
     params = []
-    real = verify.invariant_signature
+    real = classify.invariant_signature
 
     def counted(L):
         params.append(L.model.j)
         return real(L)
 
-    monkeypatch.setattr(verify, "invariant_signature", counted)
+    monkeypatch.setattr(classify, "invariant_signature", counted)
     assert check_deformation_coboundary(max_size=3, seed=0)["pass"]
     assert len(params) == 7
     assert not any(type(x) is Fraction for j in params for x in j.entries)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liebrackets import algebra, brackets, classify, matrices, scalars
-from liebrackets.algebra import LieAlgebra, hom_check
+from liebrackets.algebra import LieAlgebra, hom_check, invariant_signature
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
     ClassificationError,
@@ -27,7 +27,7 @@ from liebrackets.matrices import (
     rank_normal_form,
     rref,
 )
-from liebrackets.verify import check_iso_soundness, check_signature_separation
+from liebrackets.verify import check_deformation_coboundary, check_iso_soundness, check_signature_separation
 from test_algebra import from_columns
 
 
@@ -432,6 +432,53 @@ class TestClassifyRankFamily:
         assert soundness["pass"] and all(e["witness_verified"] for e in family["entries"])
         assert len(counts) == 40 + 3 * 2
         assert all(c == [0, 0, 0, 0] for c in counts), counts
+
+
+class TestRankSignatures:
+    def test_matches_the_signature_of_each_normal_form(self):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                assert classify._rank_signatures(n, m) == [
+                    invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, r)))
+                    for r in range(min(n, m) + 1)
+                ]
+
+    def test_is_the_only_source_of_the_classification_signatures(self, monkeypatch):
+        # The classify report, signature_separation and the endpoint test of
+        # deformation_coboundary take every signature they compute from one
+        # _rank_signatures call per shape.
+        real_helper, real_signature = classify._rank_signatures, algebra._signature
+        shapes = []  # the shape of each helper call
+        outside = []  # signatures computed outside the helper
+        inside = [False]
+
+        def helper(n, m):
+            shapes.append((n, m))
+            inside[0] = True
+            try:
+                return real_helper(n, m)
+            finally:
+                inside[0] = False
+
+        def signature(L):
+            if not inside[0]:
+                outside.append(L.dim)
+            return real_signature(L)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets" and getattr(module, "_rank_signatures", None) is real_helper:
+                monkeypatch.setattr(module, "_rank_signatures", helper)
+        monkeypatch.setattr(algebra, "_signature", signature)
+
+        assert classify_rank_family(3, 2, seed=0)["pairwise_distinct"]
+        assert shapes == [(3, 2)]
+        shapes.clear()
+        assert check_signature_separation(4)["pass"]
+        assert shapes == [(n, m) for n in range(2, 5) for m in range(2, 5)]
+        shapes.clear()
+        assert check_deformation_coboundary(3, 0)["pass"]
+        assert shapes == [(2, 2), (3, 3)]
+        assert outside == []
 
 
 def test_iso_soundness_up_to_six():

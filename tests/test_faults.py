@@ -304,7 +304,7 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
     def flat(d):
         return dimension_only(LieAlgebra(d, StructureConstants(d, {}))).to_json()
 
-    monkeypatch.setattr(verify, "invariant_signature", dimension_only)
+    monkeypatch.setattr(classify, "invariant_signature", dimension_only)
     out = verify.check_signature_separation(3)
     assert not out["pass"]
     expected = [
@@ -319,7 +319,7 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
 def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
     # Each endpoint J_r = D_r (r < n) is given the signature of gl_n, as if
     # the family did not degenerate at t = 1.
-    real = verify.invariant_signature
+    real = classify.invariant_signature
 
     def gl_at_the_endpoint(L):
         j = L.model.j
@@ -327,7 +327,7 @@ def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkey
             return real(LieAlgebra.from_param(BracketParam.commutator(j.rows)))
         return real(L)
 
-    monkeypatch.setattr(verify, "invariant_signature", gl_at_the_endpoint)
+    monkeypatch.setattr(classify, "invariant_signature", gl_at_the_endpoint)
     out = verify.check_deformation_coboundary(3, 0)
     assert not out["pass"]
     assert out["details"]["failures"] == [
