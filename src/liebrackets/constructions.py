@@ -226,7 +226,7 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     if d < 3 or d % 2 == 0:
         raise ShapeError(f"source dimension {d} is not 2n+1 for n >= 1")
     n = (d - 1) // 2
-    if cand.src.constants != heisenberg_abstract(n).constants:
+    if cand.src.constants.table != {(i, n + i): {2 * n: 1} for i in range(n)}:
         raise ValueError("source is not the Heisenberg algebra in canonical basis order")
     z_img = cand.images[-1]
     if not z_img.is_zero() and z_img.is_scalar_multiple_of_identity():

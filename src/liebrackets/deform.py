@@ -108,13 +108,20 @@ def contraction_limit(c: EpsStructureConstants) -> StructureConstants:
 
 def deformation_bracket(n: int, j: Matrix, t) -> BracketParam:
     """Bracket parameter ``(1-t) I + t j`` on square matrices of size n, for
-    an exact rational ``t`` in ``[0, 1]``."""
+    an exact rational ``t`` in ``[0, 1]``, written entry by entry: ``t j``
+    is taken only at the nonzero entries of ``j``, and ``1 - t`` is added on
+    the diagonal, so no matrix is scaled as a whole."""
     t = to_scalar(t)
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.shape}")
     if not (0 <= t <= 1):
         raise ValueError(f"path time must lie in [0, 1], got {t}")
-    return BracketParam(n, n, (1 - t) * Matrix.identity(n) + t * j)
+    s = 1 - t
+    rows = tuple(
+        tuple((t * v if v else 0) + (s if c == i else 0) for c, v in enumerate(row))
+        for i, row in enumerate(j._data)
+    )
+    return BracketParam(n, n, Matrix._raw(_canonical(rows)))
 
 
 def psi_t(x: Matrix, t, r: int) -> Matrix:
@@ -130,7 +137,7 @@ def psi_t(x: Matrix, t, r: int) -> Matrix:
     if not (0 <= r <= x.rows):
         raise ShapeError(f"split index {r} out of range for size {x.rows}")
     scale = 1 - t
-    rows = tuple(tuple(v * scale if c >= r else v for c, v in enumerate(row)) for row in x._data)
+    rows = tuple(tuple(v * scale if c >= r and v else v for c, v in enumerate(row)) for row in x._data)
     return Matrix._raw(_canonical(rows))
 
 
@@ -164,7 +171,10 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
 
     Both identities are read off basis-pair brackets: with ``t = p/q``, the
     tables ``structure_constants`` gives for ``q J_t``, ``I`` and
-    ``J_r - I`` are compared pair by pair on integers.  ``psi_t`` scales
+    ``J_r - I`` are compared pair by pair on integers.  This is the integer
+    path: ``q J_t`` is formed entry by entry from the nonzero entries of
+    ``deformation_bracket``, and ``w`` from the diagonal of ``psi_t(I)``
+    alone, so no matrix is scaled by a ``Fraction``.  ``psi_t`` scales
     columns, so ``q psi_t(E_(i,c)) = w_c E_(i,c)`` with ``w`` the diagonal of
     ``q psi_t(I)``; for units ``E_a = E_(i,c)`` and ``E_b = E_(k,d)`` the
     transport identity times ``q^2`` reads
@@ -184,9 +194,10 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     t = to_scalar(t)
     p, q = t.numerator, t.denominator
     jr = rank_normal_form(n, n, r)
-    params = (deformation_bracket(n, jr, t).j * q, Matrix.identity(n), jr - Matrix.identity(n))
+    jt = tuple(tuple(to_scalar(q * v) if v else 0 for v in row) for row in deformation_bracket(n, jr, t).j._data)
+    params = (Matrix._raw(jt), Matrix.identity(n), jr - Matrix.identity(n))
     lhs, comm, shift = (structure_constants(BracketParam(n, n, j)).table for j in params)
-    w = (psi_t(Matrix.identity(n), t, r) * q).entries[:: n + 1]  # the diagonal
+    w = [to_scalar(q * v) for v in psi_t(Matrix.identity(n), t, r).entries[:: n + 1]]  # the diagonal
     decomposition = transport = True
     for a, b in lhs.keys() | comm.keys() | shift.keys():
         x, y, z = lhs.get((a, b), {}), comm.get((a, b), {}), shift.get((a, b), {})

@@ -6,7 +6,9 @@ given (max_size, seed) pair always produces the same report.  The CLI
 subcommand ``verify-all`` and the acceptance tests both run through here.
 The signatures of the rank normal forms, which ``signature_separation`` and
 the ``endpoint-degeneration`` test of ``deformation_coboundary`` compare,
-come from ``classify._rank_signatures``, as in the ``classify`` report.
+come from ``classify._rank_signatures``, as in the ``classify`` report:
+``run_all`` takes them once, into the shared table of
+``_normal_form_signatures``, and both checks read that table.
 """
 
 from __future__ import annotations
@@ -50,6 +52,32 @@ _HEISENBERG_SIZES = (1, 2, 3)  # the n of h_n in both Heisenberg checks
 
 def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
+
+
+def _separated_shapes(max_size: int):
+    """The shapes ``(n, m)``, ``2 <= n <= m <= max_size``, whose normal forms
+    ``signature_separation`` compares; the transposed shapes share their
+    signatures (see ``_normal_form_signatures``)."""
+    return [(n, m) for n in range(2, max_size + 1) for m in range(n, max_size + 1)]
+
+
+def _normal_form_signatures(shapes) -> dict:
+    """The shared signature table: ``classify._rank_signatures(n, m)`` for
+    each shape ``(n, m)`` of ``shapes`` (each with ``n <= m``), stored under
+    ``(n, m)`` and, the same list, under ``(m, n)``.
+
+    Transposition lemma: ``([A, B]_J)^T = B^T J^T A^T - A^T J^T B^T =
+    -[A^T, B^T]_(J^T)``, so ``A -> -A^T`` is an isomorphism from the
+    ``J``-bracket on ``Mat(n x m)`` onto the ``J^T``-bracket on
+    ``Mat(m x n)``; and the rank-``r`` normal form of ``Mat(m x n)`` is the
+    transpose of that of ``Mat(n x m)``.  So the normal forms of the two
+    shapes give isomorphic algebras, rank by rank, and their invariant
+    signatures are equal.  ``_rank_signatures`` itself stays per shape, so
+    the ``classify`` report does not rest on the lemma."""
+    table = {}
+    for n, m in shapes:
+        table[(n, m)] = table[(m, n)] = _rank_signatures(n, m)
+    return table
 
 
 def _model_disagreements(param: BracketParam, table: dict):
@@ -231,16 +259,23 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
     }
 
 
-def check_signature_separation(max_size: int = 4) -> dict:
-    """Distinct ranks give distinct invariant signatures (min(n,m) >= 2),
-    read from ``classify._rank_signatures``."""
+def check_signature_separation(max_size: int = 4, *, signatures: dict | None = None) -> dict:
+    """Distinct ranks give distinct invariant signatures (min(n,m) >= 2).
+
+    The signatures are read from ``signatures``, the shared table of
+    ``_normal_form_signatures`` that ``run_all`` passes; run alone, the
+    check builds it for ``_separated_shapes(max_size)``.  The table holds
+    the shape ``(m, n)`` as the entry of ``(n, m)``, by the transposition
+    lemma, but every shape is still checked and reported as its own."""
+    if signatures is None:
+        signatures = _normal_form_signatures(_separated_shapes(max_size))
     failures = []
     shapes = 0
     for n, m in _shapes(max_size):
         if min(n, m) < 2:
             continue
         shapes += 1
-        sigs = _rank_signatures(n, m)
+        sigs = signatures[(n, m)]
         for a in range(len(sigs)):
             for b in range(a + 1, len(sigs)):
                 if sigs[a] == sigs[b]:
@@ -273,7 +308,15 @@ def check_heisenberg_realization() -> dict:
 
 def check_heisenberg_obstruction(seed: int = 0) -> dict:
     """Scalar-Z candidates in low dimension always contradict; the classical
-    representation is faithful; no low-dimensional candidate comes out faithful."""
+    representation is faithful; no low-dimensional candidate comes out faithful.
+
+    This tests the obstruction classifier ``heisenberg_obstruction`` on the
+    classical representation and on seeded random candidates of dimension
+    at most ``n + 1``; it does not prove the bound ``dim V >= n + 2`` for a
+    faithful representation of ``h_n``, which no finite sample can.  That
+    the least such dimension is ``n + 2`` is a theorem: D. Burde, "On a
+    refinement of Ado's theorem", Arch. Math. 70 (1998), gives
+    ``mu(h_n) = n + 2``."""
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -389,7 +432,7 @@ def check_contraction(max_size: int = 4) -> dict:
 _COBOUNDARY_SLOT = 6
 
 
-def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
+def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures: dict | None = None) -> dict:
     """Decomposition identity and transport at sample times, coboundary
     identity, and the degeneration of the path's endpoint.
 
@@ -399,8 +442,11 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     invariant.  The invariant signature tells the endpoint ``J_r`` (``r <
     n``) apart from ``gl(n)``, the bracket of ``N_n = I``
     (``endpoint-degeneration``): both are entries of
-    ``classify._rank_signatures(n, n)``.  At ``n = 1`` both are the
-    one-dimensional algebra, so it is computed from ``n = 2`` on.
+    ``classify._rank_signatures(n, n)``, read from ``signatures``, the shared
+    table of ``_normal_form_signatures`` that ``run_all`` passes (run alone,
+    the check builds it for the shapes ``(n, n)``).  At ``n = 1`` both are
+    the one-dimensional algebra, so it is read from ``n = 2`` on.  The path
+    identities run on integers (see ``deform.path_identities``).
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -419,6 +465,8 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     when it fails, which names each failing parameter; ``identity_cases``
     counts the path identities alone.
     """
+    if signatures is None:
+        signatures = _normal_form_signatures((n, n) for n in range(2, max_size + 1))
     rng = random.Random(seed)
     failures = []
     identity_cases = 0
@@ -427,7 +475,7 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     )
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
-        sigs = _rank_signatures(n, n) if n >= 2 else None
+        sigs = signatures.get((n, n))
         for r in range(n):
             # The transport map is singular at t = 1, the last sample time.
             for t in PATH_TIMES[:-1]:
@@ -495,20 +543,25 @@ def run_all(max_size: int = 4, seed: int = 0) -> dict:
     """Run every check; the report is deterministic in (max_size, seed).
 
     ``max_size`` must be at least 2: below that, several checks would pass
-    on zero cases.
+    on zero cases.  The normal-form signatures are taken once, into the
+    shared table of ``_normal_form_signatures`` for the shapes
+    ``2 <= n <= m <= max_size``, which ``signature_separation`` and
+    ``deformation_coboundary`` both read: no shape's signatures are taken
+    twice, and a transposed shape reads the entry of its transpose.
     """
     if max_size < 2:
         raise HypothesisError(f"max_size must be at least 2, got {max_size}")
+    signatures = _normal_form_signatures(_separated_shapes(max_size))
     checks = [
         check_lie_axioms(max_size, seed),
         check_center_dimensions(max_size),
         check_iso_soundness(max_size, seed),
-        check_signature_separation(max_size),
+        check_signature_separation(max_size, signatures=signatures),
         check_heisenberg_realization(),
         check_heisenberg_obstruction(seed),
         check_semidirect(max_size),
         check_contraction(max_size),
-        check_deformation_coboundary(max_size, seed),
+        check_deformation_coboundary(max_size, seed, signatures=signatures),
         check_catalog(),
     ]
     return {

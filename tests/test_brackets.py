@@ -179,6 +179,40 @@ PACKING_BOUND_CASES = {
 }
 
 
+def transposed(x: Matrix) -> Matrix:
+    return Matrix([list(x.column_tuple(j)) for j in range(x.cols)])
+
+
+@st.composite
+def transposition_cases(draw):
+    """A rational J and two rational operands of a shape up to 4x4."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def block(rows, cols):
+        flat = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+        return Matrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    return BracketParam(n, m, block(m, n)), block(n, m), block(n, m)
+
+
+class TestTransposition:
+    @settings(max_examples=80, deadline=None)
+    @given(transposition_cases())
+    def test_transpose_of_a_bracket(self, case):
+        # ([A, B]_J)^T = -[A^T, B^T]_(J^T): A -> -A^T is an isomorphism from
+        # the J-bracket on Mat(n x m) onto the J^T-bracket on Mat(m x n),
+        # the lemma that lets verify share the signatures of (n, m) and (m, n).
+        param, a, b = case
+        flipped = BracketParam(param.m, param.n, transposed(param.j))
+        assert transposed(bracket(a, b, param)) == -bracket(transposed(a), transposed(b), flipped)
+
+    def test_normal_forms_transpose(self):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for r in range(min(n, m) + 1):
+                    assert transposed(rank_normal_form(m, n, r)) == rank_normal_form(n, m, r)
+
+
 class TestPairBrackets:
     @settings(max_examples=80, deadline=None)
     @given(pair_bracket_cases())

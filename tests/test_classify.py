@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liebrackets import algebra, brackets, classify, matrices, scalars
+from liebrackets import algebra, brackets, classify, matrices, scalars, verify
 from liebrackets.algebra import LieAlgebra, hom_check, invariant_signature
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
@@ -446,7 +446,8 @@ class TestRankSignatures:
     def test_is_the_only_source_of_the_classification_signatures(self, monkeypatch):
         # The classify report, signature_separation and the endpoint test of
         # deformation_coboundary take every signature they compute from one
-        # _rank_signatures call per shape.
+        # _rank_signatures call per shape; signature_separation takes the
+        # shapes n <= m alone and reads (m, n) from (n, m).
         real_helper, real_signature = classify._rank_signatures, algebra._signature
         shapes = []  # the shape of each helper call
         outside = []  # signatures computed outside the helper
@@ -474,11 +475,28 @@ class TestRankSignatures:
         assert shapes == [(3, 2)]
         shapes.clear()
         assert check_signature_separation(4)["pass"]
-        assert shapes == [(n, m) for n in range(2, 5) for m in range(2, 5)]
+        assert shapes == [(n, m) for n in range(2, 5) for m in range(n, 5)]
         shapes.clear()
         assert check_deformation_coboundary(3, 0)["pass"]
         assert shapes == [(2, 2), (3, 3)]
         assert outside == []
+
+    def test_transposed_shapes_have_equal_signatures(self):
+        # A -> -A^T is an isomorphism from the J-bracket on Mat(n x m) onto
+        # the J^T-bracket on Mat(m x n), and N_r(m, n)^T = N_r(n, m), which
+        # lets verify read the shape (m, n) from the shape (n, m).
+        for n in range(1, 6):
+            for m in range(n + 1, 6):
+                assert classify._rank_signatures(m, n) == classify._rank_signatures(n, m), (n, m)
+
+    def test_run_all_takes_each_shape_once(self, monkeypatch):
+        # run_all takes the signatures of the shapes n <= m once, into the
+        # table that signature_separation and deformation_coboundary share.
+        real = classify._rank_signatures
+        shapes = []
+        monkeypatch.setattr(verify, "_rank_signatures", lambda n, m: shapes.append((n, m)) or real(n, m))
+        assert verify.run_all(3, 0)["pass"]
+        assert shapes == [(2, 2), (2, 3), (3, 3)]
 
 
 def test_iso_soundness_up_to_six():

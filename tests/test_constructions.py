@@ -141,8 +141,28 @@ class TestHeisenbergObstruction:
 
     def test_rejects_non_heisenberg_source(self):
         cand = sl2_candidate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="source is not the Heisenberg algebra in canonical basis order"):
             heisenberg_obstruction(cand)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {(0, 3): {4: 1}, (1, 2): {4: 1}},  # X_1 paired with Y_2
+            {(0, 2): {4: 1}, (1, 3): {4: -1}},  # a sign flipped
+            {(0, 2): {4: 2}, (1, 3): {4: 1}},  # a constant scaled
+            {(0, 2): {4: 1}, (1, 3): {4: 1}, (0, 1): {4: 1}},  # an extra bracket
+            {(0, 2): {4: 1}},  # a bracket missing
+        ],
+    )
+    def test_rejects_a_wrong_heisenberg_table_without_building_h_n(self, monkeypatch, table):
+        # The guard compares the source table with the one of h_n, written
+        # down, so it builds no algebra for the comparison.
+        src = LieAlgebra(5, StructureConstants(5, table))
+        images = tuple(Matrix.zeros(3, 3) for _ in range(5))
+        monkeypatch.setattr(constructions, "heisenberg_abstract", None)
+        with pytest.raises(ValueError, match="source is not the Heisenberg algebra in canonical basis order"):
+            heisenberg_obstruction(RepCandidate(src, images, 3))
+        assert heisenberg_obstruction(RepCandidate(heisenberg_abstract(2), images, 3)).kind == "not-faithful"
 
     def test_check_builds_no_destination_constants(self, monkeypatch):
         # Each candidate is checked through the commutator model on integer

@@ -132,6 +132,23 @@ def coboundary_parameters(draw):
     return Matrix(rows), n
 
 
+@st.composite
+def path_cases(draw):
+    """A rational time in [0, 1], a rational square J of size <= 4 with some
+    zero entries, and a split index."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 12))
+    t = Fraction(draw(st.integers(0, q)), q)
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    j = Matrix([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
+    return n, j, t, draw(st.integers(0, n))
+
+
+def entry_types(x: Matrix) -> list:
+    # Fraction(2, 1) == 2, so the types are compared on their own.
+    return [type(v) for v in x.entries]
+
+
 class TestContraction:
     def test_full_rank_no_scaling(self):
         eps = contraction_constants(2, 2)
@@ -232,6 +249,16 @@ class TestDeformationPath:
                     )
                     assert lhs == rhs
 
+    @settings(max_examples=80, deadline=None)
+    @given(path_cases())
+    def test_matches_the_matrix_reference(self, case):
+        # Written entry by entry, the parameter equals (1 - t) I + t J formed
+        # by Matrix arithmetic, entry types included (int when integral).
+        n, j, t, _ = case
+        want = (1 - t) * Matrix.identity(n) + t * j
+        got = deformation_bracket(n, j, t).j
+        assert got == want and entry_types(got) == entry_types(want)
+
 
 class TestPathIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -304,6 +331,16 @@ class TestPsiT:
     def test_singular_at_one(self):
         with pytest.raises(ZeroDivisionError):
             psi_t_inverse(Matrix.identity(2), 1, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(path_cases())
+    def test_matches_the_matrix_reference(self, case):
+        # The column scaling equals x times diag(1, .., 1, 1 - t, .., 1 - t)
+        # formed by Matrix arithmetic, entry types included.
+        n, x, t, r = case
+        want = x @ Matrix.diagonal([1] * r + [1 - t] * (n - r))
+        got = psi_t(x, t, r)
+        assert got == want and entry_types(got) == entry_types(want)
 
     def test_transport_identity_random(self):
         rng = random.Random(1)

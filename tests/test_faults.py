@@ -316,6 +316,28 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
     assert out["details"] == {"shapes_checked": 4, "failures": expected}
 
 
+def test_signature_collision_at_one_shape_is_reported_under_its_transpose_too(monkeypatch):
+    # A collision planted in the signatures of (2, 3) alone: verify takes
+    # (3, 2) from the same table entry, so it must fail there as well, and
+    # every shape is still reported as its own.
+    real = classify._rank_signatures
+
+    def collide(n, m):
+        sigs = real(n, m)
+        return [sigs[0], sigs[0], *sigs[2:]] if (n, m) == (2, 3) else sigs
+
+    monkeypatch.setattr(verify, "_rank_signatures", collide)
+    zero = collide(2, 3)[0].to_json()
+    expected = [{"shape": shape, "ranks": [0, 1], "signature": zero} for shape in ([2, 3], [3, 2])]
+    out = verify.check_signature_separation(3)
+    assert out["details"] == {"shapes_checked": 4, "failures": expected}
+    report = verify.run_all(3, 0)
+    assert not report["pass"]
+    separation = next(c for c in report["checks"] if c["name"] == "signature_separation")
+    assert separation["details"] == {"shapes_checked": 4, "failures": expected}
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["signature_separation"]
+
+
 def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
     # Each endpoint J_r = D_r (r < n) is given the signature of gl_n, as if
     # the family did not degenerate at t = 1.
