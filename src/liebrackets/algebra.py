@@ -34,9 +34,9 @@ of the constants-table dicts themselves, eliminated once and kept on the
 algebra as ``LieAlgebra._derived_rows``; each series step brackets the
 primitive integer basis rows of the term before through the adjoint
 columns; and the signature's other ranks (the center, the Killing form
-and the center of ``[g, g]``) are taken on sparse rows built the same
-way.  So no row of the length of the basis is built, scanned or reduced
-where a bracket has few terms.  A series runs on the algebra with integer
+and the center of ``[g, g]``) are taken on ``d`` sparse rows each, the
+transposed systems of ``invariant_signature``.  So no row of the length
+of the basis is built, scanned or reduced where a bracket has few terms.  A series runs on the algebra with integer
 constants (``_integer_constants``), whose series are the same spans, and
 so do ``center`` and ``centralizer``: their rows go to ``_echelon``
 sparse, ``matrices._null_rows`` reads the null space off its basis as
@@ -437,23 +437,31 @@ def lower_central_series(L: LieAlgebra) -> List[Subspace]:
 
 def killing_form(L: LieAlgebra):
     """Gram matrix ``trace(ad_a . ad_b)`` and its exact rank."""
-    gram_matrix = Matrix(_dense(row, L.dim) for row in _killing_gram(L))
+    gram_matrix = Matrix(_dense(row, L.dim) for row in _killing_gram(_flat_ads(L)))
     return gram_matrix, rank(gram_matrix)
 
 
-def _killing_gram(L: LieAlgebra) -> list:
-    """Sparse rows of the Gram matrix ``trace(ad_a . ad_b)``: the adjoint
-    entries are indexed by position ``(u, v)`` once, and ``ad_a[u, v] *
-    ad_b[v, u]`` is added up over the entries at each ``(u, v)`` and
-    ``(v, u)``."""
-    at: dict = {}  # (u, v) -> [(a, ad_a[u, v])]
-    for a, cols in enumerate(L._sparse_ads):
-        for v, col in cols.items():
-            for u, x in col.items():
-                at.setdefault((u, v), []).append((a, x))
-    gram: list = [dict() for _ in range(L.dim)]
-    for (u, v), xs in at.items():
-        ys = at.get((v, u))
+def _flat_ads(L: LieAlgebra) -> list:
+    """Row ``a`` is ``ad_a`` flattened, ``{b * d + t: c_ab^t}``: key
+    ``v * d + u`` holds the matrix entry ``ad_a[u, v]``."""
+    d = L.dim
+    return [{b * d + t: c for b, col in cols.items() for t, c in col.items()} for cols in L._sparse_ads]
+
+
+def _killing_gram(flat: list) -> list:
+    """Sparse rows of the Gram matrix ``trace(ad_a . ad_b)`` from the rows
+    ``flat`` of ``_flat_ads``: the entries are indexed by key once, and
+    ``ad_a[u, v] * ad_b[v, u]`` is added up over the entries at each key
+    ``v * d + u`` and its transpose ``u * d + v``."""
+    d = len(flat)
+    at: dict = {}  # v * d + u -> [(a, ad_a[u, v])]
+    for a, row in enumerate(flat):
+        for key, x in row.items():
+            at.setdefault(key, []).append((a, x))
+    gram: list = [dict() for _ in range(d)]
+    for key, xs in at.items():
+        v, u = divmod(key, d)
+        ys = at.get(u * d + v)
         if ys is None:
             continue
         for a, x in xs:
@@ -637,15 +645,20 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     centralizer, and multiplies the Killing form by ``D**2``, which keeps
     its rank.
 
-    Only dimensions are read, so each invariant is one exact rank:
+    Only dimensions are read, so each invariant is one exact rank.  A
+    kernel of dimension ``d - rank S`` is measured on the transpose, since
+    ``rank S = rank S^T``, and ``S^T`` has only ``d`` rows:
 
-    - ``center_dim = d - rank(A)``, ``A`` the adjoint maps stacked, whose
-      kernel is the center;
-    - ``derived_center_dim = k - rank(M)``.  With ``b_1..b_k`` the primitive
-      integer echelon rows of ``[g, g]``, row ``(j, t)`` of ``M`` is
-      ``([b_i, b_j]_t)_i``: ``M c = 0`` says ``y = sum_i c_i b_i`` commutes
-      with every ``b_j``, and ``c -> y`` is injective, so the kernel of ``M``
-      is the center of ``[g, g]`` in these coordinates;
+    - ``center_dim = d - rank``.  The center is the kernel of
+      ``y -> ([y, x_s])_s``, and row ``i`` of its transpose is ``ad_i``
+      flattened (``_flat_ads``);
+    - ``derived_center_dim = d - rank``.  With ``b_1..b_k`` the primitive
+      integer echelon rows of ``D = [g, g]`` and ``N`` the ``d - k`` rows of
+      its annihilator (``matrices._null_rows``), ``y`` lies in ``D`` iff
+      ``N y = 0``, so the center of ``D`` is the kernel of ``N`` stacked on
+      ``y -> [y, b_j]`` for each ``j``.  Row ``i`` of its transpose is
+      ``(N_q[i])_q`` followed by ``([x_i, b_j]_t)_{j, t}``
+      (``_derived_center_transpose``);
     - the series dimensions are the ranks of ``_series_rows``, where each
       term lies in the one before by bilinearity alone, so a step that
       reaches the dimension of the term before is stationary and stops
@@ -657,8 +670,8 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     - the Killing rank is the rank of the integer Gram rows.
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
-    series and ``M``.  Every elimination stops once it reaches its bound
-    (``d``, ``k`` or the dimension of the term before), which no rank can
+    series and its center.  Every elimination stops once it reaches its
+    bound (``d`` or the dimension of the term before), which no rank can
     pass, so every rank is exact.
     """
     normal = _isomorphic_normal_form(L)
@@ -689,44 +702,53 @@ def _signature(L: LieAlgebra) -> InvariantSignature:
     describes."""
     L = _integer_constants(L)
     d = L.dim
-    units = [{x: 1} for x in range(d)]
-    basis = list(L._derived_rows.values())
-    k = len(basis)
+    k = len(L._derived_rows)
     derived_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, False))
     if derived_dims == (d, k, k):  # [g, g] is its own derived algebra
         lcs_dims = derived_dims
     else:
         lcs_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, True))
+    flat = _flat_ads(L)
     return InvariantSignature(
         dim=d,
-        center_dim=d - _rank(_centralizer_rows(L, units).values(), d),
+        center_dim=d - _rank(flat, d),
         derived_dims=derived_dims,
         lcs_dims=lcs_dims,
-        killing_rank=_rank(_killing_gram(L), d),
-        derived_center_dim=k - _rank(_derived_center_rows(L, basis), k),
+        killing_rank=_rank(_killing_gram(flat), d),
+        derived_center_dim=d - _rank(_derived_center_transpose(L), d),
     )
 
 
-def _rank(rows, width: int) -> int:
-    """The rank of the sparse integer ``rows`` of length ``width``."""
-    return len(_echelon(rows, width))
+def _rank(rows, bound: int) -> int:
+    """The rank of the sparse integer ``rows``, for a ``bound`` it cannot
+    pass: their number or their length."""
+    return len(_echelon(rows, bound))
 
 
-def _derived_center_rows(L: LieAlgebra, basis: list):
-    """Sparse rows ``(j, t)`` of ``M``: ``([b_i, b_j]_t)_i`` for the sparse
-    integer rows ``b_i`` of ``basis``, formed one ``j`` at a time.
-    ``[b_i, b_j]`` is ``sum_a b_i[a] [x_a, b_j]``, so each ``[x_a, b_j]`` is
-    formed once and added to the rows with weights ``{i: b_i[a]}``."""
+def _derived_center_transpose(L: LieAlgebra) -> list:
+    """The ``d`` rows of the transpose of the system whose kernel is the
+    center of ``[g, g]`` (see ``invariant_signature``): row ``i`` holds
+    ``N_q[i]`` at column ``q`` for the annihilator rows ``N_q`` of
+    ``[g, g]``, then ``[x_i, b_j]_t`` at column ``j * d + t`` for the
+    echelon rows ``b_1..b_k``.  Each bracket is read off ``ads[x]`` for ``x`` in
+    the support of ``b_j``, as ``[x_i, x_x] = -ads[x][i]``."""
+    d = L.dim
     ads = L._sparse_ads
-    weights: Dict[int, dict] = defaultdict(dict)
-    for i, b in enumerate(basis):
-        for a, x in b.items():
-            weights[a][i] = x
-    for z in basis:
-        rows: Dict[int, dict] = defaultdict(dict)
-        for a, wa in weights.items():
-            u: dict = {}
-            _add_bracket(u, 1, ads[a], z)  # [x_a, z]
-            for t, ut in u.items():
-                _add_multiple(rows[t], ut, wa)
-        yield from filter(None, rows.values())
+    derived = L._derived_rows
+    rows: list = [dict() for _ in range(d)]
+    for q, null in _null_rows(derived, d).items():
+        for i, x in null.items():
+            rows[i][q] = x
+    for j, b in enumerate(derived.values(), 1):
+        base = j * d
+        for x, bx in b.items():
+            for i, col in ads[x].items():
+                row = rows[i]
+                for t, w in col.items():
+                    key = base + t
+                    y = row.get(key, 0) - bx * w
+                    if y:
+                        row[key] = y
+                    else:
+                        del row[key]
+    return rows

@@ -42,8 +42,10 @@ from .verify import run_all
 
 # Largest inputs the subcommands accept, so that none runs without bound.
 # On a 2-core x86-64 machine (CPython 3.11.7) the largest accepted sizes
-# finish in at most 3 s: ``classify 36 1`` in 0.18 s, ``classify 12 3`` in
-# 0.18 s, ``classify 6 6`` in 0.23 s, ``heisenberg 16`` in 0.66 s,
+# finish in at most 3 s: ``classify 36 1`` in 0.14 s, ``classify 12 3`` in
+# 0.14 s and ``classify 6 6`` in 0.17 s (re-measured as processes, best of
+# 5, on a loaded host where the calibration kernel took 5.5-7 ms; in
+# process ``classify 6 6`` takes 13-23 ms), ``heisenberg 16`` in 0.66 s,
 # ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
 # in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
 # J in 3.0 s and 0.34 s (``constants 12 12`` re-measured at 4.4 s, best
@@ -53,7 +55,7 @@ from .verify import run_all
 # ``12 12 12`` in 0.90 s,
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.48 s (a
 # 144x1 pair in 0.63 s) and ``contract 40 1`` in 2.0 s.  In process, past
-# the limits: ``classify 7 7`` 0.16 s, ``heisenberg 18`` 0.63 s,
+# the limits: ``classify 7 7`` 0.02-0.04 s, ``heisenberg 18`` 0.63 s,
 # ``constants 14 14`` 7.6 s, ``center 14 14`` 0.43 s, a dense 13x13
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``

@@ -315,7 +315,8 @@ class TestKilling:
         for param in params:
             dense = killing_gram_bruteforce(param)
             rows = [{b: v for b, v in enumerate(dense.row(a)) if v} for a in range(param.dim)]
-            assert algebra._killing_gram(LieAlgebra.from_param(param)) == rows, (param.n, param.m)
+            flat = algebra._flat_ads(LieAlgebra.from_param(param))
+            assert algebra._killing_gram(flat) == rows, (param.n, param.m)
 
 
 def ad_matrix(L, x):
@@ -747,6 +748,14 @@ class TestSignature:
             }
             assert sigs == {invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, rank(j))))}
 
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6) for m in range(1, 6)])
+    def test_center_dim_is_the_dimension_of_center(self, n, m):
+        # The signature's rank of the transposed adjoint rows against the
+        # kernel basis of the public ``center``, on every normal form.
+        for r in range(min(n, m) + 1):
+            L = LieAlgebra.from_param(BracketParam.normal(n, m, r))
+            assert invariant_signature(L).center_dim == center(L).dim
+
     def test_path_parameter_has_gl_signature(self):
         # J_t = (1 - t) I + t J_r at t = 1/3 is invertible: the bracket is
         # isomorphic to the commutator of gl_4.  (r = n gives J_t = I.)
@@ -1070,6 +1079,12 @@ class TestSignatureDifferential:
 
     @SIGNATURE_DIFFERENTIAL
     @given(signature_algebras())
+    def test_center_dim_is_the_dimension_of_center(self, L):
+        dim = center(L).dim
+        assert invariant_signature(L).center_dim == invariant_signature(model_less(L)).center_dim == dim
+
+    @SIGNATURE_DIFFERENTIAL
+    @given(signature_algebras())
     def test_jacobi_verdict_matches_reference(self, L):
         # The abstract kind gives tables that break Jacobi, so failure
         # witnesses are compared too, in the order the CLI prints them.
@@ -1144,6 +1159,25 @@ class TestSignatureStationaryDerivedAlgebra:
         assert (sig.derived_dims, sig.lcs_dims) == (derived, lcs)
         assert sig == reference_invariant_signature(L)
         assert calls == ([False] if name == "gl3" else [False, True])
+
+
+# ``(dim Z([g, g]), dim (Z(g) meet [g, g]), dim [g, g])`` of the algebras
+# above, by hand.  gl(3): [g, g] = sl(3) is centerless, and the scalars Z(g)
+# are not traceless.  Heisenberg: [g, g] = Z(g) = <z>.  Filiform:
+# [g, g] = <x2, x3> is abelian, while Z(g) = <x3>.  sl(2) + b(2):
+# [g, g] = sl(2) + <x4> has center <x4>, while Z(g) = 0, so Z([g, g]) is
+# neither of the other two.
+DERIVED_CENTERS = {"gl3": (0, 0, 8), "heisenberg": (1, 1, 1), "filiform": (2, 1, 2), "sl2+b2": (1, 0, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_CENTERS))
+def test_derived_center_dim_by_hand(name):
+    constants = STATIONARY_CASES[name][0]
+    L = LieAlgebra(constants.dim, constants)
+    expected, center_in_derived, derived_dim = DERIVED_CENTERS[name]
+    derived = derived_series(L)[1]
+    assert (derived.dim, intersection(center(L), derived).dim) == (derived_dim, center_in_derived)
+    assert invariant_signature(L).derived_center_dim == expected
 
 
 def sympy_signature_ranks(sympy, L):
@@ -1312,6 +1346,26 @@ class TestSparseSignature:
         read = sparse_rows_only(monkeypatch)
         assert invariant_signature(L) == expected
         assert read and all(read)
+
+    @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-3x4-0"])
+    def test_every_signature_rank_reads_d_rows(self, monkeypatch, name):
+        # The center, Killing and derived-center ranks are each taken on
+        # ``d`` rows, the transposed systems of ``invariant_signature``, not
+        # on the up to ``d**2`` rows of the stacked maps.
+        L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
+        if name.startswith("dense"):
+            L = model_less(L)
+        real = algebra._rank
+        read = []
+
+        def spy(rows, bound):
+            rows = list(rows)
+            read.append(len(rows))
+            return real(rows, bound)
+
+        monkeypatch.setattr(algebra, "_rank", spy)
+        assert invariant_signature(L) == dense_reference_signature(L)
+        assert read == [L.dim] * 3
 
     @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1"])
     def test_transported_signature_reads_only_sparse_rows(self, monkeypatch, name):
