@@ -29,36 +29,38 @@ from a constants table into a matrix bracket.
 The center, the series and the centralizers are spans, so they may be
 computed from any basis of what they are built from.  The engine uses that
 to bracket integer vectors only, as the sparse rows ``{index: int}`` of
-``matrices._echelon``, the one elimination loop: ``[g, g]`` is the span
-of the constants-table dicts themselves, eliminated once and kept on the
-algebra as ``LieAlgebra._derived_rows``; each series step brackets the
-primitive integer basis rows of the term before through the adjoint
-columns; and the signature's other ranks (the center, the Killing form
-and the center of ``[g, g]``) are taken on ``d`` sparse rows each, the
-transposed systems of ``invariant_signature``.  So no row of the length
-of the basis is built, scanned or reduced where a bracket has few terms.  A series runs on the algebra with integer
-constants (``_integer_constants``), whose series are the same spans, and
-so do ``center`` and ``centralizer``: their rows go to ``_echelon``
-sparse, ``matrices._null_rows`` reads the null space off its basis as
-sparse integer rows, one per free column, and ``_echelon`` reduces those
-once more.  Each term and centralizer is still given by its canonical
-reduced echelon rows, from exact elimination; only a centralizer's
-generators and the injectivity ranks reach the loop through the dense
-boundary ``matrices._sparse_row``.  A series step reads its generators
-only until it reaches the dimension of the term before, which, by
-bilinearity alone, contains it.
+``matrices._echelon``, the span loop: ``[g, g]`` is the span of the
+constants-table dicts themselves, eliminated once and kept on the algebra
+as ``LieAlgebra._derived_rows``; each series step brackets the primitive
+integer basis rows of the term before through the adjoint columns.  The
+signature's other ranks (the center, the Killing form and the center of
+``[g, g]``) are counts, taken by ``matrices._rank`` on ``d`` sparse rows
+each, the transposed systems of ``invariant_signature``.  So no row of the
+length of the basis is built, scanned or reduced where a bracket has few
+terms.  A series runs on the algebra with integer constants
+(``_integer_constants``), whose series are the same spans, and so do
+``center`` and ``centralizer``: their rows go to ``_echelon`` sparse,
+``matrices._null_rows`` reads the null space off its basis as sparse
+integer rows, one per free column, and ``_echelon`` reduces those once
+more.  Each term and centralizer is still given by its canonical reduced
+echelon rows, from exact elimination; only a centralizer's generators and
+the injectivity ranks reach the kernels through the dense boundary
+``matrices._sparse_row``.  A series step reads its generators only until
+it reaches the dimension of the term before, which, by bilinearity alone,
+contains it.
 
 ``invariant_signature`` of a matrix bracket whose parameter ``J`` is not
 in rank normal form is taken on the bracket of the normal form ``N_r``,
-once the witness factors of ``J = Q N_r P`` from one elimination of ``J``
-pass the identity-and-ranks proof that ``classify`` gives its witnesses
-(``matrices._factor_check``); the signature is kept by isomorphism, and a
-failed proof leaves the algebra itself to the computation.  That runs on
-the algebra whose bracket is multiplied by the lcm of the denominators of
-the constants, which keeps every span it measures and multiplies the
-Killing form by a nonzero square.  It reads dimensions only, so each
-invariant is an exact rank, and it builds no ``Subspace``, kernel basis,
-intersection or dense row.
+once the factors of ``N_r = Q J P`` written down from one elimination of
+``J`` (``matrices._normal_form_factors``) pass the identity-and-ranks
+proof that ``classify`` gives its witnesses (``matrices._factor_check``);
+the signature is kept by isomorphism, and a failed proof leaves the
+algebra itself to the computation.  That runs on the algebra whose
+bracket is multiplied by the lcm of the denominators of the constants,
+which keeps every span it measures and multiplies the Killing form by a
+nonzero square.  It reads dimensions only, so each invariant is an exact
+rank, and it builds no ``Subspace``, kernel basis, intersection or dense
+row.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ from .matrices import (
     _echelon,
     _factor_check,
     _integer_row,
+    _normal_form_factors,
     _null_rows,
+    _rank,
     _reduced_rows,
-    _rref_factors,
     _rref_rows,
     _sparse_row,
     rank,
@@ -630,22 +633,24 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
     An algebra whose model ``J`` is not the rank normal form ``N_r`` of its
     shape and rank has the signature of the ``N_r`` bracket
-    (``_isomorphic_normal_form``).  By the lemma of ``classify``,
-    ``J = Q N_r P`` with ``P`` and ``Q`` invertible makes ``A -> P A Q`` an
-    isomorphism from the ``J``-bracket onto the ``N_r``-bracket, and every
-    invariant below is kept by isomorphism.  The factors come from one elimination of ``J``
-    (``matrices._rref_factors``), and each call proves them with
-    ``matrices._factor_check``, the identity and the two full ranks that
-    ``classify`` proves its witnesses by; if the proof fails, the signature
-    is computed on ``L`` itself.  A normal form, the commutator among them,
-    costs one scan of ``J``, and an algebra without a model none.
+    (``_isomorphic_normal_form``).  The factors of ``N_r = Q J P`` are
+    written down from one elimination of ``J`` by
+    ``matrices._normal_form_factors``, whose docstring holds their lemma,
+    and each call proves them with ``matrices._factor_check``, the identity
+    and the two full ranks that ``classify`` proves its witnesses by; by the
+    lemma of ``classify``, ``A -> P A Q`` is then an isomorphism from the
+    ``N_r``-bracket onto the ``J``-bracket, and every invariant below is
+    kept by isomorphism.  If the proof fails, the signature is computed on
+    ``L`` itself.  A normal form, the commutator among them, costs one scan
+    of ``J``, and an algebra without a model none.
 
     The signature is computed on ``_integer_constants(L)``.  Multiplying
     the bracket by ``D != 0`` keeps the center, both series and every
     centralizer, and multiplies the Killing form by ``D**2``, which keeps
     its rank.
 
-    Only dimensions are read, so each invariant is one exact rank.  A
+    Only dimensions are read, so each invariant is one exact rank, a count
+    of ``matrices._rank`` or the length of an ``_echelon`` basis.  A
     kernel of dimension ``d - rank S`` is measured on the transpose, since
     ``rank S = rank S^T``, and ``S^T`` has only ``d`` rows:
 
@@ -680,7 +685,7 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
 def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
     """The algebra of the rank normal form ``N_r`` of the parameter ``J`` of
-    ``L.model``, once ``J = Q N_r P`` is proved with ``P`` and ``Q``
+    ``L.model``, once ``N_r = Q J P`` is proved with ``P`` and ``Q``
     invertible; None when ``L`` has no model, when ``J`` is ``N_r`` already
     (one scan, no elimination), or when the factors fail the proof."""
     param = L.model
@@ -692,7 +697,7 @@ def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
         return None
     rows = _rref_rows(j)
     normal = rank_normal_form(m, n, len(rows[1]))
-    if not _factor_check(j, normal, _rref_factors(rows, _rref_rows(normal), n, m)):
+    if not _factor_check(normal, j, _normal_form_factors(rows, n, m)):
         return None
     return LieAlgebra.from_param(BracketParam(n, m, normal))
 
@@ -717,12 +722,6 @@ def _signature(L: LieAlgebra) -> InvariantSignature:
         killing_rank=_rank(_killing_gram(flat), d),
         derived_center_dim=d - _rank(_derived_center_transpose(L), d),
     )
-
-
-def _rank(rows, bound: int) -> int:
-    """The rank of the sparse integer ``rows``, for a ``bound`` it cannot
-    pass: their number or their length."""
-    return len(_echelon(rows, bound))
 
 
 def _derived_center_transpose(L: LieAlgebra) -> list:

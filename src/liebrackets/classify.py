@@ -25,8 +25,9 @@ general map, on its integer Kronecker columns over one denominator, by the
 packed homomorphism check, whose verdict and witness decide.  The
 ``witness`` command checks its witness the same way.  The factors and
 their proof are matrix code, ``matrices._rref_factors`` and
-``matrices._factor_check``, which ``algebra.invariant_signature`` also
-reads to move a signature onto the rank normal form.
+``matrices._factor_check``; ``algebra.invariant_signature`` proves the
+factors of ``matrices._normal_form_factors`` by the same check to move a
+signature onto the rank normal form.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _echelon, _factor_check, _rref_factors, _rref_rows, _sparse_row, rank
+from .matrices import Matrix, ShapeError, Subspace, _factor_check, _rank, _rref_factors, _rref_rows, _sparse_row, rank
 from .scalars import scalar_div
 
 
@@ -166,7 +167,7 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
         rcols = list(zip(*right))
         m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in left)
         # The product has rank at most target_rank, so that bound is exact.
-        if len(_echelon(map(_sparse_row, m), target_rank)) == target_rank:
+        if _rank(map(_sparse_row, m), target_rank) == target_rank:
             return Matrix._raw(m)
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 

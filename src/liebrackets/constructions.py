@@ -20,9 +20,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import LieAlgebra, _hom_failures, _rank, center, hom_check, lower_central_series, subalgebra_closed
+from .algebra import LieAlgebra, _hom_failures, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, Subspace, _integer_row, _sparse_row, matrix_to_json, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _integer_row, _rank, _sparse_row, matrix_to_json, rank, rref
 from .scalars import scalar_str, to_scalar
 
 

@@ -6,20 +6,25 @@ matrices together with the invertible transforms that witness them.  The
 two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
 ``Q`` and ``P`` invertible) is what the rank classification rests on.
 ``_rref_factors`` writes the integer factors of ``J1 = Q J2 P`` for two
-parameters of one rank from their eliminations, and ``_factor_check``
-proves them by that identity and the full ranks of ``P`` and ``Q``:
-``classify`` checks its witnesses so, and ``algebra.invariant_signature``
-proves ``J = Q N_r P`` with them before it takes a signature on ``N_r``.
+parameters of one rank from their eliminations, ``_normal_form_factors``
+those of ``N_r = Q J P`` from the elimination of ``J`` alone, and
+``_factor_check`` proves either by that identity and the full ranks of
+``P`` and ``Q``: ``classify`` checks its witnesses so, and
+``algebra.invariant_signature`` proves ``N_r = Q J P`` before it takes a
+signature on ``N_r``.
 
-Span and rank questions share one elimination loop, ``_echelon``, on
-sparse integer rows: dicts ``{column: int}`` that hold only the nonzero
-entries.  It builds a reduced echelon basis of primitive integer rows one
-input row at a time, reduces each incoming row only at the basis pivots it
-touches, and stops reading rows once the basis reaches a dimension bound
-the caller knows the span cannot pass (at most the width).  Its length is
-a rank: ``rank`` and the ranks of ``algebra`` and ``classify`` read only
-that.  The row builders of ``algebra`` hand it sparse rows straight from
-the structure constants.  A dense row enters through one boundary helper,
+Spans and ranks are taken on sparse integer rows: dicts ``{column: int}``
+that hold only the nonzero entries.  A caller that reads a span gets it
+from ``_echelon``, which builds a reduced echelon basis of primitive
+integer rows one input row at a time, reduces each incoming row only at
+the basis pivots it touches, and stops reading rows once the basis reaches
+a dimension bound the caller knows the span cannot pass (at most the
+width).  A caller that reads only a count gets it from ``_rank``, which
+reduces each incoming row forward at the pivots before it, never rewrites
+a kept row and stops at the same bound: ``rank``, ``_factor_check`` and
+the ranks of ``algebra``, ``classify`` and ``constructions``.  The row
+builders of ``algebra`` hand both sparse rows straight from the structure
+constants.  A dense row enters through one boundary helper,
 ``_sparse_row``, which scales it to integers and drops its zeros.
 ``Subspace`` and the series need the span itself, and ``_eliminate`` (or
 ``_reduced_rows``) divides each basis row by its pivot and writes it out
@@ -50,6 +55,7 @@ entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -351,8 +357,9 @@ def _reduced_rows(basis: dict, width: int) -> tuple:
 
 
 def _echelon(rows: Iterable[dict], bound: int) -> dict:
-    """The package's one span and rank kernel: the reduced echelon basis of
-    the span of the sparse integer rows ``rows``, built one row at a time.
+    """The span kernel: the reduced echelon basis of the span of the sparse
+    integer rows ``rows``, built one row at a time.  A caller that reads
+    only the rank calls ``_rank``, which skips the back-substitution.
 
     A sparse row is a dict ``{column: int}`` holding only its nonzero
     entries (``_sparse_row`` makes one from a dense row).  Rows are read,
@@ -408,6 +415,73 @@ def _echelon(rows: Iterable[dict], bound: int) -> dict:
         if len(basis) == bound:
             break
     return basis
+
+
+def _rank(rows: Iterable[dict], bound: int) -> int:
+    """The rank of the sparse integer rows ``rows`` (see ``_echelon``), by
+    forward elimination, reading rows only until the rank reaches ``bound``,
+    a dimension the span cannot pass (their number or their width, at most).
+
+    Lemma: rows with distinct leading columns are independent, and a row
+    with no entry at any of their leading columns lies outside their span.
+    In a nonzero combination of them, the row with the smallest leading
+    column among those with a nonzero coefficient is the only one nonzero
+    there, so the combination is nonzero at a leading column.
+
+    So only the rows kept need distinct leading columns, and an incoming row
+    is reduced at the leading columns (pivots) of the kept rows, never the
+    other way round.  At pivot ``c`` of kept row ``P`` with entry ``f``, with
+    ``g = gcd(P[c], f)`` signed like ``P[c]``, it becomes
+    ``(P[c]/g)*v - (f/g)*P``; ``P`` is zero before ``c``, so the pivots are
+    visited in ascending order from a heap seeded with those the row
+    touches, and the pivots ``P`` fills in join it.  A row left nonzero is zero at every pivot: it is divided by its
+    gcd and kept, with its first column as its pivot; a row left zero lies
+    in the span of the kept rows.  The kept rows are independent by the lemma and span every row
+    read, so their number is the rank.  Rows are read, never changed.
+    """
+    basis: dict = {}  # pivot column -> primitive integer row
+    for row in rows:
+        heap = [c for c in row if c in basis]
+        v = row
+        if heap:
+            v = dict(row)
+            heapify(heap)
+            while heap:
+                c = heappop(heap)
+                f = v.get(c)
+                if not f:  # a pivot pushed twice, or cancelled by fill-in
+                    continue
+                prow = basis[c]
+                p = prow[c]
+                if p != 1:
+                    g = gcd(p, f)
+                    if p < 0:
+                        g = -g
+                    p, f = p // g, f // g
+                    if p != 1:
+                        for k in v:
+                            v[k] *= p
+                for k, y in prow.items():
+                    x = v.get(k)
+                    if x is None:
+                        v[k] = -f * y
+                        if k in basis:
+                            heappush(heap, k)
+                    else:
+                        x -= f * y
+                        if x:
+                            v[k] = x
+                        else:
+                            del v[k]
+        if not v:
+            continue
+        g = gcd(*v.values())
+        if g != 1:
+            v = {k: x // g for k, x in v.items()}
+        basis[min(v)] = v
+        if len(basis) == bound:
+            break
+    return len(basis)
 
 
 def _gauss_jordan(a: list, width: int) -> tuple:
@@ -497,7 +571,7 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(map(_sparse_row, m._data), m.cols))
+    return _rank(map(_sparse_row, m._data), m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -642,6 +716,38 @@ def _rref_factors(e1: tuple, e2: tuple, n: int, m: int) -> tuple:
     return pflat, dp, qflat, dq
 
 
+def _normal_form_factors(e: tuple, n: int, m: int) -> tuple:
+    """``(pflat, dp, qflat, dq)`` with ``N_r = Q j P``, for the ``m x n``
+    parameter ``j`` of rank ``r`` whose ``_rref_rows`` are ``e`` and its rank
+    normal form ``N_r``, in the form of ``_rref_factors``.
+
+    Lemma: take ``T j = R`` read off ``e``, with pivots ``c_i`` and free
+    columns ``f_k``.  Let ``P`` have column ``i`` equal to ``e_(c_i)`` (for
+    ``i < r``), and column ``r + k`` equal to ``e_(f_k) - sum_i R[i][f_k]
+    e_(c_i)``.  Then ``N_r = T j P``: column ``c_i`` of ``R`` is ``e_i``, and
+    column ``f_k`` is ``sum_i R[i][f_k] e_i``.  So ``Q = T`` is the right
+    block of ``e`` over the divisors, and ``P`` is written down: row ``c_i``
+    holds 1 at column ``i`` and ``-R[i][f_k]`` at column ``r + k``, and row
+    ``f_k`` is ``e_(r+k)``.  By the lemma of ``classify``, ``A -> P A Q`` is
+    then an isomorphism from the ``N_r``-bracket onto the ``j``-bracket.
+    """
+    a, pivots, divisors = e
+    r = len(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    prows = [None] * n
+    for i, (c, row, d) in enumerate(zip(pivots, a, divisors)):
+        num = [0] * n
+        num[i] = d
+        for k, f in enumerate(free, r):
+            num[k] = -row[f]
+        prows[c] = (num, d)
+    for k, f in enumerate(free, r):
+        prows[f] = ([1 if c == k else 0 for c in range(n)], 1)
+    pflat, dp = _over_common_denominator(prows)
+    qflat, dq = _over_common_denominator((row[n:], d) for row, d in zip(a, divisors))
+    return pflat, dp, qflat, dq
+
+
 def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> bool:
     """Whether ``j1 = Q j2 P`` for factors in the form of
     ``_rref_factors``, as the integer identity ``dp dq d2 J1' = d1 Q' J2'
@@ -665,7 +771,7 @@ def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
     in the form of ``_rref_factors``, fail that identity
     (``_factor_identity``); else whether ``P`` and ``Q`` are invertible,
     ``rank P' = n`` and ``rank Q' = m`` for the integer ``P' = dp P`` and
-    ``Q' = dq Q``: two ``_echelon`` ranks, each stopped at full rank.
+    ``Q' = dq Q``: two ``_rank`` calls, each stopped at full rank.
 
     So ``True`` proves ``j1`` and ``j2`` equivalent, and by the lemma of
     ``classify`` the map ``A -> P A Q`` an isomorphism from the j1-bracket
@@ -676,7 +782,7 @@ def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
         return None
     prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))
     qrows = (_sparse_row(qflat[j * m : (j + 1) * m]) for j in range(m))
-    return len(_echelon(prows, n)) == n and len(_echelon(qrows, m)) == m
+    return _rank(prows, n) == n and _rank(qrows, m) == m
 
 
 class Subspace:

@@ -1399,28 +1399,33 @@ def model_less(L):
 
 def sparse_rows_only(patch):
     """Make every package binding of ``_integer_row`` refuse to run and of
-    ``_echelon`` record, for each row it reads, whether the row is a dict of
-    nonzero entries; returns the list of those records."""
-    real_integer_row, real_echelon = matrices._integer_row, matrices._echelon
+    ``_echelon`` and ``_rank`` record, for each row they read, whether the
+    row is a dict of nonzero entries; returns the list of those records."""
+    real_integer_row = matrices._integer_row
     read = []
 
     def refuse(v):
         raise AssertionError("the signature scaled a dense row to integers")
 
-    def echelon(rows, bound):
-        def recorded():
-            for row in rows:
-                read.append(type(row) is dict and all(row.values()))
-                yield row
+    def recording(real):
+        def kernel(rows, bound):
+            def recorded():
+                for row in rows:
+                    read.append(type(row) is dict and all(row.values()))
+                    yield row
 
-        return real_echelon(recorded(), bound)
+            return real(recorded(), bound)
 
+        return kernel
+
+    kernels = {name: (getattr(matrices, name), recording(getattr(matrices, name))) for name in ("_echelon", "_rank")}
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "liebrackets":
             if getattr(module, "_integer_row", None) is real_integer_row:
                 patch.setattr(module, "_integer_row", refuse)
-            if getattr(module, "_echelon", None) is real_echelon:
-                patch.setattr(module, "_echelon", echelon)
+            for name, (real, kernel) in kernels.items():
+                if getattr(module, name, None) is real:
+                    patch.setattr(module, name, kernel)
     return read
 
 
@@ -1438,38 +1443,39 @@ UNTRANSPORTED = {
 class TestNormalFormTransport:
     @pytest.mark.parametrize(
         "name, fault",
-        [(name, "halve-q") for name in TRANSPORTED] + [(name, "zero-free-p-rows") for name in TRANSPORTED[:3]],
+        [(name, "halve-q") for name in TRANSPORTED] + [(name, "zero-null-p-columns") for name in TRANSPORTED[:3]],
     )
     def test_a_failed_proof_falls_back_to_the_algebra(self, monkeypatch, name, fault):
-        # Halving Q breaks the factor identity.  Zeroing the rows of P at the
-        # free columns of N_r keeps it, as N_r P reads only rows < r, but
-        # leaves P singular.  Either way the signature is computed on L, as
-        # on its model-less twin, and no normal-form algebra is built.
+        # Halving Q breaks the factor identity.  Zeroing the columns of P
+        # past r, which span the null space of J, keeps N_r = Q J P, as N_r
+        # is zero there, but leaves P singular.  Either way the signature is
+        # computed on L, as on its model-less twin, and no normal-form
+        # algebra is built.
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
         n, r = param.n, rank(param.j)
-        real = algebra._rref_factors
+        real = algebra._normal_form_factors
         identities = []
 
-        def corrupted(e1, e2, n_, m_):
-            pflat, dp, qflat, dq = real(e1, e2, n_, m_)
+        def corrupted(e, n_, m_):
+            pflat, dp, qflat, dq = real(e, n_, m_)
             if fault == "halve-q":
                 dq *= 2
             else:
-                pflat = list(pflat[: r * n]) + [0] * ((n - r) * n)
+                pflat = [0 if i % n >= r else x for i, x in enumerate(pflat)]
             normal = rank_normal_form(param.m, n, r)
-            identities.append(matrices._factor_identity(param.j, normal, pflat, dp, qflat, dq))
+            identities.append(matrices._factor_identity(normal, param.j, pflat, dp, qflat, dq))
             return pflat, dp, qflat, dq
 
         def refuse(*args, **kwargs):
             raise AssertionError("built an algebra")
 
         expected = invariant_signature(model_less(L))
-        monkeypatch.setattr(algebra, "_rref_factors", corrupted)
+        monkeypatch.setattr(algebra, "_normal_form_factors", corrupted)
         monkeypatch.setattr(LieAlgebra, "from_param", refuse)
         assert r < n or fault == "halve-q"
         assert invariant_signature(L) == expected
-        assert identities == [fault == "zero-free-p-rows"]
+        assert identities == [fault == "zero-null-p-columns"]
 
     @pytest.mark.parametrize("name", sorted(UNTRANSPORTED))
     def test_no_elimination_without_a_dense_parameter(self, monkeypatch, name):
@@ -1494,19 +1500,59 @@ class TestNormalFormTransport:
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
         expected = invariant_signature(model_less(L))
-        real_factors, real_signature = algebra._rref_factors, algebra._signature
+        real_factors, real_signature = algebra._normal_form_factors, algebra._signature
         factors, kernels = [], []
 
         def spy_factors(*args):
-            factors.append(args[2:])
+            factors.append(args[1:])
             return real_factors(*args)
 
         def spy_signature(A):
             kernels.append(A.model)
             return real_signature(A)
 
-        monkeypatch.setattr(algebra, "_rref_factors", spy_factors)
+        monkeypatch.setattr(algebra, "_normal_form_factors", spy_factors)
         monkeypatch.setattr(algebra, "_signature", spy_signature)
         assert invariant_signature(L) == expected
         assert factors == [(param.n, param.m)]
         assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
+
+    @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-4x3-1"])
+    def test_counts_go_to_the_rank_kernel_and_spans_to_echelon(self, monkeypatch, name):
+        # The center, Killing and derived-center ranks are counts and go
+        # through ``_rank``.  ``_echelon`` runs only where a basis is read:
+        # once for [g, g], with bound d, and once per series step, bounded by
+        # the dimension of the term before.  A dense J costs one Gauss-Jordan,
+        # the elimination of J; a normal form none.
+        param = DENSE_REFERENCE_CASES[name]
+        L = LieAlgebra.from_param(param)
+        expected = dense_reference_signature(L)
+        ranks, spans, eliminations = [], [], []
+        real_rank, real_echelon, real_gauss_jordan = matrices._rank, matrices._echelon, matrices._gauss_jordan
+
+        def spy_rank(rows, bound):
+            rows = list(rows)
+            ranks.append(len(rows))
+            return real_rank(rows, bound)
+
+        def spy_echelon(rows, bound):
+            spans.append(bound)
+            return real_echelon(rows, bound)
+
+        def spy_gauss_jordan(*args):
+            eliminations.append(args[1])
+            return real_gauss_jordan(*args)
+
+        monkeypatch.setattr(algebra, "_rank", spy_rank)
+        monkeypatch.setattr(algebra, "_echelon", spy_echelon)
+        monkeypatch.setattr(matrices, "_gauss_jordan", spy_gauss_jordan)
+        sig = invariant_signature(L)
+        assert sig == expected
+        d = sig.dim
+        assert ranks == [d] * 3
+        k = sig.derived_dims[1]
+        steps = list(sig.derived_dims[1:-1])
+        if sig.derived_dims != (d, k, k):  # else the lower central series is not eliminated
+            steps += list(sig.lcs_dims[1:-1])
+        assert spans == [d] + steps
+        assert eliminations == ([] if name.startswith("normal") else [param.n])

@@ -857,14 +857,18 @@ def elimination_inputs(draw):
 
 class TestSparseKernelOracle:
     """``_eliminate`` (the sparse kernel ``_echelon`` behind its dense
-    boundary) gives the rows, pivots and entry types of sympy's ``rref``."""
+    boundary) gives the rows, pivots and entry types of sympy's ``rref``,
+    and the count-only kernel ``_rank`` gives its rank."""
 
     @ORACLE
     @given(elimination_inputs())
     def test_eliminate_matches_sympy_rref(self, case):
         sympy = pytest.importorskip("sympy")
         rows, width = case
-        assert typed_result(matrices._eliminate(rows)) == typed_result(sympy_rref(sympy, rows, width))
+        expected = sympy_rref(sympy, rows, width)
+        assert typed_result(matrices._eliminate(rows)) == typed_result(expected)
+        sparse = [matrices._sparse_row(row) for row in rows]
+        assert matrices._rank(sparse, width) == len(expected[1]) == len(matrices._echelon(sparse, width))
 
     @ORACLE
     @given(st.data())
@@ -879,9 +883,33 @@ class TestSparseKernelOracle:
         for _ in range(data.draw(st.integers(0, 12))):
             coefs = data.draw(st.lists(ENTRIES, min_size=bound, max_size=bound))
             rows.append(tuple(sum(c * v[i] for c, v in zip(coefs, space)) for i in range(width)))
-        got = matrices._reduced_rows(matrices._echelon(map(matrices._sparse_row, iter(rows)), bound), width)
-        assert typed_result(got) == typed_result(sympy_rref(sympy, rows, width))
-        assert typed_result(got) == typed_result(matrices._eliminate(rows))
+        basis = matrices._echelon(map(matrices._sparse_row, iter(rows)), bound)
+        expected = sympy_rref(sympy, rows, width)
+        assert typed_result(matrices._reduced_rows(basis, width)) == typed_result(expected)
+        assert typed_result(matrices._reduced_rows(basis, width)) == typed_result(matrices._eliminate(rows))
+        assert matrices._rank(map(matrices._sparse_row, iter(rows)), bound) == len(expected[1]) == len(basis)
+
+    @ORACLE
+    @given(elimination_inputs())
+    def test_rank_and_normal_form_factors_leave_their_inputs_unchanged(self, case):
+        # Callers hand ``_rank`` rows they read again (the signature's center
+        # rank reads the ``_flat_ads`` rows the Killing form reads next), and
+        # ``_normal_form_factors`` the ``_rref_rows`` of J; the factors it
+        # writes pass ``_factor_check``.
+        rows, width = case
+        sparse = [matrices._sparse_row(row) for row in rows]
+        before = [dict(row) for row in sparse]
+        count = matrices._rank(sparse, width)
+        assert sparse == before
+        assert matrices._rank(sparse, width) == count
+        if rows:
+            j = Matrix(rows)
+            e = matrices._rref_rows(j)
+            snapshot = ([list(row) for row in e[0]], list(e[1]), list(e[2]))
+            factors = matrices._normal_form_factors(e, width, len(rows))
+            assert ([list(row) for row in e[0]], list(e[1]), list(e[2])) == snapshot
+            assert len(e[1]) == count
+            assert matrices._factor_check(rank_normal_form(len(rows), width, count), j, factors) is True
 
 
 # Integers and p/q, each in the canonical type the parsers return.
