@@ -31,11 +31,14 @@ computed from any basis of what they are built from.  The engine uses that
 to bracket integer vectors only, as the sparse rows ``{index: int}`` of
 ``matrices._echelon``, the span loop: ``[g, g]`` is the span of the
 constants-table dicts themselves, eliminated once and kept on the algebra
-as ``LieAlgebra._derived_rows``; each series step brackets the primitive
-integer basis rows of the term before through the adjoint columns.  The
-signature's other ranks (the center, the Killing form and the center of
-``[g, g]``) are counts, taken by ``matrices._rank`` on ``d`` sparse rows
-each, the transposed systems of ``invariant_signature``.  So no row of the
+as ``LieAlgebra._derived_rows``, with the bound ``d - 1`` for a model
+with ``J != 0`` (the trace-hyperplane lemma of ``invariant_signature``);
+each series step brackets the primitive integer basis rows of the term
+before through the adjoint columns.  The signature's other ranks (the
+center, the Killing form and the center of ``[g, g]``) are counts, taken
+by ``matrices._rank`` on ``d`` sparse rows each, the transposed systems of
+``invariant_signature``; the Killing Gram of an algebra with a model is
+read off ``J`` by the Killing trace lemma there.  So no row of the
 length of the basis is built, scanned or reduced where a bracket has few
 terms.  A series runs on the algebra with integer constants
 (``_integer_constants``), whose series are the same spans, and so do
@@ -55,12 +58,13 @@ once the factors of ``N_r = Q J P`` written down from one elimination of
 ``J`` (``matrices._normal_form_factors``) pass the identity-and-ranks
 proof that ``classify`` gives its witnesses (``matrices._factor_check``);
 the signature is kept by isomorphism, and a failed proof leaves the
-algebra itself to the computation.  That runs on the algebra whose
-bracket is multiplied by the lcm of the denominators of the constants,
-which keeps every span it measures and multiplies the Killing form by a
-nonzero square.  It reads dimensions only, so each invariant is an exact
-rank, and it builds no ``Subspace``, kernel basis, intersection or dense
-row.
+algebra itself to the computation.  A model's constants are built on the
+first read of their table, so a transported ``J`` builds none.  That runs
+on the algebra whose bracket is multiplied by the lcm of the denominators
+of the constants, which keeps every span it measures and multiplies the
+Killing form by a nonzero square.  It reads dimensions only, so each
+invariant is an exact rank, and it builds no ``Subspace``, kernel basis,
+intersection or dense row.
 """
 
 from __future__ import annotations
@@ -130,9 +134,11 @@ class LieAlgebra:
     exactly those of the model's bracket over the canonical row-major
     basis (only ``from_param`` sets it, and it builds them from it), so
     coordinates and ``Mat(n x m)`` elements convert freely and
-    ``invariant_signature`` may read the bracket off its parameter.  An
-    algebra is not changed after construction, so tables derived from it
-    are kept on it.
+    ``invariant_signature`` may read the bracket off its parameter.  The
+    constants of a model are built by ``structure_constants`` the first
+    time their table is read (``_ModelConstants``), so a signature that
+    reads only the parameter builds none.  An algebra is not changed after
+    construction, so tables derived from it are kept on it.
     """
 
     dim: int
@@ -150,7 +156,7 @@ class LieAlgebra:
 
     @classmethod
     def from_param(cls, param: BracketParam) -> "LieAlgebra":
-        return cls(param.dim, structure_constants(param), model=param)
+        return cls(param.dim, _ModelConstants(param), model=param)
 
     @property
     def ambient_shape(self) -> tuple:
@@ -191,8 +197,30 @@ class LieAlgebra:
         """The ``_echelon`` basis of ``[g, g]``, the span of the brackets of the
         basis pairs: the dicts of the constants table, read as sparse rows.
         Only for an algebra whose constants are all ``int`` (see
-        ``_integer_constants``)."""
-        return _echelon(self.constants.table.values(), self.dim)
+        ``_integer_constants``).  For a model with ``J != 0`` the span lies
+        in a hyperplane (the trace-hyperplane lemma of
+        ``invariant_signature``), so ``d - 1`` bounds the elimination."""
+        model = self.model
+        bound = self.dim - 1 if model is not None and not model.j.is_zero() else self.dim
+        return _echelon(self.constants.table.values(), bound)
+
+
+class _ModelConstants(StructureConstants):
+    """The constants of the ``param`` bracket, whose ``table`` is
+    ``structure_constants(param).table``, built the first time it is read."""
+
+    __slots__ = ("param",)
+
+    def __init__(self, param: BracketParam):
+        self.dim = param.dim
+        self.param = param
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset: ``table`` before its first read.
+        if name != "table":
+            raise AttributeError(name)
+        self.table = table = structure_constants(self.param).table
+        return table
 
 
 def _dense(row: dict, width: int) -> tuple:
@@ -474,6 +502,24 @@ def _killing_gram(flat: list) -> list:
     return [{b: t for b, t in row.items() if t} for row in gram]
 
 
+def _model_killing_gram(param: BracketParam) -> list:
+    """The rows of ``_killing_gram`` for the ``param`` bracket, read off its
+    parameter by the Killing trace lemma of ``invariant_signature``:
+    ``K(E_(i,j), E_(k,l)) = (n + m) J[j][k] J[l][i] - 2 J[j][i] J[l][k]``,
+    added up over the pairs of nonzero entries of ``J``."""
+    n, m = param.n, param.m
+    s = n + m
+    entries = [(x, y, v) for x, row in enumerate(param.j._data) for y, v in enumerate(row) if v]
+    gram: list = [dict() for _ in range(n * m)]
+    for x, y, v in entries:
+        for u, w, c in entries:
+            row, b = gram[w * m + x], y * m + u  # J[j][k] J[l][i], (j, k, l, i) = (x, y, u, w)
+            row[b] = row.get(b, 0) + s * v * c
+            row, b = gram[y * m + x], w * m + u  # J[j][i] J[l][k], (j, i, l, k) = (x, y, u, w)
+            row[b] = row.get(b, 0) - 2 * v * c
+    return [{b: t for b, t in row.items() if t} for row in gram]
+
+
 def subalgebra_closed(param: BracketParam, S: Subspace) -> Verdict:
     """Pass iff the ``param`` bracket of any two basis members of ``S`` stays
     in ``S``: each pair is bracketed by ``brackets.bracket`` and reduced
@@ -663,7 +709,8 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       ``N y = 0``, so the center of ``D`` is the kernel of ``N`` stacked on
       ``y -> [y, b_j]`` for each ``j``.  Row ``i`` of its transpose is
       ``(N_q[i])_q`` followed by ``([x_i, b_j]_t)_{j, t}``
-      (``_derived_center_transpose``);
+      (``_derived_center_transpose``).  When ``[g, g] = 0`` it is 0, the
+      center of the zero algebra, and no rank is taken;
     - the series dimensions are the ranks of ``_series_rows``, where each
       term lies in the one before by bilinearity alone, so a step that
       reaches the dimension of the term before is stationary and stops
@@ -672,12 +719,26 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       lower central series is ``(d, k, k)`` too and is not eliminated:
       ``C^2 = [g, g]`` equals ``[C^2, C^2]``, and for any bilinear bracket
       ``[C^2, C^2] <= [g, C^2] = C^3 <= C^2``;
-    - the Killing rank is the rank of the integer Gram rows.
+    - the Killing rank is the rank of the integer Gram rows, read off the
+      parameter by the Killing trace lemma below when the algebra has a
+      model (``_model_killing_gram``), else off ``_flat_ads``.
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
     series and its center.  Every elimination stops once it reaches its
-    bound (``d`` or the dimension of the term before), which no rank can
-    pass, so every rank is exact.
+    bound (``d``, ``d - 1`` for ``[g, g]`` by the trace-hyperplane lemma
+    below, or the dimension of the term before), which no rank can pass, so
+    every rank is exact.
+
+    Two trace identities of the parameter ``J`` of a model on ``Mat(n x m)``:
+
+    - *Killing trace lemma.*  ``ad_A ad_B X = AJBJ X - AJ X JB - BJ X JA
+      + X JBJA``, and the map ``X -> L X R`` on ``Mat(n x m)`` has trace
+      ``tr L tr R``, so ``K(A, B) = (n + m) tr(AJBJ) - 2 tr(AJ) tr(BJ)``.  On
+      units, ``K(E_ij, E_kl) = (n + m) J[j][k] J[l][i] - 2 J[j][i] J[l][k]``,
+      whose nonzero terms come from pairs of nonzero entries of ``J``.
+    - *Trace-hyperplane lemma.*  ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) =
+      0``, so for ``J != 0`` ``[g, g]`` lies in the hyperplane
+      ``ker(A -> tr(JA))``, of dimension ``d - 1``.
     """
     normal = _isomorphic_normal_form(L)
     return _signature(L if normal is None else normal)
@@ -714,13 +775,14 @@ def _signature(L: LieAlgebra) -> InvariantSignature:
     else:
         lcs_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, True))
     flat = _flat_ads(L)
+    gram = _killing_gram(flat) if L.model is None else _model_killing_gram(L.model)
     return InvariantSignature(
         dim=d,
         center_dim=d - _rank(flat, d),
         derived_dims=derived_dims,
         lcs_dims=lcs_dims,
-        killing_rank=_rank(_killing_gram(flat), d),
-        derived_center_dim=d - _rank(_derived_center_transpose(L), d),
+        killing_rank=_rank(gram, d),
+        derived_center_dim=d - _rank(_derived_center_transpose(L), d) if k else 0,  # the center of 0 is 0
     )
 
 

@@ -192,11 +192,27 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     weight ``q - p`` is nonzero.
     """
     t = to_scalar(t)
+    return _path_identities(n, r, t, _path_tables(n, r))
+
+
+def _path_tables(n: int, r: int) -> tuple:
+    """The ``structure_constants`` tables of ``I`` and ``J_r - I``, which
+    ``path_identities`` reads at every sample time of one ``(n, r)``."""
+    identity = Matrix.identity(n)
+    return tuple(
+        structure_constants(BracketParam(n, n, j)).table for j in (identity, rank_normal_form(n, n, r) - identity)
+    )
+
+
+def _path_identities(n: int, r: int, t, tables: tuple) -> Dict[str, bool]:
+    """``path_identities(n, r, t)`` for an exact ``t``, with the tables
+    ``_path_tables(n, r)``: ``deformation_bracket`` and ``psi_t`` still run
+    at every call."""
     p, q = t.numerator, t.denominator
     jr = rank_normal_form(n, n, r)
     jt = tuple(tuple(to_scalar(q * v) if v else 0 for v in row) for row in deformation_bracket(n, jr, t).j._data)
-    params = (Matrix._raw(jt), Matrix.identity(n), jr - Matrix.identity(n))
-    lhs, comm, shift = (structure_constants(BracketParam(n, n, j)).table for j in params)
+    lhs = structure_constants(BracketParam(n, n, Matrix._raw(jt))).table
+    comm, shift = tables
     w = [to_scalar(q * v) for v in psi_t(Matrix.identity(n), t, r).entries[:: n + 1]]  # the diagonal
     decomposition = transport = True
     for a, b in lhs.keys() | comm.keys() | shift.keys():

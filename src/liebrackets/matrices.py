@@ -19,10 +19,12 @@ from ``_echelon``, which builds a reduced echelon basis of primitive
 integer rows one input row at a time, reduces each incoming row only at
 the basis pivots it touches, and stops reading rows once the basis reaches
 a dimension bound the caller knows the span cannot pass (at most the
-width).  A caller that reads only a count gets it from ``_rank``, which
-reduces each incoming row forward at the pivots before it, never rewrites
-a kept row and stops at the same bound: ``rank``, ``_factor_check`` and
-the ranks of ``algebra``, ``classify`` and ``constructions``.  The row
+width).  A caller that reads only a count of at most ``d`` or width rows
+gets it from ``_rank``, which reduces each incoming row forward at the
+pivots before it, never rewrites a kept row and stops at the same bound:
+``_factor_check`` and the ranks of ``algebra``, ``classify`` and
+``constructions``.  The public ``rank`` takes the length of the
+``_echelon`` basis, as a matrix of any height may reach it.  The row
 builders of ``algebra`` hand both sparse rows straight from the structure
 constants.  A dense row enters through one boundary helper,
 ``_sparse_row``, which scales it to integers and drops its zeros.
@@ -571,7 +573,11 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return _rank(map(_sparse_row, m._data), m.cols)
+    """The rank of ``m``, the length of the ``_echelon`` basis of its rows.
+    The span loop, not the count loop ``_rank``: on a tall rank-deficient
+    matrix ``_rank`` reduces each dependent row against unreduced kept rows,
+    whose entries grow, where ``_echelon`` keeps its basis reduced."""
+    return len(_echelon(map(_sparse_row, m._data), min(m.rows, m.cols)))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -39,10 +39,11 @@ from .constructions import (
 from .deform import (
     PATH_TIMES,
     ContractionDivergenceError,
+    _path_identities,
+    _path_tables,
     ce_coboundary_check,
     contraction_constants,
     contraction_limit,
-    path_identities,
 )
 from .matrices import Matrix, rank_normal_form
 
@@ -446,7 +447,8 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures
     table of ``_normal_form_signatures`` that ``run_all`` passes (run alone,
     the check builds it for the shapes ``(n, n)``).  At ``n = 1`` both are
     the one-dimensional algebra, so it is read from ``n = 2`` on.  The path
-    identities run on integers (see ``deform.path_identities``).
+    identities run on integers (see ``deform.path_identities``), with the
+    time-free tables of ``I`` and ``J_r - I`` built once per ``(n, r)``.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -477,10 +479,11 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures
         pairs = n * n * (n * n - 1) // 2
         sigs = signatures.get((n, n))
         for r in range(n):
+            tables = _path_tables(n, r)
             # The transport map is singular at t = 1, the last sample time.
             for t in PATH_TIMES[:-1]:
                 identity_cases += pairs
-                for kind, ok in path_identities(n, r, t).items():
+                for kind, ok in _path_identities(n, r, t, tables).items():
                     if not ok:
                         failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
             if n >= 2 and sigs[r] == sigs[n]:

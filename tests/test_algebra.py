@@ -9,7 +9,7 @@ from operator import mul
 from typing import Dict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from liebrackets import algebra, brackets, classify, matrices
@@ -317,6 +317,48 @@ class TestKilling:
             rows = [{b: v for b, v in enumerate(dense.row(a)) if v} for a in range(param.dim)]
             flat = algebra._flat_ads(LieAlgebra.from_param(param))
             assert algebra._killing_gram(flat) == rows, (param.n, param.m)
+
+
+@st.composite
+def integer_parameters(draw, max_size=4):
+    """An integer ``BracketParam`` up to ``max_size x max_size``: ``J`` is the
+    product of an ``m x k`` and a ``k x n`` factor, so ``k = 0`` gives
+    ``J = 0`` and ``k < min(n, m)`` a rank-deficient ``J``."""
+    n, m = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    k = draw(st.integers(0, min(n, m)))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3])
+    left = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    right = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    return BracketParam(n, m, Matrix([[sum(a * b[y] for a, b in zip(row, right)) for y in range(n)] for row in left]))
+
+
+class TestTraceLemmas:
+    """The two trace identities of ``J`` stated in the ``invariant_signature``
+    docstring."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(integer_parameters())
+    @example(BracketParam.normal(4, 4, 0))
+    @example(BracketParam(3, 4, Matrix([[1, -2, 3]] * 4)))
+    def test_model_gram_is_the_gram_of_the_adjoint_traces(self, param):
+        # Killing trace lemma: the Gram read off J is trace(ad_a . ad_b) of
+        # the constants, row by row, zeros left out.
+        flat = algebra._flat_ads(LieAlgebra.from_param(param))
+        assert algebra._model_killing_gram(param) == algebra._killing_gram(flat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_brackets_are_traceless_against_the_parameter(self, data):
+        # Trace-hyperplane lemma: tr(J [A, B]_J) = 0 for all A and B.
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        entries = st.integers(-5, 5)
+
+        def draw_matrix(rows, cols):
+            return Matrix([data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)])
+
+        param = BracketParam(n, m, draw_matrix(m, n))
+        a, b = draw_matrix(n, m), draw_matrix(n, m)
+        assert (param.j @ bracket(a, b, param)).trace() == 0
 
 
 def ad_matrix(L, x):
@@ -1517,11 +1559,48 @@ class TestNormalFormTransport:
         assert factors == [(param.n, param.m)]
         assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
 
+    @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1", "rational-4x3-r2"])
+    def test_a_transported_model_builds_only_the_normal_form_table(self, monkeypatch, name):
+        # The table of a model is built on its first read: the signature of
+        # a dense J reads only the table of N_r, and a later read of L's
+        # table gives the one ``structure_constants`` builds.
+        param = DENSE_REFERENCE_CASES[name]
+        expected_signature = invariant_signature(model_less(LieAlgebra.from_param(param)))
+        built = []
+        real = algebra.structure_constants
+        monkeypatch.setattr(algebra, "structure_constants", lambda p: built.append(p) or real(p))
+        L = LieAlgebra.from_param(param)
+        assert invariant_signature(L) == expected_signature
+        assert built == [BracketParam.normal(param.n, param.m, rank(param.j))]
+        built.clear()
+        expected = structure_constants(param)
+        assert L.constants.table == expected.table
+        assert L.constants == expected and L.constants.to_json() == expected.to_json()
+        assert repr(L.constants) == repr(expected)
+        assert L.constants.table is L.constants.table
+        assert built == [param]
+
+    @pytest.mark.parametrize(
+        "L",
+        [LieAlgebra.from_param(BracketParam.normal(n, m, 0)) for n, m in [(1, 1), (3, 5), (6, 3)]] + [abelian(4)],
+        ids=["normal-1x1-r0", "normal-3x5-r0", "normal-6x3-r0", "abstract-abelian-4"],
+    )
+    def test_an_abelian_signature_takes_no_derived_center_rank(self, monkeypatch, L):
+        # [g, g] = 0, whose center is 0: no annihilator rows are built.
+        def refuse(*args):
+            raise AssertionError("built the derived-center system of an abelian algebra")
+
+        expected = reference_invariant_signature(L)
+        monkeypatch.setattr(algebra, "_derived_center_transpose", refuse)
+        sig = invariant_signature(L)
+        assert sig == expected and sig.derived_center_dim == 0
+
     @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-4x3-1"])
     def test_counts_go_to_the_rank_kernel_and_spans_to_echelon(self, monkeypatch, name):
         # The center, Killing and derived-center ranks are counts and go
         # through ``_rank``.  ``_echelon`` runs only where a basis is read:
-        # once for [g, g], with bound d, and once per series step, bounded by
+        # once for [g, g], with bound d - 1 (J != 0, so [g, g] lies in the
+        # hyperplane ker(A -> tr(JA))), and once per series step, bounded by
         # the dimension of the term before.  A dense J costs one Gauss-Jordan,
         # the elimination of J; a normal form none.
         param = DENSE_REFERENCE_CASES[name]
@@ -1554,5 +1633,5 @@ class TestNormalFormTransport:
         steps = list(sig.derived_dims[1:-1])
         if sig.derived_dims != (d, k, k):  # else the lower central series is not eliminated
             steps += list(sig.lcs_dims[1:-1])
-        assert spans == [d] + steps
+        assert spans == [d - 1] + steps
         assert eliminations == ([] if name.startswith("normal") else [param.n])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebrackets import deform
+from liebrackets import deform, verify
 from liebrackets.algebra import Verdict
 from liebrackets.brackets import BracketParam, _pair_brackets, basis_matrices, bracket, structure_constants
 from liebrackets.deform import (
@@ -312,6 +312,22 @@ class TestPathIdentities:
         calls = count_products(monkeypatch)
         assert path_identities(4, 2, Fraction(1, 3)) == {"decomposition": True, "transport": True}
         assert calls[0] == 0
+
+    def test_verify_builds_the_time_free_tables_once_per_rank(self, monkeypatch):
+        # check_deformation_coboundary builds the tables of I and J_r - I
+        # once per (n, r) and the table of q J_t at each of the four sample
+        # times; deformation_bracket and psi_t still run at every time.
+        built, times = [], []
+        real_constants, real_bracket = deform.structure_constants, deform.deformation_bracket
+        monkeypatch.setattr(deform, "structure_constants", lambda p: built.append(p.j) or real_constants(p))
+        monkeypatch.setattr(deform, "deformation_bracket", lambda n, j, t: times.append(t) or real_bracket(n, j, t))
+        monkeypatch.setattr(verify, "ce_coboundary_check", lambda j, n: Verdict(True))
+        assert verify.check_deformation_coboundary(3, 0)["pass"]
+        cases = [(n, r) for n in (1, 2, 3) for r in range(n)]
+        assert len(built) == 6 * len(cases)
+        assert times == [t for _ in cases for t in PATH_TIMES[:-1]]
+        for n, r in cases:
+            assert built.count(rank_normal_form(n, n, r) - Matrix.identity(n)) == 1, (n, r)
 
 
 class TestPsiT:

@@ -890,6 +890,26 @@ class TestSparseKernelOracle:
         assert matrices._rank(map(matrices._sparse_row, iter(rows)), bound) == len(expected[1]) == len(basis)
 
     @ORACLE
+    @given(st.data())
+    def test_rank_of_a_tall_rank_deficient_sparse_matrix(self, data):
+        # More rows than columns, each a sparse integer combination of fewer
+        # sparse rows than columns: the public ``rank`` (the ``_echelon``
+        # basis) and the count loop ``_rank`` both give sympy's rank.
+        sympy = pytest.importorskip("sympy")
+        width = data.draw(st.integers(1, 8))
+        sparse = st.sampled_from([0] * 8 + [1, -1, 2, -3, 5])
+        k = data.draw(st.integers(0, width - 1))
+        space = [data.draw(st.lists(sparse, min_size=width, max_size=width)) for _ in range(k)]
+        rows = []
+        for _ in range(data.draw(st.integers(width + 1, 4 * width + 4))):
+            coefs = data.draw(st.lists(sparse, min_size=k, max_size=k))
+            rows.append(tuple(sum(c * v[i] for c, v in zip(coefs, space)) for i in range(width)))
+        m = Matrix(rows)
+        expected = sympy.Matrix(rows).rank()
+        assert expected < width
+        assert rank(m) == expected == matrices._rank(map(matrices._sparse_row, rows), width)
+
+    @ORACLE
     @given(elimination_inputs())
     def test_rank_and_normal_form_factors_leave_their_inputs_unchanged(self, case):
         # Callers hand ``_rank`` rows they read again (the signature's center
