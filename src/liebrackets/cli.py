@@ -60,11 +60,11 @@ from .verify import run_all
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all`` takes 0.48 s at ``--max 5``, 0.77 s at 6, 1.31 s at 7
-# and 2.40 s at 8 as processes, best of 5, on a loaded host (the kernel at
-# 4.8-6.8 ms); ``run_all(8, 0)`` takes 2.2-2.5 s in process there, a
-# fifth of it in ``lie_axioms`` and another fifth each in
-# ``signature_separation`` and ``deformation_coboundary``.  ``verify-all``
+# ``verify-all`` takes 0.29 s at ``--max 5``, 0.40 s at 6, 0.74 s at 7
+# and 1.20 s at 8 as processes, best of 5, on a loaded host (the kernel at
+# 3.7-6.2 ms); ``run_all(8, 0)`` takes 1.1-1.5 s in process there, led by
+# ``lie_axioms`` (0.32 s) and ``iso_soundness`` (0.26 s), with the shared
+# signature table at 0.13 s and ``deformation_coboundary`` at 0.11 s.  ``verify-all``
 # also rejects ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``

@@ -25,7 +25,10 @@ The coboundary identity is linear in the parameter, as long as
 ``alpha_coboundary`` is, and at a unit parameter each side has small integer
 entries.  So one ``ce_coboundary_check`` at the generic parameter ``J*`` of
 ``brackets._generic_parameter`` proves it for every ``J`` of a size, which is
-how ``verify.check_deformation_coboundary`` checks it.
+how ``verify.check_deformation_coboundary`` checks it.  In the same way the
+path identities, written in ``t = p/q``, are forms in ``(p, q)`` with small
+integer coefficients, so one ``path_identities`` evaluation at the generic
+time ``t*`` of ``_generic_time`` proves them for every ``t``.
 """
 
 from __future__ import annotations
@@ -182,37 +185,63 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     ``psi_t`` is invertible iff every weight ``w_c`` is nonzero, which the
     verdict also requires (each ``w_c`` is ``q`` or ``q - p``).
 
-    The identities in ``t``: multiplied through by ``psi_t`` as above, each
-    entry of the transport identity is a polynomial of degree at most 2 in
-    ``t`` (``psi_t`` and ``J_t`` are affine in ``t``), and the decomposition
-    identity is affine in ``t``.  A polynomial of degree at most 2 that
-    vanishes at three distinct points is zero (N. Alon, "Combinatorial
-    Nullstellensatz", 1999, Lemma 2.1), so passing at three distinct
-    ``t != 1`` proves both identities for every ``t != 1``; there every
-    weight ``q - p`` is nonzero.
+    Generic-time lemma: one exact evaluation, at ``t* = 1/2^W``, proves both
+    identities for every ``t``.  ``structure_constants`` is linear in ``J``,
+    so the table of ``q J_t = q I + p (J_r - I)`` has the constants
+    ``v = q c + p z``, with ``c`` and ``z`` those of ``T(I)`` and
+    ``T(J_r - I)``.  So each entry of the decomposition residual
+    ``v - q c - p z`` is a linear form in ``(p, q)``, and each entry of the
+    transport residual ``w_l v - w_c w_d c`` a quadratic form, since every
+    weight is ``q`` or ``q - p``.  With ``M`` (at least 1) the largest
+    absolute constant of ``T(I)`` and ``T(J_r - I)``, ``w_l v`` and
+    ``w_c w_d c`` each have coefficients of at most ``2 M``, so every
+    coefficient of a residual is at most ``4 M``.  At ``(p, q) = (1, 2^W)``
+    a residual entry ``A q^2 + B p q + C p^2`` is ``C + B 2^W + A 2^(2W)``,
+    the packing of its coefficients at slot width ``W``, as the
+    generic-parameter lemma of ``brackets._generic_parameter`` packs the
+    values at the unit matrices; ``W = (4 M).bit_length() + 1`` puts every
+    coefficient below ``2^(W-1)``, so the packing lemma of
+    ``brackets._packed_brackets`` turns a zero residual at ``t*`` into zero
+    coefficients, and the identities hold at every ``t``.  For ``t < 1``
+    every weight ``q - p`` is nonzero, so ``psi_t`` is an isomorphism for
+    every ``t < 1``.  ``_generic_time`` gives ``t*``.
     """
     t = to_scalar(t)
-    return _path_identities(n, r, t, _path_tables(n, r))
+    return _path_identities(n, r, t, _identity_table(n), _shift_table(n, r))
 
 
-def _path_tables(n: int, r: int) -> tuple:
-    """The ``structure_constants`` tables of ``I`` and ``J_r - I``, which
-    ``path_identities`` reads at every sample time of one ``(n, r)``."""
-    identity = Matrix.identity(n)
-    return tuple(
-        structure_constants(BracketParam(n, n, j)).table for j in (identity, rank_normal_form(n, n, r) - identity)
-    )
+def _identity_table(n: int) -> dict:
+    """The ``structure_constants`` table ``T(I)`` of the commutator on
+    ``Mat(n x n)``, the same for every rank ``r`` and time of the path."""
+    return structure_constants(BracketParam.commutator(n)).table
 
 
-def _path_identities(n: int, r: int, t, tables: tuple) -> Dict[str, bool]:
-    """``path_identities(n, r, t)`` for an exact ``t``, with the tables
-    ``_path_tables(n, r)``: ``deformation_bracket`` and ``psi_t`` still run
-    at every call."""
+def _shift_table(n: int, r: int) -> dict:
+    """The ``structure_constants`` table ``T(J_r - I)``, the same for every
+    time of the path."""
+    return structure_constants(BracketParam(n, n, rank_normal_form(n, n, r) - Matrix.identity(n))).table
+
+
+def _generic_time(comm: dict, shift: dict):
+    """The generic time ``t* = 1/2^W`` of ``path_identities`` for the
+    time-free tables ``comm = T(I)`` and ``shift = T(J_r - I)``, with
+    ``W = (4 M).bit_length() + 1``; None if a constant is not an integer,
+    where the lemma gives no bound."""
+    constants = [v for table in (comm, shift) for terms in table.values() for v in terms.values()]
+    if any(v.denominator != 1 for v in constants):
+        return None
+    m = max([1, *map(abs, constants)])
+    return Fraction(1, 1 << ((4 * m).bit_length() + 1))
+
+
+def _path_identities(n: int, r: int, t, comm: dict, shift: dict) -> Dict[str, bool]:
+    """``path_identities(n, r, t)`` for an exact ``t``, with the time-free
+    tables ``comm = _identity_table(n)`` and ``shift = _shift_table(n, r)``:
+    ``deformation_bracket`` and ``psi_t`` still run at every call."""
     p, q = t.numerator, t.denominator
     jr = rank_normal_form(n, n, r)
     jt = tuple(tuple(to_scalar(q * v) if v else 0 for v in row) for row in deformation_bracket(n, jr, t).j._data)
     lhs = structure_constants(BracketParam(n, n, Matrix._raw(jt))).table
-    comm, shift = tables
     w = [to_scalar(q * v) for v in psi_t(Matrix.identity(n), t, r).entries[:: n + 1]]  # the diagonal
     decomposition = transport = True
     for a, b in lhs.keys() | comm.keys() | shift.keys():
@@ -232,7 +261,7 @@ def alpha_coboundary(x: Matrix, j: Matrix) -> Matrix:
     if x.shape != j.shape or x.rows != x.cols:
         raise ShapeError(f"need equal square shapes, got {x.shape} and {j.shape}")
     s = x @ j + j @ x
-    return s * scalar_div(1, 2)
+    return Matrix._raw(tuple(tuple(scalar_div(v, 2) for v in row) for row in s._data))
 
 
 def ce_coboundary_check(j: Matrix, n: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+from . import algebra
 from .algebra import (
     LieAlgebra,
     _hom_failures,
@@ -39,8 +40,10 @@ from .constructions import (
 from .deform import (
     PATH_TIMES,
     ContractionDivergenceError,
+    _generic_time,
+    _identity_table,
     _path_identities,
-    _path_tables,
+    _shift_table,
     ce_coboundary_check,
     contraction_constants,
     contraction_limit,
@@ -100,7 +103,7 @@ def _model_tables(n: int, m: int):
     identity map at the generic parameter ``J*`` against the packed table
     ``sum_p 2^(w p) T_p``; see ``check_lie_axioms``), else None."""
     tables = [
-        LieAlgebra.from_param(BracketParam(n, m, Matrix.unit(m, n, x, y))).constants.table
+        algebra.structure_constants(BracketParam(n, m, Matrix.unit(m, n, x, y))).table
         for x in range(m)
         for y in range(n)
     ]
@@ -434,21 +437,32 @@ _COBOUNDARY_SLOT = 6
 
 
 def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures: dict | None = None) -> dict:
-    """Decomposition identity and transport at sample times, coboundary
+    """Decomposition identity and transport along the path, coboundary
     identity, and the degeneration of the path's endpoint.
 
-    At each sample time ``t < 1`` the ``transport`` verdict of
-    ``path_identities`` proves the column scaling ``psi_t`` an isomorphism
-    from the ``J_t``-bracket onto ``gl(n)``, so the path points need no
-    invariant.  The invariant signature tells the endpoint ``J_r`` (``r <
-    n``) apart from ``gl(n)``, the bracket of ``N_n = I``
-    (``endpoint-degeneration``): both are entries of
-    ``classify._rank_signatures(n, n)``, read from ``signatures``, the shared
-    table of ``_normal_form_signatures`` that ``run_all`` passes (run alone,
-    the check builds it for the shapes ``(n, n)``).  At ``n = 1`` both are
-    the one-dimensional algebra, so it is read from ``n = 2`` on.  The path
-    identities run on integers (see ``deform.path_identities``), with the
-    time-free tables of ``I`` and ``J_r - I`` built once per ``(n, r)``.
+    The ``transport`` verdict of ``path_identities`` proves the column
+    scaling ``psi_t`` an isomorphism from the ``J_t``-bracket onto ``gl(n)``,
+    so the path points need no invariant.  Both path identities are proved
+    for every time ``t`` of each ``(n, r)`` by one evaluation at the generic
+    time ``t* = 1/2^W`` of ``deform._generic_time``, by the generic-time
+    lemma of ``deform.path_identities``: with ``t = p/q`` every residual
+    entry is a form in ``(p, q)`` whose coefficients are at most ``4 M``,
+    ``M`` the largest absolute constant of the time-free tables ``T(I)`` and
+    ``T(J_r - I)``, and ``W = (4 M).bit_length() + 1``.  ``T(I)`` is built
+    once per ``n`` and ``T(J_r - I)`` once per ``(n, r)``, and the path
+    identities run on integers.  The proof covers the sample times
+    ``PATH_TIMES`` below ``t = 1`` (the transport map is singular at
+    ``t = 1``), so ``identity_cases`` counts the pairs at those times; only
+    when it fails are they checked one by one, which names each failing
+    time.
+
+    The invariant signature tells the endpoint ``J_r`` (``r < n``) apart
+    from ``gl(n)``, the bracket of ``N_n = I`` (``endpoint-degeneration``):
+    both are entries of ``classify._rank_signatures(n, n)``, read from
+    ``signatures``, the shared table of ``_normal_form_signatures`` that
+    ``run_all`` passes (run alone, the check builds it for the shapes
+    ``(n, n)``).  At ``n = 1`` both are the one-dimensional algebra, so it
+    is read from ``n = 2`` on.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -475,17 +489,20 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures
     proved = all(
         ce_coboundary_check(_generic_parameter(n, n, _COBOUNDARY_SLOT), n) for n in range(1, max_size + 1)
     )
+    times = PATH_TIMES[:-1]  # the transport map is singular at t = 1, the last sample time
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
         sigs = signatures.get((n, n))
+        comm = _identity_table(n)
         for r in range(n):
-            tables = _path_tables(n, r)
-            # The transport map is singular at t = 1, the last sample time.
-            for t in PATH_TIMES[:-1]:
-                identity_cases += pairs
-                for kind, ok in _path_identities(n, r, t, tables).items():
-                    if not ok:
-                        failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
+            shift = _shift_table(n, r)
+            identity_cases += len(times) * pairs
+            t_star = _generic_time(comm, shift)
+            if t_star is None or not all(_path_identities(n, r, t_star, comm, shift).values()):
+                for t in times:
+                    for kind, ok in _path_identities(n, r, t, comm, shift).items():
+                        if not ok:
+                            failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
             if n >= 2 and sigs[r] == sigs[n]:
                 failures.append({"n": n, "r": r, "kind": "endpoint-degeneration"})
             if not proved and not ce_coboundary_check(rank_normal_form(n, n, r), n):

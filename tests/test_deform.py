@@ -263,40 +263,67 @@ class TestDeformationPath:
 class TestPathIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_time_below_one_by_the_argument_in_t(self, n):
-        # Multiplied through by psi_t, each entry of the transport identity is
-        # a polynomial of degree <= 2 in t and the decomposition identity is
-        # affine in t (see test_polynomial_form_in_t).  A polynomial of degree
-        # <= 2 that vanishes at three distinct points is zero (Alon,
-        # "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so passing at
-        # three distinct t != 1 proves both identities for every t != 1.
-        times = PATH_TIMES[:3]
-        assert len(set(times)) == 3 and 1 not in times
+        # With t = p/q and the identities multiplied through, each residual
+        # entry is a form in (p, q) whose coefficients are at most 4 M, M the
+        # largest absolute constant of T(I) and T(J_r - I) (see
+        # test_polynomial_form_in_t).  So a pass at the generic time
+        # t* = 1/2^W, W = (4 M).bit_length() + 1, proves both identities for
+        # every t (the generic-time lemma of path_identities).  Here M = 1,
+        # so t* = 1/16; the sample times below t = 1 pass too.
         for r in range(n):
-            for t in times:
+            comm, shift = deform._identity_table(n), deform._shift_table(n, r)
+            assert deform._generic_time(comm, shift) == Fraction(1, 16)
+            for t in (Fraction(1, 16), *PATH_TIMES[:-1]):
                 assert path_identities(n, r, t) == {"decomposition": True, "transport": True}, (n, r, t)
+
+    def test_generic_time_needs_integer_constants(self):
+        # The packing lemma reads integer coefficients only, so a rational
+        # constant in a time-free table gives no generic time.
+        assert deform._generic_time({(0, 1): {0: 3}}, {(0, 1): {2: -5}}) == Fraction(1, 64)
+        assert deform._generic_time({(0, 1): {0: Fraction(1, 2)}}, {}) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_polynomial_form_in_t(self, n):
         sympy = pytest.importorskip("sympy")
-        t = sympy.Symbol("t")
+        t, p, q = sympy.symbols("t p q")
+        eye = sympy.eye(n)
         basis = [sympy.Matrix(n, n, lambda i, k, e=e: int(i * n + k == e)) for e in range(n * n)]
+
+        def br(x, y, j):
+            return x * j * y - y * j * x
+
         for r in range(n):
             jr = sympy.diag(*([1] * r + [0] * (n - r)))
-            jt = (1 - t) * sympy.eye(n) + t * jr
+            jt = (1 - t) * eye + t * jr
             psi = sympy.diag(*([1] * r + [1 - t] * (n - r)))  # psi_t(X) = X psi
-
-            def br(x, y, j):
-                return x * j * y - y * j * x
-
-            for a, x in enumerate(basis):
-                for y in basis[a + 1 :]:
-                    lhs = br(x, y, jt)
-                    transport = [lhs * psi, br(x * psi, y * psi, sympy.eye(n))]
-                    decomposition = [lhs, br(x, y, sympy.eye(n)) + t * br(x, y, jr - sympy.eye(n))]
-                    for sides, degree in ((transport, 2), (decomposition, 1)):
-                        for side in sides:
-                            assert all(sympy.Poly(sympy.expand(v), t).degree() <= degree for v in side)
-                        assert (sides[0] - sides[1]).expand().is_zero_matrix
+            pairs = [(x, y) for a, x in enumerate(basis) for y in basis[a + 1 :]]
+            for x, y in pairs:
+                lhs = br(x, y, jt)
+                transport = [lhs * psi, br(x * psi, y * psi, eye)]
+                decomposition = [lhs, br(x, y, eye) + t * br(x, y, jr - eye)]
+                for sides, degree in ((transport, 2), (decomposition, 1)):
+                    for side in sides:
+                        assert all(sympy.Poly(sympy.expand(v), t).degree() <= degree for v in side)
+                    assert (sides[0] - sides[1]).expand().is_zero_matrix
+            # Written in (p, q), t = p/q: with q J_t = (q - p) I + p J_r and
+            # q psi = diag(q, .., q - p, ..), the transport identity times q^2
+            # and the decomposition times q are forms of degree 2 and 1 whose
+            # sides have coefficients of at most 2 M, so every residual entry
+            # has coefficients of at most 4 M.
+            m = max(1, *(abs(v) for x, y in pairs for j in (eye, jr - eye) for v in br(x, y, j)))
+            qjt = (q - p) * eye + p * jr
+            qpsi = sympy.diag(*([q] * r + [q - p] * (n - r)))
+            for x, y in pairs:
+                lhs = br(x, y, qjt)
+                transport = [lhs * qpsi, br(x * qpsi, y * qpsi, eye)]
+                decomposition = [lhs, q * br(x, y, eye) + p * br(x, y, jr - eye)]
+                for sides, degree in ((transport, 2), (decomposition, 1)):
+                    residual = sides[0] - sides[1]
+                    for side, bound in ((sides[0], 2 * m), (sides[1], 2 * m), (residual, 4 * m)):
+                        for v in side:
+                            poly = sympy.Poly(sympy.expand(v), p, q)
+                            assert poly.is_zero or (poly.is_homogeneous and poly.total_degree() == degree)
+                            assert all(abs(c) <= bound for c in poly.coeffs())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_four_stream_reference(self, n):
@@ -313,21 +340,34 @@ class TestPathIdentities:
         assert path_identities(4, 2, Fraction(1, 3)) == {"decomposition": True, "transport": True}
         assert calls[0] == 0
 
-    def test_verify_builds_the_time_free_tables_once_per_rank(self, monkeypatch):
-        # check_deformation_coboundary builds the tables of I and J_r - I
-        # once per (n, r) and the table of q J_t at each of the four sample
-        # times; deformation_bracket and psi_t still run at every time.
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_verify_builds_the_time_free_tables_once_per_rank(self, monkeypatch, fault):
+        # check_deformation_coboundary builds the table of I once per n, that
+        # of J_r - I once per (n, r), and one table of q J_t per evaluation:
+        # one at the generic time t* = 1/16 of each (n, r), and the four
+        # sample times below t = 1 only when that evaluation fails, as it
+        # does when psi_t is the zero map.  deformation_bracket and psi_t
+        # run at every evaluation.
         built, times = [], []
         real_constants, real_bracket = deform.structure_constants, deform.deformation_bracket
         monkeypatch.setattr(deform, "structure_constants", lambda p: built.append(p.j) or real_constants(p))
         monkeypatch.setattr(deform, "deformation_bracket", lambda n, j, t: times.append(t) or real_bracket(n, j, t))
         monkeypatch.setattr(verify, "ce_coboundary_check", lambda j, n: Verdict(True))
-        assert verify.check_deformation_coboundary(3, 0)["pass"]
+        if fault:
+            monkeypatch.setattr(deform, "psi_t", lambda x, t, r: x * 0)
+        assert verify.check_deformation_coboundary(3, 0)["pass"] == (not fault)
+        evaluated = [Fraction(1, 16), *PATH_TIMES[:-1]] if fault else [Fraction(1, 16)]
         cases = [(n, r) for n in (1, 2, 3) for r in range(n)]
-        assert len(built) == 6 * len(cases)
-        assert times == [t for _ in cases for t in PATH_TIMES[:-1]]
-        for n, r in cases:
-            assert built.count(rank_normal_form(n, n, r) - Matrix.identity(n)) == 1, (n, r)
+        assert times == [t for _ in cases for t in evaluated]
+        expected = []
+        for n in (1, 2, 3):
+            expected.append(Matrix.identity(n))
+            for r in range(n):
+                jr = rank_normal_form(n, n, r)
+                expected.append(jr - Matrix.identity(n))
+                expected += [real_bracket(n, jr, t).j * Fraction(t).denominator for t in evaluated]
+        assert built == expected
+        assert len(built) == 3 + len(cases) * (1 + len(evaluated))
 
 
 class TestPsiT:

@@ -10,13 +10,20 @@ one.
 
 import ast
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liebrackets import classify, constructions, deform, verify
-from liebrackets.algebra import InvariantSignature, LieAlgebra, hom_check
-from liebrackets.brackets import BracketParam, StructureConstants, _generic_parameter, basis_matrices
+from liebrackets import algebra, classify, constructions, deform, verify
+from liebrackets.algebra import InvariantSignature, LieAlgebra, Verdict, hom_check
+from liebrackets.brackets import (
+    BracketParam,
+    StructureConstants,
+    _generic_parameter,
+    basis_matrices,
+    structure_constants,
+)
 from liebrackets.constructions import (
     HeisenbergModel,
     ObstructionVerdict,
@@ -414,6 +421,35 @@ def test_contraction_fails_when_the_normal_forms_sit_in_the_wrong_corner(monkeyp
     ]
 
 
+def constants_shifted_at_two_units(param):
+    """``structure_constants`` with the constant of ``E_01`` in
+    ``[E_00, E_01]`` shifted by -4 at the unit parameter ``E_0`` and by +1
+    at ``E_1`` of the 2x2 shape, and true elsewhere."""
+    table = {pair: dict(terms) for pair, terms in structure_constants(param).table.items()}
+    flat = param.j.entries
+    if (param.n, param.m) == (2, 2) and sorted(flat) == [0, 0, 0, 1]:
+        shift = {0: -4, 1: 1}.get(flat.index(1), 0)
+        terms = table.setdefault((0, 1), {})
+        terms[1] = terms.get(1, 0) + shift
+    return StructureConstants(param.dim, table)
+
+
+def test_lie_axioms_proof_catches_unit_constants_that_alias_one_bit_narrower(monkeypatch):
+    # The shifted constants are -3 at E_0 and 1 at E_1 where the true ones
+    # are 1 and 0, so the slot width is w = 3.  One bit narrower, at w = 2,
+    # -3 + 1 * 2^2 = 1 packs as the true 1 + 0 * 2^2, and the packed check
+    # passes; the generic-parameter lemma needs every entry below 2^(w-1).
+    monkeypatch.setattr(algebra, "structure_constants", constants_shifted_at_two_units)
+    assert verify._model_tables(2, 2) is None
+    assert not verify._holds_for_every_parameter(2)
+    sampled = []
+    real = verify.jacobi_check
+    monkeypatch.setattr(verify, "jacobi_check", lambda L: sampled.append(L) or real(L))
+    out = verify.check_lie_axioms(2)
+    assert out["pass"] and out["details"]["failures"] == []
+    assert len(sampled) == 4 * verify._PARAMS_PER_SHAPE  # no sample is a unit parameter
+
+
 INTERIOR = [t for t in PATH_TIMES[:-1] if t != 0]
 
 
@@ -464,6 +500,38 @@ def test_path_identities_fail_decomposition_on_an_extra_path_term(monkeypatch):
         for t in INTERIOR
         for kind in ("decomposition", "transport")
     ]
+
+
+def residual_vanishing_at_one_sixteenth(param):
+    """``structure_constants`` on ``Mat(2 x 2)`` with ``31 J_00 - 16 J_11``
+    added to the constant of ``E_01`` in ``[E_00, E_10]``, and true
+    elsewhere.  The change is linear in ``J``, so the decomposition still
+    holds.  At ``r = 1`` the constants are 15 in ``T(I)`` and 16 in
+    ``T(J_1 - I)``, and with ``t = p/q`` the transport residual of that
+    entry is ``(15 q + 16 p)(q - p) - 15 q^2 = p q - 16 p^2``: zero at
+    ``t = 0`` and ``t = 1/16`` alone.  At ``r = 0`` it is zero."""
+    table = {pair: dict(terms) for pair, terms in structure_constants(param).table.items()}
+    if param.n == 2:
+        j = param.j.entries
+        terms = table.setdefault((0, 2), {})
+        terms[1] = terms.get(1, 0) + 31 * j[0] - 16 * j[3]
+    return StructureConstants(param.dim, table)
+
+
+def test_path_proof_catches_a_residual_that_vanishes_at_one_sixteenth(monkeypatch):
+    # t* = 1/16 is the generic time of the true tables (M = 1).  Here
+    # M = 16, so t* = 1/2^W with W = (4 M).bit_length() + 1 = 8, where the
+    # residual is 256 - 16; a time fixed at 1/16 would pass.
+    monkeypatch.setattr(deform, "structure_constants", residual_vanishing_at_one_sixteenth)
+    monkeypatch.setattr(verify, "ce_coboundary_check", lambda j, n: Verdict(True))
+    comm, shift = deform._identity_table(2), deform._shift_table(2, 1)
+    assert deform._generic_time(comm, shift) == Fraction(1, 256)
+    passing = {"decomposition": True, "transport": True}
+    assert deform._path_identities(2, 1, Fraction(1, 16), comm, shift) == passing
+    assert deform._path_identities(2, 1, Fraction(1, 256), comm, shift) == {**passing, "transport": False}
+    out = verify.check_deformation_coboundary(2, 0)
+    assert not out["pass"]
+    assert out["details"]["failures"] == [{"n": 2, "r": 1, "t": str(t), "kind": "transport"} for t in INTERIOR]
 
 
 def test_center_dimension_law_fails_without_the_full_rank_square_exception(monkeypatch):
