@@ -141,12 +141,19 @@ def verified_witness(j1: Matrix, j2: Matrix) -> Tuple[Matrix, HomVerdict]:
 
 def center_law(param: BracketParam) -> Tuple[Subspace, int, int]:
     """Center of the bracket algebra, the rank r of its parameter, and the
-    center dimension the rank predicts: ``(n-r)(m-r)``, except 1 for a
-    full-rank square parameter."""
+    center dimension the rank predicts (``_center_law_dim``)."""
     ctr = center(LieAlgebra.from_param(param))
     r = rank(param.j)
-    n, m = param.n, param.m
-    return ctr, r, 1 if n == m == r else (n - r) * (m - r)
+    return ctr, r, _center_law_dim(param.n, param.m, r)
+
+
+def _center_law_dim(n: int, m: int, r: int) -> int:
+    """The center dimension of a rank-``r`` bracket on ``Mat(n x m)``:
+    ``(n-r)(m-r)``, except 1 for a full-rank square parameter, where the
+    bracket is ``gl(n)`` and its center the scalars.  The one statement of
+    the law, which ``center_law`` and ``verify.check_center_dimensions``
+    both read."""
+    return 1 if n == m == r else (n - r) * (m - r)
 
 
 def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int) -> Matrix:
@@ -177,7 +184,9 @@ def _rank_signatures(n: int, m: int) -> list:
     ``Mat(n x m)``, indexed by ``r = 0..min(n, m)``: the one computation of
     the claim that distinct ranks give distinct signatures, which the
     ``classify`` report, ``signature_separation`` and the
-    ``endpoint-degeneration`` test of ``deformation_coboundary`` read."""
+    ``endpoint-degeneration`` test of ``deformation_coboundary`` read.
+    ``center_dimension_law`` reads each one's ``center_dim``, the exact
+    dimension of the center that ``center`` spans."""
     return [
         invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, r))) for r in range(min(n, m) + 1)
     ]

@@ -47,11 +47,12 @@ from .verify import run_all
 # 5, on a loaded host where the calibration kernel took 5.5-7 ms; in
 # process ``classify 6 6`` takes 13-23 ms), ``heisenberg 16`` in 0.66 s,
 # ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
-# in 0.18 s, ``constants 12 12`` and ``center 12 12`` with a dense integer
-# J in 3.0 s and 0.34 s (``constants 12 12`` re-measured at 4.4 s, best
-# of 5, on a loaded 2-core host where the calibration kernel of
-# ``perfbench/calibration.py`` took 5.8-6.1 ms against its 3.5 ms
-# reference, so about 2.6 s unloaded), ``embed`` of gl_12 into
+# in 0.15 s, ``constants 12 12`` with a dense integer J in 3.0 s
+# (re-measured at 4.4 s, best of 5, on a loaded 2-core host where the
+# calibration kernel of ``perfbench/calibration.py`` took 5.8-6.1 ms
+# against its 3.5 ms reference, so about 2.6 s unloaded), ``center 12 12``
+# with a dense integer J (entries in [-3, 3]) in 0.22 s (as a process,
+# best of 5, the kernel at 3.1-6.7 ms), ``embed`` of gl_12 into
 # ``12 12 12`` in 0.90 s,
 # ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.48 s (a
 # 144x1 pair in 0.63 s) and ``contract 40 1`` in 2.0 s.  In process, past
@@ -60,11 +61,12 @@ from .verify import run_all
 # ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
 # ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
 # 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all`` takes 0.29 s at ``--max 5``, 0.40 s at 6, 0.74 s at 7
-# and 1.20 s at 8 as processes, best of 5, on a loaded host (the kernel at
-# 3.7-6.2 ms); ``run_all(8, 0)`` takes 1.1-1.5 s in process there, led by
-# ``lie_axioms`` (0.32 s) and ``iso_soundness`` (0.26 s), with the shared
-# signature table at 0.13 s and ``deformation_coboundary`` at 0.11 s.  ``verify-all``
+# ``verify-all`` takes 0.19 s at ``--max 5``, 0.42 s at 6, 0.48 s at 7
+# and 0.88 s at 8 as processes, best of 5, on a loaded host (the kernel at
+# 3.1-6.7 ms); ``run_all(8, 0)`` takes 0.74-1.25 s in process there, led by
+# ``lie_axioms`` (0.22-0.26 s) and ``iso_soundness`` (0.18 s), with the
+# shared signature table at 0.10-0.14 s, ``semidirect_model`` at 0.10 s and
+# ``deformation_coboundary`` at 0.07 s.  ``verify-all``
 # also rejects ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``

@@ -257,11 +257,27 @@ def _path_identities(n: int, r: int, t, comm: dict, shift: dict) -> Dict[str, bo
 
 
 def alpha_coboundary(x: Matrix, j: Matrix) -> Matrix:
-    """The potential ``(x j + j x) / 2`` whose coboundary is the j-bracket."""
+    """The potential ``(x j + j x) / 2`` whose coboundary is the j-bracket.
+
+    ``x j + j x`` is formed with no matrix product, by scattering each
+    nonzero entry ``v = x[i][k]``: ``x j`` gains ``v`` times row ``k`` of
+    ``j`` in row ``i``, and ``j x`` gains ``v`` times column ``i`` of ``j``
+    in column ``k``.  So a unit ``x``, one nonzero entry, costs one row and
+    one column of ``j``.  The sum is then halved entry by entry, exact for
+    any rational ``x`` and ``j``."""
     if x.shape != j.shape or x.rows != x.cols:
         raise ShapeError(f"need equal square shapes, got {x.shape} and {j.shape}")
-    s = x @ j + j @ x
-    return Matrix._raw(tuple(tuple(scalar_div(v, 2) for v in row) for row in s._data))
+    jrows = j._data
+    s = [[0] * x.rows for _ in jrows]
+    for i, row in enumerate(x._data):
+        for k, v in enumerate(row):
+            if v:
+                out = s[i]
+                for c, w in enumerate(jrows[k]):  # x j: v * row k of j
+                    out[c] += v * w
+                for srow, jrow in zip(s, jrows):  # j x: v * column i of j
+                    srow[k] += jrow[i] * v
+    return Matrix._raw(tuple(tuple(scalar_div(v, 2) for v in row) for row in s))
 
 
 def ce_coboundary_check(j: Matrix, n: int):
@@ -272,7 +288,10 @@ def ce_coboundary_check(j: Matrix, n: int):
 
     Both sides are scaled by ``2 d_J``, with ``d_J`` the lcm of the
     denominators of ``j``, and compared entry by entry on integers.  ``a`` is
-    formed once per basis element.  For a unit ``A = E_(i,k)``, ``A M``
+    formed once per basis element, by ``alpha_coboundary``, which takes no
+    matrix product: at a unit it is one row and one column of ``j``, halved.
+    It is called, not inlined, so that the check judges whatever
+    ``alpha_coboundary`` is.  For a unit ``A = E_(i,k)``, ``A M``
     copies row k of ``M`` into row i and ``M A`` copies column i of ``M``
     into column k, so the two commutators take no product; ``[A, B]`` and
     the right side are read off the ``structure_constants`` tables of ``I``

@@ -4,18 +4,18 @@ Each check function returns ``{"name", "pass", "details"}``; ``run_all``
 executes them in a fixed order with one seeded RNG stream per check, so a
 given (max_size, seed) pair always produces the same report.  The CLI
 subcommand ``verify-all`` and the acceptance tests both run through here.
-The signatures of the rank normal forms, which ``signature_separation`` and
-the ``endpoint-degeneration`` test of ``deformation_coboundary`` compare,
-come from ``classify._rank_signatures``, as in the ``classify`` report:
-``run_all`` takes them once, into the shared table of
-``_normal_form_signatures``, and both checks read that table.
+The signatures of the rank normal forms, which ``center_dimension_law``,
+``signature_separation`` and the ``endpoint-degeneration`` test of
+``deformation_coboundary`` read, come from ``classify._rank_signatures``, as
+in the ``classify`` report: ``run_all`` takes them once, into the shared
+table of ``_normal_form_signatures``, and the three checks read that table.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import algebra
+from . import algebra, classify
 from .algebra import (
     LieAlgebra,
     _hom_failures,
@@ -24,7 +24,7 @@ from .algebra import (
     lower_central_series,
 )
 from .brackets import BracketParam, StructureConstants, _generic_parameter, structure_constants
-from .classify import _checked_witness, _rank_signatures, center_law, random_parameter
+from .classify import _checked_witness, _rank_signatures, random_parameter
 from .constructions import (
     HypothesisError,
     classical_representation,
@@ -58,11 +58,14 @@ def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
 
 
-def _separated_shapes(max_size: int):
-    """The shapes ``(n, m)``, ``2 <= n <= m <= max_size``, whose normal forms
-    ``signature_separation`` compares; the transposed shapes share their
-    signatures (see ``_normal_form_signatures``)."""
-    return [(n, m) for n in range(2, max_size + 1) for m in range(n, max_size + 1)]
+def _table_shapes(max_size: int, least: int = 1):
+    """The shapes ``(n, m)``, ``least <= n <= m <= max_size``, whose
+    signatures a table of ``_normal_form_signatures`` takes: every shape
+    for ``run_all`` and ``center_dimension_law``, and from ``least = 2`` on
+    those whose normal forms ``signature_separation`` compares.  The
+    transposed shapes share their signatures (see
+    ``_normal_form_signatures``)."""
+    return [(n, m) for n in range(least, max_size + 1) for m in range(n, max_size + 1)]
 
 
 def _normal_form_signatures(shapes) -> dict:
@@ -76,8 +79,9 @@ def _normal_form_signatures(shapes) -> dict:
     ``Mat(m x n)``; and the rank-``r`` normal form of ``Mat(m x n)`` is the
     transpose of that of ``Mat(n x m)``.  So the normal forms of the two
     shapes give isomorphic algebras, rank by rank, and their invariant
-    signatures are equal.  ``_rank_signatures`` itself stays per shape, so
-    the ``classify`` report does not rest on the lemma."""
+    signatures are equal, the center dimension that ``center_dimension_law``
+    reads among them.  ``_rank_signatures`` itself stays per shape, so the
+    ``classify`` report does not rest on the lemma."""
     table = {}
     for n, m in shapes:
         table[(n, m)] = table[(m, n)] = _rank_signatures(n, m)
@@ -222,16 +226,30 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     }
 
 
-def check_center_dimensions(max_size: int = 4) -> dict:
-    """Center dimension is (n-r)(m-r), except 1 for full-rank square."""
+def check_center_dimensions(max_size: int = 4, *, signatures: dict | None = None) -> dict:
+    """Center dimension is (n-r)(m-r), except 1 for full-rank square.
+
+    The center dimension of each normal form ``N_r`` of each shape is read
+    from ``signatures``, the shared table of ``_normal_form_signatures``
+    that ``run_all`` passes (run alone, the check builds it for
+    ``_table_shapes(max_size)``), and compared with the law of
+    ``classify._center_law_dim``, which the ``center`` command reads too.
+    Each ``center_dim`` there is an exact rank, the dimension of the center
+    that ``algebra.center`` spans, so no algebra or center is built here.
+    The table holds the shape ``(m, n)`` as the entry of ``(n, m)``, by the
+    transposition lemma; the law is symmetric in ``n`` and ``m``, but every
+    shape is still checked and reported as its own."""
+    if signatures is None:
+        signatures = _normal_form_signatures(_table_shapes(max_size))
     failures = []
     checked = 0
     for n, m in _shapes(max_size):
+        sigs = signatures[(n, m)]
         for r in range(min(n, m) + 1):
-            ctr, _, expected = center_law(BracketParam.normal(n, m, r))
+            expected, got = classify._center_law_dim(n, m, r), sigs[r].center_dim
             checked += 1
-            if ctr.dim != expected:
-                failures.append({"shape": [n, m], "r": r, "expected": expected, "got": ctr.dim})
+            if got != expected:
+                failures.append({"shape": [n, m], "r": r, "expected": expected, "got": got})
     return {
         "name": "center_dimension_law",
         "pass": not failures,
@@ -268,11 +286,11 @@ def check_signature_separation(max_size: int = 4, *, signatures: dict | None = N
 
     The signatures are read from ``signatures``, the shared table of
     ``_normal_form_signatures`` that ``run_all`` passes; run alone, the
-    check builds it for ``_separated_shapes(max_size)``.  The table holds
+    check builds it for ``_table_shapes(max_size, 2)``.  The table holds
     the shape ``(m, n)`` as the entry of ``(n, m)``, by the transposition
     lemma, but every shape is still checked and reported as its own."""
     if signatures is None:
-        signatures = _normal_form_signatures(_separated_shapes(max_size))
+        signatures = _normal_form_signatures(_table_shapes(max_size, 2))
     failures = []
     shapes = 0
     for n, m in _shapes(max_size):
@@ -565,16 +583,18 @@ def run_all(max_size: int = 4, seed: int = 0) -> dict:
     ``max_size`` must be at least 2: below that, several checks would pass
     on zero cases.  The normal-form signatures are taken once, into the
     shared table of ``_normal_form_signatures`` for the shapes
-    ``2 <= n <= m <= max_size``, which ``signature_separation`` and
-    ``deformation_coboundary`` both read: no shape's signatures are taken
-    twice, and a transposed shape reads the entry of its transpose.
+    ``1 <= n <= m <= max_size``, which ``center_dimension_law`` (at every
+    shape), ``signature_separation`` (from ``min(n, m) = 2`` on) and
+    ``deformation_coboundary`` (at ``(n, n)``) read: no shape's signatures
+    are taken twice, and a transposed shape reads the entry of its
+    transpose.
     """
     if max_size < 2:
         raise HypothesisError(f"max_size must be at least 2, got {max_size}")
-    signatures = _normal_form_signatures(_separated_shapes(max_size))
+    signatures = _normal_form_signatures(_table_shapes(max_size))
     checks = [
         check_lie_axioms(max_size, seed),
-        check_center_dimensions(max_size),
+        check_center_dimensions(max_size, signatures=signatures),
         check_iso_soundness(max_size, seed),
         check_signature_separation(max_size, signatures=signatures),
         check_heisenberg_realization(),

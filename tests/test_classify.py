@@ -491,12 +491,39 @@ class TestRankSignatures:
 
     def test_run_all_takes_each_shape_once(self, monkeypatch):
         # run_all takes the signatures of the shapes n <= m once, into the
-        # table that signature_separation and deformation_coboundary share.
+        # table that center_dimension_law, signature_separation and
+        # deformation_coboundary share.
         real = classify._rank_signatures
         shapes = []
         monkeypatch.setattr(verify, "_rank_signatures", lambda n, m: shapes.append((n, m)) or real(n, m))
         assert verify.run_all(3, 0)["pass"]
-        assert shapes == [(2, 2), (2, 3), (3, 3)]
+        assert shapes == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+    def test_center_dim_is_the_dimension_of_the_center(self):
+        # center_dimension_law reads center_dim off the signature table,
+        # and the center command spans the center itself: the two agree at
+        # every normal form of every shape up to 4 x 4, both orientations.
+        for n in range(1, 5):
+            for m in range(1, 5):
+                sigs = classify._rank_signatures(n, m)
+                for r in range(min(n, m) + 1):
+                    ctr = algebra.center(LieAlgebra.from_param(BracketParam.normal(n, m, r)))
+                    assert ctr.dim == sigs[r].center_dim, (n, m, r)
+
+    def test_center_dimension_law_builds_no_algebra_and_no_center(self, monkeypatch):
+        # Given the shared table, the check only reads it: no LieAlgebra is
+        # constructed and no center is spanned, in any namespace.
+        signatures = verify._normal_form_signatures(verify._table_shapes(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("center_dimension_law built an algebra or a center")
+
+        monkeypatch.setattr(LieAlgebra, "__init__", refuse)
+        for module in (algebra, classify, verify):
+            if hasattr(module, "center"):
+                monkeypatch.setattr(module, "center", refuse)
+        out = verify.check_center_dimensions(3, signatures=signatures)
+        assert out == {"name": "center_dimension_law", "pass": True, "details": {"cases": 23, "failures": []}}
 
 
 def test_iso_soundness_up_to_six():

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from liebrackets import deform, verify
 from liebrackets.algebra import Verdict
-from liebrackets.brackets import BracketParam, _pair_brackets, basis_matrices, bracket, structure_constants
+from liebrackets.brackets import (
+    BracketParam,
+    _generic_parameter,
+    _pair_brackets,
+    basis_matrices,
+    bracket,
+    structure_constants,
+)
 from liebrackets.deform import (
     PATH_TIMES,
     ContractionDivergenceError,
@@ -422,6 +429,27 @@ class TestCoboundary:
     def test_alpha_unit_example(self):
         out = alpha_coboundary(Matrix.unit(2, 2, 0, 1), Matrix.diagonal([1, 0]))
         assert out == Fraction(1, 2) * Matrix.unit(2, 2, 0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_alpha_is_the_halved_sum_of_products(self, monkeypatch, n):
+        # The scatter of alpha_coboundary against the two products it
+        # replaces: dense integer and rational x and j, the zero x, a
+        # non-unit multiple of a unit, and every unit x at J*.
+        rng = random.Random(n)
+
+        def rational():
+            return Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+
+        js = [random_matrix(rng, n, n), rational(), _generic_parameter(n, n, verify._COBOUNDARY_SLOT)]
+        xs = [Matrix.zeros(n, n), random_matrix(rng, n, n), rational(), -3 * Matrix.unit(n, n, n - 1, 0)]
+        cases = [(x, j) for j in js for x in xs] + [(x, js[-1]) for x in basis_matrices(n, n)]
+        want = [Fraction(1, 2) * (x @ j + j @ x) for x, j in cases]
+        calls = count_products(monkeypatch)
+        for (x, j), expected in zip(cases, want):
+            got = alpha_coboundary(x, j)
+            assert got == expected, (x, j)
+            assert all(type(v) is int or v.denominator != 1 for v in got.entries)
+        assert calls[0] == 0
 
     def test_identity_parameter_passes(self):
         assert ce_coboundary_check(Matrix.identity(2), 2).passed

@@ -326,7 +326,9 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
 def test_signature_collision_at_one_shape_is_reported_under_its_transpose_too(monkeypatch):
     # A collision planted in the signatures of (2, 3) alone: verify takes
     # (3, 2) from the same table entry, so it must fail there as well, and
-    # every shape is still reported as its own.
+    # every shape is still reported as its own.  The planted rank-1 entry
+    # carries the center dimension (2 - 0)(3 - 0) = 6 of rank 0, which
+    # center_dimension_law reads from the same table, against the law's 2.
     real = classify._rank_signatures
 
     def collide(n, m):
@@ -342,7 +344,11 @@ def test_signature_collision_at_one_shape_is_reported_under_its_transpose_too(mo
     assert not report["pass"]
     separation = next(c for c in report["checks"] if c["name"] == "signature_separation")
     assert separation["details"] == {"shapes_checked": 4, "failures": expected}
-    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["signature_separation"]
+    center = next(c for c in report["checks"] if c["name"] == "center_dimension_law")
+    assert center["details"]["failures"] == [
+        {"shape": shape, "r": 1, "expected": 2, "got": 6} for shape in ([2, 3], [3, 2])
+    ]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["center_dimension_law", "signature_separation"]
 
 
 def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
@@ -536,19 +542,16 @@ def test_path_proof_catches_a_residual_that_vanishes_at_one_sixteenth(monkeypatc
 
 def test_center_dimension_law_fails_without_the_full_rank_square_exception(monkeypatch):
     # (n - r)(m - r) alone predicts a zero center for J = I, but the
-    # commutator algebra gl(n) has the scalars as its center.
-    real = classify.center_law
-
-    def without_exception(param):
-        ctr, r, _ = real(param)
-        return ctr, r, (param.n - r) * (param.m - r)
-
-    monkeypatch.setattr(verify, "center_law", without_exception)
+    # commutator algebra gl(n) has the scalars as its center.  The law has
+    # one source, which the check and the center command both read.
+    monkeypatch.setattr(classify, "_center_law_dim", lambda n, m, r: (n - r) * (m - r))
     out = verify.check_center_dimensions(3)
     assert not out["pass"]
     assert out["details"]["failures"] == [
         {"shape": [n, n], "r": n, "expected": 0, "got": 1} for n in (1, 2, 3)
     ]
+    ctr, r, expected = classify.center_law(BracketParam.commutator(2))
+    assert (ctr.dim, r, expected) == (1, 2, 0)
 
 
 def test_coboundary_check_fails_on_the_potential_without_its_half(monkeypatch):
