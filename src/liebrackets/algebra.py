@@ -3,68 +3,17 @@
 Axiom verification, centers and centralizers, derived and lower central
 series, the Killing form, subalgebra and homomorphism checks, and the
 invariant signature used as a computable stand-in for isomorphism
-classification.  An algebra may carry a ``model`` tag recording that its
-basis is the canonical (row-major) basis of a matrix space ``Mat(n x m)``
-with a middle-parameter bracket; coordinate vectors then reshape to
-matrices and back.
+classification.  An algebra may carry a ``model`` (``LieAlgebra``): its
+basis is then the canonical row-major basis of a matrix space
+``Mat(n x m)`` with a middle-parameter bracket.
 
-The Jacobi check, the center and centralizers, both series and the Killing
-form read the adjoint action from one table, ``LieAlgebra._sparse_ads``,
-built once per algebra.  The Jacobi check's triple sweep also proves
-Jacobi for every parameter of a shape, on the unit tables merged into one
-with polynomial constants.  Every map the engine checks lands in a bracket
-on matrices, and every subalgebra it checks lies in one, so the
-destination of ``hom_check`` and the ambient of ``subalgebra_closed`` are
-a ``BracketParam``, not an algebra, and no structure constants are built
-for them.  ``hom_check`` brackets the images through the parameter with
-``brackets._packed_brackets``, the kernel of ``_pair_brackets``, and packs
-the other side of each basis pair into one integer too, so a pair costs
-``2 n`` integer products and one comparison.  ``_hom_failures`` is that
-comparison, a stream of the failing pairs' witnesses, each decoded only
-when its pair fails; ``hom_check`` reads its first failure, the
-Heisenberg obstruction reads it before it takes any rank, and the
-Lie-axiom check of ``verify`` reads the failing pairs of the identity map
-from a constants table into a matrix bracket.
-
-The center, the series and the centralizers are spans, so they may be
-computed from any basis of what they are built from.  The engine uses that
-to bracket integer vectors only, as the sparse rows ``{index: int}`` of
-``matrices._echelon``, the span loop: ``[g, g]`` is the span of the
-constants-table dicts themselves, eliminated once and kept on the algebra
-as ``LieAlgebra._derived_rows``, with the bound ``d - 1`` for a model
-with ``J != 0`` (the trace-hyperplane lemma of ``invariant_signature``);
-each series step brackets the primitive integer basis rows of the term
-before through the adjoint columns.  The signature's other ranks (the
-center, the Killing form and the center of ``[g, g]``) are counts, taken
-by ``matrices._rank`` on ``d`` sparse rows each, the transposed systems of
-``invariant_signature``; the Killing Gram of an algebra with a model is
-read off ``J`` by the Killing trace lemma there.  So no row of the
-length of the basis is built, scanned or reduced where a bracket has few
-terms.  A series runs on the algebra with integer constants
-(``_integer_constants``), whose series are the same spans, and so do
-``center`` and ``centralizer``: their rows go to ``_echelon`` sparse,
-``matrices._null_rows`` reads the null space off its basis as sparse
-integer rows, one per free column, and ``_echelon`` reduces those once
-more.  Each term and centralizer is still given by its canonical reduced
-echelon rows, from exact elimination; only a centralizer's generators and
-the injectivity ranks reach the kernels through the dense boundary
-``matrices._sparse_row``.  A series step reads its generators only until
-it reaches the dimension of the term before, which, by bilinearity alone,
-contains it.
-
-``invariant_signature`` of a matrix bracket whose parameter ``J`` is not
-in rank normal form is taken on the bracket of the normal form ``N_r``,
-once the factors of ``N_r = Q J P`` written down from one elimination of
-``J`` (``matrices._normal_form_factors``) pass the identity-and-ranks
-proof that ``classify`` gives its witnesses (``matrices._factor_check``);
-the signature is kept by isomorphism, and a failed proof leaves the
-algebra itself to the computation.  A model's constants are built on the
-first read of their table, so a transported ``J`` builds none.  That runs
-on the algebra whose bracket is multiplied by the lcm of the denominators
-of the constants, which keeps every span it measures and multiplies the
-Killing form by a nonzero square.  It reads dimensions only, so each
-invariant is an exact rank, and it builds no ``Subspace``, kernel basis,
-intersection or dense row.
+The adjoint action is read from one table per algebra,
+``LieAlgebra._sparse_ads``, and spans and ranks are taken on sparse integer
+rows by ``matrices._echelon`` and ``matrices._rank``, on the algebra with
+integer constants (``_integer_constants``).  The destination of
+``hom_check`` and the ambient of ``subalgebra_closed`` are a
+``BracketParam``, not an algebra.  ``invariant_signature`` states the
+lemmas the signature rests on.
 """
 
 from __future__ import annotations
@@ -684,9 +633,9 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     ``matrices._normal_form_factors``, whose docstring holds their lemma,
     and each call proves them with ``matrices._factor_check``, the identity
     and the two full ranks that ``classify`` proves its witnesses by; by the
-    lemma of ``classify``, ``A -> P A Q`` is then an isomorphism from the
-    ``N_r``-bracket onto the ``J``-bracket, and every invariant below is
-    kept by isomorphism.  If the proof fails, the signature is computed on
+    classification lemma of ``classify``, ``A -> P A Q`` is then an
+    isomorphism from the ``N_r``-bracket onto the ``J``-bracket, and every
+    invariant below is kept by isomorphism.  If the proof fails, the signature is computed on
     ``L`` itself.  A normal form, the commutator among them, costs one scan
     of ``J``, and an algebra without a model none.
 

@@ -6,20 +6,10 @@ For operands ``A, B`` in ``Mat(n x m)`` and a parameter ``J`` in
     [A, B]_J = A*J*B - B*J*A
 
 is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
-``J = 0`` gives the abelian algebra.  This module evaluates the bracket and
-compiles any parameter into the sparse structure-constants tensor over the
-canonical basis ``E_{i,j}`` ordered row-major: ``E_{i,j} -> (i-1)*m + (j-1)``
-(1-based ``i, j``), at a cost that grows with the nonzero entries of ``J``,
-not with the basis pairs.
-The ``deform`` checks read basis-pair brackets off ``structure_constants``,
-and ``algebra.subalgebra_closed`` calls ``bracket``.  Every other pair loop
-brackets integer operands through one kernel, ``_packed_brackets``, which
-packs each operand into a few integers, so that a pair costs ``2 n``
-integer products: ``_pair_brackets`` decodes its packed brackets, and the
-homomorphism check of ``algebra._hom_failures`` compares them whole and
-decodes a pair only when its sides differ.  The Lie-axiom check's
-model-constants comparison, that homomorphism check on the identity map
-of ``Mat(n x m)``, ties the kernel to the table.
+``J = 0`` gives the abelian algebra.  The canonical basis ``E_{i,j}`` of
+``Mat(n x m)`` is ordered row-major.  ``structure_constants`` compiles a
+parameter into its sparse structure constants, and every pair loop on
+integer operands brackets through the one kernel ``_packed_brackets``.
 """
 
 from __future__ import annotations
@@ -272,8 +262,8 @@ def structure_constants(param: BracketParam) -> StructureConstants:
     the pair ``(a, b)`` when ``a < b`` and the second term of ``(b, a)`` when
     ``a > b``.  Pairs are stored in increasing order, each with its first
     term ahead of its second (two distinct targets, since ``a != b``).
-    This is the one source of basis-pair brackets: the contraction, path and
-    coboundary checks of ``deform`` read their brackets off this table.
+    The contraction and path checks of ``deform`` read their basis-pair
+    brackets off this table, and the coboundary check its right side.
     """
     m, d = param.m, param.dim
     first: Dict[int, Scalar] = {}  # a * d + b -> J-entry of T(a, b), a < b

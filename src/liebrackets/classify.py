@@ -1,33 +1,17 @@
 """Rank-based equivalence of bracket parameters and isomorphism witnesses.
 
 Two parameters of one shape are equivalent (``J = Q J' P`` with invertible
-``Q``, ``P``) exactly when they share a rank, and equivalent parameters give
-isomorphic bracket algebras through ``A -> P A Q``.  This module produces
-those witnesses explicitly, on integer rows from three fraction-free
-Gauss-Jordan eliminations and with no inverse or matrix product, and runs
-the desk-scale classification harness over a whole shape: one normal form
-per rank, invariant signatures, and verified witnesses for random same-rank
-pairs.  The signatures of a shape's normal forms come from
-``_rank_signatures``, which ``verify`` reads as well, so the ``classify``
-report and ``verify-all`` compute them by the same code.
+``Q``, ``P``) exactly when they share a rank.  This module builds the
+witnesses (``verified_witness``) and runs the classification report over a
+whole shape (``classify_rank_family``), whose signatures come from
+``_rank_signatures``, as those of ``verify`` do.
 
-The classification rests on one lemma: if ``J1 = Q J2 P`` with ``P`` and
-``Q`` invertible, then ``phi(A) = P A Q`` is an isomorphism from the
-J1-bracket to the J2-bracket on ``Mat(n x m)``.  Proof: with
-``K = J1 - Q J2 P``, ``phi([A, B]_J1) - [phi A, phi B]_J2 = P A K B Q -
-P B K A Q``, which is 0 when ``K = 0``; and the matrix of ``phi`` is the
-Kronecker product of ``P`` and ``Q^T``, of rank ``rank P * rank Q``.  So
-``iso_soundness`` and the classification report verify a witness by its
-factor identity, one ``m x n`` integer identity, and the ranks of its two
-factors (``_checked_witness``), with no bracket and no structure
-constants.  Only when the identity fails is the witness checked as a
-general map, on its integer Kronecker columns over one denominator, by the
-packed homomorphism check, whose verdict and witness decide.  The
-``witness`` command checks its witness the same way.  The factors and
-their proof are matrix code, ``matrices._rref_factors`` and
-``matrices._factor_check``; ``algebra.invariant_signature`` proves the
-factors of ``matrices._normal_form_factors`` by the same check to move a
-signature onto the rank normal form.
+Classification lemma: if ``J1 = Q J2 P`` with ``P`` and ``Q`` invertible,
+then ``phi(A) = P A Q`` is an isomorphism from the J1-bracket to the
+J2-bracket on ``Mat(n x m)``.  Proof: with ``K = J1 - Q J2 P``,
+``phi([A, B]_J1) - [phi A, phi B]_J2 = P A K B Q - P B K A Q``, which is 0
+when ``K = 0``; and the matrix of ``phi`` is the Kronecker product of ``P``
+and ``Q^T``, of rank ``rank P * rank Q``.
 """
 
 from __future__ import annotations
@@ -53,15 +37,9 @@ class ClassificationError(ValueError):
 
 def iso_witness(j1: Matrix, j2: Matrix) -> Matrix:
     """The matrix of the isomorphism ``A -> P A Q`` from the j1-bracket to the
-    j2-bracket on ``Mat(n x m)``: column ``k`` is the flat image of the
-    ``k``-th row-major basis matrix.
-
-    With ``T_k j_k = R_k`` the reduced row-echelon form of ``j_k``, its rank
-    factorization ``j_k = q_k D p_k`` has ``q_k = T_k^-1`` and ``p_k`` the
-    nonzero rows of ``R_k``, then the unit rows of its free columns, so
-    ``Q = T1^-1 T2`` and ``P = p2^-1 p1`` satisfy ``j1 = Q j2 P``.
-    The map is built by ``_witness_factors`` and ``_kronecker_columns``.
-    """
+    j2-bracket on ``Mat(n x m)`` (the classification lemma), for the factors
+    ``j1 = Q j2 P`` of ``matrices._rref_factors``: column ``k`` is the flat
+    image of the ``k``-th row-major basis matrix."""
     return _columns_map(*_kronecker_columns(j1.cols, j1.rows, *_witness_factors(j1, j2)))
 
 
@@ -109,15 +87,11 @@ def _factor_verdict(j1: Matrix, j2: Matrix, factors: tuple) -> HomVerdict:
     ``factors`` ``(pflat, dp, qflat, dq)`` in the form of
     ``_witness_factors``.
 
-    ``matrices._factor_check`` tests the factor identity ``J1 = Q J2 P``
-    as one ``m x n`` integer identity.  When it holds the map is a
-    homomorphism: with ``K = J1 - Q J2 P``, ``phi([A, B]_J1) -
-    [phi A, phi B]_J2 = P A K B Q - P B K A Q = 0``.  Its matrix is the
-    Kronecker product of ``P`` and ``Q^T``, of rank ``rank P * rank Q``, so
-    it is injective iff ``P`` and ``Q`` are invertible, the two ranks
-    ``_factor_check`` then takes.  That is the verdict the packed check
-    gives, with no witness, and no bracket, Kronecker column or structure
-    constant is built.  When the identity fails the map may still be a
+    When ``matrices._factor_check`` finds the factor identity
+    ``J1 = Q J2 P`` of ``matrices._rref_factors``, the classification lemma
+    makes the map a homomorphism, injective iff the two ranks it then takes
+    are full.  That is the verdict the packed check gives, with no witness,
+    and no bracket, Kronecker column or structure constant is built.  When the identity fails the map may still be a
     homomorphism (every map is one on ``Mat(1 x 1)``), so its integer
     Kronecker columns over one denominator go to the packed check, whose
     verdict and witness decide: only the source's structure constants are
@@ -183,10 +157,11 @@ def _rank_signatures(n: int, m: int) -> list:
     """The invariant signatures of the rank-``r`` normal-form algebras of
     ``Mat(n x m)``, indexed by ``r = 0..min(n, m)``: the one computation of
     the claim that distinct ranks give distinct signatures, which the
-    ``classify`` report, ``signature_separation`` and the
-    ``endpoint-degeneration`` test of ``deformation_coboundary`` read.
-    ``center_dimension_law`` reads each one's ``center_dim``, the exact
-    dimension of the center that ``center`` spans."""
+    ``classify`` report and ``signature_separation`` read; at the shapes
+    ``(n, n)`` it also tells the endpoints of the deformation path apart
+    from ``gl(n)``.  ``center_dimension_law`` reads each one's
+    ``center_dim``, the exact dimension of the center that ``center``
+    spans."""
     return [
         invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, m, r))) for r in range(min(n, m) + 1)
     ]

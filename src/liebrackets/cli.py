@@ -40,34 +40,22 @@ from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, pars
 from .scalars import scalar_str, to_scalar
 from .verify import run_all
 
-# Largest inputs the subcommands accept, so that none runs without bound.
-# On a 2-core x86-64 machine (CPython 3.11.7) the largest accepted sizes
-# finish in at most 3 s: ``classify 36 1`` in 0.14 s, ``classify 12 3`` in
-# 0.14 s and ``classify 6 6`` in 0.17 s (re-measured as processes, best of
-# 5, on a loaded host where the calibration kernel took 5.5-7 ms; in
-# process ``classify 6 6`` takes 13-23 ms), ``heisenberg 16`` in 0.66 s,
-# ``deform 8 1 --t 1/3`` in 0.46 s, ``coboundary 8`` with a dense integer J
-# in 0.15 s, ``constants 12 12`` with a dense integer J in 3.0 s
-# (re-measured at 4.4 s, best of 5, on a loaded 2-core host where the
-# calibration kernel of ``perfbench/calibration.py`` took 5.8-6.1 ms
-# against its 3.5 ms reference, so about 2.6 s unloaded), ``center 12 12``
-# with a dense integer J (entries in [-3, 3]) in 0.22 s (as a process,
-# best of 5, the kernel at 3.1-6.7 ms), ``embed`` of gl_12 into
-# ``12 12 12`` in 0.90 s,
-# ``witness`` with a dense 12x12 pair (entries in [-3, 3]) in 0.48 s (a
-# 144x1 pair in 0.63 s) and ``contract 40 1`` in 2.0 s.  In process, past
-# the limits: ``classify 7 7`` 0.02-0.04 s, ``heisenberg 18`` 0.63 s,
-# ``constants 14 14`` 7.6 s, ``center 14 14`` 0.43 s, a dense 13x13
-# ``witness`` pair 0.60 s and ``contract 48 1`` 5.7 s.
-# ``semidirect r s`` is bounded by r + s: ``15 0`` takes 1.1 s and ``8 7``
-# 0.71 s (``16 0`` takes 1.5 s and ``8 8`` 1.0 s in process).
-# ``verify-all`` takes 0.19 s at ``--max 5``, 0.42 s at 6, 0.48 s at 7
-# and 0.88 s at 8 as processes, best of 5, on a loaded host (the kernel at
-# 3.1-6.7 ms); ``run_all(8, 0)`` takes 0.74-1.25 s in process there, led by
-# ``lie_axioms`` (0.22-0.26 s) and ``iso_soundness`` (0.18 s), with the
-# shared signature table at 0.10-0.14 s, ``semidirect_model`` at 0.10 s and
-# ``deformation_coboundary`` at 0.07 s.  ``verify-all``
-# also rejects ``--max`` below 2, where its checks would cover no cases.
+# Largest inputs the subcommands accept, so that none runs without bound.  The
+# slowest accepted case of each, timed as a process (best of 5; 2-core x86-64,
+# CPython 3.11.7, the calibration kernel of ``perfbench/calibration.py`` at
+# 2.6-5.7 ms against its 3.5 ms reference):
+# - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.10 s (``36 1`` and ``12 3`` 0.08 s).
+# - MAX_PARAM_DIM: ``constants 12 12`` 2.0 s (dense integer J), 20.0 s (dense rational J); the rest 0.22 s at most.
+# - MAX_HEISENBERG_N: ``heisenberg 16`` 0.31 s.
+# - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.16 s, ``coboundary 8`` with a dense J 0.11 s.
+# - MAX_CONTRACT_N: ``contract 40 1`` 2.1 s.
+# - MAX_SEMIDIRECT_SIZE: ``semidirect 15 0`` 0.21 s (``8 7`` 0.17 s).
+# - MAX_VERIFY_SIZE: ``verify-all --max 8`` 0.70 s.
+# Two cases pass 3 s: ``constants 12 12`` with a dense rational J, whose Jacobi
+# sweep of every basis triple runs on ``Fraction`` constants; and ``contract
+# 40 1`` on a slower host (3.6 s with the kernel at 5.8-6.1 ms), most of it the
+# indented JSON writer on its 18 MB report.  ``verify-all`` also rejects
+# ``--max`` below 2, where its checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16

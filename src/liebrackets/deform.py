@@ -1,34 +1,15 @@
 """Contractions, the deformation path, and the coboundary identity.
 
 The ordinary commutator algebra on square matrices degenerates to the
-rank-r bracket algebra along an epsilon-scaled change of basis: scale
-``E_{i,j}`` by 1, epsilon or epsilon^2 according to how the indices sit
-relative to ``r``, and let epsilon go to 0.  A contraction is a rescaling
-of the basis, so each constant of the commutator becomes one monomial in
-epsilon, kept as an exact ``(coefficient, exponent)`` pair: the limit is
-exponent truncation and a divergent contraction is detected rather than
-silently wrong.
-
-In the other direction the straight-line path ``(1-t) I + t J`` of
-parameters deforms the commutator into the rank-r bracket; for ``t < 1``
-the column-scaling transport map is an isomorphism from the deformed
-bracket onto the commutator (``path_identities`` checks that it is
-invertible and preserves brackets), and the bracket with any parameter is
-a 2-coboundary of the commutator's adjoint action.
-
-Every basis-pair bracket here is read off ``brackets.structure_constants``:
-the contraction rescales its table, and both identity checks scale each
-side to integers once and compare the tables pair by pair, with no matrix
-product, scaling or inverse transport inside the pair loop.
-
-The coboundary identity is linear in the parameter, as long as
-``alpha_coboundary`` is, and at a unit parameter each side has small integer
-entries.  So one ``ce_coboundary_check`` at the generic parameter ``J*`` of
-``brackets._generic_parameter`` proves it for every ``J`` of a size, which is
-how ``verify.check_deformation_coboundary`` checks it.  In the same way the
-path identities, written in ``t = p/q``, are forms in ``(p, q)`` with small
-integer coefficients, so one ``path_identities`` evaluation at the generic
-time ``t*`` of ``_generic_time`` proves them for every ``t``.
+rank-r bracket algebra along an epsilon-scaled change of basis
+(``contraction_constants``, ``contraction_limit``), and the straight-line
+path ``(1-t) I + t J_r`` of parameters deforms it into that algebra, with
+every point below ``t = 1`` isomorphic to the commutator
+(``path_identities``).  The bracket with any parameter is a 2-coboundary of
+the commutator's adjoint action (``ce_coboundary_check``).  No pair loop
+here takes a matrix product: the brackets are read off
+``brackets.structure_constants``, or by the unit rule of
+``ce_coboundary_check``.
 """
 
 from __future__ import annotations
@@ -288,29 +269,33 @@ def ce_coboundary_check(j: Matrix, n: int):
 
     Both sides are scaled by ``2 d_J``, with ``d_J`` the lcm of the
     denominators of ``j``, and compared entry by entry on integers.  ``a`` is
-    formed once per basis element, by ``alpha_coboundary``, which takes no
-    matrix product: at a unit it is one row and one column of ``j``, halved.
-    It is called, not inlined, so that the check judges whatever
-    ``alpha_coboundary`` is.  For a unit ``A = E_(i,k)``, ``A M``
-    copies row k of ``M`` into row i and ``M A`` copies column i of ``M``
-    into column k, so the two commutators take no product; ``[A, B]`` and
-    the right side are read off the ``structure_constants`` tables of ``I``
-    and of the integer parameter ``d_J j``, and ``a([A, B])`` is the sum of
-    the ``a`` of the units over the entries of ``[A, B]``.
+    formed once per basis element, by ``alpha_coboundary``; it is called, not
+    inlined, so that the check judges whatever ``alpha_coboundary`` is.  The
+    unit rule ``[E_ik, E_pq] = [k = p] E_iq - [q = i] E_pk`` gives the rest
+    with no product: for a unit ``A = E_(i,k)``, ``A M`` copies row k of
+    ``M`` into row i and ``M A`` copies column i of ``M`` into column k, and
+    ``a([A, B])`` is a difference of the ``a`` of two units.  Only the right
+    side is read off a table, the ``structure_constants`` of the integer
+    parameter ``d_J j``.
 
-    Both sides are linear in ``j`` when ``alpha_coboundary`` is, and at a
-    unit ``j`` every entry of either side, scaled by 2, is at most 12 in
-    absolute value (proved in ``verify.check_deformation_coboundary``).  So
-    by the generic-parameter lemma of ``brackets._generic_parameter``, a pass
-    at ``J*`` with slot width ``w = 6`` proves the identity for every ``j``
-    of size ``n``.
+    Coboundary bound: both sides are linear in ``j`` when ``alpha_coboundary``
+    is, and at a unit ``j`` every entry of either side, scaled by 2, is at
+    most 12 in absolute value, below ``2^5``.  With ``|M|`` the sum of the
+    absolute entries of ``M``, a product with a unit matrix gives
+    ``|X E| <= |X|``, so ``|2 alpha(X)| = |X J + J X| <= 2 |X|`` and
+    ``|[A, M]| <= 2 |M|`` for a unit ``A``.  For units ``A`` and ``B`` then
+    ``|[A, 2 alpha(B)]| <= 4``, ``|[B, 2 alpha(A)]| <= 4`` and
+    ``|2 alpha([A, B])| <= 2 |[A, B]| <= 4``, so the left side is at most
+    12, and ``|2 [A, B]_J| <= 4`` on the right.  So by the generic-parameter
+    lemma of ``brackets._generic_parameter``, a pass at ``J*`` with slot
+    width ``w = 6`` proves the identity for every ``j`` of size ``n``.
     """
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")
     dj = _integer_row(j.entries)[1]
     scale = 2 * dj
     alphas = [[to_scalar(scale * v) for v in alpha_coboundary(x, j).entries] for x in basis_matrices(n, n)]
-    comm, rhs = (structure_constants(BracketParam(n, n, m)).table for m in (Matrix.identity(n), j * dj))
+    rhs = structure_constants(BracketParam(n, n, j * dj)).table
     for a in range(n * n):
         for b in range(a + 1, n * n):
             (i, k), (p, q) = divmod(a, n), divmod(b, n)
@@ -321,9 +306,12 @@ def ce_coboundary_check(j: Matrix, n: int):
                 lhs[c * n + k] -= alpha_b[c * n + i]
                 lhs[p * n + c] -= alpha_a[q * n + c]
                 lhs[c * n + q] += alpha_a[c * n + p]
-            for e, v in comm.get((a, b), {}).items():  # - a([A, B])
-                for f, w in enumerate(alphas[e]):
-                    lhs[f] -= v * w
+            if k == p:  # - a([A, B]), by the unit rule
+                for f, w in enumerate(alphas[i * n + q]):
+                    lhs[f] -= w
+            if q == i:
+                for f, w in enumerate(alphas[p * n + k]):
+                    lhs[f] += w
             want = [0] * (n * n)
             for e, v in rhs.get((a, b), {}).items():
                 want[e] = v + v

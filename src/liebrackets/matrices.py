@@ -1,53 +1,14 @@
 """Exact linear algebra over the rationals: dense matrices, sparse elimination.
 
-Everything here is a pure function of immutable values: ``Matrix`` holds a
-tuple-of-tuples of exact scalars, and the row-reduction routines return new
-matrices together with the invertible transforms that witness them.  The
-two-sided factorization ``M = Q * D_r * P`` (``D_r`` the rank normal form,
-``Q`` and ``P`` invertible) is what the rank classification rests on.
-``_rref_factors`` writes the integer factors of ``J1 = Q J2 P`` for two
-parameters of one rank from their eliminations, ``_normal_form_factors``
-those of ``N_r = Q J P`` from the elimination of ``J`` alone, and
-``_factor_check`` proves either by that identity and the full ranks of
-``P`` and ``Q``: ``classify`` checks its witnesses so, and
-``algebra.invariant_signature`` proves ``N_r = Q J P`` before it takes a
-signature on ``N_r``.
-
-Spans and ranks are taken on sparse integer rows: dicts ``{column: int}``
-that hold only the nonzero entries.  A caller that reads a span gets it
-from ``_echelon``, which builds a reduced echelon basis of primitive
-integer rows one input row at a time, reduces each incoming row only at
-the basis pivots it touches, and stops reading rows once the basis reaches
-a dimension bound the caller knows the span cannot pass (at most the
-width).  A caller that reads only a count of at most ``d`` or width rows
-gets it from ``_rank``, which reduces each incoming row forward at the
-pivots before it, never rewrites a kept row and stops at the same bound:
-``_factor_check`` and the ranks of ``algebra``, ``classify`` and
-``constructions``.  The public ``rank`` takes the length of the
-``_echelon`` basis, as a matrix of any height may reach it.  The row
-builders of ``algebra`` hand both sparse rows straight from the structure
-constants.  A dense row enters through one boundary helper,
-``_sparse_row``, which scales it to integers and drops its zeros.
-``Subspace`` and the series need the span itself, and ``_eliminate`` (or
-``_reduced_rows``) divides each basis row by its pivot and writes it out
-as a canonical dense row, so their values do not depend on the row
-representation.  ``kernel`` and the centers of ``algebra`` need the null
-space: ``_null_rows`` reads it off the basis as sparse integer rows, one
-per free column, and ``_reduced_rows`` writes out the free-variable
-vectors.  ``rref`` also returns the transform, whose null rows depend on
-the pivot order, so it runs the fraction-free column-major Gauss-Jordan
-loop ``_gauss_jordan`` on ``[m | I]``, reads the transform off the
-identity block and divides each row once at the end.
-``_rref_factors`` calls the same loop and keeps its integer rows.
-
-Denominators are cleared by one helper, ``_integer_row``, which returns a
-row scaled to integers and the scale.  Besides ``_sparse_row``,
-``Matrix @`` uses it on each row of the left factor and each column of
-the right one, so every entry of a product is one integer dot product
-followed by at most one exact division (a zero row of the left factor
-gives a zero row without any); ``algebra`` and ``constructions`` use it
-to scale linear maps to integers.  Products, sums, differences and scalar multiples come back
-canonical: ``int`` when integral.
+``Matrix`` holds a tuple-of-tuples of exact scalars and every operation
+returns a new canonical value (``int`` when integral; ``_canonical``).
+Spans and ranks are taken on sparse integer rows ``{column: int}``: a span
+by ``_echelon``, a count by ``_rank``, a null space by ``_null_rows``, and
+the transform of ``rref`` by ``_gauss_jordan``.  A dense row enters through
+``_sparse_row``, and ``_integer_row`` clears denominators.  The factors of
+the rank classification are ``_rref_factors`` (two parameters of one rank)
+and ``_normal_form_factors`` (a parameter and its normal form), and
+``_factor_check`` proves either.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -734,8 +695,9 @@ def _normal_form_factors(e: tuple, n: int, m: int) -> tuple:
     column ``f_k`` is ``sum_i R[i][f_k] e_i``.  So ``Q = T`` is the right
     block of ``e`` over the divisors, and ``P`` is written down: row ``c_i``
     holds 1 at column ``i`` and ``-R[i][f_k]`` at column ``r + k``, and row
-    ``f_k`` is ``e_(r+k)``.  By the lemma of ``classify``, ``A -> P A Q`` is
-    then an isomorphism from the ``N_r``-bracket onto the ``j``-bracket.
+    ``f_k`` is ``e_(r+k)``.  By the classification lemma of ``classify``,
+    ``A -> P A Q`` is then an isomorphism from the ``N_r``-bracket onto the
+    ``j``-bracket.
     """
     a, pivots, divisors = e
     r = len(pivots)
@@ -779,9 +741,9 @@ def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
     ``rank P' = n`` and ``rank Q' = m`` for the integer ``P' = dp P`` and
     ``Q' = dq Q``: two ``_rank`` calls, each stopped at full rank.
 
-    So ``True`` proves ``j1`` and ``j2`` equivalent, and by the lemma of
-    ``classify`` the map ``A -> P A Q`` an isomorphism from the j1-bracket
-    onto the j2-bracket on ``Mat(n x m)``."""
+    So ``True`` proves ``j1`` and ``j2`` equivalent, and by the
+    classification lemma of ``classify`` the map ``A -> P A Q`` an
+    isomorphism from the j1-bracket onto the j2-bracket on ``Mat(n x m)``."""
     m, n = j1.shape
     pflat, _, qflat, _ = factors
     if not _factor_identity(j1, j2, *factors):

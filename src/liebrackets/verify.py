@@ -4,11 +4,10 @@ Each check function returns ``{"name", "pass", "details"}``; ``run_all``
 executes them in a fixed order with one seeded RNG stream per check, so a
 given (max_size, seed) pair always produces the same report.  The CLI
 subcommand ``verify-all`` and the acceptance tests both run through here.
-The signatures of the rank normal forms, which ``center_dimension_law``,
-``signature_separation`` and the ``endpoint-degeneration`` test of
-``deformation_coboundary`` read, come from ``classify._rank_signatures``, as
-in the ``classify`` report: ``run_all`` takes them once, into the shared
-table of ``_normal_form_signatures``, and the three checks read that table.
+The signatures of the rank normal forms, which ``center_dimension_law`` and
+``signature_separation`` read, come from ``classify._rank_signatures``, as in
+the ``classify`` report, through the one table of ``_normal_form_signatures``
+that ``run_all`` builds.
 """
 
 from __future__ import annotations
@@ -58,20 +57,10 @@ def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
 
 
-def _table_shapes(max_size: int, least: int = 1):
-    """The shapes ``(n, m)``, ``least <= n <= m <= max_size``, whose
-    signatures a table of ``_normal_form_signatures`` takes: every shape
-    for ``run_all`` and ``center_dimension_law``, and from ``least = 2`` on
-    those whose normal forms ``signature_separation`` compares.  The
-    transposed shapes share their signatures (see
-    ``_normal_form_signatures``)."""
-    return [(n, m) for n in range(least, max_size + 1) for m in range(n, max_size + 1)]
-
-
-def _normal_form_signatures(shapes) -> dict:
+def _normal_form_signatures(max_size: int) -> dict:
     """The shared signature table: ``classify._rank_signatures(n, m)`` for
-    each shape ``(n, m)`` of ``shapes`` (each with ``n <= m``), stored under
-    ``(n, m)`` and, the same list, under ``(m, n)``.
+    each shape ``1 <= n <= m <= max_size``, stored under ``(n, m)`` and, the
+    same list, under ``(m, n)``.
 
     Transposition lemma: ``([A, B]_J)^T = B^T J^T A^T - A^T J^T B^T =
     -[A^T, B^T]_(J^T)``, so ``A -> -A^T`` is an isomorphism from the
@@ -83,8 +72,9 @@ def _normal_form_signatures(shapes) -> dict:
     reads among them.  ``_rank_signatures`` itself stays per shape, so the
     ``classify`` report does not rest on the lemma."""
     table = {}
-    for n, m in shapes:
-        table[(n, m)] = table[(m, n)] = _rank_signatures(n, m)
+    for n in range(1, max_size + 1):
+        for m in range(n, max_size + 1):
+            table[(n, m)] = table[(m, n)] = _rank_signatures(n, m)
     return table
 
 
@@ -226,21 +216,16 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     }
 
 
-def check_center_dimensions(max_size: int = 4, *, signatures: dict | None = None) -> dict:
+def check_center_dimensions(max_size: int = 4, *, signatures: dict) -> dict:
     """Center dimension is (n-r)(m-r), except 1 for full-rank square.
 
     The center dimension of each normal form ``N_r`` of each shape is read
-    from ``signatures``, the shared table of ``_normal_form_signatures``
-    that ``run_all`` passes (run alone, the check builds it for
-    ``_table_shapes(max_size)``), and compared with the law of
-    ``classify._center_law_dim``, which the ``center`` command reads too.
-    Each ``center_dim`` there is an exact rank, the dimension of the center
-    that ``algebra.center`` spans, so no algebra or center is built here.
-    The table holds the shape ``(m, n)`` as the entry of ``(n, m)``, by the
-    transposition lemma; the law is symmetric in ``n`` and ``m``, but every
-    shape is still checked and reported as its own."""
-    if signatures is None:
-        signatures = _normal_form_signatures(_table_shapes(max_size))
+    from ``signatures``, the table of ``_normal_form_signatures(max_size)``,
+    and compared with the law of ``classify._center_law_dim``, which the
+    ``center`` command reads too.  Each ``center_dim`` there is an exact
+    rank, the dimension of the center that ``algebra.center`` spans, so no
+    algebra or center is built here.  The law is symmetric in ``n`` and
+    ``m``, but every shape is still checked and reported as its own."""
     failures = []
     checked = 0
     for n, m in _shapes(max_size):
@@ -281,16 +266,14 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
     }
 
 
-def check_signature_separation(max_size: int = 4, *, signatures: dict | None = None) -> dict:
+def check_signature_separation(max_size: int = 4, *, signatures: dict) -> dict:
     """Distinct ranks give distinct invariant signatures (min(n,m) >= 2).
 
-    The signatures are read from ``signatures``, the shared table of
-    ``_normal_form_signatures`` that ``run_all`` passes; run alone, the
-    check builds it for ``_table_shapes(max_size, 2)``.  The table holds
-    the shape ``(m, n)`` as the entry of ``(n, m)``, by the transposition
-    lemma, but every shape is still checked and reported as its own."""
-    if signatures is None:
-        signatures = _normal_form_signatures(_table_shapes(max_size, 2))
+    The signatures are read from ``signatures``, the table of
+    ``_normal_form_signatures(max_size)``; every shape is still checked and
+    reported as its own.  At the shapes ``(n, n)`` this tells each endpoint
+    ``J_r`` (``r < n``) of the deformation path apart from ``gl(n)``, the
+    bracket of ``N_n = I``."""
     failures = []
     shapes = 0
     for n, m in _shapes(max_size):
@@ -449,58 +432,36 @@ def check_contraction(max_size: int = 4) -> dict:
     }
 
 
-# The slot width of the coboundary proof: at a unit J every entry of either
-# scaled side of the coboundary identity is at most 12 < 2^5 in absolute value.
+# The slot width of the coboundary proof, from the coboundary bound of
+# ``deform.ce_coboundary_check``.
 _COBOUNDARY_SLOT = 6
 
 
-def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures: dict | None = None) -> dict:
-    """Decomposition identity and transport along the path, coboundary
-    identity, and the degeneration of the path's endpoint.
+def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
+    """Decomposition identity and transport along the path, and the
+    coboundary identity.
 
     The ``transport`` verdict of ``path_identities`` proves the column
     scaling ``psi_t`` an isomorphism from the ``J_t``-bracket onto ``gl(n)``,
-    so the path points need no invariant.  Both path identities are proved
-    for every time ``t`` of each ``(n, r)`` by one evaluation at the generic
-    time ``t* = 1/2^W`` of ``deform._generic_time``, by the generic-time
-    lemma of ``deform.path_identities``: with ``t = p/q`` every residual
-    entry is a form in ``(p, q)`` whose coefficients are at most ``4 M``,
-    ``M`` the largest absolute constant of the time-free tables ``T(I)`` and
-    ``T(J_r - I)``, and ``W = (4 M).bit_length() + 1``.  ``T(I)`` is built
-    once per ``n`` and ``T(J_r - I)`` once per ``(n, r)``, and the path
-    identities run on integers.  The proof covers the sample times
-    ``PATH_TIMES`` below ``t = 1`` (the transport map is singular at
-    ``t = 1``), so ``identity_cases`` counts the pairs at those times; only
-    when it fails are they checked one by one, which names each failing
-    time.
-
-    The invariant signature tells the endpoint ``J_r`` (``r < n``) apart
-    from ``gl(n)``, the bracket of ``N_n = I`` (``endpoint-degeneration``):
-    both are entries of ``classify._rank_signatures(n, n)``, read from
-    ``signatures``, the shared table of ``_normal_form_signatures`` that
-    ``run_all`` passes (run alone, the check builds it for the shapes
-    ``(n, n)``).  At ``n = 1`` both are the one-dimensional algebra, so it
-    is read from ``n = 2`` on.
+    so the path points need no invariant; that the endpoint ``J_r``
+    (``r < n``) is not ``gl(n)`` is read by ``signature_separation``.  Both
+    path identities are proved for every time ``t`` of each ``(n, r)`` by
+    one evaluation at the generic time of ``deform._generic_time`` (the
+    generic-time lemma of ``deform.path_identities``), with ``T(I)`` built
+    once per ``n`` and ``T(J_r - I)`` once per ``(n, r)``.  The proof covers
+    the sample times ``PATH_TIMES`` below ``t = 1`` (the transport map is
+    singular at ``t = 1``), so ``identity_cases`` counts the pairs at those
+    times; only when it fails are they checked one by one, which names each
+    failing time.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by
     one ``ce_coboundary_check`` at the generic parameter ``J*`` of
-    ``brackets._generic_parameter`` with ``w = 6``.  Its premise is that
-    ``alpha_coboundary`` is linear in ``J`` and that at a unit ``J`` every
-    entry of either side, scaled by 2 as ``ce_coboundary_check`` scales it
-    for an integer ``J``, is at most 12 in absolute value, below ``2^5``.
-    The bound: with ``|M|`` the sum of the absolute entries of ``M``, a
-    product with a unit matrix gives ``|X E| <= |X|``, so
-    ``|2 alpha(X)| = |X J + J X| <= 2 |X|`` and ``|[A, M]| <= 2 |M|`` for a
-    unit ``A``.  For units ``A`` and ``B`` then ``|[A, 2 alpha(B)]| <= 4``,
-    ``|[B, 2 alpha(A)]| <= 4`` and ``|2 alpha([A, B])| <= 2 |[A, B]| <= 4``,
-    so the left side is at most 12, and ``|2 [A, B]_J| <= 4`` on the right.
-    The proof covers the ``n`` normal forms and the two random parameters
-    per ``n``, so these are checked one by one, in the seeded order, only
-    when it fails, which names each failing parameter; ``identity_cases``
-    counts the path identities alone.
+    ``brackets._generic_parameter`` with ``w = 6`` (the coboundary bound of
+    ``ce_coboundary_check``).  The proof covers the ``n`` normal forms and
+    the two random parameters per ``n``, so these are checked one by one,
+    in the seeded order, only when it fails, which names each failing
+    parameter; ``identity_cases`` counts the path identities alone.
     """
-    if signatures is None:
-        signatures = _normal_form_signatures((n, n) for n in range(2, max_size + 1))
     rng = random.Random(seed)
     failures = []
     identity_cases = 0
@@ -510,7 +471,6 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures
     times = PATH_TIMES[:-1]  # the transport map is singular at t = 1, the last sample time
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
-        sigs = signatures.get((n, n))
         comm = _identity_table(n)
         for r in range(n):
             shift = _shift_table(n, r)
@@ -521,8 +481,6 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0, *, signatures
                     for kind, ok in _path_identities(n, r, t, comm, shift).items():
                         if not ok:
                             failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
-            if n >= 2 and sigs[r] == sigs[n]:
-                failures.append({"n": n, "r": r, "kind": "endpoint-degeneration"})
             if not proved and not ce_coboundary_check(rank_normal_form(n, n, r), n):
                 failures.append({"n": n, "r": r, "kind": "coboundary-normal-form"})
         for _ in range(0 if proved else 2):
@@ -547,8 +505,8 @@ def check_catalog() -> dict:
         "mat2_rank1": 1,
         "mat2_full": 0,
     }
-    for name in CATALOG_NAMES:
-        entry = example_catalog(name)
+    entries = {name: example_catalog(name) for name in CATALOG_NAMES}
+    for name, entry in entries.items():
         mismatches = [c for c in entry.claims if not c.matches]
         if len(mismatches) != expected_discrepancies[name]:
             failures.append(
@@ -562,12 +520,10 @@ def check_catalog() -> dict:
         for c in mismatches:
             if not c.note:
                 failures.append({"entry": name, "kind": "unexplained-discrepancy"})
-    entry = example_catalog("mat2_rank1")
-    xy = next(c for c in entry.claims if (c.left, c.right) == ("X", "Y"))
+    xy = next(c for c in entries["mat2_rank1"].claims if (c.left, c.right) == ("X", "Y"))
     if xy.matches:
         failures.append({"entry": "mat2_rank1", "kind": "XY-should-differ"})
-    aff = example_catalog("affine2_column")
-    e2e1 = aff.claims[0]
+    e2e1 = entries["affine2_column"].claims[0]
     if e2e1.computed != (0, 1):  # computed bracket [e2, e1] is e2
         failures.append({"entry": "affine2_column", "kind": "computed-value", "got": e2e1.computed})
     return {
@@ -582,16 +538,13 @@ def run_all(max_size: int = 4, seed: int = 0) -> dict:
 
     ``max_size`` must be at least 2: below that, several checks would pass
     on zero cases.  The normal-form signatures are taken once, into the
-    shared table of ``_normal_form_signatures`` for the shapes
-    ``1 <= n <= m <= max_size``, which ``center_dimension_law`` (at every
-    shape), ``signature_separation`` (from ``min(n, m) = 2`` on) and
-    ``deformation_coboundary`` (at ``(n, n)``) read: no shape's signatures
-    are taken twice, and a transposed shape reads the entry of its
-    transpose.
+    table of ``_normal_form_signatures``, which ``center_dimension_law`` (at
+    every shape) and ``signature_separation`` (from ``min(n, m) = 2`` on)
+    read.
     """
     if max_size < 2:
         raise HypothesisError(f"max_size must be at least 2, got {max_size}")
-    signatures = _normal_form_signatures(_table_shapes(max_size))
+    signatures = _normal_form_signatures(max_size)
     checks = [
         check_lie_axioms(max_size, seed),
         check_center_dimensions(max_size, signatures=signatures),
@@ -601,7 +554,7 @@ def run_all(max_size: int = 4, seed: int = 0) -> dict:
         check_heisenberg_obstruction(seed),
         check_semidirect(max_size),
         check_contraction(max_size),
-        check_deformation_coboundary(max_size, seed, signatures=signatures),
+        check_deformation_coboundary(max_size, seed),
         check_catalog(),
     ]
     return {

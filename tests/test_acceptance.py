@@ -499,9 +499,8 @@ def test_09_coboundary_proof_replaces_the_per_parameter_checks(monkeypatch):
 
 def test_09_path_points_need_no_signature(monkeypatch):
     # The transport verdict proves every interior path point isomorphic to
-    # gl(n), so signatures are computed for the normal forms N_0..N_n alone
-    # (N_n = I gives gl(n)), from n = 2 on: 3 + 4 at max_size 3, none at a
-    # fractional J_t.
+    # gl(n), and signature_separation tells each endpoint apart from gl(n),
+    # so the deformation check computes no signature at all.
     params = []
     real = classify.invariant_signature
 
@@ -511,12 +510,11 @@ def test_09_path_points_need_no_signature(monkeypatch):
 
     monkeypatch.setattr(classify, "invariant_signature", counted)
     assert check_deformation_coboundary(max_size=3, seed=0)["pass"]
-    assert len(params) == 7
-    assert not any(type(x) is Fraction for j in params for x in j.entries)
+    assert params == []
 
 
 def test_02_center_dimension_law():
-    out = check_center_dimensions(max_size=4)
+    out = check_center_dimensions(max_size=4, signatures=verify._normal_form_signatures(4))
     report(2, "center dimension (n-r)(m-r) / full-rank square 1", out)
 
 
@@ -528,7 +526,7 @@ def test_03_classification_soundness():
 
 
 def test_04_classification_completeness_proxy():
-    out = check_signature_separation(max_size=4)
+    out = check_signature_separation(max_size=4, signatures=verify._normal_form_signatures(4))
     report(4, "distinct ranks give distinct signatures (min >= 2)", out)
 
 
@@ -554,7 +552,7 @@ def test_08_contraction():
 
 def test_09_deformation_and_coboundary():
     out = check_deformation_coboundary(max_size=4, seed=0)
-    report(9, "deformation identities, transport, coboundary, signatures", out)
+    report(9, "deformation identities, transport, coboundary", out)
 
 
 def test_10_catalog_fidelity():

@@ -444,10 +444,10 @@ class TestRankSignatures:
                 ]
 
     def test_is_the_only_source_of_the_classification_signatures(self, monkeypatch):
-        # The classify report, signature_separation and the endpoint test of
-        # deformation_coboundary take every signature they compute from one
-        # _rank_signatures call per shape; signature_separation takes the
-        # shapes n <= m alone and reads (m, n) from (n, m).
+        # The classify report and the table that signature_separation reads
+        # take every signature they compute from one _rank_signatures call
+        # per shape; the table takes the shapes n <= m alone and reads (m, n)
+        # from (n, m).  deformation_coboundary takes none.
         real_helper, real_signature = classify._rank_signatures, algebra._signature
         shapes = []  # the shape of each helper call
         outside = []  # signatures computed outside the helper
@@ -474,11 +474,11 @@ class TestRankSignatures:
         assert classify_rank_family(3, 2, seed=0)["pairwise_distinct"]
         assert shapes == [(3, 2)]
         shapes.clear()
-        assert check_signature_separation(4)["pass"]
-        assert shapes == [(n, m) for n in range(2, 5) for m in range(n, 5)]
+        assert check_signature_separation(4, signatures=verify._normal_form_signatures(4))["pass"]
+        assert shapes == [(n, m) for n in range(1, 5) for m in range(n, 5)]
         shapes.clear()
         assert check_deformation_coboundary(3, 0)["pass"]
-        assert shapes == [(2, 2), (3, 3)]
+        assert shapes == []
         assert outside == []
 
     def test_transposed_shapes_have_equal_signatures(self):
@@ -491,8 +491,7 @@ class TestRankSignatures:
 
     def test_run_all_takes_each_shape_once(self, monkeypatch):
         # run_all takes the signatures of the shapes n <= m once, into the
-        # table that center_dimension_law, signature_separation and
-        # deformation_coboundary share.
+        # table that center_dimension_law and signature_separation share.
         real = classify._rank_signatures
         shapes = []
         monkeypatch.setattr(verify, "_rank_signatures", lambda n, m: shapes.append((n, m)) or real(n, m))
@@ -513,7 +512,7 @@ class TestRankSignatures:
     def test_center_dimension_law_builds_no_algebra_and_no_center(self, monkeypatch):
         # Given the shared table, the check only reads it: no LieAlgebra is
         # constructed and no center is spanned, in any namespace.
-        signatures = verify._normal_form_signatures(verify._table_shapes(3))
+        signatures = verify._normal_form_signatures(3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("center_dimension_law built an algebra or a center")
@@ -537,6 +536,6 @@ def test_iso_soundness_up_to_six():
 def test_signature_separation_up_to_six():
     # Every shape n, m <= 6 with min(n, m) >= 2 (25 shapes): the ranks
     # 0..min(n, m) of the normal form have pairwise distinct signatures.
-    out = check_signature_separation(max_size=6)
+    out = check_signature_separation(max_size=6, signatures=verify._normal_form_signatures(6))
     assert out["pass"], out["details"]["failures"]
     assert out["details"]["shapes_checked"] == 25

@@ -30,7 +30,7 @@ from liebrackets.deform import (
     psi_t,
     psi_t_inverse,
 )
-from liebrackets.matrices import Matrix, ShapeError, parse_matrix, rank_normal_form
+from liebrackets.matrices import Matrix, ShapeError, _integer_row, parse_matrix, rank_normal_form
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -495,6 +495,38 @@ class TestCoboundary:
         got = ce_coboundary_check(j, j.rows)
         assert not got.passed and set(got.witness) == {"pair", "coboundary", "bracket"}
         assert got == reference_ce_coboundary_check(j, j.rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_commutator_reference_on_dense_parameters(self, monkeypatch, n):
+        # [A, B] of two units is read by the unit rule, with no table of I:
+        # verdict and witness equal the Matrix-commutator reference on dense
+        # integer and rational J, for the potential and for one that fails.
+        rng = random.Random(n)
+
+        def entry():
+            return rng.choice([-1, 1]) * Fraction(rng.randint(1, 6), rng.randint(1, 4))
+
+        js = [random_matrix(rng, n, n, 1, 3) * -1, Matrix([[entry() for _ in range(n)] for _ in range(n)])]
+        js.append(Matrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)]))
+        for j in js:
+            assert ce_coboundary_check(j, n) == reference_ce_coboundary_check(j, n) == Verdict(True)
+        monkeypatch.setattr(deform, "alpha_coboundary", lambda x, j: x @ j + j @ x)
+        for j in js:
+            got = ce_coboundary_check(j, n)
+            assert got.passed == (n == 1)
+            assert got == reference_ce_coboundary_check(j, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_builds_one_table_per_call(self, monkeypatch, n):
+        # Only the right side [A, B]_J is read off a structure-constants
+        # table; the commutator [A, B] of two units needs none.
+        j = Matrix([[Fraction(i - 2 * k, k + 1) for k in range(n)] for i in range(n)])
+        built = []
+        real = deform.structure_constants
+        monkeypatch.setattr(deform, "structure_constants", lambda p: built.append(p.j) or real(p))
+        assert ce_coboundary_check(j, n).passed
+        assert ce_coboundary_check(Matrix.identity(n), n).passed
+        assert built == [j * _integer_row(j.entries)[1], Matrix.identity(n)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forms_at_most_two_products_per_basis_element(self, monkeypatch, n):

@@ -312,7 +312,7 @@ def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone
         return dimension_only(LieAlgebra(d, StructureConstants(d, {}))).to_json()
 
     monkeypatch.setattr(classify, "invariant_signature", dimension_only)
-    out = verify.check_signature_separation(3)
+    out = verify.check_signature_separation(3, signatures=verify._normal_form_signatures(3))
     assert not out["pass"]
     expected = [
         {"shape": [n, m], "ranks": [a, b], "signature": flat(n * m)}
@@ -338,7 +338,7 @@ def test_signature_collision_at_one_shape_is_reported_under_its_transpose_too(mo
     monkeypatch.setattr(verify, "_rank_signatures", collide)
     zero = collide(2, 3)[0].to_json()
     expected = [{"shape": shape, "ranks": [0, 1], "signature": zero} for shape in ([2, 3], [3, 2])]
-    out = verify.check_signature_separation(3)
+    out = verify.check_signature_separation(3, signatures=verify._normal_form_signatures(3))
     assert out["details"] == {"shapes_checked": 4, "failures": expected}
     report = verify.run_all(3, 0)
     assert not report["pass"]
@@ -353,7 +353,8 @@ def test_signature_collision_at_one_shape_is_reported_under_its_transpose_too(mo
 
 def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkeypatch):
     # Each endpoint J_r = D_r (r < n) is given the signature of gl_n, as if
-    # the family did not degenerate at t = 1.
+    # the family did not degenerate at t = 1.  signature_separation reads
+    # the endpoints at the shapes (n, n), and fails the run.
     real = classify.invariant_signature
 
     def gl_at_the_endpoint(L):
@@ -363,11 +364,11 @@ def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkey
         return real(L)
 
     monkeypatch.setattr(classify, "invariant_signature", gl_at_the_endpoint)
-    out = verify.check_deformation_coboundary(3, 0)
+    out = verify.check_signature_separation(3, signatures=verify._normal_form_signatures(3))
     assert not out["pass"]
-    assert out["details"]["failures"] == [
-        {"n": n, "r": r, "kind": "endpoint-degeneration"} for n in (2, 3) for r in range(n)
-    ]
+    endpoints = [(f["ranks"], f["shape"]) for f in out["details"]["failures"] if f["shape"] == [f["ranks"][1]] * 2]
+    assert endpoints == [([r, n], [n, n]) for n in (2, 3) for r in range(n)]
+    assert not verify.run_all(3, 0)["pass"]
 
 
 # The contraction cases below cover n = 1..3.  At r = n every basis element
@@ -545,7 +546,7 @@ def test_center_dimension_law_fails_without_the_full_rank_square_exception(monke
     # commutator algebra gl(n) has the scalars as its center.  The law has
     # one source, which the check and the center command both read.
     monkeypatch.setattr(classify, "_center_law_dim", lambda n, m, r: (n - r) * (m - r))
-    out = verify.check_center_dimensions(3)
+    out = verify.check_center_dimensions(3, signatures=verify._normal_form_signatures(3))
     assert not out["pass"]
     assert out["details"]["failures"] == [
         {"shape": [n, n], "r": n, "expected": 0, "got": 1} for n in (1, 2, 3)
