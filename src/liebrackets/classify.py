@@ -130,23 +130,45 @@ def _center_law_dim(n: int, m: int, r: int) -> int:
     return 1 if n == m == r else (n - r) * (m - r)
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list:
+    """The values of ``count`` calls of ``rng.randint(lo, hi)``, in order,
+    leaving ``rng`` where those calls leave it.
+
+    They are drawn as ``randint`` draws them, without its argument checks:
+    with ``k`` the bit length of the width ``hi - lo + 1``, each value is
+    ``lo + getrandbits(k)``, redrawn while the bits reach the width.  Every
+    seeded draw of the package goes through here."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int) -> Matrix:
     """Seeded random integer matrix of exactly the requested rank.
 
     Sampled as a product of two factors with entries uniform in [-3, 3]
     (rank at most the target by construction) and redrawn until the rank is
     exact; rejection on the full matrix would almost never land on an
-    intermediate rank.
+    intermediate rank.  The left factor is drawn row by row, then the right
+    one, both by ``_randints``, with the values ``randint`` gives.
     """
     if not (0 <= target_rank <= min(rows, cols)):
         raise ShapeError(f"rank {target_rank} out of range for {rows}x{cols}")
     if target_rank == 0:
         return Matrix.zeros(rows, cols)
     for _ in range(1000):
-        left = [[rng.randint(-3, 3) for _ in range(target_rank)] for _ in range(rows)]
-        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(target_rank)]
-        rcols = list(zip(*right))
-        m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in left)
+        left = _randints(rng, -3, 3, rows * target_rank)
+        right = _randints(rng, -3, 3, target_rank * cols)
+        lrows = [left[i : i + target_rank] for i in range(0, len(left), target_rank)]
+        rcols = [right[c::cols] for c in range(cols)]
+        m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in lrows)
         # The product has rank at most target_rank, so that bound is exact.
         if _rank(map(_sparse_row, m), target_rank) == target_rank:
             return Matrix._raw(m)

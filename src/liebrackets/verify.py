@@ -2,8 +2,11 @@
 
 Each check function returns ``{"name", "pass", "details"}``; ``run_all``
 executes them in a fixed order with one seeded RNG stream per check, so a
-given (max_size, seed) pair always produces the same report.  The CLI
-subcommand ``verify-all`` and the acceptance tests both run through here.
+given (max_size, seed) pair always produces the same report.  Every draw
+from a stream goes through ``classify._randints``, with the values
+``randint`` gives, and a drawn matrix is built from its integers as they
+are (``_random_matrices``).  The CLI subcommand ``verify-all`` and the
+acceptance tests both run through here.
 The signatures of the rank normal forms, which ``center_dimension_law`` and
 ``signature_separation`` read, come from ``classify._rank_signatures``, as in
 the ``classify`` report, through the one table of ``_normal_form_signatures``
@@ -20,10 +23,9 @@ from .algebra import (
     _hom_failures,
     _jacobi_holds_in_j,
     jacobi_check,
-    lower_central_series,
 )
 from .brackets import BracketParam, StructureConstants, _generic_parameter, structure_constants
-from .classify import _checked_witness, _rank_signatures, random_parameter
+from .classify import _checked_witness, _randints, _rank_signatures, random_parameter
 from .constructions import (
     HypothesisError,
     classical_representation,
@@ -55,6 +57,14 @@ _HEISENBERG_SIZES = (1, 2, 3)  # the n of h_n in both Heisenberg checks
 
 def _shapes(max_size: int):
     return [(n, m) for n in range(1, max_size + 1) for m in range(1, max_size + 1)]
+
+
+def _random_matrices(rng: random.Random, lo: int, hi: int, rows: int, cols: int, count: int) -> list:
+    """``count`` seeded ``rows x cols`` integer matrices with entries uniform
+    in ``[lo, hi]``, drawn by ``_randints`` matrix by matrix, row by row."""
+    flat = _randints(rng, lo, hi, count * rows * cols)
+    lines = [tuple(flat[i : i + cols]) for i in range(0, len(flat), cols)]
+    return [Matrix._raw(tuple(lines[i : i + rows])) for i in range(0, len(lines), rows)]
 
 
 def _normal_form_signatures(max_size: int) -> dict:
@@ -196,8 +206,7 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     if not _holds_for_every_parameter(max_size):
         rng = random.Random(seed)
         for n, m in shapes:
-            for _ in range(_PARAMS_PER_SHAPE):
-                j = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+            for j in _random_matrices(rng, -3, 3, m, n, _PARAMS_PER_SHAPE):
                 param = BracketParam(n, m, j)
                 L = LieAlgebra.from_param(param)
                 for a, b in _model_disagreements(param, L.constants.table):
@@ -250,7 +259,7 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
     checked = 0
     for n, m in _shapes(max_size):
         for _ in range(10):
-            r = rng.randint(0, min(n, m))
+            (r,) = _randints(rng, 0, min(n, m), 1)
             j1 = random_parameter(rng, m, n, r)
             j2 = random_parameter(rng, m, n, r)
             verdict = _checked_witness(j1, j2)
@@ -334,10 +343,7 @@ def check_heisenberg_obstruction(seed: int = 0) -> dict:
         src = heisenberg_abstract(n)
         for target_dim in range(1, n + 2):
             for lam in (1, -2):
-                images = [
-                    Matrix([[rng.randint(-2, 2) for _ in range(target_dim)] for _ in range(target_dim)])
-                    for _ in range(2 * n)
-                ]
+                images = _random_matrices(rng, -2, 2, target_dim, target_dim, 2 * n)
                 images.append(lam * Matrix.identity(target_dim))
                 verdict = heisenberg_obstruction(RepCandidate(src, tuple(images), target_dim))
                 checked += 1
@@ -353,10 +359,7 @@ def check_heisenberg_obstruction(seed: int = 0) -> dict:
                     {"n": n, "target_dim": target_dim, "kind": "zero-images", "verdict": verdict.kind}
                 )
             for _ in range(3):
-                images = tuple(
-                    Matrix([[rng.randint(-2, 2) for _ in range(target_dim)] for _ in range(target_dim)])
-                    for _ in range(2 * n + 1)
-                )
+                images = tuple(_random_matrices(rng, -2, 2, target_dim, target_dim, 2 * n + 1))
                 verdict = heisenberg_obstruction(RepCandidate(src, images, target_dim))
                 checked += 1
                 if verdict.kind == "faithful":
@@ -394,7 +397,9 @@ def check_semidirect(max_total: int = 4) -> dict:
                 failures.append({"r": r, "s": s, "kind": "nil-not-ideal"})
                 continue
             ideal = LieAlgebra(len(nil), StructureConstants(len(nil), table))
-            lcs = [t.dim for t in lower_central_series(ideal)]
+            # the dimensions of lower_central_series(ideal), as ranks alone
+            series = algebra._series_rows(algebra._integer_constants(ideal), True)
+            lcs = [len(nil)] + [len(rows) for rows in series]
             if lcs[-1] != 0 or len(lcs) > 3:
                 failures.append({"r": r, "s": s, "kind": "not-two-step", "lcs": lcs})
     return {
@@ -420,10 +425,10 @@ def check_contraction(max_size: int = 4) -> dict:
             cases += 1
             if limit != expected:
                 failures.append({"n": n, "r": r, "kind": "limit-mismatch"})
+        forms = [rank_normal_form(n, n, r) for r in range(n + 1)]
         for r in range(n + 1):
             for s in range(n + 1):
-                prod = rank_normal_form(n, n, r) @ rank_normal_form(n, n, s)
-                if prod != rank_normal_form(n, n, min(r, s)):
+                if forms[r] @ forms[s] != forms[min(r, s)]:
                     failures.append({"n": n, "r": r, "s": s, "kind": "product-law"})
     return {
         "name": "contraction",
@@ -483,10 +488,10 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
                             failures.append({"n": n, "r": r, "t": str(t), "kind": kind})
             if not proved and not ce_coboundary_check(rank_normal_form(n, n, r), n):
                 failures.append({"n": n, "r": r, "kind": "coboundary-normal-form"})
-        for _ in range(0 if proved else 2):
-            j = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            if not ce_coboundary_check(j, n):
-                failures.append({"n": n, "j": str(j), "kind": "coboundary-random"})
+        if not proved:
+            for j in _random_matrices(rng, -3, 3, n, n, 2):
+                if not ce_coboundary_check(j, n):
+                    failures.append({"n": n, "j": str(j), "kind": "coboundary-random"})
     return {
         "name": "deformation_coboundary",
         "pass": not failures,

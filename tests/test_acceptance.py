@@ -488,7 +488,7 @@ def test_09_coboundary_proof_replaces_the_per_parameter_checks(monkeypatch):
         return real(j, n)
 
     class Undrawn(random.Random):
-        def randint(self, a, b):
+        def getrandbits(self, k):
             raise AssertionError("a random parameter was drawn")
 
     monkeypatch.setattr(verify, "ce_coboundary_check", counted)
@@ -545,9 +545,33 @@ def test_07_semidirect_model():
     report(7, "semidirect model isomorphism for r+s <= 4", out)
 
 
+def test_07_semidirect_check_reads_series_dimensions_alone(monkeypatch):
+    # The two-step check takes the lower central series of each nilpotent
+    # part as ranks of sparse rows; no series of subspaces is built.
+    def refused(L, lower_central):
+        raise AssertionError("a series of subspaces was built")
+
+    monkeypatch.setattr(algebra, "_series", refused)
+    assert check_semidirect(max_total=3)["pass"]
+
+
 def test_08_contraction():
     out = check_contraction(max_size=4)
     report(8, "contraction limits and normal-form product law", out)
+
+
+def test_08_contraction_builds_each_normal_form_once_per_size(monkeypatch):
+    # The product law indexes the n + 1 normal forms of each n.
+    sizes = []
+    real = verify.rank_normal_form
+
+    def counted(rows, cols, r):
+        sizes.append(rows)
+        return real(rows, cols, r)
+
+    monkeypatch.setattr(verify, "rank_normal_form", counted)
+    assert check_contraction(max_size=3)["pass"]
+    assert sizes == [1] * 2 + [2] * 3 + [3] * 4
 
 
 def test_09_deformation_and_coboundary():
@@ -578,6 +602,17 @@ def test_11_end_to_end_cli():
     assert digest == "41ee47dfefc30f3327c5093abfda1b2f632af7ab5f7cc74b1c46c75a82fb80ba"
     print(f"(verify-all ran in {elapsed:.1f}s)")
     report(11, "verify-all --max 4 --seed 0 exits 0 in under 60s", outcome)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_verify_all_draws_through_getrandbits(monkeypatch, seed):
+    # Every seeded draw takes the values randint gives straight from
+    # getrandbits (classify._randints), so no check calls randint.
+    def refused(self, a, b):
+        raise AssertionError("randint was called")
+
+    monkeypatch.setattr(random.Random, "randint", refused)
+    assert run_all(3, seed)["pass"]
 
 
 def test_verify_all_matrix_products_stay_few(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liebrackets import algebra, brackets, classify, matrices, scalars, verify
+from liebrackets import algebra, brackets, classify, cli, matrices, scalars, verify
 from liebrackets.algebra import LieAlgebra, hom_check, invariant_signature
 from liebrackets.brackets import BracketParam, basis_matrices
 from liebrackets.classify import (
@@ -356,6 +356,38 @@ class TestRandomParameter:
         rng = random.Random(4)
         with pytest.raises(ShapeError):
             random_parameter(rng, 2, 2, 3)
+
+
+class TestRandints:
+    # Every range the package draws: the entries of random parameters and
+    # of the Lie-axiom and coboundary samples, the Heisenberg images, and
+    # the ranks of iso_soundness up to the largest verify-all size.
+    RANGES = [(-3, 3), (-2, 2), (0, 0)] + [(0, k) for k in range(1, cli.MAX_VERIFY_SIZE + 1)]
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    def test_values_and_stream_are_those_of_randint(self, lo, hi):
+        for seed in range(12):
+            for count in (0, 1, 30):
+                drawn, called = random.Random(seed), random.Random(seed)
+                assert classify._randints(drawn, lo, hi, count) == [called.randint(lo, hi) for _ in range(count)]
+                assert drawn.random() == called.random()
+
+    def test_random_parameter_draws_what_randint_would(self):
+        # The sampler as it drew through randint: the left factor row by
+        # row, then the right one, redrawn until the product has the rank.
+        def by_randint(rng, rows, cols, r):
+            while r:
+                left = Matrix([[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)])
+                right = Matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)])
+                if rank(left @ right) == r:
+                    return left @ right
+            return Matrix.zeros(rows, cols)
+
+        for seed in range(6):
+            drawn, called = random.Random(seed), random.Random(seed)
+            for rows, cols, r in ((4, 3, 0), (4, 3, 1), (4, 3, 2), (4, 3, 3), (2, 5, 2), (1, 1, 1)):
+                assert random_parameter(drawn, rows, cols, r) == by_randint(called, rows, cols, r)
+            assert drawn.random() == called.random()
 
 
 class TestClassifyRankFamily:
