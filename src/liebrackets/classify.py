@@ -22,7 +22,7 @@ from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _factor_check, _rank, _rref_factors, _rref_rows, _sparse_row, rank
+from .matrices import Matrix, ShapeError, Subspace, _factor_check, _rref_factors, _rref_rows, rank
 from .scalars import scalar_div
 
 
@@ -157,7 +157,10 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
     (rank at most the target by construction) and redrawn until the rank is
     exact; rejection on the full matrix would almost never land on an
     intermediate rank.  The left factor is drawn row by row, then the right
-    one, both by ``_randints``, with the values ``randint`` gives.
+    one, both by ``_randints``, with the values ``randint`` gives.  The rank
+    is the pivot count of ``matrices._rref_rows``, the one elimination of
+    the draw, which the matrix keeps: its witness factors and its
+    normal-form transport read it and do not eliminate it again.
     """
     if not (0 <= target_rank <= min(rows, cols)):
         raise ShapeError(f"rank {target_rank} out of range for {rows}x{cols}")
@@ -168,10 +171,9 @@ def random_parameter(rng: random.Random, rows: int, cols: int, target_rank: int)
         right = _randints(rng, -3, 3, target_rank * cols)
         lrows = [left[i : i + target_rank] for i in range(0, len(left), target_rank)]
         rcols = [right[c::cols] for c in range(cols)]
-        m = tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in lrows)
-        # The product has rank at most target_rank, so that bound is exact.
-        if _rank(map(_sparse_row, m), target_rank) == target_rank:
-            return Matrix._raw(m)
+        j = Matrix._raw(tuple(tuple(sum(map(mul, lrow, c)) for c in rcols) for lrow in lrows))
+        if len(_rref_rows(j)[1]) == target_rank:
+            return j
     raise RuntimeError(f"failed to sample a rank-{target_rank} {rows}x{cols} matrix")
 
 

@@ -7,8 +7,11 @@ by ``_echelon``, a count by ``_rank``, a null space by ``_null_rows``, and
 the transform of ``rref`` by ``_gauss_jordan``.  A dense row enters through
 ``_sparse_row``, and ``_integer_row`` clears denominators.  The factors of
 the rank classification are ``_rref_factors`` (two parameters of one rank)
-and ``_normal_form_factors`` (a parameter and its normal form), and
-``_factor_check`` proves either.
+and ``_normal_form_factors`` (a parameter and its normal form), both read
+off ``_rref_rows``, and ``_factor_check`` proves either.  ``_rref_rows``
+eliminates a ``Matrix`` once and the matrix keeps that elimination, so a
+drawn parameter is eliminated once: its rank test, its witness factors and
+its normal-form transport read the same rows.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -49,7 +52,7 @@ class Matrix:
     matrices are rejected at construction.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_hash")
+    __slots__ = ("rows", "cols", "_data", "_hash", "_rref")
 
     def __init__(self, data: Iterable[Iterable]):
         rows = tuple(tuple(to_scalar(x) for x in row) for row in data)
@@ -62,6 +65,7 @@ class Matrix:
         self.cols = width
         self._data = rows
         self._hash = None
+        self._rref = None
 
     @classmethod
     def _raw(cls, data: tuple) -> "Matrix":
@@ -71,6 +75,7 @@ class Matrix:
         self.cols = len(data[0])
         self._data = data
         self._hash = None
+        self._rref = None
         return self
 
     @classmethod
@@ -489,19 +494,33 @@ def _gauss_jordan(a: list, width: int) -> tuple:
 
 
 def _rref_rows(m: Matrix) -> tuple:
-    """``(a, pivots, divisors)`` from ``_gauss_jordan`` on the primitive
-    integer rows of ``[m | I]``: row ``i`` of the reduced row-echelon form of
-    ``[m | I]`` is ``a[i] / divisors[i]``, by the divisor rule of ``rref``."""
-    w = m.cols
-    unit = tuple(tuple(1 if i == j else 0 for j in range(m.rows)) for i in range(m.rows))
-    a = []
-    for row, e in zip(m._data, unit):
-        irow = _integer_row(row + e)[0]
-        g = gcd(*irow)
-        a.append(irow if g == 1 else [x // g for x in irow])
-    a, pivots, order = _gauss_jordan(a, w)
-    r = len(pivots)
-    return a, pivots, [row[pivots[i]] if i < r else row[w + order[i]] for i, row in enumerate(a)]
+    """``(a, pivots, divisors)`` from ``_gauss_jordan`` on the integer rows of
+    ``[m | I]``, as tuples: row ``i`` of the reduced row-echelon form of
+    ``[m | I]`` is ``a[i] / divisors[i]``, by the divisor rule of ``rref``.
+    The elimination runs once per ``Matrix`` and is kept on it, as its hash
+    is, so a drawn parameter's rank test, its witness factors and its
+    normal-form transport all read one elimination.
+
+    Row ``i`` enters as row ``i`` of ``m`` scaled by the lcm ``D`` of its
+    denominators, then ``D`` at its unit column ``m.cols + i``.  Lemma: that
+    row is primitive, so no gcd is taken.  No prime outside ``D`` divides
+    the unit entry ``D``.  For a prime ``p`` dividing ``D``, some entry
+    ``x = s/t`` has ``p^k || t`` with ``p^k || D``; then ``D x = s (D/t)``
+    with ``p`` dividing neither ``s`` (coprime to ``t``) nor ``D/t``.
+    ``_gauss_jordan`` keeps rows primitive from there on."""
+    if m._rref is None:
+        w, k = m.cols, m.rows
+        a = []
+        for i, row in enumerate(m._data):
+            irow, den = _integer_row(row)
+            unit = [0] * k
+            unit[i] = den
+            a.append([*irow, *unit])
+        a, pivots, order = _gauss_jordan(a, w)
+        r = len(pivots)
+        divisors = tuple(row[pivots[i]] if i < r else row[w + order[i]] for i, row in enumerate(a))
+        m._rref = tuple(map(tuple, a)), tuple(pivots), divisors
+    return m._rref
 
 
 def rref(m: Matrix) -> RrefResult:

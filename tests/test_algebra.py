@@ -1602,8 +1602,10 @@ class TestNormalFormTransport:
         # once for [g, g], with bound d - 1 (J != 0, so [g, g] lies in the
         # hyperplane ker(A -> tr(JA))), and once per series step, bounded by
         # the dimension of the term before.  A dense J costs one Gauss-Jordan,
-        # the elimination of J; a normal form none.
+        # the elimination of J; a normal form none.  J is a fresh copy, since
+        # a ``Matrix`` keeps its elimination and an earlier test may have run it.
         param = DENSE_REFERENCE_CASES[name]
+        param = BracketParam(param.n, param.m, Matrix.from_flat(param.j.rows, param.j.cols, param.j.entries))
         L = LieAlgebra.from_param(param)
         expected = dense_reference_signature(L)
         ranks, spans, eliminations = [], [], []

@@ -207,9 +207,10 @@ class TestIsoWitness:
 
     def test_eliminates_each_parameter_once(self, monkeypatch):
         # One Gauss-Jordan per parameter and one for Q, with no inverse and
-        # no matrix product.
-        j1, j2 = EDGE_PAIRS[2]
-        expected = reference_iso_witness(j1, j2)
+        # no matrix product.  The parameters are fresh copies, since a
+        # ``Matrix`` keeps its elimination and an earlier test may have run it.
+        j1, j2 = (Matrix.from_flat(j.rows, j.cols, j.entries) for j in EDGE_PAIRS[2])
+        expected = reference_iso_witness(*EDGE_PAIRS[2])
         calls = []
         real = matrices._gauss_jordan
 
@@ -356,6 +357,68 @@ class TestRandomParameter:
         rng = random.Random(4)
         with pytest.raises(ShapeError):
             random_parameter(rng, 2, 2, 3)
+
+
+class TestEliminationCounts:
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: check_iso_soundness(2, 0), lambda: classify_rank_family(2, 3, seed=0, witness_pairs=2)],
+        ids=["iso_soundness", "classify_rank_family"],
+    )
+    def test_a_drawn_parameter_is_eliminated_once(self, monkeypatch, run):
+        # A draw's rank test is the Gauss-Jordan of [J | I] that its witness
+        # reads: each pair costs three eliminations (one per parameter, one
+        # for Q) and the two factor ranks of its proof, plus one elimination
+        # for each rejected draw.  A rank-0 parameter is built with no draw,
+        # so its witness eliminates it.
+        real_gauss_jordan, real_rank = matrices._gauss_jordan, matrices._rank
+        real_draw, real_witness, real_randints = random_parameter, classify._checked_witness, classify._randints
+        where, counts = ["run"], {}
+        pairs, attempts, drawn = [], [], []
+
+        def counted(kind, real):
+            def spy(*args):
+                counts[kind, where[-1]] = counts.get((kind, where[-1]), 0) + 1
+                return real(*args)
+
+            return spy
+
+        def inside(label, real, record):
+            def spy(*args):
+                where.append(label)
+                try:
+                    result = real(*args)
+                finally:
+                    where.pop()
+                record.append((args, result))
+                return result
+
+            return spy
+
+        replacements = {
+            real_gauss_jordan: counted("gauss_jordan", real_gauss_jordan),
+            real_rank: counted("rank", real_rank),
+            real_draw: inside("draw", real_draw, drawn),
+            real_witness: inside("witness", real_witness, pairs),
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets":
+                for attr in ("_gauss_jordan", "_rank", "random_parameter", "_checked_witness"):
+                    spy = replacements.get(getattr(module, attr, None))
+                    if spy is not None:
+                        monkeypatch.setattr(module, attr, spy)
+        # Only the sampler reads classify's own binding of ``_randints``.
+        monkeypatch.setattr(classify, "_randints", lambda *args: attempts.append(args) or real_randints(*args))
+        run()
+        rejected = len(attempts) // 2 - sum(1 for args, _ in drawn if args[3])
+        zero_pairs = sum(1 for (j1, _), _ in pairs if j1.is_zero())
+        assert len(pairs) == len(drawn) // 2 > 0
+        assert counts.get(("rank", "draw"), 0) == 0
+        assert counts.get(("rank", "witness"), 0) == 2 * len(pairs)
+        assert counts.get(("gauss_jordan", "witness"), 0) == len(pairs) + 2 * zero_pairs
+        assert counts.get(("gauss_jordan", "draw"), 0) == 2 * (len(pairs) - zero_pairs) + rejected
+        assert counts.get(("gauss_jordan", "run"), 0) == 0
+        assert sum(n for (kind, _), n in counts.items() if kind == "gauss_jordan") == 3 * len(pairs) + rejected
 
 
 class TestRandints:

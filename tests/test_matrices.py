@@ -247,6 +247,64 @@ class TestRref:
             assert rank(m) == rank(Matrix([m.column_tuple(c) for c in range(m.cols)]))
 
 
+def gcd_normalised_rref_rows(m):
+    """``_rref_rows`` with every input row of ``[m | I]`` scaled to integers
+    and then divided by its gcd before ``_gauss_jordan``."""
+    rows = []
+    for i in range(m.rows):
+        row = [Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(int(i == k)) for k in range(m.rows)]
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = math.gcd(*ints)
+        rows.append([x // g for x in ints])
+    a, pivots, order = matrices._gauss_jordan(rows, m.cols)
+    r = len(pivots)
+    divisors = [row[pivots[i]] if i < r else row[m.cols + order[i]] for i, row in enumerate(a)]
+    return [tuple(row) for row in a], list(pivots), divisors
+
+
+class TestRrefRows:
+    @staticmethod
+    def seeded_parameters():
+        # Integer and rational J of every shape up to 6x6, dense and with
+        # half their entries zero, so that many are rank-deficient.
+        rng = random.Random(40)
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                for zeros in (0.0, 0.5):
+                    yield Matrix([[0 if rng.random() < zeros else rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+                    yield Matrix(
+                        [
+                            [0 if rng.random() < zeros else Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)]
+                            for _ in range(rows)
+                        ]
+                    )
+
+    def test_rows_are_the_gcd_normalised_elimination(self):
+        # The primitive-row lemma: no input row of [J | I] needs its gcd
+        # taken, so the rows equal those of the elimination that takes it;
+        # each row is primitive and is its divisor times the rational row.
+        for j in self.seeded_parameters():
+            a, pivots, divisors = matrices._rref_rows(j)
+            assert ([tuple(row) for row in a], list(pivots), list(divisors)) == gcd_normalised_rref_rows(j)
+            reduced, ref_pivots, transform = reference_rref(j)
+            assert tuple(pivots) == ref_pivots
+            for i, (row, d) in enumerate(zip(a, divisors)):
+                assert math.gcd(*row) == 1
+                expected = [reduced[i, c] for c in range(j.cols)] + [transform[i, c] for c in range(j.rows)]
+                assert [Fraction(x, d) for x in row] == expected
+
+    def test_a_matrix_keeps_its_elimination(self):
+        for j in self.seeded_parameters():
+            first = matrices._rref_rows(j)
+            assert matrices._rref_rows(j) is first
+            a, pivots, divisors = first
+            assert type(a) is type(pivots) is type(divisors) is tuple
+            assert all(type(row) is tuple for row in a)
+            copy = Matrix.from_flat(j.rows, j.cols, j.entries)
+            assert matrices._rref_rows(copy) == first and matrices._rref_rows(copy) is not first
+
+
 class TestRank:
     def test_normal_form_rank(self):
         assert rank(rank_normal_form(3, 2, 1)) == 1
