@@ -452,10 +452,9 @@ def _killing_gram(flat: list) -> list:
 
 
 def _model_killing_gram(param: BracketParam) -> list:
-    """The rows of ``_killing_gram`` for the ``param`` bracket, read off its
-    parameter by the Killing trace lemma of ``invariant_signature``:
-    ``K(E_(i,j), E_(k,l)) = (n + m) J[j][k] J[l][i] - 2 J[j][i] J[l][k]``,
-    added up over the pairs of nonzero entries of ``J``."""
+    """The rows of ``_killing_gram`` for the ``param`` bracket: the unit
+    formula of the Killing-trace lemma of ``invariant_signature``, added up
+    over the pairs of nonzero entries of ``J``."""
     n, m = param.n, param.m
     s = n + m
     entries = [(x, y, v) for x, row in enumerate(param.j._data) for y, v in enumerate(row) if v]
@@ -551,17 +550,18 @@ def _packed_hom_check(fcols: list, den: int, src: LieAlgebra, dst: BracketParam)
     witness check of ``classify``, which already holds integer columns,
     calls it directly."""
     injective = _rank(map(_sparse_row, fcols), dst.dim) == src.dim
-    witness = next(_hom_failures(fcols, den, src, dst), None)
+    witness = next(_hom_failures(fcols, den, src.constants.table, dst), None)
     return HomVerdict(witness is None, injective, witness)
 
 
-def _hom_failures(fcols: list, den: int, src: LieAlgebra, dst: BracketParam):
+def _hom_failures(fcols: list, den: int, constants: dict, dst: BracketParam):
     """Yield the ``_hom_witness`` of each basis pair, in pair order, on which
     the map whose matrix has the integer columns ``fcols`` over ``den`` is
-    not a homomorphism from ``src`` into the ``dst`` bracket: the two sides
-    of each pair are packed into one integer each, as described in
-    ``hom_check``, and only a pair whose packings differ is decoded."""
-    table, c = _integer_table(src.constants.table)
+    not a homomorphism from the algebra of the constants table ``constants``
+    into the ``dst`` bracket: the two sides of each pair are packed into one
+    integer each, as described in ``hom_check``, and only a pair whose
+    packings differ is decoded."""
+    table, c = _integer_table(constants)
     jflat, dj = _integer_row(dst.j.entries)
     f = den * dj
     max_c = max((sum(map(abs, terms.values())) for terms in table.values()), default=0)
@@ -628,16 +628,13 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
     An algebra whose model ``J`` is not the rank normal form ``N_r`` of its
     shape and rank has the signature of the ``N_r`` bracket
-    (``_isomorphic_normal_form``).  The factors of ``N_r = Q J P`` are
-    written down from one elimination of ``J`` by
-    ``matrices._normal_form_factors``, whose docstring holds their lemma,
-    and each call proves them with ``matrices._factor_check``, the identity
-    and the two full ranks that ``classify`` proves its witnesses by; by the
-    classification lemma of ``classify``, ``A -> P A Q`` is then an
-    isomorphism from the ``N_r``-bracket onto the ``J``-bracket, and every
-    invariant below is kept by isomorphism.  If the proof fails, the signature is computed on
-    ``L`` itself.  A normal form, the commutator among them, costs one scan
-    of ``J``, and an algebra without a model none.
+    (``_isomorphic_normal_form``): the factors of ``N_r = Q J P`` come from
+    one elimination of ``J`` (the normal-form-factor lemma of
+    ``matrices._normal_form_factors``), each call proves them by
+    ``matrices._factor_check``, and by the classification lemma of
+    ``classify`` ``A -> P A Q`` is then an isomorphism, which keeps every
+    invariant below.  If the proof fails, the signature is computed on ``L``
+    itself.
 
     The signature is computed on ``_integer_constants(L)``.  Multiplying
     the bracket by ``D != 0`` keeps the center, both series and every
@@ -669,7 +666,7 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       ``C^2 = [g, g]`` equals ``[C^2, C^2]``, and for any bilinear bracket
       ``[C^2, C^2] <= [g, C^2] = C^3 <= C^2``;
     - the Killing rank is the rank of the integer Gram rows, read off the
-      parameter by the Killing trace lemma below when the algebra has a
+      parameter by the Killing-trace lemma below when the algebra has a
       model (``_model_killing_gram``), else off ``_flat_ads``.
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
@@ -680,12 +677,12 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
 
     Two trace identities of the parameter ``J`` of a model on ``Mat(n x m)``:
 
-    - *Killing trace lemma.*  ``ad_A ad_B X = AJBJ X - AJ X JB - BJ X JA
+    - Killing-trace lemma: ``ad_A ad_B X = AJBJ X - AJ X JB - BJ X JA
       + X JBJA``, and the map ``X -> L X R`` on ``Mat(n x m)`` has trace
       ``tr L tr R``, so ``K(A, B) = (n + m) tr(AJBJ) - 2 tr(AJ) tr(BJ)``.  On
       units, ``K(E_ij, E_kl) = (n + m) J[j][k] J[l][i] - 2 J[j][i] J[l][k]``,
       whose nonzero terms come from pairs of nonzero entries of ``J``.
-    - *Trace-hyperplane lemma.*  ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) =
+    - Trace-hyperplane lemma: ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) =
       0``, so for ``J != 0`` ``[g, g]`` lies in the hyperplane
       ``ker(A -> tr(JA))``, of dimension ``d - 1``.
     """

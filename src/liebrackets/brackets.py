@@ -90,7 +90,7 @@ def _packed_brackets(xs: Sequence[Sequence[int]], jflat: Sequence[int], n: int, 
       ``max|Y| <= max|X| max_j sum_k |J'[k][j]|``, and a combination of the
       operands whose coefficients have absolute sum at most ``combination``
       is at most ``combination max|X|``.  ``w`` is one more than the bit
-      length of the larger, so the lemma holds for both.
+      length of the larger, so the packing lemma holds for both.
     """
     jcols = [jflat[j::n] for j in range(n)]  # column j of J'
     max_x = max(map(abs, chain.from_iterable(xs)), default=0)

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .algebra import LieAlgebra, invariant_signature, jacobi_check
+from .algebra import LieAlgebra, Verdict, invariant_signature, jacobi_check
 from .brackets import BracketParam, StructureConstants, structure_constants
 from .classify import ClassificationError, center_law, classify_rank_family, verified_witness
 from .constructions import (
@@ -38,24 +38,22 @@ from .deform import (
 )
 from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, parse_matrix, rank, rank_normal_form
 from .scalars import scalar_str, to_scalar
-from .verify import run_all
+from .verify import _holds_for_every_parameter, _model_disagreements, run_all
 
 # Largest inputs the subcommands accept, so that none runs without bound.  The
 # slowest accepted case of each, timed as a process (best of 5; 2-core x86-64,
 # CPython 3.11.7, the calibration kernel of ``perfbench/calibration.py`` at
-# 2.6-5.7 ms against its 3.5 ms reference):
-# - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.10 s (``36 1`` and ``12 3`` 0.08 s).
-# - MAX_PARAM_DIM: ``constants 12 12`` 2.0 s (dense integer J), 20.0 s (dense rational J); the rest 0.22 s at most.
-# - MAX_HEISENBERG_N: ``heisenberg 16`` 0.31 s.
-# - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.16 s, ``coboundary 8`` with a dense J 0.11 s.
-# - MAX_CONTRACT_N: ``contract 40 1`` 2.1 s.
-# - MAX_SEMIDIRECT_SIZE: ``semidirect 15 0`` 0.21 s (``8 7`` 0.17 s).
-# - MAX_VERIFY_SIZE: ``verify-all --max 8`` 0.70 s.
-# Two cases pass 3 s: ``constants 12 12`` with a dense rational J, whose Jacobi
-# sweep of every basis triple runs on ``Fraction`` constants; and ``contract
-# 40 1`` on a slower host (3.6 s with the kernel at 5.8-6.1 ms), most of it the
-# indented JSON writer on its 18 MB report.  ``verify-all`` also rejects
-# ``--max`` below 2, where its checks would cover no cases.
+# 5.6-6.1 ms against its 3.5 ms reference):
+# - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.19 s (``36 1`` 0.17 s, ``12 3`` 0.13 s).
+# - MAX_PARAM_DIM: ``constants 12 12`` 0.40 s (dense integer J), 0.63 s (dense rational J);
+#   ``center 12 12`` 0.34 s, ``witness`` and ``embed`` 0.16 s at most.
+# - MAX_HEISENBERG_N: ``heisenberg 16`` 0.45 s.
+# - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.22 s, ``coboundary 8`` with a dense J 0.19 s.
+# - MAX_CONTRACT_N: ``contract 40 1`` 2.6 s, most of it the indented JSON writer on its 18 MB report.
+# - MAX_SEMIDIRECT_SIZE: ``semidirect 8 7`` 0.34 s (``15 0`` 0.31 s).
+# - MAX_VERIFY_SIZE: ``verify-all --max 8`` 0.92 s.
+# No case passes 3 s.  ``verify-all`` also rejects ``--max`` below 2, where its
+# checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
 MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
 MAX_HEISENBERG_N = 16
@@ -109,7 +107,11 @@ def _cmd_constants(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
     j = _matrix_arg(args.j, "--j")
     L = LieAlgebra.from_param(BracketParam(args.n, args.m, j))
-    verdict = jacobi_check(L)
+    # The proof of ``verify.check_lie_axioms``: the J-bracket satisfies Jacobi at every
+    # J and shape (block-subalgebra lemma), so a table equal to it does.  Only a table
+    # that is not goes to the sweep, whose witness names a failing triple.
+    proved = _holds_for_every_parameter(3) and next(_model_disagreements(L.model, L.constants.table), None) is None
+    verdict = Verdict(True) if proved else jacobi_check(L)
     inputs = {"n": args.n, "m": args.m, "j": str(j)}
     result = {"constants": L.constants.to_json()}
     verdicts = [{"name": "jacobi", "pass": verdict.passed, "witness": verdict.witness}]

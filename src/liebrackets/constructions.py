@@ -242,7 +242,7 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
     flat, den = _integer_row(tuple(chain.from_iterable(img.entries for img in cand.images)))
     size = cand.target_dim**2
     fcols = [flat[a * size : (a + 1) * size] for a in range(d)]
-    witness = next(_hom_failures(fcols, den, cand.src, BracketParam.commutator(cand.target_dim)), None)
+    witness = next(_hom_failures(fcols, den, cand.src.constants.table, BracketParam.commutator(cand.target_dim)), None)
     if witness is not None:
         return ObstructionVerdict("not-a-hom", witness)
     map_rank = _rank(map(_sparse_row, fcols), size)

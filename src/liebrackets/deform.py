@@ -147,11 +147,11 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
     * ``transport`` (only for ``t != 1``): ``psi_t`` is invertible and
       ``psi_t([A, B]_{J_t}) = [psi_t A, psi_t B]``.
 
-    The lemma behind ``transport``: if ``psi_t`` is invertible and the
-    bracket identity holds on basis pairs, then ``psi_t`` is an isomorphism
-    from the ``J_t``-bracket onto ``gl(n)``.  Both sides of the identity are
-    bilinear in ``(A, B)``, so it holds on every pair, and an invertible
-    linear map that preserves brackets is an isomorphism.
+    Transport lemma: if ``psi_t`` is invertible and the bracket identity holds
+    on basis pairs, then ``psi_t`` is an isomorphism from the ``J_t``-bracket
+    onto ``gl(n)``.  Both sides of the identity are bilinear in ``(A, B)``, so
+    it holds on every pair, and an invertible linear map that preserves
+    brackets is an isomorphism.
 
     Both identities are read off basis-pair brackets: with ``t = p/q``, the
     tables ``structure_constants`` gives for ``q J_t``, ``I`` and
@@ -207,7 +207,7 @@ def _generic_time(comm: dict, shift: dict):
     """The generic time ``t* = 1/2^W`` of ``path_identities`` for the
     time-free tables ``comm = T(I)`` and ``shift = T(J_r - I)``, with
     ``W = (4 M).bit_length() + 1``; None if a constant is not an integer,
-    where the lemma gives no bound."""
+    where the generic-time lemma gives no bound."""
     constants = [v for table in (comm, shift) for terms in table.values() for v in terms.values()]
     if any(v.denominator != 1 for v in constants):
         return None
@@ -278,17 +278,17 @@ def ce_coboundary_check(j: Matrix, n: int):
     side is read off a table, the ``structure_constants`` of the integer
     parameter ``d_J j``.
 
-    Coboundary bound: both sides are linear in ``j`` when ``alpha_coboundary``
-    is, and at a unit ``j`` every entry of either side, scaled by 2, is at
-    most 12 in absolute value, below ``2^5``.  With ``|M|`` the sum of the
-    absolute entries of ``M``, a product with a unit matrix gives
-    ``|X E| <= |X|``, so ``|2 alpha(X)| = |X J + J X| <= 2 |X|`` and
+    Coboundary-bound lemma: both sides are linear in ``j`` when
+    ``alpha_coboundary`` is, and at a unit ``j`` every entry of either side,
+    scaled by 2, is at most 12 in absolute value, below ``2^5``.  With ``|M|``
+    the sum of the absolute entries of ``M``, a product with a unit matrix
+    gives ``|X E| <= |X|``, so ``|2 alpha(X)| = |X J + J X| <= 2 |X|`` and
     ``|[A, M]| <= 2 |M|`` for a unit ``A``.  For units ``A`` and ``B`` then
     ``|[A, 2 alpha(B)]| <= 4``, ``|[B, 2 alpha(A)]| <= 4`` and
-    ``|2 alpha([A, B])| <= 2 |[A, B]| <= 4``, so the left side is at most
-    12, and ``|2 [A, B]_J| <= 4`` on the right.  So by the generic-parameter
-    lemma of ``brackets._generic_parameter``, a pass at ``J*`` with slot
-    width ``w = 6`` proves the identity for every ``j`` of size ``n``.
+    ``|2 alpha([A, B])| <= 2 |[A, B]| <= 4``, so the left side is at most 12,
+    and ``|2 [A, B]_J| <= 4`` on the right.  So by the generic-parameter lemma
+    of ``brackets._generic_parameter``, a pass at ``J*`` with slot width
+    ``w = 6`` proves the identity for every ``j`` of size ``n``.
     """
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")

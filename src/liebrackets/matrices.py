@@ -8,10 +8,8 @@ the transform of ``rref`` by ``_gauss_jordan``.  A dense row enters through
 ``_sparse_row``, and ``_integer_row`` clears denominators.  The factors of
 the rank classification are ``_rref_factors`` (two parameters of one rank)
 and ``_normal_form_factors`` (a parameter and its normal form), both read
-off ``_rref_rows``, and ``_factor_check`` proves either.  ``_rref_rows``
-eliminates a ``Matrix`` once and the matrix keeps that elimination, so a
-drawn parameter is eliminated once: its rank test, its witness factors and
-its normal-form transport read the same rows.
+off ``_rref_rows``, which a ``Matrix`` runs once and keeps, and
+``_factor_check`` proves either.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -390,22 +388,23 @@ def _rank(rows: Iterable[dict], bound: int) -> int:
     forward elimination, reading rows only until the rank reaches ``bound``,
     a dimension the span cannot pass (their number or their width, at most).
 
-    Lemma: rows with distinct leading columns are independent, and a row
-    with no entry at any of their leading columns lies outside their span.
-    In a nonzero combination of them, the row with the smallest leading
-    column among those with a nonzero coefficient is the only one nonzero
-    there, so the combination is nonzero at a leading column.
+    Forward-elimination lemma: rows with distinct leading columns are
+    independent, and a row with no entry at any of their leading columns lies
+    outside their span.  In a nonzero combination of them, the row with the
+    smallest leading column among those with a nonzero coefficient is the only
+    one nonzero there, so the combination is nonzero at a leading column.
 
-    So only the rows kept need distinct leading columns, and an incoming row
-    is reduced at the leading columns (pivots) of the kept rows, never the
-    other way round.  At pivot ``c`` of kept row ``P`` with entry ``f``, with
+    So only the rows kept need distinct leading columns, and an incoming row is
+    reduced at the leading columns (pivots) of the kept rows, never the other
+    way round.  At pivot ``c`` of kept row ``P`` with entry ``f``, with
     ``g = gcd(P[c], f)`` signed like ``P[c]``, it becomes
     ``(P[c]/g)*v - (f/g)*P``; ``P`` is zero before ``c``, so the pivots are
-    visited in ascending order from a heap seeded with those the row
-    touches, and the pivots ``P`` fills in join it.  A row left nonzero is zero at every pivot: it is divided by its
-    gcd and kept, with its first column as its pivot; a row left zero lies
-    in the span of the kept rows.  The kept rows are independent by the lemma and span every row
-    read, so their number is the rank.  Rows are read, never changed.
+    visited in ascending order from a heap seeded with those the row touches,
+    and the pivots ``P`` fills in join it.  A row left nonzero is zero at every
+    pivot: it is divided by its gcd and kept, with its first column as its
+    pivot; a row left zero lies in the span of the kept rows.  The kept rows
+    are independent by the forward-elimination lemma and span every row read,
+    so their number is the rank.  Rows are read, never changed.
     """
     basis: dict = {}  # pivot column -> primitive integer row
     for row in rows:
@@ -496,18 +495,19 @@ def _gauss_jordan(a: list, width: int) -> tuple:
 def _rref_rows(m: Matrix) -> tuple:
     """``(a, pivots, divisors)`` from ``_gauss_jordan`` on the integer rows of
     ``[m | I]``, as tuples: row ``i`` of the reduced row-echelon form of
-    ``[m | I]`` is ``a[i] / divisors[i]``, by the divisor rule of ``rref``.
-    The elimination runs once per ``Matrix`` and is kept on it, as its hash
-    is, so a drawn parameter's rank test, its witness factors and its
+    ``[m | I]`` is ``a[i] / divisors[i]``, by the divisor-rule lemma of
+    ``rref``.  The elimination runs once per ``Matrix`` and is kept on it, as
+    its hash is, so a drawn parameter's rank test, its witness factors and its
     normal-form transport all read one elimination.
 
     Row ``i`` enters as row ``i`` of ``m`` scaled by the lcm ``D`` of its
-    denominators, then ``D`` at its unit column ``m.cols + i``.  Lemma: that
-    row is primitive, so no gcd is taken.  No prime outside ``D`` divides
-    the unit entry ``D``.  For a prime ``p`` dividing ``D``, some entry
-    ``x = s/t`` has ``p^k || t`` with ``p^k || D``; then ``D x = s (D/t)``
-    with ``p`` dividing neither ``s`` (coprime to ``t``) nor ``D/t``.
-    ``_gauss_jordan`` keeps rows primitive from there on."""
+    denominators, then ``D`` at its unit column ``m.cols + i``.
+
+    Primitive-row lemma: that row is primitive, so no gcd is taken.  No prime
+    outside ``D`` divides the unit entry ``D``.  For a prime ``p`` dividing
+    ``D``, some entry ``x = s/t`` has ``p^k || t`` with ``p^k || D``; then
+    ``D x = s (D/t)`` with ``p`` dividing neither ``s`` (coprime to ``t``) nor
+    ``D/t``.  ``_gauss_jordan`` keeps rows primitive from there on."""
     if m._rref is None:
         w, k = m.cols, m.rows
         a = []
@@ -530,16 +530,16 @@ def rref(m: Matrix) -> RrefResult:
     For a singular input the null rows of the transform depend on the pivot
     order, so ``rref`` runs ``_gauss_jordan`` on the integer rows of
     ``[m | I]`` (callers that only need the span call ``_eliminate``).  Each
-    row ends as a nonzero multiple of the rational row, its divisor: a pivot
-    row's is its pivot entry; a null row's is its entry in its own identity
-    column, ``m.cols + k`` for the index ``k`` it had in ``m``.
+    row ends as a nonzero multiple of the rational row, its divisor.
 
-    That entry is 1 over the rationals, because no pivot row ever absorbs a
-    null row.  A pivot row is its input row plus multiples of earlier pivot
-    rows, and changes only by multiples of other pivot rows, so by induction
-    its identity block is zero outside the columns of the rows that became
-    pivots.  A null row starts with 1 in its own identity column and only
-    takes away multiples of pivot rows, so that entry stays 1.
+    Divisor-rule lemma: a pivot row's divisor is its pivot entry; a null row's
+    is its entry in its own identity column, ``m.cols + k`` for the index ``k``
+    it had in ``m``.  That entry is 1 over the rationals, because no pivot row
+    ever absorbs a null row.  A pivot row is its input row plus multiples of
+    earlier pivot rows, and changes only by multiples of other pivot rows, so
+    by induction its identity block is zero outside the columns of the rows
+    that became pivots.  A null row starts with 1 in its own identity column
+    and only takes away multiples of pivot rows, so that entry stays 1.
     """
     w = m.cols
     a, pivots, divisors = _rref_rows(m)
@@ -707,16 +707,16 @@ def _normal_form_factors(e: tuple, n: int, m: int) -> tuple:
     parameter ``j`` of rank ``r`` whose ``_rref_rows`` are ``e`` and its rank
     normal form ``N_r``, in the form of ``_rref_factors``.
 
-    Lemma: take ``T j = R`` read off ``e``, with pivots ``c_i`` and free
-    columns ``f_k``.  Let ``P`` have column ``i`` equal to ``e_(c_i)`` (for
-    ``i < r``), and column ``r + k`` equal to ``e_(f_k) - sum_i R[i][f_k]
-    e_(c_i)``.  Then ``N_r = T j P``: column ``c_i`` of ``R`` is ``e_i``, and
-    column ``f_k`` is ``sum_i R[i][f_k] e_i``.  So ``Q = T`` is the right
-    block of ``e`` over the divisors, and ``P`` is written down: row ``c_i``
-    holds 1 at column ``i`` and ``-R[i][f_k]`` at column ``r + k``, and row
-    ``f_k`` is ``e_(r+k)``.  By the classification lemma of ``classify``,
-    ``A -> P A Q`` is then an isomorphism from the ``N_r``-bracket onto the
-    ``j``-bracket.
+    Normal-form-factor lemma: take ``T j = R`` read off ``e``, with pivots
+    ``c_i`` and free columns ``f_k``.  Let ``P`` have column ``i`` equal to
+    ``e_(c_i)`` (for ``i < r``), and column ``r + k`` equal to
+    ``e_(f_k) - sum_i R[i][f_k] e_(c_i)``.  Then ``N_r = T j P``: column
+    ``c_i`` of ``R`` is ``e_i``, and column ``f_k`` is ``sum_i R[i][f_k] e_i``.
+    So ``Q = T`` is the right block of ``e`` over the divisors, and ``P`` is
+    written down: row ``c_i`` holds 1 at column ``i`` and ``-R[i][f_k]`` at
+    column ``r + k``, and row ``f_k`` is ``e_(r+k)``.  By the classification
+    lemma of ``classify``, ``A -> P A Q`` is then an isomorphism from the
+    ``N_r``-bracket onto the ``j``-bracket.
     """
     a, pivots, divisors = e
     r = len(pivots)

@@ -80,7 +80,7 @@ def _normal_form_signatures(max_size: int) -> dict:
     shapes give isomorphic algebras, rank by rank, and their invariant
     signatures are equal, the center dimension that ``center_dimension_law``
     reads among them.  ``_rank_signatures`` itself stays per shape, so the
-    ``classify`` report does not rest on the lemma."""
+    ``classify`` report does not rest on the transposition lemma."""
     table = {}
     for n in range(1, max_size + 1):
         for m in range(n, max_size + 1):
@@ -95,8 +95,7 @@ def _model_disagreements(param: BracketParam, table: dict):
     into the ``param`` bracket."""
     d = param.dim
     units = [[1 if t == a else 0 for t in range(d)] for a in range(d)]
-    src = LieAlgebra(d, StructureConstants._trusted(d, table))
-    for witness in _hom_failures(units, 1, src, param):
+    for witness in _hom_failures(units, 1, table, param):
         yield tuple(witness["pair"])
 
 
@@ -130,9 +129,10 @@ def _model_tables(n: int, m: int):
 
 def _holds_for_every_parameter(max_size: int) -> bool:
     """Both Lie-axiom identities for every ``J`` of every shape up to
-    ``max_size`` (see ``check_lie_axioms``): the model/constants identity at
-    each shape from its unit tables, and Jacobi by one sweep over the merged
-    unit tables of the shape ``(k, k)``, ``k = min(max_size, 3)``."""
+    ``max_size``, the proof of ``check_lie_axioms`` that the ``constants``
+    command shares: the model/constants identity at each shape from its unit
+    tables, and Jacobi by one sweep over the merged unit tables of the shape
+    ``(k, k)``, ``k = min(max_size, 3)``."""
     k = min(max_size, 3)
     corner = []
     for n, m in _shapes(max_size):
@@ -160,19 +160,14 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
     cannot show, and the tests tie the table to the bracket at dense and
     rational ``J``.
 
-    - The model-constants identity is then linear in ``J``, so it holds for
-      every ``J`` iff it holds at every ``E_p``.  Every entry of a unit
-      bracket ``[E_a, E_b]_(E_p)`` is -1, 0 or 1, so with ``w`` one bit
-      above the largest unit constant (and at least 2), both sides at every
-      ``E_p`` are below ``2^(w-1)``, and the generic-parameter lemma of
-      ``brackets._generic_parameter`` proves it for all ``E_p`` at once:
-      one check at ``J*`` against the packed table ``sum_p 2^(w p) T_p``,
-      that the identity map of ``Mat(n x m)`` is a homomorphism from that
-      table into the ``J*`` bracket (``_model_disagreements``); the packing
-      lemma of that check makes its equal packed sides equal entry by
-      entry at ``J*``.  A unit table whose constants grow widens ``w`` with
-      them, so no constant can alias into the next slot.  This is checked
-      at every shape.
+    - The model-constants identity is then linear in ``J``.  Every entry of
+      a unit bracket ``[E_a, E_b]_(E_p)`` is -1, 0 or 1, so with ``w`` one
+      bit above the largest unit constant (and at least 2), both sides at
+      every ``E_p`` are below ``2^(w-1)``, and by the generic-parameter lemma
+      of ``brackets._generic_parameter`` one check at ``J*`` against the
+      packed table ``sum_p 2^(w p) T_p`` (``_model_disagreements``) proves
+      it for every ``J``.  A unit table whose constants grow widens ``w``
+      with them.  This is checked at every shape.
     - Each entry of the Jacobi sum of a triple is a quadratic form
       ``sum_{p <= q} c_pq J_p J_q`` with integer coefficients.  One sweep
       over the merged table ``sum_p J_p T_p`` finds every coefficient, and
@@ -437,7 +432,7 @@ def check_contraction(max_size: int = 4) -> dict:
     }
 
 
-# The slot width of the coboundary proof, from the coboundary bound of
+# The slot width of the coboundary proof, from the coboundary-bound lemma of
 # ``deform.ce_coboundary_check``.
 _COBOUNDARY_SLOT = 6
 
@@ -446,26 +441,25 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     """Decomposition identity and transport along the path, and the
     coboundary identity.
 
-    The ``transport`` verdict of ``path_identities`` proves the column
-    scaling ``psi_t`` an isomorphism from the ``J_t``-bracket onto ``gl(n)``,
-    so the path points need no invariant; that the endpoint ``J_r``
-    (``r < n``) is not ``gl(n)`` is read by ``signature_separation``.  Both
-    path identities are proved for every time ``t`` of each ``(n, r)`` by
-    one evaluation at the generic time of ``deform._generic_time`` (the
-    generic-time lemma of ``deform.path_identities``), with ``T(I)`` built
-    once per ``n`` and ``T(J_r - I)`` once per ``(n, r)``.  The proof covers
-    the sample times ``PATH_TIMES`` below ``t = 1`` (the transport map is
-    singular at ``t = 1``), so ``identity_cases`` counts the pairs at those
-    times; only when it fails are they checked one by one, which names each
-    failing time.
+    By the transport lemma of ``deform.path_identities``, its ``transport``
+    verdict makes ``psi_t`` an isomorphism onto ``gl(n)``, so the path points
+    need no invariant; that the endpoint ``J_r`` (``r < n``) is not ``gl(n)``
+    is read by ``signature_separation``.  Both path identities are proved for
+    every time ``t`` of each ``(n, r)`` by one evaluation at the generic time
+    of ``deform._generic_time`` (the generic-time lemma of
+    ``deform.path_identities``), with ``T(I)`` built once per ``n`` and
+    ``T(J_r - I)`` once per ``(n, r)``.  The proof covers the sample times
+    ``PATH_TIMES`` below ``t = 1`` (the transport map is singular at
+    ``t = 1``), so ``identity_cases`` counts the pairs at those times; only
+    when it fails are they checked one by one, which names each failing time.
 
-    The coboundary identity is proved for every ``J`` of each size ``n`` by
-    one ``ce_coboundary_check`` at the generic parameter ``J*`` of
-    ``brackets._generic_parameter`` with ``w = 6`` (the coboundary bound of
-    ``ce_coboundary_check``).  The proof covers the ``n`` normal forms and
-    the two random parameters per ``n``, so these are checked one by one,
-    in the seeded order, only when it fails, which names each failing
-    parameter; ``identity_cases`` counts the path identities alone.
+    The coboundary identity is proved for every ``J`` of each size ``n`` by one
+    ``ce_coboundary_check`` at the generic parameter ``J*`` of
+    ``brackets._generic_parameter`` with ``w = 6`` (the coboundary-bound lemma
+    of ``ce_coboundary_check``).  The proof covers the ``n`` normal forms and
+    the two random parameters per ``n``, so these are checked one by one, in
+    the seeded order, only when it fails, which names each failing parameter;
+    ``identity_cases`` counts the path identities alone.
     """
     rng = random.Random(seed)
     failures = []

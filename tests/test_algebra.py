@@ -650,7 +650,7 @@ class TestPackedHomCheck:
         f, src, dst = case
         d = src.dim
         flat, den = matrices._integer_row(f.entries)
-        got = list(algebra._hom_failures([flat[a::d] for a in range(d)], den, src, dst))
+        got = list(algebra._hom_failures([flat[a::d] for a in range(d)], den, src.constants.table, dst))
         assert typed(got) == typed(list(plain_hom_failures(f, src, dst)))
         assert typed(hom_check(f, src, dst).witness) == typed(got[0] if got else None)
 

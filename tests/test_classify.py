@@ -579,10 +579,13 @@ class TestRankSignatures:
     def test_transposed_shapes_have_equal_signatures(self):
         # A -> -A^T is an isomorphism from the J-bracket on Mat(n x m) onto
         # the J^T-bracket on Mat(m x n), and N_r(m, n)^T = N_r(n, m), which
-        # lets verify read the shape (m, n) from the shape (n, m).
+        # lets verify read the shape (m, n) from the shape (n, m): its shared
+        # table holds the signatures of each shape, rank by rank.
+        table = verify._normal_form_signatures(5)
         for n in range(1, 6):
             for m in range(n + 1, 6):
                 assert classify._rank_signatures(m, n) == classify._rank_signatures(n, m), (n, m)
+                assert table[(m, n)] == classify._rank_signatures(m, n), (m, n)
 
     def test_run_all_takes_each_shape_once(self, monkeypatch):
         # run_all takes the signatures of the shapes n <= m once, into the

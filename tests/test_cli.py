@@ -1,10 +1,14 @@
 """The command-line interface: JSON reports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liebrackets import cli, constructions
 from liebrackets.cli import main
@@ -384,3 +388,169 @@ def test_failed_heisenberg_relation_is_a_failed_verdict(capsys, monkeypatch):
     assert code == 1
     assert report["verdicts"] == [{"name": "generator_relations", "pass": False}]
     assert "[FAIL] generator_relations" in err
+
+
+# Generated malformed argv for every subcommand: each breaks one thing in a
+# well-formed command line, either for argparse (a non-integer where an
+# integer goes, a token dropped, an unknown option) or for the handler (a
+# size out of range, a matrix of the wrong shape or syntax, an unreadable
+# representation).  Every one must exit 2 with one ``error:`` line on stderr,
+# nothing on stdout and no traceback, before any large computation starts.
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+SMALL = st.integers(1, 3)
+NOT_INT = st.text(alphabet="abxz019/.;_ ", min_size=1, max_size=4).filter(lambda t: not _is_int(t))
+BAD_MATRIX = st.sampled_from(["x", "1/0", "0.5", "1e-5", "1 2; 3", "{", "[1]", ";", "1 x", "--"])
+NONPOSITIVE = st.integers(-3, 0)
+
+
+@st.composite
+def matrix_text(draw, rows, cols):
+    entries = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    return "; ".join(" ".join(map(str, entries[i * cols : (i + 1) * cols])) for i in range(rows))
+
+
+@st.composite
+def misshapen(draw, rows, cols):
+    """A matrix of any small shape other than ``rows x cols``."""
+    shape = draw(st.tuples(SMALL, SMALL).filter(lambda s: s != (rows, cols)))
+    return draw(matrix_text(*shape))
+
+
+def over(limit):
+    return st.integers(limit + 1, limit + 20)
+
+
+def with_j(command, n, m, j):
+    return [command, str(n), str(m), "--j", j]
+
+
+def well_formed(command, rep):
+    """Well-formed argv of ``command`` with small sizes (never run), and the
+    argv positions that hold integers."""
+    nm = st.tuples(SMALL, SMALL)
+    cases = {
+        "constants": nm.flatmap(lambda s: matrix_text(s[1], s[0]).map(lambda j: with_j("constants", *s, j))),
+        "center": nm.flatmap(lambda s: matrix_text(s[1], s[0]).map(lambda j: with_j("center", *s, j))),
+        "classify": nm.map(lambda s: ["classify", str(s[0]), str(s[1]), "--seed", "0"]),
+        "witness": nm.flatmap(lambda s: st.tuples(matrix_text(*s), matrix_text(*s))).map(
+            lambda js: ["witness", "--j1", js[0], "--j2", js[1]]),
+        "heisenberg": SMALL.map(lambda n: ["heisenberg", str(n)]),
+        "semidirect": nm.map(lambda s: ["semidirect", str(s[0]), str(s[1] - 1)]),
+        "embed": st.just(["embed", "--rep", rep, "4", "5", "3"]),
+        "contract": SMALL.map(lambda n: ["contract", str(n), "1"]),
+        "deform": SMALL.map(lambda n: ["deform", str(n), "1", "--t", "1/3"]),
+        "coboundary": SMALL.flatmap(lambda n: matrix_text(n, n).map(lambda j: ["coboundary", str(n), "--j", j])),
+        "catalog": st.sampled_from(cli.CATALOG_NAMES).map(lambda name: ["catalog", name]),
+        "verify-all": st.just(["verify-all", "--max", "2", "--seed", "0"]),
+    }
+    slots = {"constants": (1, 2), "center": (1, 2), "classify": (1, 2, 4), "heisenberg": (1,),
+             "semidirect": (1, 2), "embed": (3, 4, 5), "contract": (1, 2), "deform": (1, 2),
+             "coboundary": (1,), "verify-all": (2, 4)}
+    return cases[command], slots.get(command, ())
+
+
+def out_of_range(command, rep):
+    """Argv that argparse accepts and the handler must refuse."""
+    nm = st.tuples(SMALL, SMALL)
+    nonpositive = st.tuples(NONPOSITIVE, SMALL).flatmap(lambda s: st.sampled_from([s, s[::-1]]))
+    wrong_j = nm.flatmap(lambda s: st.one_of(misshapen(s[1], s[0]), BAD_MATRIX).map(lambda j: (*s, j)))
+    param_cases = lambda c: st.one_of(
+        wrong_j.map(lambda x: with_j(c, *x)),
+        nonpositive.map(lambda s: with_j(c, *s, "1")),
+        over(cli.MAX_PARAM_DIM).map(lambda n: with_j(c, n, 1, "1")),
+    )
+    cases = {
+        "constants": param_cases("constants"),
+        "center": param_cases("center"),
+        "classify": st.one_of(nonpositive, over(cli.MAX_CLASSIFY_DIM).map(lambda n: (n, 1))).map(
+            lambda s: ["classify", str(s[0]), str(s[1])]),
+        "witness": st.one_of(
+            st.tuples(nm, nm).filter(lambda p: p[0] != p[1]).flatmap(
+                lambda p: st.tuples(matrix_text(*p[0]), matrix_text(*p[1]))),
+            st.tuples(BAD_MATRIX, st.just("1")),
+        ).flatmap(lambda js: st.sampled_from([js, js[::-1]])).map(
+            lambda js: ["witness", f"--j1={js[0]}", f"--j2={js[1]}"]),
+        "heisenberg": st.one_of(NONPOSITIVE, over(cli.MAX_HEISENBERG_N)).map(lambda n: ["heisenberg", str(n)]),
+        "semidirect": st.one_of(
+            st.tuples(NONPOSITIVE, SMALL), st.tuples(SMALL, st.integers(-3, -1)),
+            st.tuples(SMALL, over(cli.MAX_SEMIDIRECT_SIZE)),
+        ).map(lambda s: ["semidirect", str(s[0]), str(s[1])]),
+        "embed": st.one_of(
+            st.tuples(st.just(rep + ".missing"), SMALL, SMALL, SMALL),
+            st.tuples(st.just(rep), st.integers(3, 5), st.integers(3, 5), st.integers(-2, 2)),
+            st.tuples(st.just(rep), st.integers(-2, 2), st.integers(3, 5), st.just(3)),
+            st.tuples(st.just(rep), over(cli.MAX_PARAM_DIM), st.just(1), st.just(3)),
+        ).map(lambda x: ["embed", "--rep", x[0], *map(str, x[1:])]),
+        "contract": st.one_of(
+            st.tuples(NONPOSITIVE, st.just(0)), st.tuples(over(cli.MAX_CONTRACT_N), st.just(1)),
+            SMALL.flatmap(lambda n: st.tuples(st.just(n), st.one_of(st.integers(-3, -1), over(n)))),
+        ).map(lambda s: ["contract", str(s[0]), str(s[1])]),
+        "deform": st.one_of(
+            st.tuples(NONPOSITIVE, st.just(0), st.just("1/3")),
+            st.tuples(over(cli.MAX_DEFORM_N), st.just(1), st.just("1/3")),
+            SMALL.flatmap(lambda n: st.tuples(st.just(n), st.one_of(st.integers(-3, -1), over(n)), st.just("0"))),
+            st.tuples(SMALL, st.just(0), st.sampled_from(["x", "1/0", "0.5", "-1", "4/3", "2"])),
+        ).map(lambda x: ["deform", str(x[0]), str(x[1]), f"--t={x[2]}"]),
+        "coboundary": st.one_of(
+            SMALL.flatmap(lambda n: st.tuples(st.just(n), st.one_of(misshapen(n, n), BAD_MATRIX))),
+            st.tuples(NONPOSITIVE, st.just("1")), st.tuples(over(cli.MAX_DEFORM_N), st.just("1")),
+        ).map(lambda x: ["coboundary", str(x[0]), f"--j={x[1]}"]),
+        "catalog": NOT_INT.filter(lambda name: name not in cli.CATALOG_NAMES).map(lambda name: ["catalog", name]),
+        "verify-all": st.one_of(st.integers(-3, 1), over(cli.MAX_VERIFY_SIZE)).map(
+            lambda k: ["verify-all", f"--max={k}"]),
+    }
+    return cases[command]
+
+
+@st.composite
+def malformed_argv(draw, command, rep):
+    valid, slots = well_formed(command, rep)
+    kind = draw(st.sampled_from(["not-int", "dropped", "unknown-option", "out-of-range"]))
+    if kind == "out-of-range" or (kind == "not-int" and not slots):
+        return draw(out_of_range(command, rep))
+    argv = draw(valid)
+    if kind == "not-int":
+        argv[draw(st.sampled_from(slots))] = draw(NOT_INT)
+    elif kind == "dropped":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    else:
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def rep_file(tmp_path_factory):
+    cand = constructions.classical_representation(1)  # 3 x 3 images
+    payload = cand.src.constants.to_json()
+    payload["images"] = [matrix_to_json(img) for img in cand.images]
+    path = tmp_path_factory.mktemp("rep") / "rep.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(cli._build_parser()._subparsers._group_actions[0].choices))
+def test_malformed_argv_is_one_usage_error(rep_file, command):
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(malformed_argv(command, rep_file))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert code == 2, argv
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from liebrackets import algebra, classify, constructions, deform, verify
+from liebrackets import algebra, classify, cli, constructions, deform, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, Verdict, hom_check
 from liebrackets.brackets import (
     BracketParam,
@@ -35,6 +35,7 @@ from liebrackets.constructions import (
 from liebrackets.deform import PATH_TIMES, EpsStructureConstants, ce_coboundary_check
 from liebrackets.matrices import Matrix, _integer_row, inverse, parse_matrix, rank, rank_factorization, rank_normal_form
 from test_algebra import from_columns
+from test_cli import run_cli
 
 
 def test_hom_check_reads_a_rank_deficient_homomorphism_as_not_injective():
@@ -457,6 +458,71 @@ def test_lie_axioms_proof_catches_unit_constants_that_alias_one_bit_narrower(mon
     assert len(sampled) == 4 * verify._PARAMS_PER_SHAPE  # no sample is a unit parameter
 
 
+
+def spy_on_the_constants_verdict(monkeypatch):
+    """The calls of ``cli._cmd_constants`` to the shared proof, the model
+    identity and the sweep, in order."""
+    calls = []
+    for name in ("_holds_for_every_parameter", "_model_disagreements", "jacobi_check"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def constants_changed_above_three(change):
+    """``structure_constants`` with ``change`` applied to the table of every
+    shape above 3x3, and true at every shape up to 3x3, where the unit
+    tables of the shared proof live."""
+    def constants(param):
+        table = structure_constants(param).table
+        if max(param.n, param.m) > 3:
+            table = change(table)
+        return StructureConstants(param.dim, table)
+
+    return constants
+
+
+def test_constants_takes_jacobi_from_the_shared_proof_without_a_sweep(capsys, monkeypatch):
+    calls = spy_on_the_constants_verdict(monkeypatch)
+    code, report, _ = run_cli(capsys, "constants", "3", "2", "--j", "1 -2 3; 0 1/2 4")
+    assert code == 0 and report["verdicts"] == [{"name": "jacobi", "pass": True, "witness": None}]
+    assert calls == ["_holds_for_every_parameter", "_model_disagreements"]
+
+
+def test_constants_sweeps_a_table_scaled_by_two_and_passes_it(capsys, monkeypatch):
+    # 2 [.,.]_J satisfies Jacobi but is not the J-bracket: the identity fails
+    # first at the pair (0, 1), so the sweep decides.
+    double = constants_changed_above_three(
+        lambda table: {pair: {k: 2 * v for k, v in terms.items()} for pair, terms in table.items()}
+    )
+    monkeypatch.setattr(algebra, "structure_constants", double)
+    j = parse_matrix("1 2 0 -1; 0 1 3 0; 2 0 1 1; 0 -2 0 1")
+    param = BracketParam(4, 4, j)
+    assert verify._holds_for_every_parameter(3)
+    assert next(verify._model_disagreements(param, double(param).table)) == (0, 1)
+    calls = spy_on_the_constants_verdict(monkeypatch)
+    code, report, _ = run_cli(capsys, "constants", "4", "4", "--j", str(j))
+    assert code == 0 and report["verdicts"] == [{"name": "jacobi", "pass": True, "witness": None}]
+    assert calls == ["_holds_for_every_parameter", "_model_disagreements", "jacobi_check"]
+
+
+def test_constants_sweep_names_the_triple_of_a_table_that_breaks_jacobi_above_three(capsys, monkeypatch):
+    # [E_0, E_1] = E_0 at 4x4 breaks Jacobi on (0, 1, 2); the unit tables up
+    # to 3x3 are intact, so the shared proof passes and the identity fails.
+    monkeypatch.setattr(algebra, "structure_constants", constants_changed_above_three(
+        lambda table: {**table, (0, 1): {0: 1}}
+    ))
+    param = BracketParam.commutator(4)
+    assert verify._holds_for_every_parameter(3)
+    witness = algebra.jacobi_check(LieAlgebra.from_param(param)).witness
+    assert witness == {"triple": [0, 1, 2], "defect": {"2": "-1"}}
+    calls = spy_on_the_constants_verdict(monkeypatch)
+    code, report, err = run_cli(capsys, "constants", "4", "4", "--j", str(param.j))
+    assert code == 1 and report["verdicts"] == [{"name": "jacobi", "pass": False, "witness": witness}]
+    assert calls == ["_holds_for_every_parameter", "_model_disagreements", "jacobi_check"]
+    assert "[FAIL] jacobi" in err
+
+
 INTERIOR = [t for t in PATH_TIMES[:-1] if t != 0]
 
 
@@ -600,6 +666,26 @@ def test_coboundary_proof_fails_at_the_generic_parameter(monkeypatch, potential)
         verdict = ce_coboundary_check(_generic_parameter(n, n, verify._COBOUNDARY_SLOT), n)
         assert not verdict.passed, n
         assert set(verdict.witness) == {"pair", "coboundary", "bracket"}
+
+
+def test_coboundary_proof_catches_a_potential_that_cancels_at_one_bit_narrower(monkeypatch):
+    # The potential gains (J[0][1] - 32 J[0][0]) X, whose coboundary adds that
+    # factor times [A, B].  At J* of width w the factor is 2^w - 32: 0 at
+    # w = 5, so a proof one bit narrower than the coboundary-bound lemma's
+    # w = 6 passes, while every normal form of rank r >= 1 fails with -32.
+    real = deform.alpha_coboundary
+
+    def potential(x, j):
+        return real(x, j) + x * (j[0, 1] - 32 * j[0, 0] if j.rows > 1 else 0)
+
+    monkeypatch.setattr(deform, "alpha_coboundary", potential)
+    for n in (2, 3):
+        assert ce_coboundary_check(_generic_parameter(n, n, 5), n).passed
+        assert not ce_coboundary_check(_generic_parameter(n, n, verify._COBOUNDARY_SLOT), n).passed
+    out = verify.check_deformation_coboundary(3, 0)
+    assert not out["pass"]
+    normal_forms = [f for f in out["details"]["failures"] if f["kind"] == "coboundary-normal-form"]
+    assert normal_forms == [{"n": n, "r": r, "kind": "coboundary-normal-form"} for n, r in ((2, 1), (3, 1), (3, 2))]
 
 
 # The catalog cases hand ``check_catalog`` entries with one thing changed,
