@@ -22,7 +22,7 @@ from typing import Tuple
 
 from .algebra import HomVerdict, LieAlgebra, _packed_hom_check, center, invariant_signature
 from .brackets import BracketParam
-from .matrices import Matrix, ShapeError, Subspace, _factor_check, _rref_factors, _rref_rows, rank
+from .matrices import Matrix, ShapeError, Subspace, _factor_check, _identity_factors, _rref_factors, _rref_rows, rank
 from .scalars import scalar_div
 
 
@@ -55,9 +55,16 @@ def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:
     """``(pflat, dp, qflat, dq)``: the factors ``P`` and ``Q`` of
     ``iso_witness(j1, j2)``, with ``j1 = Q j2 P``, as
     ``matrices._rref_factors`` writes them from one ``_rref_rows`` of each
-    parameter, or ``ClassificationError`` when their ranks differ."""
+    parameter, or ``ClassificationError`` when their ranks differ.
+
+    Equal parameters take ``matrices._identity_factors`` with no
+    elimination: ``j1 = I j2 I`` is the classification lemma with
+    ``P = Q = I`` and ``K = j1 - j2 = 0``, and ``_rref_factors`` writes the
+    same identity factors for them."""
     if j1.shape != j2.shape:
         raise ShapeError(f"cannot relate {j1.rows}x{j1.cols} with {j2.rows}x{j2.cols}")
+    if j1 == j2:
+        return _identity_factors(j1.cols, j1.rows)
     e1, e2 = _rref_rows(j1), _rref_rows(j2)
     r1, r2 = len(e1[1]), len(e2[1])
     if r1 != r2:
@@ -90,8 +97,9 @@ def _factor_verdict(j1: Matrix, j2: Matrix, factors: tuple) -> HomVerdict:
     When ``matrices._factor_check`` finds the factor identity
     ``J1 = Q J2 P`` of ``matrices._rref_factors``, the classification lemma
     makes the map a homomorphism, injective iff the two ranks it then takes
-    are full.  That is the verdict the packed check gives, with no witness,
-    and no bracket, Kronecker column or structure constant is built.  When the identity fails the map may still be a
+    are full (equal parameters take the identity factors, proved with no
+    product and no rank).  That is the verdict the packed check gives, with
+    no witness, and no bracket, Kronecker column or structure constant is built.  When the identity fails the map may still be a
     homomorphism (every map is one on ``Mat(1 x 1)``), so its integer
     Kronecker columns over one denominator go to the packed check, whose
     verdict and witness decide: only the source's structure constants are

@@ -341,83 +341,71 @@ def _cmd_verify_all(args):
     return inputs, report, verdicts, args.seed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_N, _M = ("n", {"type": int}), ("m", {"type": int})
+_J = ("--j", {"required": True, "help": _J_HELP})
+# Each subcommand: its help line, its handler, and its arguments in order.
+_COMMANDS = {
+    "constants": ("structure constants of a bracket parameter", _cmd_constants, [_N, _M, _J]),
+    "center": ("center of the bracket algebra", _cmd_center, [_N, _M, _J]),
+    "classify": (
+        "rank classification report for a shape",
+        _cmd_classify,
+        [_N, _M, ("--seed", {"type": int, "default": 0})],
+    ),
+    "witness": (
+        "isomorphism witness between two parameters",
+        _cmd_witness,
+        [("--j1", {"required": True, "help": _J_HELP}), ("--j2", {"required": True, "help": _J_HELP})],
+    ),
+    "heisenberg": ("Heisenberg realization in size n+2", _cmd_heisenberg, [_N]),
+    "semidirect": ("semidirect model S(V1, V2)", _cmd_semidirect, [("r", {"type": int}), ("s", {"type": int})]),
+    "embed": (
+        "pad a commutator representation into Mat(n x m)",
+        _cmd_embed,
+        [("--rep", {"required": True, "help": "JSON file with dim, brackets, images"}), _N, _M, ("q", {"type": int})],
+    ),
+    "contract": ("epsilon-contraction onto the rank-r bracket", _cmd_contract, [_N, ("r", {"type": int})]),
+    "deform": (
+        "the deformation path at a rational time",
+        _cmd_deform,
+        [_N, ("r", {"type": int}), ("--t", {"required": True, "help": 'rational time in [0, 1], e.g. "1/3"'})],
+    ),
+    "coboundary": ("check the 2-coboundary identity for j", _cmd_coboundary, [_N, _J]),
+    "catalog": ("worked example by name", _cmd_catalog, [("name", {"choices": CATALOG_NAMES})]),
+    "verify-all": (
+        "run the complete verification suite",
+        _cmd_verify_all,
+        [("--max", {"type": int, "default": 4}), ("--seed", {"type": int, "default": 0})],
+    ),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The top parser with the parser of every subcommand, or of ``command``
+    alone, for an argv whose first argument is ``command``.
+
+    The single build prints what the full one prints.  Its subparsers action
+    can raise no message of its own, since its one argument is a known
+    choice; its usage still shows, in the top parser's unrecognized-arguments
+    error, so ``metavar`` writes there the choice list of the full build."""
     parser = argparse.ArgumentParser(
         prog="liebrackets",
         description="Exact computations with the bracket family A*J*B - B*J*A on matrix spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="structure constants of a bracket parameter")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--j", required=True, help=_J_HELP)
-    p.set_defaults(handler=_cmd_constants)
-
-    p = sub.add_parser("center", help="center of the bracket algebra")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--j", required=True, help=_J_HELP)
-    p.set_defaults(handler=_cmd_center)
-
-    p = sub.add_parser("classify", help="rank classification report for a shape")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("witness", help="isomorphism witness between two parameters")
-    p.add_argument("--j1", required=True, help=_J_HELP)
-    p.add_argument("--j2", required=True, help=_J_HELP)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("heisenberg", help="Heisenberg realization in size n+2")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_heisenberg)
-
-    p = sub.add_parser("semidirect", help="semidirect model S(V1, V2)")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.set_defaults(handler=_cmd_semidirect)
-
-    p = sub.add_parser("embed", help="pad a commutator representation into Mat(n x m)")
-    p.add_argument("--rep", required=True, help="JSON file with dim, brackets, images")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("contract", help="epsilon-contraction onto the rank-r bracket")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(handler=_cmd_contract)
-
-    p = sub.add_parser("deform", help="the deformation path at a rational time")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--t", required=True, help='rational time in [0, 1], e.g. "1/3"')
-    p.set_defaults(handler=_cmd_deform)
-
-    p = sub.add_parser("coboundary", help="check the 2-coboundary identity for j")
-    p.add_argument("n", type=int)
-    p.add_argument("--j", required=True, help=_J_HELP)
-    p.set_defaults(handler=_cmd_coboundary)
-
-    p = sub.add_parser("catalog", help="worked example by name")
-    p.add_argument("name", choices=CATALOG_NAMES)
-    p.set_defaults(handler=_cmd_catalog)
-
-    p = sub.add_parser("verify-all", help="run the complete verification suite")
-    p.add_argument("--max", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_verify_all)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         for name, value in vars(args).items():
             if value == []:  # CPython 3.11 argparse stores "--opt=--" as [] and calls no type=

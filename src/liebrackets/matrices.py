@@ -9,7 +9,8 @@ the transform of ``rref`` by ``_gauss_jordan``.  A dense row enters through
 the rank classification are ``_rref_factors`` (two parameters of one rank)
 and ``_normal_form_factors`` (a parameter and its normal form), both read
 off ``_rref_rows``, which a ``Matrix`` runs once and keeps, and
-``_factor_check`` proves either.
+``_factor_check`` proves either, or the ``_identity_factors`` of two equal
+parameters.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -753,6 +754,16 @@ def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> 
     return True
 
 
+def _identity_factors(n: int, m: int) -> tuple:
+    """``(pflat, dp, qflat, dq)`` of ``P = I_n`` and ``Q = I_m``, in the form
+    of ``_rref_factors``."""
+
+    def flat(k: int) -> list:
+        return [1 if i == j else 0 for i in range(k) for j in range(k)]
+
+    return flat(n), 1, flat(m), 1
+
+
 def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
     """None when the factors ``(pflat, dp, qflat, dq)`` of ``j1 = Q j2 P``,
     in the form of ``_rref_factors``, fail that identity
@@ -762,9 +773,15 @@ def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
 
     So ``True`` proves ``j1`` and ``j2`` equivalent, and by the
     classification lemma of ``classify`` the map ``A -> P A Q`` an
-    isomorphism from the j1-bracket onto the j2-bracket on ``Mat(n x m)``."""
+    isomorphism from the j1-bracket onto the j2-bracket on ``Mat(n x m)``.
+    For the ``_identity_factors`` no product and no rank is taken: the
+    identity ``j1 = I j2 I`` is ``j1 == j2``, and ``I`` has full rank, so
+    the classification lemma with ``P = Q = I`` proves the identity map an
+    isomorphism exactly when the parameters are equal."""
     m, n = j1.shape
     pflat, _, qflat, _ = factors
+    if factors == _identity_factors(n, m):
+        return True if j1 == j2 else None
     if not _factor_identity(j1, j2, *factors):
         return None
     prows = (_sparse_row(pflat[i * n : (i + 1) * n]) for i in range(n))

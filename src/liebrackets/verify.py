@@ -248,7 +248,9 @@ def check_center_dimensions(max_size: int = 4, *, signatures: dict) -> dict:
 
 def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
     """Ten seeded equal-rank random parameter pairs per shape admit verified
-    bijective witnesses."""
+    bijective witnesses.  A pair of equal parameters (every rank-0 pair)
+    takes the identity witness with no elimination: by the classification
+    lemma of ``classify`` with ``P = Q = I``, ``j1 == j2`` is its proof."""
     rng = random.Random(seed)
     failures = []
     checked = 0

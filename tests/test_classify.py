@@ -233,6 +233,47 @@ class TestIsoWitness:
         assert calls == [(4, 6), (4, 6), (4, 4)]
         assert got == expected
 
+    EQUAL_PARAMETERS = ["0", "0 0 0; 0 0 0", "0 0; 0 0; 0 0", "3", "2 -1; 1 3", "1 2 0 -1; 2 4 0 -2",
+                        "-3; 0; 1", "1/2 1 0; 0 2/3 1", "1/3 -2/5; 0 0; 1 7/4", "1/2 0 0 0; 0 0 0 -3/4"]
+
+    @pytest.mark.parametrize("text", EQUAL_PARAMETERS)
+    def test_equal_parameters_take_the_identity_witness_with_no_elimination(self, monkeypatch, text):
+        # j1 = I j2 I is the proof: no Gauss-Jordan and no rank, of the
+        # witness or of its check.  The parameters are fresh copies, so no
+        # elimination kept on a matrix hides a call.
+        calls = []
+        real_gauss_jordan, real_rank = matrices._gauss_jordan, matrices._rank
+
+        def refused(kind):
+            return lambda *args: calls.append(kind)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "liebrackets":
+                if getattr(module, "_gauss_jordan", None) is real_gauss_jordan:
+                    monkeypatch.setattr(module, "_gauss_jordan", refused("gauss_jordan"))
+                if getattr(module, "_rank", None) is real_rank:
+                    monkeypatch.setattr(module, "_rank", refused("rank"))
+        j = parse_matrix(text)
+        identity = Matrix.identity(j.rows * j.cols)
+        assert classify._checked_witness(j, parse_matrix(text)) == algebra.HomVerdict(True, True)
+        assert classify.verified_witness(parse_matrix(text), parse_matrix(text)) == (
+            identity,
+            algebra.HomVerdict(True, True),
+        )
+        assert iso_witness(parse_matrix(text), parse_matrix(text)) == identity
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_rank_rational_pairs())
+    def test_elimination_gives_equal_parameters_the_identity_factors(self, pair):
+        # The identity factors of equal parameters are those _rref_factors
+        # writes from their eliminations, so every witness and report is
+        # the one the elimination gives.
+        j = pair[0]
+        copy = Matrix.from_flat(j.rows, j.cols, j.entries)
+        eliminated = matrices._rref_factors(matrices._rref_rows(j), matrices._rref_rows(copy), j.cols, j.rows)
+        assert eliminated == matrices._identity_factors(j.cols, j.rows) == classify._witness_factors(j, copy)
+
     def test_verified_witness_builds_its_factors_once(self, monkeypatch):
         # The map and its verdict both come from one factor build: with the
         # factors' Q halved there, the map is half the witness, and its
@@ -360,17 +401,23 @@ class TestRandomParameter:
 
 
 class TestEliminationCounts:
+    # (pairs, equal pairs, rank-0 pairs) of each run.
     @pytest.mark.parametrize(
-        "run",
-        [lambda: check_iso_soundness(2, 0), lambda: classify_rank_family(2, 3, seed=0, witness_pairs=2)],
+        "run, expected_pairs",
+        [
+            (lambda: check_iso_soundness(2, 0), (40, 22, 22)),
+            (lambda: classify_rank_family(2, 3, seed=0, witness_pairs=2), (6, 2, 2)),
+        ],
         ids=["iso_soundness", "classify_rank_family"],
     )
-    def test_a_drawn_parameter_is_eliminated_once(self, monkeypatch, run):
+    def test_a_drawn_parameter_is_eliminated_once(self, monkeypatch, run, expected_pairs):
         # A draw's rank test is the Gauss-Jordan of [J | I] that its witness
-        # reads: each pair costs three eliminations (one per parameter, one
-        # for Q) and the two factor ranks of its proof, plus one elimination
-        # for each rejected draw.  A rank-0 parameter is built with no draw,
-        # so its witness eliminates it.
+        # reads: each pair of unequal parameters costs three eliminations
+        # (one per parameter, one for Q) and the two factor ranks of its
+        # proof, plus one elimination for each rejected draw.  Equal
+        # parameters take the identity witness with no elimination and no
+        # rank; a rank-0 parameter is built with no draw, so a rank-0 pair
+        # (always equal) is eliminated nowhere.
         real_gauss_jordan, real_rank = matrices._gauss_jordan, matrices._rank
         real_draw, real_witness, real_randints = random_parameter, classify._checked_witness, classify._randints
         where, counts = ["run"], {}
@@ -412,13 +459,16 @@ class TestEliminationCounts:
         run()
         rejected = len(attempts) // 2 - sum(1 for args, _ in drawn if args[3])
         zero_pairs = sum(1 for (j1, _), _ in pairs if j1.is_zero())
+        unequal = sum(1 for (j1, j2), _ in pairs if j1 != j2)
         assert len(pairs) == len(drawn) // 2 > 0
+        assert (len(pairs), len(pairs) - unequal, zero_pairs) == expected_pairs
         assert counts.get(("rank", "draw"), 0) == 0
-        assert counts.get(("rank", "witness"), 0) == 2 * len(pairs)
-        assert counts.get(("gauss_jordan", "witness"), 0) == len(pairs) + 2 * zero_pairs
+        assert counts.get(("rank", "witness"), 0) == 2 * unequal
+        assert counts.get(("gauss_jordan", "witness"), 0) == unequal
         assert counts.get(("gauss_jordan", "draw"), 0) == 2 * (len(pairs) - zero_pairs) + rejected
         assert counts.get(("gauss_jordan", "run"), 0) == 0
-        assert sum(n for (kind, _), n in counts.items() if kind == "gauss_jordan") == 3 * len(pairs) + rejected
+        total = sum(n for (kind, _), n in counts.items() if kind == "gauss_jordan")
+        assert total == unequal + 2 * (len(pairs) - zero_pairs) + rejected
 
 
 class TestRandints:

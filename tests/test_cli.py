@@ -215,6 +215,8 @@ WITNESS_REPORTS = {
                             "113275443160a62ffc40061748b748631c7cb90512ead29eda96e9453dee9a8b"),
     "rectangular_rank_1_2x4": (("1 2 0 -1; 2 4 0 -2", "0 0 3 1/2; 0 0 -6 -1"),
                                "c9afee27c52cc4f0b1da69ba710eb5f0fb442bbc3c18583f9dd512d3756f5461"),
+    "equal_rational_2x3": (("1/2 1 0; 0 2/3 1", "1/2 1 0; 0 2/3 1"),
+                           "0ef8466050406100f2a06fc4d56e875bed7c66fc3b921e7dca85221247b0321d"),
 }
 
 
@@ -554,3 +556,62 @@ def test_malformed_argv_is_one_usage_error(rep_file, command):
         assert "Traceback" not in err.getvalue(), argv
 
     check()
+
+
+# A well-formed argv of each subcommand, after its name.
+WELL_FORMED = {
+    "constants": ["1", "1", "--j", "1"],
+    "center": ["1", "1", "--j", "1"],
+    "classify": ["1", "1"],
+    "witness": ["--j1", "1", "--j2", "1"],
+    "heisenberg": ["1"],
+    "semidirect": ["1", "1"],
+    "embed": ["--rep", "rep.json", "1", "1", "1"],
+    "contract": ["1", "0"],
+    "deform": ["1", "0", "--t", "0"],
+    "coboundary": ["1", "--j", "1"],
+    "catalog": [cli.CATALOG_NAMES[0]],
+    "verify-all": [],
+}
+# For every subcommand: its help, an unknown option (a missing argument, or
+# for verify-all the top parser's unrecognized-arguments error), and an
+# extra argument after a well-formed argv (the top parser's error, whose
+# usage lists every subcommand).  Then the top parser's help, an empty argv
+# and an unknown command.
+CLI_TEXT_CASES = [
+    *([name, "-h"] for name in WELL_FORMED),
+    *([name, "--bogus"] for name in WELL_FORMED),
+    *([name, *argv, "extra"] for name, argv in WELL_FORMED.items()),
+    ["-h"],
+    [],
+    ["nope", "1"],
+]
+
+
+def parser_text(parse, argv):
+    """``(exit code, stdout, stderr, ArgumentParser count)`` of ``parse(argv)``,
+    which must exit as argparse does on help or a usage error."""
+    out, err, built = io.StringIO(), io.StringIO(), []
+    real_init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue(), len(built)
+
+
+@pytest.mark.parametrize("argv", CLI_TEXT_CASES, ids=" ".join)
+def test_the_parser_of_one_command_prints_what_the_full_parser_prints(argv):
+    # main builds the top parser and the named subcommand's parser alone;
+    # every help, usage and error text is the full parser's, byte for byte.
+    assert sorted(WELL_FORMED) == sorted(cli._build_parser()._subparsers._group_actions[0].choices)
+    code, out, err, built = parser_text(main, argv)
+    full_code, full_out, full_err, full_built = parser_text(lambda a: cli._build_parser().parse_args(a), argv)
+    assert (code, out, err) == (full_code, full_out, full_err)
+    assert (out or err) and full_built == 1 + len(WELL_FORMED)
+    assert built == (2 if argv and argv[0] in WELL_FORMED else full_built)

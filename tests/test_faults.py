@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from liebrackets import algebra, classify, cli, constructions, deform, verify
+from liebrackets import algebra, classify, cli, constructions, deform, matrices, verify
 from liebrackets.algebra import InvariantSignature, LieAlgebra, Verdict, hom_check
 from liebrackets.brackets import (
     BracketParam,
@@ -303,6 +303,31 @@ def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypat
     assert not out["pass"]
     assert len(failures) == out["details"]["pairs_checked"] == 40
     assert all(failure["witness"] is None for failure in failures)
+
+
+def test_iso_soundness_reads_identity_factors_of_unequal_parameters_as_not_a_hom(monkeypatch):
+    # Identity factors are proved by j1 == j2 alone.  Patched in for unequal
+    # parameters of one rank, the factor check returns None, and the packed
+    # check finds the pair that the identity map does not carry across.
+    j1, j2 = parse_matrix("1 0; 0 0"), parse_matrix("0 0; 0 1")
+    identity = matrices._identity_factors(2, 2)
+    assert matrices._factor_check(j1, j2, identity) is None
+    verdict = classify._factor_verdict(j1, j2, identity)
+    expected = hom_check(Matrix.identity(4), LieAlgebra.from_param(BracketParam(2, 2, j1)), BracketParam(2, 2, j2))
+    assert verdict == expected and not verdict.is_hom and verdict.injective
+
+    monkeypatch.setattr(classify, "_witness_factors", lambda a, b: matrices._identity_factors(a.cols, a.rows))
+    out = verify.check_iso_soundness(2, 0)
+    failures = out["details"]["failures"]
+    assert not out["pass"]
+    assert failures
+    for failure in failures:
+        n, m = failure["shape"]
+        a, b = parse_matrix(failure["j1"]), parse_matrix(failure["j2"])
+        source = LieAlgebra.from_param(BracketParam(n, m, a))
+        expected = hom_check(Matrix.identity(n * m), source, BracketParam(n, m, b))
+        assert a != b and not expected.is_hom
+        assert failure["witness"] == expected.witness
 
 
 def test_signature_separation_fails_when_the_signature_keeps_the_dimension_alone(monkeypatch):
