@@ -8,7 +8,9 @@ basis is then the canonical row-major basis of a matrix space
 ``Mat(n x m)`` with a middle-parameter bracket.
 
 The adjoint action is read from one table per algebra,
-``LieAlgebra._sparse_ads``, and spans and ranks are taken on sparse integer
+``LieAlgebra._sparse_ads``: a model's comes from its parameter ``J`` by the
+walk of ``brackets._unit_rule``, and its structure-constants table is built
+only when something reads it.  Spans and ranks are taken on sparse integer
 rows by ``matrices._echelon`` and ``matrices._rank``, on the algebra with
 integer constants (``_integer_constants``).  The destination of
 ``hom_check`` and the ambient of ``subalgebra_closed`` are a
@@ -26,7 +28,16 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import BracketParam, StructureConstants, _pack, _packed_brackets, _unpack, bracket, structure_constants
+from .brackets import (
+    BracketParam,
+    StructureConstants,
+    _pack,
+    _packed_brackets,
+    _unit_rule,
+    _unpack,
+    bracket,
+    structure_constants,
+)
 from .matrices import (
     _INT_ONLY,
     Matrix,
@@ -83,11 +94,12 @@ class LieAlgebra:
     exactly those of the model's bracket over the canonical row-major
     basis (only ``from_param`` sets it, and it builds them from it), so
     coordinates and ``Mat(n x m)`` elements convert freely and
-    ``invariant_signature`` may read the bracket off its parameter.  The
-    constants of a model are built by ``structure_constants`` the first
-    time their table is read (``_ModelConstants``), so a signature that
-    reads only the parameter builds none.  An algebra is not changed after
-    construction, so tables derived from it are kept on it.
+    ``invariant_signature`` may read the bracket off its parameter.  A
+    model's adjoint (``_sparse_ads``) comes from ``J``, and its constants
+    table is built by ``structure_constants`` only when something reads it
+    (``_ModelConstants``), so a signature, a center or a series of a model
+    builds none.  An algebra is not changed after construction, so tables
+    derived from it are kept on it.
     """
 
     dim: int
@@ -134,29 +146,52 @@ class LieAlgebra:
 
     @cached_property
     def _sparse_ads(self) -> list:
-        """Column-sparse adjoint matrices: ads[a][b] = sparse column [x_a, x_b]."""
+        """Column-sparse adjoint matrices: ``ads[a][b]`` is the sparse column
+        ``[x_a, x_b]``, and ``ads[b][a]`` its negation.  No reader changes a
+        column.  A model's adjoint is built from its parameter by the walk of
+        ``brackets._unit_rule``, both halves at once, with no table.  An
+        algebra without a model keeps the dicts of its constants table as
+        the upper half and builds only the negated mirror."""
+        model = self.model
+        if model is None:
+            return _table_adjoint(self.constants.table, self.dim)
         ads: list = [dict() for _ in range(self.dim)]
-        for (i, j), terms in self.constants.table.items():
-            ads[i][j] = dict(terms)
-            ads[j][i] = {k: -v for k, v in terms.items()}
+        m = model.m
+        for a, b0, t, c in _unit_rule(model):  # T(a, b) = c E_t
+            cols = ads[a]
+            for b in range(b0, b0 + m):
+                if b != a:
+                    col = cols.get(b)
+                    if col is None:  # [x_a, x_b] and [x_b, x_a] start together
+                        col = cols[b] = {}
+                        ads[b][a] = {}
+                    col[t] = c
+                    ads[b][a][t] = -c
+                t += 1
         return ads
 
     @cached_property
     def _derived_rows(self) -> dict:
         """The ``_echelon`` basis of ``[g, g]``, the span of the brackets of the
-        basis pairs: the dicts of the constants table, read as sparse rows.
-        Only for an algebra whose constants are all ``int`` (see
-        ``_integer_constants``).  For a model with ``J != 0`` the span lies
-        in a hyperplane (the trace-hyperplane lemma of
-        ``invariant_signature``), so ``d - 1`` bounds the elimination."""
+        basis pairs: the columns ``ads[a][b]``, ``a < b``, of the upper half
+        of ``_sparse_ads``, read as sparse rows in pair order, the order of
+        ``structure_constants``.  Only for an algebra whose
+        constants are all ``int`` (see ``_integer_constants``).  For a model
+        with ``J != 0`` the span lies in a hyperplane (the trace-hyperplane
+        lemma of ``invariant_signature``), so ``d - 1`` bounds the
+        elimination."""
         model = self.model
         bound = self.dim - 1 if model is not None and not model.j.is_zero() else self.dim
-        return _echelon(self.constants.table.values(), bound)
+        upper = (cols[b] for a, cols in enumerate(self._sparse_ads) for b in sorted(cols) if b > a)
+        return _echelon(upper, bound)
 
 
 class _ModelConstants(StructureConstants):
     """The constants of the ``param`` bracket, whose ``table`` is
-    ``structure_constants(param).table``, built the first time it is read."""
+    ``structure_constants(param).table``, built the first time it is read:
+    by the Jacobi check, a homomorphism check from the algebra, equality,
+    ``to_json`` or ``repr``.  The engine's own readers of a model read its
+    adjoint, which ``LieAlgebra._sparse_ads`` builds from ``param``."""
 
     __slots__ = ("param",)
 
@@ -172,6 +207,17 @@ class _ModelConstants(StructureConstants):
         return table
 
 
+def _table_adjoint(table: dict, d: int) -> list:
+    """The column-sparse adjoint of the constants ``table``: its own dicts
+    as the upper half ``ads[a][b]``, ``a < b``, and their negations as the
+    lower half."""
+    ads: list = [dict() for _ in range(d)]
+    for (i, j), terms in table.items():
+        ads[i][j] = terms
+        ads[j][i] = {k: -v for k, v in terms.items()}
+    return ads
+
+
 def _dense(row: dict, width: int) -> tuple:
     """The sparse ``row`` written out as a tuple of length ``width``."""
     return tuple(map(row.get, range(width), repeat(0)))
@@ -185,12 +231,16 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
     """Verify the cyclic Jacobi sum on every basis triple a < b < c.
 
     Antisymmetry is structural in the constants, so the triples are the
-    whole content of the axiom check.  A violation is reported with the
-    first offending triple of ``_jacobi_defects`` and its nonzero defect
-    vector, rebuilt by the per-triple sum, in its order.
+    whole content of the axiom check.  The check judges the constants table
+    alone: its adjoint is the ``_table_adjoint`` of the table, also for a
+    model, whose ``_sparse_ads`` is built from ``J`` instead.  A violation
+    is reported with the first offending triple of ``_jacobi_defects`` and
+    its nonzero defect vector, rebuilt by the per-triple sum, in its order.
     """
     d = L.dim
-    for a, defect in _jacobi_defects(L.constants.table, L._sparse_ads, d, _add_scalar_products):
+    table = L.constants.table
+    ads = L._sparse_ads if L.model is None else _table_adjoint(table, d)
+    for a, defect in _jacobi_defects(table, ads, d, _add_scalar_products):
         failing = [key for key, v in defect.items() if v != 0]
         if failing:
             b, c = divmod(min(failing) // d, d)
@@ -198,7 +248,7 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
                 False,
                 {
                     "triple": [a, b, c],
-                    "defect": {str(k): scalar_str(v) for k, v in _triple_defect(L, a, b, c).items() if v != 0},
+                    "defect": {str(k): scalar_str(v) for k, v in _triple_defect(table, ads, a, b, c).items() if v != 0},
                 },
             )
     return Verdict(True)
@@ -287,10 +337,9 @@ def _jacobi_holds_in_j(tables: Sequence[dict], d: int) -> bool:
     return not any(any(defect.values()) for _, defect in _jacobi_defects(merged, ads, d, add))
 
 
-def _triple_defect(L: LieAlgebra, a: int, b: int, c: int) -> Dict[int, Scalar]:
-    """The Jacobi sum of one basis triple, term by term."""
-    table = L.constants.table
-    ads = L._sparse_ads
+def _triple_defect(table: dict, ads: list, a: int, b: int, c: int) -> Dict[int, Scalar]:
+    """The Jacobi sum of one basis triple of the constants ``table``, whose
+    adjoint is ``ads``, term by term."""
     defect: Dict[int, Scalar] = {}
     # [x_a, [x_b, x_c]] - [x_b, [x_a, x_c]] + [x_c, [x_a, x_b]]
     for x, sign, pair in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
@@ -376,13 +425,22 @@ def _series_rows(L: LieAlgebra, lower_central: bool) -> List[dict]:
 
 def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
     """The nonzero brackets, as sparse rows, spanning the term after the one
-    spanned by the sparse rows ``current``."""
+    spanned by the sparse rows ``current``.  A bracket with a single-entry
+    row is read off the adjoint: ``[x_a, {b: z}] = z ads[a][b]``, and
+    ``[{a: y}, {b: z}] = y z ads[a][b]``; with coefficient 1 the column
+    itself is the row, since ``_echelon`` never changes a row it reads."""
     ads = L._sparse_ads
     if lower_central:  # [x_a, y] for every basis element x_a
         for cols in ads:
             if not cols:
                 continue
             for y in current:
+                if len(y) == 1:
+                    ((b, z),) = y.items()
+                    col = cols.get(b)
+                    if col:
+                        yield _scaled(col, z)
+                    continue
                 v: dict = {}
                 _add_bracket(v, 1, cols, y)
                 if v:
@@ -390,11 +448,22 @@ def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
     else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
         for p, y in enumerate(current):
             for z in current[p + 1 :]:
+                if len(y) == len(z) == 1:
+                    ((a, ya),), ((b, zb),) = y.items(), z.items()
+                    col = ads[a].get(b)
+                    if col:
+                        yield _scaled(col, ya * zb)
+                    continue
                 v = {}
                 for a, ya in y.items():
                     _add_bracket(v, ya, ads[a], z)
                 if v:
                     yield v
+
+
+def _scaled(col: dict, f: int) -> dict:
+    """``f * col`` for ``f != 0``: ``col`` itself when ``f`` is 1."""
+    return col if f == 1 else {k: f * w for k, w in col.items()}
 
 
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
@@ -613,10 +682,25 @@ def _integer_table(table: dict) -> tuple:
 
 
 def _integer_constants(L: LieAlgebra) -> LieAlgebra:
-    """``L`` with its bracket multiplied by ``D``, the lcm of the denominators
-    of its constants, so that every constant is an ``int``; ``L`` itself when
-    they all are.  The scaled algebra carries no labels or model: its
-    callers read only its constants, and the shape from ``L``."""
+    """``L`` with its bracket multiplied by ``D``, so that every constant is
+    an ``int``; ``L`` itself when they all are.
+
+    For a model, ``J`` is scanned, not the table: the bracket is linear in
+    ``J``, so ``D [A, B]_J = [A, B]_(D J)``, and by the unit-rule lemma of
+    ``brackets._unit_rule`` every constant of ``D J`` is plus or minus one
+    of its entries.  So ``D`` is the lcm of the denominators of ``J``, and
+    the result is the model of ``D J``, whose adjoint is read off ``D J``
+    with no table.  An algebra without a model scans its table, ``D`` is
+    the lcm of the denominators of its constants, and the scaled algebra
+    carries no labels or model.  Callers read only the adjoint and
+    constants of the result, and the shape from ``L``."""
+    model = L.model
+    if model is not None:
+        j = model.j
+        if _INT_ONLY.issuperset(map(type, chain.from_iterable(j._data))):
+            return L
+        scaled = BracketParam(model.n, model.m, j * _integer_row(j.entries)[1])
+        return LieAlgebra(L.dim, _ModelConstants(scaled), model=scaled)
     table, _ = _integer_table(L.constants.table)
     if table is L.constants.table:
         return L
@@ -636,10 +720,11 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     invariant below.  If the proof fails, the signature is computed on ``L``
     itself.
 
-    The signature is computed on ``_integer_constants(L)``.  Multiplying
-    the bracket by ``D != 0`` keeps the center, both series and every
-    centralizer, and multiplies the Killing form by ``D**2``, which keeps
-    its rank.
+    The signature is computed on ``_integer_constants(L)``, for a model the
+    model of its integer parameter ``D J``, whose adjoint is read off that
+    ``J`` with no table.  Multiplying the bracket by ``D != 0`` keeps the
+    center, both series and every centralizer, and multiplies the Killing
+    form by ``D**2``, which keeps its rank.
 
     Only dimensions are read, so each invariant is one exact rank, a count
     of ``matrices._rank`` or the length of an ``_echelon`` basis.  A
@@ -670,10 +755,11 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       model (``_model_killing_gram``), else off ``_flat_ads``.
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
-    series and its center.  Every elimination stops once it reaches its
-    bound (``d``, ``d - 1`` for ``[g, g]`` by the trace-hyperplane lemma
-    below, or the dimension of the term before), which no rank can pass, so
-    every rank is exact.
+    series and its center; the series kernel reads a bracket with a
+    single-entry row straight off the adjoint (``_next_generators``).  Every
+    elimination stops once it reaches its bound (``d``, ``d - 1`` for
+    ``[g, g]`` by the trace-hyperplane lemma below, or the dimension of the
+    term before), which no rank can pass, so every rank is exact.
 
     Two trace identities of the parameter ``J`` of a model on ``Mat(n x m)``:
 
@@ -748,6 +834,13 @@ def _derived_center_transpose(L: LieAlgebra) -> list:
             rows[i][q] = x
     for j, b in enumerate(derived.values(), 1):
         base = j * d
+        if len(b) == 1:  # no two terms meet: write the columns of ads[x] directly
+            ((x, bx),) = b.items()
+            for i, col in ads[x].items():
+                row = rows[i]
+                for t, w in col.items():
+                    row[base + t] = -bx * w
+            continue
         for x, bx in b.items():
             for i, col in ads[x].items():
                 row = rows[i]

@@ -7,9 +7,12 @@ For operands ``A, B`` in ``Mat(n x m)`` and a parameter ``J`` in
 
 is a Lie bracket for every fixed ``J``; the family is linear in ``J`` and
 ``J = 0`` gives the abelian algebra.  The canonical basis ``E_{i,j}`` of
-``Mat(n x m)`` is ordered row-major.  ``structure_constants`` compiles a
-parameter into its sparse structure constants, and every pair loop on
-integer operands brackets through the one kernel ``_packed_brackets``.
+``Mat(n x m)`` is ordered row-major.  The unit rule, the bracket of two
+basis matrices, is one walk over the nonzero entries of ``J``
+(``_unit_rule``): ``structure_constants`` compiles it into the sorted
+sparse table, and a model's adjoint (``algebra.LieAlgebra._sparse_ads``)
+is read off it with no table.  Every pair loop on integer operands
+brackets through the one kernel ``_packed_brackets``.
 """
 
 from __future__ import annotations
@@ -251,42 +254,51 @@ class StructureConstants:
         return cls(obj["dim"], table)
 
 
-def structure_constants(param: BracketParam) -> StructureConstants:
-    """Expand the bracket of every canonical basis pair.
+def _unit_rule(param: BracketParam):
+    """The walk of the unit rule: yield ``(a, b0, t, c)`` for each nonzero
+    entry ``c = J[x][y]`` (0-based) of the parameter and each basis index
+    ``a = (i, x)``, where ``b0 = (y, 0)`` and ``t = (i, 0)`` in the
+    row-major basis.  It stands for the ``m`` terms
+    ``T(a, b0 + l) = c E_(t + l)``, ``l < m``.
 
-    With ``T((i,x), (y,l)) = J[x][y] E_(i,l)`` (0-based entries of ``J``) the
-    bracket of two basis matrices is ``[E_a, E_b] = T(a, b) - T(b, a)``;
-    basis coordinates are just matrix entries.  Each ordered pair ``(a, b)``
-    takes one entry of ``J``, so the walk visits only the nonzero entries of
-    ``J``, at a cost of ``nnz(J) * n * m``: ``T(a, b)`` is the first term of
-    the pair ``(a, b)`` when ``a < b`` and the second term of ``(b, a)`` when
-    ``a > b``.  Pairs are stored in increasing order, each with its first
-    term ahead of its second (two distinct targets, since ``a != b``).
-    The contraction and path checks of ``deform`` read their basis-pair
-    brackets off this table, and the coboundary check its right side.
+    Unit-rule lemma: ``E_(i,x) J E_(y,l) = J[x][y] E_(i,l)``, so
+    ``[E_(i,x), E_(y,l)]_J = J[x][y] E_(i,l) - J[l][i] E_(y,x)``.  With
+    ``T((i,x), (y,l)) = J[x][y] E_(i,l)`` the bracket of two basis matrices
+    is ``[E_a, E_b] = T(a, b) - T(b, a)``, and basis coordinates are matrix
+    entries.  ``T(a, b)`` is nonzero only at a nonzero entry of ``J``, so
+    the walk visits each nonzero ``T(a, b)`` once, at a cost of
+    ``nnz(J) * n * m``.  For ``a != b`` the two terms of ``[E_a, E_b]``
+    have distinct targets ``(i, l) != (y, x)``, since ``(i, x) != (y, l)``;
+    for ``a = b`` they cancel.  Each constant is thus plus or minus one
+    entry of ``J``, and the table and the adjoint read off the walk are
+    linear in ``J``.
     """
     m, d = param.m, param.dim
-    first: Dict[int, Scalar] = {}  # a * d + b -> J-entry of T(a, b), a < b
-    second: Dict[int, Scalar] = {}  # a * d + b -> J-entry of T(b, a), a < b
     for x, row in enumerate(param.j._data):
         for y, c in enumerate(row):
-            if c == 0:
-                continue
-            for a in range(x, d, m):  # a = (i, x)
-                for b in range(y * m, y * m + m):  # b = (y, l)
-                    if a < b:
-                        first[a * d + b] = c
-                    elif a > b:
-                        second[b * d + a] = c
-    table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for key in sorted(first.keys() | second.keys()):
-        a, b = divmod(key, d)
-        terms: Dict[int, Scalar] = {}
-        c = first.get(key)
-        if c is not None:
-            terms[a - a % m + b % m] = c  # E_(i, l) for a = (i, x), b = (y, l)
-        c = second.get(key)
-        if c is not None:
-            terms[b - b % m + a % m] = -c  # E_(y, x)
-        table[(a, b)] = terms
-    return StructureConstants._trusted(d, table)
+            if c:
+                for a in range(x, d, m):
+                    yield a, y * m, a - x, c
+
+
+def structure_constants(param: BracketParam) -> StructureConstants:
+    """Expand the bracket of every canonical basis pair, by the unit-rule
+    lemma of ``_unit_rule``: ``T(a, b)`` is the first term of the pair
+    ``(a, b)`` when ``a < b`` and the second term of ``(b, a)`` when
+    ``a > b``.  Pairs are stored in increasing order, each with its first
+    term ahead of its second.  The contraction and path checks of ``deform``
+    read their basis-pair brackets off this table, and the coboundary check
+    its right side.
+    """
+    m, d = param.m, param.dim
+    terms_at: Dict[int, Dict[int, Scalar]] = {}  # a * d + b -> the terms of [x_a, x_b], a < b
+    for a, b0, t, c in _unit_rule(param):
+        for b in range(b0, b0 + m):
+            if a < b:  # the first term of (a, b), put ahead of a second term already there
+                key = a * d + b
+                terms = terms_at.get(key)
+                terms_at[key] = {t: c} if terms is None else {t: c, **terms}
+            elif a > b:  # the second term of (b, a)
+                terms_at.setdefault(b * d + a, {})[t] = -c
+            t += 1
+    return StructureConstants._trusted(d, {divmod(key, d): terms_at[key] for key in sorted(terms_at)})

@@ -8,8 +8,8 @@ every point below ``t = 1`` isomorphic to the commutator
 (``path_identities``).  The bracket with any parameter is a 2-coboundary of
 the commutator's adjoint action (``ce_coboundary_check``).  No pair loop
 here takes a matrix product: the brackets are read off
-``brackets.structure_constants``, or by the unit rule of
-``ce_coboundary_check``.
+``brackets.structure_constants``, or, in ``ce_coboundary_check``, by the
+unit-rule lemma of ``brackets._unit_rule``.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def ce_coboundary_check(j: Matrix, n: int):
     denominators of ``j``, and compared entry by entry on integers.  ``a`` is
     formed once per basis element, by ``alpha_coboundary``; it is called, not
     inlined, so that the check judges whatever ``alpha_coboundary`` is.  The
-    unit rule ``[E_ik, E_pq] = [k = p] E_iq - [q = i] E_pk`` gives the rest
+    unit-rule lemma of ``brackets._unit_rule`` at ``J = I`` gives the rest
     with no product: for a unit ``A = E_(i,k)``, ``A M`` copies row k of
     ``M`` into row i and ``M A`` copies column i of ``M`` into column k, and
     ``a([A, B])`` is a difference of the ``a`` of two units.  Only the right

@@ -177,9 +177,11 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
       ``k = min(max_size, 3)``, on the unit tables that its
       model-constants check built.
 
-    Block-subalgebra lemma: on units the bracket is ``[E_ij, E_kl]_J =
-    J_jk E_il - J_li E_kj``, so for a row set ``I`` and a column set ``K``
-    the units ``E_ik`` (``i`` in ``I``, ``k`` in ``K``) span a subalgebra of
+    Block-subalgebra lemma: by the unit-rule lemma of
+    ``brackets._unit_rule``, the bracket of ``E_ij`` and ``E_kl`` reads only
+    the entries ``(j, k)`` and ``(l, i)`` of ``J`` and lands on ``E_il`` and
+    ``E_kj``, so for a row set ``I`` and a column set ``K`` the units
+    ``E_ik`` (``i`` in ``I``, ``k`` in ``K``) span a subalgebra of
     ``Mat(n x m)``, and relabelled it is the ``Mat(|I| x |K|)`` bracket
     algebra of the block of ``J`` on rows ``K`` and columns ``I``.  A basis
     triple uses at most three rows and three columns, so its Jacobi sum at

@@ -1,5 +1,6 @@
 """Engine computations: axioms, center, series, Killing form, hom checks."""
 
+import copy
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from liebrackets.brackets import (
     structure_constants,
 )
 from liebrackets.classify import iso_witness, random_parameter
+from liebrackets.constructions import heisenberg_realization
 from liebrackets.deform import PATH_TIMES as DEFORM_PATH_TIMES
 from liebrackets.deform import deformation_bracket
 from liebrackets.matrices import (
@@ -361,6 +363,22 @@ class TestTraceLemmas:
         assert (param.j @ bracket(a, b, param)).trace() == 0
 
 
+@st.composite
+def unit_rule_parameters(draw, max_size=4):
+    """A zero, unit, integer or rational ``J`` of a shape up to
+    ``max_size x max_size``."""
+    n, m = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from(["zero", "unit", "integer", "rational"]))
+    if kind == "zero":
+        return BracketParam(n, m, Matrix.zeros(m, n))
+    if kind == "unit":
+        return BracketParam(n, m, Matrix.unit(m, n, draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3])
+    if kind == "rational":
+        entries = st.builds(Fraction, entries, st.sampled_from([1, 2, 3, 4]))
+    return BracketParam(n, m, Matrix([draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]))
+
+
 def ad_matrix(L, x):
     """Dense matrix of ``y -> [x, y]``, assembled from ``_sparse_ads``."""
     xc = L.to_coords(x)
@@ -405,6 +423,57 @@ class TestAdjoint:
         alg = abelian(3)
         with pytest.raises(ShapeError):
             ad_matrix(alg, [1, 2])
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(unit_rule_parameters())
+    @example(BracketParam(3, 4, Matrix([[1, Fraction(-1, 2), 3]] * 4)))
+    @example(BracketParam.normal(4, 4, 4))
+    def test_a_model_adjoint_is_its_table_and_its_bracket(self, param):
+        # A model's adjoint is built from J, not from its table: column
+        # ads[a][b] is table[(a, b)] above the diagonal, its negation below,
+        # and the coordinates of the matrix bracket of E_a and E_b, with no
+        # empty column and no zero, and ints for an integer J.
+        L = LieAlgebra.from_param(param)
+        ads = L._sparse_ads
+        table = structure_constants(param).table
+        basis = basis_matrices(param.n, param.m)
+        integer = all(type(x) is int for x in param.j.entries)
+        for a, cols in enumerate(ads):
+            assert all(col and all(col.values()) for col in cols.values())
+            if integer:
+                assert all(type(v) is int for col in cols.values() for v in col.values())
+            for b, e in enumerate(basis):
+                col = cols.get(b, {})
+                if a < b:
+                    assert col == table.get((a, b), {})
+                else:
+                    assert col == {k: -v for k, v in table.get((b, a), {}).items()}
+                assert algebra._dense(col, param.dim) == bracket(basis[a], e, param).entries
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        integer_parameters(max_size=3),
+        st.lists(st.dictionaries(st.integers(0, 8), st.sampled_from([1, -1, 2, -3]), min_size=1, max_size=3), max_size=4),
+    )
+    @example(BracketParam.normal(3, 3, 3), [{0: 2}, {4: -3}, {1: 1, 3: 2}, {8: -1}])
+    @example(BracketParam.normal(2, 3, 2), [{1: -3}, {3: 2}, {5: 1}])
+    def test_the_series_kernel_brackets_the_rows_it_is_given(self, param, rows):
+        # ``_next_generators`` yields the nonzero brackets of the rows it is
+        # given, whatever their coefficients: a single-entry row read off
+        # the adjoint keeps its coefficient.
+        d, basis = param.dim, basis_matrices(param.n, param.m)
+        rows = [{k % d: v for k, v in row.items()} for row in rows]
+        L = LieAlgebra.from_param(param)
+
+        def element(row):
+            return Matrix.from_flat(param.n, param.m, algebra._dense(row, d))
+
+        pairs = [(element(y), element(z)) for p, y in enumerate(rows) for z in rows[p + 1 :]]
+        acting = [e for e in basis if any(not bracket(e, f, param).is_zero() for f in basis)]
+        for lower_central, operands in ((False, pairs), (True, [(e, element(y)) for e in acting for y in rows])):
+            expected = [w for w in (bracket(x, y, param).entries for x, y in operands) if any(w)]
+            got = algebra._next_generators(L, rows, lower_central)
+            assert [algebra._dense(v, d) for v in got] == expected
 
 
 class TestSubalgebraClosed:
@@ -1471,6 +1540,30 @@ def sparse_rows_only(patch):
     return read
 
 
+class TestModelLessAdjoint:
+    @pytest.mark.parametrize(
+        "L",
+        [
+            heisenberg_realization(2).realized_algebra(),
+            LieAlgebra(3, sl2_constants()),
+            model_less(LieAlgebra.from_param(DENSE_REFERENCE_CASES["dense-3x4-0"])),
+            model_less(LieAlgebra.from_param(DENSE_REFERENCE_CASES["rational-4x3-r2"])),
+        ],
+        ids=["realized-heisenberg-2", "abstract-sl2", "dense-3x4-0", "rational-4x3-r2"],
+    )
+    def test_readers_leave_the_table_unchanged(self, L):
+        # The adjoint of an algebra without a model shares the dicts of its
+        # table as its upper half, so no reader may change a column.
+        before = copy.deepcopy(L.constants.table)
+        invariant_signature(L)
+        center(L)
+        lower_central_series(L)
+        derived_series(L)
+        killing_form(L)
+        assert jacobi_check(L)
+        assert L.constants.table == before
+
+
 # Dense integer, rational and path parameters that are not in rank normal
 # form; the first three have rank < n, so P has rows at free columns.
 TRANSPORTED = ["dense-4x3-1", "rational-4x3-r2", "rational-3x3-r2", "dense-3x4-0", "path-3-r1-t1/3"]
@@ -1562,8 +1655,9 @@ class TestNormalFormTransport:
     @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1", "rational-4x3-r2"])
     def test_a_transported_model_builds_only_the_normal_form_table(self, monkeypatch, name):
         # The table of a model is built on its first read: the signature of
-        # a dense J reads only the table of N_r, and a later read of L's
-        # table gives the one ``structure_constants`` builds.
+        # a dense J reads no table, not even that of N_r, whose adjoint comes
+        # from J, and a later read of L's table gives the one
+        # ``structure_constants`` builds.
         param = DENSE_REFERENCE_CASES[name]
         expected_signature = invariant_signature(model_less(LieAlgebra.from_param(param)))
         built = []
@@ -1571,14 +1665,34 @@ class TestNormalFormTransport:
         monkeypatch.setattr(algebra, "structure_constants", lambda p: built.append(p) or real(p))
         L = LieAlgebra.from_param(param)
         assert invariant_signature(L) == expected_signature
-        assert built == [BracketParam.normal(param.n, param.m, rank(param.j))]
-        built.clear()
+        assert built == []
         expected = structure_constants(param)
         assert L.constants.table == expected.table
         assert L.constants == expected and L.constants.to_json() == expected.to_json()
         assert repr(L.constants) == repr(expected)
         assert L.constants.table is L.constants.table
         assert built == [param]
+
+    @pytest.mark.parametrize(
+        "name, proved",
+        [("normal-3x4-r2", True), ("normal-6x3-r3", True), ("dense-3x4-0", True), ("dense-4x3-1", True)]
+        + [("rational-4x3-r2", True), ("rational-4x3-r2", False), ("rational-3x3-r2", False)],
+    )
+    def test_a_model_signature_reads_no_table(self, monkeypatch, name, proved):
+        # The signature of a model, transported or not, and of a rational J
+        # scaled to integers when its transport is refused, reads its
+        # adjoint off J: no table is built and no lazy table is read.
+        param = DENSE_REFERENCE_CASES[name]
+        expected = dense_reference_signature(LieAlgebra.from_param(param))
+
+        def refuse(*args):
+            raise AssertionError("built a structure-constants table")
+
+        monkeypatch.setattr(algebra, "structure_constants", refuse)
+        monkeypatch.setattr(algebra._ModelConstants, "__getattr__", refuse)
+        if not proved:
+            monkeypatch.setattr(algebra, "_factor_check", lambda *args: None)
+        assert invariant_signature(LieAlgebra.from_param(param)) == expected
 
     @pytest.mark.parametrize(
         "L",
