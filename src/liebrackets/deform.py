@@ -9,17 +9,23 @@ every point below ``t = 1`` isomorphic to the commutator
 the commutator's adjoint action (``ce_coboundary_check``).  No pair loop
 here takes a matrix product: the brackets are read off
 ``brackets.structure_constants``, or, in ``ce_coboundary_check``, by the
-unit-rule lemma of ``brackets._unit_rule``.
+unit-rule lemma of ``brackets._unit_rule``.  No proof loop builds a
+``Fraction`` either: the outputs of ``deformation_bracket``, ``psi_t`` and
+``alpha_coboundary`` are read once as integer rows at a common scale (the
+lcm of their denominators and of the time's or the parameter's), and every
+comparison runs on those integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Dict, Tuple
 
 from .algebra import Verdict
 from .brackets import BracketParam, StructureConstants, basis_matrices, structure_constants
-from .matrices import Matrix, ShapeError, _canonical, _integer_row, rank_normal_form
+from .matrices import _INT_ONLY, Matrix, ShapeError, _integer_row, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
@@ -93,19 +99,25 @@ def contraction_limit(c: EpsStructureConstants) -> StructureConstants:
 def deformation_bracket(n: int, j: Matrix, t) -> BracketParam:
     """Bracket parameter ``(1-t) I + t j`` on square matrices of size n, for
     an exact rational ``t`` in ``[0, 1]``, written entry by entry: ``t j``
-    is taken only at the nonzero entries of ``j``, and ``1 - t`` is added on
-    the diagonal, so no matrix is scaled as a whole."""
+    is taken only at the nonzero entries of ``j``, and a diagonal entry
+    ``(1 - t) + t v`` is ``1 - t`` at ``v = 0`` and ``1`` at ``v = 1``, so
+    no matrix is scaled as a whole."""
     t = to_scalar(t)
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.shape}")
-    if not (0 <= t <= 1):
+    if not (0 <= t.numerator <= t.denominator):
         raise ValueError(f"path time must lie in [0, 1], got {t}")
     s = 1 - t
     rows = tuple(
-        tuple((t * v if v else 0) + (s if c == i else 0) for c, v in enumerate(row))
+        tuple(
+            (s if not v else 1 if v == 1 else to_scalar(s + t * v)) if c == i  # (1 - t) + t v
+            else to_scalar(t * v) if v
+            else 0
+            for c, v in enumerate(row)
+        )
         for i, row in enumerate(j._data)
     )
-    return BracketParam(n, n, Matrix._raw(_canonical(rows)))
+    return BracketParam(n, n, Matrix._raw(rows))
 
 
 def psi_t(x: Matrix, t, r: int) -> Matrix:
@@ -121,8 +133,10 @@ def psi_t(x: Matrix, t, r: int) -> Matrix:
     if not (0 <= r <= x.rows):
         raise ShapeError(f"split index {r} out of range for size {x.rows}")
     scale = 1 - t
-    rows = tuple(tuple(v * scale if c >= r and v else v for c, v in enumerate(row)) for row in x._data)
-    return Matrix._raw(_canonical(rows))
+    rows = tuple(
+        row[:r] + tuple(scale if v == 1 else to_scalar(v * scale) if v else 0 for v in row[r:]) for row in x._data
+    )
+    return Matrix._raw(rows)
 
 
 def psi_t_inverse(x: Matrix, t, r: int) -> Matrix:
@@ -155,16 +169,21 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
 
     Both identities are read off basis-pair brackets: with ``t = p/q``, the
     tables ``structure_constants`` gives for ``q J_t``, ``I`` and
-    ``J_r - I`` are compared pair by pair on integers.  This is the integer
-    path: ``q J_t`` is formed entry by entry from the nonzero entries of
-    ``deformation_bracket``, and ``w`` from the diagonal of ``psi_t(I)``
-    alone, so no matrix is scaled by a ``Fraction``.  ``psi_t`` scales
-    columns, so ``q psi_t(E_(i,c)) = w_c E_(i,c)`` with ``w`` the diagonal of
-    ``q psi_t(I)``; for units ``E_a = E_(i,c)`` and ``E_b = E_(k,d)`` the
-    transport identity times ``q^2`` reads
-    ``w_l (q [E_a, E_b]_{J_t})_(x,l) = w_c w_d [E_a, E_b]_(x,l)``, and
-    ``psi_t`` is invertible iff every weight ``w_c`` is nonzero, which the
-    verdict also requires (each ``w_c`` is ``q`` or ``q - p``).
+    ``J_r - I`` are compared on integers.  This is the integer path: the
+    entries of ``deformation_bracket`` and the diagonal of ``psi_t(I)`` are
+    read once as integers, ``numerator * (q // denominator)``, and no
+    ``Fraction`` is built after them.  (A denominator that does not divide
+    ``q``, which only a faulty path gives, raises the scale to the lcm, and
+    ``p`` and ``q`` below scale with it.)  The decomposition is one
+    comparison of the ``q J_t`` table with ``q T(I) + p T(J_r - I)``.
+    ``psi_t`` scales columns, so ``q psi_t(E_(i,c)) = w_c E_(i,c)`` with
+    ``w`` the diagonal of ``q psi_t(I)``; for units ``E_a = E_(i,c)`` and
+    ``E_b = E_(k,d)`` the transport identity times ``q^2`` reads
+    ``w_l (q [E_a, E_b]_{J_t})_(x,l) = w_c w_d [E_a, E_b]_(x,l)``, one
+    comparison of the ``q J_t`` table scaled by ``w_l`` with ``T(I)`` scaled
+    by ``w_c w_d``, and ``psi_t`` is invertible iff every weight ``w_c`` is
+    nonzero, which the verdict also requires (each ``w_c`` is ``q`` or
+    ``q - p``).
 
     Generic-time lemma: one exact evaluation, at ``t* = 1/2^W``, proves both
     identities for every ``t``.  ``structure_constants`` is linear in ``J``,
@@ -199,8 +218,10 @@ def _identity_table(n: int) -> dict:
 
 def _shift_table(n: int, r: int) -> dict:
     """The ``structure_constants`` table ``T(J_r - I)``, the same for every
-    time of the path."""
-    return structure_constants(BracketParam(n, n, rank_normal_form(n, n, r) - Matrix.identity(n))).table
+    time of the path; ``J_r - I`` is written down as the diagonal
+    ``(0, .., 0, -1, .., -1)`` with ``r`` zeros."""
+    diagonal = tuple(tuple(-1 if c == i >= r else 0 for c in range(n)) for i in range(n))
+    return structure_constants(BracketParam(n, n, Matrix._raw(diagonal))).table
 
 
 def _generic_time(comm: dict, shift: dict):
@@ -208,32 +229,43 @@ def _generic_time(comm: dict, shift: dict):
     time-free tables ``comm = T(I)`` and ``shift = T(J_r - I)``, with
     ``W = (4 M).bit_length() + 1``; None if a constant is not an integer,
     where the generic-time lemma gives no bound."""
-    constants = [v for table in (comm, shift) for terms in table.values() for v in terms.values()]
-    if any(v.denominator != 1 for v in constants):
+    constants = list(chain.from_iterable(map(dict.values, chain(comm.values(), shift.values()))))
+    if not _INT_ONLY.issuperset(map(type, constants)):
         return None
     m = max([1, *map(abs, constants)])
     return Fraction(1, 1 << ((4 * m).bit_length() + 1))
 
 
 def _path_identities(n: int, r: int, t, comm: dict, shift: dict) -> Dict[str, bool]:
-    """``path_identities(n, r, t)`` for an exact ``t``, with the time-free
-    tables ``comm = _identity_table(n)`` and ``shift = _shift_table(n, r)``:
-    ``deformation_bracket`` and ``psi_t`` still run at every call."""
+    """``path_identities(n, r, t)`` for an exact ``t = p/q``, with the
+    time-free tables ``comm = _identity_table(n)`` and
+    ``shift = _shift_table(n, r)``: ``deformation_bracket`` and ``psi_t``
+    still run at every call, and their entries are read as integers at the
+    scale ``s``, the lcm of ``q`` and their denominators (``s = q`` on the
+    path).  No table holds a zero coefficient (``StructureConstants``), so
+    with every weight nonzero the transport identity holds exactly when the
+    two scaled tables, keyed by ``(a, b, k)``, are equal."""
     p, q = t.numerator, t.denominator
-    jr = rank_normal_form(n, n, r)
-    jt = tuple(tuple(to_scalar(q * v) if v else 0 for v in row) for row in deformation_bracket(n, jr, t).j._data)
-    lhs = structure_constants(BracketParam(n, n, Matrix._raw(jt))).table
-    w = [to_scalar(q * v) for v in psi_t(Matrix.identity(n), t, r).entries[:: n + 1]]  # the diagonal
-    decomposition = transport = True
-    for a, b in lhs.keys() | comm.keys() | shift.keys():
-        x, y, z = lhs.get((a, b), {}), comm.get((a, b), {}), shift.get((a, b), {})
-        for k in x.keys() | y.keys() | z.keys():
-            v, c = x.get(k, 0), y.get(k, 0)
-            decomposition = decomposition and v == q * c + p * z.get(k, 0)
-            transport = transport and v * w[k % n] == w[a % n] * w[b % n] * c
-    verdicts = {"decomposition": decomposition}
+    jt, dt = _integer_row(deformation_bracket(n, rank_normal_form(n, n, r), t).j.entries)
+    w, dw = _integer_row(psi_t(Matrix.identity(n), t, r).entries[:: n + 1])  # the diagonal
+    s = lcm(q, dt, dw)
+    jt, w = [x * (s // dt) for x in jt], [x * (s // dw) for x in w]
+    lhs = structure_constants(BracketParam(n, n, Matrix._raw(tuple(zip(*[iter(jt)] * n))))).table
+    wk = w * n  # the weight of basis index k is w[k % n]
+    got = {(a, b, k): v for (a, b), terms in lhs.items() for k, v in terms.items()}
+    want, moved = {}, {}  # s T(I) + s t T(J_r - I), and q^2 psi_t of the commutator
+    for (a, b), terms in comm.items():
+        for k, c in terms.items():
+            want[a, b, k] = s * c
+            moved[a, b, k] = wk[a] * wk[b] * c
+    g = s // q * p
+    for (a, b), terms in shift.items():
+        for k, z in terms.items():
+            want[a, b, k] = want.get((a, b, k), 0) + g * z
+    # A zero coefficient of ``want`` is no term of ``got``.
+    verdicts = {"decomposition": got == want or got == {key: v for key, v in want.items() if v}}
     if t != 1:
-        verdicts["transport"] = transport and all(w)
+        verdicts["transport"] = all(w) and {(a, b, k): v * wk[k] for (a, b, k), v in got.items()} == moved
     return verdicts
 
 
@@ -245,7 +277,8 @@ def alpha_coboundary(x: Matrix, j: Matrix) -> Matrix:
     ``j`` in row ``i``, and ``j x`` gains ``v`` times column ``i`` of ``j``
     in column ``k``.  So a unit ``x``, one nonzero entry, costs one row and
     one column of ``j``.  The sum is then halved entry by entry, exact for
-    any rational ``x`` and ``j``."""
+    any rational ``x`` and ``j``: an even ``int`` by a shift, anything else
+    by ``scalar_div``."""
     if x.shape != j.shape or x.rows != x.cols:
         raise ShapeError(f"need equal square shapes, got {x.shape} and {j.shape}")
     jrows = j._data
@@ -258,7 +291,8 @@ def alpha_coboundary(x: Matrix, j: Matrix) -> Matrix:
                     out[c] += v * w
                 for srow, jrow in zip(s, jrows):  # j x: v * column i of j
                     srow[k] += jrow[i] * v
-    return Matrix._raw(tuple(tuple(scalar_div(v, 2) for v in row) for row in s))
+    half = [v >> 1 if type(v) is int and not v & 1 else scalar_div(v, 2) for row in s for v in row]
+    return Matrix._raw(tuple(zip(*[iter(half)] * x.cols)))
 
 
 def ce_coboundary_check(j: Matrix, n: int):
@@ -267,20 +301,24 @@ def ce_coboundary_check(j: Matrix, n: int):
     Unsubscripted brackets are ordinary commutators; the identity shows the
     j-bracket is a 2-coboundary for the commutator's adjoint action.
 
-    Both sides are scaled by ``2 d_J``, with ``d_J`` the lcm of the
-    denominators of ``j``, and compared entry by entry on integers.  ``a`` is
-    formed once per basis element, by ``alpha_coboundary``; it is called, not
-    inlined, so that the check judges whatever ``alpha_coboundary`` is.  The
-    unit-rule lemma of ``brackets._unit_rule`` at ``J = I`` gives the rest
-    with no product: for a unit ``A = E_(i,k)``, ``A M`` copies row k of
-    ``M`` into row i and ``M A`` copies column i of ``M`` into column k, and
+    Both sides are scaled by ``s``, the lcm of ``d_J`` (the lcm of the
+    denominators of ``j``) and the denominators of every ``a(E_a)``, which
+    is ``2 d_J`` or a divisor of it for the true potential, and compared
+    entry by entry on integers.  ``a`` is formed once per basis element, by
+    ``alpha_coboundary``; it is called, not inlined, so that the check
+    judges whatever ``alpha_coboundary`` is, and each ``s a(E_a)`` is read
+    once as an integer row and sliced once into its rows and its columns.
+    The unit-rule lemma of ``brackets._unit_rule`` at ``J = I`` gives the
+    rest with no product: for a unit ``A = E_(i,k)``, ``A M`` copies row k of
+    ``M`` into row i and ``M A`` copies column i of ``M`` into column k, so a
+    pair reads one row and one column of each of ``a(A)`` and ``a(B)``, and
     ``a([A, B])`` is a difference of the ``a`` of two units.  Only the right
     side is read off a table, the ``structure_constants`` of the integer
     parameter ``d_J j``.
 
     Coboundary-bound lemma: both sides are linear in ``j`` when
     ``alpha_coboundary`` is, and at a unit ``j`` every entry of either side,
-    scaled by 2, is at most 12 in absolute value, below ``2^5``.  With ``|M|``
+    scaled by 2, is at most 12 in absolute value, below ``2^4``.  With ``|M|``
     the sum of the absolute entries of ``M``, a product with a unit matrix
     gives ``|X E| <= |X|``, so ``|2 alpha(X)| = |X J + J X| <= 2 |X|`` and
     ``|[A, M]| <= 2 |M|`` for a unit ``A``.  For units ``A`` and ``B`` then
@@ -288,34 +326,46 @@ def ce_coboundary_check(j: Matrix, n: int):
     ``|2 alpha([A, B])| <= 2 |[A, B]| <= 4``, so the left side is at most 12,
     and ``|2 [A, B]_J| <= 4`` on the right.  So by the generic-parameter lemma
     of ``brackets._generic_parameter``, a pass at ``J*`` with slot width
-    ``w = 6`` proves the identity for every ``j`` of size ``n``.
+    ``w = 5`` proves the identity for every ``j`` of size ``n``.
     """
+    if n < 1:
+        raise ShapeError(f"invalid size {n}")
     if j.shape != (n, n):
         raise ShapeError(f"parameter must be {n}x{n}, got {j.rows}x{j.cols}")
     dj = _integer_row(j.entries)[1]
-    scale = 2 * dj
-    alphas = [[to_scalar(scale * v) for v in alpha_coboundary(x, j).entries] for x in basis_matrices(n, n)]
-    rhs = structure_constants(BracketParam(n, n, j * dj)).table
-    for a in range(n * n):
-        for b in range(a + 1, n * n):
-            (i, k), (p, q) = divmod(a, n), divmod(b, n)
-            alpha_a, alpha_b = alphas[a], alphas[b]
-            lhs = [0] * (n * n)
-            for c in range(n):  # [A, a(B)] - [B, a(A)]
-                lhs[i * n + c] += alpha_b[k * n + c]
-                lhs[c * n + k] -= alpha_b[c * n + i]
-                lhs[p * n + c] -= alpha_a[q * n + c]
-                lhs[c * n + q] += alpha_a[c * n + p]
-            if k == p:  # - a([A, B]), by the unit rule
-                for f, w in enumerate(alphas[i * n + q]):
-                    lhs[f] -= w
+    alphas = [_integer_row(alpha_coboundary(x, j).entries) for x in basis_matrices(n, n)]
+    scale, nn = lcm(dj, *(d for _, d in alphas)), n * n
+    flats = [flat if d == scale else [v * (scale // d) for v in flat] for flat, d in alphas]  # scale a(E_a)
+    rows = [list(zip(*[iter(flat)] * n)) for flat in flats]
+    cols = [list(zip(*r)) for r in rows]
+    rhs = structure_constants(BracketParam(n, n, j if dj == 1 else j * dj)).table
+    g = scale // dj  # [A, B]_J = rhs / d_J
+    empty: dict = {}
+    for a in range(nn):
+        i, k = divmod(a, n)
+        io = i * n
+        row_a, col_a = rows[a], cols[a]
+        for b in range(a + 1, nn):
+            p, q = divmod(b, n)
+            lhs = [0] * nn  # [A, a(B)] - [B, a(A)], then - a([A, B]) by the unit rule, then - [A, B]_J
+            lhs[io : io + n] = rows[b][k]  # A a(B): row k of a(B) in row i
+            for c, u in enumerate(row_a[q], p * n):  # B a(A): row q of a(A) in row p
+                lhs[c] -= u
+            for o, y, v in zip(range(0, nn, n), cols[b][i], col_a[p]):
+                lhs[o + k] -= y  # a(B) A: column i of a(B) in column k
+                lhs[o + q] += v  # a(A) B: column p of a(A) in column q
+            if k == p:
+                lhs = [x - y for x, y in zip(lhs, flats[io + q])]
             if q == i:
-                for f, w in enumerate(alphas[p * n + k]):
-                    lhs[f] += w
-            want = [0] * (n * n)
-            for e, v in rhs.get((a, b), {}).items():
-                want[e] = v + v
-            if lhs != want:
-                coboundary, bracket = (Matrix.from_flat(n, n, x) * Fraction(1, scale) for x in (lhs, want))
+                lhs = [x + y for x, y in zip(lhs, flats[p * n + k])]
+            terms = rhs.get((a, b), empty)
+            for e, v in terms.items():
+                lhs[e] -= v * g
+            if any(lhs):
+                bracket = [0] * nn
+                for e, v in terms.items():
+                    bracket[e] = v * g
+                coboundary = [x + y for x, y in zip(lhs, bracket)]
+                coboundary, bracket = (Matrix.from_flat(n, n, x) * Fraction(1, scale) for x in (coboundary, bracket))
                 return Verdict(False, {"pair": [a, b], "coboundary": str(coboundary), "bracket": str(bracket)})
     return Verdict(True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -87,14 +87,16 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         if n < 1:
             raise ShapeError(f"invalid size {n}")
-        return cls._raw(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return rank_normal_form(n, n, n)
 
     @classmethod
     def unit(cls, rows: int, cols: int, i: int, j: int) -> "Matrix":
         """The basis matrix with a single 1 at 0-based position (i, j)."""
         if not (0 <= i < rows and 0 <= j < cols):
             raise ShapeError(f"unit position ({i}, {j}) outside {rows}x{cols}")
-        return cls._raw(tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(cols)) for r in range(rows)))
+        zero = (0,) * cols
+        one = zero[:j] + (1,) + zero[j + 1 :]
+        return cls._raw(tuple(one if r == i else zero for r in range(rows)))
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
@@ -122,7 +124,7 @@ class Matrix:
     @property
     def entries(self) -> tuple:
         """Row-major flat tuple of all entries."""
-        return tuple(x for row in self._data for x in row)
+        return tuple(chain.from_iterable(self._data))
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
@@ -250,6 +252,7 @@ class RrefResult(NamedTuple):
 
 
 _INT_ONLY = frozenset((int,))
+_denominator = attrgetter("denominator")
 
 
 def _canonical(rows: tuple) -> tuple:
@@ -270,7 +273,7 @@ def _integer_row(v: Sequence[Scalar]) -> tuple:
     as ``(v, 1)`` unchanged."""
     if _INT_ONLY.issuperset(map(type, v)):
         return v, 1
-    den = lcm(*(x.denominator for x in v))
+    den = lcm(*map(_denominator, v))
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
@@ -616,9 +619,8 @@ def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:
         raise ShapeError(f"invalid shape {rows}x{cols}")
     if not (0 <= r <= min(rows, cols)):
         raise ShapeError(f"rank {r} out of range for {rows}x{cols}")
-    return Matrix._raw(
-        tuple(tuple(1 if (i == j and i < r) else 0 for j in range(cols)) for i in range(rows))
-    )
+    zero = (0,) * cols
+    return Matrix._raw(tuple(zero[:i] + (1,) + zero[i + 1 :] if i < r else zero for i in range(rows)))
 
 
 @dataclass(frozen=True)

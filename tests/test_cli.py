@@ -252,6 +252,8 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["deform", "2", "1", "--t", "1/0"],
         ["deform", "0", "0", "--t", "1/2"],
         ["contract", "0", "0"],
+        ["coboundary", "0", "--j", "1"],
+        ["coboundary", "-2", "--j", "1"],
         ["semidirect", "0", "1"],
         ["heisenberg", "0"],
         ["verify-all", "--max", "1"],
@@ -280,6 +282,7 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["embed", "--rep=--", "4", "5", "3"],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
+         "coboundary-size-0", "coboundary-size-negative",
          "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
          "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file",
          "exponent-literal", "decimal-literal", "decimal-time", "underscore-literal", "malformed-token",
@@ -317,6 +320,16 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     for arg in argv:
         if arg in messages:
             assert err.startswith(fill(messages[arg]) + "\n")
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_coboundary_size_below_one_is_an_invalid_size(capsys, n):
+    # As for ``contract 0 0``: one message naming the size, not a shape
+    # mismatch between the size and the parameter.
+    code, report, err = run_cli(capsys, "coboundary", n, "--j", "1")
+    assert (code, report) == (2, None)
+    assert err.startswith(f"error: invalid size {n}\n")
+    assert err.count("error:") == 1
 
 
 def test_negative_parameter_in_equals_form(capsys):

@@ -347,6 +347,43 @@ class TestPathIdentities:
         assert path_identities(4, 2, Fraction(1, 3)) == {"decomposition": True, "transport": True}
         assert calls[0] == 0
 
+    def test_proofs_build_no_fraction_outside_the_pinned_calls(self, monkeypatch):
+        # At the generic time t* and the generic parameter J* every comparison
+        # runs on integers: the only Fractions are those that
+        # deformation_bracket, psi_t and alpha_coboundary build, whose
+        # outputs the proofs read.
+        cases = [(n, r, deform._identity_table(n), deform._shift_table(n, r)) for n in range(1, 5) for r in range(n)]
+        times = [deform._generic_time(comm, shift) for _, _, comm, shift in cases]
+        params = [_generic_parameter(n, n, verify._COBOUNDARY_SLOT) for n in range(1, 5)]
+        built, spying = [], [True]
+        real_new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            if spying[0]:
+                built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        def unspied(f):
+            def call(*args):
+                spying[0] = False
+                try:
+                    return f(*args)
+                finally:
+                    spying[0] = True
+
+            return call
+
+        for name in ("deformation_bracket", "psi_t", "alpha_coboundary"):
+            monkeypatch.setattr(deform, name, unspied(getattr(deform, name)))
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        for (n, r, comm, shift), t in zip(cases, times):
+            assert deform._path_identities(n, r, t, comm, shift) == {"decomposition": True, "transport": True}
+        for n, j in enumerate(params, 1):
+            assert ce_coboundary_check(j, n).passed
+        assert built == []
+        Fraction(1, 3)  # the spy sees a Fraction built outside the three calls
+        assert built == [(1, 3)]
+
     @pytest.mark.parametrize("fault", [False, True])
     def test_verify_builds_the_time_free_tables_once_per_rank(self, monkeypatch, fault):
         # check_deformation_coboundary builds the table of I once per n, that
@@ -478,6 +515,29 @@ class TestCoboundary:
     def test_shape_validated(self):
         with pytest.raises(ShapeError):
             ce_coboundary_check(Matrix.zeros(2, 3), 2)
+        with pytest.raises(ShapeError, match="invalid size 0"):
+            ce_coboundary_check(Matrix.identity(1), 0)
+
+    def test_unit_parameters_meet_the_coboundary_bound(self):
+        # The coboundary-bound lemma at every unit J of size n <= 4, by
+        # products: with |M| the sum of the absolute entries, each of
+        # [A, 2 a(B)], [B, 2 a(A)] and 2 a([A, B]) has |M| <= 4, so the left
+        # side has entries of at most 12, and 2 [A, B]_J of at most 4.  Both
+        # stay below 2^(w-1) at the slot width w of the proof.
+        bound = 2 ** (verify._COBOUNDARY_SLOT - 1)
+        assert 12 < bound <= 16  # w = 5: one bit narrower would not hold 12
+        for n in range(1, 5):
+            units = basis_matrices(n, n)
+            for j in units:
+                twice = [alpha_coboundary(x, j) * 2 for x in units]
+                for a, x in enumerate(units):
+                    for b in range(a + 1, len(units)):
+                        y = units[b]
+                        terms = [_comm(x, twice[b]), _comm(y, twice[a]), alpha_coboundary(_comm(x, y), j) * 2]
+                        assert all(sum(map(abs, m.entries)) <= 4 for m in terms), (n, j, a, b)
+                        left = terms[0] - terms[1] - terms[2]
+                        right = (x @ j @ y - y @ j @ x) * 2
+                        assert max(map(abs, left.entries)) <= 12 and max(map(abs, right.entries)) <= 4
 
     @settings(max_examples=60, deadline=None)
     @given(coboundary_parameters())
@@ -515,6 +575,20 @@ class TestCoboundary:
             got = ce_coboundary_check(j, n)
             assert got.passed == (n == 1)
             assert got == reference_ce_coboundary_check(j, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_passes_with_a_potential_whose_denominators_the_parameter_does_not_clear(self, monkeypatch, n):
+        # Adding ad_Y to the potential leaves its coboundary unchanged
+        # ([A, [Y, B]] - [B, [Y, A]] - [Y, [A, B]] = 0 by Jacobi), so the
+        # identity still holds; Y = E_(0, n-1) / 7 puts a denominator 7 into
+        # the potential, which 2 d_J does not clear and the read scale must.
+        real = deform.alpha_coboundary
+        y = Matrix.unit(n, n, 0, n - 1) * Fraction(1, 7)
+        monkeypatch.setattr(deform, "alpha_coboundary", lambda x, j: real(x, j) + y @ x - x @ y)
+        rng = random.Random(n)
+        rational = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        for j in (_generic_parameter(n, n, verify._COBOUNDARY_SLOT), rational):
+            assert ce_coboundary_check(j, n) == reference_ce_coboundary_check(j, n) == Verdict(True)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_builds_one_table_per_call(self, monkeypatch, n):

@@ -694,18 +694,18 @@ def test_coboundary_proof_fails_at_the_generic_parameter(monkeypatch, potential)
 
 
 def test_coboundary_proof_catches_a_potential_that_cancels_at_one_bit_narrower(monkeypatch):
-    # The potential gains (J[0][1] - 32 J[0][0]) X, whose coboundary adds that
-    # factor times [A, B].  At J* of width w the factor is 2^w - 32: 0 at
-    # w = 5, so a proof one bit narrower than the coboundary-bound lemma's
-    # w = 6 passes, while every normal form of rank r >= 1 fails with -32.
+    # The potential gains (J[0][1] - 16 J[0][0]) X, whose coboundary adds that
+    # factor times [A, B].  At J* of width w the factor is 2^w - 16: 0 at
+    # w = 4, so a proof one bit narrower than the coboundary-bound lemma's
+    # w = 5 passes, while every normal form of rank r >= 1 fails with -16.
     real = deform.alpha_coboundary
 
     def potential(x, j):
-        return real(x, j) + x * (j[0, 1] - 32 * j[0, 0] if j.rows > 1 else 0)
+        return real(x, j) + x * (j[0, 1] - 16 * j[0, 0] if j.rows > 1 else 0)
 
     monkeypatch.setattr(deform, "alpha_coboundary", potential)
     for n in (2, 3):
-        assert ce_coboundary_check(_generic_parameter(n, n, 5), n).passed
+        assert ce_coboundary_check(_generic_parameter(n, n, 4), n).passed
         assert not ce_coboundary_check(_generic_parameter(n, n, verify._COBOUNDARY_SLOT), n).passed
     out = verify.check_deformation_coboundary(3, 0)
     assert not out["pass"]
