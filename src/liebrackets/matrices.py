@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -124,7 +124,7 @@ class Matrix:
     @property
     def entries(self) -> tuple:
         """Row-major flat tuple of all entries."""
-        return tuple(chain.from_iterable(self._data))
+        return tuple(x for row in self._data for x in row)
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
@@ -252,7 +252,6 @@ class RrefResult(NamedTuple):
 
 
 _INT_ONLY = frozenset((int,))
-_denominator = attrgetter("denominator")
 
 
 def _canonical(rows: tuple) -> tuple:
@@ -273,7 +272,7 @@ def _integer_row(v: Sequence[Scalar]) -> tuple:
     as ``(v, 1)`` unchanged."""
     if _INT_ONLY.issuperset(map(type, v)):
         return v, 1
-    den = lcm(*map(_denominator, v))
+    den = lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
