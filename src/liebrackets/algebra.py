@@ -78,9 +78,6 @@ class HomVerdict:
     injective: bool
     witness: Optional[dict] = None
 
-    def __bool__(self) -> bool:
-        return self.is_hom
-
     @property
     def bijective(self) -> bool:
         return self.is_hom and self.injective
@@ -427,8 +424,7 @@ def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
     """The nonzero brackets, as sparse rows, spanning the term after the one
     spanned by the sparse rows ``current``.  A bracket with a single-entry
     row is read off the adjoint: ``[x_a, {b: z}] = z ads[a][b]``, and
-    ``[{a: y}, {b: z}] = y z ads[a][b]``; with coefficient 1 the column
-    itself is the row, since ``_echelon`` never changes a row it reads."""
+    ``[{a: y}, {b: z}] = y z ads[a][b]``."""
     ads = L._sparse_ads
     if lower_central:  # [x_a, y] for every basis element x_a
         for cols in ads:
@@ -439,7 +435,7 @@ def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
                     ((b, z),) = y.items()
                     col = cols.get(b)
                     if col:
-                        yield _scaled(col, z)
+                        yield {k: z * w for k, w in col.items()}
                     continue
                 v: dict = {}
                 _add_bracket(v, 1, cols, y)
@@ -452,18 +448,14 @@ def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
                     ((a, ya),), ((b, zb),) = y.items(), z.items()
                     col = ads[a].get(b)
                     if col:
-                        yield _scaled(col, ya * zb)
+                        f = ya * zb
+                        yield {k: f * w for k, w in col.items()}
                     continue
                 v = {}
                 for a, ya in y.items():
                     _add_bracket(v, ya, ads[a], z)
                 if v:
                     yield v
-
-
-def _scaled(col: dict, f: int) -> dict:
-    """``f * col`` for ``f != 0``: ``col`` itself when ``f`` is 1."""
-    return col if f == 1 else {k: f * w for k, w in col.items()}
 
 
 def _series(L: LieAlgebra, lower_central: bool) -> List[Subspace]:
@@ -834,13 +826,6 @@ def _derived_center_transpose(L: LieAlgebra) -> list:
             rows[i][q] = x
     for j, b in enumerate(derived.values(), 1):
         base = j * d
-        if len(b) == 1:  # no two terms meet: write the columns of ads[x] directly
-            ((x, bx),) = b.items()
-            for i, col in ads[x].items():
-                row = rows[i]
-                for t, w in col.items():
-                    row[base + t] = -bx * w
-            continue
         for x, bx in b.items():
             for i, col in ads[x].items():
                 row = rows[i]

@@ -172,7 +172,7 @@ def _pair_brackets(elements: Sequence[Matrix], param: BracketParam):
                 yield a, b, zero
                 continue
             v, den = _unpack(p, w, n * m), ints[a][1] * ints[b][1] * dj
-            yield a, b, tuple(v) if den == 1 else tuple(scalar_div(x, den) for x in v)
+            yield a, b, tuple(scalar_div(x, den) for x in v)
 
     return pairs()
 

@@ -45,10 +45,7 @@ def iso_witness(j1: Matrix, j2: Matrix) -> Matrix:
 
 def _columns_map(cols: list, den: int) -> Matrix:
     """The square matrix whose columns are the integer ``cols`` divided by ``den``."""
-    rows = zip(*cols)
-    if den != 1:
-        rows = (tuple(scalar_div(v, den) if v else 0 for v in row) for row in rows)
-    return Matrix._raw(tuple(rows))
+    return Matrix._raw(tuple(tuple(scalar_div(v, den) if v else 0 for v in row) for row in zip(*cols)))
 
 
 def _witness_factors(j1: Matrix, j2: Matrix) -> tuple:

@@ -41,17 +41,19 @@ from .scalars import scalar_str, to_scalar
 from .verify import _holds_for_every_parameter, _model_disagreements, run_all
 
 # Largest inputs the subcommands accept, so that none runs without bound.  The
-# slowest accepted case of each, timed as a process (best of 5; 2-core x86-64,
+# slowest accepted case of each, timed as a process (best of 3; 2-core x86-64,
 # CPython 3.11.7, the calibration kernel of ``perfbench/calibration.py`` at
-# 5.6-6.1 ms against its 3.5 ms reference):
-# - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.19 s (``36 1`` 0.17 s, ``12 3`` 0.13 s).
-# - MAX_PARAM_DIM: ``constants 12 12`` 0.40 s (dense integer J), 0.63 s (dense rational J);
-#   ``center 12 12`` 0.34 s, ``witness`` and ``embed`` 0.16 s at most.
-# - MAX_HEISENBERG_N: ``heisenberg 16`` 0.45 s.
-# - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.22 s, ``coboundary 8`` with a dense J 0.19 s.
-# - MAX_CONTRACT_N: ``contract 40 1`` 2.6 s, most of it the indented JSON writer on its 18 MB report.
-# - MAX_SEMIDIRECT_SIZE: ``semidirect 8 7`` 0.34 s (``15 0`` 0.31 s).
-# - MAX_VERIFY_SIZE: ``verify-all --max 8`` 0.92 s.
+# 2.7-3.6 ms against its 3.5 ms reference; a dense J has entries +-1..+-3, a
+# dense rational J entries p/q with |p| <= 3 and q <= 4):
+# - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.11 s (``36 1`` 0.10 s, ``12 3`` 0.11 s).
+# - MAX_PARAM_DIM: ``constants 12 12`` 0.32 s (dense integer J), 0.36 s (dense rational J);
+#   ``center 12 12`` 0.21 s (dense integer J), 0.24 s (dense rational J); ``witness`` 0.12 s
+#   (two dense rational 12 x 12 J); ``embed`` 0.16 s at most (an earlier, slower host).
+# - MAX_HEISENBERG_N: ``heisenberg 16`` 0.30 s.
+# - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.12 s, ``coboundary 8`` with a dense J 0.12 s.
+# - MAX_CONTRACT_N: ``contract 40 1`` 1.76 s, most of it the indented JSON writer on its 18 MB report.
+# - MAX_SEMIDIRECT_SIZE: ``semidirect 8 7`` 0.20 s (``15 0`` 0.22 s).
+# - MAX_VERIFY_SIZE: ``verify-all --max 8`` 0.64 s.
 # No case passes 3 s.  ``verify-all`` also rejects ``--max`` below 2, where its
 # checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)

@@ -320,7 +320,7 @@ def _reduced_rows(basis: dict, width: int) -> tuple:
         d = row[c]
         out = [0] * width
         for k, x in row.items():
-            out[k] = x if d == 1 else scalar_div(x, d)
+            out[k] = scalar_div(x, d)
         reduced.append(tuple(out))
     return tuple(reduced), tuple(pivots)
 
@@ -362,9 +362,8 @@ def _echelon(rows: Iterable[dict], bound: int) -> dict:
             for c in touched:
                 prow = basis[c]
                 p, f = prow[c], v[c]
-                if p != 1:
-                    for k in v:
-                        v[k] *= p
+                for k in v:
+                    v[k] *= p
                 _add_multiple(v, -f, prow)
         if not v:
             continue
@@ -487,7 +486,7 @@ def _gauss_jordan(a: list, width: int) -> tuple:
                 continue
             row = [pv * x - f * y for x, y in zip(a[r], piv)]
             g = gcd(*row)
-            a[r] = row if g == 1 else [x // g for x in row]
+            a[r] = [x // g for x in row]
         pivots.append(col)
         prow += 1
         if prow == n:
@@ -546,10 +545,7 @@ def rref(m: Matrix) -> RrefResult:
     """
     w = m.cols
     a, pivots, divisors = _rref_rows(m)
-    reduced = [
-        tuple(row) if d == 1 else tuple(scalar_div(x, d) if x else 0 for x in row)
-        for row, d in zip(a, divisors)
-    ]
+    reduced = [tuple(scalar_div(x, d) if x else 0 for x in row) for row, d in zip(a, divisors)]
     return RrefResult(
         Matrix._raw(tuple(r[:w] for r in reduced)), tuple(pivots), Matrix._raw(tuple(r[w:] for r in reduced))
     )

@@ -95,6 +95,19 @@ def test_heisenberg_construction_fails_when_z_is_not_central(monkeypatch):
     ]
 
 
+def test_heisenberg_realization_fails_when_the_lower_central_series_drops_its_zero_term(monkeypatch):
+    # A realization that is built and verified, judged with a lower central
+    # series that stops before its zero term: the lcs_dims verdict fails for
+    # every n and is reported with the dimensions it got.
+    real = constructions.lower_central_series
+    monkeypatch.setattr(constructions, "lower_central_series", lambda L: real(L)[:-1])
+    out = verify.check_heisenberg_realization()
+    assert not out["pass"]
+    assert out["details"]["failures"] == [
+        {"n": n, "kind": "lcs_dims", "pass": False, "got": [2 * n + 1, 1]} for n in (1, 2, 3)
+    ]
+
+
 # Each Heisenberg obstruction case below breaks one kind of candidate that
 # ``check_heisenberg_obstruction`` judges, at sizes n = 1, 2, 3 with targets
 # of dimension 1..n+1.
@@ -303,6 +316,27 @@ def test_iso_soundness_reads_a_rank_deficient_witness_as_not_bijective(monkeypat
     assert not out["pass"]
     assert len(failures) == out["details"]["pairs_checked"] == 40
     assert all(failure["witness"] is None for failure in failures)
+
+
+def test_classify_reports_a_rank_whose_witness_does_not_verify(capsys, monkeypatch):
+    # The zero factors give the zero map at every rank, equal parameters
+    # included: no rank's witness verifies, and ``classify`` fails its
+    # witness verdict alone, as the signatures stay distinct.
+    def zero_factors(j1, j2):
+        n, m = j1.cols, j1.rows
+        return [0] * (n * n), 1, [0] * (m * m), 1
+
+    monkeypatch.setattr(classify, "_witness_factors", zero_factors)
+    report = classify.classify_rank_family(2, 3, seed=0)
+    assert [(e["r"], e["witness_verified"]) for e in report["entries"]] == [(0, False), (1, False), (2, False)]
+    assert report["pairwise_distinct"]
+    code, cli_report, err = run_cli(capsys, "classify", "2", "3")
+    assert code == 1 and cli_report["result"] == report
+    assert cli_report["verdicts"] == [
+        {"name": "witnesses_verified", "pass": False},
+        {"name": "signatures_pairwise_distinct", "pass": True},
+    ]
+    assert "[FAIL] witnesses_verified" in err and "classify: 1/2 verdicts passed" in err
 
 
 def test_iso_soundness_reads_identity_factors_of_unequal_parameters_as_not_a_hom(monkeypatch):

@@ -305,6 +305,29 @@ class TestRrefRows:
             assert matrices._rref_rows(copy) == first and matrices._rref_rows(copy) is not first
 
 
+class TestEchelon:
+    """The span kernel ``_echelon`` on small fixed inputs, ahead of the
+    hypothesis tests, so that a broken reduction fails here first."""
+
+    def test_a_basis_pivot_other_than_one_scales_the_incoming_row(self):
+        # (4, 3) meets the basis row (2, 1) at its pivot 2: it becomes
+        # 2 (4, 3) - 4 (2, 1) = (0, 2), primitive (0, 1), which then clears
+        # column 1 of (2, 1), leaving (2, 0), primitive (1, 0).
+        rows = [(2, 1), (4, 3)]
+        assert matrices._echelon(map(matrices._sparse_row, rows), 2) == {0: {0: 1}, 1: {1: 1}}
+        assert matrices._eliminate(rows) == (((1, 0), (0, 1)), (0, 1))
+
+    def test_basis_rows_are_primitive(self):
+        # The returned rows are primitive integer rows with their pivot as
+        # their first column, on the seeded parameters and their transposes.
+        for j in TestRrefRows.seeded_parameters():
+            for m in (j, Matrix(tuple(zip(*j._data)))):
+                basis = matrices._echelon(map(matrices._sparse_row, m._data), min(m.rows, m.cols))
+                assert len(basis) == len(reference_rref(m)[1])
+                for c, row in basis.items():
+                    assert min(row) == c and math.gcd(*row.values()) == 1, (m, row)
+
+
 class TestRank:
     def test_normal_form_rank(self):
         assert rank(rank_normal_form(3, 2, 1)) == 1
