@@ -21,7 +21,7 @@ lemmas the signature rests on.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -229,122 +229,59 @@ def jacobi_check(L: LieAlgebra) -> Verdict:
 
     Antisymmetry is structural in the constants, so the triples are the
     whole content of the axiom check.  The check judges the constants table
-    alone: its adjoint is the ``_table_adjoint`` of the table, also for a
-    model, whose ``_sparse_ads`` is built from ``J`` instead.  A violation
-    is reported with the first offending triple of ``_jacobi_defects`` and
-    its nonzero defect vector, rebuilt by the per-triple sum, in its order.
+    alone, also for a model, whose ``_sparse_ads`` is built from ``J``
+    instead: the triples are walked in order, each summed by ``_jacobi_sum``
+    over the ``_form_adjoint`` of the table as one form, and a violation is
+    reported with the first offending triple and its nonzero defect vector,
+    in the order of the sum's terms.
     """
-    d = L.dim
-    table = L.constants.table
-    ads = L._sparse_ads if L.model is None else _table_adjoint(table, d)
-    for a, defect in _jacobi_defects(table, ads, d, _add_scalar_products):
-        failing = [key for key, v in defect.items() if v != 0]
-        if failing:
-            b, c = divmod(min(failing) // d, d)
-            return Verdict(
-                False,
-                {
-                    "triple": [a, b, c],
-                    "defect": {str(k): scalar_str(v) for k, v in _triple_defect(table, ads, a, b, c).items() if v != 0},
-                },
-            )
+    ads = _form_adjoint([L.constants.table], L.dim)
+    for triple in combinations(range(L.dim), 3):
+        defect = {str(t): scalar_str(v) for t, v in _jacobi_sum(ads, 1, *triple).items() if v != 0}
+        if defect:
+            return Verdict(False, {"triple": list(triple), "defect": defect})
     return Verdict(True)
-
-
-def _add_scalar_products(defect: dict, base: int, v, col: dict) -> None:
-    """The ``add`` of ``_jacobi_defects`` for scalar constants."""
-    for t, w in col.items():
-        defect[base + t] = defect.get(base + t, 0) + v * w
-
-
-def _jacobi_defects(table: dict, ads: list, d: int, add):
-    """Yield ``(a, defect)`` for each ``a`` with a nonzero adjoint: the
-    Jacobi sums of the triples ``a < b < c``, added up at the keys
-    ``(b * d + c) * d + t`` by ``add(defect, (b * d + c) * d, v, col)``,
-    which adds ``v * w`` at target ``t`` for each term ``t: w`` of the
-    column ``col`` (``_add_scalar_products`` for scalar constants).
-
-    Triples are swept by their smallest index ``a``, and only the nonzero
-    terms of the sum are visited: ``[x_a, [x_b, x_c]]`` through an index from
-    each target ``k`` to the stored pairs ``(b, c)`` with a ``k`` term, and
-    ``-[x_b, [x_a, x_c]]`` and ``[x_c, [x_a, x_b]]`` through the pairs
-    ``(a, e)`` and the adjoint columns of their targets, the minus sign
-    taken from ``ads[f][k] = -ads[k][f]``.  So no constant is negated here:
-    with an ``add`` that multiplies them, constants may be polynomials.
-    """
-    by_target: list = [[] for _ in range(d)]  # k -> (b, key base of (b, c), c_bc^k), by b
-    for (b, c), terms in sorted(table.items()):
-        for k, v in terms.items():
-            by_target[k].append((b, (b * d + c) * d, v))
-    start = [0] * d  # by_target[k][start[k]:] holds the pairs with b > a
-    for a in range(d):
-        ad_a = ads[a]
-        if not ad_a:
-            continue
-        defect: dict = {}
-        for k, col in ad_a.items():  # [x_a, [x_b, x_c]], a < b < c
-            entries = by_target[k]
-            s = start[k]
-            while s < len(entries) and entries[s][0] <= a:
-                s += 1
-            start[k] = s
-            for _, base, v in entries[s:]:
-                add(defect, base, v, col)
-        for e, terms in ad_a.items():  # the pair (a, e) and a third index f
-            if e < a:
-                continue
-            for k, v in terms.items():
-                for f, col in ads[k].items():  # col = [x_k, x_f]
-                    if f <= a or f == e:
-                        continue
-                    if f < e:  # -[x_f, [x_a, x_e]] on (a, f, e)
-                        base = (f * d + e) * d
-                    else:  # [x_f, [x_a, x_e]] on (a, e, f)
-                        base, col = (e * d + f) * d, ads[f][k]
-                    add(defect, base, v, col)
-        yield a, defect
 
 
 def _jacobi_holds_in_j(tables: Sequence[dict], d: int) -> bool:
     """Whether the constants ``sum_p J_p tables[p]`` satisfy Jacobi as
-    polynomials in the entries ``J_p``: one sweep over the merged table,
-    whose constants are linear forms ``{p: c}``, with the monomial
-    ``J_p J_q`` (``p <= q``) folded into each defect key after the target.
-    """
-    merged: dict = {}
-    for p, table in enumerate(tables):
-        for pair, terms in table.items():
-            forms = merged.setdefault(pair, {})
-            for k, v in terms.items():
-                forms.setdefault(k, {})[p] = v
+    polynomials in the entries ``J_p``: every monomial coefficient of the
+    ``_jacobi_sum`` of every basis triple is 0."""
+    ads = _form_adjoint(tables, d)
+    return not any(any(_jacobi_sum(ads, len(tables), *triple).values()) for triple in combinations(range(d), 3))
+
+
+def _form_adjoint(tables: Sequence[dict], d: int) -> list:
+    """The column-sparse adjoint of the constants ``sum_p J_p tables[p]``,
+    whose entries are linear forms ``{p: c}`` in the ``J_p``: the merged
+    forms as the upper half ``ads[a][b]``, ``a < b``, and their negations as
+    the lower half.  One table gives the forms ``{0: c}``."""
     ads: list = [dict() for _ in range(d)]
-    for (i, j), forms in merged.items():
-        ads[i][j] = forms
-        ads[j][i] = {k: {p: -x for p, x in form.items()} for k, form in forms.items()}
-    size = len(tables)
-
-    def add(defect, base, v, col):
-        for t, w in col.items():
-            key = (base + t) * size
-            for p, x in v.items():
-                for q, y in w.items():
-                    mono = (key + p) * size + q if p <= q else (key + q) * size + p
-                    defect[mono] = defect.get(mono, 0) + x * y
-
-    return not any(any(defect.values()) for _, defect in _jacobi_defects(merged, ads, d, add))
+    for p, table in enumerate(tables):
+        for (i, j), terms in table.items():
+            upper, lower = ads[i].setdefault(j, {}), ads[j].setdefault(i, {})
+            for k, v in terms.items():
+                upper.setdefault(k, {})[p] = v
+                lower.setdefault(k, {})[p] = -v
+    return ads
 
 
-def _triple_defect(table: dict, ads: list, a: int, b: int, c: int) -> Dict[int, Scalar]:
-    """The Jacobi sum of one basis triple of the constants ``table``, whose
-    adjoint is ``ads``, term by term."""
-    defect: Dict[int, Scalar] = {}
+def _jacobi_sum(ads: list, size: int, a: int, b: int, c: int) -> dict:
+    """The Jacobi sum of the basis triple ``a < b < c`` for the adjoint
+    ``ads`` of ``_form_adjoint`` over ``size`` forms, term by term: the
+    coefficient of ``J_p J_q`` (``p <= q``) at target ``t`` is kept at the
+    key ``(t * size + p) * size + q``, so with one form the key is ``t``."""
+    total: dict = {}
     # [x_a, [x_b, x_c]] - [x_b, [x_a, x_c]] + [x_c, [x_a, x_b]]
-    for x, sign, pair in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
+    for x, sign, (i, j) in ((a, 1, (b, c)), (b, -1, (a, c)), (c, 1, (a, b))):
         ad_x = ads[x]
-        for k, v in table.get(pair, {}).items():
+        for k, v in ads[i].get(j, {}).items():
             for t, w in ad_x.get(k, {}).items():
-                defect[t] = defect.get(t, 0) + sign * v * w
-    return defect
+                for p, y in v.items():
+                    for q, z in w.items():
+                        key = (t * size + p) * size + q if p <= q else (t * size + q) * size + p
+                        total[key] = total.get(key, 0) + sign * y * z
+    return total
 
 
 def center(L: LieAlgebra) -> Subspace:

@@ -48,7 +48,8 @@ from .verify import _holds_for_every_parameter, _model_disagreements, run_all
 # - MAX_CLASSIFY_DIM: ``classify 6 6`` 0.11 s (``36 1`` 0.10 s, ``12 3`` 0.11 s).
 # - MAX_PARAM_DIM: ``constants 12 12`` 0.32 s (dense integer J), 0.36 s (dense rational J);
 #   ``center 12 12`` 0.21 s (dense integer J), 0.24 s (dense rational J); ``witness`` 0.12 s
-#   (two dense rational 12 x 12 J); ``embed`` 0.16 s at most (an earlier, slower host).
+#   (two dense rational 12 x 12 J); ``embed 12 12 12`` 0.28 s (a file of 144 diagonal 12 x 12
+#   images, the most its source "dim" may be).
 # - MAX_HEISENBERG_N: ``heisenberg 16`` 0.30 s.
 # - MAX_DEFORM_N: ``deform 8 1 --t 1/3`` 0.12 s, ``coboundary 8`` with a dense J 0.12 s.
 # - MAX_CONTRACT_N: ``contract 40 1`` 1.76 s, most of it the indented JSON writer on its 18 MB report.
@@ -57,7 +58,7 @@ from .verify import _holds_for_every_parameter, _model_disagreements, run_all
 # No case passes 3 s.  ``verify-all`` also rejects ``--max`` below 2, where its
 # checks would cover no cases.
 MAX_CLASSIFY_DIM = 36  # n * m, the dimension of Mat(n x m)
-MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``
+MAX_PARAM_DIM = 144  # n * m, for ``constants``, ``center``, ``embed`` and ``witness``; embed's "dim" too
 MAX_HEISENBERG_N = 16
 MAX_DEFORM_N = 8  # n of Mat(n x n), for both ``deform`` and ``coboundary``
 MAX_CONTRACT_N = 40
@@ -221,6 +222,9 @@ def _cmd_embed(args):
         payload = _json_arg(fh.read())
     if not isinstance(payload, dict):
         raise ValueError(f"{args.rep}: a representation file must hold a JSON object")
+    dim = payload.get("dim")
+    if isinstance(dim, (int, float)):  # before any constants or images are built
+        _check_limit(f"{args.rep}: dim", dim, MAX_PARAM_DIM)
     constants = StructureConstants.from_json(payload)
     labels = tuple(payload["labels"]) if "labels" in payload else None
     src = LieAlgebra(payload["dim"], constants, labels)

@@ -153,9 +153,18 @@ def heisenberg_realization(n: int) -> HeisenbergModel:
 def heisenberg_verdicts(model: HeisenbergModel) -> Dict[str, dict]:
     """Verdicts on a realization, by name: the span is a subalgebra, its
     constants are the Heisenberg constants, its lower central series has
-    dimensions ``[2n+1, 1, 0]``, and its center is spanned by Z."""
+    dimensions ``[2n+1, 1, 0]``, and its center is spanned by Z.  A span
+    that is not closed has no restricted algebra, so the other three fail
+    with it, and none is built."""
     n = model.n
     closed = subalgebra_closed(model.ambient, model.span())
+    if not closed:
+        return {
+            "subalgebra_closed": {"pass": False, "witness": closed.witness},
+            "constants_match": {"pass": False},
+            "lcs_dims": {"pass": False, "got": None},
+            "center": {"pass": False, "dim": None},
+        }
     realized = model.realized_algebra()
     lcs = [t.dim for t in lower_central_series(realized)]
     ctr = center(realized)

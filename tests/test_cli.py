@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,8 @@ ZEROS_13X12 = "; ".join([" ".join(["0"] * 12)] * 13)
         (["center", "15", "15", "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
         (["center", "1", str(cli.MAX_PARAM_DIM + 1), "--j", "@no-such-j.txt"], cli.MAX_PARAM_DIM),
         (["embed", "--rep", "no-such-rep.json", "13", "12", "2"], cli.MAX_PARAM_DIM),
+        # Only "dim" is well formed in this file: it is checked before the rest is read.
+        (["embed", "--rep", "oversized-rep.json", "2", "2", "1"], cli.MAX_PARAM_DIM),
         (["contract", "60", "1"], cli.MAX_CONTRACT_N),
         (["contract", str(cli.MAX_CONTRACT_N + 1), "1"], cli.MAX_CONTRACT_N),
         (["semidirect", "8", "8"], cli.MAX_SEMIDIRECT_SIZE),
@@ -370,10 +373,14 @@ ZEROS_13X12 = "; ".join([" ".join(["0"] * 12)] * 13)
     ids=["classify-40x40", "classify-37x1", "heisenberg-60", "heisenberg-limit-plus-one",
          "deform-20", "deform-limit-plus-one", "coboundary-limit-plus-one",
          "verify-all-limit-plus-one", "constants-15x15", "constants-limit-plus-one", "center-15x15",
-         "center-limit-plus-one", "embed-13x12", "contract-60", "contract-limit-plus-one",
+         "center-limit-plus-one", "embed-13x12", "embed-source-dim-limit-plus-one", "contract-60", "contract-limit-plus-one",
          "semidirect-8-8", "semidirect-limit-plus-one", "witness-13x12", "witness-limit-plus-one"],
 )
-def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
+def test_oversized_input_is_usage_error(capsys, monkeypatch, tmp_path, argv, limit):
+    monkeypatch.chdir(tmp_path)
+    payload = {"dim": cli.MAX_PARAM_DIM + 1, "brackets": 7, "labels": 7, "images": [{"entries": 7}]}
+    (tmp_path / "oversized-rep.json").write_text(json.dumps(payload))
+
     def refuse(*args, **kwargs):
         raise AssertionError("computation started on an oversized input")
 
@@ -389,6 +396,16 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch, argv, limit):
     assert report is None
     assert err.startswith("error:") and f"limit of {limit}" in err
     assert "Traceback" not in err
+
+
+def test_readme_states_every_limit_with_its_value():
+    # Each `cli.MAX_...` (N) of the README names a limit of cli.py and its
+    # value, so a changed limit cannot leave the README behind.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`cli\.(MAX_\w+)` \((\d+)\)", text)
+    assert {name for name, _ in stated} == {name for name in vars(cli) if name.startswith("MAX_")}
+    for name, value in stated:
+        assert int(value) == getattr(cli, name), name
 
 
 def test_failed_heisenberg_relation_is_a_failed_verdict(capsys, monkeypatch):

@@ -63,6 +63,25 @@ def test_heisenberg_center_verdict_fails_on_a_center_of_the_wrong_dimension():
     assert not verdicts["constants_match"]["pass"]
 
 
+def test_heisenberg_verdicts_report_a_span_that_is_not_closed(monkeypatch):
+    # Generators X = E(1,2), Y = E(2,3), Z' = E(1,1) of Mat(3) under the
+    # corank-one normal parameter: [X, Y] = E(1,3), coordinate 2, leaves the
+    # span.  The closure verdict names that pair, and the other three fail
+    # with it, since a span that is not closed has no restricted algebra.
+    def refuse(*args):
+        raise AssertionError("restricted algebra built on a span that is not closed")
+
+    monkeypatch.setattr(constructions, "restricted_constants", refuse)
+    param = BracketParam.normal(3, 3, 2)
+    model = HeisenbergModel(1, param, (Matrix.unit(3, 3, 0, 1),), (Matrix.unit(3, 3, 1, 2),), Matrix.unit(3, 3, 0, 0))
+    assert heisenberg_verdicts(model) == {
+        "subalgebra_closed": {"pass": False, "witness": {"pair": [0, 1], "residual": {"2": "1"}}},
+        "constants_match": {"pass": False},
+        "lcs_dims": {"pass": False, "got": None},
+        "center": {"pass": False, "dim": None},
+    }
+
+
 def test_heisenberg_construction_fails_when_every_bracket_is_negated(monkeypatch):
     # Every bracket negated, as if its operands were swapped: [X1, Y1] = -Z,
     # the first relation checked, fails for every n.
@@ -243,6 +262,19 @@ def test_semidirect_construction_fails_when_a_product_is_dropped(monkeypatch):
         "models_verified": 2,
         "failures": [{"r": 1, "s": 1, "kind": "construction", "error": error}],
     }
+
+
+def test_semidirect_command_reports_a_failed_construction(capsys, monkeypatch):
+    # The dropped product of the case above, through the command: the
+    # construction error is the result, and the one verdict fails.
+    products = tuple(p for p in constructions._UNIT_PRODUCTS if p != ("A", "B", "C"))
+    monkeypatch.setattr(constructions, "_UNIT_PRODUCTS", products)
+    witness = {"pair": [1, 2], "f_of_bracket": {}, "bracket_of_images": {"3": "1"}}
+    code, report, err = run_cli(capsys, "semidirect", "1", "1")
+    assert code == 1
+    assert report["result"] == {"error": f"block-assembly map failed verification: {witness}"}
+    assert report["verdicts"] == [{"name": "phi_bijective_hom", "pass": False}]
+    assert "[FAIL] phi_bijective_hom" in err
 
 
 def test_semidirect_check_fails_when_the_nilpotent_part_is_not_an_ideal(monkeypatch):
@@ -458,6 +490,18 @@ def test_contraction_fails_on_a_negative_exponent(monkeypatch):
         assert inverse_scaling(f["n"], f["r"]).table[(a, b)][k][1] < 0
 
 
+def test_contract_command_reports_a_negative_exponent(capsys, monkeypatch):
+    # With every exponent negated, the coefficient of basis 0 in [1, 2] of
+    # the 2x2 rank-one contraction has exponent -2: the command reports that
+    # triple with the constants it read, and no limit.
+    monkeypatch.setattr(cli, "contraction_constants", inverse_scaling)
+    code, report, err = run_cli(capsys, "contract", "2", "1")
+    assert code == 1
+    assert report["result"] == {"eps_constants": inverse_scaling(2, 1).to_json()}
+    assert report["verdicts"] == [{"name": "no_negative_exponents", "pass": False, "triple": [1, 2, 0]}]
+    assert "[FAIL] no_negative_exponents" in err
+
+
 def test_contraction_fails_when_the_limit_keeps_every_order(monkeypatch):
     # Without exponent truncation the limit is the commutator itself.
     def untruncated(c):
@@ -516,6 +560,22 @@ def test_lie_axioms_proof_catches_unit_constants_that_alias_one_bit_narrower(mon
     assert out["pass"] and out["details"]["failures"] == []
     assert len(sampled) == 4 * verify._PARAMS_PER_SHAPE  # no sample is a unit parameter
 
+
+
+def test_lie_axioms_proof_rejects_unit_tables_with_a_non_integer_constant(monkeypatch):
+    # Every constant halved: a unit bracket has integer entries, so the
+    # tables are refused before the packed check, whose slot width assumes
+    # integers, is reached.
+    def halved(param):
+        table = structure_constants(param).table
+        return StructureConstants(param.dim, {p: {k: Fraction(v, 2) for k, v in t.items()} for p, t in table.items()})
+
+    def refuse(*args):
+        raise AssertionError("packed check reached with non-integer unit tables")
+
+    monkeypatch.setattr(algebra, "structure_constants", halved)
+    monkeypatch.setattr(verify, "_model_disagreements", refuse)
+    assert [verify._model_tables(n, m) for n, m in ((1, 2), (2, 1), (2, 2))] == [None] * 3
 
 
 def spy_on_the_constants_verdict(monkeypatch):
