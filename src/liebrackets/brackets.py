@@ -246,12 +246,21 @@ class StructureConstants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstants":
+        """The inverse of ``to_json``.  ``dim`` and every index ``i``, ``j``
+        and ``k`` must be a JSON integer: a boolean or a float is refused."""
+
+        def index(value):
+            if type(value) is not int:
+                raise ValueError(f'"dim", "i", "j" and "k" must be integers, got {value!r}')
+            return value
+
+        dim = index(obj["dim"])
         table = {}
         for entry in obj["brackets"]:
-            table[(entry["i"], entry["j"])] = {
-                t["k"]: to_scalar(t["coef"]) for t in entry["terms"]
+            table[(index(entry["i"]), index(entry["j"]))] = {
+                index(t["k"]): to_scalar(t["coef"]) for t in entry["terms"]
             }
-        return cls(obj["dim"], table)
+        return cls(dim, table)
 
 
 def _unit_rule(param: BracketParam):

@@ -84,6 +84,11 @@ def _json_matrix(obj, source: str) -> Matrix:
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ValueError(f'{source}: a JSON matrix must be an object whose "entries" is a list of rows')
+    # JSON reads true as a bool, an int subclass; it is no size and no entry here.
+    if type(obj.get("rows")) is not int or type(obj.get("cols")) is not int:
+        raise ValueError(f'{source}: a JSON matrix must give "rows" and "cols" as integers')
+    if not all(type(x) is int or isinstance(x, str) for row in entries for x in row):
+        raise ValueError(f"{source}: a JSON matrix entry must be an integer or a rational string")
     return matrix_from_json(obj)
 
 
@@ -223,11 +228,14 @@ def _cmd_embed(args):
     if not isinstance(payload, dict):
         raise ValueError(f"{args.rep}: a representation file must hold a JSON object")
     dim = payload.get("dim")
-    if isinstance(dim, (int, float)):  # before any constants or images are built
+    if type(dim) is int:  # before any constants or images are built; from_json refuses any other type
         _check_limit(f"{args.rep}: dim", dim, MAX_PARAM_DIM)
-    constants = StructureConstants.from_json(payload)
+    try:
+        constants = StructureConstants.from_json(payload)
+    except ValueError as exc:
+        raise ValueError(f"{args.rep}: {exc}") from None
     labels = tuple(payload["labels"]) if "labels" in payload else None
-    src = LieAlgebra(payload["dim"], constants, labels)
+    src = LieAlgebra(constants.dim, constants, labels)
     images = tuple(_json_matrix(obj, args.rep) for obj in payload["images"])
     if not images:
         raise ValueError("representation file lists no images")
@@ -274,43 +282,31 @@ def _cmd_deform(args):
     jr = rank_normal_form(n, n, r)
     param_t = deformation_bracket(n, jr, t)
     verdicts = [{"name": f"{kind}_identity", "pass": ok} for kind, ok in path_identities(n, r, t).items()]
-    sig_comm = invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n)))
-    sig_end = invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r)))
-    sigs = {0: sig_comm, 1: sig_end}  # one signature per distinct time
-
-    def _sig_at(tv):
+    # The references are built apart from the path, so a faulty path cannot match itself.
+    sigs = {
+        0: invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n))),
+        1: invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r))),
+    }
+    for tv in (t, *PATH_TIMES):  # one signature per distinct time
         if tv not in sigs:
             sigs[tv] = invariant_signature(LieAlgebra.from_param(deformation_bracket(n, jr, tv)))
-        return sigs[tv]
 
-    sig = _sig_at(t)
-    reference = sig_comm if t != 1 else sig_end
-    verdicts.append(
-        {
-            "name": "signature_matches_" + ("commutator_algebra" if t != 1 else "normal_form"),
-            "pass": sig == reference,
-        }
-    )
+    def reference(tv):
+        return ("commutator_algebra", sigs[0]) if tv != 1 else ("normal_form", sigs[1])
+
+    name, ref = reference(t)
+    verdicts.append({"name": "signature_matches_" + name, "pass": sigs[t] == ref})
     path_table = []
-    path_ok = True
     for tv in PATH_TIMES:
-        sig_tv = _sig_at(tv)
-        expected = sig_comm if tv != 1 else sig_end
-        row_ok = sig_tv == expected
-        path_ok = path_ok and row_ok
+        label, expected = reference(tv)
         path_table.append(
-            {
-                "t": scalar_str(tv),
-                "signature": sig_tv.to_json(),
-                "reference": "commutator_algebra" if tv != 1 else "normal_form",
-                "pass": row_ok,
-            }
+            {"t": scalar_str(tv), "signature": sigs[tv].to_json(), "reference": label, "pass": sigs[tv] == expected}
         )
-    verdicts.append({"name": "signature_along_path", "pass": path_ok})
+    verdicts.append({"name": "signature_along_path", "pass": all(row["pass"] for row in path_table)})
     inputs = {"n": n, "r": r, "t": scalar_str(t)}
     result = {
         "parameter": matrix_to_json(param_t.j),
-        "signature": sig.to_json(),
+        "signature": sigs[t].to_json(),
         "path_table": path_table,
     }
     return inputs, result, verdicts, None

@@ -1,6 +1,8 @@
 """Self-contained verification suite for every checkable claim.
 
-Each check function returns ``{"name", "pass", "details"}``; ``run_all``
+Each check function returns its report through ``_report``: ``{"name",
+"pass", "details"}``, where ``pass`` means "no failure" and ``details``
+holds the check's counts and ends with its ``failures`` list.  ``run_all``
 executes them in a fixed order with one seeded RNG stream per check, so a
 given (max_size, seed) pair always produces the same report.  Every draw
 from a stream goes through ``classify._randints``, with the values
@@ -53,6 +55,11 @@ from .matrices import Matrix, rank_normal_form
 
 _PARAMS_PER_SHAPE = 20  # sampled parameters per shape in ``lie_axioms``
 _HEISENBERG_SIZES = (1, 2, 3)  # the n of h_n in both Heisenberg checks
+
+
+def _report(name: str, failures: list, **counts) -> dict:
+    """The report of one check: it passes iff ``failures`` is empty."""
+    return {"name": name, "pass": not failures, "details": {**counts, "failures": failures}}
 
 
 def _shapes(max_size: int):
@@ -211,15 +218,9 @@ def check_lie_axioms(max_size: int = 4, seed: int = 0) -> dict:
                 verdict = jacobi_check(L)
                 if not verdict:
                     failures.append({"shape": [n, m], "kind": "jacobi", "witness": verdict.witness})
-    return {
-        "name": "lie_axioms",
-        "pass": not failures,
-        "details": {
-            "algebras_checked": len(shapes) * _PARAMS_PER_SHAPE,
-            "params_per_shape": _PARAMS_PER_SHAPE,
-            "failures": failures,
-        },
-    }
+    return _report(
+        "lie_axioms", failures, algebras_checked=len(shapes) * _PARAMS_PER_SHAPE, params_per_shape=_PARAMS_PER_SHAPE
+    )
 
 
 def check_center_dimensions(max_size: int = 4, *, signatures: dict) -> dict:
@@ -241,11 +242,7 @@ def check_center_dimensions(max_size: int = 4, *, signatures: dict) -> dict:
             checked += 1
             if got != expected:
                 failures.append({"shape": [n, m], "r": r, "expected": expected, "got": got})
-    return {
-        "name": "center_dimension_law",
-        "pass": not failures,
-        "details": {"cases": checked, "failures": failures},
-    }
+    return _report("center_dimension_law", failures, cases=checked)
 
 
 def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
@@ -267,11 +264,7 @@ def check_iso_soundness(max_size: int = 4, seed: int = 0) -> dict:
                 failures.append(
                     {"shape": [n, m], "r": r, "j1": str(j1), "j2": str(j2), "witness": verdict.witness}
                 )
-    return {
-        "name": "iso_soundness",
-        "pass": not failures,
-        "details": {"pairs_checked": checked, "failures": failures},
-    }
+    return _report("iso_soundness", failures, pairs_checked=checked)
 
 
 def check_signature_separation(max_size: int = 4, *, signatures: dict) -> dict:
@@ -293,11 +286,7 @@ def check_signature_separation(max_size: int = 4, *, signatures: dict) -> dict:
             for b in range(a + 1, len(sigs)):
                 if sigs[a] == sigs[b]:
                     failures.append({"shape": [n, m], "ranks": [a, b], "signature": sigs[a].to_json()})
-    return {
-        "name": "signature_separation",
-        "pass": not failures,
-        "details": {"shapes_checked": shapes, "failures": failures},
-    }
+    return _report("signature_separation", failures, shapes_checked=shapes)
 
 
 def check_heisenberg_realization() -> dict:
@@ -312,11 +301,7 @@ def check_heisenberg_realization() -> dict:
         for kind, verdict in heisenberg_verdicts(model).items():
             if not verdict["pass"]:
                 failures.append({"n": n, "kind": kind, **verdict})
-    return {
-        "name": "heisenberg_realization",
-        "pass": not failures,
-        "details": {"sizes": list(_HEISENBERG_SIZES), "failures": failures},
-    }
+    return _report("heisenberg_realization", failures, sizes=list(_HEISENBERG_SIZES))
 
 
 def check_heisenberg_obstruction(seed: int = 0) -> dict:
@@ -363,11 +348,7 @@ def check_heisenberg_obstruction(seed: int = 0) -> dict:
                 checked += 1
                 if verdict.kind == "faithful":
                     failures.append({"n": n, "target_dim": target_dim, "kind": "random-faithful"})
-    return {
-        "name": "heisenberg_obstruction",
-        "pass": not failures,
-        "details": {"candidates_checked": checked, "failures": failures},
-    }
+    return _report("heisenberg_obstruction", failures, candidates_checked=checked)
 
 
 def check_semidirect(max_total: int = 4) -> dict:
@@ -401,11 +382,7 @@ def check_semidirect(max_total: int = 4) -> dict:
             lcs = [len(nil)] + [len(rows) for rows in series]
             if lcs[-1] != 0 or len(lcs) > 3:
                 failures.append({"r": r, "s": s, "kind": "not-two-step", "lcs": lcs})
-    return {
-        "name": "semidirect_model",
-        "pass": not failures,
-        "details": {"models_verified": models, "failures": failures},
-    }
+    return _report("semidirect_model", failures, models_verified=models)
 
 
 def check_contraction(max_size: int = 4) -> dict:
@@ -429,11 +406,7 @@ def check_contraction(max_size: int = 4) -> dict:
             for s in range(n + 1):
                 if forms[r] @ forms[s] != forms[min(r, s)]:
                     failures.append({"n": n, "r": r, "s": s, "kind": "product-law"})
-    return {
-        "name": "contraction",
-        "pass": not failures,
-        "details": {"cases": cases, "failures": failures},
-    }
+    return _report("contraction", failures, cases=cases)
 
 
 # The slot width of the coboundary proof, from the coboundary-bound lemma of
@@ -491,11 +464,7 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
             for j in _random_matrices(rng, -3, 3, n, n, 2):
                 if not ce_coboundary_check(j, n):
                     failures.append({"n": n, "j": str(j), "kind": "coboundary-random"})
-    return {
-        "name": "deformation_coboundary",
-        "pass": not failures,
-        "details": {"identity_cases": identity_cases, "failures": failures},
-    }
+    return _report("deformation_coboundary", failures, identity_cases=identity_cases)
 
 
 def check_catalog() -> dict:
@@ -530,11 +499,7 @@ def check_catalog() -> dict:
     e2e1 = entries["affine2_column"].claims[0]
     if e2e1.computed != (0, 1):  # computed bracket [e2, e1] is e2
         failures.append({"entry": "affine2_column", "kind": "computed-value", "got": e2e1.computed})
-    return {
-        "name": "catalog_fidelity",
-        "pass": not failures,
-        "details": {"entries": list(CATALOG_NAMES), "failures": failures},
-    }
+    return _report("catalog_fidelity", failures, entries=list(CATALOG_NAMES))
 
 
 def run_all(max_size: int = 4, seed: int = 0) -> dict:

@@ -688,3 +688,23 @@ class TestConstantsJsonRoundTrip:
             p: {k: type(v) for k, v in t.items()} for p, t in sc.table.items()
         }
         assert again.to_json() == obj
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"dim": True, "brackets": []},
+            {"dim": 2.0, "brackets": []},
+            {"dim": 2, "brackets": [{"i": False, "j": 1, "terms": []}]},
+            {"dim": 2, "brackets": [{"i": 0, "j": 1.0, "terms": []}]},
+            {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": True, "coef": "1"}]}]},
+        ],
+        ids=["dim-bool", "dim-float", "i-bool", "j-float", "k-bool"],
+    )
+    def test_from_json_refuses_non_integer_indices(self, obj):
+        with pytest.raises(ValueError, match='"dim", "i", "j" and "k" must be integers'):
+            StructureConstants.from_json(obj)
+
+    def test_eq_refuses_other_types(self):
+        sc = StructureConstants(2, {(0, 1): {0: 1}})
+        assert sc.__eq__(sc.to_json()) is NotImplemented
+        assert sc != sc.to_json()

@@ -265,9 +265,12 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["constants", "1", "1", "--j", "1e-5"],
         ["constants", "1", "1", "--j", "0.5"],
         ["deform", "2", "1", "--t", "0.5"],
+        ["deform", "2", "3", "--t", "1/2"],
         ["constants", "1", "1", "--j", "1_0"],
         ["constants", "1", "2", "--j", "1 x"],
         ["constants", "2", "2", "--j", "1 2; 3"],
+        ["constants", "1", "1", "--j", " "],
+        ["constants", "0", "2", "--j", "1"],
         ["center", "1", "1", "--j", "@{tmp}/no-such-j.txt"],
         ["constants", "1", "1", "--j", "{"],
         ["embed", "--rep", "{list}", "2", "2", "1"],
@@ -281,15 +284,25 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["witness", "--j1=1", "--j2=--"],
         ["deform", "2", "1", "--t=--"],
         ["embed", "--rep=--", "4", "5", "3"],
+        # JSON reads true as a bool, an int subclass: it is no size, index or entry.
+        ["embed", "--rep", "{dim-true}", "2", "2", "1"],
+        ["embed", "--rep", "{dim-float}", "2", "2", "1"],
+        ["embed", "--rep", "{index-true}", "2", "2", "1"],
+        ["constants", "2", "2", "--j", '{"cols": 2, "entries": [[1, 0], [0, 1]]}'],
+        ["constants", "2", "2", "--j", '{"rows": "2", "cols": 2, "entries": [[1, 0], [0, 1]]}'],
+        ["constants", "1", "1", "--j", '{"rows": true, "cols": 1, "entries": [[1]]}'],
+        ["constants", "1", "1", "--j", '{"rows": 1, "cols": 1, "entries": [[true]]}'],
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
          "coboundary-size-0", "coboundary-size-negative",
          "semidirect-r-0", "heisenberg-n-0", "verify-all-max-1", "verify-all-max-0",
          "verify-all-max-negative", "deep-json-matrix-file", "deep-json-representation-file",
-         "exponent-literal", "decimal-literal", "decimal-time", "underscore-literal", "malformed-token",
-         "ragged-matrix", "missing-matrix-file", "bad-json-matrix", "representation-is-list",
+         "exponent-literal", "decimal-literal", "decimal-time", "deform-rank-above-size", "underscore-literal", "malformed-token",
+         "ragged-matrix", "blank-matrix", "constants-size-0", "missing-matrix-file", "bad-json-matrix", "representation-is-list",
          "representation-is-number", "json-entries-is-number", "constants-j-dashes", "center-j-dashes",
-         "coboundary-j-dashes", "witness-j1-dashes", "witness-j2-dashes", "deform-t-dashes", "embed-rep-dashes"],
+         "coboundary-j-dashes", "witness-j1-dashes", "witness-j2-dashes", "deform-t-dashes", "embed-rep-dashes",
+         "representation-dim-true", "representation-dim-float", "representation-index-true",
+         "json-matrix-without-rows", "json-matrix-rows-string", "json-matrix-rows-true", "json-matrix-entry-true"],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     # JSON nested far deeper than the parser's recursion limit.
@@ -299,6 +312,11 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     (tmp_path / "number.json").write_text("3")
     files = {"{deep}": str(deep), "{list}": str(tmp_path / "list.json"),
              "{number}": str(tmp_path / "number.json"), "{tmp}": str(tmp_path)}
+    image = {"rows": 1, "cols": 1, "entries": [[1]]}
+    for name, dim, i in (("dim-true", True, 0), ("dim-float", 2.0, 0), ("index-true", 2, True)):
+        rep = {"dim": dim, "brackets": [{"i": i, "j": 1, "terms": []}], "images": [image, image]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(rep))
+        files["{" + name + "}"] = str(tmp_path / f"{name}.json")
 
     def fill(arg):
         for key, path in files.items():
@@ -317,6 +335,17 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         '{"rows": 1, "cols": 1, "entries": 5}':
             'error: --j: a JSON matrix must be an object whose "entries" is a list of rows',
         **{f"--{opt}=--": f"error: --{opt}: '--' is not a value" for opt in ("j", "j1", "j2", "t", "rep")},
+        "{dim-true}": 'error: {dim-true}: "dim", "i", "j" and "k" must be integers, got True',
+        "{dim-float}": 'error: {dim-float}: "dim", "i", "j" and "k" must be integers, got 2.0',
+        "{index-true}": 'error: {index-true}: "dim", "i", "j" and "k" must be integers, got True',
+        **{
+            arg: 'error: --j: a JSON matrix must give "rows" and "cols" as integers'
+            for arg in ('{"cols": 2, "entries": [[1, 0], [0, 1]]}',
+                        '{"rows": "2", "cols": 2, "entries": [[1, 0], [0, 1]]}',
+                        '{"rows": true, "cols": 1, "entries": [[1]]}')
+        },
+        '{"rows": 1, "cols": 1, "entries": [[true]]}':
+            "error: --j: a JSON matrix entry must be an integer or a rational string",
     }
     for arg in argv:
         if arg in messages:

@@ -156,6 +156,14 @@ class TestScalars:
             to_scalar(text)
         assert repr(text) in str(exc.value)
 
+    def test_int_subclasses_become_int(self):
+        # bool is read as the int it subclasses, as any int subclass is.
+        class Count(int):
+            pass
+
+        for value, expected in ((True, 1), (False, 0), (Count(7), 7)):
+            assert type(to_scalar(value)) is int and to_scalar(value) == expected
+
     def test_canonical_form_random(self):
         rng = random.Random(5)
         vals = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(50)]
@@ -212,6 +220,18 @@ class TestMatrixBasics:
 
     def test_hash_eq(self):
         assert hash(parse_matrix("2")) == hash(Matrix([[Fraction(4, 2)]]))
+
+    def test_operators_refuse_non_matrices(self):
+        m = Matrix.identity(2)
+        for method in (m.__add__, m.__sub__, m.__matmul__, m.__eq__):
+            assert method([[1, 0], [0, 1]]) is NotImplemented
+        assert m != [[1, 0], [0, 1]]
+        with pytest.raises(TypeError):
+            m + 1
+
+    def test_non_square_is_no_scalar_multiple_of_identity(self):
+        assert Matrix.identity(2).is_scalar_multiple_of_identity()
+        assert not Matrix([[1, 0]]).is_scalar_multiple_of_identity()
 
 
 class TestRref:
@@ -452,6 +472,11 @@ class TestSubspace:
         for check in (s.reduce, s.contains):
             with pytest.raises(ShapeError, match="3x2 vs ambient 2x3"):
                 check(wrong)
+
+    def test_eq_refuses_non_subspaces_and_repr(self):
+        s = Subspace.span(2, 3, [Matrix.unit(2, 3, 0, 0)])
+        assert s.__eq__(Matrix.unit(2, 3, 0, 0)) is NotImplemented
+        assert repr(s) == "Subspace(dim=1, ambient=2x3)"
 
     def test_intersection(self):
         xy = Subspace.span(3, 1, [Matrix.column([1, 0, 0]), Matrix.column([0, 1, 0])])
