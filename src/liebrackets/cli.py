@@ -89,7 +89,10 @@ def _json_matrix(obj, source: str) -> Matrix:
         raise ValueError(f'{source}: a JSON matrix must give "rows" and "cols" as integers')
     if not all(type(x) is int or isinstance(x, str) for row in entries for x in row):
         raise ValueError(f"{source}: a JSON matrix entry must be an integer or a rational string")
-    return matrix_from_json(obj)
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:  # a ShapeError too
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _matrix_arg(text: str, option: str) -> Matrix:
@@ -232,13 +235,18 @@ def _cmd_embed(args):
         _check_limit(f"{args.rep}: dim", dim, MAX_PARAM_DIM)
     try:
         constants = StructureConstants.from_json(payload)
-    except ValueError as exc:
+        objs = payload["images"]
+    except KeyError as exc:
+        raise ValueError(f'{args.rep}: missing key "{exc.args[0]}"') from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.rep}: {exc}") from None
-    labels = tuple(payload["labels"]) if "labels" in payload else None
-    src = LieAlgebra(constants.dim, constants, labels)
-    images = tuple(_json_matrix(obj, args.rep) for obj in payload["images"])
-    if not images:
-        raise ValueError("representation file lists no images")
+    labels = payload.get("labels")
+    if labels is not None and (type(labels) is not list or len(labels) != constants.dim):
+        raise ValueError(f'{args.rep}: "labels" must list one label for each of the {constants.dim} basis elements')
+    if type(objs) is not list or not objs:
+        raise ValueError(f'{args.rep}: "images" must be a nonempty list of matrices')
+    src = LieAlgebra(constants.dim, constants, None if labels is None else tuple(labels))
+    images = tuple(_json_matrix(obj, args.rep) for obj in objs)
     cand = RepCandidate(src, images, images[0].rows)
     span, verdict = ado_embed(cand, args.n, args.m, args.q)
     inputs = {"rep": args.rep, "n": args.n, "m": args.m, "q": args.q}

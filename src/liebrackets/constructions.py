@@ -10,13 +10,13 @@
   algebra (every matrix Lie algebra embeds this way),
 * a catalog of small worked examples with their expected brackets,
   including the ones whose published values disagree with the bracket
-  definition (kept, flagged).
+  definition (kept, flagged): one table, ``_CATALOG``, with one row per
+  example, read by one builder, ``example_catalog``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -459,183 +459,116 @@ class CatalogEntry:
         }
 
 
-def _entry(name, description, param, basis, labels, claims_spec) -> CatalogEntry:
-    algebra = restricted_constants(tuple(basis), param, tuple(labels))
-    claims = []
-    index = {lbl: k for k, lbl in enumerate(labels)}
-    for left, right, claimed, note in claims_spec:
-        computed = algebra.constants.bracket_basis(index[left], index[right])
-        dense = tuple(computed.get(k, 0) for k in range(algebra.dim))
-        claims.append(BracketClaim(left, right, tuple(claimed), dense, note))
-    return CatalogEntry(name, description, param, tuple(basis), tuple(labels), algebra, tuple(claims))
-
-
-def _catalog_heisenberg3_gl21() -> CatalogEntry:
-    param = BracketParam(2, 2, Matrix.diagonal([1, 0]))
-    basis = [Matrix.unit(2, 2, 1, 0), Matrix.unit(2, 2, 0, 1), Matrix.unit(2, 2, 1, 1)]
-    labels = ["X", "Y", "Z"]
-    z = (0, 0, 1)
-    zero = (0, 0, 0)
-    claims = [
-        ("X", "Y", z, "the 3-dimensional Heisenberg relation"),
-        ("X", "Z", zero, ""),
-        ("Y", "Z", zero, ""),
-    ]
-    return _entry(
-        "heisenberg3_gl21",
+# name -> (description, parameter, {label: basis matrix}, claims); each claim
+# is (left, right, published coordinates of [left, right], note), and a note
+# explains a published value that direct evaluation contradicts.
+_CATALOG = {
+    "heisenberg3_gl21": (
         "Faithful Heisenberg triple inside 2x2 matrices with the rank-1 parameter "
         "diag(1,0); no such triple exists under the ordinary 2x2 commutator.",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-def _catalog_affine2_column() -> CatalogEntry:
-    param = BracketParam(2, 1, Matrix([[1, 0]]))
-    basis = [Matrix.column([1, 0]), Matrix.column([0, 1])]
-    labels = ["e1", "e2"]
-    claims = [
+        BracketParam(2, 2, Matrix.diagonal([1, 0])),
+        {"X": Matrix.unit(2, 2, 1, 0), "Y": Matrix.unit(2, 2, 0, 1), "Z": Matrix.unit(2, 2, 1, 1)},
         (
-            "e2",
-            "e1",
-            (1, 0),
-            "published value is e1; direct evaluation of the bracket gives e2 "
-            "(still the nonabelian 2-dimensional algebra)",
+            ("X", "Y", (0, 0, 1), "the 3-dimensional Heisenberg relation"),
+            ("X", "Z", (0, 0, 0), ""),
+            ("Y", "Z", (0, 0, 0), ""),
         ),
-    ]
-    return _entry(
-        "affine2_column",
+    ),
+    "affine2_column": (
         "Column space R^2 with parameter (1 0): the nonabelian two-dimensional "
         "(affine) Lie algebra.",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-def _catalog_g32_1() -> CatalogEntry:
-    param = BracketParam(3, 1, Matrix([[1, 0, 0]]))
-    basis = [Matrix.column([-1, 0, 0]), Matrix.column([0, 1, 0]), Matrix.column([0, 0, 1])]
-    labels = ["e1", "e2", "e3"]
-    claims = [
-        ("e1", "e2", (0, 1, 0), ""),
-        ("e1", "e3", (0, 0, 1), ""),
-        ("e2", "e3", (0, 0, 0), ""),
-    ]
-    return _entry(
-        "g32_1",
+        BracketParam(2, 1, Matrix([[1, 0]])),
+        {"e1": Matrix.column([1, 0]), "e2": Matrix.column([0, 1])},
+        (
+            (
+                "e2",
+                "e1",
+                (1, 0),
+                "published value is e1; direct evaluation of the bracket gives e2 "
+                "(still the nonabelian 2-dimensional algebra)",
+            ),
+        ),
+    ),
+    "g32_1": (
         "Column space R^3 with parameter (1 0 0) and sign-flipped first basis "
         "vector: the solvable algebra with [e1,e2]=e2, [e1,e3]=e3.",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-def _catalog_column4() -> CatalogEntry:
-    param = BracketParam(4, 1, Matrix([[1, 0, 0, 0]]))
-    basis = [Matrix.unit(4, 1, i, 0) for i in range(4)]
-    labels = [f"e{i + 1}" for i in range(4)]
-    claims = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            expect = [0, 0, 0, 0]  # j > i >= 0, so d(j,1) = 0
-            if i == 0:
-                expect[j] -= 1
-            claims.append((labels[i], labels[j], tuple(expect), ""))
-    return _entry(
-        "column4",
+        BracketParam(3, 1, Matrix([[1, 0, 0]])),
+        {"e1": Matrix.column([-1, 0, 0]), "e2": Matrix.column([0, 1, 0]), "e3": Matrix.column([0, 0, 1])},
+        (("e1", "e2", (0, 1, 0), ""), ("e1", "e3", (0, 0, 1), ""), ("e2", "e3", (0, 0, 0), "")),
+    ),
+    "column4": (
         "Column space R^4 with parameter (1 0 0 0): brackets "
         "[e_i,e_j] = d(j,1) e_i - d(i,1) e_j.",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-def _catalog_mat2_rank1() -> CatalogEntry:
-    param = BracketParam(2, 2, Matrix.diagonal([0, 1]))
-    h = Matrix.diagonal([1, -1])
-    x = Matrix.unit(2, 2, 0, 1)
-    y = Matrix.unit(2, 2, 1, 0)
-    ident = Matrix.identity(2)
-    basis = [h, x, y, ident]
-    labels = ["H", "X", "Y", "I"]
-    half = Fraction(1, 2)
-    claims = [
-        ("H", "X", (0, 1, 0, 0), ""),
-        ("H", "Y", (0, 0, -1, 0), ""),
+        BracketParam(4, 1, Matrix([[1, 0, 0, 0]])),
+        {f"e{i + 1}": Matrix.unit(4, 1, i, 0) for i in range(4)},
         (
-            "X",
-            "Y",
-            (0, 0, 0, 0),
-            "published value is 0; direct evaluation gives E(1,1) = (H + I)/2, so "
-            "span{H,X,Y} is not closed under this bracket and the entry works on "
-            "the full 2x2 space",
+            ("e1", "e2", (0, -1, 0, 0), ""),
+            ("e1", "e3", (0, 0, -1, 0), ""),
+            ("e1", "e4", (0, 0, 0, -1), ""),
+            ("e2", "e3", (0, 0, 0, 0), ""),
+            ("e2", "e4", (0, 0, 0, 0), ""),
+            ("e3", "e4", (0, 0, 0, 0), ""),
         ),
-    ]
-    return _entry(
-        "mat2_rank1",
+    ),
+    "mat2_rank1": (
         "Full 2x2 matrix space with the rank-1 parameter diag(0,1), containing "
         "the standard sl(2) generators H, X, Y (completed by the identity).",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-def _catalog_mat2_full() -> CatalogEntry:
-    param = BracketParam.commutator(2)
-    basis = list(basis_matrices(2, 2))
-    labels = ["E11", "E12", "E21", "E22"]
-    claims = []
-    units = {"E11": (0, 0), "E12": (0, 1), "E21": (1, 0), "E22": (1, 1)}
-    keys = list(units)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            i, j = units[keys[a]]
-            k, l = units[keys[b]]
-            expect = [0, 0, 0, 0]
-            if j == k:
-                expect[2 * i + l] += 1
-            if l == i:
-                expect[2 * k + j] -= 1
-            claims.append((keys[a], keys[b], tuple(expect), ""))
-    return _entry(
-        "mat2_full",
+        BracketParam(2, 2, Matrix.diagonal([0, 1])),
+        {
+            "H": Matrix.diagonal([1, -1]),
+            "X": Matrix.unit(2, 2, 0, 1),
+            "Y": Matrix.unit(2, 2, 1, 0),
+            "I": Matrix.identity(2),
+        },
+        (
+            ("H", "X", (0, 1, 0, 0), ""),
+            ("H", "Y", (0, 0, -1, 0), ""),
+            (
+                "X",
+                "Y",
+                (0, 0, 0, 0),
+                "published value is 0; direct evaluation gives E(1,1) = (H + I)/2, so "
+                "span{H,X,Y} is not closed under this bracket and the entry works on "
+                "the full 2x2 space",
+            ),
+        ),
+    ),
+    "mat2_full": (
         "Full 2x2 matrix space with the identity parameter: the ordinary "
         "commutator algebra gl(2).",
-        param,
-        basis,
-        labels,
-        claims,
-    )
-
-
-_CATALOG_BUILDERS = {
-    "heisenberg3_gl21": _catalog_heisenberg3_gl21,
-    "affine2_column": _catalog_affine2_column,
-    "g32_1": _catalog_g32_1,
-    "column4": _catalog_column4,
-    "mat2_rank1": _catalog_mat2_rank1,
-    "mat2_full": _catalog_mat2_full,
+        BracketParam.commutator(2),
+        dict(zip(("E11", "E12", "E21", "E22"), basis_matrices(2, 2))),
+        (
+            ("E11", "E12", (0, 1, 0, 0), ""),
+            ("E11", "E21", (0, 0, -1, 0), ""),
+            ("E11", "E22", (0, 0, 0, 0), ""),
+            ("E12", "E21", (1, 0, 0, -1), ""),
+            ("E12", "E22", (0, 1, 0, 0), ""),
+            ("E21", "E22", (0, 0, -1, 0), ""),
+        ),
+    ),
 }
 
-CATALOG_NAMES = tuple(sorted(_CATALOG_BUILDERS))
+CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 
 def example_catalog(name: str) -> CatalogEntry:
-    """Fetch a worked example by name; unknown names list the valid ones."""
+    """Build a worked example from its row of ``_CATALOG``: the algebra is
+    the bracket restricted to the span of the basis, and each claim is set
+    beside the computed coordinates of its bracket.  Unknown names list the
+    valid ones."""
     try:
-        builder = _CATALOG_BUILDERS[name]
+        description, param, named_basis, claims = _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; valid names: {', '.join(CATALOG_NAMES)}"
         ) from None
-    return builder()
+    labels, basis = tuple(named_basis), tuple(named_basis.values())
+    algebra = restricted_constants(basis, param, labels)
+    index = {lbl: k for k, lbl in enumerate(labels)}
+    checked = []
+    for left, right, claimed, note in claims:
+        computed = algebra.constants.bracket_basis(index[left], index[right])
+        dense = tuple(computed.get(k, 0) for k in range(algebra.dim))
+        checked.append(BracketClaim(left, right, claimed, dense, note))
+    return CatalogEntry(name, description, param, basis, labels, algebra, tuple(checked))

@@ -562,7 +562,7 @@ def rank(m: Matrix) -> int:
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeError(f"cannot invert non-square {m.rows}x{m.cols} matrix")
-    reduced, pivots, transform = rref(m)
+    _, pivots, transform = rref(m)
     if len(pivots) < m.rows:
         raise SingularMatrixError(
             f"matrix of rank {len(pivots)} < {m.rows} is singular", rank=len(pivots)

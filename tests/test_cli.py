@@ -228,6 +228,29 @@ def test_witness_report_is_stable(capsys, pair):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# stdout sha256 of ``catalog NAME`` for every worked example, recorded when each
+# example had its own builder function: the reports must not change with the
+# way the catalog is written down.
+CATALOG_REPORTS = {
+    "affine2_column": "b4d830ba680529c02deb9f5b97752f345d8215ebff516af7002b8d5966442101",
+    "column4": "639f4b01ddcf1a08ba09430dd1a61a66ba8403287e081990a3c944871a31275b",
+    "g32_1": "b5107dd3fb1821e820adfae29045d0be96ad4ac623d1870f938520803083a58b",
+    "heisenberg3_gl21": "077ac26709c037bf3fcd8172ffe8e56450f7566b5dbe0841f0353a7051427e7d",
+    "mat2_full": "aea2058de345fe18e7aa8aacae0c2685efb64a1d19c4a0890eed391db3757969",
+    "mat2_rank1": "3e791b430e14ab0f59315349a1cc897810c00ecb285a18a171f24a5b1d9fa14b",
+}
+
+
+def test_catalog_reports_cover_every_example():
+    assert tuple(sorted(CATALOG_REPORTS)) == constructions.CATALOG_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_REPORTS))
+def test_catalog_report_is_stable(capsys, name):
+    assert main(["catalog", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == CATALOG_REPORTS[name]
+
+
 def test_deform_computes_each_signature_once(capsys, monkeypatch):
     # Times 0 and 1, the user's t = 1/3, and the interior times of the path
     # table (1/3 again, 1/2, 9/10): five distinct times.
@@ -244,6 +267,20 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
     assert calls == 5
+
+
+# A valid two-element representation file with one change, and the message
+# that names the file and the key at fault.
+BAD_REPRESENTATIONS = {
+    "no-brackets": (lambda rep: rep.pop("brackets"), 'missing key "brackets"'),
+    "no-images": (lambda rep: rep.pop("images"), 'missing key "images"'),
+    "no-dim": (lambda rep: rep.pop("dim"), 'missing key "dim"'),
+    "bracket-without-i": (lambda rep: rep["brackets"][0].pop("i"), 'missing key "i"'),
+    "bracket-without-terms": (lambda rep: rep["brackets"][0].pop("terms"), 'missing key "terms"'),
+    "labels-number": (lambda rep: rep.update(labels=5), '"labels" must list one label for each of the 2 basis elements'),
+    "labels-too-few": (lambda rep: rep.update(labels=["X"]), '"labels" must list one label for each of the 2 basis elements'),
+    "no-image": (lambda rep: rep.update(images=[]), '"images" must be a nonempty list of matrices'),
+}
 
 
 @pytest.mark.parametrize(
@@ -292,6 +329,9 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
         ["constants", "2", "2", "--j", '{"rows": "2", "cols": 2, "entries": [[1, 0], [0, 1]]}'],
         ["constants", "1", "1", "--j", '{"rows": true, "cols": 1, "entries": [[1]]}'],
         ["constants", "1", "1", "--j", '{"rows": 1, "cols": 1, "entries": [[true]]}'],
+        ["constants", "1", "2", "--j", '{"rows": 3, "cols": 1, "entries": [[1], [0]]}'],
+        ["constants", "2", "2", "--j", '{"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}'],
+        *(["embed", "--rep", "{" + name + "}", "2", "2", "1"] for name in BAD_REPRESENTATIONS),
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
          "coboundary-size-0", "coboundary-size-negative",
@@ -302,7 +342,8 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
          "representation-is-number", "json-entries-is-number", "constants-j-dashes", "center-j-dashes",
          "coboundary-j-dashes", "witness-j1-dashes", "witness-j2-dashes", "deform-t-dashes", "embed-rep-dashes",
          "representation-dim-true", "representation-dim-float", "representation-index-true",
-         "json-matrix-without-rows", "json-matrix-rows-string", "json-matrix-rows-true", "json-matrix-entry-true"],
+         "json-matrix-without-rows", "json-matrix-rows-string", "json-matrix-rows-true", "json-matrix-entry-true",
+         "json-matrix-declared-shape", "json-matrix-ragged", *(f"representation-{name}" for name in BAD_REPRESENTATIONS)],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     # JSON nested far deeper than the parser's recursion limit.
@@ -315,6 +356,11 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     image = {"rows": 1, "cols": 1, "entries": [[1]]}
     for name, dim, i in (("dim-true", True, 0), ("dim-float", 2.0, 0), ("index-true", 2, True)):
         rep = {"dim": dim, "brackets": [{"i": i, "j": 1, "terms": []}], "images": [image, image]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(rep))
+        files["{" + name + "}"] = str(tmp_path / f"{name}.json")
+    for name, (change, _) in BAD_REPRESENTATIONS.items():
+        rep = {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": []}], "images": [image, image]}
+        change(rep)
         (tmp_path / f"{name}.json").write_text(json.dumps(rep))
         files["{" + name + "}"] = str(tmp_path / f"{name}.json")
 
@@ -346,6 +392,9 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         },
         '{"rows": 1, "cols": 1, "entries": [[true]]}':
             "error: --j: a JSON matrix entry must be an integer or a rational string",
+        '{"rows": 3, "cols": 1, "entries": [[1], [0]]}': "error: --j: declared shape 3x1 does not match entries 2x1",
+        '{"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}': "error: --j: ragged rows: all rows must have equal length",
+        **{"{" + name + "}": "error: {" + name + "}: " + message for name, (_, message) in BAD_REPRESENTATIONS.items()},
     }
     for arg in argv:
         if arg in messages:

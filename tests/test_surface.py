@@ -11,6 +11,11 @@ Likewise a public method of an exported class must be read as an attribute
 (``x.name``) somewhere in ``src/liebrackets`` outside its own definition,
 unless a file under ``perfbench/`` reads it, which the failure message
 lists the same way.
+
+Nor does the package keep what it never reads: every name that a module
+other than ``__init__.py`` imports is read in that module, and every name
+that a function assigns is read in that function, a function nested in it
+included; an unpacking target that is not read is written ``_``.
 """
 
 import ast
@@ -155,3 +160,83 @@ def user(x: annotated):
     ]
     names = {"called", "imported_only", "annotated", "recursive", "through_module", "missing"}
     assert referenced(names, sources) == {"called", "annotated", "through_module"}
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def loaded(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unread(source: str, module: bool = True) -> list:
+    """The bindings of ``source`` that it never reads: as ``"import name"``
+    for an imported name (unless ``module`` is false) and as
+    ``"function: name"`` for a name a function assigns or catches an
+    exception as, ``_`` and global or nonlocal names aside.  A function's
+    bindings are its own, not those of the functions or classes nested in
+    it; its reads are every read in its body."""
+    tree = ast.parse(source)
+    found = []
+    if module:
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        found += [f"import {name}" for name in sorted(imported - loaded(tree))]
+    for function in ast.walk(tree):
+        if not isinstance(function, SCOPES):
+            continue
+        declared = {name for node in ast.walk(function) if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        assigned, stack = set(), list(function.body) if isinstance(function.body, list) else [function.body]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, SCOPES + (ast.ClassDef,)):
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                assigned.add(node.name)
+            stack.extend(ast.iter_child_nodes(node))
+        owner = getattr(function, "name", "<lambda>")
+        found += [f"{owner}: {name}" for name in sorted(assigned - loaded(function) - declared - {"_"})]
+    return found
+
+
+def test_no_module_keeps_an_unread_import_or_assignment():
+    found = {
+        path.name: unread(path.read_text(encoding="utf-8"), module=path.name != "__init__.py")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unread_names_an_unread_import_assignment_and_unpacking_target():
+    # An augmented assignment is no read; a nonlocal name, ``_``, a closure's
+    # read and a comprehension's read are.
+    source = '''
+from __future__ import annotations
+import os
+from .matrices import Matrix, rref
+
+
+def f(m: Matrix):
+    reduced, pivots, _ = rref(m)
+    half, total, calls = 1, 0, 0
+    for k in pivots:
+        total += k
+    try:
+        pass
+    except ValueError as exc:
+        pass
+
+    def inner():
+        nonlocal calls
+        calls += 1
+        return pivots
+
+    return inner, [w for w in pivots if w]
+'''
+    assert unread(source) == ["import os", "f: exc", "f: half", "f: reduced", "f: total"]
