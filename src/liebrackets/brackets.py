@@ -182,6 +182,32 @@ def basis_matrices(n: int, m: int):
     return tuple(Matrix.unit(n, m, i, j) for i in range(n) for j in range(m))
 
 
+def _checked_table(dim: int, table: dict) -> dict:
+    """``table`` without its empty pairs, once every pair ``(a, b)`` is
+    checked for ``0 <= a < b < dim`` and every target ``k`` for
+    ``0 <= k < dim``: the one table check of ``StructureConstants`` and
+    ``deform.EpsStructureConstants``, each of which drops its zero terms
+    first."""
+    for (a, b), terms in table.items():
+        if not (0 <= a < b < dim):
+            raise ValueError(f"pair ({a}, {b}) must satisfy 0 <= a < b < dim")
+        for k in terms:
+            if not (0 <= k < dim):
+                raise ValueError(f"target index {k} out of range")
+    return {pair: terms for pair, terms in table.items() if terms}
+
+
+def _table_json(dim: int, table: dict, body) -> dict:
+    """The JSON form of a checked table, pairs and targets sorted: each term
+    is ``{"k": k}`` followed by ``body(value)``, the one writer of
+    ``StructureConstants`` and ``deform.EpsStructureConstants``."""
+    brackets = [
+        {"i": a, "j": b, "terms": [{"k": k, **body(terms[k])} for k in sorted(terms)]}
+        for (a, b), terms in sorted(table.items())
+    ]
+    return {"dim": dim, "brackets": brackets}
+
+
 class StructureConstants:
     """Sparse antisymmetric tensor ``c_{a,b}^k`` over a d-dimensional basis.
 
@@ -193,18 +219,9 @@ class StructureConstants:
     __slots__ = ("dim", "table")
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Dict[int, Scalar]]):
-        clean = {}
-        for (a, b), terms in table.items():
-            if not (0 <= a < b < dim):
-                raise ValueError(f"pair ({a}, {b}) must satisfy 0 <= a < b < dim")
-            kept = {k: v for k, v in terms.items() if v != 0}
-            for k in kept:
-                if not (0 <= k < dim):
-                    raise ValueError(f"target index {k} out of range")
-            if kept:
-                clean[(a, b)] = kept
+        kept = {pair: {k: v for k, v in terms.items() if v != 0} for pair, terms in table.items()}
         self.dim = dim
-        self.table = clean
+        self.table = _checked_table(dim, kept)
 
     @classmethod
     def _trusted(cls, dim: int, table: Dict[Tuple[int, int], Dict[int, Scalar]]) -> "StructureConstants":
@@ -232,22 +249,15 @@ class StructureConstants:
         return f"StructureConstants(dim={self.dim}, pairs={len(self.table)})"
 
     def to_json(self) -> dict:
-        brackets = []
-        for (a, b) in sorted(self.table):
-            terms = self.table[(a, b)]
-            brackets.append(
-                {
-                    "i": a,
-                    "j": b,
-                    "terms": [{"k": k, "coef": scalar_str(terms[k])} for k in sorted(terms)],
-                }
-            )
-        return {"dim": self.dim, "brackets": brackets}
+        return _table_json(self.dim, self.table, lambda v: {"coef": scalar_str(v)})
 
     @classmethod
     def from_json(cls, obj: dict) -> "StructureConstants":
         """The inverse of ``to_json``.  ``dim`` and every index ``i``, ``j``
-        and ``k`` must be a JSON integer: a boolean or a float is refused."""
+        and ``k`` must be a JSON integer: a boolean or a float is refused.
+        ``brackets`` must be a list of objects, and so must each entry's
+        ``terms``, every term with both ``k`` and ``coef``; any other missing
+        key raises ``KeyError``."""
 
         def index(value):
             if type(value) is not int:
@@ -255,11 +265,15 @@ class StructureConstants:
             return value
 
         dim = index(obj["dim"])
+        brackets = obj["brackets"]
+        if type(brackets) is not list or not all(type(entry) is dict for entry in brackets):
+            raise ValueError('"brackets" must be a list of objects, each with "i", "j" and "terms"')
         table = {}
-        for entry in obj["brackets"]:
-            table[(index(entry["i"]), index(entry["j"]))] = {
-                index(t["k"]): to_scalar(t["coef"]) for t in entry["terms"]
-            }
+        for entry in brackets:
+            terms = entry["terms"]
+            if type(terms) is not list or not all(type(t) is dict and "k" in t and "coef" in t for t in terms):
+                raise ValueError('"terms" must be a list of objects, each with "k" and "coef"')
+            table[(index(entry["i"]), index(entry["j"]))] = {index(t["k"]): to_scalar(t["coef"]) for t in terms}
         return cls(dim, table)
 
 

@@ -11,6 +11,7 @@ Matrices on the command line use the text format ``"1 0; 0 1/2"``; pass
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -290,31 +291,30 @@ def _cmd_deform(args):
     jr = rank_normal_form(n, n, r)
     param_t = deformation_bracket(n, jr, t)
     verdicts = [{"name": f"{kind}_identity", "pass": ok} for kind, ok in path_identities(n, r, t).items()]
-    # The references are built apart from the path, so a faulty path cannot match itself.
-    sigs = {
-        0: invariant_signature(LieAlgebra.from_param(BracketParam.commutator(n))),
-        1: invariant_signature(LieAlgebra.from_param(BracketParam.normal(n, n, r))),
-    }
-    for tv in (t, *PATH_TIMES):  # one signature per distinct time
-        if tv not in sigs:
-            sigs[tv] = invariant_signature(LieAlgebra.from_param(deformation_bracket(n, jr, tv)))
 
-    def reference(tv):
-        return ("commutator_algebra", sigs[0]) if tv != 1 else ("normal_form", sigs[1])
+    @functools.cache  # one signature per parameter: a correct path's endpoints are their references
+    def signature(param):
+        return invariant_signature(LieAlgebra.from_param(param))
 
-    name, ref = reference(t)
-    verdicts.append({"name": "signature_matches_" + name, "pass": sigs[t] == ref})
+    def judged(tv):  # the reference's name, the signature at tv, and whether it is the reference's
+        if tv != 1:
+            name, ref = "commutator_algebra", BracketParam.commutator(n)
+        else:
+            name, ref = "normal_form", BracketParam.normal(n, n, r)
+        sig = signature(deformation_bracket(n, jr, tv))  # the path point itself, never its reference
+        return name, sig, sig == signature(ref)
+
+    name, sig_t, ok = judged(t)
+    verdicts.append({"name": "signature_matches_" + name, "pass": ok})
     path_table = []
     for tv in PATH_TIMES:
-        label, expected = reference(tv)
-        path_table.append(
-            {"t": scalar_str(tv), "signature": sigs[tv].to_json(), "reference": label, "pass": sigs[tv] == expected}
-        )
+        label, sig, ok = judged(tv)
+        path_table.append({"t": scalar_str(tv), "signature": sig.to_json(), "reference": label, "pass": ok})
     verdicts.append({"name": "signature_along_path", "pass": all(row["pass"] for row in path_table)})
     inputs = {"n": n, "r": r, "t": scalar_str(t)}
     result = {
         "parameter": matrix_to_json(param_t.j),
-        "signature": sigs[t].to_json(),
+        "signature": sig_t.to_json(),
         "path_table": path_table,
     }
     return inputs, result, verdicts, None

@@ -13,7 +13,12 @@ unit-rule lemma of ``brackets._unit_rule``.  No proof loop builds a
 ``Fraction`` either: the outputs of ``deformation_bracket``, ``psi_t`` and
 ``alpha_coboundary`` are read once as integer rows at a common scale (the
 lcm of their denominators and of the time's or the parameter's), and every
-comparison runs on those integers.
+comparison runs on those integers.  The commutator table ``T(I)`` is read
+by ``_identity_table`` alone, for the contraction and for the path proof,
+and ``EpsStructureConstants`` checks and writes its table through the
+functions ``brackets.StructureConstants`` uses.  The ``deform`` command
+takes the signature of every path point at its own parameter and compares
+it with the commutator's below ``t = 1`` and the normal form's at ``t = 1``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from math import lcm
 from typing import Dict, Tuple
 
 from .algebra import Verdict
-from .brackets import BracketParam, StructureConstants, basis_matrices, structure_constants
+from .brackets import BracketParam, StructureConstants, _checked_table, _table_json, basis_matrices, structure_constants
 from .matrices import _INT_ONLY, Matrix, ShapeError, _integer_row, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
@@ -39,31 +44,20 @@ class ContractionDivergenceError(ValueError):
 
 class EpsStructureConstants:
     """Structure constants in the epsilon-scaled basis: every coefficient is
-    one monomial ``coef * epsilon^exp``, stored as the pair ``(coef, exp)``;
-    pairs stored for i < j only, like ``StructureConstants``."""
+    one monomial ``coef * epsilon^exp``, stored as the pair ``(coef, exp)``.
+    The table is checked (pairs ``a < b < dim``, targets below ``dim``, no
+    zero coefficient) and written as JSON, each term as a one-monomial
+    ``"laurent"`` list, by the functions ``StructureConstants`` uses."""
 
     __slots__ = ("dim", "table")
 
     def __init__(self, dim: int, table: Dict[Tuple[int, int], Dict[int, Tuple[Scalar, int]]]):
-        clean = {}
-        for (a, b), terms in table.items():
-            if not (0 <= a < b < dim):
-                raise ValueError(f"pair ({a}, {b}) must satisfy 0 <= a < b < dim")
-            kept = {k: v for k, v in terms.items() if v[0] != 0}
-            if kept:
-                clean[(a, b)] = kept
+        kept = {pair: {k: v for k, v in terms.items() if v[0] != 0} for pair, terms in table.items()}
         self.dim = dim
-        self.table = clean
+        self.table = _checked_table(dim, kept)
 
     def to_json(self) -> dict:
-        out = []
-        for (a, b) in sorted(self.table):
-            terms = [
-                {"k": k, "laurent": [{"exp": exp, "coef": scalar_str(coef)}]}
-                for k, (coef, exp) in sorted(self.table[(a, b)].items())
-            ]
-            out.append({"i": a, "j": b, "terms": terms})
-        return {"dim": self.dim, "brackets": out}
+        return _table_json(self.dim, self.table, lambda v: {"laurent": [{"exp": v[1], "coef": scalar_str(v[0])}]})
 
 
 def contraction_constants(n: int, r: int) -> EpsStructureConstants:
@@ -72,13 +66,14 @@ def contraction_constants(n: int, r: int) -> EpsStructureConstants:
     Basis element ``(i, j)`` (0-based) is scaled by epsilon^s with
     ``s(i, j) = [i >= r] + [j >= r]``, so a constant ``c`` of ``[E_a, E_b]``
     on ``E_k`` becomes ``c`` epsilon^(s(a) + s(b) - s(k)).  The constants
-    are read off ``structure_constants`` of the commutator; every exponent
-    is ``2 [j >= r]`` or ``2 [i >= r]``, both nonnegative.
+    are those of ``T(I)``, read by ``_identity_table`` as the path proof
+    reads them; every exponent is ``2 [j >= r]`` or ``2 [i >= r]``, both
+    nonnegative.
     """
     if not (0 <= r <= n):
         raise ValueError(f"rank {r} out of range for size {n}")
     s = [(i >= r) + (j >= r) for i in range(n) for j in range(n)]
-    table = structure_constants(BracketParam.commutator(n)).table
+    table = _identity_table(n)
     scaled = {(a, b): {k: (c, s[a] + s[b] - s[k]) for k, c in terms.items()} for (a, b), terms in table.items()}
     return EpsStructureConstants(n * n, scaled)
 
@@ -212,7 +207,8 @@ def path_identities(n: int, r: int, t) -> Dict[str, bool]:
 
 def _identity_table(n: int) -> dict:
     """The ``structure_constants`` table ``T(I)`` of the commutator on
-    ``Mat(n x n)``, the same for every rank ``r`` and time of the path."""
+    ``Mat(n x n)``, the same for every rank ``r`` and time of the path: the
+    one read of it for the path proof and ``contraction_constants``."""
     return structure_constants(BracketParam.commutator(n)).table
 
 

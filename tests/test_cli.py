@@ -251,6 +251,35 @@ def test_catalog_report_is_stable(capsys, name):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == CATALOG_REPORTS[name]
 
 
+# stdout sha256 of the contraction and deformation reports beside the README's,
+# recorded while the deform report still took its rows at t = 0 and t = 1 from
+# the references: on the true path the report must not change with the way
+# its verdicts are reached.
+DEFORM_REPORTS = {
+    "deform_3_1_at_0": (["deform", "3", "1", "--t", "0"],
+                        "0d5e8f938e47921ab3a5993212ec3904cff1dd6750e40b0b1963a04f65690a6d"),
+    "deform_3_1_at_1": (["deform", "3", "1", "--t", "1"],
+                        "ac1c938418007eece3187f5bb99ea0dad37b8b00a9ed0346bcb00050e316a76e"),
+    "deform_2_0_at_9_10": (["deform", "2", "0", "--t", "9/10"],
+                           "9419e3d7e88219b15504dc1e3713f395a037d83e8d833d8b536b1c85a3700221"),
+    "deform_3_3_at_1_2": (["deform", "3", "3", "--t", "1/2"],
+                          "4aaf1828727bd3558d5c46f92b38cbde6f20a331e5593624ad7ea69bf6258ead"),
+    "deform_4_2_at_2_3": (["deform", "4", "2", "--t", "2/3"],
+                          "8e77a31c958b0768324bd116fe875f5b7466986e07bc3413d4fc4d89003868fc"),
+    "contract_4_2": (["contract", "4", "2"],
+                     "d4e731444698afa987ea5205cb70664e2598eaf222fa21ff03913b25b098d88d"),
+    "coboundary_3_rational": (["coboundary", "3", "--j", "1/2 2 0; 0 1 0; 3 0 1"],
+                              "f9df6f829c91d4b2a9534b637d66cc09d5ebc0062c23aa2aafbfc7b02788d801"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFORM_REPORTS))
+def test_deform_report_is_stable(capsys, name):
+    argv, digest = DEFORM_REPORTS[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_deform_computes_each_signature_once(capsys, monkeypatch):
     # Times 0 and 1, the user's t = 1/3, and the interior times of the path
     # table (1/3 again, 1/2, 9/10): five distinct times.
@@ -271,6 +300,8 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
 
 # A valid two-element representation file with one change, and the message
 # that names the file and the key at fault.
+BRACKETS_MESSAGE = '"brackets" must be a list of objects, each with "i", "j" and "terms"'
+TERMS_MESSAGE = '"terms" must be a list of objects, each with "k" and "coef"'
 BAD_REPRESENTATIONS = {
     "no-brackets": (lambda rep: rep.pop("brackets"), 'missing key "brackets"'),
     "no-images": (lambda rep: rep.pop("images"), 'missing key "images"'),
@@ -280,6 +311,12 @@ BAD_REPRESENTATIONS = {
     "labels-number": (lambda rep: rep.update(labels=5), '"labels" must list one label for each of the 2 basis elements'),
     "labels-too-few": (lambda rep: rep.update(labels=["X"]), '"labels" must list one label for each of the 2 basis elements'),
     "no-image": (lambda rep: rep.update(images=[]), '"images" must be a nonempty list of matrices'),
+    "brackets-number": (lambda rep: rep.update(brackets=5), BRACKETS_MESSAGE),
+    "bracket-number": (lambda rep: rep.update(brackets=[5]), BRACKETS_MESSAGE),
+    "terms-number": (lambda rep: rep["brackets"][0].update(terms=5), TERMS_MESSAGE),
+    "term-number": (lambda rep: rep["brackets"][0].update(terms=[5]), TERMS_MESSAGE),
+    "term-without-k": (lambda rep: rep["brackets"][0].update(terms=[{"coef": "1"}]), TERMS_MESSAGE),
+    "term-without-coef": (lambda rep: rep["brackets"][0].update(terms=[{"k": 0}]), TERMS_MESSAGE),
 }
 
 

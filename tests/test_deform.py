@@ -207,6 +207,14 @@ class TestContraction:
         with pytest.raises(ValueError):
             contraction_constants(2, 3)
 
+    def test_table_is_checked_as_structure_constants_are(self):
+        # One check for both tables: every pair a < b < dim and every target below dim.
+        with pytest.raises(ValueError, match=r"^target index 5 out of range$"):
+            EpsStructureConstants(2, {(0, 1): {5: (1, 0)}})
+        with pytest.raises(ValueError, match=r"^pair \(1, 0\) must satisfy 0 <= a < b < dim$"):
+            EpsStructureConstants(2, {(1, 0): {0: (1, 0)}})
+        assert EpsStructureConstants(2, {(0, 1): {5: (0, 1)}}).table == {}  # a zero term names no target
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_commutator_formula_reference(self, n):
         for r in range(n + 1):

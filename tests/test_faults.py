@@ -463,6 +463,45 @@ def test_deformation_check_fails_when_the_endpoint_keeps_the_gl_signature(monkey
     assert not verify.run_all(3, 0)["pass"]
 
 
+def path_point_replaced(monkeypatch, at, param):
+    """Patch ``cli.deformation_bracket`` so that the ``deform`` report's path
+    reads ``param(n)`` at the time ``at``.  ``deform.deformation_bracket``,
+    which the path identities read, is left as it is."""
+    real = cli.deformation_bracket
+    monkeypatch.setattr(cli, "deformation_bracket", lambda n, j, t: param(n) if t == at else real(n, j, t))
+
+
+def test_deform_fails_when_the_path_stays_at_the_commutator_at_one(capsys, monkeypatch):
+    # At t = 1 the path must reach J_r; the commutator has gl_n's signature,
+    # not the normal form's.  The row is judged by its own parameter, so it
+    # fails, where a row that took its signature from its reference passed.
+    path_point_replaced(monkeypatch, 1, BracketParam.commutator)
+    code, report, err = run_cli(capsys, "deform", "3", "1", "--t", "1")
+    assert code == 1
+    assert {v["name"]: v["pass"] for v in report["verdicts"]} == {
+        "decomposition_identity": True,
+        "signature_matches_normal_form": False,
+        "signature_along_path": False,
+    }
+    assert [row["pass"] for row in report["result"]["path_table"]] == [True, True, True, True, False]
+    assert "[FAIL] signature_matches_normal_form" in err
+
+
+def test_deform_fails_when_the_path_starts_at_the_normal_form(capsys, monkeypatch):
+    # At t = 0 the path must start at the identity, the commutator.
+    path_point_replaced(monkeypatch, 0, lambda n: BracketParam.normal(n, n, 1))
+    code, report, err = run_cli(capsys, "deform", "3", "1", "--t", "0")
+    assert code == 1
+    assert {v["name"]: v["pass"] for v in report["verdicts"]} == {
+        "decomposition_identity": True,
+        "transport_identity": True,
+        "signature_matches_commutator_algebra": False,
+        "signature_along_path": False,
+    }
+    assert [row["pass"] for row in report["result"]["path_table"]] == [False, True, True, True, True]
+    assert "[FAIL] signature_along_path" in err
+
+
 # The contraction cases below cover n = 1..3.  At r = n every basis element
 # keeps its scale, so the contraction is the identity; at n = 1 the algebra
 # is abelian.  So only n >= 2 with r < n can go wrong.
