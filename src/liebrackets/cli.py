@@ -11,9 +11,11 @@ Matrices on the command line use the text format ``"1 0; 0 1/2"``; pass
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .algebra import LieAlgebra, Verdict, invariant_signature, jacobi_check
 from .brackets import BracketParam, StructureConstants, structure_constants
@@ -37,7 +39,7 @@ from .deform import (
     deformation_bracket,
     path_identities,
 )
-from .matrices import Matrix, ShapeError, matrix_from_json, matrix_to_json, parse_matrix, rank, rank_normal_form
+from .matrices import Matrix, matrix_from_json, matrix_to_json, parse_matrix, rank, rank_normal_form
 from .scalars import scalar_str, to_scalar
 from .verify import _holds_for_every_parameter, _model_disagreements, run_all
 
@@ -74,37 +76,33 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ValueError(f"{what} = {value} exceeds the limit of {limit}")
 
 
-def _json_arg(text: str):
+@contextlib.contextmanager
+def _reading(source: str):
+    """Name ``source`` in every error raised while it is read, the one rule
+    of every CLI input: a ``KeyError`` is a missing key, a ``RecursionError``
+    JSON nested too deeply, and a ``TypeError`` or ``ValueError`` (a
+    ``ShapeError`` or ``JSONDecodeError`` too) keeps its message."""
     try:
-        return json.loads(text)
+        yield
+    except KeyError as exc:
+        raise ValueError(f'{source}: missing key "{exc.args[0]}"') from None
     except RecursionError:
-        raise ValueError("JSON input is nested too deeply") from None
-
-
-def _json_matrix(obj, source: str) -> Matrix:
-    entries = obj.get("entries") if isinstance(obj, dict) else None
-    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
-        raise ValueError(f'{source}: a JSON matrix must be an object whose "entries" is a list of rows')
-    # JSON reads true as a bool, an int subclass; it is no size and no entry here.
-    if type(obj.get("rows")) is not int or type(obj.get("cols")) is not int:
-        raise ValueError(f'{source}: a JSON matrix must give "rows" and "cols" as integers')
-    if not all(type(x) is int or isinstance(x, str) for row in entries for x in row):
-        raise ValueError(f"{source}: a JSON matrix entry must be an integer or a rational string")
-    try:
-        return matrix_from_json(obj)
-    except ValueError as exc:  # a ShapeError too
+        raise ValueError(f"{source}: JSON input is nested too deeply") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _matrix_arg(text: str, option: str) -> Matrix:
-    source = option
+def _json_arg(text: str):
+    return json.loads(text)
+
+
+def _matrix_arg(text: str, source: str) -> Matrix:
+    """The matrix of an option, read and named as ``source``, or from, and
+    named by, the file of an ``@path`` value."""
     if text.startswith("@"):
-        source = text[1:]
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    if text.lstrip().startswith("{"):
-        return _json_matrix(_json_arg(text), source)
-    return parse_matrix(text)
+        source, text = text[1:], Path(text[1:]).read_text(encoding="utf-8").strip()
+    with _reading(source):
+        return matrix_from_json(_json_arg(text)) if text.lstrip().startswith("{") else parse_matrix(text)
 
 
 def _subspace_json(space) -> list:
@@ -227,28 +225,24 @@ def _cmd_semidirect(args):
 
 def _cmd_embed(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
-    with open(args.rep, "r", encoding="utf-8") as fh:
-        payload = _json_arg(fh.read())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{args.rep}: a representation file must hold a JSON object")
-    dim = payload.get("dim")
-    if type(dim) is int:  # before any constants or images are built; from_json refuses any other type
-        _check_limit(f"{args.rep}: dim", dim, MAX_PARAM_DIM)
-    try:
+    text = Path(args.rep).read_text(encoding="utf-8")
+    with _reading(args.rep):
+        payload = _json_arg(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a representation file must hold a JSON object")
+        # Before any constants or images are built; from_json refuses a "dim" of any other type.
+        if type(payload.get("dim")) is int:
+            _check_limit("dim", payload["dim"], MAX_PARAM_DIM)
         constants = StructureConstants.from_json(payload)
         objs = payload["images"]
-    except KeyError as exc:
-        raise ValueError(f'{args.rep}: missing key "{exc.args[0]}"') from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.rep}: {exc}") from None
-    labels = payload.get("labels")
-    if labels is not None and (type(labels) is not list or len(labels) != constants.dim):
-        raise ValueError(f'{args.rep}: "labels" must list one label for each of the {constants.dim} basis elements')
-    if type(objs) is not list or not objs:
-        raise ValueError(f'{args.rep}: "images" must be a nonempty list of matrices')
-    src = LieAlgebra(constants.dim, constants, None if labels is None else tuple(labels))
-    images = tuple(_json_matrix(obj, args.rep) for obj in objs)
-    cand = RepCandidate(src, images, images[0].rows)
+        labels = payload.get("labels")
+        if labels is not None and (type(labels) is not list or len(labels) != constants.dim):
+            raise ValueError(f'"labels" must list one label for each of the {constants.dim} basis elements')
+        if type(objs) is not list or not objs:
+            raise ValueError('"images" must be a nonempty list of matrices')
+        src = LieAlgebra(constants.dim, constants, None if labels is None else tuple(labels))
+        images = tuple(map(matrix_from_json, objs))
+        cand = RepCandidate(src, images, images[0].rows)
     span, verdict = ado_embed(cand, args.n, args.m, args.q)
     inputs = {"rep": args.rep, "n": args.n, "m": args.m, "q": args.q}
     result = {
@@ -286,7 +280,8 @@ def _cmd_contract(args):
 
 def _cmd_deform(args):
     _check_limit("n", args.n, MAX_DEFORM_N)
-    t = to_scalar(args.t)
+    with _reading("--t"):
+        t = to_scalar(args.t)
     n, r = args.n, args.r
     jr = rank_normal_form(n, n, r)
     param_t = deformation_bracket(n, jr, t)
@@ -421,7 +416,7 @@ def main(argv=None) -> int:
             if value == []:  # CPython 3.11 argparse stores "--opt=--" as [] and calls no type=
                 raise ValueError(f"--{name}: '--' is not a value")
         inputs, result, verdicts, seed = args.handler(args)
-    except (ShapeError, ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc!r}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         print(f"run 'liebrackets {args.command} --help' for usage", file=sys.stderr)
         return 2

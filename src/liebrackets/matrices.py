@@ -236,8 +236,20 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> Matrix:
-    m = Matrix(obj["entries"])
+def matrix_from_json(obj) -> Matrix:
+    """The inverse of ``matrix_to_json``, and the one reader of the JSON
+    matrix format: an object whose ``entries`` is a list of rows, whose
+    ``rows`` and ``cols`` are JSON integers, and each of whose entries is an
+    integer or a rational string, the declared shape that of the entries."""
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError('a JSON matrix must be an object whose "entries" is a list of rows')
+    # JSON reads true as a bool, an int subclass; it is no size and no entry here.
+    if type(obj.get("rows")) is not int or type(obj.get("cols")) is not int:
+        raise ValueError('a JSON matrix must give "rows" and "cols" as integers')
+    if not all(type(x) is int or isinstance(x, str) for row in entries for x in row):
+        raise ValueError("a JSON matrix entry must be an integer or a rational string")
+    m = Matrix(entries)
     if m.rows != obj["rows"] or m.cols != obj["cols"]:
         raise ShapeError(
             f"declared shape {obj['rows']}x{obj['cols']} does not match entries {m.rows}x{m.cols}"
