@@ -21,7 +21,9 @@ function (the dotted names of the enclosing classes and functions, or
 space), not by line number, so the list survives edits elsewhere.  Only the
 outermost unrun statement of an unrun block is reported.  The list holds
 only statements meant to stay unrun: a ``raise`` of an argument check, or a
-statement that runs only under ``python -m``.  ``tests/test_mutants.py``
+statement that runs only under ``python -m``.  The probe also prints every
+listed statement that the suite runs, and exits 1 if there is one, so the
+list holds no stale entry.  ``tests/test_mutants.py``
 checks that each listed statement still occurs and is one of these.  The
 probe costs about three times the untraced tier-1 run, so it is not part of
 tier-1.
@@ -130,10 +132,13 @@ def main() -> int:
     listed = {(e["module"], e["function"], e["statement"]) for e in json.loads(UNRUN.read_text(encoding="utf-8"))}
     missed = unrun(executed)
     new = [key for key in missed if key not in listed]
+    stale = sorted(listed.difference(missed))
     for module, function, text in new:
         print(f"unrun and not listed: {module} {function}: {text}")
+    for module, function, text in stale:
+        print(f"listed but run: {module} {function}: {text}")
     print(f"{len(missed)} unrun statements, {len(missed) - len(new)} of them listed in {UNRUN.name}")
-    return 1 if new else 0
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":

@@ -257,7 +257,8 @@ class StructureConstants:
         and ``k`` must be a JSON integer: a boolean or a float is refused.
         ``brackets`` must be a list of objects, and so must each entry's
         ``terms``, every term with both ``k`` and ``coef``; any other missing
-        key raises ``KeyError``."""
+        key raises ``KeyError``.  A pair listed twice, or a target listed
+        twice in one pair's terms, is refused: it would have two readings."""
 
         def index(value):
             if type(value) is not int:
@@ -273,7 +274,13 @@ class StructureConstants:
             terms = entry["terms"]
             if type(terms) is not list or not all(type(t) is dict and "k" in t and "coef" in t for t in terms):
                 raise ValueError('"terms" must be a list of objects, each with "k" and "coef"')
-            table[(index(entry["i"]), index(entry["j"]))] = {index(t["k"]): to_scalar(t["coef"]) for t in terms}
+            row = {index(t["k"]): to_scalar(t["coef"]) for t in terms}
+            pair = (index(entry["i"]), index(entry["j"]))
+            if pair in table:
+                raise ValueError(f"pair {pair} is listed twice")
+            if len(row) < len(terms):
+                raise ValueError(f"pair {pair} lists a target twice in its terms")
+            table[pair] = row
         return cls(dim, table)
 
 

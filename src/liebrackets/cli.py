@@ -92,13 +92,25 @@ def _reading(source: str):
         raise ValueError(f"{source}: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of JSON ``pairs``, refused if it names a key twice: a
+    repeated key has two readings, and ``json.loads`` would keep the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f'repeated key "{key}"')
+        obj[key] = value
+    return obj
+
+
 def _json_arg(text: str):
-    return json.loads(text)
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _matrix_arg(text: str, source: str) -> Matrix:
-    """The matrix of an option, read and named as ``source``, or from, and
-    named by, the file of an ``@path`` value."""
+    """The matrix of the value ``text`` of the option ``source``, in text or
+    JSON form.  An ``@path`` value is read from its file, which then names
+    the errors in place of the option."""
     if text.startswith("@"):
         source, text = text[1:], Path(text[1:]).read_text(encoding="utf-8").strip()
     with _reading(source):

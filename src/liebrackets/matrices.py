@@ -238,9 +238,10 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(obj) -> Matrix:
     """The inverse of ``matrix_to_json``, and the one reader of the JSON
-    matrix format: an object whose ``entries`` is a list of rows, whose
-    ``rows`` and ``cols`` are JSON integers, and each of whose entries is an
-    integer or a rational string, the declared shape that of the entries."""
+    matrix format.  It refuses an object whose ``entries`` is not a list of
+    rows, whose ``rows`` or ``cols`` is not a JSON integer, that holds an
+    entry other than an integer or a rational string, or whose declared
+    shape is not that of its entries."""
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ValueError('a JSON matrix must be an object whose "entries" is a list of rows')

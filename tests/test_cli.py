@@ -302,6 +302,7 @@ def test_deform_computes_each_signature_once(capsys, monkeypatch):
 # that names the file and the key at fault.
 BRACKETS_MESSAGE = '"brackets" must be a list of objects, each with "i", "j" and "terms"'
 TERMS_MESSAGE = '"terms" must be a list of objects, each with "k" and "coef"'
+PAIR_WITH_TERM = {"i": 0, "j": 1, "terms": [{"k": 0, "coef": "1"}]}
 BAD_REPRESENTATIONS = {
     "no-brackets": (lambda rep: rep.pop("brackets"), 'missing key "brackets"'),
     "no-images": (lambda rep: rep.pop("images"), 'missing key "images"'),
@@ -317,6 +318,15 @@ BAD_REPRESENTATIONS = {
     "term-number": (lambda rep: rep["brackets"][0].update(terms=[5]), TERMS_MESSAGE),
     "term-without-k": (lambda rep: rep["brackets"][0].update(terms=[{"coef": "1"}]), TERMS_MESSAGE),
     "term-without-coef": (lambda rep: rep["brackets"][0].update(terms=[{"k": 0}]), TERMS_MESSAGE),
+    # A pair or a target listed twice has two readings, whichever entry comes first.
+    "pair-twice-term-first": (lambda rep: rep["brackets"].insert(0, dict(PAIR_WITH_TERM)), "pair (0, 1) is listed twice"),
+    "pair-twice-empty-first": (lambda rep: rep["brackets"].append(dict(PAIR_WITH_TERM)), "pair (0, 1) is listed twice"),
+    "target-twice": (lambda rep: rep["brackets"][0].update(terms=[{"k": 0, "coef": "1"}, {"k": 0, "coef": "2"}]),
+                     "pair (0, 1) lists a target twice in its terms"),
+    # RepCandidate's own checks, named by the file too.
+    "images-too-few": (lambda rep: rep.update(dim=3), "3 basis elements but 2 images"),
+    "image-not-square": (lambda rep: rep.update(images=[{"rows": 1, "cols": 2, "entries": [[1, 0]]}] * 2),
+                         "image of shape 1x2, expected square 1"),
 }
 
 
@@ -368,6 +378,12 @@ BAD_REPRESENTATIONS = {
         ["constants", "1", "1", "--j", '{"rows": 1, "cols": 1, "entries": [[true]]}'],
         ["constants", "1", "2", "--j", '{"rows": 3, "cols": 1, "entries": [[1], [0]]}'],
         ["constants", "2", "2", "--j", '{"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}'],
+        ["constants", "1", "2", "--j", '{"rows": 2, "rows": 2, "cols": 1, "entries": [[1], [0]]}'],
+        ["constants", "1", "2", "--j", "@{matrix-key-twice}"],
+        ["embed", "--rep", "{dim-twice}", "2", "2", "1"],
+        ["witness", "--j1", "1_x", "--j2", "1"],
+        ["constants", "1", "2", "--j", "@{text-matrix}"],
+        ["deform", "3", "1", "--t=0.5"],
         *(["embed", "--rep", "{" + name + "}", "2", "2", "1"] for name in BAD_REPRESENTATIONS),
     ],
     ids=["zero-denominator-matrix", "zero-denominator-time", "deform-size-0", "contract-size-0",
@@ -380,7 +396,9 @@ BAD_REPRESENTATIONS = {
          "coboundary-j-dashes", "witness-j1-dashes", "witness-j2-dashes", "deform-t-dashes", "embed-rep-dashes",
          "representation-dim-true", "representation-dim-float", "representation-index-true",
          "json-matrix-without-rows", "json-matrix-rows-string", "json-matrix-rows-true", "json-matrix-entry-true",
-         "json-matrix-declared-shape", "json-matrix-ragged", *(f"representation-{name}" for name in BAD_REPRESENTATIONS)],
+         "json-matrix-declared-shape", "json-matrix-ragged", "json-matrix-key-twice", "json-matrix-file-key-twice",
+         "representation-key-twice", "witness-j1-malformed-token", "text-matrix-file-malformed-token", "deform-t-decimal",
+         *(f"representation-{name}" for name in BAD_REPRESENTATIONS)],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     # JSON nested far deeper than the parser's recursion limit.
@@ -395,6 +413,12 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         rep = {"dim": dim, "brackets": [{"i": i, "j": 1, "terms": []}], "images": [image, image]}
         (tmp_path / f"{name}.json").write_text(json.dumps(rep))
         files["{" + name + "}"] = str(tmp_path / f"{name}.json")
+    (tmp_path / "dim-twice.json").write_text('{"dim": 2, "dim": 3, "brackets": [], "images": [{"rows": 1, "cols": 1, "entries": [[1]]}]}')
+    (tmp_path / "matrix-key-twice.json").write_text('{"rows": 1, "cols": 2, "cols": 1, "entries": [[1]]}')
+    (tmp_path / "text-matrix.txt").write_text("1 x")
+    for name in ("dim-twice", "matrix-key-twice"):
+        files["{" + name + "}"] = str(tmp_path / f"{name}.json")
+    files["{text-matrix}"] = str(tmp_path / "text-matrix.txt")
     for name, (change, _) in BAD_REPRESENTATIONS.items():
         rep = {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": []}], "images": [image, image]}
         change(rep)
@@ -431,6 +455,14 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
             "error: --j: a JSON matrix entry must be an integer or a rational string",
         '{"rows": 3, "cols": 1, "entries": [[1], [0]]}': "error: --j: declared shape 3x1 does not match entries 2x1",
         '{"rows": 2, "cols": 2, "entries": [[1, 0], [0]]}': "error: --j: ragged rows: all rows must have equal length",
+        # Every error raised while an input is read names that input, and an input with two readings is refused.
+        '{"rows": 2, "rows": 2, "cols": 1, "entries": [[1], [0]]}': 'error: --j: repeated key "rows"',
+        "@{matrix-key-twice}": 'error: {matrix-key-twice}: repeated key "cols"',
+        "{dim-twice}": 'error: {dim-twice}: repeated key "dim"',
+        "1_x": "error: --j1: not an integer or p/q rational: '1_x'",
+        "@{text-matrix}": "error: {text-matrix}: not an integer or p/q rational: 'x'",
+        "{": "error: --j: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        "--t=0.5": "error: --t: not an integer or p/q rational: '0.5'",
         **{"{" + name + "}": "error: {" + name + "}: " + message for name, (_, message) in BAD_REPRESENTATIONS.items()},
     }
     for arg in argv:
@@ -699,6 +731,156 @@ def test_malformed_argv_is_one_usage_error(rep_file, command):
         assert out.getvalue() == "", argv
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
         assert "Traceback" not in err.getvalue(), argv
+
+    check()
+
+
+# An input that lists the same facts in another order is the same input.
+# Shuffling the ``brackets`` list, each ``terms`` list and the keys of every
+# object leaves the exit code, stdout and stderr as they were, and an input
+# with an entry or a key given twice has two readings and is refused.
+
+
+def _payload(cand: constructions.RepCandidate, labels=None) -> dict:
+    payload = cand.src.constants.to_json()
+    payload["images"] = [matrix_to_json(img) for img in cand.images]
+    if labels is not None:
+        payload["labels"] = list(labels)
+    return payload
+
+
+def _h1_in_basis_x_y_x_plus_z(y_scale=1) -> dict:
+    """h_1 in the basis ``X, Y, X + Z``, whose two brackets ``[e0, e1] = e2
+    - e0`` and ``[e1, e2] = e0 - e2`` have two terms each, with the images of
+    ``classical_representation(1)``.  A ``y_scale`` other than 1 scales the
+    image of ``Y``, and the map is no homomorphism."""
+    x, y, z = constructions.classical_representation(1).images
+    brackets = [{"i": 0, "j": 1, "terms": [{"k": 0, "coef": "-1"}, {"k": 2, "coef": "1"}]},
+                {"i": 1, "j": 2, "terms": [{"k": 0, "coef": "1"}, {"k": 2, "coef": "-1"}]}]
+    images = [matrix_to_json(img) for img in (x, y * y_scale, x + z)]
+    return {"dim": 3, "brackets": brackets, "images": images, "labels": ["X", "Y", "X+Z"]}
+
+
+# Each representation with the embed sizes it runs at and its exit code.
+ORDERED_REPRESENTATIONS = {
+    "h1": (None, ["4", "5", "3"], 0),  # the rep_file fixture's file
+    "h2-labelled": (_payload(constructions.classical_representation(2), ("X1", "X2", "Y1", "Y2", "Z")), ["4", "5", "4"], 0),
+    "h1-two-term-brackets": (_h1_in_basis_x_y_x_plus_z(), ["3", "4", "3"], 0),
+    "not-a-homomorphism": (_h1_in_basis_x_y_x_plus_z(y_scale=2), ["3", "3", "3"], 2),
+    "not-injective": ({"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": []}],
+                       "images": [{"rows": 1, "cols": 1, "entries": [[1]]}] * 2}, ["2", "2", "1"], 1),
+}
+# Each command with the text matrix of each option, given in JSON, and its exit code.
+ORDERED_MATRICES = {
+    "constants": (["constants", "2", "3"], {"--j": "1 0; 0 1/2; -2 0"}, 0),
+    "witness": (["witness"], {"--j1": "1 0; 0 2", "--j2": "0 3; 1/2 0"}, 0),
+}
+
+
+def shuffled(value, rnd, key=None):
+    """``value`` with the keys of every object, the ``brackets`` list and each
+    ``terms`` list in orders drawn from ``rnd``; every other list keeps its order."""
+    if isinstance(value, dict):
+        items = [(k, shuffled(v, rnd, k)) for k, v in value.items()]
+        rnd.shuffle(items)
+        return dict(items)
+    if isinstance(value, list):
+        items = [shuffled(v, rnd) for v in value]
+        if key in ("brackets", "terms"):
+            rnd.shuffle(items)
+        return items
+    return value
+
+
+def json_text(value, twice=None) -> str:
+    """The JSON text of ``value``, in which the object numbered ``twice``, in
+    document order, names its first key a second time."""
+    numbers = iter(range(1 << 30))
+
+    def write(v):
+        if isinstance(v, dict):
+            number = next(numbers)
+            items = [f"{json.dumps(k)}: {write(x)}" for k, x in v.items()]
+            return "{" + ", ".join(items + items[:1] * (number == twice)) + "}"
+        if isinstance(v, list):
+            return "[" + ", ".join(map(write, v)) + "]"
+        return json.dumps(v)
+
+    return write(value)
+
+
+def count_objects(value) -> int:
+    if isinstance(value, dict):
+        return 1 + sum(map(count_objects, value.values()))
+    return sum(map(count_objects, value)) if isinstance(value, list) else 0
+
+
+def with_entry_twice(payload: dict, rnd) -> dict:
+    """A copy of ``payload`` with one entry of ``brackets`` or of a ``terms``
+    list, drawn from ``rnd``, listed a second time at a drawn place."""
+    payload = json.loads(json.dumps(payload))
+    lists = [payload["brackets"], *(entry["terms"] for entry in payload["brackets"])]
+    target = rnd.choice([items for items in lists if items])
+    target.insert(rnd.randint(0, len(target)), dict(rnd.choice(target)))
+    return payload
+
+
+def run_in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_naming(result, source):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {source}: ") and sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("name", sorted(ORDERED_REPRESENTATIONS))
+def test_representation_order_does_not_matter(rep_file, tmp_path, name):
+    payload, sizes, expected_code = ORDERED_REPRESENTATIONS[name]
+    payload = json.loads(Path(rep_file).read_text()) if payload is None else payload
+    path = tmp_path / "rep.json"
+    argv = ["embed", "--rep", str(path), *sizes]
+    path.write_text(json.dumps(payload))
+    expected = run_in_process(argv)
+    assert expected[0] == expected_code, expected
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.randoms(use_true_random=False))
+    def check(rnd):
+        reordered = shuffled(payload, rnd)
+        path.write_text(json_text(reordered))
+        assert run_in_process(argv) == expected
+        path.write_text(json_text(reordered, twice=rnd.randrange(count_objects(reordered))))
+        assert_one_error_naming(run_in_process(argv), path)
+        path.write_text(json_text(with_entry_twice(reordered, rnd)))
+        assert_one_error_naming(run_in_process(argv), path)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(ORDERED_MATRICES))
+def test_json_matrix_key_order_does_not_matter(name):
+    head, matrices, expected_code = ORDERED_MATRICES[name]
+    objs = {option: matrix_to_json(parse_matrix(text)) for option, text in matrices.items()}
+
+    def argv(texts):
+        return head + [arg for option in objs for arg in (option, texts[option])]
+
+    expected = run_in_process(argv({option: json.dumps(obj) for option, obj in objs.items()}))
+    assert expected[0] == expected_code, expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rnd):
+        texts = {option: json_text(shuffled(obj, rnd)) for option, obj in objs.items()}
+        assert run_in_process(argv(texts)) == expected
+        option = rnd.choice(sorted(objs))
+        texts[option] = json_text(shuffled(objs[option], rnd), twice=0)
+        assert_one_error_naming(run_in_process(argv(texts)), option)
 
     check()
 
