@@ -43,6 +43,7 @@ from .matrices import (
     Matrix,
     ShapeError,
     Subspace,
+    _Value,
     _add_multiple,
     _echelon,
     _factor_check,
@@ -59,32 +60,35 @@ from .matrices import (
 from .scalars import Scalar, scalar_div, scalar_str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of a checkable claim; ``witness`` explains a failure."""
 
-    passed: bool
-    witness: Optional[dict] = None
+    _fields = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: Optional[dict] = None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-@dataclass(frozen=True)
-class HomVerdict:
+class HomVerdict(_Value):
     """Outcome of a homomorphism check, with injectivity alongside."""
 
-    is_hom: bool
-    injective: bool
-    witness: Optional[dict] = None
+    _fields = ("is_hom", "injective", "witness")
+
+    def __init__(self, is_hom: bool, injective: bool, witness: Optional[dict] = None):
+        object.__setattr__(self, "is_hom", is_hom)
+        object.__setattr__(self, "injective", injective)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def bijective(self) -> bool:
         return self.is_hom and self.injective
 
 
-@dataclass
-class LieAlgebra:
+class LieAlgebra(_Value):
     """Dimension + structure constants, with optional labels and matrix model.
 
     When ``model`` is set it is the algebra's bracket: the constants are
@@ -96,20 +100,31 @@ class LieAlgebra:
     table is built by ``structure_constants`` only when something reads it
     (``_ModelConstants``), so a signature, a center or a series of a model
     builds none.  An algebra is not changed after construction, so tables
-    derived from it are kept on it.
+    derived from it are kept on it.  Unlike the other values it is
+    assignable, and so not hashable.
     """
 
-    dim: int
-    constants: StructureConstants
-    labels: Optional[Tuple[str, ...]] = None
-    model: Optional[BracketParam] = None
+    _fields = ("dim", "constants", "labels", "model")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.constants.dim != self.dim:
-            raise ValueError(f"constants dim {self.constants.dim} != algebra dim {self.dim}")
-        if self.labels is not None and len(self.labels) != self.dim:
+    def __init__(
+        self,
+        dim: int,
+        constants: StructureConstants,
+        labels: Optional[Tuple[str, ...]] = None,
+        model: Optional[BracketParam] = None,
+    ):
+        self.dim = dim
+        self.constants = constants
+        self.labels = labels
+        self.model = model
+        if constants.dim != dim:
+            raise ValueError(f"constants dim {constants.dim} != algebra dim {dim}")
+        if labels is not None and len(labels) != dim:
             raise ValueError("one label per basis element required")
-        if self.model is not None and self.model.dim != self.dim:
+        if model is not None and model.dim != dim:
             raise ShapeError("model space dimension does not match algebra dimension")
 
     @classmethod

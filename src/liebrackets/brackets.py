@@ -17,31 +17,27 @@ brackets through the one kernel ``_packed_brackets``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Dict, Sequence, Tuple
 
-from .matrices import Matrix, ShapeError, _integer_row, rank_normal_form
+from .matrices import Matrix, ShapeError, _Value, _integer_row, rank_normal_form
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
 
 
-@dataclass(frozen=True)
-class BracketParam:
+class BracketParam(_Value):
     """Operand shape ``n x m`` plus the ``m x n`` middle parameter."""
 
-    n: int
-    m: int
-    j: Matrix
+    _fields = ("n", "m", "j")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ShapeError(f"invalid operand shape {self.n}x{self.m}")
-        if self.j.shape != (self.m, self.n):
-            raise ShapeError(
-                f"parameter must be {self.m}x{self.n} for operands {self.n}x{self.m}, "
-                f"got {self.j.rows}x{self.j.cols}"
-            )
+    def __init__(self, n: int, m: int, j: Matrix):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "j", j)
+        if n < 1 or m < 1:
+            raise ShapeError(f"invalid operand shape {n}x{m}")
+        if j.shape != (m, n):
+            raise ShapeError(f"parameter must be {m}x{n} for operands {n}x{m}, got {j.rows}x{j.cols}")
 
     @property
     def dim(self) -> int:

@@ -81,7 +81,9 @@ def _reading(source: str):
     """Name ``source`` in every error raised while it is read, the one rule
     of every CLI input: a ``KeyError`` is a missing key, a ``RecursionError``
     JSON nested too deeply, and a ``TypeError`` or ``ValueError`` (a
-    ``ShapeError`` or ``JSONDecodeError`` too) keeps its message."""
+    ``ShapeError``, ``JSONDecodeError`` or ``UnicodeDecodeError`` too) keeps
+    its message.  An ``OSError``, a file that cannot be opened, passes
+    unchanged."""
     try:
         yield
     except KeyError as exc:
@@ -112,7 +114,9 @@ def _matrix_arg(text: str, source: str) -> Matrix:
     JSON form.  An ``@path`` value is read from its file, which then names
     the errors in place of the option."""
     if text.startswith("@"):
-        source, text = text[1:], Path(text[1:]).read_text(encoding="utf-8").strip()
+        source = text[1:]
+        with _reading(source):
+            text = Path(source).read_text(encoding="utf-8").strip()
     with _reading(source):
         return matrix_from_json(_json_arg(text)) if text.lstrip().startswith("{") else parse_matrix(text)
 
@@ -237,9 +241,8 @@ def _cmd_semidirect(args):
 
 def _cmd_embed(args):
     _check_limit("n * m", args.n * args.m, MAX_PARAM_DIM)
-    text = Path(args.rep).read_text(encoding="utf-8")
     with _reading(args.rep):
-        payload = _json_arg(text)
+        payload = _json_arg(Path(args.rep).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("a representation file must hold a JSON object")
         # Before any constants or images are built; from_json refuses a "dim" of any other type.

@@ -16,13 +16,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import LieAlgebra, _hom_failures, center, hom_check, lower_central_series, subalgebra_closed
 from .brackets import BracketParam, StructureConstants, _pair_brackets, basis_matrices
-from .matrices import Matrix, ShapeError, Subspace, _integer_row, _rank, _sparse_row, matrix_to_json, rank, rref
+from .matrices import Matrix, ShapeError, Subspace, _Value, _integer_row, _rank, _sparse_row, matrix_to_json, rank, rref
 from .scalars import scalar_str, to_scalar
 
 
@@ -95,16 +94,18 @@ def heisenberg_abstract(n: int) -> LieAlgebra:
     return LieAlgebra(dim, StructureConstants(dim, table), labels)
 
 
-@dataclass(frozen=True)
-class HeisenbergModel:
+class HeisenbergModel(_Value):
     """Generators X_i = E(1, i+1), Y_i = E(i+1, n+2), Z = E(1, n+2) inside
     square matrices of size n+2 under the corank-one normal parameter."""
 
-    n: int
-    ambient: BracketParam
-    xs: Tuple[Matrix, ...]
-    ys: Tuple[Matrix, ...]
-    z: Matrix
+    _fields = ("n", "ambient", "xs", "ys", "z")
+
+    def __init__(self, n: int, ambient: BracketParam, xs: Tuple[Matrix, ...], ys: Tuple[Matrix, ...], z: Matrix):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "z", z)
 
     def generators(self) -> Tuple[Matrix, ...]:
         return self.xs + self.ys + (self.z,)
@@ -177,22 +178,20 @@ def heisenberg_verdicts(model: HeisenbergModel) -> Dict[str, dict]:
     }
 
 
-@dataclass(frozen=True)
-class RepCandidate:
+class RepCandidate(_Value):
     """A proposed matrix representation: one image per basis element."""
 
-    src: LieAlgebra
-    images: Tuple[Matrix, ...]
-    target_dim: int
+    _fields = ("src", "images", "target_dim")
 
-    def __post_init__(self):
-        if len(self.images) != self.src.dim:
-            raise ShapeError(f"{self.src.dim} basis elements but {len(self.images)} images")
-        for img in self.images:
-            if img.shape != (self.target_dim, self.target_dim):
-                raise ShapeError(
-                    f"image of shape {img.rows}x{img.cols}, expected square {self.target_dim}"
-                )
+    def __init__(self, src: LieAlgebra, images: Tuple[Matrix, ...], target_dim: int):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "target_dim", target_dim)
+        if len(images) != src.dim:
+            raise ShapeError(f"{src.dim} basis elements but {len(images)} images")
+        for img in images:
+            if img.shape != (target_dim, target_dim):
+                raise ShapeError(f"image of shape {img.rows}x{img.cols}, expected square {target_dim}")
 
     def as_map(self) -> Matrix:
         """The matrix whose column ``a`` is the flat image of basis element ``a``."""
@@ -208,14 +207,14 @@ def classical_representation(n: int = 1) -> RepCandidate:
 _OBSTRUCTION_KINDS = ("not-a-hom", "not-faithful", "faithful", "scalar-Z-contradiction")
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    kind: str
-    detail: Optional[dict] = None
+class ObstructionVerdict(_Value):
+    _fields = ("kind", "detail")
 
-    def __post_init__(self):
-        if self.kind not in _OBSTRUCTION_KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
+    def __init__(self, kind: str, detail: Optional[dict] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
+        if kind not in _OBSTRUCTION_KINDS:
+            raise ValueError(f"unknown verdict kind {kind!r}")
 
 
 def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
@@ -264,19 +263,21 @@ def heisenberg_obstruction(cand: RepCandidate) -> ObstructionVerdict:
 # The semidirect model S(V1, V2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemidirectModel:
+class SemidirectModel(_Value):
     """End(V1) acting on the two-step nilpotent algebra
     Hom(V1,V2) + Hom(V2,V1) + End(V2), isomorphic to the rank-r bracket
     algebra on square matrices of size r+s via the block-assembly map
     ``phi``, the matrix whose column ``a`` is the flat image of basis
     element ``a``."""
 
-    r: int
-    s: int
-    constants: StructureConstants
-    phi: Matrix
-    labels: Tuple[str, ...]
+    _fields = ("r", "s", "constants", "phi", "labels")
+
+    def __init__(self, r: int, s: int, constants: StructureConstants, phi: Matrix, labels: Tuple[str, ...]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -402,15 +403,17 @@ def ado_embed(cand: RepCandidate, n: int, m: int, q: int):
 # Worked-example catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BracketClaim:
+class BracketClaim(_Value):
     """An expected bracket value recorded next to the computed one."""
 
-    left: str
-    right: str
-    claimed: tuple
-    computed: tuple
-    note: str = ""
+    _fields = ("left", "right", "claimed", "computed", "note")
+
+    def __init__(self, left: str, right: str, claimed: tuple, computed: tuple, note: str = ""):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "note", note)
 
     @property
     def matches(self) -> bool:
@@ -429,15 +432,26 @@ class BracketClaim:
         }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    param: BracketParam
-    basis: Tuple[Matrix, ...]
-    labels: Tuple[str, ...]
-    algebra: LieAlgebra
-    claims: Tuple[BracketClaim, ...]
+class CatalogEntry(_Value):
+    _fields = ("name", "description", "param", "basis", "labels", "algebra", "claims")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        param: BracketParam,
+        basis: Tuple[Matrix, ...],
+        labels: Tuple[str, ...],
+        algebra: LieAlgebra,
+        claims: Tuple[BracketClaim, ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "claims", claims)
 
     @property
     def discrepancies(self) -> tuple:

@@ -19,11 +19,10 @@ entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .scalars import Scalar, scalar_div, scalar_str, to_scalar
@@ -631,14 +630,48 @@ def rank_normal_form(rows: int, cols: int, r: int) -> Matrix:
     return Matrix._raw(tuple(zero[:i] + (1,) + zero[i + 1 :] if i < r else zero for i in range(rows)))
 
 
-@dataclass(frozen=True)
-class RankFactorization:
+class _Value:
+    """A value of the fields named in ``_fields``, as a frozen dataclass is,
+    with no code generated at import: equal to a value of its own class with
+    equal fields, hashed and shown by them, and read-only.  Each subclass's
+    ``__init__`` sets its fields with ``object.__setattr__`` and then checks
+    them."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        # The tuple of the fields, read in one call; every value class has two or more.
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RankFactorization(_Value):
     """Invertible ``q`` (rows x rows), ``p`` (cols x cols) and ``rank`` with
     ``q @ rank_normal_form(rows, cols, rank) @ p`` equal to the input."""
 
-    q: Matrix
-    p: Matrix
-    rank: int
+    _fields = ("q", "p", "rank")
+
+    def __init__(self, q: Matrix, p: Matrix, rank: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rank", rank)
 
 
 def rank_factorization(j: Matrix) -> RankFactorization:

@@ -470,6 +470,26 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
             assert err.startswith(fill(messages[arg]) + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "1", "1", "--j", "@{path}"], ["embed", "--rep", "{path}", "2", "2", "1"]],
+    ids=["matrix-file", "representation-file"],
+)
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path, argv):
+    # The bytes ff fe 31 are not UTF-8: the decode error names the file, as
+    # every other error read from it does.  A file that cannot be opened
+    # still prints its OSError line, unprefixed.
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe1")
+    for name, line in (
+        (path, f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (tmp_path / "missing.txt", f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.txt'}'"),
+    ):
+        code, report, err = run_cli(capsys, *(arg.replace("{path}", str(name)) for arg in argv))
+        assert (code, report) == (2, None)
+        assert err.startswith(line + "\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_coboundary_size_below_one_is_an_invalid_size(capsys, n):
     # As for ``contract 0 0``: one message naming the size, not a shape

@@ -9,7 +9,6 @@ one.
 """
 
 import ast
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -844,6 +843,12 @@ def test_coboundary_proof_catches_a_potential_that_cancels_at_one_bit_narrower(m
     assert not out["pass"]
     normal_forms = [f for f in out["details"]["failures"] if f["kind"] == "coboundary-normal-form"]
     assert normal_forms == [{"n": n, "r": r, "kind": "coboundary-normal-form"} for n, r in ((2, 1), (3, 1), (3, 2))]
+
+
+def replace(value, **changes):
+    """``value`` rebuilt through its constructor with the fields ``changes``,
+    so the constructor's checks run on the changed value too."""
+    return type(value)(**{**{f: getattr(value, f) for f in value._fields}, **changes})
 
 
 # The catalog cases hand ``check_catalog`` entries with one thing changed,
