@@ -15,7 +15,8 @@ rows by ``matrices._echelon`` and ``matrices._rank``, on the algebra with
 integer constants (``_integer_constants``).  The destination of
 ``hom_check`` and the ambient of ``subalgebra_closed`` are a
 ``BracketParam``, not an algebra.  ``invariant_signature`` states the
-lemmas the signature rests on.
+lemmas the signature rests on; the signature of a rank normal form ``N_r``
+is read off its weight grading instead (``_graded_signature``).
 """
 
 from __future__ import annotations
@@ -664,6 +665,10 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     invariant below.  If the proof fails, the signature is computed on ``L``
     itself.
 
+    ``N_r`` itself takes the weight-grading path (``_graded_signature``);
+    the kernel below serves an algebra without a model and a ``J`` whose
+    transport fails.
+
     The signature is computed on ``_integer_constants(L)``, for a model the
     model of its integer parameter ``D J``, whose adjoint is read off that
     ``J`` with no table.  Multiplying the bracket by ``D != 0`` keeps the
@@ -726,12 +731,9 @@ def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
     invertible; None when ``L`` has no model, when ``J`` is ``N_r`` already
     (one scan, no elimination), or when the factors fail the proof."""
     param = L.model
-    if param is None:
+    if param is None or _normal_form_rank(param) is not None:
         return None
     n, m, j = param.n, param.m, param.j
-    r = next((i for i in range(min(n, m)) if j[i, i] != 1), min(n, m))
-    if j == rank_normal_form(m, n, r):
-        return None
     rows = _rref_rows(j)
     normal = rank_normal_form(m, n, len(rows[1]))
     if not _factor_check(normal, j, _normal_form_factors(rows, n, m)):
@@ -739,9 +741,21 @@ def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
     return LieAlgebra.from_param(BracketParam(n, m, normal))
 
 
+def _normal_form_rank(param: BracketParam) -> Optional[int]:
+    """``r`` when ``param.j`` is the rank normal form ``N_r`` of its shape,
+    else None: one scan of ``J``, no elimination."""
+    n, m, j = param.n, param.m, param.j
+    r = next((i for i in range(min(n, m)) if j[i, i] != 1), min(n, m))
+    return r if j == rank_normal_form(m, n, r) else None
+
+
 def _signature(L: LieAlgebra) -> InvariantSignature:
     """The signature of ``L`` from its own constants, as ``invariant_signature``
-    describes."""
+    describes: on the weight grading (``_graded_signature``) when ``L`` is
+    the ``N_r`` bracket, else by elimination on the ``d`` coordinates."""
+    r = None if L.model is None else _normal_form_rank(L.model)
+    if r is not None:
+        return _graded_signature(L, r)
     L = _integer_constants(L)
     d = L.dim
     k = len(L._derived_rows)
@@ -789,3 +803,94 @@ def _derived_center_transpose(L: LieAlgebra) -> list:
                     else:
                         del row[key]
     return rows
+
+
+def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
+    """The signature of the ``N_r`` bracket ``L``, read off its weight
+    grading, with no elimination on the ``d`` coordinates but the Killing
+    rank's (``_model_killing_gram``).
+
+    Weight-grading lemma: the bracket ``[E_ij, E_kl] = [j = k < r] E_il -
+    [l = i < r] E_kj`` (the unit-rule lemma of ``brackets._unit_rule``) is
+    graded by ``deg E_ij = e_i - f_j`` modulo ``e_k = f_k`` for ``k < r``.
+    Degree 0 is ``H = span{E_kk : k < r}``, abelian, and ``[h, E_ij] =
+    (h_i - h_j) E_ij`` with ``h_k = 0`` for ``k >= r``, the root of
+    ``E_ij``; every other degree is the line of one unit.  So the bracket
+    of two units is ``±`` a unit outside ``H``, ``E_ii - E_jj`` in ``H``,
+    or 0, and each series term, the center and the center of ``[g, g]``
+    (each component of a central element is central) is a set of units
+    plus a subspace of ``H``.
+
+    A term is kept as ``(units, rows)``, ``rows`` the ``_echelon`` basis of
+    its ``H`` part on the coordinates ``k``.  ``[A, T]`` is spanned by the
+    brackets of the units of ``A`` with those of ``T``, off ``_sparse_ads``,
+    and by ``root_u(h) u`` for a unit ``u`` of one and ``h`` in the ``H``
+    part of the other; it lies in ``T``, whose ``H`` part bounds its
+    elimination.  A unit of a term is central when it brackets no unit of
+    the term and its root vanishes on the term's ``H`` part, and the central
+    ``h = sum_q c_q rows[q]`` are the kernel of the rows
+    ``(root_u(rows[q]))_q``.  So each dimension is a count of units plus
+    one rank of width at most ``r``.
+    """
+    param = L.model
+    d, m, ads = param.dim, param.m, L._sparse_ads
+    h = {k * (m + 1): k for k in range(r)}  # the unit E_kk of H -> its coordinate k
+
+    def weights(hrows):  # index i -> (h_i for h in hrows), 0 past r: root_(i,j)(h) = h_i - h_j
+        zero = (0,) * len(hrows)
+        return [tuple(v.get(i, 0) for v in hrows) if i < r else zero for i in range(max(param.n, m))]
+
+    def moved(units, hrows):  # the units whose root is nonzero on hrows
+        at = weights(hrows)
+        return {u for u in units if at[u // m] != at[u % m]}
+
+    def bracket_term(outer, inner):  # [outer, inner] of two terms, as a term
+        (ou, ov), (iu, iv) = outer, inner
+        units, rows = moved(ou, iv), []
+        both = outer is not inner  # else [u, b] = -[b, u] is read once, at u < b
+        if both:
+            units |= moved(iu, ov)
+        for u in iu:
+            for b, col in ads[u].items():
+                if (both or u < b) and b in ou:
+                    if len(col) == 1:
+                        units.update(col)
+                    else:
+                        rows.append({h[t]: c for t, c in col.items()})
+        return units, list(_echelon(rows, len(iv)).values())
+
+    def dim(term):
+        return len(term[0]) + len(term[1])
+
+    def center_dim(term):
+        units, hrows = term
+        at = weights(hrows)
+        central, pairs = 0, set()  # pairs (at[i], at[j]) of the units E_ij with a nonzero root
+        for u in units:
+            pair = at[u // m], at[u % m]
+            if pair[0] != pair[1]:
+                pairs.add(pair)
+            elif units.isdisjoint(ads[u]):
+                central += 1
+        kernel = ({q: x - y for q, (x, y) in enumerate(zip(*pair)) if x != y} for pair in pairs)
+        return central + len(hrows) - _rank(kernel, len(hrows))
+
+    def series_dims(lower_central):
+        terms, prev = [derived], d
+        while 0 < dim(terms[-1]) < prev:
+            prev = dim(terms[-1])
+            terms.append(bracket_term(g if lower_central else terms[-1], terms[-1]))
+        return (d,) + tuple(map(dim, terms))
+
+    g = (set(range(d)).difference(h), [{k: 1} for k in range(r)])
+    derived = bracket_term(g, g)
+    derived_dims = series_dims(False)
+    k = dim(derived)
+    return InvariantSignature(
+        dim=d,
+        center_dim=center_dim(g),
+        derived_dims=derived_dims,
+        lcs_dims=derived_dims if derived_dims == (d, k, k) else series_dims(True),
+        killing_rank=_rank(_model_killing_gram(param), d),
+        derived_center_dim=center_dim(derived),
+    )

@@ -1460,12 +1460,12 @@ class TestSparseSignature:
 
     @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-3x4-0"])
     def test_every_signature_rank_reads_d_rows(self, monkeypatch, name):
-        # The center, Killing and derived-center ranks are each taken on
-        # ``d`` rows, the transposed systems of ``invariant_signature``, not
-        # on the up to ``d**2`` rows of the stacked maps.
-        L = LieAlgebra.from_param(DENSE_REFERENCE_CASES[name])
-        if name.startswith("dense"):
-            L = model_less(L)
+        # The center, Killing and derived-center ranks of the kernel on the
+        # ``d`` coordinates are each taken on ``d`` rows, the transposed
+        # systems of ``invariant_signature``, not on the up to ``d**2`` rows
+        # of the stacked maps.  Each runs on its model-less twin, since the
+        # signature of a model is read off the weight grading of ``N_r``.
+        L = model_less(LieAlgebra.from_param(DENSE_REFERENCE_CASES[name]))
         real = algebra._rank
         read = []
 
@@ -1711,43 +1711,80 @@ class TestNormalFormTransport:
 
     @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-4x3-1"])
     def test_counts_go_to_the_rank_kernel_and_spans_to_echelon(self, monkeypatch, name):
-        # The center, Killing and derived-center ranks are counts and go
-        # through ``_rank``.  ``_echelon`` runs only where a basis is read:
-        # once for [g, g], with bound d - 1 (J != 0, so [g, g] lies in the
-        # hyperplane ker(A -> tr(JA))), and once per series step, bounded by
-        # the dimension of the term before.  A dense J costs one Gauss-Jordan,
-        # the elimination of J; a normal form none.  J is a fresh copy, since
-        # a ``Matrix`` keeps its elimination and an earlier test may have run it.
+        # On the model-less twin the kernel runs on the d coordinates: the
+        # center, Killing and derived-center ranks are counts on d rows and
+        # go through ``_rank``, and ``_echelon`` runs only where a basis is
+        # read: once for [g, g], bounded by d (the twin has no J, so no trace
+        # hyperplane), and once per series step, bounded by the dimension of
+        # the term before.  The model is N_r, or is transported to it, and
+        # its signature is read off the weight grading: every span and rank
+        # has width at most r, each span bounded by the dimension of the H
+        # part of the term before (r for g), but the Killing rank on d rows.
+        # A dense J costs one Gauss-Jordan, the elimination of J; a normal
+        # form and a twin none.  J is a fresh copy, since a ``Matrix`` keeps
+        # its elimination and an earlier test may have run it.
         param = DENSE_REFERENCE_CASES[name]
         param = BracketParam(param.n, param.m, Matrix.from_flat(param.j.rows, param.j.cols, param.j.entries))
+        n, m, r = param.n, param.m, rank(param.j)
         L = LieAlgebra.from_param(param)
         expected = dense_reference_signature(L)
-        ranks, spans, eliminations = [], [], []
-        real_rank, real_echelon, real_gauss_jordan = matrices._rank, matrices._echelon, matrices._gauss_jordan
+        normal = LieAlgebra.from_param(BracketParam.normal(n, m, r))
+        derived, lcs = derived_series(normal), lower_central_series(normal)
+        calls = {"_rank": [], "_echelon": []}  # (bound, rows, width) of each call
+        eliminations = []
+        real_gauss_jordan = matrices._gauss_jordan
 
-        def spy_rank(rows, bound):
-            rows = list(rows)
-            ranks.append(len(rows))
-            return real_rank(rows, bound)
+        def spying(kernel):
+            real = getattr(matrices, kernel)
 
-        def spy_echelon(rows, bound):
-            spans.append(bound)
-            return real_echelon(rows, bound)
+            def spy(rows, bound):
+                rows = list(rows)
+                calls[kernel].append((bound, len(rows), max((max(row) + 1 for row in rows if row), default=0)))
+                return real(rows, bound)
+
+            return spy
 
         def spy_gauss_jordan(*args):
             eliminations.append(args[1])
             return real_gauss_jordan(*args)
 
-        monkeypatch.setattr(algebra, "_rank", spy_rank)
-        monkeypatch.setattr(algebra, "_echelon", spy_echelon)
+        for kernel in calls:
+            monkeypatch.setattr(algebra, kernel, spying(kernel))
         monkeypatch.setattr(matrices, "_gauss_jordan", spy_gauss_jordan)
-        sig = invariant_signature(L)
+        sig = invariant_signature(model_less(L))
         assert sig == expected
         d = sig.dim
-        assert ranks == [d] * 3
+        assert [rows for _, rows, _ in calls["_rank"]] == [d] * 3
         k = sig.derived_dims[1]
         steps = list(sig.derived_dims[1:-1])
         if sig.derived_dims != (d, k, k):  # else the lower central series is not eliminated
             steps += list(sig.lcs_dims[1:-1])
-        assert spans == [d - 1] + steps
-        assert eliminations == ([] if name.startswith("normal") else [param.n])
+        assert [bound for bound, _, _ in calls["_echelon"]] == [d] + steps
+        assert eliminations == []
+
+        for kernel_calls in calls.values():
+            kernel_calls.clear()
+        assert invariant_signature(L) == expected
+        h_dims = h_part_dims(derived, m, r)  # of g (that is, r), [g, g], ...
+        bounds = h_dims[:-1]
+        if sig.derived_dims != (d, k, k):
+            bounds += h_part_dims(lcs[1:-1], m, r)
+        assert [bound for bound, _, _ in calls["_echelon"]] == bounds
+        assert all(width <= r for _, _, width in calls["_echelon"])
+        (center_bound, _, center_width), killing, (derived_bound, _, derived_width) = calls["_rank"]
+        assert (center_bound, derived_bound) == (r, h_dims[1])
+        assert center_width <= r and derived_width <= r
+        assert killing[:2] == (d, d)
+        assert eliminations == ([] if name.startswith("normal") else [n])
+
+
+def h_part_dims(terms, m: int, r: int) -> list:
+    """``dim(T ∩ H)`` for each subspace ``T`` of ``Mat(n x m)``, with ``H``
+    the span of the units ``E_kk``, ``k < r``: ``T ∩ H`` is the kernel of
+    the projection of ``T`` off the coordinates of ``H``."""
+    diagonal = {k * (m + 1) for k in range(r)}
+    dims = []
+    for S in terms:
+        rows = [[x for i, x in enumerate(b.entries) if i not in diagonal] for b in S.basis]
+        dims.append(S.dim - (rank(Matrix(rows)) if rows and rows[0] else 0))
+    return dims

@@ -10,12 +10,20 @@ few small boxes, entries in {-1, 0, 1} at 2 x 2, 2 x 3 and 3 x 2 and in
 {0, 1} at 3 x 3, which combine zero rows, repeated columns and every sign
 pattern, as seeded draws from [-3, 3] seldom do.  The rank of each
 parameter is its largest nonzero minor, ``rank_bruteforce``.
+
+The signature of a normal form ``N_r`` is read off its weight grading
+(``algebra._graded_signature``), a path of its own, so it is held to the
+kernel on the ``d`` coordinates and to the dense reference on every
+``N_r`` up to 6 x 6, and through the transport on drawn integer ``J``.
 """
 
 import itertools
 from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_algebra import dense_reference_signature, model_less
 from test_matrices import rank_bruteforce
 
 from liebrackets.algebra import LieAlgebra, invariant_signature
@@ -77,3 +85,18 @@ def test_witness_between_every_pair_of_the_two_by_two_box():
             assert (exc.value.rank1, exc.value.rank2) == (r1, r2), (j1, j2)
             refused += 1
     assert (bijective, refused) == (3329, 3232)
+
+
+def test_graded_signature_of_every_small_normal_form():
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        for r in range(min(n, m) + 1):
+            L = LieAlgebra.from_param(BracketParam.normal(n, m, r))
+            assert invariant_signature(L) == invariant_signature(model_less(L)) == dense_reference_signature(L), (n, m, r)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_transported_signature_of_integer_parameters(n, m, data):
+    j = Matrix.from_flat(m, n, data.draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n)))
+    L = LieAlgebra.from_param(BracketParam(n, m, j))
+    assert invariant_signature(L) == invariant_signature(model_less(L)) == normal_signature(n, m, rank(j))
