@@ -14,9 +14,10 @@ only when something reads it.  Spans and ranks are taken on sparse integer
 rows by ``matrices._echelon`` and ``matrices._rank``, on the algebra with
 integer constants (``_integer_constants``).  The destination of
 ``hom_check`` and the ambient of ``subalgebra_closed`` are a
-``BracketParam``, not an algebra.  ``invariant_signature`` states the
-lemmas the signature rests on; the signature of a rank normal form ``N_r``
-is read off its weight grading instead (``_graded_signature``).
+``BracketParam``, not an algebra.  ``invariant_signature`` states its two
+paths: a model's signature is read off the weight grading of its rank
+normal form ``N_r`` (``_graded_signature``), and any other algebra's is
+taken by the generic kernel on the rows the public functions build.
 """
 
 from __future__ import annotations
@@ -465,23 +466,6 @@ def _killing_gram(flat: list) -> list:
     return [{b: t for b, t in row.items() if t} for row in gram]
 
 
-def _model_killing_gram(param: BracketParam) -> list:
-    """The rows of ``_killing_gram`` for the ``param`` bracket: the unit
-    formula of the Killing-trace lemma of ``invariant_signature``, added up
-    over the pairs of nonzero entries of ``J``."""
-    n, m = param.n, param.m
-    s = n + m
-    entries = [(x, y, v) for x, row in enumerate(param.j._data) for y, v in enumerate(row) if v]
-    gram: list = [dict() for _ in range(n * m)]
-    for x, y, v in entries:
-        for u, w, c in entries:
-            row, b = gram[w * m + x], y * m + u  # J[j][k] J[l][i], (j, k, l, i) = (x, y, u, w)
-            row[b] = row.get(b, 0) + s * v * c
-            row, b = gram[y * m + x], w * m + u  # J[j][i] J[l][k], (j, i, l, k) = (x, y, u, w)
-            row[b] = row.get(b, 0) - 2 * v * c
-    return [{b: t for b, t in row.items() if t} for row in gram]
-
-
 def subalgebra_closed(param: BracketParam, S: Subspace) -> Verdict:
     """Pass iff the ``param`` bracket of any two basis members of ``S`` stays
     in ``S``: each pair is bracketed by ``brackets.bracket`` and reduced
@@ -655,42 +639,38 @@ def _integer_constants(L: LieAlgebra) -> LieAlgebra:
 def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     """Assemble the signature; equal signatures are necessary for isomorphism.
 
-    An algebra whose model ``J`` is not the rank normal form ``N_r`` of its
-    shape and rank has the signature of the ``N_r`` bracket
-    (``_isomorphic_normal_form``): the factors of ``N_r = Q J P`` come from
-    one elimination of ``J`` (the normal-form-factor lemma of
-    ``matrices._normal_form_factors``), each call proves them by
-    ``matrices._factor_check``, and by the classification lemma of
-    ``classify`` ``A -> P A Q`` is then an isomorphism, which keeps every
-    invariant below.  If the proof fails, the signature is computed on ``L``
-    itself.
+    The signature takes one of two paths:
 
-    ``N_r`` itself takes the weight-grading path (``_graded_signature``);
-    the kernel below serves an algebra without a model and a ``J`` whose
-    transport fails.
+    - An algebra with a model has the signature of the rank normal form
+      ``N_r`` of its shape and rank, read off its weight grading
+      (``_graded_signature``).  One scan of ``J`` tells whether it is
+      ``N_r`` already (``_normal_form_rank``).  Otherwise ``J`` is
+      eliminated once, the factors of ``N_r = Q J P`` are written from that
+      elimination (the normal-form-factor lemma of
+      ``matrices._normal_form_factors``) and proved by
+      ``matrices._factor_check``, and by the classification lemma of
+      ``classify`` ``A -> P A Q`` is then an isomorphism, which keeps every
+      invariant below.
+    - An algebra without a model, or one whose proof fails, takes the
+      generic kernel (``_signature``), described below.
 
-    The signature is computed on ``_integer_constants(L)``, for a model the
+    The generic kernel runs on ``_integer_constants(L)``, for a model the
     model of its integer parameter ``D J``, whose adjoint is read off that
     ``J`` with no table.  Multiplying the bracket by ``D != 0`` keeps the
     center, both series and every centralizer, and multiplies the Killing
-    form by ``D**2``, which keeps its rank.
+    form by ``D**2``, which keeps its rank.  Only dimensions are read, so
+    each invariant is one exact rank, a count of ``matrices._rank`` or the
+    length of an ``_echelon`` basis, on the rows that ``center``,
+    ``centralizer``, the series and ``killing_form`` build:
 
-    Only dimensions are read, so each invariant is one exact rank, a count
-    of ``matrices._rank`` or the length of an ``_echelon`` basis.  A
-    kernel of dimension ``d - rank S`` is measured on the transpose, since
-    ``rank S = rank S^T``, and ``S^T`` has only ``d`` rows:
-
-    - ``center_dim = d - rank``.  The center is the kernel of
-      ``y -> ([y, x_s])_s``, and row ``i`` of its transpose is ``ad_i``
-      flattened (``_flat_ads``);
+    - ``center_dim = d - rank`` of ``center``'s system, the
+      ``_centralizer_rows`` of the basis;
     - ``derived_center_dim = d - rank``.  With ``b_1..b_k`` the primitive
-      integer echelon rows of ``D = [g, g]`` and ``N`` the ``d - k`` rows of
-      its annihilator (``matrices._null_rows``), ``y`` lies in ``D`` iff
-      ``N y = 0``, so the center of ``D`` is the kernel of ``N`` stacked on
-      ``y -> [y, b_j]`` for each ``j``.  Row ``i`` of its transpose is
-      ``(N_q[i])_q`` followed by ``([x_i, b_j]_t)_{j, t}``
-      (``_derived_center_transpose``).  When ``[g, g] = 0`` it is 0, the
-      center of the zero algebra, and no rank is taken;
+      integer echelon rows of ``D = [g, g]``, ``y`` lies in ``D`` iff the
+      rows of its annihilator (``matrices._null_rows``) vanish on ``y``, so
+      the center of ``D`` is the kernel of those rows stacked on the
+      ``_centralizer_rows`` of the ``b_j``.  When ``[g, g] = 0`` it is 0,
+      the center of the zero algebra, and neither system is built;
     - the series dimensions are the ranks of ``_series_rows``, where each
       term lies in the one before by bilinearity alone, so a step that
       reaches the dimension of the term before is stationary and stops
@@ -699,9 +679,8 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       lower central series is ``(d, k, k)`` too and is not eliminated:
       ``C^2 = [g, g]`` equals ``[C^2, C^2]``, and for any bilinear bracket
       ``[C^2, C^2] <= [g, C^2] = C^3 <= C^2``;
-    - the Killing rank is the rank of the integer Gram rows, read off the
-      parameter by the Killing-trace lemma below when the algebra has a
-      model (``_model_killing_gram``), else off ``_flat_ads``.
+    - the Killing rank is the rank of the Gram rows of ``killing_form``
+      (``_killing_gram`` of ``_flat_ads``).
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
     series and its center; the series kernel reads a bracket with a
@@ -710,35 +689,23 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     ``[g, g]`` by the trace-hyperplane lemma below, or the dimension of the
     term before), which no rank can pass, so every rank is exact.
 
-    Two trace identities of the parameter ``J`` of a model on ``Mat(n x m)``:
-
-    - Killing-trace lemma: ``ad_A ad_B X = AJBJ X - AJ X JB - BJ X JA
-      + X JBJA``, and the map ``X -> L X R`` on ``Mat(n x m)`` has trace
-      ``tr L tr R``, so ``K(A, B) = (n + m) tr(AJBJ) - 2 tr(AJ) tr(BJ)``.  On
-      units, ``K(E_ij, E_kl) = (n + m) J[j][k] J[l][i] - 2 J[j][i] J[l][k]``,
-      whose nonzero terms come from pairs of nonzero entries of ``J``.
-    - Trace-hyperplane lemma: ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) =
-      0``, so for ``J != 0`` ``[g, g]`` lies in the hyperplane
-      ``ker(A -> tr(JA))``, of dimension ``d - 1``.
+    Trace-hyperplane lemma: for the parameter ``J`` of a model on
+    ``Mat(n x m)``, ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) = 0``, so for
+    ``J != 0`` ``[g, g]`` lies in the hyperplane ``ker(A -> tr(JA))``, of
+    dimension ``d - 1``.
     """
-    normal = _isomorphic_normal_form(L)
-    return _signature(L if normal is None else normal)
-
-
-def _isomorphic_normal_form(L: LieAlgebra) -> Optional[LieAlgebra]:
-    """The algebra of the rank normal form ``N_r`` of the parameter ``J`` of
-    ``L.model``, once ``N_r = Q J P`` is proved with ``P`` and ``Q``
-    invertible; None when ``L`` has no model, when ``J`` is ``N_r`` already
-    (one scan, no elimination), or when the factors fail the proof."""
     param = L.model
-    if param is None or _normal_form_rank(param) is not None:
-        return None
-    n, m, j = param.n, param.m, param.j
-    rows = _rref_rows(j)
-    normal = rank_normal_form(m, n, len(rows[1]))
-    if not _factor_check(normal, j, _normal_form_factors(rows, n, m)):
-        return None
-    return LieAlgebra.from_param(BracketParam(n, m, normal))
+    if param is not None:
+        r = _normal_form_rank(param)
+        if r is not None:
+            return _graded_signature(L, r)
+        n, m, j = param.n, param.m, param.j
+        rows = _rref_rows(j)
+        r = len(rows[1])
+        normal = rank_normal_form(m, n, r)
+        if _factor_check(normal, j, _normal_form_factors(rows, n, m)):
+            return _graded_signature(LieAlgebra.from_param(BracketParam(n, m, normal)), r)
+    return _signature(L)
 
 
 def _normal_form_rank(param: BracketParam) -> Optional[int]:
@@ -750,65 +717,34 @@ def _normal_form_rank(param: BracketParam) -> Optional[int]:
 
 
 def _signature(L: LieAlgebra) -> InvariantSignature:
-    """The signature of ``L`` from its own constants, as ``invariant_signature``
-    describes: on the weight grading (``_graded_signature``) when ``L`` is
-    the ``N_r`` bracket, else by elimination on the ``d`` coordinates."""
-    r = None if L.model is None else _normal_form_rank(L.model)
-    if r is not None:
-        return _graded_signature(L, r)
+    """The generic signature of ``L``, from its own constants, as
+    ``invariant_signature`` describes."""
     L = _integer_constants(L)
     d = L.dim
-    k = len(L._derived_rows)
+    derived = L._derived_rows
+    k = len(derived)
     derived_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, False))
     if derived_dims == (d, k, k):  # [g, g] is its own derived algebra
         lcs_dims = derived_dims
     else:
         lcs_dims = (d,) + tuple(len(rows) for rows in _series_rows(L, True))
-    flat = _flat_ads(L)
-    gram = _killing_gram(flat) if L.model is None else _model_killing_gram(L.model)
+    derived_center_dim = 0  # the center of 0 is 0
+    if k:  # y lies in [g, g] and brackets each of its basis rows to 0
+        rows = chain(_null_rows(derived, d).values(), _centralizer_rows(L, derived.values()).values())
+        derived_center_dim = d - _rank(rows, d)
     return InvariantSignature(
         dim=d,
-        center_dim=d - _rank(flat, d),
+        center_dim=d - _rank(_centralizer_rows(L, [{x: 1} for x in range(d)]).values(), d),
         derived_dims=derived_dims,
         lcs_dims=lcs_dims,
-        killing_rank=_rank(gram, d),
-        derived_center_dim=d - _rank(_derived_center_transpose(L), d) if k else 0,  # the center of 0 is 0
+        killing_rank=_rank(_killing_gram(_flat_ads(L)), d),
+        derived_center_dim=derived_center_dim,
     )
-
-
-def _derived_center_transpose(L: LieAlgebra) -> list:
-    """The ``d`` rows of the transpose of the system whose kernel is the
-    center of ``[g, g]`` (see ``invariant_signature``): row ``i`` holds
-    ``N_q[i]`` at column ``q`` for the annihilator rows ``N_q`` of
-    ``[g, g]``, then ``[x_i, b_j]_t`` at column ``j * d + t`` for the
-    echelon rows ``b_1..b_k``.  Each bracket is read off ``ads[x]`` for ``x`` in
-    the support of ``b_j``, as ``[x_i, x_x] = -ads[x][i]``."""
-    d = L.dim
-    ads = L._sparse_ads
-    derived = L._derived_rows
-    rows: list = [dict() for _ in range(d)]
-    for q, null in _null_rows(derived, d).items():
-        for i, x in null.items():
-            rows[i][q] = x
-    for j, b in enumerate(derived.values(), 1):
-        base = j * d
-        for x, bx in b.items():
-            for i, col in ads[x].items():
-                row = rows[i]
-                for t, w in col.items():
-                    key = base + t
-                    y = row.get(key, 0) - bx * w
-                    if y:
-                        row[key] = y
-                    else:
-                        del row[key]
-    return rows
 
 
 def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
     """The signature of the ``N_r`` bracket ``L``, read off its weight
-    grading, with no elimination on the ``d`` coordinates but the Killing
-    rank's (``_model_killing_gram``).
+    grading, with no elimination on the ``d`` coordinates.
 
     Weight-grading lemma: the bracket ``[E_ij, E_kl] = [j = k < r] E_il -
     [l = i < r] E_kj`` (the unit-rule lemma of ``brackets._unit_rule``) is
@@ -819,7 +755,15 @@ def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
     of two units is ``±`` a unit outside ``H``, ``E_ii - E_jj`` in ``H``,
     or 0, and each series term, the center and the center of ``[g, g]``
     (each component of a central element is central) is a set of units
-    plus a subspace of ``H``.
+    plus a subspace of ``H``.  The Killing form ``K`` pairs degree ``α``
+    only with ``-α``, as ``ad_x ad_y`` shifts degree by ``α + β``.  A unit
+    ``E_ij`` with ``i >= r`` or ``j >= r`` has no unit of opposite degree,
+    so it lies in the radical.  On ``H``, ``K(h, h') = sum_u root_u(h)
+    root_u(h')`` is the Gram of the roots, of the rank of the roots.  Each
+    pair ``{E_ij, E_ji}`` with ``i != j < r`` adds 2: with ``h = [E_ij,
+    E_ji] = E_ii - E_jj``, whose root on ``E_ij`` is 2, invariance gives
+    ``K(E_ij, E_ji) = K(h, h) / 2 > 0``.  So the Killing rank is ``r (r -
+    1)`` plus the rank of the roots on ``H``.
 
     A term is kept as ``(units, rows)``, ``rows`` the ``_echelon`` basis of
     its ``H`` part on the coordinates ``k``.  ``[A, T]`` is spanned by the
@@ -829,8 +773,9 @@ def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
     elimination.  A unit of a term is central when it brackets no unit of
     the term and its root vanishes on the term's ``H`` part, and the central
     ``h = sum_q c_q rows[q]`` are the kernel of the rows
-    ``(root_u(rows[q]))_q``.  So each dimension is a count of units plus
-    one rank of width at most ``r``.
+    ``(root_u(rows[q]))_q``, whose rank on ``g`` is the rank of the roots.
+    So each dimension is a count of units plus one rank of width at most
+    ``r``.
     """
     param = L.model
     d, m, ads = param.dim, param.m, L._sparse_ads
@@ -862,7 +807,7 @@ def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
     def dim(term):
         return len(term[0]) + len(term[1])
 
-    def center_dim(term):
+    def center_roots(term):  # the center dimension, and the rank of the roots on the H part
         units, hrows = term
         at = weights(hrows)
         central, pairs = 0, set()  # pairs (at[i], at[j]) of the units E_ij with a nonzero root
@@ -873,7 +818,8 @@ def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
             elif units.isdisjoint(ads[u]):
                 central += 1
         kernel = ({q: x - y for q, (x, y) in enumerate(zip(*pair)) if x != y} for pair in pairs)
-        return central + len(hrows) - _rank(kernel, len(hrows))
+        roots = _rank(kernel, len(hrows))
+        return central + len(hrows) - roots, roots
 
     def series_dims(lower_central):
         terms, prev = [derived], d
@@ -886,11 +832,12 @@ def _graded_signature(L: LieAlgebra, r: int) -> InvariantSignature:
     derived = bracket_term(g, g)
     derived_dims = series_dims(False)
     k = dim(derived)
+    center_dim, roots = center_roots(g)
     return InvariantSignature(
         dim=d,
-        center_dim=center_dim(g),
+        center_dim=center_dim,
         derived_dims=derived_dims,
         lcs_dims=derived_dims if derived_dims == (d, k, k) else series_dims(True),
-        killing_rank=_rank(_model_killing_gram(param), d),
-        derived_center_dim=center_dim(derived),
+        killing_rank=r * (r - 1) + roots,
+        derived_center_dim=center_roots(derived)[0],
     )

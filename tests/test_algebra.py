@@ -335,18 +335,8 @@ def integer_parameters(draw, max_size=4):
 
 
 class TestTraceLemmas:
-    """The two trace identities of ``J`` stated in the ``invariant_signature``
+    """The trace identity of ``J`` stated in the ``invariant_signature``
     docstring."""
-
-    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(integer_parameters())
-    @example(BracketParam.normal(4, 4, 0))
-    @example(BracketParam(3, 4, Matrix([[1, -2, 3]] * 4)))
-    def test_model_gram_is_the_gram_of_the_adjoint_traces(self, param):
-        # Killing trace lemma: the Gram read off J is trace(ad_a . ad_b) of
-        # the constants, row by row, zeros left out.
-        flat = algebra._flat_ads(LieAlgebra.from_param(param))
-        assert algebra._model_killing_gram(param) == algebra._killing_gram(flat)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -1459,46 +1449,65 @@ class TestSparseSignature:
         assert read and all(read)
 
     @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-3x4-0"])
-    def test_every_signature_rank_reads_d_rows(self, monkeypatch, name):
-        # The center, Killing and derived-center ranks of the kernel on the
-        # ``d`` coordinates are each taken on ``d`` rows, the transposed
-        # systems of ``invariant_signature``, not on the up to ``d**2`` rows
-        # of the stacked maps.  Each runs on its model-less twin, since the
-        # signature of a model is read off the weight grading of ``N_r``.
+    def test_every_signature_rank_reads_the_system_of_its_public_function(self, monkeypatch, name):
+        # The generic kernel takes each rank on rows the public functions
+        # build: the center rank on the rows ``center`` eliminates, the
+        # Killing rank on the Gram rows of ``killing_form``, and the
+        # derived-center rank on the d - k annihilator rows of [g, g]
+        # stacked on the centralizer rows of its echelon basis.  Each runs
+        # on its model-less twin, since the signature of a model is read off
+        # the weight grading of N_r.
         L = model_less(LieAlgebra.from_param(DENSE_REFERENCE_CASES[name]))
-        real = algebra._rank
-        read = []
+        d = L.dim
+        eliminated, ranked = [], []
 
-        def spy(rows, bound):
-            rows = list(rows)
-            read.append(len(rows))
-            return real(rows, bound)
+        def spying(record, real):
+            def spy(rows, bound):
+                rows = list(rows)
+                record.append([dict(row) for row in rows])
+                return real(rows, bound)
 
-        monkeypatch.setattr(algebra, "_rank", spy)
+            return spy
+
+        monkeypatch.setattr(algebra, "_echelon", spying(eliminated, algebra._echelon))
+        center(L)
+        monkeypatch.setattr(algebra, "_rank", spying(ranked, algebra._rank))
         assert invariant_signature(L) == dense_reference_signature(L)
-        assert read == [L.dim] * 3
+        derived_center_rows, center_rows, gram = ranked
+        assert center_rows == eliminated[0]
+        assert Matrix(algebra._dense(row, d) for row in gram) == killing_form(L)[0]
+        derived = L._derived_rows
+        null = algebra._null_rows(derived, d)
+        assert len(null) == d - len(derived) > 0
+        assert derived_center_rows == [*null.values(), *algebra._centralizer_rows(L, derived.values()).values()]
 
     @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1"])
     def test_transported_signature_reads_only_sparse_rows(self, monkeypatch, name):
-        # The transport eliminates J on dense rows; the kernel then runs once,
-        # on the normal-form algebra, under the guard of the test above.
+        # The transport eliminates J on dense rows; the weight grading then
+        # runs once, on the normal-form algebra, under the guard of the test
+        # above, and the generic kernel not at all.
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
         expected = dense_reference_signature(L)
-        real = algebra._signature
-        kernels, read = [], []
+        real = algebra._graded_signature
+        graded, read = [], []
 
-        def guarded(A):
-            kernels.append(A.model)
+        def guarded(A, r):
+            graded.append((A.model, r))
             with pytest.MonkeyPatch.context() as patch:
                 rows = sparse_rows_only(patch)
-                sig = real(A)
+                sig = real(A, r)
             read.extend(rows)
             return sig
 
-        monkeypatch.setattr(algebra, "_signature", guarded)
+        def refuse(A):
+            raise AssertionError("ran the generic kernel on a proved transport")
+
+        monkeypatch.setattr(algebra, "_graded_signature", guarded)
+        monkeypatch.setattr(algebra, "_signature", refuse)
         assert invariant_signature(L) == expected
-        assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
+        r = rank(param.j)
+        assert graded == [(BracketParam.normal(param.n, param.m, r), r)]
         assert read and all(read)
 
 
@@ -1631,26 +1640,32 @@ class TestNormalFormTransport:
 
     @pytest.mark.parametrize("name", TRANSPORTED)
     def test_one_transport_for_a_dense_parameter(self, monkeypatch, name):
-        # One factor build, and one kernel run, on the normal-form algebra.
+        # One factor build, and one graded signature, on the normal-form
+        # algebra; the generic kernel does not run.
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
         expected = invariant_signature(model_less(L))
-        real_factors, real_signature = algebra._normal_form_factors, algebra._signature
-        factors, kernels = [], []
+        real_factors, real_graded = algebra._normal_form_factors, algebra._graded_signature
+        factors, graded = [], []
 
         def spy_factors(*args):
             factors.append(args[1:])
             return real_factors(*args)
 
-        def spy_signature(A):
-            kernels.append(A.model)
-            return real_signature(A)
+        def spy_graded(A, r):
+            graded.append((A.model, r))
+            return real_graded(A, r)
+
+        def refuse(A):
+            raise AssertionError("ran the generic kernel on a proved transport")
 
         monkeypatch.setattr(algebra, "_normal_form_factors", spy_factors)
-        monkeypatch.setattr(algebra, "_signature", spy_signature)
+        monkeypatch.setattr(algebra, "_graded_signature", spy_graded)
+        monkeypatch.setattr(algebra, "_signature", refuse)
         assert invariant_signature(L) == expected
+        r = rank(param.j)
         assert factors == [(param.n, param.m)]
-        assert kernels == [BracketParam.normal(param.n, param.m, rank(param.j))]
+        assert graded == [(BracketParam.normal(param.n, param.m, r), r)]
 
     @pytest.mark.parametrize("name", ["dense-3x4-0", "dense-4x3-1", "rational-4x3-r2"])
     def test_a_transported_model_builds_only_the_normal_form_table(self, monkeypatch, name):
@@ -1705,21 +1720,22 @@ class TestNormalFormTransport:
             raise AssertionError("built the derived-center system of an abelian algebra")
 
         expected = reference_invariant_signature(L)
-        monkeypatch.setattr(algebra, "_derived_center_transpose", refuse)
+        monkeypatch.setattr(algebra, "_null_rows", refuse)
         sig = invariant_signature(L)
         assert sig == expected and sig.derived_center_dim == 0
 
     @pytest.mark.parametrize("name", ["normal-3x6-r3", "dense-4x3-1"])
     def test_counts_go_to_the_rank_kernel_and_spans_to_echelon(self, monkeypatch, name):
         # On the model-less twin the kernel runs on the d coordinates: the
-        # center, Killing and derived-center ranks are counts on d rows and
-        # go through ``_rank``, and ``_echelon`` runs only where a basis is
-        # read: once for [g, g], bounded by d (the twin has no J, so no trace
-        # hyperplane), and once per series step, bounded by the dimension of
-        # the term before.  The model is N_r, or is transported to it, and
-        # its signature is read off the weight grading: every span and rank
-        # has width at most r, each span bounded by the dimension of the H
-        # part of the term before (r for g), but the Killing rank on d rows.
+        # center, Killing and derived-center ranks are counts bounded by d
+        # and go through ``_rank``, and ``_echelon`` runs only where a basis
+        # is read: once for [g, g], bounded by d (the twin has no J, so no
+        # trace hyperplane), and once per series step, bounded by the
+        # dimension of the term before.  The model is N_r, or is transported
+        # to it, and its signature is read off the weight grading: the
+        # center and derived-center ranks and every span have width at most
+        # r, each span bounded by the dimension of the H part of the term
+        # before (r for g), and the Killing rank is a count with no rank.
         # A dense J costs one Gauss-Jordan, the elimination of J; a normal
         # form and a twin none.  J is a fresh copy, since a ``Matrix`` keeps
         # its elimination and an earlier test may have run it.
@@ -1754,7 +1770,7 @@ class TestNormalFormTransport:
         sig = invariant_signature(model_less(L))
         assert sig == expected
         d = sig.dim
-        assert [rows for _, rows, _ in calls["_rank"]] == [d] * 3
+        assert [(bound, width <= d) for bound, _, width in calls["_rank"]] == [(d, True)] * 3
         k = sig.derived_dims[1]
         steps = list(sig.derived_dims[1:-1])
         if sig.derived_dims != (d, k, k):  # else the lower central series is not eliminated
@@ -1770,11 +1786,8 @@ class TestNormalFormTransport:
         if sig.derived_dims != (d, k, k):
             bounds += h_part_dims(lcs[1:-1], m, r)
         assert [bound for bound, _, _ in calls["_echelon"]] == bounds
-        assert all(width <= r for _, _, width in calls["_echelon"])
-        (center_bound, _, center_width), killing, (derived_bound, _, derived_width) = calls["_rank"]
-        assert (center_bound, derived_bound) == (r, h_dims[1])
-        assert center_width <= r and derived_width <= r
-        assert killing[:2] == (d, d)
+        assert all(width <= r for kernel_calls in calls.values() for _, _, width in kernel_calls)
+        assert [bound for bound, _, _ in calls["_rank"]] == [r, h_dims[1]]
         assert eliminations == ([] if name.startswith("normal") else [n])
 
 

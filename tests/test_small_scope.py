@@ -13,7 +13,7 @@ parameter is its largest nonzero minor, ``rank_bruteforce``.
 
 The signature of a normal form ``N_r`` is read off its weight grading
 (``algebra._graded_signature``), a path of its own, so it is held to the
-kernel on the ``d`` coordinates and to the dense reference on every
+generic kernel on its model-less twin and to the dense reference on every
 ``N_r`` up to 6 x 6, and through the transport on drawn integer ``J``.
 """
 

@@ -15,7 +15,10 @@ lists the same way.
 Nor does the package keep what it never reads: every name that a module
 other than ``__init__.py`` imports is read in that module, and every name
 that a function assigns is read in that function, a function nested in it
-included; an unpacking target that is not read is written ``_``.
+included; an unpacking target that is not read is written ``_``.  Every
+private top-level function and class is read somewhere in the package
+outside its own definition, so a helper that a change leaves without a
+caller fails here.
 """
 
 import ast
@@ -240,3 +243,60 @@ def f(m: Matrix):
     return inner, [w for w in pivots if w]
 '''
     assert unread(source) == ["import os", "f: exc", "f: half", "f: reduced", "f: total"]
+
+
+def private_definitions(sources: list) -> set:
+    """The names of the private top-level functions and classes of the
+    module ``sources``."""
+    return {
+        node.name
+        for source in sources
+        for node in ast.parse(source).body
+        if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+    }
+
+
+def test_every_private_definition_is_read_by_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    names = private_definitions(sources)
+    assert {"_echelon", "_Value"} <= names
+    assert sorted(names - referenced(names, sources)) == []
+
+
+def test_a_private_definition_read_only_in_its_own_body_or_in_prose_is_unread():
+    # A recursive call and a docstring mention are no reads; a call from
+    # another definition, an import into another module and an attribute of
+    # an imported package module are.
+    sources = [
+        '''
+def _recursive(n):
+    """Calls _Documented() in prose only."""
+    return _recursive(n - 1) if n else _called(n)
+
+
+def _called(n):
+    return n
+
+
+class _Documented:
+    pass
+
+
+def _imported():
+    pass
+
+
+def _through_module():
+    pass
+''',
+        '''
+from . import first
+from .first import _imported
+
+
+def user():
+    return _imported(), first._through_module()
+''',
+    ]
+    names = private_definitions(sources)
+    assert sorted(names - referenced(names, sources)) == ["_Documented", "_recursive"]
