@@ -48,13 +48,11 @@ from .matrices import (
     _Value,
     _add_multiple,
     _echelon,
-    _factor_check,
     _integer_row,
-    _normal_form_factors,
+    _normal_form_transport,
     _null_rows,
     _rank,
     _reduced_rows,
-    _rref_rows,
     _sparse_row,
     rank,
     rank_normal_form,
@@ -644,13 +642,14 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
     - An algebra with a model has the signature of the rank normal form
       ``N_r`` of its shape and rank, read off its weight grading
       (``_graded_signature``).  One scan of ``J`` tells whether it is
-      ``N_r`` already (``_normal_form_rank``).  Otherwise ``J`` is
-      eliminated once, the factors of ``N_r = Q J P`` are written from that
-      elimination (the normal-form-factor lemma of
-      ``matrices._normal_form_factors``) and proved by
-      ``matrices._factor_check``, and by the classification lemma of
-      ``classify`` ``A -> P A Q`` is then an isomorphism, which keeps every
-      invariant below.
+      ``N_r`` already (``_normal_form_rank``).  Otherwise
+      ``matrices._normal_form_transport`` eliminates ``J`` once, writes the
+      factors of ``N_r = Q J P`` from that elimination (the
+      normal-form-factor lemma of ``matrices._normal_form_factors``) and
+      proves them by their identity and the null-block lemma, which ranks
+      only the last ``m - r`` rows of ``Q`` and ``n - r`` columns of ``P``.
+      By the classification lemma of ``classify``, ``A -> P A Q`` is then an
+      isomorphism, which keeps every invariant below.
     - An algebra without a model, or one whose proof fails, takes the
       generic kernel (``_signature``), described below.
 
@@ -699,12 +698,9 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
         r = _normal_form_rank(param)
         if r is not None:
             return _graded_signature(L, r)
-        n, m, j = param.n, param.m, param.j
-        rows = _rref_rows(j)
-        r = len(rows[1])
-        normal = rank_normal_form(m, n, r)
-        if _factor_check(normal, j, _normal_form_factors(rows, n, m)):
-            return _graded_signature(LieAlgebra.from_param(BracketParam(n, m, normal)), r)
+        r = _normal_form_transport(param.j)
+        if r is not None:
+            return _graded_signature(LieAlgebra.from_param(BracketParam.normal(param.n, param.m, r)), r)
     return _signature(L)
 
 

@@ -220,15 +220,24 @@ def _shift_table(n: int, r: int) -> dict:
     return structure_constants(BracketParam(n, n, Matrix._raw(diagonal))).table
 
 
-def _generic_time(comm: dict, shift: dict):
-    """The generic time ``t* = 1/2^W`` of ``path_identities`` for the
-    time-free tables ``comm = T(I)`` and ``shift = T(J_r - I)``, with
-    ``W = (4 M).bit_length() + 1``; None if a constant is not an integer,
-    where the generic-time lemma gives no bound."""
-    constants = list(chain.from_iterable(map(dict.values, chain(comm.values(), shift.values()))))
+def _table_bound(table: dict):
+    """The largest absolute constant of a time-free table, at least 1; None
+    if a constant is not an integer, where the generic-time lemma gives no
+    bound.  That of ``T(I)`` is the same for every rank of a size."""
+    constants = list(chain.from_iterable(map(dict.values, table.values())))
     if not _INT_ONLY.issuperset(map(type, constants)):
         return None
-    m = max([1, *map(abs, constants)])
+    return max([1, *map(abs, constants)])
+
+
+def _generic_time(*bounds):
+    """The generic time ``t* = 1/2^W`` of ``path_identities`` for the
+    ``_table_bound`` of each time-free table, ``comm = T(I)`` and
+    ``shift = T(J_r - I)``: ``M`` is the larger and
+    ``W = (4 M).bit_length() + 1``; None if a bound is None."""
+    if None in bounds:
+        return None
+    m = max(bounds)
     return Fraction(1, 1 << ((4 * m).bit_length() + 1))
 
 

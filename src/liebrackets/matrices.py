@@ -8,9 +8,11 @@ the transform of ``rref`` by ``_gauss_jordan``.  A dense row enters through
 ``_sparse_row``, and ``_integer_row`` clears denominators.  The factors of
 the rank classification are ``_rref_factors`` (two parameters of one rank)
 and ``_normal_form_factors`` (a parameter and its normal form), both read
-off ``_rref_rows``, which a ``Matrix`` runs once and keeps, and
-``_factor_check`` proves either, or the ``_identity_factors`` of two equal
-parameters.
+off ``_rref_rows``, which a ``Matrix`` runs once and keeps.
+``_factor_check`` proves the factors of a pair, or the
+``_identity_factors`` of two equal parameters, and
+``_normal_form_transport`` proves a parameter's factors to its normal form
+by the null-block lemma.
 
 Text format for matrices: rows separated by ``;``, entries by whitespace,
 entries as integers or ``p/q``, e.g. ``"1 0; 0 1/2"``.  JSON format:
@@ -779,6 +781,35 @@ def _normal_form_factors(e: tuple, n: int, m: int) -> tuple:
     return pflat, dp, qflat, dq
 
 
+def _normal_form_transport(j: Matrix):
+    """The rank ``r`` of the ``m x n`` parameter ``j`` when the factors of
+    ``N_r = Q j P`` that ``_normal_form_factors`` writes from
+    ``_rref_rows(j)`` are proved, else None.  By the classification lemma
+    of ``classify``, ``A -> P A Q`` is then an isomorphism from the
+    ``N_r``-bracket onto the ``j``-bracket.
+
+    Null-block lemma: if ``N_r = Q j P``, then ``Q`` is invertible iff its
+    last ``m - r`` rows are independent, and ``P`` iff its last ``n - r``
+    columns are.  If ``x Q = 0``, then ``x N_r = x Q j P = 0``, and
+    ``x N_r = (x_0, .., x_(r-1), 0, ..)``, so ``x`` is zero outside its last
+    ``m - r`` coordinates.  If ``P y = 0``, then ``N_r y = 0``, so
+    ``y_0 .. y_(r-1) = 0``.
+
+    So after ``_factor_identity`` the proof takes ``_rank`` of the ``m - r``
+    null rows of ``Q' = dq Q`` and of the ``n - r`` null columns of
+    ``P' = dp P``, each stopped at its full count, and none of an empty
+    block: for a square ``j`` of full rank, no rank at all."""
+    m, n = j.shape
+    e = _rref_rows(j)
+    r = len(e[1])
+    factors = pflat, _, qflat, _ = _normal_form_factors(e, n, m)
+    if not _factor_identity(rank_normal_form(m, n, r), j, *factors):
+        return None
+    qrows = (_sparse_row(qflat[i * m : (i + 1) * m]) for i in range(r, m))
+    pcols = (_sparse_row(pflat[c::n]) for c in range(r, n))
+    return r if all(_rank(rows, k) == k for rows, k in ((qrows, m - r), (pcols, n - r)) if k) else None
+
+
 def _factor_identity(j1: Matrix, j2: Matrix, pflat, dp: int, qflat, dq: int) -> bool:
     """Whether ``j1 = Q j2 P`` for factors in the form of
     ``_rref_factors``, as the integer identity ``dp dq d2 J1' = d1 Q' J2'
@@ -808,11 +839,13 @@ def _identity_factors(n: int, m: int) -> tuple:
 
 
 def _factor_check(j1: Matrix, j2: Matrix, factors: tuple):
-    """None when the factors ``(pflat, dp, qflat, dq)`` of ``j1 = Q j2 P``,
-    in the form of ``_rref_factors``, fail that identity
-    (``_factor_identity``); else whether ``P`` and ``Q`` are invertible,
-    ``rank P' = n`` and ``rank Q' = m`` for the integer ``P' = dp P`` and
-    ``Q' = dq Q``: two ``_rank`` calls, each stopped at full rank.
+    """None when the factors ``(pflat, dp, qflat, dq)`` of ``j1 = Q j2 P``
+    of a pair, from ``_rref_factors`` or ``_identity_factors``, fail that
+    identity (``_factor_identity``); else whether ``P`` and ``Q`` are
+    invertible, ``rank P' = n`` and ``rank Q' = m`` for the integer
+    ``P' = dp P`` and ``Q' = dq Q``: two ``_rank`` calls, each stopped at
+    full rank.  (A parameter and its normal form take
+    ``_normal_form_transport``, whose ranks cover only the null blocks.)
 
     So ``True`` proves ``j1`` and ``j2`` equivalent, and by the
     classification lemma of ``classify`` the map ``A -> P A Q`` an

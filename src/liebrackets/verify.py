@@ -47,6 +47,7 @@ from .deform import (
     _identity_table,
     _path_identities,
     _shift_table,
+    _table_bound,
     ce_coboundary_check,
     contraction_constants,
     contraction_limit,
@@ -424,11 +425,12 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     is read by ``signature_separation``.  Both path identities are proved for
     every time ``t`` of each ``(n, r)`` by one evaluation at the generic time
     of ``deform._generic_time`` (the generic-time lemma of
-    ``deform.path_identities``), with ``T(I)`` built once per ``n`` and
-    ``T(J_r - I)`` once per ``(n, r)``.  The proof covers the sample times
-    ``PATH_TIMES`` below ``t = 1`` (the transport map is singular at
-    ``t = 1``), so ``identity_cases`` counts the pairs at those times; only
-    when it fails are they checked one by one, which names each failing time.
+    ``deform.path_identities``), with ``T(I)`` built and its bound read
+    once per ``n`` and ``T(J_r - I)`` once per ``(n, r)``.  The proof
+    covers the sample times ``PATH_TIMES`` below ``t = 1`` (the transport
+    map is singular at ``t = 1``), so ``identity_cases`` counts the pairs
+    at those times; only when it fails are they checked one by one, which
+    names each failing time.
 
     The coboundary identity is proved for every ``J`` of each size ``n`` by one
     ``ce_coboundary_check`` at the generic parameter ``J*`` of
@@ -449,10 +451,11 @@ def check_deformation_coboundary(max_size: int = 4, seed: int = 0) -> dict:
     for n in range(1, max_size + 1):
         pairs = n * n * (n * n - 1) // 2
         comm = _identity_table(n)
+        comm_bound = _table_bound(comm)
         for r in range(n):
             shift = _shift_table(n, r)
             identity_cases += len(times) * pairs
-            t_star = _generic_time(comm, shift)
+            t_star = _generic_time(comm_bound, _table_bound(shift))
             if t_star is None or not all(_path_identities(n, r, t_star, comm, shift).values()):
                 for t in times:
                     for kind, ok in _path_identities(n, r, t, comm, shift).items():

@@ -1576,6 +1576,8 @@ class TestModelLessAdjoint:
 # Dense integer, rational and path parameters that are not in rank normal
 # form; the first three have rank < n, so P has rows at free columns.
 TRANSPORTED = ["dense-4x3-1", "rational-4x3-r2", "rational-3x3-r2", "dense-3x4-0", "path-3-r1-t1/3"]
+# Rational parameters with m - r >= 2, so Q has two null rows or more.
+TALL_NULL_BLOCK = ["rational-3x4-r1", "rational-2x5-r1"]
 UNTRANSPORTED = {
     "normal-3x4-r2": LieAlgebra.from_param(BracketParam.normal(3, 4, 2)),
     "normal-2x3-r0": LieAlgebra.from_param(BracketParam.normal(2, 3, 0)),
@@ -1587,27 +1589,33 @@ UNTRANSPORTED = {
 class TestNormalFormTransport:
     @pytest.mark.parametrize(
         "name, fault",
-        [(name, "halve-q") for name in TRANSPORTED] + [(name, "zero-null-p-columns") for name in TRANSPORTED[:3]],
+        [(name, "halve-q") for name in TRANSPORTED]
+        + [(name, "zero-null-p-columns") for name in TRANSPORTED[:3]]
+        + [(name, "dependent-null-q-rows") for name in TALL_NULL_BLOCK],
     )
     def test_a_failed_proof_falls_back_to_the_algebra(self, monkeypatch, name, fault):
         # Halving Q breaks the factor identity.  Zeroing the columns of P
         # past r, which span the null space of J, keeps N_r = Q J P, as N_r
-        # is zero there, but leaves P singular.  Either way the signature is
-        # computed on L, as on its model-less twin, and no normal-form
-        # algebra is built.
+        # is zero there, but leaves P singular.  Copying one null row of Q
+        # (a row past r, which J sends to 0) onto another keeps the identity
+        # too, but leaves Q singular.  Either way the signature is computed
+        # on L, as on its model-less twin, and no normal-form algebra is
+        # built.
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
-        n, r = param.n, rank(param.j)
-        real = algebra._normal_form_factors
+        n, m, r = param.n, param.m, rank(param.j)
+        real = matrices._normal_form_factors
         identities = []
 
         def corrupted(e, n_, m_):
             pflat, dp, qflat, dq = real(e, n_, m_)
             if fault == "halve-q":
                 dq *= 2
-            else:
+            elif fault == "zero-null-p-columns":
                 pflat = [0 if i % n >= r else x for i, x in enumerate(pflat)]
-            normal = rank_normal_form(param.m, n, r)
+            else:
+                qflat = qflat[: (r + 1) * m] + qflat[r * m : (r + 1) * m] + qflat[(r + 2) * m :]
+            normal = rank_normal_form(m, n, r)
             identities.append(matrices._factor_identity(normal, param.j, pflat, dp, qflat, dq))
             return pflat, dp, qflat, dq
 
@@ -1615,11 +1623,33 @@ class TestNormalFormTransport:
             raise AssertionError("built an algebra")
 
         expected = invariant_signature(model_less(L))
-        monkeypatch.setattr(algebra, "_normal_form_factors", corrupted)
+        monkeypatch.setattr(matrices, "_normal_form_factors", corrupted)
         monkeypatch.setattr(LieAlgebra, "from_param", refuse)
-        assert r < n or fault == "halve-q"
+        assert {"halve-q": True, "zero-null-p-columns": r < n, "dependent-null-q-rows": m - r >= 2}[fault]
         assert invariant_signature(L) == expected
-        assert identities == [fault == "zero-null-p-columns"]
+        assert identities == [fault != "halve-q"]
+
+    @pytest.mark.parametrize("name", TRANSPORTED + TALL_NULL_BLOCK)
+    def test_the_proof_ranks_only_the_null_blocks(self, monkeypatch, name):
+        # By the null-block lemma the transport ranks the m - r null rows of
+        # Q and the n - r null columns of P, each stopped at its count, and
+        # takes no rank when both are empty (the full-rank square path
+        # point): never a rank of all of P or Q.
+        param = DENSE_REFERENCE_CASES[name]
+        L = LieAlgebra.from_param(param)
+        expected = invariant_signature(model_less(L))
+        n, m, r = param.n, param.m, rank(param.j)
+        real = matrices._rank
+        calls = []
+
+        def spy(rows, bound):
+            rows = list(rows)
+            calls.append((len(rows), bound))
+            return real(rows, bound)
+
+        monkeypatch.setattr(matrices, "_rank", spy)
+        assert invariant_signature(L) == expected
+        assert sorted(calls) == sorted((k, k) for k in (m - r, n - r) if k)
 
     @pytest.mark.parametrize("name", sorted(UNTRANSPORTED))
     def test_no_elimination_without_a_dense_parameter(self, monkeypatch, name):
@@ -1645,7 +1675,7 @@ class TestNormalFormTransport:
         param = DENSE_REFERENCE_CASES[name]
         L = LieAlgebra.from_param(param)
         expected = invariant_signature(model_less(L))
-        real_factors, real_graded = algebra._normal_form_factors, algebra._graded_signature
+        real_factors, real_graded = matrices._normal_form_factors, algebra._graded_signature
         factors, graded = [], []
 
         def spy_factors(*args):
@@ -1659,7 +1689,7 @@ class TestNormalFormTransport:
         def refuse(A):
             raise AssertionError("ran the generic kernel on a proved transport")
 
-        monkeypatch.setattr(algebra, "_normal_form_factors", spy_factors)
+        monkeypatch.setattr(matrices, "_normal_form_factors", spy_factors)
         monkeypatch.setattr(algebra, "_graded_signature", spy_graded)
         monkeypatch.setattr(algebra, "_signature", refuse)
         assert invariant_signature(L) == expected
@@ -1706,7 +1736,7 @@ class TestNormalFormTransport:
         monkeypatch.setattr(algebra, "structure_constants", refuse)
         monkeypatch.setattr(algebra._ModelConstants, "__getattr__", refuse)
         if not proved:
-            monkeypatch.setattr(algebra, "_factor_check", lambda *args: None)
+            monkeypatch.setattr(algebra, "_normal_form_transport", lambda j: None)
         assert invariant_signature(LieAlgebra.from_param(param)) == expected
 
     @pytest.mark.parametrize(

@@ -287,15 +287,20 @@ class TestPathIdentities:
         # so t* = 1/16; the sample times below t = 1 pass too.
         for r in range(n):
             comm, shift = deform._identity_table(n), deform._shift_table(n, r)
-            assert deform._generic_time(comm, shift) == Fraction(1, 16)
+            assert deform._table_bound(comm) == deform._table_bound(shift) == 1
+            assert deform._generic_time(deform._table_bound(comm), deform._table_bound(shift)) == Fraction(1, 16)
             for t in (Fraction(1, 16), *PATH_TIMES[:-1]):
                 assert path_identities(n, r, t) == {"decomposition": True, "transport": True}, (n, r, t)
 
     def test_generic_time_needs_integer_constants(self):
         # The packing lemma reads integer coefficients only, so a rational
         # constant in a time-free table gives no generic time.
-        assert deform._generic_time({(0, 1): {0: 3}}, {(0, 1): {2: -5}}) == Fraction(1, 64)
-        assert deform._generic_time({(0, 1): {0: Fraction(1, 2)}}, {}) is None
+        # M = 5 is the larger bound; an empty table has the floor bound 1.
+        comm, shift = {(0, 1): {0: 3}}, {(0, 1): {2: -5}}
+        assert (deform._table_bound(comm), deform._table_bound(shift), deform._table_bound({})) == (3, 5, 1)
+        assert deform._generic_time(deform._table_bound(comm), deform._table_bound(shift)) == Fraction(1, 64)
+        assert deform._table_bound({(0, 1): {0: Fraction(1, 2)}}) is None
+        assert deform._generic_time(None, deform._table_bound({})) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_polynomial_form_in_t(self, n):
@@ -361,7 +366,7 @@ class TestPathIdentities:
         # deformation_bracket, psi_t and alpha_coboundary build, whose
         # outputs the proofs read.
         cases = [(n, r, deform._identity_table(n), deform._shift_table(n, r)) for n in range(1, 5) for r in range(n)]
-        times = [deform._generic_time(comm, shift) for _, _, comm, shift in cases]
+        times = [deform._generic_time(deform._table_bound(comm), deform._table_bound(shift)) for *_, comm, shift in cases]
         params = [_generic_parameter(n, n, verify._COBOUNDARY_SLOT) for n in range(1, 5)]
         built, spying = [], [True]
         real_new = Fraction.__new__
@@ -399,10 +404,13 @@ class TestPathIdentities:
         # one at the generic time t* = 1/16 of each (n, r), and the four
         # sample times below t = 1 only when that evaluation fails, as it
         # does when psi_t is the zero map.  deformation_bracket and psi_t
-        # run at every evaluation.
-        built, times = [], []
+        # run at every evaluation.  The bound M of the generic time is read
+        # off each table once: T(I) once per n, not once per (n, r).
+        built, times, scanned = [], [], []
         real_constants, real_bracket = deform.structure_constants, deform.deformation_bracket
+        real_bound = deform._table_bound
         monkeypatch.setattr(deform, "structure_constants", lambda p: built.append(p.j) or real_constants(p))
+        monkeypatch.setattr(verify, "_table_bound", lambda table: scanned.append(table) or real_bound(table))
         monkeypatch.setattr(deform, "deformation_bracket", lambda n, j, t: times.append(t) or real_bracket(n, j, t))
         monkeypatch.setattr(verify, "ce_coboundary_check", lambda j, n: Verdict(True))
         if fault:
@@ -420,6 +428,8 @@ class TestPathIdentities:
                 expected += [real_bracket(n, jr, t).j * Fraction(t).denominator for t in evaluated]
         assert built == expected
         assert len(built) == 3 + len(cases) * (1 + len(evaluated))
+        tables = [(deform._identity_table(n), *(deform._shift_table(n, r) for r in range(n))) for n in (1, 2, 3)]
+        assert scanned == [table for per_n in tables for table in per_n]
 
 
 class TestPsiT:

@@ -755,7 +755,7 @@ def test_path_proof_catches_a_residual_that_vanishes_at_one_sixteenth(monkeypatc
     monkeypatch.setattr(deform, "structure_constants", residual_vanishing_at_one_sixteenth)
     monkeypatch.setattr(verify, "ce_coboundary_check", lambda j, n: Verdict(True))
     comm, shift = deform._identity_table(2), deform._shift_table(2, 1)
-    assert deform._generic_time(comm, shift) == Fraction(1, 256)
+    assert deform._generic_time(deform._table_bound(comm), deform._table_bound(shift)) == Fraction(1, 256)
     passing = {"decomposition": True, "transport": True}
     assert deform._path_identities(2, 1, Fraction(1, 16), comm, shift) == passing
     assert deform._path_identities(2, 1, Fraction(1, 256), comm, shift) == {**passing, "transport": False}

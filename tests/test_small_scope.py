@@ -9,7 +9,11 @@ the same factors.  These tests therefore run them on every parameter of a
 few small boxes, entries in {-1, 0, 1} at 2 x 2, 2 x 3 and 3 x 2 and in
 {0, 1} at 3 x 3, which combine zero rows, repeated columns and every sign
 pattern, as seeded draws from [-3, 3] seldom do.  The rank of each
-parameter is its largest nonzero minor, ``rank_bruteforce``.
+parameter is its largest nonzero minor, ``rank_bruteforce``.  The
+transport proves its factors by the null-block lemma of
+``matrices._normal_form_transport``, with no full-size rank, so on every
+parameter its verdict is held to the full ranks of ``_factor_check``, on
+the factors written and on a copy whose ``Q`` repeats a null row.
 
 The signature of a normal form ``N_r`` is read off its weight grading
 (``algebra._graded_signature``), a path of its own, so it is held to the
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from test_algebra import dense_reference_signature, model_less
 from test_matrices import rank_bruteforce
 
+from liebrackets import matrices
 from liebrackets.algebra import LieAlgebra, invariant_signature
 from liebrackets.brackets import BracketParam
 from liebrackets.classify import ClassificationError, _center_law_dim, _checked_witness, center_law, verified_witness
@@ -69,6 +74,36 @@ def test_center_law_and_transported_signature_hold_on_every_parameter(name):
         ctr, got_rank, expected = center_law(BracketParam(n, m, j))
         assert got_rank == r and ctr.dim == expected == _center_law_dim(n, m, r), j
         assert invariant_signature(LieAlgebra.from_param(BracketParam(n, m, j))) == normal_signature(n, m, r), j
+
+
+@pytest.mark.parametrize("name", BOXES)
+def test_null_block_proof_agrees_with_the_full_ranks_on_every_parameter(name, monkeypatch):
+    # The transport accepts every factor set _normal_form_factors writes, as
+    # _factor_check does with its full ranks of P and Q.  Where Q has two
+    # null rows or more, copying one onto the next keeps N_r = Q J P but
+    # leaves Q singular, and both refuse.
+    m, n, _ = BOXES[name]
+    real = matrices._normal_form_factors
+    corrupt = False
+
+    def written(e, n_, m_):
+        pflat, dp, qflat, dq = real(e, n_, m_)
+        r = len(e[1])
+        if corrupt:
+            qflat = qflat[: (r + 1) * m_] + qflat[r * m_ : (r + 1) * m_] + qflat[(r + 2) * m_ :]
+        factors.append((pflat, dp, qflat, dq))
+        return factors[-1]
+
+    monkeypatch.setattr(matrices, "_normal_form_factors", written)
+    corrupted = 0
+    for j, r in box(name):
+        for corrupt in (False, True)[: 1 + (m - r >= 2)]:
+            factors = []
+            proved = matrices._normal_form_transport(j)
+            full = matrices._factor_check(rank_normal_form(m, n, r), j, factors[0])
+            assert (proved, full) == ((None, False) if corrupt else (r, True)), (j, corrupt)
+            corrupted += corrupt
+    assert corrupted == sum(m - r >= 2 for _, r in box(name)) > 0
 
 
 def test_witness_between_every_pair_of_the_two_by_two_box():
