@@ -16,8 +16,10 @@ integer constants (``_integer_constants``).  The destination of
 ``hom_check`` and the ambient of ``subalgebra_closed`` are a
 ``BracketParam``, not an algebra.  ``invariant_signature`` states its two
 paths: a model's signature is read off the weight grading of its rank
-normal form ``N_r`` (``_graded_signature``), and any other algebra's is
-taken by the generic kernel on the rows the public functions build.
+normal form ``N_r`` (``_graded_signature``), and any other algebra's, or a
+model's whose transport proof fails, is taken by the generic kernel on the
+rows the public functions build, which bounds each elimination by ``d`` or
+by the dimension of the term before and sums every bracket off the adjoint.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class Verdict(_Value):
     _fields = ("passed", "witness")
 
     def __init__(self, passed: bool, witness: Optional[dict] = None):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
+        self._set(passed, witness)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -79,9 +80,7 @@ class HomVerdict(_Value):
     _fields = ("is_hom", "injective", "witness")
 
     def __init__(self, is_hom: bool, injective: bool, witness: Optional[dict] = None):
-        object.__setattr__(self, "is_hom", is_hom)
-        object.__setattr__(self, "injective", injective)
-        object.__setattr__(self, "witness", witness)
+        self._set(is_hom, injective, witness)
 
     @property
     def bijective(self) -> bool:
@@ -116,10 +115,7 @@ class LieAlgebra(_Value):
         labels: Optional[Tuple[str, ...]] = None,
         model: Optional[BracketParam] = None,
     ):
-        self.dim = dim
-        self.constants = constants
-        self.labels = labels
-        self.model = model
+        self._set(dim, constants, labels, model)
         if constants.dim != dim:
             raise ValueError(f"constants dim {constants.dim} != algebra dim {dim}")
         if labels is not None and len(labels) != dim:
@@ -187,15 +183,11 @@ class LieAlgebra(_Value):
         """The ``_echelon`` basis of ``[g, g]``, the span of the brackets of the
         basis pairs: the columns ``ads[a][b]``, ``a < b``, of the upper half
         of ``_sparse_ads``, read as sparse rows in pair order, the order of
-        ``structure_constants``.  Only for an algebra whose
-        constants are all ``int`` (see ``_integer_constants``).  For a model
-        with ``J != 0`` the span lies in a hyperplane (the trace-hyperplane
-        lemma of ``invariant_signature``), so ``d - 1`` bounds the
-        elimination."""
-        model = self.model
-        bound = self.dim - 1 if model is not None and not model.j.is_zero() else self.dim
+        ``structure_constants``, eliminated with the bound ``d``.  Only for
+        an algebra whose constants are all ``int`` (see
+        ``_integer_constants``)."""
         upper = (cols[b] for a, cols in enumerate(self._sparse_ads) for b in sorted(cols) if b > a)
-        return _echelon(upper, bound)
+        return _echelon(upper, self.dim)
 
 
 class _ModelConstants(StructureConstants):
@@ -374,21 +366,14 @@ def _series_rows(L: LieAlgebra, lower_central: bool) -> List[dict]:
 
 def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
     """The nonzero brackets, as sparse rows, spanning the term after the one
-    spanned by the sparse rows ``current``.  A bracket with a single-entry
-    row is read off the adjoint: ``[x_a, {b: z}] = z ads[a][b]``, and
-    ``[{a: y}, {b: z}] = y z ads[a][b]``."""
+    spanned by the sparse rows ``current``, each summed off the adjoint by
+    ``_add_bracket``."""
     ads = L._sparse_ads
     if lower_central:  # [x_a, y] for every basis element x_a
         for cols in ads:
             if not cols:
                 continue
             for y in current:
-                if len(y) == 1:
-                    ((b, z),) = y.items()
-                    col = cols.get(b)
-                    if col:
-                        yield {k: z * w for k, w in col.items()}
-                    continue
                 v: dict = {}
                 _add_bracket(v, 1, cols, y)
                 if v:
@@ -396,13 +381,6 @@ def _next_generators(L: LieAlgebra, current: list, lower_central: bool):
     else:  # [y, z] = sum_a y_a [x_a, z] for every pair of rows
         for p, y in enumerate(current):
             for z in current[p + 1 :]:
-                if len(y) == len(z) == 1:
-                    ((a, ya),), ((b, zb),) = y.items(), z.items()
-                    col = ads[a].get(b)
-                    if col:
-                        f = ya * zb
-                        yield {k: f * w for k, w in col.items()}
-                    continue
                 v = {}
                 for a, ya in y.items():
                     _add_bracket(v, ya, ads[a], z)
@@ -682,16 +660,10 @@ def invariant_signature(L: LieAlgebra) -> InvariantSignature:
       (``_killing_gram`` of ``_flat_ads``).
 
     ``[g, g]`` is eliminated once, in ``LieAlgebra._derived_rows``, for both
-    series and its center; the series kernel reads a bracket with a
-    single-entry row straight off the adjoint (``_next_generators``).  Every
-    elimination stops once it reaches its bound (``d``, ``d - 1`` for
-    ``[g, g]`` by the trace-hyperplane lemma below, or the dimension of the
-    term before), which no rank can pass, so every rank is exact.
-
-    Trace-hyperplane lemma: for the parameter ``J`` of a model on
-    ``Mat(n x m)``, ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA) = 0``, so for
-    ``J != 0`` ``[g, g]`` lies in the hyperplane ``ker(A -> tr(JA))``, of
-    dimension ``d - 1``.
+    series and its center, and each series step sums its brackets off the
+    adjoint (``_next_generators``).  Every elimination stops once it
+    reaches its bound (``d``, or the dimension of the term before), which no
+    rank can pass, so every rank is exact.
     """
     param = L.model
     if param is not None:

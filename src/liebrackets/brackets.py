@@ -31,9 +31,7 @@ class BracketParam(_Value):
     _fields = ("n", "m", "j")
 
     def __init__(self, n: int, m: int, j: Matrix):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "j", j)
+        self._set(n, m, j)
         if n < 1 or m < 1:
             raise ShapeError(f"invalid operand shape {n}x{m}")
         if j.shape != (m, n):

@@ -101,11 +101,7 @@ class HeisenbergModel(_Value):
     _fields = ("n", "ambient", "xs", "ys", "z")
 
     def __init__(self, n: int, ambient: BracketParam, xs: Tuple[Matrix, ...], ys: Tuple[Matrix, ...], z: Matrix):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "z", z)
+        self._set(n, ambient, xs, ys, z)
 
     def generators(self) -> Tuple[Matrix, ...]:
         return self.xs + self.ys + (self.z,)
@@ -184,9 +180,7 @@ class RepCandidate(_Value):
     _fields = ("src", "images", "target_dim")
 
     def __init__(self, src: LieAlgebra, images: Tuple[Matrix, ...], target_dim: int):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "target_dim", target_dim)
+        self._set(src, images, target_dim)
         if len(images) != src.dim:
             raise ShapeError(f"{src.dim} basis elements but {len(images)} images")
         for img in images:
@@ -211,8 +205,7 @@ class ObstructionVerdict(_Value):
     _fields = ("kind", "detail")
 
     def __init__(self, kind: str, detail: Optional[dict] = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "detail", detail)
+        self._set(kind, detail)
         if kind not in _OBSTRUCTION_KINDS:
             raise ValueError(f"unknown verdict kind {kind!r}")
 
@@ -273,11 +266,7 @@ class SemidirectModel(_Value):
     _fields = ("r", "s", "constants", "phi", "labels")
 
     def __init__(self, r: int, s: int, constants: StructureConstants, phi: Matrix, labels: Tuple[str, ...]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "labels", labels)
+        self._set(r, s, constants, phi, labels)
 
     @property
     def dim(self) -> int:
@@ -409,11 +398,7 @@ class BracketClaim(_Value):
     _fields = ("left", "right", "claimed", "computed", "note")
 
     def __init__(self, left: str, right: str, claimed: tuple, computed: tuple, note: str = ""):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "note", note)
+        self._set(left, right, claimed, computed, note)
 
     @property
     def matches(self) -> bool:
@@ -445,13 +430,7 @@ class CatalogEntry(_Value):
         algebra: LieAlgebra,
         claims: Tuple[BracketClaim, ...],
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "claims", claims)
+        self._set(name, description, param, basis, labels, algebra, claims)
 
     @property
     def discrepancies(self) -> tuple:

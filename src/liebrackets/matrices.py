@@ -636,7 +636,7 @@ class _Value:
     """A value of the fields named in ``_fields``, as a frozen dataclass is,
     with no code generated at import: equal to a value of its own class with
     equal fields, hashed and shown by them, and read-only.  Each subclass's
-    ``__init__`` sets its fields with ``object.__setattr__`` and then checks
+    ``__init__`` sets its fields in one call of ``_set`` and then checks
     them."""
 
     _fields: tuple = ()
@@ -644,6 +644,12 @@ class _Value:
     def __init_subclass__(cls):
         # The tuple of the fields, read in one call; every value class has two or more.
         cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, *values):
+        """Set the fields ``_fields`` to ``values``, in order, past the
+        read-only ``__setattr__``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -671,9 +677,7 @@ class RankFactorization(_Value):
     _fields = ("q", "p", "rank")
 
     def __init__(self, q: Matrix, p: Matrix, rank: int):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rank", rank)
+        self._set(q, p, rank)
 
 
 def rank_factorization(j: Matrix) -> RankFactorization:

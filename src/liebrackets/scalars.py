@@ -7,12 +7,15 @@ arithmetic; keeping the integer case primitive makes the dense linear
 algebra roughly an order of magnitude faster than all-Fraction code.
 
 Floats are rejected everywhere: every quantity in this package is an
-exact rational.
+exact rational.  A number is read and written in decimal only up to the
+interpreter's digit limit, ``sys.get_int_max_str_digits()``; past it both
+directions raise the ``ValueError`` of ``_digit_limit``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -36,6 +39,8 @@ def to_scalar(value) -> Scalar:
             parsed = Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:  # the syntax is checked, so only the digit limit is left
+            raise _digit_limit() from None
         return to_scalar(parsed)
     if isinstance(value, int):  # bools and int subclasses
         return int(value)
@@ -56,4 +61,12 @@ def scalar_div(a: Scalar, b: Scalar) -> Scalar:
 
 def scalar_str(x: Scalar) -> str:
     """Render as ``"p"`` or ``"p/q"`` (the package's text format)."""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # an int or Fraction fails only at the digit limit
+        raise _digit_limit() from None
+
+
+def _digit_limit() -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"a number has more than {limit} decimal digits, the limit for reading or writing one")

@@ -335,13 +335,13 @@ def integer_parameters(draw, max_size=4):
 
 
 class TestTraceLemmas:
-    """The trace identity of ``J`` stated in the ``invariant_signature``
-    docstring."""
+    """The trace identity of ``J``: ``tr(J [A, B]_J) = tr(JAJB) - tr(JBJA)
+    = 0``, so for ``J != 0`` the brackets lie in a hyperplane."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_brackets_are_traceless_against_the_parameter(self, data):
-        # Trace-hyperplane lemma: tr(J [A, B]_J) = 0 for all A and B.
+        # tr(J [A, B]_J) = 0 for all A and B.
         n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         entries = st.integers(-5, 5)
 
@@ -449,8 +449,7 @@ class TestAdjoint:
     @example(BracketParam.normal(2, 3, 2), [{1: -3}, {3: 2}, {5: 1}])
     def test_the_series_kernel_brackets_the_rows_it_is_given(self, param, rows):
         # ``_next_generators`` yields the nonzero brackets of the rows it is
-        # given, whatever their coefficients: a single-entry row read off
-        # the adjoint keeps its coefficient.
+        # given, whatever their coefficients, single-entry rows included.
         d, basis = param.dim, basis_matrices(param.n, param.m)
         rows = [{k % d: v for k, v in row.items()} for row in rows]
         L = LieAlgebra.from_param(param)
@@ -1759,10 +1758,9 @@ class TestNormalFormTransport:
         # On the model-less twin the kernel runs on the d coordinates: the
         # center, Killing and derived-center ranks are counts bounded by d
         # and go through ``_rank``, and ``_echelon`` runs only where a basis
-        # is read: once for [g, g], bounded by d (the twin has no J, so no
-        # trace hyperplane), and once per series step, bounded by the
-        # dimension of the term before.  The model is N_r, or is transported
-        # to it, and its signature is read off the weight grading: the
+        # is read: once for [g, g], bounded by d, and once per series step,
+        # bounded by the dimension of the term before.  The model is N_r, or
+        # is transported to it, and its signature is read off the weight grading: the
         # center and derived-center ranks and every span have width at most
         # r, each span bounded by the dimension of the H part of the term
         # before (r for g), and the Killing rank is a count with no rank.

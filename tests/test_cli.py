@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -498,6 +500,37 @@ def test_coboundary_size_below_one_is_an_invalid_size(capsys, n):
     assert (code, report) == (2, None)
     assert err.startswith(f"error: invalid size {n}\n")
     assert err.count("error:") == 1
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the decimal digits of an int
+    read or written, set for the test and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_result_past_the_digit_limit_is_a_usage_error(capsys, tmp_path, digit_limit):
+    # 1,000-digit rational entries give center basis entries of more digits
+    # than the interpreter writes out: one error line of the package's own,
+    # with no hint to raise the interpreter's limit.
+    rng = random.Random(0)
+    entry = lambda: f"{rng.randrange(10**999, 10**1000)}/{rng.randrange(10**999, 10**1000)}"
+    path = tmp_path / "j.txt"
+    path.write_text("; ".join(" ".join(entry() for _ in range(3)) for _ in range(3)))
+    code, report, err = run_cli(capsys, "center", "3", "3", "--j", f"@{path}")
+    assert (code, report) == (2, None)
+    assert err.startswith(f"error: a number has more than {digit_limit} decimal digits, the limit for reading or writing one\n")
+    assert err.count("error:") == 1 and "sys." not in err
+
+
+def test_an_entry_past_the_digit_limit_names_its_option(capsys, digit_limit):
+    code, report, err = run_cli(capsys, "constants", "1", "1", "--j", "7" * 5000)
+    assert (code, report) == (2, None)
+    assert err.startswith(f"error: --j: a number has more than {digit_limit} decimal digits, the limit for reading or writing one\n")
+    assert err.count("error:") == 1 and "sys." not in err
 
 
 def test_negative_parameter_in_equals_form(capsys):

@@ -57,3 +57,32 @@ def test_every_listed_unrun_statement_occurs_and_is_meant_to_stay_unrun():
         assert key in found, key
         node, parents = found[key]
         assert isinstance(node, ast.Raise) or _runs_only_under_python_m(key[0], parents), key
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    spec = importlib.util.spec_from_file_location("codelines", ROOT / "mutants" / "codelines.py")
+    codelines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(codelines)
+    source = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment counts as code
+
+
+class Shape:
+    """A class docstring."""
+
+    # a comment line
+    size = max(
+        1,
+        2,
+    )
+
+    def area(self):
+        """A function docstring."""
+        text = """a string
+that is not a docstring"""
+        return self.size * len(text)
+'''
+    # import, class, the four lines of size, def, the two of text, return
+    assert codelines.code_lines(source) == 10
